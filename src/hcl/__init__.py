@@ -72,7 +72,7 @@ from .model import (
     named_parameters,
     save_checkpoint,
 )
-from .numeric import Matrix, Rng, cosine, finite_diff_grad, logsumexp, make_rng, matmul, rng_uniform
+from .numeric import Matrix, Rng, cosine, finite_diff_grad, logsumexp, make_rng
 from .optimizer import OptimizerState, lars_step
 from .similarity import (
     SimilarityConfig,

@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, config_for_seed, resolve_config
+from .config import RunConfig, config_for_seed, load_pairs, resolve_config
 from .data import Dataset, inject_noise, take_rows
 from .errors import ConfigError, ContractError, HclError
-from .ioutil import atomic_write_text, parse_kv_text, sha256_file
+from .ioutil import atomic_write_text, sha256_file
 from .metrics import EvalReport
 from .mi import (
     BoundTrainSpec,
@@ -39,15 +39,6 @@ from .train import (
     replay_eval,
     run_training,
 )
-
-
-def _load_pairs(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return parse_kv_text(text, source=path)
 
 
 def _ensure_out(cfg: RunConfig) -> str:
@@ -370,7 +361,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             cmd_eval(args.checkpoint, data=args.data, out_dir=args.out)
             return 0
-        pairs = _load_pairs(args.config)
+        pairs = load_pairs(args.config)
         overrides = _overrides(args)
         if args.command == "train":
             cmd_train(pairs, overrides)

@@ -337,13 +337,18 @@ def resolve_config(pairs: dict[str, str],
     return cfg
 
 
-def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:
+def load_pairs(path: str) -> dict[str, str]:
+    """Read a config file into its raw key-value pairs."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return resolve_config(parse_kv_text(text, source=path), overrides)
+    return parse_kv_text(text, source=path)
+
+
+def load_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    return resolve_config(load_pairs(path), overrides)
 
 
 def config_for_seed(cfg: RunConfig, seed: int) -> dict[str, str]:

@@ -85,7 +85,6 @@ class BatchPlan:
     anchors: np.ndarray
     labeled: np.ndarray
     negatives: np.ndarray
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.anchors = np.asarray(self.anchors, dtype=int).ravel()
@@ -462,8 +461,7 @@ def split(ds: Dataset, n_labeled: int, rng: Rng) -> Dataset:
                    name=ds.name, meta=ds.meta)
 
 
-def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng, *,
-                 seed: int = 0) -> BatchPlan:
+def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     """One training batch: up to ``batch_size`` labeled anchors plus enough
     unlabeled rows that each anchor has ``neg_size`` negatives inside the
     pool. ``neg_size='full'`` pools the whole dataset and uses complements.
@@ -523,4 +521,4 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng, *,
             others = np.delete(anchors, i)
             negatives[i] = rng.choice(others, size=k, replace=False)
     return BatchPlan(anchors=anchors, labeled=np.sort(batch_labeled),
-                     negatives=negatives, seed=seed)
+                     negatives=negatives)

@@ -2,15 +2,17 @@
 
 Every loss returns ``(value, grad...)`` where the gradients are taken with
 respect to the embedding arguments (or predicted probabilities for
-``cross_entropy``). All of them reduce, per anchor, to
+``cross_entropy``). Every contrastive term, per positive pair, is
 
     -log( w_pos * f(pos pair) / (w_pos * f(pos pair) + sum_k w_k * f(neg_k)) )
 
-with f the exponentiated cosine kernel, so values are computed as a single
-logsumexp over logits ``cos/tau + log(weight)`` with the positive term folded
-in, and gradients come from the corresponding softmax coefficients. The
-gradient of cosine(u, v) in u is (v_hat - cos * u_hat)/|u|, applied row-wise
-through the unit-normalization of each embedding matrix.
+with f the exponentiated cosine kernel. ``_info_nce`` is the single place
+this form is computed: it takes positive and negative logits
+``cos/tau + log(weight)`` and returns the terms with their gradients in the
+logits. The losses only build logits, call it, and chain its gradients back
+to the embeddings. The gradient of cosine(u, v) in u is
+(v_hat - cos * u_hat)/|u|, applied row-wise through the unit-normalization
+of each embedding matrix.
 
 Negative-pair weights:
 
@@ -23,7 +25,7 @@ Negative-pair weights:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,11 +155,40 @@ def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     return out
 
 
+def _symmetric_backward(d_logits: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
+    """Gradient in ``raw`` of sum(d_logits * (unit @ unit.T))."""
+    return _unnormalize_rows((d_logits + d_logits.T) @ unit, raw, unit)
+
+
 def _log_weight(xa: Matrix, xb: Matrix) -> Matrix:
     """log of the raw-feature negative weight: 1 - cos(xa_i, xb_k)."""
-    ca = unit_rows(xa)
-    cb = unit_rows(xb)
-    return 1.0 - np.clip(ca @ cb.T, -1.0, 1.0)
+    lw = unit_rows(xa) @ unit_rows(xb).T
+    np.clip(lw, -1.0, 1.0, out=lw)
+    return np.subtract(1.0, lw, out=lw)
+
+
+def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Weighted InfoNCE terms and their gradients in the logits.
+
+    Row i scores each of its positive logits ``pos[i, j]`` against the
+    row's shared negative logits ``neg[i, :]`` (``-inf`` drops a negative):
+
+        terms[i, j] = log(exp(pos[i, j]) + sum_k exp(neg[i, k])) - pos[i, j]
+
+    Weights arrive as log-weights already added to the logits. Returns
+    ``(terms, d_pos, d_neg)``, the gradients being those of ``terms.sum()``.
+    Every exponent is formed in log space, so no temperature overflows.
+    ``neg`` is overwritten: its buffer becomes ``d_neg``.
+    """
+    lse_neg = row_logsumexp(neg)[:, None]
+    t = np.logaddexp(pos, lse_neg)
+    d_pos = np.exp(pos - t) - 1.0
+    # d_neg[i, k] = sum_j exp(neg[i, k] - t[i, j])
+    #             = exp(neg[i, k] - lse_neg[i]) * sum_j exp(lse_neg[i] - t[i, j])
+    d_neg = np.subtract(neg, lse_neg, out=neg)
+    np.exp(d_neg, out=d_neg)
+    d_neg *= np.sum(np.exp(lse_neg - t), axis=1, keepdims=True)
+    return t - pos, d_pos, d_neg
 
 
 def unsup_loss_single(batch: ContrastiveBatch,
@@ -181,32 +212,24 @@ def unsup_loss_single(batch: ContrastiveBatch,
             f"feature side of f has dim {xs.shape[1]} but embeddings have "
             f"{z.shape[1]}; pass x_sim with matching dimension"
         )
+    if weighted and batch.x1 is None:
+        raise ContractError("weighted loss needs raw features x1")
     tau = cfg.temperature
     n = batch.n
     xh = unit_rows(xs)
     zh = unit_rows(z)
-    cos = np.clip(xh @ zh.T, -1.0, 1.0)
-
-    logits = cos / tau
+    logits = xh @ zh.T
+    np.clip(logits, -1.0, 1.0, out=logits)
+    logits /= tau
+    pos = logits.diagonal().copy()[:, None]
     if weighted:
-        if batch.x1 is None:
-            raise ContractError("weighted loss needs raw features x1")
-        logits = logits + _log_weight(batch.x1, batch.x1)
-    pos_logit = np.diag(cos) / tau
-    allowed = batch.neg_mask.copy()
-    logits = np.where(allowed, logits, _NEG_INF)
-    # Fold the positive term into the row before the logsumexp.
-    np.fill_diagonal(logits, pos_logit)
+        logits += _log_weight(batch.x1, batch.x1)
+    logits[~batch.neg_mask] = _NEG_INF
 
-    lse = row_logsumexp(logits)
-    value = float(np.mean(lse - pos_logit))
-
-    # Softmax coefficients; the positive column picks up the extra -1.
-    p = np.exp(logits - lse[:, None])
-    p[np.arange(n), np.arange(n)] -= 1.0
-    d_cos = p / (n * tau)
-    d_zh = d_cos.T @ xh
-    return value, _unnormalize_rows(d_zh, z, zh)
+    terms, d_pos, d_cos = _info_nce(pos, logits)
+    np.fill_diagonal(d_cos, d_pos)
+    d_cos /= n * tau
+    return float(np.mean(terms)), _unnormalize_rows(d_cos.T @ xh, z, zh)
 
 
 def unsup_loss_multiview(batch: ContrastiveBatch,
@@ -223,103 +246,74 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
     """
     if batch.z2 is None:
         raise ContractError("two-view loss needs z2 embeddings")
-    z1, z2 = batch.z1, batch.z2
+    if weighted and (batch.x1 is None or batch.x2 is None):
+        raise ContractError("weighted loss needs raw features x1 and x2")
     tau = cfg.temperature
     n = batch.n
-    z1h = unit_rows(z1)
-    z2h = unit_rows(z2)
-    c11 = np.clip(z1h @ z1h.T, -1.0, 1.0)
-    c12 = np.clip(z1h @ z2h.T, -1.0, 1.0)
-    c21 = c12.T.copy()
-    c22 = np.clip(z2h @ z2h.T, -1.0, 1.0)
-
+    # NT-Xent layout: rows 0..n-1 anchor view 1, rows n..2n-1 view 2, and
+    # row r's positive is its other-view partner (r + n) mod 2n.
+    z = np.vstack([batch.z1, batch.z2])
+    zh = unit_rows(z)
+    logits = zh @ zh.T
+    np.clip(logits, -1.0, 1.0, out=logits)
+    logits /= tau
+    rows = np.arange(2 * n)
+    partner = (rows + n) % (2 * n)
+    pos = logits[rows, partner][:, None]
     if weighted:
-        if batch.x1 is None or batch.x2 is None:
-            raise ContractError("weighted loss needs raw features x1 and x2")
-        lw11 = _log_weight(batch.x1, batch.x1)
-        lw22 = _log_weight(batch.x2, batch.x2)
-        if batch.x1.shape[1] == batch.x2.shape[1]:
-            lw12 = _log_weight(batch.x1, batch.x2)
-            lw21 = lw12.T.copy()
+        x1, x2 = batch.x1, batch.x2
+        lw11, lw22 = _log_weight(x1, x1), _log_weight(x2, x2)
+        if x1.shape[1] == x2.shape[1]:
+            lw12 = _log_weight(x1, x2)
+            lw21 = lw12.T
         else:
             # Same-view proxy: weight both views of negative k by the
             # anchor view's own raw dissimilarity.
             lw12, lw21 = lw11, lw22
-    else:
-        lw11 = lw22 = lw12 = lw21 = 0.0
+        # n x n blocks keep each product as small as the per-view one.
+        v1, v2 = slice(0, n), slice(n, 2 * n)
+        logits[v1, v1] += lw11
+        logits[v1, v2] += lw12
+        logits[v2, v1] += lw21
+        logits[v2, v2] += lw22
+    logits[~np.tile(batch.neg_mask, (2, 2))] = _NEG_INF
 
-    mask = batch.neg_mask
-    eye = np.eye(n, dtype=bool)
-
-    def anchor_terms(c_same, lw_same, c_cross, lw_cross):
-        """Loss terms and softmax coefficients for one anchor view."""
-        b_same = np.where(mask, c_same / tau + lw_same, _NEG_INF)
-        b_cross = np.where(mask, c_cross / tau + lw_cross, _NEG_INF)
-        pos = np.diag(c_cross) / tau
-        b_cross[eye] = pos
-        lse = row_logsumexp(np.hstack([b_same, b_cross]))
-        terms = lse - pos
-        p_same = np.exp(b_same - lse[:, None])
-        p_cross = np.exp(b_cross - lse[:, None])
-        p_cross[eye] -= 1.0
-        return terms, p_same, p_cross
-
-    scale = 1.0 / (2 * n * tau)
-    t1, p11, p12 = anchor_terms(c11, lw11, c12, lw12)
-    t2, p22, p21 = anchor_terms(c22, lw22, c21, lw21)
-    value = float((np.sum(t1) + np.sum(t2)) / (2 * n))
-
-    m11, m12 = p11 * scale, p12 * scale
-    m22, m21 = p22 * scale, p21 * scale
-    d_z1h = (m11 + m11.T) @ z1h + m12 @ z2h + m21.T @ z2h
-    d_z2h = (m22 + m22.T) @ z2h + m21 @ z1h + m12.T @ z1h
-    return (value,
-            _unnormalize_rows(d_z1h, z1, z1h),
-            _unnormalize_rows(d_z2h, z2, z2h))
+    terms, d_pos, d_logits = _info_nce(pos, logits)
+    d_logits[rows, partner] = d_pos[:, 0]
+    d_logits *= 1.0 / (2 * n * tau)
+    d_z = _symmetric_backward(d_logits, z, zh)
+    return float(np.mean(terms)), d_z[:n], d_z[n:]
 
 
-def _label_groups(y: Matrix) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Valid label groups: (label, positive idx, negative idx) with at least
-    two positives and one negative."""
+def _label_groups(y: Matrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Valid label groups: (positive idx, negative idx) with at least two
+    positives and one negative."""
     groups = []
     for a in range(y.shape[1]):
         pos = np.flatnonzero(y[:, a] == 1.0)
         neg = np.flatnonzero(y[:, a] == 0.0)
         if pos.size >= 2 and neg.size >= 1:
-            groups.append((a, pos, neg))
+            groups.append((pos, neg))
     return groups
 
 
-def _sup_engine(s: Matrix, y: Matrix, cfg: SimilarityConfig,
-                indicator: bool) -> tuple[float, Matrix]:
-    """Shared core of the supervised losses.
+def _sup_groups(sh: Matrix, y: Matrix, tau: float, indicator: bool) -> list:
+    """Per-pair supervised terms of every valid label group.
 
-    Averages, over valid labels and then over ordered positive pairs (i, j)
-    within each label, the term
+    For each label with at least two positives and one negative, returns
+    ``(pos, partners, neg, terms, d_pos, d_neg)``: anchor ``pos[i]`` pairs
+    with each other positive ``partners[i, j]`` (shape (k, k-1)), and
+    ``terms[i, j]`` is
 
         -log( sigma_ij f(s_i, s_j) /
-              (sigma_ij f(s_i, s_j) + sum_{k in negatives} gamma_ik f(s_i, s_k)) )
+              (sigma_ij f(s_i, s_j) + sum_{k in neg} gamma_ik f(s_i, s_k)) )
 
     with sigma = gamma = 1 when ``indicator`` (single-label data) and the
-    label-distance weights otherwise.
+    label-distance weights otherwise. The gradients are in the logits.
     """
-    n, c = y.shape
-    groups = _label_groups(y)
-    if not groups:
-        counts = y.sum(axis=0).astype(int).tolist()
-        raise DegenerateBatchError(
-            f"no label with >=2 positives and >=1 negative in a batch of "
-            f"{n} samples (positives per label: {counts})"
-        )
-    tau = cfg.temperature
-    sh = unit_rows(s)
-    cos = np.clip(sh @ sh.T, -1.0, 1.0)
-    logits = cos / tau
-
-    if indicator:
-        log_sigma = np.zeros((n, n))
-        log_gamma = np.zeros((n, n))
-    else:
+    c = y.shape[1]
+    logits = np.clip(sh @ sh.T, -1.0, 1.0) / tau
+    if not indicator:
         ham = np.sum(y[:, None, :] != y[None, :, :], axis=2).astype(np.float64)
         # sigma >= 1/c for pairs sharing a positive label; gamma >= 1 for
         # anchor-negative pairs. Entries outside those index sets are never
@@ -328,31 +322,45 @@ def _sup_engine(s: Matrix, y: Matrix, cfg: SimilarityConfig,
             log_sigma = np.log(np.maximum((c - ham) / c, 0.0))
             log_gamma = np.log(np.maximum(ham, 0.0))
 
+    out = []
+    for pos, neg in _label_groups(y):
+        k = pos.size
+        cols = np.arange(k - 1)[None, :]
+        partners = pos[cols + (cols >= np.arange(k)[:, None])]
+        pair = (pos[:, None], partners)
+        cross = np.ix_(pos, neg)
+        pos_logits = logits[pair]
+        neg_logits = logits[cross]
+        if not indicator:
+            pos_logits += log_sigma[pair]
+            neg_logits += log_gamma[cross]
+        out.append((pos, partners, neg, *_info_nce(pos_logits, neg_logits)))
+    return out
+
+
+def _sup_engine(s: Matrix, y: Matrix, cfg: SimilarityConfig,
+                indicator: bool) -> tuple[float, Matrix]:
+    """Shared core of the supervised losses: the ``_sup_groups`` terms
+    averaged over ordered positive pairs within each label, then over
+    labels."""
+    n = y.shape[0]
+    tau = cfg.temperature
+    sh = unit_rows(s)
+    groups = _sup_groups(sh, y, tau, indicator)
+    if not groups:
+        counts = y.sum(axis=0).astype(int).tolist()
+        raise DegenerateBatchError(
+            f"no label with >=2 positives and >=1 negative in a batch of "
+            f"{n} samples (positives per label: {counts})"
+        )
     m = np.zeros((n, n))
     total = 0.0
-    n_groups = len(groups)
-    for _, pos, neg in groups:
-        np_pos = pos.size
-        n_pairs = np_pos * (np_pos - 1)
-        pos_ix = np.ix_(pos, pos)
-        neg_logits = logits[np.ix_(pos, neg)] + log_gamma[np.ix_(pos, neg)]
-        lse_neg = row_logsumexp(neg_logits)
-        pos_logits = logits[pos_ix] + log_sigma[pos_ix]
-        t = np.logaddexp(pos_logits, lse_neg[:, None])
-        off = ~np.eye(np_pos, dtype=bool)
-        total += float(np.sum((t - pos_logits)[off])) / n_pairs
-
-        scale = 1.0 / (n_groups * n_pairs * tau)
-        d_pos = (np.exp(pos_logits - t) - 1.0) * scale
-        d_pos[~off] = 0.0
-        m[pos_ix] += d_pos
-        # Each negative k collects exp(neg_logit_ik - t_ij) over partners j.
-        e_row = np.sum(np.where(off, np.exp(-t), 0.0), axis=1)
-        m[np.ix_(pos, neg)] += np.exp(neg_logits) * e_row[:, None] * scale
-
-    value = total / n_groups
-    d_sh = (m + m.T) @ sh
-    return value, _unnormalize_rows(d_sh, s, sh)
+    for pos, partners, neg, terms, d_pos, d_neg in groups:
+        total += float(np.sum(terms)) / terms.size
+        scale = 1.0 / (len(groups) * terms.size * tau)
+        m[pos[:, None], partners] += d_pos * scale
+        m[np.ix_(pos, neg)] += d_neg * scale
+    return total / len(groups), _symmetric_backward(m, s, sh)
 
 
 def _as_label_matrix(y, n: int) -> Matrix:

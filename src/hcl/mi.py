@@ -25,9 +25,10 @@ from scipy.stats import multivariate_normal
 
 from .data import Dataset, plan_neg_mask, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
-from .losses import ContrastiveBatch, unsup_loss_multiview, weighted_sup_loss
+from .losses import (ContrastiveBatch, _label_groups, _sup_groups,
+                     unsup_loss_multiview, weighted_sup_loss)
 from .model import encode, init_params, model_backward, named_parameters
-from .numeric import Matrix, Rng, as_matrix, make_rng, row_logsumexp, unit_rows
+from .numeric import Matrix, Rng, as_matrix, make_rng, unit_rows
 from .optimizer import OptimizerState, lars_step
 from .similarity import SimilarityConfig
 
@@ -375,40 +376,18 @@ def _stratum_sup_losses(z: Matrix, labels: Matrix, cfg: SimilarityConfig
                         ) -> dict[int, tuple[float, float]]:
     """Per-shared-label-count stratum: (restricted loss, matching N term).
 
-    Mirrors the production loss definition but averages only over ordered
-    positive pairs whose shared-positive count equals the stratum.
+    Reads the production loss's per-pair terms but averages only over
+    ordered positive pairs whose shared-positive count equals the stratum.
     """
     y = as_matrix(labels, "labels")
-    n, c = y.shape
-    s_hat = unit_rows(z)
-    cos = np.clip(s_hat @ s_hat.T, -1.0, 1.0)
-    ham = (y[:, None, :] != y[None, :, :]).sum(axis=2).astype(np.float64)
     shared = (y @ y.T).astype(int)
-    # log of 0 never enters a lse below (sigma > 0 on positive pairs,
-    # gamma > 0 on negative pairs), so mask instead of warning
-    sigma = (c - ham) / c
-    log_sigma = np.full_like(sigma, -np.inf)
-    np.log(sigma, out=log_sigma, where=sigma > 0)
-    log_gamma = np.full_like(ham, -np.inf)
-    np.log(ham, out=log_gamma, where=ham > 0)
     per_stratum: dict[int, list[tuple[float, float]]] = {}
-    for a in range(c):
-        pos = np.flatnonzero(y[:, a] == 1.0)
-        neg = np.flatnonzero(y[:, a] == 0.0)
-        if pos.size < 2 or neg.size < 1:
-            continue
-        neg_logits = cos[np.ix_(pos, neg)] / cfg.temperature + log_gamma[np.ix_(pos, neg)]
-        lse_neg = row_logsumexp(neg_logits)
-        pos_logits = cos[np.ix_(pos, pos)] / cfg.temperature + log_sigma[np.ix_(pos, pos)]
-        terms = np.logaddexp(pos_logits, lse_neg[:, None]) - pos_logits
-        eps = shared[np.ix_(pos, pos)]
-        offdiag = ~np.eye(pos.size, dtype=bool)
-        for stratum in np.unique(eps[offdiag]):
-            mask = offdiag & (eps == stratum)
-            if not mask.any():
-                continue
+    for pos, partners, neg, terms, _, _ in _sup_groups(
+            unit_rows(z), y, cfg.temperature, indicator=False):
+        eps = shared[pos[:, None], partners]
+        for stratum in np.unique(eps):
             per_stratum.setdefault(int(stratum), []).append(
-                (float(terms[mask].mean()), math.log(neg.size))
+                (float(terms[eps == stratum].mean()), math.log(neg.size))
             )
     out = {}
     for stratum, pairs in per_stratum.items():
@@ -423,21 +402,14 @@ def _stratum_reference_mi(ids: np.ndarray, labels: Matrix, n_protos: int
     distribution over quantized (prototype) ids, weighted exactly as the
     loss weighs pairs: uniform over labels, uniform over pairs per label."""
     y = as_matrix(labels, "labels")
-    n, c = y.shape
     shared = (y @ y.T).astype(int)
     tables: dict[int, list[np.ndarray]] = {}
-    for a in range(c):
-        pos = np.flatnonzero(y[:, a] == 1.0)
-        neg = np.flatnonzero(y[:, a] == 0.0)
-        if pos.size < 2 or neg.size < 1:
-            continue
+    for pos, _ in _label_groups(y):
         eps = shared[np.ix_(pos, pos)]
         offdiag = ~np.eye(pos.size, dtype=bool)
         for stratum in np.unique(eps[offdiag]):
             mask = offdiag & (eps == stratum)
             count = int(mask.sum())
-            if count == 0:
-                continue
             table = np.zeros((n_protos, n_protos))
             ii, jj = np.nonzero(mask)
             np.add.at(table, (ids[pos[ii]], ids[pos[jj]]), 1.0 / count)

@@ -34,15 +34,6 @@ def as_matrix(a, name: str = "array") -> Matrix:
     return m
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def cosine(u, v) -> float:
     """Cosine similarity of two vectors, clamped to [-1, 1].
 
@@ -87,16 +78,9 @@ def row_logsumexp(logits: Matrix) -> np.ndarray:
     """Row-wise logsumexp of a 2-D logit array; -inf entries drop out."""
     m = np.max(logits, axis=1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))).ravel()
-
-
-def rng_uniform(rng: Rng, rows: int, cols: int, lo: float, hi: float) -> Matrix:
-    """Draw a rows x cols matrix uniformly from [lo, hi)."""
-    if rows < 0 or cols < 0:
-        raise ContractError(f"matrix shape must be non-negative, got {rows}x{cols}")
-    if not lo < hi:
-        raise ContractError(f"uniform bounds need lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=(rows, cols)).astype(np.float64)
+    e = np.subtract(logits, m)
+    np.exp(e, out=e)
+    return (m + np.log(np.sum(e, axis=1, keepdims=True))).ravel()
 
 
 def finite_diff_grad(fn: Callable[[Matrix], float], x: Matrix, eps: float = 1e-5) -> Matrix:

@@ -427,6 +427,38 @@ def test_weighted_sup_rejects_non_binary():
         weighted_sup_loss(np.eye(2), np.array([[0.5, 1.0], [1.0, 0.0]]))
 
 
+# ------------------------------------------------------- temperature sweep
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2, 1.0, 10.0])
+def test_every_loss_finite_across_temperatures(tau):
+    # Sharp temperatures put logits near 1/tau; values and gradients must
+    # stay finite at every temperature the config accepts.
+    rng = make_rng(19)
+    cfg = SimilarityConfig(tau)
+    n = 8
+    single = single_view_batch(rng, n=n, project=True)
+    two = two_view_batch(rng, n=n)
+    s = rng.normal(size=(n, 4))
+    ids = np.arange(n) % 3
+    one_hot = np.eye(3)[ids]
+    multi = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1],
+                      [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
+    results = [
+        unsup_loss_single(single, cfg, weighted=True),
+        unsup_loss_single(single, cfg, weighted=False),
+        unsup_loss_multiview(two, cfg, weighted=True),
+        unsup_loss_multiview(two, cfg, weighted=False),
+        supcon_loss(s, ids.astype(float), cfg),
+        weighted_sup_loss(s, one_hot, cfg),
+        weighted_sup_loss(s, multi, cfg),
+    ]
+    for value, *grads in results:
+        assert math.isfinite(value) and value >= 0.0
+        for g in grads:
+            assert np.isfinite(g).all()
+
+
 # ------------------------------------------------------------- total loss
 
 

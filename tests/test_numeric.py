@@ -1,4 +1,4 @@
-"""Numeric core: matmul/cosine/logsumexp contracts and the gradient oracle."""
+"""Numeric core: as_matrix/cosine/logsumexp contracts and the gradient oracle."""
 
 import math
 
@@ -7,40 +7,20 @@ import pytest
 
 from hcl.errors import ContractError, ShapeError
 from hcl.numeric import (
+    as_matrix,
     cosine,
     finite_diff_grad,
     logsumexp,
     make_rng,
-    matmul,
     rel_error,
-    rng_uniform,
     row_logsumexp,
     unit_rows,
 )
 
 
-def test_matmul_matches_triple_loop():
-    rng = make_rng(0)
-    for _ in range(20):
-        m, k, n = rng.integers(1, 7, size=3)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        want = np.zeros((m, n))
-        for i in range(m):
-            for j in range(n):
-                for t in range(k):
-                    want[i, j] += a[i, t] * b[t, j]
-        assert np.allclose(matmul(a, b), want, atol=1e-12)
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
+def test_as_matrix_rejects_non_2d():
+    with pytest.raises(ShapeError, match="must be 2-D"):
+        as_matrix(np.zeros(3), "operand")
 
 
 def test_cosine_basic_values():
@@ -104,27 +84,11 @@ def test_row_logsumexp_consistent_with_scalar():
 
 
 def test_rng_same_seed_same_stream():
-    a = rng_uniform(make_rng(7), 5, 4, -1.0, 1.0)
-    b = rng_uniform(make_rng(7), 5, 4, -1.0, 1.0)
+    a = make_rng(7).uniform(-1.0, 1.0, size=(5, 4))
+    b = make_rng(7).uniform(-1.0, 1.0, size=(5, 4))
     assert np.array_equal(a, b)
-    c = rng_uniform(make_rng(8), 5, 4, -1.0, 1.0)
+    c = make_rng(8).uniform(-1.0, 1.0, size=(5, 4))
     assert not np.array_equal(a, c)
-
-
-def test_rng_uniform_bounds_and_mean():
-    rng = make_rng(9)
-    m = rng_uniform(rng, 200, 50, 2.0, 6.0)
-    assert m.shape == (200, 50)
-    assert float(m.min()) >= 2.0 and float(m.max()) < 6.0
-    # CLT: std of the sample mean is (hi-lo)/sqrt(12 n) ~ 0.0116.
-    assert abs(float(m.mean()) - 4.0) < 0.05
-
-
-def test_rng_uniform_bad_bounds():
-    with pytest.raises(ContractError):
-        rng_uniform(make_rng(0), 2, 2, 1.0, 1.0)
-    with pytest.raises(ContractError):
-        rng_uniform(make_rng(0), -1, 2, 0.0, 1.0)
 
 
 def test_finite_diff_grad_quadratic():
