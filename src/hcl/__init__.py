@@ -43,6 +43,7 @@ from .errors import (
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
+    SimilarityConfig,
     cross_entropy,
     full_negatives,
     supcon_loss,
@@ -51,7 +52,7 @@ from .losses import (
     unsup_loss_single,
     weighted_sup_loss,
 )
-from .metrics import EvalReport, aggregate_reports, auc, evaluate, f1_score, per_label_auc
+from .metrics import EvalReport, auc, evaluate, f1_score, per_label_auc
 from .mi import (
     BoundReport,
     BoundTrainSpec,
@@ -72,16 +73,8 @@ from .model import (
     named_parameters,
     save_checkpoint,
 )
-from .numeric import Matrix, Rng, cosine, finite_diff_grad, logsumexp, make_rng
+from .numeric import Matrix, Rng, finite_diff_grad, make_rng
 from .optimizer import OptimizerState, lars_step
-from .similarity import (
-    SimilarityConfig,
-    hamming,
-    neg_weight_gamma,
-    pos_weight_sigma,
-    sim_f,
-    weight_g,
-)
 from .train import (
     RunRecord,
     TrainResult,

@@ -14,13 +14,15 @@ to the embeddings. The gradient of cosine(u, v) in u is
 (v_hat - cos * u_hat)/|u|, applied row-wise through the unit-normalization
 of each embedding matrix.
 
-Negative-pair weights:
+This module is the one definition of every contrastive weight, each kept
+as the log-weight that gets added to the logits:
 
 * unweighted variants use weight 1 (the usual InfoNCE denominator);
-* weighted variants use ``exp(1 - cos)`` on *raw input* features;
+* weighted variants use ``exp(1 - cos)`` on *raw input* features, in
+  [1, e^2] (``_log_weight``);
 * the supervised loss weighs the positive pair by label agreement
-  (``pos_weight_sigma``) and each negative by hamming distance
-  (``neg_weight_gamma``).
+  sigma = (c - hamming)/c, in [1/c, 1], and each negative by the hamming
+  distance gamma, in [1, c] (``_label_log_weights``).
 """
 
 from __future__ import annotations
@@ -30,10 +32,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, ShapeError
-from .numeric import Matrix, as_matrix, row_logsumexp, unit_rows
-from .similarity import DEFAULT_SIMILARITY, SimilarityConfig
+from .numeric import ZERO_NORM_EPS, Matrix, as_matrix, row_logsumexp, unit_rows
 
 _NEG_INF = float("-inf")
+
+
+@dataclass(frozen=True)
+class SimilarityConfig:
+    """Kernel hyperparameters. ``temperature`` must be positive."""
+
+    temperature: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.temperature > 0:
+            raise ContractError(
+                f"temperature must be positive, got {self.temperature}"
+            )
+
+
+DEFAULT_SIMILARITY = SimilarityConfig()
 
 
 @dataclass(frozen=True)
@@ -150,8 +167,8 @@ def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     """Back-propagate a gradient in the unit rows to the raw rows."""
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     inner = np.sum(d_unit * unit, axis=1, keepdims=True)
-    out = (d_unit - inner * unit) / np.where(norms < 1e-12, 1.0, norms)
-    out[norms.ravel() < 1e-12] = 0.0
+    out = (d_unit - inner * unit) / np.where(norms < ZERO_NORM_EPS, 1.0, norms)
+    out[norms.ravel() < ZERO_NORM_EPS] = 0.0
     return out
 
 
@@ -297,6 +314,22 @@ def _label_groups(y: Matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
+def _label_log_weights(y: Matrix) -> tuple[Matrix, Matrix]:
+    """log sigma and log gamma for every pair of binary label rows of ``y``.
+
+    sigma_ij = (c - hamming_ij)/c weighs positive pairs and gamma_ik =
+    hamming_ik weighs negatives. sigma >= 1/c for pairs sharing a positive
+    label; gamma >= 1 for anchor-negative pairs. Entries outside those index
+    sets are never read, so they may be -inf.
+    """
+    c = y.shape[1]
+    ham = np.sum(y[:, None, :] != y[None, :, :], axis=2).astype(np.float64)
+    with np.errstate(divide="ignore"):
+        log_sigma = np.log(np.maximum((c - ham) / c, 0.0))
+        log_gamma = np.log(np.maximum(ham, 0.0))
+    return log_sigma, log_gamma
+
+
 def _sup_groups(sh: Matrix, y: Matrix, tau: float, indicator: bool) -> list:
     """Per-pair supervised terms of every valid label group.
 
@@ -311,16 +344,9 @@ def _sup_groups(sh: Matrix, y: Matrix, tau: float, indicator: bool) -> list:
     with sigma = gamma = 1 when ``indicator`` (single-label data) and the
     label-distance weights otherwise. The gradients are in the logits.
     """
-    c = y.shape[1]
     logits = np.clip(sh @ sh.T, -1.0, 1.0) / tau
     if not indicator:
-        ham = np.sum(y[:, None, :] != y[None, :, :], axis=2).astype(np.float64)
-        # sigma >= 1/c for pairs sharing a positive label; gamma >= 1 for
-        # anchor-negative pairs. Entries outside those index sets are never
-        # read, so the masked logs below stay finite where it matters.
-        with np.errstate(divide="ignore"):
-            log_sigma = np.log(np.maximum((c - ham) / c, 0.0))
-            log_gamma = np.log(np.maximum(ham, 0.0))
+        log_sigma, log_gamma = _label_log_weights(y)
 
     out = []
     for pos, neg in _label_groups(y):

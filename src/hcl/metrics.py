@@ -1,8 +1,8 @@
 """Micro-averaged F1 and per-label rank AUC, plus the evaluation report.
 
 The averaging choices (micro F1, macro AUC over evaluable labels, threshold
-0.5, tie midranks) are fixed and recorded inside every report so the
-numbers stay interpretable next to each other.
+0.5, tie midranks) are fixed, so every report's numbers stay comparable
+with each other.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def auc(scores: Matrix, y: Matrix) -> float:
 
 @dataclass
 class EvalReport:
-    """F1/AUC for one evaluation, or the mean/std over repeated seeds."""
+    """F1/AUC for one evaluation. The ``*_std`` fields stay 0 for a single
+    seed; the run JSON records them."""
 
     f1: float
     auc: float
@@ -93,7 +94,6 @@ class EvalReport:
     seeds: list[int] = field(default_factory=lambda: [0])
     f1_std: float = 0.0
     auc_std: float = 0.0
-    f1_averaging: str = "micro"
 
     def __post_init__(self) -> None:
         self.per_label = np.asarray(self.per_label, dtype=np.float64)
@@ -102,19 +102,6 @@ class EvalReport:
         for name, v in (("f1", self.f1), ("auc", self.auc)):
             if not 0.0 <= v <= 1.0:
                 raise ContractError(f"{name} must be in [0, 1], got {v}")
-
-    def to_kv(self) -> dict[str, str]:
-        pairs = {
-            "f1": repr(self.f1),
-            "f1_std": repr(self.f1_std),
-            "auc": repr(self.auc),
-            "auc_std": repr(self.auc_std),
-            "f1_averaging": self.f1_averaging,
-            "n_eval": str(self.n_eval),
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "per_label_auc": ",".join(repr(v) for v in self.per_label),
-        }
-        return pairs
 
 
 def evaluate(y_hat: Matrix, y: Matrix, *, threshold: float = 0.5,
@@ -126,24 +113,4 @@ def evaluate(y_hat: Matrix, y: Matrix, *, threshold: float = 0.5,
         per_label=per_label_auc(y_hat, y),
         n_eval=as_matrix(y, "labels").shape[0],
         seeds=[seed],
-    )
-
-
-def aggregate_reports(reports: list[EvalReport]) -> EvalReport:
-    """Mean/std across repeats; per-label AUC averaged ignoring NaN."""
-    if not reports:
-        raise ContractError("nothing to aggregate")
-    f1s = np.array([r.f1 for r in reports])
-    aucs = np.array([r.auc for r in reports])
-    stacked = np.vstack([r.per_label for r in reports])
-    with np.errstate(invalid="ignore"):
-        per = np.nanmean(stacked, axis=0)
-    return EvalReport(
-        f1=float(f1s.mean()),
-        auc=float(aucs.mean()),
-        per_label=per,
-        n_eval=reports[0].n_eval,
-        seeds=[s for r in reports for s in r.seeds],
-        f1_std=float(f1s.std()),
-        auc_std=float(aucs.std()),
     )

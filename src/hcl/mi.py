@@ -25,12 +25,11 @@ from scipy.stats import multivariate_normal
 
 from .data import Dataset, plan_neg_mask, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
-from .losses import (ContrastiveBatch, _label_groups, _sup_groups,
-                     unsup_loss_multiview, weighted_sup_loss)
+from .losses import (ContrastiveBatch, SimilarityConfig, _label_groups,
+                     _sup_groups, unsup_loss_multiview, weighted_sup_loss)
 from .model import encode, init_params, model_backward, named_parameters
 from .numeric import Matrix, Rng, as_matrix, make_rng, unit_rows
 from .optimizer import OptimizerState, lars_step
-from .similarity import SimilarityConfig
 
 
 class JointTable:
@@ -48,14 +47,6 @@ class JointTable:
         self.probabilities = p
         self.marginal_x = p.sum(axis=1)
         self.marginal_y = p.sum(axis=0)
-
-    @classmethod
-    def from_counts(cls, counts) -> "JointTable":
-        c = as_matrix(counts, "counts")
-        total = float(c.sum())
-        if total <= 0 or (c < 0).any():
-            raise ContractError("counts must be non-negative with positive sum")
-        return cls(c / total)
 
 
 def discrete_mi(joint) -> float:
@@ -97,18 +88,6 @@ def quantized_gaussian_table(rho: float, bins: int = 64,
     cells = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
     cells = np.clip(cells, 0.0, None)
     return JointTable(cells / cells.sum())
-
-
-def shared_positives(y1, y2) -> int:
-    """Number of labels both vectors mark positive (the pair's eps)."""
-    a = np.asarray(y1, dtype=np.float64).ravel()
-    b = np.asarray(y2, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ContractError(f"label lengths differ: {a.size} vs {b.size}")
-    for v in (a, b):
-        if not np.isin(v, (0.0, 1.0)).all():
-            raise ContractError("labels must be strictly binary (0/1)")
-    return int(np.dot(a, b))
 
 
 def neg_size_term(labels: Matrix) -> float:

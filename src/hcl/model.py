@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, IngestionError, ShapeError
 from .ioutil import atomic_write_text
 from .numeric import Matrix, Rng, as_matrix
 
@@ -318,17 +318,25 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise IngestionError(f"cannot read checkpoint {path}: {err.strerror}") from None
+    except ValueError as err:
+        raise IngestionError(f"{path} is not valid checkpoint JSON: {err}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"{path} is not a model checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ContractError(
             f"unsupported checkpoint version {doc.get('version')!r}"
         )
-    params = ModelParams(
-        encoder1=_stack_from_json(doc["encoder1"]),
-        classifier=_stack_from_json(doc["classifier"]),
-        encoder2=_stack_from_json(doc["encoder2"]) if doc["encoder2"] else None,
-    )
+    try:
+        params = ModelParams(
+            encoder1=_stack_from_json(doc["encoder1"]),
+            classifier=_stack_from_json(doc["classifier"]),
+            encoder2=_stack_from_json(doc["encoder2"]) if doc["encoder2"] else None,
+        )
+    except KeyError as err:
+        raise IngestionError(f"{path}: checkpoint has no {err.args[0]!r} entry") from None
     return params, doc.get("extra", {})

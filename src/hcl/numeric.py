@@ -34,24 +34,6 @@ def as_matrix(a, name: str = "array") -> Matrix:
     return m
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1].
-
-    Returns 0.0 when either vector has (near-)zero norm, so downstream
-    exp(cos/tau) kernels stay finite on degenerate rows.
-    """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ShapeError(f"cosine needs equal lengths, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c))
-
-
 def unit_rows(m: Matrix) -> Matrix:
     """Row-normalize ``m``; rows with (near-)zero norm come back as zeros."""
     m = as_matrix(m)
@@ -60,18 +42,6 @@ def unit_rows(m: Matrix) -> Matrix:
     out = m / safe
     out[norms.ravel() < ZERO_NORM_EPS] = 0.0
     return out
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) via max-shift; values may contain -inf."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ContractError("logsumexp of an empty sequence is undefined")
-    m = float(np.max(v))
-    if not np.isfinite(m):
-        # All -inf: the sum is 0, its log is -inf. (+inf propagates as is.)
-        return m
-    return m + float(np.log(np.sum(np.exp(v - m))))
 
 
 def row_logsumexp(logits: Matrix) -> np.ndarray:

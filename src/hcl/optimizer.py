@@ -16,8 +16,6 @@ directly. There is no learning-rate schedule; ``base_lr`` stays fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
@@ -79,24 +77,3 @@ def lars_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += eff_lr * step
         w -= v
     state.step_count += 1
-
-
-def quadratic_probe(loss_fn: Callable[[dict[str, np.ndarray]],
-                                      tuple[float, dict[str, np.ndarray]]],
-                    params: dict[str, np.ndarray],
-                    state: OptimizerState,
-                    n_steps: int) -> list[float]:
-    """Drive ``n_steps`` updates on a test problem; return the loss trace.
-
-    ``loss_fn(params) -> (loss, grads)``. The trace records the loss
-    evaluated before each step, so with ``base_lr = 0`` it stays constant.
-    Parameters are updated in place.
-    """
-    if n_steps < 1:
-        raise ContractError(f"n_steps must be >= 1, got {n_steps}")
-    trace: list[float] = []
-    for _ in range(n_steps):
-        loss, grads = loss_fn(params)
-        trace.append(float(loss))
-        lars_step(params, grads, state)
-    return trace

@@ -35,6 +35,7 @@ from .errors import ConfigError, ContractError, DegenerateBatchError
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
+    SimilarityConfig,
     cross_entropy,
     supcon_loss,
     total_loss,
@@ -46,7 +47,6 @@ from .metrics import EvalReport, evaluate
 from .model import ModelParams, classify, encode, init_params, model_backward, named_parameters
 from .numeric import Matrix, Rng, make_rng
 from .optimizer import OptimizerState, lars_step
-from .similarity import SimilarityConfig
 
 
 def build_dataset(cfg: RunConfig) -> Dataset:

@@ -23,6 +23,8 @@ from hcl.cli import main
 from hcl.config import resolve_config
 from hcl.losses import (
     ContrastiveBatch,
+    _label_log_weights,
+    _log_weight,
     cross_entropy,
     supcon_loss,
     unsup_loss_multiview,
@@ -39,7 +41,6 @@ from hcl.mi import (
 )
 from hcl.model import classify, encode, model_backward, named_parameters
 from hcl.numeric import finite_diff_grad, make_rng, rel_error
-from hcl.similarity import neg_weight_gamma, pos_weight_sigma, weight_g
 from hcl.train import build_dataset, run_training
 
 GRAD_TOL = 1e-5
@@ -278,23 +279,31 @@ def test_criterion_02_degenerations():
 
 
 def test_criterion_03_weight_ranges():
+    # The weights the losses add to their logits, in that log form:
+    # 0 <= log g <= 2, log(1/c) <= log sigma <= 0 on pairs sharing a
+    # positive label, 0 <= log gamma <= log c on pairs that differ.
     rng = make_rng(30)
     trials = 10_000
-    g_hi = float(np.exp(2.0))
     violations = 0
+    checked = {"g": 0, "sigma": 0, "gamma": 0}
     for _ in range(trials):
         c = int(rng.integers(1, 13))
         y1 = rng.integers(0, 2, size=c).astype(float)
         y2 = rng.integers(0, 2, size=c).astype(float)
         j = int(rng.integers(0, c))
         y1[j] = y2[j] = 1.0  # a shared positive label makes the pair valid
-        sigma = pos_weight_sigma(y1, y2)
-        violations += not 1.0 / c <= sigma <= 1.0
-
         y3 = y1.copy()
         y3[j] = 0.0  # force at least one disagreement
-        gamma = neg_weight_gamma(y1, y3)
-        violations += not 1.0 <= gamma <= c
+        y = np.vstack([y1, y2, y3])
+        log_sigma, log_gamma = _label_log_weights(y)
+        shares = ((y @ y.T) > 0) & ~np.eye(3, dtype=bool)
+        differs = np.any(y[:, None, :] != y[None, :, :], axis=2)
+        violations += int(np.sum(~((np.log(1.0 / c) <= log_sigma[shares])
+                                   & (log_sigma[shares] <= 0.0))))
+        violations += int(np.sum(~((0.0 <= log_gamma[differs])
+                                   & (log_gamma[differs] <= np.log(c)))))
+        checked["sigma"] += int(shares.sum())
+        checked["gamma"] += int(differs.sum())
 
         dim = int(rng.integers(1, 9))
         u = rng.normal(size=dim)
@@ -307,12 +316,17 @@ def test_criterion_03_weight_ranges():
             v = np.zeros(dim)
         else:
             v = rng.normal(size=dim)
-        violations += not 1.0 <= weight_g(u, v) <= g_hi
+        x = np.vstack([u, v])
+        lw = _log_weight(x, x)
+        violations += int(np.sum(~((0.0 <= lw) & (lw <= 2.0))))
+        checked["g"] += lw.size
 
-    ok = violations == 0
+    ok = violations == 0 and min(checked.values()) >= trials
     _report(3, ok, f"weight ranges: {violations} violations over "
-                   f"3x{trials} random inputs")
+                   f"{checked['g']} log g, {checked['sigma']} log sigma and "
+                   f"{checked['gamma']} log gamma entries ({trials} trials)")
     assert violations == 0
+    assert min(checked.values()) >= trials
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,20 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read checkpoint"),
+    ('{"format": "hcl-checkpoint", "vers', "not valid checkpoint JSON"),
+    ('{"format": "hcl-checkpoint", "version": 1}', "no 'encoder1' entry"),
+], ids=["missing", "truncated", "incomplete"])
+def test_main_eval_bad_checkpoint_named(tmp_path, capsys, content, message):
+    path = tmp_path / "run.ckpt"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_main_unknown_config_field(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("synthetic = cluster\nlearning_rate = 1\n")

@@ -10,6 +10,7 @@ from hcl.errors import ContractError, DegenerateBatchError, ShapeError
 from hcl.losses import (
     ContrastiveBatch,
     LossBreakdown,
+    SimilarityConfig,
     cross_entropy,
     full_negatives,
     supcon_loss,
@@ -19,7 +20,6 @@ from hcl.losses import (
     weighted_sup_loss,
 )
 from hcl.numeric import finite_diff_grad, make_rng, rel_error
-from hcl.similarity import SimilarityConfig
 
 from reference import (
     neg_sets_from_mask,

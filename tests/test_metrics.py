@@ -6,7 +6,6 @@ import pytest
 from hcl.errors import ContractError, DegenerateBatchError, ShapeError
 from hcl.metrics import (
     EvalReport,
-    aggregate_reports,
     auc,
     evaluate,
     f1_score,
@@ -141,23 +140,18 @@ def test_auc_skips_single_class_columns():
     assert auc(scores, y) == 1.0
 
 
-def test_evaluate_and_aggregate():
+def test_evaluate_single_report():
     rng = make_rng(5)
-    reports = []
-    for seed in range(3):
-        y = rng.integers(0, 2, size=(20, 4)).astype(float)
-        y[0] = 1.0 - y[1]  # keep at least one evaluable column likely
-        scores = rng.uniform(size=(20, 4))
-        reports.append(evaluate(scores, y, seed=seed))
-    agg = aggregate_reports(reports)
-    assert agg.seeds == [0, 1, 2]
-    assert agg.f1 == pytest.approx(np.mean([r.f1 for r in reports]))
-    assert agg.f1_std == pytest.approx(np.std([r.f1 for r in reports]))
-    assert agg.per_label.shape == (4,)
-    kv = agg.to_kv()
-    assert kv["f1_averaging"] == "micro"
-    assert kv["seeds"] == "0,1,2"
-    assert float(kv["f1"]) == agg.f1
+    y = rng.integers(0, 2, size=(20, 4)).astype(float)
+    y[0] = 1.0 - y[1]  # every column has both classes
+    scores = rng.uniform(size=(20, 4))
+    report = evaluate(scores, y, seed=3)
+    assert report.seeds == [3]
+    assert report.f1 == f1_score(scores, y)
+    assert report.auc == auc(scores, y)
+    assert np.array_equal(report.per_label, per_label_auc(scores, y))
+    assert report.n_eval == 20
+    assert report.f1_std == report.auc_std == 0.0
 
 
 def test_report_validation():
@@ -165,5 +159,3 @@ def test_report_validation():
         EvalReport(f1=1.2, auc=0.5, per_label=np.array([0.5]), n_eval=3)
     with pytest.raises(ContractError):
         EvalReport(f1=0.5, auc=0.5, per_label=np.array([0.5]), n_eval=3, seeds=[])
-    with pytest.raises(ContractError):
-        aggregate_reports([])

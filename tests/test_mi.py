@@ -24,10 +24,9 @@ from hcl.mi import (
     quantize_to_prototypes,
     quantized_gaussian_table,
     reports_to_csv,
-    shared_positives,
 )
+from hcl.losses import SimilarityConfig
 from hcl.numeric import make_rng
-from hcl.similarity import SimilarityConfig
 
 from reference import (
     ref_discrete_mi,
@@ -48,15 +47,6 @@ def test_joint_table_rejects_negative_entries():
 def test_joint_table_rejects_bad_total():
     with pytest.raises(ContractError, match="sum to 1"):
         JointTable([[0.25, 0.25], [0.25, 0.1]])
-
-
-def test_joint_table_from_counts():
-    t = JointTable.from_counts([[2, 2], [4, 0]])
-    assert np.array_equal(t.probabilities, [[0.25, 0.25], [0.5, 0.0]])
-    assert np.array_equal(t.marginal_x, [0.5, 0.5])
-    assert np.array_equal(t.marginal_y, [0.75, 0.25])
-    with pytest.raises(ContractError, match="counts"):
-        JointTable.from_counts([[0, 0], [0, 0]])
 
 
 def test_discrete_mi_independent_is_exactly_zero():
@@ -138,24 +128,7 @@ def test_quantized_gaussian_table_validation():
 
 
 # ---------------------------------------------------------------------------
-# Pair statistics
-
-
-def test_shared_positives_matches_counting():
-    rng = make_rng(21)
-    for _ in range(200):
-        c = int(rng.integers(1, 9))
-        y1 = rng.integers(0, 2, size=c).astype(float)
-        y2 = rng.integers(0, 2, size=c).astype(float)
-        direct = sum(1 for a, b in zip(y1, y2) if a == 1.0 and b == 1.0)
-        assert shared_positives(y1, y2) == direct
-
-
-def test_shared_positives_validation():
-    with pytest.raises(ContractError, match="lengths"):
-        shared_positives([1.0, 0.0], [1.0])
-    with pytest.raises(ContractError, match="binary"):
-        shared_positives([1.0, 0.5], [1.0, 0.0])
+# Negative-set size term
 
 
 def test_neg_size_term_uniform_counts():

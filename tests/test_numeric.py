@@ -1,16 +1,16 @@
-"""Numeric core: as_matrix/cosine/logsumexp contracts and the gradient oracle."""
+"""Numeric core: as_matrix/unit_rows/row_logsumexp contracts and the
+gradient oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from hcl.errors import ContractError, ShapeError
 from hcl.numeric import (
     as_matrix,
-    cosine,
     finite_diff_grad,
-    logsumexp,
     make_rng,
     rel_error,
     row_logsumexp,
@@ -23,15 +23,21 @@ def test_as_matrix_rejects_non_2d():
         as_matrix(np.zeros(3), "operand")
 
 
+def cosines(a, b):
+    """Cosine of every row of ``a`` with every row of ``b``, as the losses
+    form it."""
+    return unit_rows(np.atleast_2d(a)) @ unit_rows(np.atleast_2d(b)).T
+
+
 def test_cosine_basic_values():
-    assert cosine([1.0, 0.0], [2.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert cosine([1.0, 0.0], [-3.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
-    assert cosine([1.0, 0.0], [0.0, 5.0]) == pytest.approx(0.0, abs=1e-12)
+    assert cosines([1.0, 0.0], [2.0, 0.0])[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert cosines([1.0, 0.0], [-3.0, 0.0])[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert cosines([1.0, 0.0], [0.0, 5.0])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_zero_norm_returns_zero():
-    assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-    assert cosine([1e-13, 0.0], [1.0, 2.0]) == 0.0
+    assert cosines([0.0, 0.0], [1.0, 2.0])[0, 0] == 0.0
+    assert cosines([1e-13, 0.0], [1.0, 2.0])[0, 0] == 0.0
 
 
 def test_cosine_clamped_and_scale_invariant():
@@ -39,39 +45,33 @@ def test_cosine_clamped_and_scale_invariant():
     for _ in range(200):
         u = rng.normal(size=4)
         v = rng.normal(size=4)
-        c = cosine(u, v)
-        assert -1.0 <= c <= 1.0
-        assert cosine(3.7 * u, 0.2 * v) == pytest.approx(c, abs=1e-12)
+        c = cosines(u, v)[0, 0]
+        # Within rounding of [-1, 1]; the losses clip what is left.
+        assert -1.0 - 1e-15 <= c <= 1.0 + 1e-15
+        assert cosines(3.7 * u, 0.2 * v)[0, 0] == pytest.approx(c, abs=1e-12)
     v = rng.normal(size=5)
-    assert cosine(v, v) <= 1.0
-
-
-def test_cosine_length_mismatch():
-    with pytest.raises(ShapeError):
-        cosine([1.0, 2.0], [1.0, 2.0, 3.0])
+    assert cosines(v, v)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_logsumexp_overflow_safe():
-    assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2), abs=1e-12)
-    assert logsumexp([-1000.0, -1000.0]) == pytest.approx(-1000.0 + math.log(2), abs=1e-12)
+    got = row_logsumexp(np.array([[1000.0, 1000.0], [-1000.0, -1000.0]]))
+    assert got[0] == pytest.approx(1000.0 + math.log(2), abs=1e-12)
+    assert got[1] == pytest.approx(-1000.0 + math.log(2), abs=1e-12)
 
 
 def test_logsumexp_matches_direct_sum():
     rng = make_rng(2)
     for _ in range(50):
-        v = rng.normal(size=rng.integers(1, 9)) * 3.0
-        direct = math.log(sum(math.exp(x) for x in v))
-        assert logsumexp(v) == pytest.approx(direct, abs=1e-12)
-
-
-def test_logsumexp_empty_raises():
-    with pytest.raises(ContractError):
-        logsumexp([])
+        v = rng.normal(size=(1, rng.integers(1, 9))) * 3.0
+        direct = math.log(sum(math.exp(x) for x in v[0]))
+        assert row_logsumexp(v)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_logsumexp_neg_inf_entries_drop_out():
-    assert logsumexp([-np.inf, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    assert logsumexp([-np.inf, -np.inf]) == -np.inf
+    with np.errstate(divide="ignore"):
+        got = row_logsumexp(np.array([[-np.inf, 0.0], [-np.inf, -np.inf]]))
+    assert got[0] == pytest.approx(0.0, abs=1e-12)
+    assert got[1] == -np.inf
 
 
 def test_row_logsumexp_consistent_with_scalar():

@@ -1,11 +1,11 @@
-"""Layer-adaptive momentum SGD: exact step formulas and probe behavior."""
+"""Layer-adaptive momentum SGD: exact step formulas and descent on a quadratic."""
 
 import numpy as np
 import pytest
 
 from hcl.errors import ContractError, NumericError, ShapeError
 from hcl.numeric import make_rng
-from hcl.optimizer import OptimizerState, lars_step, quadratic_probe
+from hcl.optimizer import OptimizerState, lars_step
 
 
 def test_state_validation():
@@ -104,11 +104,21 @@ def quadratic(params):
     return 0.5 * float(b @ b), {"b": b.copy()}
 
 
+def descend(params, state, n_steps):
+    """Take ``n_steps`` LARS steps on the quadratic; return the loss before
+    each step."""
+    trace = []
+    for _ in range(n_steps):
+        loss, grads = quadratic(params)
+        trace.append(loss)
+        lars_step(params, grads, state)
+    return trace
+
+
 def test_probe_zero_lr_trace_is_constant():
     params = {"b": np.array([1.0, 2.0])}
     state = OptimizerState(base_lr=0.0, momentum=0.9)
-    trace = quadratic_probe(quadratic, params, state, n_steps=25)
-    assert len(trace) == 25
+    trace = descend(params, state, n_steps=25)
     assert all(t == trace[0] for t in trace)
     assert np.array_equal(params["b"], np.array([1.0, 2.0]))
 
@@ -116,13 +126,7 @@ def test_probe_zero_lr_trace_is_constant():
 def test_probe_converges_on_quadratic():
     params = {"b": np.array([1.0, -2.0])}
     state = OptimizerState(base_lr=0.05, momentum=0.0)
-    trace = quadratic_probe(quadratic, params, state, n_steps=200)
-    assert len(trace) == 200
+    trace = descend(params, state, n_steps=200)
     assert all(b < a for a, b in zip(trace, trace[1:]))
     assert trace[-1] < 1e-6
     assert 0.5 * float(params["b"] @ params["b"]) < trace[-1]
-
-
-def test_probe_validates_step_count():
-    with pytest.raises(ContractError):
-        quadratic_probe(quadratic, {"b": np.ones(2)}, OptimizerState(), 0)

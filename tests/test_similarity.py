@@ -1,20 +1,16 @@
-"""Similarity kernels and label-distance weights."""
+"""The similarity config and the contrastive weights of ``hcl.losses``.
 
-import math
+The weights are checked in the log form that gets added to the logits:
+``_log_weight`` for the raw-input weight exp(1 - cos) and
+``_label_log_weights`` for the label weights sigma and gamma.
+"""
 
 import numpy as np
 import pytest
 
 from hcl.errors import ContractError
+from hcl.losses import SimilarityConfig, _label_log_weights, _log_weight
 from hcl.numeric import make_rng
-from hcl.similarity import (
-    SimilarityConfig,
-    hamming,
-    neg_weight_gamma,
-    pos_weight_sigma,
-    sim_f,
-    weight_g,
-)
 
 from reference import ref_hamming
 
@@ -26,92 +22,70 @@ def test_temperature_must_be_positive():
         SimilarityConfig(temperature=-1.0)
 
 
-def test_sim_f_known_values():
-    v = np.array([0.3, -1.2, 0.5])
-    assert sim_f(v, v, SimilarityConfig(0.5)) == pytest.approx(math.e**2, abs=1e-12)
-    assert sim_f([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
-    # Zero-norm input contributes cosine 0.
-    assert sim_f([0.0, 0.0], [1.0, 2.0], SimilarityConfig(0.25)) == 1.0
-
-
-def test_sim_f_range():
-    rng = make_rng(0)
-    cfg = SimilarityConfig(0.7)
-    lo, hi = math.exp(-1 / 0.7), math.exp(1 / 0.7)
-    for _ in range(500):
-        u = rng.normal(size=4)
-        v = rng.normal(size=4)
-        assert lo <= sim_f(u, v, cfg) <= hi
-
-
 def test_weight_g_known_values():
-    v = np.array([1.0, 2.0, -0.5])
-    assert weight_g(v, 2.5 * v) == pytest.approx(1.0, abs=1e-12)
-    assert weight_g(v, -v) == pytest.approx(math.e**2, abs=1e-12)
-    assert weight_g([0.0, 0.0, 0.0], v) == pytest.approx(math.e, abs=1e-12)
+    v = np.array([[1.0, 2.0, -0.5]])
+    assert _log_weight(v, 2.5 * v)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert _log_weight(v, -v)[0, 0] == pytest.approx(2.0, abs=1e-12)
+    # A zero-norm row has cosine 0 with everything: log-weight exactly 1.
+    assert _log_weight(np.zeros((1, 3)), v)[0, 0] == 1.0
 
 
 def test_weight_g_range_many_inputs():
     rng = make_rng(1)
     for _ in range(2000):
         d = int(rng.integers(1, 6))
-        a = rng.normal(size=d) * float(rng.uniform(0.1, 10))
-        b = rng.normal(size=d) * float(rng.uniform(0.1, 10))
-        g = weight_g(a, b)
-        # exp(2.0) is the exact float bound: the cosine is clamped to >= -1.
-        assert 1.0 <= g <= math.exp(2.0)
+        a = rng.normal(size=(1, d)) * float(rng.uniform(0.1, 10))
+        b = rng.normal(size=(1, d)) * float(rng.uniform(0.1, 10))
+        lw = _log_weight(a, b)[0, 0]
+        # The cosine is clipped to [-1, 1], so the log-weight is in [0, 2].
+        assert 0.0 <= lw <= 2.0
 
 
 def test_hamming_matches_counting_oracle():
     rng = make_rng(2)
-    for _ in range(1000):
+    for _ in range(200):
         c = int(rng.integers(1, 12))
-        y1 = rng.integers(0, 2, size=c).astype(float)
-        y2 = rng.integers(0, 2, size=c).astype(float)
-        assert hamming(y1, y2) == ref_hamming(y1, y2)
-
-
-def test_hamming_rejects_bad_input():
-    with pytest.raises(ContractError):
-        hamming([0.0, 0.5], [0.0, 1.0])
-    with pytest.raises(ContractError):
-        hamming([0.0, 1.0], [1.0])
-    with pytest.raises(ContractError):
-        hamming([], [])
+        y = rng.integers(0, 2, size=(5, c)).astype(float)
+        log_sigma, log_gamma = _label_log_weights(y)
+        for i in range(5):
+            for k in range(5):
+                h = ref_hamming(y[i], y[k])
+                # Identical rows give log gamma = -inf, i.e. weight 0.
+                assert np.exp(log_gamma[i, k]) == pytest.approx(h, rel=1e-12)
+                assert np.exp(log_sigma[i, k]) == pytest.approx(
+                    (c - h) / c, rel=1e-12)
 
 
 def test_pos_weight_sigma_values_and_range():
-    assert pos_weight_sigma([1, 0, 1], [1, 0, 1]) == pytest.approx(1.0)
-    assert pos_weight_sigma([1, 0, 1, 0], [1, 1, 1, 0]) == pytest.approx(0.75)
+    log_sigma, _ = _label_log_weights(np.array([[1.0, 0.0, 1.0]] * 2))
+    assert log_sigma[0, 1] == 0.0
+    log_sigma, _ = _label_log_weights(np.array([[1.0, 0.0, 1.0, 0.0],
+                                                [1.0, 1.0, 1.0, 0.0]]))
+    assert np.exp(log_sigma[0, 1]) == pytest.approx(0.75)
     rng = make_rng(3)
     checked = 0
     while checked < 2000:
         c = int(rng.integers(1, 10))
-        y1 = rng.integers(0, 2, size=c).astype(float)
-        y2 = rng.integers(0, 2, size=c).astype(float)
-        if not np.any((y1 == 1) & (y2 == 1)):
+        y = rng.integers(0, 2, size=(2, c)).astype(float)
+        if not np.any((y[0] == 1) & (y[1] == 1)):
             continue  # not a positive pair for any label
-        s = pos_weight_sigma(y1, y2)
-        assert 1.0 / c <= s <= 1.0
+        log_sigma, _ = _label_log_weights(y)
+        assert np.log(1.0 / c) <= log_sigma[0, 1] <= 0.0
         checked += 1
 
 
 def test_neg_weight_gamma_values_and_range():
-    assert neg_weight_gamma([1, 0], [0, 1]) == pytest.approx(2.0)
+    _, log_gamma = _label_log_weights(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert np.exp(log_gamma[0, 1]) == pytest.approx(2.0)
     rng = make_rng(4)
     checked = 0
     while checked < 2000:
         c = int(rng.integers(1, 10))
-        y1 = rng.integers(0, 2, size=c).astype(float)
-        y2 = rng.integers(0, 2, size=c).astype(float)
-        if np.array_equal(y1, y2):
+        y = rng.integers(0, 2, size=(2, c)).astype(float)
+        if np.array_equal(y[0], y[1]):
             continue
-        g = neg_weight_gamma(y1, y2)
-        assert 1.0 <= g <= c
-        assert g == ref_hamming(y1, y2)
+        _, log_gamma = _label_log_weights(y)
+        assert 0.0 <= log_gamma[0, 1] <= np.log(c)
+        assert np.exp(log_gamma[0, 1]) == pytest.approx(
+            ref_hamming(y[0], y[1]), rel=1e-12)
         checked += 1
-
-
-def test_neg_weight_gamma_identical_raises():
-    with pytest.raises(ContractError):
-        neg_weight_gamma([1.0, 0.0], [1.0, 0.0])
