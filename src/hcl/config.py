@@ -188,6 +188,9 @@ def resolve_config(pairs: dict[str, str],
                     "exactly one of 'manifest' or 'synthetic' must be set")
     if manifest and not os.path.isfile(manifest):
         raise _fail("manifest", f"file not found: {manifest}")
+    if manifest:
+        # absolute, so that the snapshot replays from any directory
+        manifest = os.path.abspath(manifest)
     if synthetic and synthetic not in SYNTHETIC_FAMILIES:
         raise _fail("synthetic",
                     f"must be one of {', '.join(SYNTHETIC_FAMILIES)}, "
@@ -331,6 +334,7 @@ def resolve_config(pairs: dict[str, str],
 
     # effective snapshot: replaying these pairs reproduces this RunConfig
     snap = dict(merged)
+    snap["manifest"] = manifest
     snap["alpha"] = repr(alpha)
     snap["beta"] = repr(beta)
     cfg.snapshot = snap

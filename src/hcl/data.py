@@ -1,9 +1,9 @@
 """Dataset ingestion, synthetic generation, augmentation, splits, batching.
 
 Datasets hold one or two feature views plus a binary label matrix and a
-per-row labeled flag. Batch plans list anchor rows and one negative index
-set per anchor; the contrastive losses consume them as boolean masks via
-``plan_neg_mask``.
+per-row labeled flag. Batch plans list anchor rows and carry each anchor's
+negative set as a boolean mask over anchor positions, the form in which the
+contrastive losses read it (``ContrastiveBatch.neg_mask``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError, ShapeError
 from .ioutil import atomic_write_text, format_kv_text, parse_kv_text
+from .losses import full_negatives
 from .numeric import Matrix, Rng, as_matrix, unit_rows
 
 
@@ -78,55 +79,42 @@ class Dataset:
 class BatchPlan:
     """Anchor rows, the labeled subset, and per-anchor negative sets.
 
-    ``negatives`` is (n_anchors, neg_size) of dataset row indices; every
-    negative set has the same size and never contains its own anchor.
+    ``neg_mask`` is (n_anchors, n_anchors): entry [i, j] marks anchor
+    position j as a negative of anchor position i. No anchor is its own
+    negative and every anchor has at least one.
     """
 
     anchors: np.ndarray
     labeled: np.ndarray
-    negatives: np.ndarray
+    neg_mask: np.ndarray
 
     def __post_init__(self) -> None:
         self.anchors = np.asarray(self.anchors, dtype=int).ravel()
         self.labeled = np.asarray(self.labeled, dtype=int).ravel()
-        self.negatives = np.asarray(self.negatives, dtype=int)
-        if self.anchors.size == 0:
+        self.neg_mask = np.asarray(self.neg_mask, dtype=bool)
+        na = self.anchors.size
+        if na == 0:
             raise ContractError("a batch plan needs at least one anchor")
-        if np.unique(self.anchors).size != self.anchors.size:
+        if np.unique(self.anchors).size != na:
             raise ContractError("anchor indices must be unique")
-        if self.negatives.ndim != 2 or self.negatives.shape[0] != self.anchors.size:
-            raise ShapeError(
-                f"negatives have shape {self.negatives.shape}, expected "
-                f"({self.anchors.size}, neg_size)"
-            )
-        if self.negatives.shape[1] < 1:
-            raise ContractError("every anchor needs at least one negative")
-        if self.anchors.min() < 0 or self.negatives.min() < 0:
+        if self.anchors.min() < 0:
             raise ContractError("indices must be non-negative")
-        if (self.negatives == self.anchors[:, None]).any():
+        if self.neg_mask.shape != (na, na):
+            raise ShapeError(
+                f"neg_mask has shape {self.neg_mask.shape}, expected ({na}, {na})"
+            )
+        if self.neg_mask.diagonal().any():
             raise ContractError("an anchor may not appear in its own negative set")
+        if not self.neg_mask.any(axis=1).all():
+            raise ContractError("every anchor needs at least one negative")
         if not np.isin(self.labeled, self.anchors).all():
             raise ContractError("labeled subset must be drawn from the anchors")
 
     @property
-    def neg_size(self) -> int:
-        return self.negatives.shape[1]
-
-
-def plan_neg_mask(plan: BatchPlan) -> np.ndarray:
-    """Boolean (n_anchors, n_anchors) mask over anchor positions: entry
-    [i, j] marks anchor j as a negative of anchor i."""
-    na = plan.anchors.size
-    inv = np.full(int(plan.anchors.max()) + 1, -1, dtype=int)
-    inv[plan.anchors] = np.arange(na)
-    if plan.negatives.max() >= inv.size:
-        raise ContractError("negative index outside the anchor pool")
-    cols = inv[plan.negatives]
-    if (cols < 0).any():
-        raise ContractError("negative index outside the anchor pool")
-    mask = np.zeros((na, na), dtype=bool)
-    mask[np.repeat(np.arange(na), plan.neg_size), cols.ravel()] = True
-    return mask
+    def negatives(self) -> np.ndarray:
+        # perfbench/spans.py counts a plan's (anchor, negative) pairs as
+        # ``sample_batch(...).negatives.size``; this keeps that count
+        return np.flatnonzero(self.neg_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +500,12 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     na = anchors.size
     if k == na - 1:
         # forced full complement, no sampling needed
-        cols = np.arange(na - 1)[None, :]
-        rows = np.arange(na)[:, None]
-        negatives = anchors[np.where(cols < rows, cols, cols + 1)]
+        neg_mask = full_negatives(na)
     else:
-        negatives = np.empty((na, k), dtype=int)
+        neg_mask = np.zeros((na, na), dtype=bool)
         for i in range(na):
-            others = np.delete(anchors, i)
-            negatives[i] = rng.choice(others, size=k, replace=False)
+            # k of the na - 1 positions other than i, shifted past i
+            cols = rng.choice(na - 1, size=k, replace=False)
+            neg_mask[i, cols + (cols >= i)] = True
     return BatchPlan(anchors=anchors, labeled=np.sort(batch_labeled),
-                     negatives=negatives)
+                     neg_mask=neg_mask)

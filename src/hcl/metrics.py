@@ -84,16 +84,13 @@ def auc(scores: Matrix, y: Matrix) -> float:
 
 @dataclass
 class EvalReport:
-    """F1/AUC for one evaluation. The ``*_std`` fields stay 0 for a single
-    seed; the run JSON records them."""
+    """F1/AUC, per-label AUC and the number of scored rows of one evaluation."""
 
     f1: float
     auc: float
     per_label: np.ndarray
     n_eval: int
     seeds: list[int] = field(default_factory=lambda: [0])
-    f1_std: float = 0.0
-    auc_std: float = 0.0
 
     def __post_init__(self) -> None:
         self.per_label = np.asarray(self.per_label, dtype=np.float64)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from .data import Dataset, plan_neg_mask, sample_batch, take_rows
+from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
 from .losses import (ContrastiveBatch, SimilarityConfig, _label_groups,
                      _sup_groups, unsup_loss_multiview, weighted_sup_loss)
@@ -276,8 +276,7 @@ def _two_view_batch(ds: Dataset, plan, params) -> tuple[ContrastiveBatch, object
     x2 = ds.views[1][rows]
     z1, c1 = encode(params, x1, view=1)
     z2, c2 = encode(params, x2, view=2)
-    batch = ContrastiveBatch(z1=z1, z2=z2, x1=x1, x2=x2,
-                             neg_mask=plan_neg_mask(plan))
+    batch = ContrastiveBatch(z1=z1, z2=z2, x1=x1, x2=x2, neg_mask=plan.neg_mask)
     return batch, c1, c2
 
 

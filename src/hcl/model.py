@@ -339,4 +339,6 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         )
     except KeyError as err:
         raise IngestionError(f"{path}: checkpoint has no {err.args[0]!r} entry") from None
+    except (TypeError, ValueError) as err:
+        raise IngestionError(f"{path}: malformed checkpoint entry: {err}") from None
     return params, doc.get("extra", {})

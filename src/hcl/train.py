@@ -26,7 +26,6 @@ from .data import (
     make_cluster_dataset,
     make_scene_like,
     make_views,
-    plan_neg_mask,
     sample_batch,
     split,
     synth_multiview,
@@ -208,13 +207,13 @@ def _train_iteration(params, state, ds, plan, cfg, simcfg, weighted, sup_fn,
             batch = ContrastiveBatch(z1=z1, z2=z2,
                                      x1=ds.views[0][anchors],
                                      x2=ds.views[1][anchors],
-                                     neg_mask=plan_neg_mask(plan))
+                                     neg_mask=plan.neg_mask)
             l_u, du1, du2 = unsup_loss_multiview(batch, simcfg,
                                                  weighted=weighted)
         else:
             batch = ContrastiveBatch(z1=z1, x1=ds.views[0][anchors],
                                      x_sim=x_sim_all[anchors],
-                                     neg_mask=plan_neg_mask(plan))
+                                     neg_mask=plan.neg_mask)
             l_u, du1 = unsup_loss_single(batch, simcfg, weighted=weighted)
 
     l_s = 0.0
@@ -293,8 +292,6 @@ class RunRecord:
                 "per_label": list(self.report.per_label),
                 "n_eval": self.report.n_eval,
                 "seeds": list(self.report.seeds),
-                "f1_std": self.report.f1_std,
-                "auc_std": self.report.auc_std,
             },
             "wall_seconds": self.wall_seconds,
             "checksums": self.checksums,

@@ -128,6 +128,25 @@ def test_cmd_eval_on_other_manifest(tmp_path):
     assert report.auc != direct.auc
 
 
+def test_main_eval_relative_manifest_from_elsewhere(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    base = build_dataset(resolve_config(small_pairs(tmp_path)))
+    save_csv(str(data_dir / "x.csv"), base.views[0])
+    save_csv(str(data_dir / "y.csv"), base.labels)
+    save_manifest(str(data_dir / "m.manifest"), "x.csv", "y.csv", base.c)
+    pairs = small_pairs(tmp_path, manifest="data/m.manifest", seeds="0")
+    del pairs["synthetic"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 0
+    trained = json.loads((tmp_path / "out" / "run-hcl-seed0.json").read_text())
+    monkeypatch.chdir(data_dir)
+    assert main(["eval", "--checkpoint",
+                 str(tmp_path / "out" / "run-hcl-seed0.ckpt")]) == 0
+    replay = json.loads((tmp_path / "out" / "eval-run-hcl-seed0.json").read_text())
+    assert replay["auc"] == trained["report"]["auc"]
+
+
 # ---------------------------------------------------------------------------
 # bound-check
 
@@ -250,11 +269,32 @@ def test_main_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _stack(**weight) -> dict:
+    """One 1 -> 1 checkpoint layer of zeros, with ``weight`` fields replaced."""
+    zero = "AAAAAAAAAAA="  # base64 of one little-endian 0.0
+    return {"output_activation": "identity",
+            "weights": [dict({"shape": [1, 1], "data": zero}, **weight)],
+            "biases": [{"shape": [1], "data": zero}]}
+
+
+def _checkpoint_text(**entries) -> str:
+    doc = {"format": "hcl-checkpoint", "version": 1, "encoder1": _stack(),
+           "classifier": _stack(), "encoder2": None, **entries}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read checkpoint"),
     ('{"format": "hcl-checkpoint", "vers', "not valid checkpoint JSON"),
     ('{"format": "hcl-checkpoint", "version": 1}', "no 'encoder1' entry"),
-], ids=["missing", "truncated", "incomplete"])
+    (_checkpoint_text(encoder1="x"), "malformed checkpoint entry"),
+    (_checkpoint_text(classifier=[1, 2]), "malformed checkpoint entry"),
+    (_checkpoint_text(encoder1=_stack(data="A")),
+     "malformed checkpoint entry"),
+    (_checkpoint_text(classifier=_stack(shape=[2, 2])),
+     "malformed checkpoint entry"),
+], ids=["missing", "truncated", "incomplete", "wrong-type", "list-entry",
+        "bad-base64", "wrong-shape"])
 def test_main_eval_bad_checkpoint_named(tmp_path, capsys, content, message):
     path = tmp_path / "run.ckpt"
     if content is not None:

@@ -151,7 +151,6 @@ def test_evaluate_single_report():
     assert report.auc == auc(scores, y)
     assert np.array_equal(report.per_label, per_label_auc(scores, y))
     assert report.n_eval == 20
-    assert report.f1_std == report.auc_std == 0.0
 
 
 def test_report_validation():
