@@ -11,7 +11,6 @@ from .config import (
     MODES,
     RunConfig,
     config_for_seed,
-    load_config,
     resolve_config,
 )
 from .data import (

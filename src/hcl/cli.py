@@ -313,6 +313,18 @@ def cmd_perf_sweep(pairs: dict[str, str],
 # argument parsing
 
 
+# flag -> (the config field it overrides, help)
+_FLAGS = {
+    "--seed": ("seeds", "comma-separated seed list"),
+    "--out": ("out_dir", "output directory"),
+    "--method": ("method", "method"),
+    "--alpha": ("alpha", "unsupervised weight"),
+    "--beta": ("beta", "supervised weight"),
+    "--neg-size": ("neg_size", "negative-set size (int or 'full')"),
+    "--epochs": ("epochs", "epoch count"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcl",
@@ -320,19 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="key-value config file")
-        p.add_argument("--seed", help="comma-separated seed list override")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--method", help="method override")
-        p.add_argument("--alpha", help="unsupervised weight override")
-        p.add_argument("--beta", help="supervised weight override")
-        p.add_argument("--neg-size", dest="neg_size",
-                       help="negative-set size override (int or 'full')")
-        p.add_argument("--epochs", help="epoch count override")
-
     for name in ("train", "bound-check", "noise-sweep", "perf-sweep"):
-        add_common(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="key-value config file")
+        for flag, (key, what) in _FLAGS.items():
+            p.add_argument(flag, dest=key, help=f"{what} override")
 
     p_eval = sub.add_parser("eval")
     p_eval.add_argument("--checkpoint", required=True)
@@ -342,17 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict[str, str]:
-    mapping = {
-        "seed": "seeds", "out": "out_dir", "method": "method",
-        "alpha": "alpha", "beta": "beta", "neg_size": "neg_size",
-        "epochs": "epochs",
-    }
-    out = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    return out
+    return {key: getattr(args, key) for key, _ in _FLAGS.values()
+            if getattr(args, key) is not None}
 
 
 def main(argv=None) -> int:

@@ -44,7 +44,7 @@ from .losses import (
 )
 from .metrics import EvalReport, evaluate
 from .model import ModelParams, classify, encode, init_params, model_backward, named_parameters
-from .numeric import Matrix, Rng, make_rng
+from .numeric import Rng, make_rng
 from .optimizer import OptimizerState, lars_step
 
 
@@ -109,19 +109,10 @@ def _encode_anchor_views(params, ds: Dataset, anchors: np.ndarray):
     return z1, c1, z2, c2
 
 
-def _embed_rows(params, ds: Dataset, rows: np.ndarray) -> Matrix:
-    s, _ = encode(params, ds.views[0][rows], view=1)
-    if ds.n_views == 2:
-        s2, _ = encode(params, ds.views[1][rows], view=2)
-        s = np.hstack([s, s2])
-    return s
-
-
-def run_training(cfg: RunConfig, seed: int,
-                 base: Dataset | None = None) -> TrainResult:
-    """Train one model for one seed; returns parameters, the per-epoch loss
-    trace, and the transductive evaluation on the unlabeled rows."""
-    t0 = time.perf_counter()
+def _run_split(cfg: RunConfig, seed: int,
+               base: Dataset | None) -> tuple[Dataset, Rng]:
+    """The run's labeled/unlabeled split and views, derived from (config,
+    seed), with the rng that drew them, positioned for the next draw."""
     if base is None:
         base = build_dataset(cfg)
     if not 0 < cfg.n_labeled < base.n:
@@ -131,7 +122,27 @@ def run_training(cfg: RunConfig, seed: int,
         )
     rng = make_rng(seed)
     ds = split(base, cfg.n_labeled, rng)
-    ds = _prepare_views(ds, cfg, rng)
+    return _prepare_views(ds, cfg, rng), rng
+
+
+def _score(cfg: RunConfig, seed: int, params, ds: Dataset) -> EvalReport:
+    """Transductive evaluation of ``params`` on the unlabeled rows."""
+    rows = ds.unlabeled_indices
+    s, _ = encode(params, ds.views[0][rows], view=1)
+    if ds.n_views == 2:
+        s2, _ = encode(params, ds.views[1][rows], view=2)
+        s = np.hstack([s, s2])
+    y_hat, _ = classify(params, s)
+    return evaluate(y_hat, ds.labels[rows], threshold=cfg.threshold,
+                    multiclass=cfg.multiclass, seed=seed)
+
+
+def run_training(cfg: RunConfig, seed: int,
+                 base: Dataset | None = None) -> TrainResult:
+    """Train one model for one seed; returns parameters, the per-epoch loss
+    trace, and the transductive evaluation on the unlabeled rows."""
+    t0 = time.perf_counter()
+    ds, rng = _run_split(cfg, seed, base)
 
     latent = cfg.encoder_sizes[-1]
     # fixed random projection feeding the single-view similarity kernel;
@@ -180,10 +191,7 @@ def run_training(cfg: RunConfig, seed: int,
         mean = sums / iterations
         trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha, cfg.beta))
 
-    rows = ds.unlabeled_indices
-    y_hat, _ = classify(params, _embed_rows(params, ds, rows))
-    report = evaluate(y_hat, ds.labels[rows], threshold=cfg.threshold,
-                      multiclass=cfg.multiclass, seed=seed)
+    report = _score(cfg, seed, params, ds)
     return TrainResult(params=params, trace=trace, report=report,
                        labeled_mask=ds.labeled_mask.copy(),
                        wall_seconds=time.perf_counter() - t0)
@@ -246,20 +254,8 @@ def replay_eval(cfg: RunConfig, seed: int, params: ModelParams,
                 base: Dataset | None = None) -> EvalReport:
     """Re-derive the run's evaluation split and views from (config, seed)
     and score the given parameters on the unlabeled rows, without training."""
-    if base is None:
-        base = build_dataset(cfg)
-    if not 0 < cfg.n_labeled < base.n:
-        raise ConfigError(
-            f"config field 'n_labeled': must be in (0, {base.n}) for this "
-            f"dataset, got {cfg.n_labeled}"
-        )
-    rng = make_rng(seed)
-    ds = split(base, cfg.n_labeled, rng)
-    ds = _prepare_views(ds, cfg, rng)
-    rows = ds.unlabeled_indices
-    y_hat, _ = classify(params, _embed_rows(params, ds, rows))
-    return evaluate(y_hat, ds.labels[rows], threshold=cfg.threshold,
-                    multiclass=cfg.multiclass, seed=seed)
+    ds, _ = _run_split(cfg, seed, base)
+    return _score(cfg, seed, params, ds)
 
 
 # ---------------------------------------------------------------------------

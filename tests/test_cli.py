@@ -254,10 +254,16 @@ def test_main_train_and_eval_paths(tmp_path, capsys):
 
 def test_main_flag_overrides(tmp_path):
     cfg = write_cfg(tmp_path, small_pairs(tmp_path, seeds="0"))
+    flagged = tmp_path / "flagged"
     assert main(["train", "--config", cfg, "--method", "dnn",
                  "--seed", "2", "--epochs", "2", "--neg-size", "full",
-                 "--alpha", "0.9", "--beta", "0.2"]) == 0
-    body = json.loads((tmp_path / "out" / "run-dnn-seed2.json").read_text())
+                 "--alpha", "0.9", "--beta", "0.2",
+                 "--out", str(flagged)]) == 0
+    # the run files land in the --out directory, not the config's out_dir
+    assert not (tmp_path / "out").exists()
+    assert {p.name for p in flagged.iterdir()} == {
+        "run-dnn-seed2.json", "run-dnn-seed2.ckpt", "metrics-dnn.csv"}
+    body = json.loads((flagged / "run-dnn-seed2.json").read_text())
     assert len(body["trace"]) == 2
     # dnn coupling forces the overridden weights back to zero
     assert float(body["config"]["alpha"]) == 0.0

@@ -6,7 +6,7 @@ from hcl.config import (
     DEFAULTS,
     METHODS,
     config_for_seed,
-    load_config,
+    load_pairs,
     resolve_config,
 )
 from hcl.errors import ConfigError
@@ -144,6 +144,11 @@ def test_method_coupling_forces_weights(method, alpha, beta):
     ("multiclass", "maybe"),
     ("alpha", "much"),
     ("batch_size", "0"),
+    ("alpha", "nan"),
+    ("beta", "nan"),
+    ("base_lr", "inf"),
+    ("temperature", "inf"),
+    ("bound_tolerance", "inf"),
 ])
 def test_invalid_field_raises_named_error(key, value):
     with pytest.raises(ConfigError, match=f"config field '{key}'"):
@@ -215,10 +220,10 @@ def test_load_config_reads_kv_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nsynthetic = cluster\nepochs = 7\n",
                     encoding="utf-8")
-    cfg = load_config(str(path), {"epochs": "11"})
+    cfg = resolve_config(load_pairs(str(path)), {"epochs": "11"})
     assert cfg.synthetic == "cluster" and cfg.epochs == 11
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config file"):
-        load_config("/definitely/not/here.cfg")
+        resolve_config(load_pairs("/definitely/not/here.cfg"))
