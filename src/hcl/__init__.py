@@ -72,7 +72,7 @@ from .model import (
     named_parameters,
     save_checkpoint,
 )
-from .numeric import Matrix, Rng, finite_diff_grad, make_rng
+from .numeric import Matrix, Rng, make_rng
 from .optimizer import OptimizerState, lars_step
 from .train import (
     RunRecord,

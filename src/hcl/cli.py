@@ -243,10 +243,6 @@ def cmd_perf_sweep(pairs: dict[str, str],
                    overrides: dict[str, str] | None = None) -> dict:
     cfg = resolve_config(pairs, overrides)
     out = _ensure_out(cfg)
-    if min(cfg.perf_train_sizes) < 32:
-        raise ConfigError(
-            "config field 'perf_train_sizes': sizes must be >= 32"
-        )
     need = max(max(cfg.perf_train_sizes), max(cfg.perf_neg_sizes) + 2)
     base = build_dataset(cfg)
     if base.n < need:

@@ -118,7 +118,7 @@ _level = _float("in [0, 1]", "levels must be")  # one noise level
 
 
 def _aug(key: str, raw: str) -> str:
-    v = raw.strip()
+    v = raw.strip().lower()
     try:
         _parse_aug(v)
     except ConfigError as err:
@@ -191,7 +191,7 @@ class RunConfig:
     # sweeps; a methods entry may pin its own mode, e.g. "hcl-u@two-view"
     methods: list[str] = _key("hcl-u", _list(_method_entry, "methods"))
     noise_levels: list[float] = _key("0,0.25,0.5,0.75,1", _list(_level, "numbers"))
-    perf_train_sizes: list[int] = _key("256,512,1024,2048", _ints(2))
+    perf_train_sizes: list[int] = _key("256,512,1024,2048", _ints(32))
     perf_neg_sizes: list[int] = _key("64,128,256,512", _ints(1))
     perf_epochs: int = _key("3", _int(1))
     perf_neg_fixed: int = _key("32", _int(1))

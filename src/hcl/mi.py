@@ -21,43 +21,30 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import multivariate_normal
 
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
-from .losses import (ContrastiveBatch, SimilarityConfig, _label_groups,
-                     _sup_groups, unsup_loss_multiview, weighted_sup_loss)
-from .model import encode, init_params, model_backward, named_parameters
+from .losses import SimilarityConfig, _label_groups, _sup_groups
+from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, make_rng, unit_rows
-from .optimizer import OptimizerState, lars_step
-
-
-class JointTable:
-    """A joint probability table over a finite alphabet pair."""
-
-    def __init__(self, probabilities) -> None:
-        p = as_matrix(probabilities, "joint table")
-        if (p < 0.0).any():
-            raise ContractError("joint probabilities must be >= 0")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ContractError(
-                f"joint probabilities must sum to 1, got {total!r}"
-            )
-        self.probabilities = p
-        self.marginal_x = p.sum(axis=1)
-        self.marginal_y = p.sum(axis=0)
+from .optimizer import OptimizerState
+from .train import step_forward, train_step
 
 
 def discrete_mi(joint) -> float:
-    """sum p(x,y) ln[p(x,y) / (p(x) p(y))], with 0 ln 0 = 0. Never negative."""
-    table = joint if isinstance(joint, JointTable) else JointTable(joint)
-    p = table.probabilities
-    outer = np.outer(table.marginal_x, table.marginal_y)
+    """sum p(x,y) ln[p(x,y) / (p(x) p(y))] of a joint probability table,
+    with 0 ln 0 = 0. Never negative."""
+    p = as_matrix(joint, "joint table")
+    if (p < 0.0).any():
+        raise ContractError("joint probabilities must be >= 0")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ContractError(f"joint probabilities must sum to 1, got {total!r}")
+    outer = np.outer(p.sum(axis=1), p.sum(axis=0))
     mask = p > 0.0
-    total = float(np.sum(p[mask] * np.log(p[mask] / outer[mask])))
+    mi = float(np.sum(p[mask] * np.log(p[mask] / outer[mask])))
     # MI >= 0; float cancellation can leave a tiny negative residue
-    return max(total, 0.0)
+    return max(mi, 0.0)
 
 
 def gaussian_mi(rho: float) -> float:
@@ -65,29 +52,6 @@ def gaussian_mi(rho: float) -> float:
     if not abs(rho) < 1.0:
         raise ContractError(f"need |rho| < 1, got {rho}")
     return -0.5 * math.log1p(-rho * rho)
-
-
-def quantized_gaussian_table(rho: float, bins: int = 64,
-                             span: float = 6.0) -> JointTable:
-    """Quantize a bivariate gaussian onto a grid of ``bins`` cells per axis.
-
-    Cell masses come from CDF differences; the outermost edges sit at
-    +-span standard deviations. The table is renormalized to absorb CDF
-    rounding at the 1e-8 level.
-    """
-    if bins < 32:
-        raise ContractError(f"need >= 32 bins per axis, got {bins}")
-    if not abs(rho) < 1.0:
-        raise ContractError(f"need |rho| < 1, got {rho}")
-    edges = np.linspace(-span, span, bins + 1)
-    grid_x, grid_y = np.meshgrid(edges, edges, indexing="ij")
-    points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
-    dist = multivariate_normal(mean=[0.0, 0.0],
-                               cov=[[1.0, rho], [rho, 1.0]])
-    cdf = dist.cdf(points).reshape(bins + 1, bins + 1)
-    cells = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
-    cells = np.clip(cells, 0.0, None)
-    return JointTable(cells / cells.sum())
 
 
 def neg_size_term(labels: Matrix) -> float:
@@ -269,36 +233,9 @@ class BoundTrainSpec:
         if self.tolerance <= 0:
             raise ContractError(f"tolerance must be > 0, got {self.tolerance}")
 
-
-def _two_view_batch(ds: Dataset, plan, params) -> tuple[ContrastiveBatch, object, object]:
-    rows = plan.anchors
-    x1 = ds.views[0][rows]
-    x2 = ds.views[1][rows]
-    z1, c1 = encode(params, x1, view=1)
-    z2, c2 = encode(params, x2, view=2)
-    batch = ContrastiveBatch(z1=z1, z2=z2, x1=x1, x2=x2, neg_mask=plan.neg_mask)
-    return batch, c1, c2
-
-
-def _train_two_view(ds: Dataset, size: int, spec: BoundTrainSpec, rng: Rng):
-    """Minimize the weighted two-view loss with |N| = size pools."""
-    cfg = SimilarityConfig(temperature=spec.temperature)
-    params = init_params(
-        rng,
-        encoder_sizes=[ds.views[0].shape[1], spec.hidden_dim, spec.latent_dim],
-        classifier_sizes=[2 * spec.latent_dim, 2],
-        encoder2_sizes=[ds.views[1].shape[1], spec.hidden_dim, spec.latent_dim],
-    )
-    state = OptimizerState(base_lr=spec.base_lr, momentum=spec.momentum,
-                           trust_coeff=spec.trust_coeff)
-    for _ in range(spec.epochs):
-        plan = sample_batch(ds, size + 1, size, rng)
-        batch, c1, c2 = _two_view_batch(ds, plan, params)
-        _, d_z1, d_z2 = unsup_loss_multiview(batch, cfg, weighted=True)
-        grads = model_backward(params, enc1_cache=c1, enc2_cache=c2,
-                               d_z1=d_z1, d_z2=d_z2)
-        lars_step(named_parameters(params), grads, state)
-    return params, cfg
+    def optimizer(self) -> OptimizerState:
+        return OptimizerState(base_lr=self.base_lr, momentum=self.momentum,
+                              trust_coeff=self.trust_coeff)
 
 
 def _eval_unsup(ds: Dataset, size: int, params, cfg, spec: BoundTrainSpec,
@@ -306,8 +243,9 @@ def _eval_unsup(ds: Dataset, size: int, params, cfg, spec: BoundTrainSpec,
     values = []
     for _ in range(spec.eval_batches):
         plan = sample_batch(ds, size + 1, size, rng)
-        batch, _, _ = _two_view_batch(ds, plan, params)
-        value, _, _ = unsup_loss_multiview(batch, cfg, weighted=True)
+        (_, value, _), _ = step_forward(params, ds, plan.anchors,
+                                        (0.0, 1.0, 0.0), cfg,
+                                        neg_mask=plan.neg_mask)
         values.append(value)
     return float(np.mean(values))
 
@@ -320,6 +258,7 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
     if not sizes or any(int(s) < 1 for s in sizes):
         raise ContractError(f"sizes must be positive, got {sizes}")
     reference = data_spec.reference_mi()
+    cfg = SimilarityConfig(temperature=train_spec.temperature)
     reports = []
     for size in sorted(int(s) for s in sizes):
         if size + 1 > min(train_spec.n_train, train_spec.n_eval):
@@ -338,8 +277,16 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
                 pool, np.arange(train_spec.n_train, pool.n)
             )
             run_rng = make_rng(seed * 100_000 + size)
+            enc = [train_spec.hidden_dim, train_spec.latent_dim]
+            params = init_params(run_rng, [data_spec.d1, *enc],
+                                 [2 * train_spec.latent_dim, 2],
+                                 encoder2_sizes=[data_spec.d2, *enc])
+            state = train_spec.optimizer()
             try:
-                params, cfg = _train_two_view(train_ds, size, train_spec, run_rng)
+                for _ in range(train_spec.epochs):
+                    plan = sample_batch(train_ds, size + 1, size, run_rng)
+                    train_step(params, state, train_ds, plan.anchors,
+                               (0.0, 1.0, 0.0), cfg, neg_mask=plan.neg_mask)
                 l_u = _eval_unsup(eval_ds, size, params, cfg, train_spec, run_rng)
                 bound = -l_u + math.log(size)
             except NumericError:
@@ -395,7 +342,7 @@ def _stratum_reference_mi(ids: np.ndarray, labels: Matrix, n_protos: int
     out = {}
     for stratum, parts in tables.items():
         joint = np.sum(parts, axis=0)
-        out[stratum] = discrete_mi(JointTable(joint / joint.sum()))
+        out[stratum] = discrete_mi(joint / joint.sum())
     return out
 
 
@@ -415,18 +362,13 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
             encoder_sizes=[2, train_spec.hidden_dim, train_spec.latent_dim],
             classifier_sizes=[train_spec.latent_dim, data_spec.c],
         )
-        state = OptimizerState(base_lr=train_spec.base_lr,
-                               momentum=train_spec.momentum,
-                               trust_coeff=train_spec.trust_coeff)
+        state = train_spec.optimizer()
         train_rows = train_ds.labeled_indices
         for _ in range(train_spec.epochs):
             rows = run_rng.choice(train_rows,
                                   size=min(train_spec.batch_size, train_rows.size),
                                   replace=False)
-            z, cache = encode(params, train_ds.views[0][rows])
-            _, d_z = weighted_sup_loss(z, train_ds.labels[rows], cfg)
-            grads = model_backward(params, enc1_cache=cache, d_z1=d_z)
-            lars_step(named_parameters(params), grads, state)
+            train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), cfg)
         rows = run_rng.choice(eval_ds.n, size=min(train_spec.batch_size * 2,
                                                   eval_ds.n), replace=False)
         x_eval = eval_ds.views[0][rows]

@@ -228,16 +228,18 @@ def model_backward(params: ModelParams, *,
                    enc2_cache: ForwardCache | None = None,
                    cls_cache: ForwardCache | None = None,
                    d_yhat: Matrix | None = None,
+                   d_s: Matrix | None = None,
                    d_z1: Matrix | None = None,
                    d_z2: Matrix | None = None,
                    classifier_rows: np.ndarray | None = None) -> dict[str, Matrix]:
     """Exact gradients of the composite objective for every parameter.
 
-    ``d_yhat`` is the upstream gradient at the classifier output (rows =
-    classifier batch); ``d_z1``/``d_z2`` attach directly at the encoder
-    outputs (rows = encoder batch). ``classifier_rows`` maps classifier rows
-    into encoder rows when the classifier saw a subset (e.g. only labeled
-    samples); by default they are assumed aligned.
+    ``d_yhat`` is the upstream gradient at the classifier output and ``d_s``
+    an extra one at its input (rows = classifier batch); ``d_z1``/``d_z2``
+    attach directly at the encoder outputs (rows = encoder batch).
+    ``classifier_rows`` maps classifier rows into encoder rows when the
+    classifier saw a subset (e.g. only labeled samples); by default they are
+    assumed aligned. Only this function splits the concatenated embedding.
     """
     grads = zero_grads(params)
     n1 = enc1_cache.out.shape[0]
@@ -251,22 +253,25 @@ def model_backward(params: ModelParams, *,
             raise ContractError("d_z2 given but the model has one encoder")
         acc2 += d_z2
 
+    # d_s lands before the classifier's own gradient: a classifier row sums
+    # (d_z + d_s) + d_cls
+    at_input = [] if d_s is None else [d_s]
     if d_yhat is not None:
         if cls_cache is None:
             raise ContractError("classifier gradient needs its forward cache")
-        d_s = _backward_stack(params.classifier, cls_cache, d_yhat, grads, "cls")
-        rows = np.arange(d_s.shape[0]) if classifier_rows is None \
+        at_input.append(_backward_stack(params.classifier, cls_cache, d_yhat,
+                                        grads, "cls"))
+    for d in at_input:
+        rows = np.arange(d.shape[0]) if classifier_rows is None \
             else np.asarray(classifier_rows, dtype=int)
-        if rows.shape[0] != d_s.shape[0]:
+        if rows.shape[0] != d.shape[0]:
             raise ShapeError(
                 f"classifier_rows has {rows.shape[0]} entries for "
-                f"{d_s.shape[0]} classifier rows"
+                f"{d.shape[0]} classifier rows"
             )
-        if acc2 is None:
-            np.add.at(acc1, rows, d_s)
-        else:
-            np.add.at(acc1, rows, d_s[:, :latent])
-            np.add.at(acc2, rows, d_s[:, latent:])
+        np.add.at(acc1, rows, d[:, :latent])
+        if acc2 is not None:
+            np.add.at(acc2, rows, d[:, latent:])
 
     _backward_stack(params.encoder1, enc1_cache, acc1, grads, "e1")
     if acc2 is not None:

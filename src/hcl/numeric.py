@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra helpers and the finite-difference oracle.
+"""Dense float64 array helpers: coercion, row normalization, logsumexp.
 
 Every array crossing a public boundary in this package is a 2-D C-ordered
 float64 ``numpy.ndarray`` (aliased ``Matrix`` below); randomness always flows
@@ -8,11 +8,9 @@ the same stream for the same seed on every platform.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 
 Matrix = np.ndarray
 Rng = np.random.Generator
@@ -51,37 +49,3 @@ def row_logsumexp(logits: Matrix) -> np.ndarray:
     e = np.subtract(logits, m)
     np.exp(e, out=e)
     return (m + np.log(np.sum(e, axis=1, keepdims=True))).ravel()
-
-
-def finite_diff_grad(fn: Callable[[Matrix], float], x: Matrix, eps: float = 1e-5) -> Matrix:
-    """Central-difference gradient of a scalar function at ``x``.
-
-    This is the reference oracle the analytic gradients are tested against,
-    so it deliberately loops entry by entry and never calls back into them.
-    """
-    x = np.array(x, dtype=np.float64)
-    if eps <= 0:
-        raise ContractError(f"finite-difference step must be positive, got {eps}")
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + eps
-        f_plus = float(fn(x))
-        x[idx] = orig - eps
-        f_minus = float(fn(x))
-        x[idx] = orig
-        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
-        it.iternext()
-    return grad
-
-
-def rel_error(a: Matrix, b: Matrix) -> float:
-    """max |a-b| / max(1, |a|, |b|), the gradient-check discrepancy measure."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = max(1.0, float(np.max(np.abs(a)) if a.size else 0.0),
-                float(np.max(np.abs(b)) if b.size else 0.0))
-    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
-    return diff / denom

@@ -1,12 +1,17 @@
-"""Training loop: one code path for every method.
+"""Training loop: one code path for every method, one step for every harness.
 
 A run is fully determined by (config, seed). The seed drives a single rng
 whose consumption order is fixed: labeled/unlabeled split, view
 construction, the single-view similarity projection, parameter init, then
-the per-iteration batch stream. Terms with a zero balance weight are
-skipped entirely (not computed and multiplied by zero), so a ``hcl`` run
-with alpha = 0 is bit-identical to ``hcl-s``, and with alpha = beta = 0 to
-``dnn``.
+the per-iteration batch stream.
+
+``train_step`` is the one optimizer step: encode the batch's views, take
+the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
+``model_backward`` and update with ``lars_step``. ``run_training`` steps
+with weights (1, alpha, beta); the bound checks in ``mi`` step with
+(0, 1, 0) and (0, 0, 1). A term whose weight is zero is skipped entirely
+(not computed and multiplied by zero), so a ``hcl`` run with alpha = 0 is
+bit-identical to ``hcl-s``, and with alpha = beta = 0 to ``dnn``.
 """
 
 from __future__ import annotations
@@ -100,15 +105,6 @@ class TrainResult:
     wall_seconds: float
 
 
-def _encode_anchor_views(params, ds: Dataset, anchors: np.ndarray):
-    z1, c1 = encode(params, ds.views[0][anchors], view=1)
-    if ds.n_views == 2:
-        z2, c2 = encode(params, ds.views[1][anchors], view=2)
-    else:
-        z2 = c2 = None
-    return z1, c1, z2, c2
-
-
 def _run_split(cfg: RunConfig, seed: int,
                base: Dataset | None) -> tuple[Dataset, Rng]:
     """The run's labeled/unlabeled split and views, derived from (config,
@@ -163,8 +159,7 @@ def run_training(cfg: RunConfig, seed: int,
                            trust_coeff=cfg.trust_coeff,
                            weight_decay=cfg.weight_decay)
     simcfg = SimilarityConfig(temperature=cfg.temperature)
-    weighted = cfg.method != "simclr-style"
-    sup_fn = supcon_loss if cfg.method == "supcon-style" else weighted_sup_loss
+    weights = (1.0, cfg.alpha, cfg.beta)
 
     n_labeled = int(ds.labeled_mask.sum())
     iterations = max(1, math.ceil(n_labeled / cfg.batch_size))
@@ -181,13 +176,15 @@ def run_training(cfg: RunConfig, seed: int,
             plan = static_plan if static_plan is not None else \
                 sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
             try:
-                l_c, l_u, l_s = _train_iteration(
-                    params, state, ds, plan, cfg, simcfg, weighted, sup_fn,
-                    x_sim_all, latent,
+                sums += train_step(
+                    params, state, ds, plan.anchors, weights, simcfg,
+                    labeled=np.searchsorted(plan.anchors, plan.labeled),
+                    neg_mask=plan.neg_mask, x_sim=x_sim_all,
+                    weighted=cfg.method != "simclr-style",
+                    supcon=cfg.method == "supcon-style",
                 )
             except DegenerateBatchError as err:
                 raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
-            sums += (l_c, l_u, l_s)
         mean = sums / iterations
         trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha, cfg.beta))
 
@@ -197,57 +194,64 @@ def run_training(cfg: RunConfig, seed: int,
                        wall_seconds=time.perf_counter() - t0)
 
 
-def _train_iteration(params, state, ds, plan, cfg, simcfg, weighted, sup_fn,
-                     x_sim_all, latent):
-    anchors = plan.anchors
-    pos = np.searchsorted(anchors, plan.labeled)
-    z1, c1, z2, c2 = _encode_anchor_views(params, ds, anchors)
-    s_lab = z1[pos] if z2 is None else np.hstack([z1[pos], z2[pos]])
-    y_lab = ds.labels[plan.labeled]
+def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
+                 weights: tuple[float, float, float], simcfg: SimilarityConfig,
+                 *, labeled: np.ndarray | None = None,
+                 neg_mask: np.ndarray | None = None,
+                 x_sim: np.ndarray | None = None, weighted: bool = True,
+                 supcon: bool = False) -> tuple[tuple[float, float, float], dict]:
+    """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
+    batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
+    gradient of c*l_c + u*l_u + s*l_s, where (c, u, s) = ``weights``.
 
-    y_hat, ccache = classify(params, s_lab)
-    l_c, d_yhat = cross_entropy(y_hat, y_lab)
-
-    l_u = 0.0
-    du1 = du2 = None
-    if cfg.alpha > 0:
-        if z2 is not None:
-            batch = ContrastiveBatch(z1=z1, z2=z2,
-                                     x1=ds.views[0][anchors],
-                                     x2=ds.views[1][anchors],
-                                     neg_mask=plan.neg_mask)
-            l_u, du1, du2 = unsup_loss_multiview(batch, simcfg,
-                                                 weighted=weighted)
+    ``labeled``: positions in ``rows`` the classifier and l_s see (default
+    all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
+    row similarity side of the single-view l_u. ``weighted = False`` gives
+    plain InfoNCE for l_u; ``supcon`` swaps l_s for SupCon.
+    """
+    c, u, s = weights
+    x1 = ds.views[0][rows]
+    z1, c1 = encode(params, x1, view=1)
+    x2 = z2 = c2 = None
+    if ds.n_views == 2:
+        x2 = ds.views[1][rows]
+        z2, c2 = encode(params, x2, view=2)
+    back = {"enc1_cache": c1, "enc2_cache": c2, "classifier_rows": labeled}
+    l_c = l_u = l_s = 0.0
+    if c > 0 or s > 0:
+        pos = slice(None) if labeled is None else labeled
+        s_lab = z1[pos] if z2 is None else np.hstack([z1[pos], z2[pos]])
+        y_lab = ds.labels[rows[pos]]
+    if c > 0:
+        y_hat, back["cls_cache"] = classify(params, s_lab)
+        l_c, d_yhat = cross_entropy(y_hat, y_lab)
+        back["d_yhat"] = c * d_yhat
+    if u > 0:
+        batch = ContrastiveBatch(z1=z1, z2=z2, x1=x1, x2=x2, neg_mask=neg_mask,
+                                 x_sim=None if x_sim is None else x_sim[rows])
+        if z2 is None:
+            l_u, d_z1 = unsup_loss_single(batch, simcfg, weighted=weighted)
         else:
-            batch = ContrastiveBatch(z1=z1, x1=ds.views[0][anchors],
-                                     x_sim=x_sim_all[anchors],
-                                     neg_mask=plan.neg_mask)
-            l_u, du1 = unsup_loss_single(batch, simcfg, weighted=weighted)
+            l_u, d_z1, d_z2 = unsup_loss_multiview(batch, simcfg,
+                                                   weighted=weighted)
+            back["d_z2"] = u * d_z2
+        back["d_z1"] = u * d_z1
+    if s > 0:
+        sup = supcon_loss if supcon else weighted_sup_loss
+        l_s, d_s = sup(s_lab, y_lab, simcfg)
+        back["d_s"] = s * d_s
+    return (l_c, l_u, l_s), back
 
-    l_s = 0.0
-    d_s = None
-    if cfg.beta > 0:
-        l_s, d_s = sup_fn(s_lab, y_lab, simcfg)
 
-    d_z1 = d_z2 = None
-    if du1 is not None or d_s is not None:
-        d_z1 = np.zeros_like(z1)
-        if z2 is not None:
-            d_z2 = np.zeros_like(z2)
-        if du1 is not None:
-            d_z1 += cfg.alpha * du1
-            if du2 is not None:
-                d_z2 += cfg.alpha * du2
-        if d_s is not None:
-            d_z1[pos] += cfg.beta * d_s[:, :latent]
-            if z2 is not None:
-                d_z2[pos] += cfg.beta * d_s[:, latent:]
-
-    grads = model_backward(params, enc1_cache=c1, enc2_cache=c2,
-                           cls_cache=ccache, d_yhat=d_yhat,
-                           d_z1=d_z1, d_z2=d_z2, classifier_rows=pos)
-    lars_step(named_parameters(params), grads, state)
-    return l_c, l_u, l_s
+def train_step(params: ModelParams, state: OptimizerState, ds: Dataset,
+               rows: np.ndarray, weights: tuple[float, float, float],
+               simcfg: SimilarityConfig, **inputs) -> tuple[float, float, float]:
+    """One LARS step on c*L_c + u*L_u + s*L_s over the batch ``rows`` of
+    ``ds``; returns the terms (l_c, l_u, l_s). ``inputs`` are the keyword
+    arguments of ``step_forward``."""
+    terms, back = step_forward(params, ds, rows, weights, simcfg, **inputs)
+    lars_step(named_parameters(params), model_backward(params, **back), state)
+    return terms
 
 
 def replay_eval(cfg: RunConfig, seed: int, params: ModelParams,

@@ -1,13 +1,16 @@
-"""Independent scalar reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here is written with explicit loops and ``math`` so that it
-cannot share bugs with the vectorized implementations under test. Keep it
-slow and obvious.
+Everything here is written with explicit loops and ``math`` (or, for the
+quantized gaussian table, scipy's CDF) so that it cannot share bugs with
+the vectorized implementations under test. Keep it slow and obvious.
 """
 
 import math
 
 import numpy as np
+from scipy.stats import multivariate_normal
+
+from hcl.errors import ContractError
 
 
 def ref_cosine(u, v):
@@ -232,3 +235,60 @@ def ref_stratum_pair_tables(ids, y, n_protos):
             for i, j in pairs:
                 table[i, j] += 1.0 / len(pairs)
     return {eps: t / t.sum() for eps, t in tables.items()}
+
+
+def finite_diff_grad(fn, x, eps=1e-5):
+    """Central-difference gradient of a scalar function at ``x``.
+
+    This is the oracle the analytic gradients are tested against, so it
+    deliberately loops entry by entry and never calls back into them.
+    """
+    x = np.array(x, dtype=np.float64)
+    if eps <= 0:
+        raise ContractError(f"finite-difference step must be positive, got {eps}")
+    grad = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + eps
+        f_plus = float(fn(x))
+        x[idx] = orig - eps
+        f_minus = float(fn(x))
+        x[idx] = orig
+        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
+        it.iternext()
+    return grad
+
+
+def rel_error(a, b):
+    """max |a-b| / max(1, |a|, |b|), the gradient-check discrepancy measure."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = max(1.0, float(np.max(np.abs(a)) if a.size else 0.0),
+                float(np.max(np.abs(b)) if b.size else 0.0))
+    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
+    return diff / denom
+
+
+def quantized_gaussian_table(rho, bins=64, span=6.0):
+    """Joint table of a bivariate gaussian quantized onto ``bins`` cells per
+    axis, an independent check on ``gaussian_mi`` through ``discrete_mi``.
+
+    Cell masses come from CDF differences; the outermost edges sit at
+    +-span standard deviations. The table is renormalized to absorb CDF
+    rounding at the 1e-8 level.
+    """
+    if bins < 32:
+        raise ContractError(f"need >= 32 bins per axis, got {bins}")
+    if not abs(rho) < 1.0:
+        raise ContractError(f"need |rho| < 1, got {rho}")
+    edges = np.linspace(-span, span, bins + 1)
+    grid_x, grid_y = np.meshgrid(edges, edges, indexing="ij")
+    points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    dist = multivariate_normal(mean=[0.0, 0.0],
+                               cov=[[1.0, rho], [rho, 1.0]])
+    cdf = dist.cdf(points).reshape(bins + 1, bins + 1)
+    cells = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
+    cells = np.clip(cells, 0.0, None)
+    return cells / cells.sum()

@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from builders import flatten_params, safe_model_instance, unflatten_into
-from reference import random_neg_mask, ref_auc_pairwise, ref_f1_micro
+from reference import (finite_diff_grad, random_neg_mask, ref_auc_pairwise,
+                       ref_f1_micro, rel_error)
 
 from hcl.cli import main
 from hcl.config import resolve_config
@@ -40,7 +41,7 @@ from hcl.mi import (
     check_unsup_bound,
 )
 from hcl.model import classify, encode, model_backward, named_parameters
-from hcl.numeric import finite_diff_grad, make_rng, rel_error
+from hcl.numeric import make_rng
 from hcl.train import build_dataset, run_training
 
 GRAD_TOL = 1e-5

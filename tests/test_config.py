@@ -149,6 +149,7 @@ def test_method_coupling_forces_weights(method, alpha, beta):
     ("base_lr", "inf"),
     ("temperature", "inf"),
     ("bound_tolerance", "inf"),
+    ("perf_train_sizes", "16"),
 ])
 def test_invalid_field_raises_named_error(key, value):
     with pytest.raises(ConfigError, match=f"config field '{key}'"):
@@ -177,6 +178,13 @@ def test_single_view_rejects_augmentations():
 def test_bad_augmentation_spec_named():
     with pytest.raises(ConfigError, match="config field 'view2_aug'"):
         resolve(mode="two-view", view2_aug="blur:0.2")
+
+
+def test_augmentation_spec_case_insensitive():
+    cfg = resolve(view1_aug=" NONE ", view2_aug="None")
+    assert (cfg.view1_aug, cfg.view2_aug) == ("none", "none")
+    cfg = resolve(mode="two-view", view1_aug="Mask:0.2")
+    assert cfg.view1_aug == "mask:0.2"
 
 
 def test_two_view_augmentations_accepted():

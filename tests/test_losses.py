@@ -19,15 +19,17 @@ from hcl.losses import (
     unsup_loss_single,
     weighted_sup_loss,
 )
-from hcl.numeric import finite_diff_grad, make_rng, rel_error
+from hcl.numeric import make_rng
 
 from reference import (
+    finite_diff_grad,
     neg_sets_from_mask,
     random_neg_mask,
     ref_cross_entropy,
     ref_unsup_multiview,
     ref_unsup_single,
     ref_weighted_sup,
+    rel_error,
 )
 
 GRAD_TOL = 1e-5

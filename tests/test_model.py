@@ -16,9 +16,10 @@ from hcl.model import (
     named_parameters,
     save_checkpoint,
 )
-from hcl.numeric import finite_diff_grad, make_rng, rel_error
+from hcl.numeric import make_rng
 
 from builders import flatten_params, safe_model_instance, unflatten_into
+from reference import finite_diff_grad, rel_error
 
 
 def small_params(seed=0, **kw):

@@ -1,5 +1,5 @@
-"""Numeric core: as_matrix/unit_rows/row_logsumexp contracts and the
-gradient oracle."""
+"""Numeric core: as_matrix/unit_rows/row_logsumexp contracts, and the
+finite-difference oracle of ``reference.py``."""
 
 import math
 
@@ -8,14 +8,9 @@ import pytest
 from scipy.special import logsumexp
 
 from hcl.errors import ContractError, ShapeError
-from hcl.numeric import (
-    as_matrix,
-    finite_diff_grad,
-    make_rng,
-    rel_error,
-    row_logsumexp,
-    unit_rows,
-)
+from hcl.numeric import as_matrix, make_rng, row_logsumexp, unit_rows
+
+from reference import finite_diff_grad, rel_error
 
 
 def test_as_matrix_rejects_non_2d():

@@ -5,10 +5,21 @@ import json
 import numpy as np
 import pytest
 
+import hcl.train as train_mod
 from hcl.config import resolve_config
-from hcl.data import save_csv, save_manifest
+from hcl.data import Dataset, save_csv, save_manifest
 from hcl.errors import ConfigError, ContractError, DegenerateBatchError
-from hcl.model import named_parameters
+from hcl.losses import (
+    ContrastiveBatch,
+    SimilarityConfig,
+    cross_entropy,
+    full_negatives,
+    unsup_loss_multiview,
+    unsup_loss_single,
+    weighted_sup_loss,
+)
+from hcl.model import classify, encode, named_parameters
+from hcl.optimizer import OptimizerState
 from hcl.train import (
     RunRecord,
     build_dataset,
@@ -16,7 +27,11 @@ from hcl.train import (
     metrics_csv,
     replay_eval,
     run_training,
+    train_step,
 )
+
+from builders import flatten_params, safe_model_instance, unflatten_into
+from reference import finite_diff_grad, rel_error
 
 SMALL = {
     "synthetic": "cluster", "n_samples": "60", "n_features": "8",
@@ -150,12 +165,84 @@ def test_multiview_family_single_view_uses_first_view():
     assert result.params.encoder2 is None
 
 
+def test_multiview_family_accepts_upper_case_none_augmentation():
+    cfg = small_cfg(synthetic="multiview", mode="two-view", view1_aug="NONE",
+                    view2_aug=" None ")
+    plain = small_cfg(synthetic="multiview", mode="two-view")
+    assert trace_rows(run_training(cfg, 0)) == \
+        trace_rows(run_training(plain, 0))
+
+
 def test_simclr_style_differs_from_weighted_two_view():
     a = run_training(small_cfg(synthetic="multiview", mode="two-view",
                                method="hcl-u"), 0)
     b = run_training(small_cfg(synthetic="multiview", mode="two-view",
                                method="simclr-style"), 0)
     assert trace_rows(a) != trace_rows(b)
+
+
+# ---------------------------------------------------------------------------
+# The training step
+
+
+def _step_grad_error(monkeypatch, seed, two_view):
+    """rel_error between the gradient ``train_step`` hands to LARS and a
+    finite-difference gradient of l_c + a*l_u + b*l_s, or None when the
+    instance has an all-zero embedding row: the cosine has no derivative
+    there, so the oracle does not apply (like at a ReLU kink)."""
+    params, x1, x2, y, rng = safe_model_instance(seed, two_view=two_view,
+                                                 n=8, c=3)
+    views = [x1, x2] if two_view else [x1]
+    if min(np.linalg.norm(encode(params, x, view=v)[0], axis=1).min()
+           for v, x in enumerate(views, 1)) < 1e-3:
+        return None
+    ds = Dataset(views=views, labels=y, labeled_mask=np.ones(8, dtype=bool))
+    # the two-view classifier and supervised term see a strict subset
+    lab = np.array([0, 1, 3, 4, 6]) if two_view else None
+    pos = slice(None) if lab is None else lab
+    x_sim = None if two_view else rng.normal(size=(8, params.latent_dim))
+    mask = full_negatives(8)
+    simcfg = SimilarityConfig(temperature=0.5)
+    alpha, beta = 0.7, 0.3
+    named = named_parameters(params)
+    flat, keys = flatten_params(named)
+
+    def objective(vec):
+        unflatten_into(named, keys, vec)
+        z1, _ = encode(params, x1, view=1)
+        if two_view:
+            z2, _ = encode(params, x2, view=2)
+            l_u = unsup_loss_multiview(ContrastiveBatch(
+                z1=z1, z2=z2, x1=x1, x2=x2, neg_mask=mask), simcfg)[0]
+            s = np.hstack([z1, z2])[pos]
+        else:
+            l_u = unsup_loss_single(ContrastiveBatch(
+                z1=z1, x1=x1, x_sim=x_sim, neg_mask=mask), simcfg)[0]
+            s = z1[pos]
+        l_c = cross_entropy(classify(params, s)[0], y[pos])[0]
+        l_s = weighted_sup_loss(s, y[pos], simcfg)[0]
+        return l_c + alpha * l_u + beta * l_s
+
+    captured = {}
+    monkeypatch.setattr(train_mod, "lars_step",
+                        lambda p, grads, state: captured.update(grads))
+    try:
+        train_step(params, OptimizerState(), ds, np.arange(8),
+                   (1.0, alpha, beta), simcfg, labeled=lab, neg_mask=mask,
+                   x_sim=x_sim)
+    except DegenerateBatchError:  # no label with two positives and a negative
+        return None
+    num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
+    return rel_error(flatten_params(captured)[0], num.ravel())
+
+
+@pytest.mark.parametrize("two_view", [True, False])
+def test_train_step_gradient_matches_finite_differences(monkeypatch, two_view):
+    errors = [_step_grad_error(monkeypatch, seed, two_view)
+              for seed in range(30, 40)]
+    checked = [e for e in errors if e is not None]
+    assert len(checked) >= 3
+    assert max(checked) < 1e-5
 
 
 # ---------------------------------------------------------------------------
