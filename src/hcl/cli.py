@@ -56,9 +56,13 @@ def cmd_train(pairs: dict[str, str],
     out = _ensure_out(cfg)
     base = build_dataset(cfg)
     data_sha = dataset_checksum(base)
-    records = []
+    records, failure = [], None
     for seed in cfg.seeds:
-        result = run_training(cfg, seed, base)
+        try:
+            result = run_training(cfg, seed, base)
+        except HclError as err:
+            failure = (seed, err)
+            break
         stem = f"run-{cfg.method}-seed{seed}"
         ckpt_path = os.path.join(out, f"{stem}.ckpt")
         snapshot = config_for_seed(cfg, seed)
@@ -74,11 +78,18 @@ def cmd_train(pairs: dict[str, str],
         records.append(record)
         print(f"{stem}: f1={result.report.f1:.4f} auc={result.report.auc:.4f} "
               f"({result.wall_seconds:.1f}s)")
-    atomic_write_text(os.path.join(out, f"metrics-{cfg.method}.csv"),
-                      metrics_csv(records))
-    f1s = [r.report.f1 for r in records]
-    print(f"{cfg.method}: mean f1={np.mean(f1s):.4f} "
-          f"std={np.std(f1s):.4f} over {len(f1s)} seeds")
+    if records:
+        # a failed seed keeps the seeds that finished before it
+        atomic_write_text(os.path.join(out, f"metrics-{cfg.method}.csv"),
+                          metrics_csv(records))
+        f1s = [r.report.f1 for r in records]
+        print(f"{cfg.method}: mean f1={np.mean(f1s):.4f} "
+              f"std={np.std(f1s):.4f} over {len(f1s)} seeds")
+    if failure is not None:
+        seed, err = failure
+        kept = (f" ({len(records)} finished seed(s) written to "
+                f"metrics-{cfg.method}.csv)" if records else "")
+        raise type(err)(f"seed {seed} failed: {err}{kept}") from err
     return records
 
 

@@ -234,6 +234,10 @@ def resolve_config(pairs: dict[str, str],
         cfg.alpha = 0.0
     if cfg.method in ("dnn", "hcl-u", "simclr-style"):
         cfg.beta = 0.0
+    if cfg.beta > 0 and cfg.batch_size < 3:
+        raise _fail("batch_size", f"must be >= 3 when beta > 0, got "
+                    f"{cfg.batch_size}: a label group needs two positives "
+                    "and a negative")
     for key in ("view1_aug", "view2_aug"):
         if cfg.mode == "single-view" and getattr(cfg, key) != "none":
             raise _fail(key, "view augmentations need mode = two-view")

@@ -9,10 +9,11 @@ respect to the embedding arguments (or predicted probabilities for
 with f the exponentiated cosine kernel. ``_info_nce`` is the single place
 this form is computed: it takes positive and negative logits
 ``cos/tau + log(weight)`` and returns the terms with their gradients in the
-logits. The losses only build logits, call it, and chain its gradients back
-to the embeddings. The gradient of cosine(u, v) in u is
-(v_hat - cos * u_hat)/|u|, applied row-wise through the unit-normalization
-of each embedding matrix.
+logits, from one in-place exp pass. The losses build logits (-inf outside
+the negative set), call it, and chain its gradients back to the embeddings.
+The gradient of cosine(u, v) in u is (v_hat - cos * u_hat)/|u|, applied
+row-wise through the unit-normalization of each embedding matrix; 1/tau
+scales that thin gradient.
 
 This module is the one definition of every contrastive weight, each kept
 as the log-weight that gets added to the logits:
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, ShapeError
-from .numeric import ZERO_NORM_EPS, Matrix, as_matrix, row_logsumexp, unit_rows
+from .numeric import (ZERO_NORM_EPS, Matrix, as_matrix, gram, row_logsumexp,
+                      unit_rows)
 
 _NEG_INF = float("-inf")
 
@@ -173,8 +175,8 @@ def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
 
 
 def _symmetric_backward(d_logits: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
-    """Gradient in ``raw`` of sum(d_logits * (unit @ unit.T))."""
-    return _unnormalize_rows((d_logits + d_logits.T) @ unit, raw, unit)
+    """Gradient in ``raw`` of sum(d_logits * gram(unit)), by two thin products."""
+    return _unnormalize_rows(d_logits @ unit + d_logits.T @ unit, raw, unit)
 
 
 def _log_weight(xa: Matrix, xb: Matrix) -> Matrix:
@@ -194,18 +196,17 @@ def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     Weights arrive as log-weights already added to the logits. Returns
     ``(terms, d_pos, d_neg)``, the gradients being those of ``terms.sum()``.
-    Every exponent is formed in log space, so no temperature overflows.
-    ``neg`` is overwritten: its buffer becomes ``d_neg``.
+    ``neg`` is shifted by its row max and exponentiated once, in place
+    (``row_logsumexp``), then scaled per row into ``d_neg``: the single-exp
+    softmax of Milakov & Gimelshein 2018. No temperature overflows.
     """
-    lse_neg = row_logsumexp(neg)[:, None]
+    lse_neg, rowsum = row_logsumexp(neg)
     t = np.logaddexp(pos, lse_neg)
     d_pos = np.exp(pos - t) - 1.0
     # d_neg[i, k] = sum_j exp(neg[i, k] - t[i, j])
-    #             = exp(neg[i, k] - lse_neg[i]) * sum_j exp(lse_neg[i] - t[i, j])
-    d_neg = np.subtract(neg, lse_neg, out=neg)
-    np.exp(d_neg, out=d_neg)
-    d_neg *= np.sum(np.exp(lse_neg - t), axis=1, keepdims=True)
-    return t - pos, d_pos, d_neg
+    #             = e[i, k] / rowsum[i] * sum_j exp(lse_neg[i] - t[i, j]), e = neg now
+    neg *= np.sum(np.exp(lse_neg - t), axis=1, keepdims=True) / rowsum
+    return t - pos, d_pos, neg
 
 
 def unsup_loss_single(batch: ContrastiveBatch,
@@ -231,10 +232,8 @@ def unsup_loss_single(batch: ContrastiveBatch,
         )
     if weighted and batch.x1 is None:
         raise ContractError("weighted loss needs raw features x1")
-    tau = cfg.temperature
-    n = batch.n
-    xh = unit_rows(xs)
-    zh = unit_rows(z)
+    tau, n = cfg.temperature, batch.n
+    xh, zh = unit_rows(xs), unit_rows(z)
     logits = xh @ zh.T
     np.clip(logits, -1.0, 1.0, out=logits)
     logits /= tau
@@ -245,8 +244,7 @@ def unsup_loss_single(batch: ContrastiveBatch,
 
     terms, d_pos, d_cos = _info_nce(pos, logits)
     np.fill_diagonal(d_cos, d_pos)
-    d_cos /= n * tau
-    return float(np.mean(terms)), _unnormalize_rows(d_cos.T @ xh, z, zh)
+    return float(np.mean(terms)), _unnormalize_rows(d_cos.T @ xh / (n * tau), z, zh)
 
 
 def unsup_loss_multiview(batch: ContrastiveBatch,
@@ -265,40 +263,35 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
         raise ContractError("two-view loss needs z2 embeddings")
     if weighted and (batch.x1 is None or batch.x2 is None):
         raise ContractError("weighted loss needs raw features x1 and x2")
-    tau = cfg.temperature
-    n = batch.n
+    tau, n = cfg.temperature, batch.n
     # NT-Xent layout: rows 0..n-1 anchor view 1, rows n..2n-1 view 2, and
     # row r's positive is its other-view partner (r + n) mod 2n.
     z = np.vstack([batch.z1, batch.z2])
     zh = unit_rows(z)
-    logits = zh @ zh.T
+    logits = gram(zh)
     np.clip(logits, -1.0, 1.0, out=logits)
     logits /= tau
     rows = np.arange(2 * n)
     partner = (rows + n) % (2 * n)
     pos = logits[rows, partner][:, None]
     if weighted:
+        # blocks[a, i, b, k]: anchor (i, view a) vs (k, view b); n x n each
+        blocks = logits.reshape(2, n, 2, n)
         x1, x2 = batch.x1, batch.x2
-        lw11, lw22 = _log_weight(x1, x1), _log_weight(x2, x2)
         if x1.shape[1] == x2.shape[1]:
             lw12 = _log_weight(x1, x2)
-            lw21 = lw12.T
-        else:
-            # Same-view proxy: weight both views of negative k by the
-            # anchor view's own raw dissimilarity.
-            lw12, lw21 = lw11, lw22
-        # n x n blocks keep each product as small as the per-view one.
-        v1, v2 = slice(0, n), slice(n, 2 * n)
-        logits[v1, v1] += lw11
-        logits[v1, v2] += lw12
-        logits[v2, v1] += lw21
-        logits[v2, v2] += lw22
+            blocks[0, :, 0] += _log_weight(x1, x1)
+            blocks[0, :, 1] += lw12
+            blocks[1, :, 0] += lw12.T
+            blocks[1, :, 1] += _log_weight(x2, x2)
+        else:  # same-view proxy: the anchor view's own dissimilarity
+            blocks[0] += _log_weight(x1, x1)[:, None, :]
+            blocks[1] += _log_weight(x2, x2)[:, None, :]
     logits[~np.tile(batch.neg_mask, (2, 2))] = _NEG_INF
 
     terms, d_pos, d_logits = _info_nce(pos, logits)
     d_logits[rows, partner] = d_pos[:, 0]
-    d_logits *= 1.0 / (2 * n * tau)
-    d_z = _symmetric_backward(d_logits, z, zh)
+    d_z = _symmetric_backward(d_logits, z, zh) * (1.0 / (2 * n * tau))
     return float(np.mean(terms)), d_z[:n], d_z[n:]
 
 
@@ -344,7 +337,7 @@ def _sup_groups(sh: Matrix, y: Matrix, tau: float, indicator: bool) -> list:
     with sigma = gamma = 1 when ``indicator`` (single-label data) and the
     label-distance weights otherwise. The gradients are in the logits.
     """
-    logits = np.clip(sh @ sh.T, -1.0, 1.0) / tau
+    logits = np.clip(gram(sh), -1.0, 1.0) / tau
     if not indicator:
         log_sigma, log_gamma = _label_log_weights(y)
 

@@ -26,7 +26,7 @@ from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
 from .losses import SimilarityConfig, _label_groups, _sup_groups
 from .model import encode, init_params
-from .numeric import Matrix, Rng, as_matrix, make_rng, unit_rows
+from .numeric import Matrix, Rng, as_matrix, gram, make_rng, unit_rows
 from .optimizer import OptimizerState
 from .train import step_forward, train_step
 
@@ -305,7 +305,7 @@ def _stratum_sup_losses(z: Matrix, labels: Matrix, cfg: SimilarityConfig
     ordered positive pairs whose shared-positive count equals the stratum.
     """
     y = as_matrix(labels, "labels")
-    shared = (y @ y.T).astype(int)
+    shared = gram(y).astype(int)
     per_stratum: dict[int, list[tuple[float, float]]] = {}
     for pos, partners, neg, terms, _, _ in _sup_groups(
             unit_rows(z), y, cfg.temperature, indicator=False):
@@ -327,7 +327,7 @@ def _stratum_reference_mi(ids: np.ndarray, labels: Matrix, n_protos: int
     distribution over quantized (prototype) ids, weighted exactly as the
     loss weighs pairs: uniform over labels, uniform over pairs per label."""
     y = as_matrix(labels, "labels")
-    shared = (y @ y.T).astype(int)
+    shared = gram(y).astype(int)
     tables: dict[int, list[np.ndarray]] = {}
     for pos, _ in _label_groups(y):
         eps = shared[np.ix_(pos, pos)]

@@ -1,4 +1,4 @@
-"""Dense float64 array helpers: coercion, row normalization, logsumexp.
+"""Dense float64 array helpers: coercion, row normalization, logsumexp, gram.
 
 Every array crossing a public boundary in this package is a 2-D C-ordered
 float64 ``numpy.ndarray`` (aliased ``Matrix`` below); randomness always flows
@@ -42,10 +42,17 @@ def unit_rows(m: Matrix) -> Matrix:
     return out
 
 
-def row_logsumexp(logits: Matrix) -> np.ndarray:
-    """Row-wise logsumexp of a 2-D logit array; -inf entries drop out."""
+def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:
+    """Row-wise logsumexp of a 2-D logit array, in place: ``logits`` becomes
+    exp(logits - rowmax), rowmax 0 for an all -inf row (-inf entries become
+    0). Returns (n, 1) columns ``(lse, rowsum)``, rowsum the new row sums."""
     m = np.max(logits, axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.subtract(logits, m)
-    np.exp(e, out=e)
-    return (m + np.log(np.sum(e, axis=1, keepdims=True))).ravel()
+    m[~np.isfinite(m)] = 0.0
+    np.exp(np.subtract(logits, m, out=logits), out=logits)
+    rowsum = np.sum(logits, axis=1, keepdims=True)
+    return m + np.log(rowsum), rowsum
+
+
+def gram(m: Matrix) -> Matrix:
+    """``m @ m.T`` by ``gemm`` on a copy, not by numpy's slower ``syrk``."""
+    return m @ np.ascontiguousarray(m.T)

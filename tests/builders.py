@@ -1,7 +1,9 @@
 """Shared random-instance builders for model/training tests.
 
-Instances are resampled until every ReLU pre-activation sits away from zero,
-because the finite-difference oracle is invalid at the kink.
+Instances are resampled until every ReLU pre-activation sits away from zero
+and every embedding row away from the zero vector: the finite-difference
+oracle is invalid at the ReLU kink, and the cosine has no derivative at a
+zero row.
 """
 
 import numpy as np
@@ -10,12 +12,14 @@ from hcl.model import encode, init_params
 from hcl.numeric import make_rng
 
 RELU_MARGIN = 1e-4
+EMBED_MIN_NORM = 1e-3
 
 
 def safe_model_instance(seed, *, two_view=False, multiclass=False,
                         n=None, d1=None, d2=None, latent=None, c=None):
     """A small random model + data whose hidden pre-activations avoid the
-    ReLU kink, suitable for finite-difference gradient checks."""
+    ReLU kink and whose embedding rows are all nonzero, suitable for
+    finite-difference gradient checks."""
     rng = make_rng(seed)
     n = n or int(rng.integers(4, 10))
     d1 = d1 or int(rng.integers(2, 6))
@@ -49,10 +53,12 @@ def _margins_ok(params, x1, x2, two_view):
     for view, x in ((1, x1), (2, x2)):
         if x is None:
             continue
-        _, cache = encode(params, x, view=view)
+        z, cache = encode(params, x, view=view)
         for pre in cache.pre[:-1]:
             if np.min(np.abs(pre)) < RELU_MARGIN:
                 return False
+        if np.min(np.linalg.norm(z, axis=1)) < EMBED_MIN_NORM:
+            return False
     # classifier hidden layers see the embeddings
     z1, _ = encode(params, x1, view=1)
     s = z1 if not two_view else np.hstack([z1, encode(params, x2, view=2)[0]])

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import hcl.cli as cli_mod
 from hcl.cli import (
     cmd_bound_check,
     cmd_eval,
@@ -17,7 +18,7 @@ from hcl.cli import (
 )
 from hcl.config import resolve_config
 from hcl.data import save_csv, save_manifest
-from hcl.errors import ConfigError, ContractError
+from hcl.errors import ConfigError, ContractError, NumericError
 from hcl.model import init_params, save_checkpoint
 from hcl.numeric import make_rng
 from hcl.train import build_dataset
@@ -70,6 +71,34 @@ def test_cmd_train_metric_csv_byte_identical_across_reruns(tmp_path):
     a = (tmp_path / "a" / "metrics-hcl.csv").read_bytes()
     b = (tmp_path / "b" / "metrics-hcl.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_cmd_train_keeps_finished_seeds_when_a_seed_fails(
+        tmp_path, monkeypatch, capsys, failing):
+    real = cli_mod.run_training
+
+    def fail_on_one_seed(cfg, seed, base):
+        if seed == failing:
+            raise NumericError("loss diverged")
+        return real(cfg, seed, base)
+
+    monkeypatch.setattr(cli_mod, "run_training", fail_on_one_seed)
+    pairs = small_pairs(tmp_path, seeds="0,1,2")
+    with pytest.raises(NumericError, match=f"seed {failing} failed: "
+                       "loss diverged") as info:
+        cmd_train(pairs)
+    csv = tmp_path / "out" / "metrics-hcl.csv"
+    if failing == 0:
+        assert "metrics-hcl.csv" not in str(info.value)
+        assert not csv.exists()
+    else:
+        assert "1 finished seed(s) written to metrics-hcl.csv" in str(info.value)
+        rows = csv.read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("hcl,0,")
+    assert not (tmp_path / "out" / "run-hcl-seed2.json").exists()
+    assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 2
+    assert f"error: seed {failing} failed" in capsys.readouterr().err
 
 
 def test_cmd_train_overrides_apply(tmp_path):
@@ -324,3 +353,14 @@ def test_main_bound_check_path(tmp_path, capsys):
     })
     assert main(["bound-check", "--config", cfg]) == 0
     assert "bound-check unsup" in capsys.readouterr().out
+
+
+def test_main_bound_check_rejects_small_batch_with_beta(tmp_path, capsys):
+    # resolve_config's cross-field rules apply to every command, including
+    # bound-check, which never reads batch_size
+    cfg = write_cfg(tmp_path, {
+        "synthetic": "multiview", "out_dir": str(tmp_path / "b"),
+        "batch_size": "2", "beta": "0.5",
+    })
+    assert main(["bound-check", "--config", cfg]) == 2
+    assert "config field 'batch_size'" in capsys.readouterr().err

@@ -150,10 +150,23 @@ def test_method_coupling_forces_weights(method, alpha, beta):
     ("temperature", "inf"),
     ("bound_tolerance", "inf"),
     ("perf_train_sizes", "16"),
+    ("batch_size", "2"),
+    ("batch_size", "1"),
 ])
 def test_invalid_field_raises_named_error(key, value):
     with pytest.raises(ConfigError, match=f"config field '{key}'"):
         resolve(**{key: value})
+
+
+def test_small_batch_needs_supervised_term_off():
+    # two rows can never hold two positives and a negative of one label
+    with pytest.raises(ConfigError, match="config field 'batch_size'"):
+        resolve(batch_size="2", beta="0.5", method="hcl")
+    for method in ("dnn", "hcl-u", "simclr-style"):  # beta forced to 0
+        cfg = resolve(batch_size="2", beta="0.5", method=method,
+                      mode="two-view")
+        assert cfg.batch_size == 2 and cfg.beta == 0.0
+    assert resolve(batch_size="3", beta="0.5").batch_size == 3
 
 
 def test_neg_size_accepts_int_and_full():

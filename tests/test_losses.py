@@ -1,6 +1,7 @@
 """Loss values against scalar enumerator oracles, gradients against finite
 differences, and the documented degeneracy/equality behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -58,6 +59,12 @@ def two_view_batch(rng, n=None, dz=None, d1=None, d2=None):
         x2=rng.normal(size=(n, d2)),
         neg_mask=random_neg_mask(rng, n),
     )
+
+
+def with_full_mask(b):
+    """The same batch with every other sample in each anchor's negative set,
+    the mask of every full-plan, scene and unsup-bound step."""
+    return dataclasses.replace(b, neg_mask=full_negatives(b.n))
 
 
 # ---------------------------------------------------------------- batch type
@@ -160,30 +167,33 @@ def test_unsup_single_equal_scores_give_log2():
 def test_unsup_single_matches_oracle(weighted, project):
     rng = make_rng(3)
     for _ in range(15):
-        b = single_view_batch(rng, project=project)
+        drawn = single_view_batch(rng, project=project)
         cfg = SimilarityConfig(float(rng.uniform(0.4, 2.0)))
-        value, _ = unsup_loss_single(b, cfg, weighted=weighted)
-        x_sim = b.x_sim if b.x_sim is not None else b.x1
-        want = ref_unsup_single(
-            x_sim, b.x1, b.z1, neg_sets_from_mask(b.neg_mask), cfg.temperature, weighted
-        )
-        assert value == pytest.approx(want, abs=1e-10)
-        assert value > 0.0
+        for b in (drawn, with_full_mask(drawn)):
+            value, _ = unsup_loss_single(b, cfg, weighted=weighted)
+            x_sim = b.x_sim if b.x_sim is not None else b.x1
+            want = ref_unsup_single(
+                x_sim, b.x1, b.z1, neg_sets_from_mask(b.neg_mask),
+                cfg.temperature, weighted
+            )
+            assert value == pytest.approx(want, abs=1e-10)
+            assert value > 0.0
 
 
 @pytest.mark.parametrize("weighted", [True, False])
 def test_unsup_single_gradient(weighted):
     rng = make_rng(4)
     for _ in range(6):
-        b = single_view_batch(rng, project=bool(rng.integers(0, 2)))
+        drawn = single_view_batch(rng, project=bool(rng.integers(0, 2)))
         cfg = SimilarityConfig(float(rng.uniform(0.5, 1.5)))
-        _, grad = unsup_loss_single(b, cfg, weighted=weighted)
+        for b in (drawn, with_full_mask(drawn)):
+            _, grad = unsup_loss_single(b, cfg, weighted=weighted)
 
-        def fn(z):
-            nb = ContrastiveBatch(z1=z, x1=b.x1, x_sim=b.x_sim, neg_mask=b.neg_mask)
-            return unsup_loss_single(nb, cfg, weighted=weighted)[0]
+            def fn(z, b=b):
+                nb = dataclasses.replace(b, z1=z)
+                return unsup_loss_single(nb, cfg, weighted=weighted)[0]
 
-        assert rel_error(grad, finite_diff_grad(fn, b.z1)) < GRAD_TOL
+            assert rel_error(grad, finite_diff_grad(fn, b.z1)) < GRAD_TOL
 
 
 def test_unsup_single_weights_vanish_on_identical_inputs():
@@ -227,14 +237,15 @@ def test_unsup_multiview_matches_oracle(weighted, equal_dims):
     for _ in range(12):
         d1 = int(rng.integers(2, 6))
         d2 = d1 if equal_dims else d1 + int(rng.integers(1, 4))
-        b = two_view_batch(rng, d1=d1, d2=d2)
+        drawn = two_view_batch(rng, d1=d1, d2=d2)
         cfg = SimilarityConfig(float(rng.uniform(0.4, 2.0)))
-        value, _, _ = unsup_loss_multiview(b, cfg, weighted=weighted)
-        want = ref_unsup_multiview(
-            b.x1, b.x2, b.z1, b.z2, neg_sets_from_mask(b.neg_mask),
-            cfg.temperature, weighted,
-        )
-        assert value == pytest.approx(want, abs=1e-10)
+        for b in (drawn, with_full_mask(drawn)):
+            value, _, _ = unsup_loss_multiview(b, cfg, weighted=weighted)
+            want = ref_unsup_multiview(
+                b.x1, b.x2, b.z1, b.z2, neg_sets_from_mask(b.neg_mask),
+                cfg.temperature, weighted,
+            )
+            assert value == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("weighted", [True, False])
@@ -243,20 +254,21 @@ def test_unsup_multiview_gradients(weighted):
     for _ in range(4):
         equal = bool(rng.integers(0, 2))
         d1 = int(rng.integers(2, 5))
-        b = two_view_batch(rng, d1=d1, d2=d1 if equal else d1 + 2)
+        drawn = two_view_batch(rng, d1=d1, d2=d1 if equal else d1 + 2)
         cfg = SimilarityConfig(float(rng.uniform(0.5, 1.5)))
-        _, g1, g2 = unsup_loss_multiview(b, cfg, weighted=weighted)
+        for b in (drawn, with_full_mask(drawn)):
+            _, g1, g2 = unsup_loss_multiview(b, cfg, weighted=weighted)
 
-        def fn1(z):
-            nb = ContrastiveBatch(z1=z, z2=b.z2, x1=b.x1, x2=b.x2, neg_mask=b.neg_mask)
-            return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
+            def fn1(z, b=b):
+                nb = dataclasses.replace(b, z1=z)
+                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
 
-        def fn2(z):
-            nb = ContrastiveBatch(z1=b.z1, z2=z, x1=b.x1, x2=b.x2, neg_mask=b.neg_mask)
-            return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
+            def fn2(z, b=b):
+                nb = dataclasses.replace(b, z2=z)
+                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
 
-        assert rel_error(g1, finite_diff_grad(fn1, b.z1)) < GRAD_TOL
-        assert rel_error(g2, finite_diff_grad(fn2, b.z2)) < GRAD_TOL
+            assert rel_error(g1, finite_diff_grad(fn1, b.z1)) < GRAD_TOL
+            assert rel_error(g2, finite_diff_grad(fn2, b.z2)) < GRAD_TOL
 
 
 def test_unsup_multiview_view_swap_symmetry():
@@ -447,10 +459,12 @@ def test_every_loss_finite_across_temperatures(tau):
     multi = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1],
                       [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
     results = [
-        unsup_loss_single(single, cfg, weighted=True),
-        unsup_loss_single(single, cfg, weighted=False),
-        unsup_loss_multiview(two, cfg, weighted=True),
-        unsup_loss_multiview(two, cfg, weighted=False),
+        loss(batch, cfg, weighted=weighted)
+        for loss, drawn in ((unsup_loss_single, single),
+                            (unsup_loss_multiview, two))
+        for batch in (drawn, with_full_mask(drawn))
+        for weighted in (True, False)
+    ] + [
         supcon_loss(s, ids.astype(float), cfg),
         weighted_sup_loss(s, one_hot, cfg),
         weighted_sup_loss(s, multi, cfg),

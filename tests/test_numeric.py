@@ -1,4 +1,4 @@
-"""Numeric core: as_matrix/unit_rows/row_logsumexp contracts, and the
+"""Numeric core: as_matrix/unit_rows/row_logsumexp/gram contracts, and the
 finite-difference oracle of ``reference.py``."""
 
 import math
@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from hcl.errors import ContractError, ShapeError
-from hcl.numeric import as_matrix, make_rng, row_logsumexp, unit_rows
+from hcl.numeric import as_matrix, gram, make_rng, row_logsumexp, unit_rows
 
 from reference import finite_diff_grad, rel_error
 
@@ -48,8 +48,13 @@ def test_cosine_clamped_and_scale_invariant():
     assert cosines(v, v)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
+def lse_rows(m):
+    """row_logsumexp's logsumexp column as a vector, on a copy of ``m``."""
+    return row_logsumexp(np.array(m, dtype=float))[0].ravel()
+
+
 def test_logsumexp_overflow_safe():
-    got = row_logsumexp(np.array([[1000.0, 1000.0], [-1000.0, -1000.0]]))
+    got = lse_rows([[1000.0, 1000.0], [-1000.0, -1000.0]])
     assert got[0] == pytest.approx(1000.0 + math.log(2), abs=1e-12)
     assert got[1] == pytest.approx(-1000.0 + math.log(2), abs=1e-12)
 
@@ -59,12 +64,12 @@ def test_logsumexp_matches_direct_sum():
     for _ in range(50):
         v = rng.normal(size=(1, rng.integers(1, 9))) * 3.0
         direct = math.log(sum(math.exp(x) for x in v[0]))
-        assert row_logsumexp(v)[0] == pytest.approx(direct, abs=1e-12)
+        assert lse_rows(v)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_logsumexp_neg_inf_entries_drop_out():
     with np.errstate(divide="ignore"):
-        got = row_logsumexp(np.array([[-np.inf, 0.0], [-np.inf, -np.inf]]))
+        got = lse_rows([[-np.inf, 0.0], [-np.inf, -np.inf]])
     assert got[0] == pytest.approx(0.0, abs=1e-12)
     assert got[1] == -np.inf
 
@@ -73,9 +78,35 @@ def test_row_logsumexp_consistent_with_scalar():
     rng = make_rng(3)
     m = rng.normal(size=(6, 5)) * 2.0
     m[2, 3] = -np.inf
-    rows = row_logsumexp(m)
+    rows = lse_rows(m)
     for i in range(6):
         assert rows[i] == pytest.approx(logsumexp(m[i]), abs=1e-12)
+
+
+def test_row_logsumexp_leaves_shifted_exponentials_in_place():
+    rng = make_rng(5)
+    m = rng.normal(size=(5, 7)) * 4.0
+    m[1, 2] = -np.inf
+    m[3] = -np.inf
+    buf = m.copy()
+    with np.errstate(divide="ignore"):
+        lse, rowsum = row_logsumexp(buf)
+        want_lse = np.log(buf.sum(axis=1, keepdims=True))
+    rowmax = np.where(np.isfinite(m.max(axis=1)), m.max(axis=1), 0.0)
+    assert lse.shape == rowsum.shape == (5, 1)
+    assert np.allclose(buf, np.exp(m - rowmax[:, None]), rtol=1e-15, atol=0)
+    assert buf[1, 2] == 0.0 and not buf[3].any()
+    assert np.array_equal(rowsum, buf.sum(axis=1, keepdims=True))
+    assert np.array_equal(lse, rowmax[:, None] + want_lse)
+
+
+def test_gram_equals_product_with_transpose():
+    rng = make_rng(6)
+    for shape in ((1, 3), (4, 1), (7, 5), (40, 12)):
+        m = rng.normal(size=shape)
+        g = gram(m)
+        assert g.shape == (shape[0], shape[0])
+        assert np.allclose(g, np.einsum("ik,jk->ij", m, m), rtol=1e-13, atol=1e-13)
 
 
 def test_rng_same_seed_same_stream():

@@ -187,15 +187,10 @@ def test_simclr_style_differs_from_weighted_two_view():
 
 def _step_grad_error(monkeypatch, seed, two_view):
     """rel_error between the gradient ``train_step`` hands to LARS and a
-    finite-difference gradient of l_c + a*l_u + b*l_s, or None when the
-    instance has an all-zero embedding row: the cosine has no derivative
-    there, so the oracle does not apply (like at a ReLU kink)."""
+    finite-difference gradient of l_c + a*l_u + b*l_s."""
     params, x1, x2, y, rng = safe_model_instance(seed, two_view=two_view,
                                                  n=8, c=3)
     views = [x1, x2] if two_view else [x1]
-    if min(np.linalg.norm(encode(params, x, view=v)[0], axis=1).min()
-           for v, x in enumerate(views, 1)) < 1e-3:
-        return None
     ds = Dataset(views=views, labels=y, labeled_mask=np.ones(8, dtype=bool))
     # the two-view classifier and supervised term see a strict subset
     lab = np.array([0, 1, 3, 4, 6]) if two_view else None
@@ -226,12 +221,9 @@ def _step_grad_error(monkeypatch, seed, two_view):
     captured = {}
     monkeypatch.setattr(train_mod, "lars_step",
                         lambda p, grads, state: captured.update(grads))
-    try:
-        train_step(params, OptimizerState(), ds, np.arange(8),
-                   (1.0, alpha, beta), simcfg, labeled=lab, neg_mask=mask,
-                   x_sim=x_sim)
-    except DegenerateBatchError:  # no label with two positives and a negative
-        return None
+    train_step(params, OptimizerState(), ds, np.arange(8),
+               (1.0, alpha, beta), simcfg, labeled=lab, neg_mask=mask,
+               x_sim=x_sim)
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
     return rel_error(flatten_params(captured)[0], num.ravel())
 
@@ -240,9 +232,7 @@ def _step_grad_error(monkeypatch, seed, two_view):
 def test_train_step_gradient_matches_finite_differences(monkeypatch, two_view):
     errors = [_step_grad_error(monkeypatch, seed, two_view)
               for seed in range(30, 40)]
-    checked = [e for e in errors if e is not None]
-    assert len(checked) >= 3
-    assert max(checked) < 1e-5
+    assert max(errors) < 1e-5
 
 
 # ---------------------------------------------------------------------------
