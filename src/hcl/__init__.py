@@ -24,8 +24,6 @@ from .data import (
     mask_features,
     rescale01,
     sample_batch,
-    save_csv,
-    save_manifest,
     split,
     synth_multiview,
     take_rows,

@@ -67,7 +67,8 @@ def cmd_train(pairs: dict[str, str],
         ckpt_path = os.path.join(out, f"{stem}.ckpt")
         snapshot = config_for_seed(cfg, seed)
         save_checkpoint(result.params, ckpt_path,
-                        extra={"config": snapshot, "seed": seed})
+                        extra={"config": snapshot, "seed": seed,
+                               "dataset": data_sha})
         record = RunRecord(
             config=snapshot, seed=seed, trace=result.trace,
             report=result.report, wall_seconds=result.wall_seconds,
@@ -111,7 +112,17 @@ def cmd_eval(checkpoint: str, data: str | None = None,
         overrides["synthetic"] = ""
     cfg = resolve_config(dict(extra["config"]), overrides)
     seed = int(extra["seed"])
-    report = replay_eval(cfg, seed, params)
+    base = build_dataset(cfg)
+    # --data names other data on purpose; without it the run's own dataset
+    # must be unchanged since training
+    trained = extra.get("dataset")
+    if data is None and trained != dataset_checksum(base):
+        raise ContractError(
+            f"{checkpoint}: the dataset does not match the one it was trained "
+            f"on (recorded sha256: {trained or 'none'}); name the data with "
+            "--data to evaluate on it anyway"
+        )
+    report = replay_eval(cfg, seed, params, base)
     body = {
         "checkpoint": os.path.basename(checkpoint),
         "seed": seed,

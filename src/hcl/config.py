@@ -238,6 +238,10 @@ def resolve_config(pairs: dict[str, str],
         raise _fail("batch_size", f"must be >= 3 when beta > 0, got "
                     f"{cfg.batch_size}: a label group needs two positives "
                     "and a negative")
+    if cfg.beta > 0 and cfg.n_labeled < 3:
+        raise _fail("n_labeled", f"must be >= 3 when beta > 0, got "
+                    f"{cfg.n_labeled}: a label group needs two labeled "
+                    "positives and a labeled negative")
     for key in ("view1_aug", "view2_aug"):
         if cfg.mode == "single-view" and getattr(cfg, key) != "none":
             raise _fail(key, "view augmentations need mode = two-view")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError, ShapeError
-from .ioutil import atomic_write_text, format_kv_text, parse_kv_text
+from .ioutil import parse_kv_text
 from .losses import full_negatives
 from .numeric import Matrix, Rng, as_matrix, unit_rows
 
@@ -197,13 +197,6 @@ def load_csv(feature_paths, labels_path: str, *, header: bool = False,
                    name=name or os.path.splitext(os.path.basename(labels_path))[0])
 
 
-def save_csv(path: str, matrix: Matrix) -> None:
-    """Write a matrix as CSV with round-trip-exact float formatting."""
-    mat = as_matrix(matrix, "matrix")
-    lines = [",".join(repr(float(v)) for v in row) for row in mat]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def load_manifest(path: str) -> Dataset:
     """Load a dataset named by a key-value manifest.
 
@@ -242,15 +235,6 @@ def load_manifest(path: str) -> Dataset:
             f"{path}: manifest says c = {c}, labels file has {ds.c} columns"
         )
     return ds
-
-
-def save_manifest(path: str, view_files, labels_file: str, c: int,
-                  name: str = "dataset") -> None:
-    if isinstance(view_files, str):
-        view_files = [view_files]
-    pairs = {f"view{i + 1}": p for i, p in enumerate(view_files)}
-    pairs.update({"labels": labels_file, "c": str(int(c)), "name": name})
-    atomic_write_text(path, format_kv_text(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +437,13 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     """One training batch: up to ``batch_size`` labeled anchors plus enough
     unlabeled rows that each anchor has ``neg_size`` negatives inside the
     pool. ``neg_size='full'`` pools the whole dataset and uses complements.
+
+    When k negatives are fewer than the na - 1 other anchors, all na negative
+    sets come from one draw: an (na, na) matrix of uniform keys with the
+    diagonal set to +inf, whose k smallest entries per row
+    (``np.argpartition``) mark that anchor's negatives. Each row is then a
+    uniform k-subset of the other anchors. When k = na - 1 the complement is
+    forced and no random number is drawn.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -502,10 +493,12 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
         # forced full complement, no sampling needed
         neg_mask = full_negatives(na)
     else:
+        # the k smallest of iid uniform keys are a uniform k-subset; an
+        # infinite diagonal key is never among them because k <= na - 2
+        keys = rng.random((na, na))
+        np.fill_diagonal(keys, np.inf)
         neg_mask = np.zeros((na, na), dtype=bool)
-        for i in range(na):
-            # k of the na - 1 positions other than i, shifted past i
-            cols = rng.choice(na - 1, size=k, replace=False)
-            neg_mask[i, cols + (cols >= i)] = True
+        np.put_along_axis(neg_mask, np.argpartition(keys, k - 1, axis=1)[:, :k],
+                          True, axis=1)
     return BatchPlan(anchors=anchors, labeled=np.sort(batch_labeled),
                      neg_mask=neg_mask)

@@ -55,7 +55,3 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def format_kv_text(pairs: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items())

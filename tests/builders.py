@@ -1,15 +1,17 @@
-"""Shared random-instance builders for model/training tests.
+"""Shared builders for the tests: random model instances and data files.
 
 Instances are resampled until every ReLU pre-activation sits away from zero
 and every embedding row away from the zero vector: the finite-difference
 oracle is invalid at the ReLU kink, and the cosine has no derivative at a
-zero row.
+zero row. ``save_csv`` and ``save_manifest`` write the files that
+``hcl.data.load_manifest`` reads.
 """
 
 import numpy as np
 
+from hcl.ioutil import atomic_write_text
 from hcl.model import encode, init_params
-from hcl.numeric import make_rng
+from hcl.numeric import as_matrix, make_rng
 
 RELU_MARGIN = 1e-4
 EMBED_MIN_NORM = 1e-3
@@ -84,3 +86,20 @@ def unflatten_into(named, keys, vec):
         arr = named[k]
         arr[...] = vec[off:off + arr.size].reshape(arr.shape)
         off += arr.size
+
+
+def save_csv(path, matrix):
+    """Write a matrix as CSV with round-trip-exact float formatting."""
+    lines = [",".join(repr(float(v)) for v in row)
+             for row in as_matrix(matrix, "matrix")]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_manifest(path, view_files, labels_file, c, name="dataset"):
+    """Write a dataset manifest naming one or two view files and a labels
+    file; relative names resolve against the manifest's directory."""
+    if isinstance(view_files, str):
+        view_files = [view_files]
+    pairs = {f"view{i + 1}": p for i, p in enumerate(view_files)}
+    pairs.update({"labels": labels_file, "c": str(int(c)), "name": name})
+    atomic_write_text(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))

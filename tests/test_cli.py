@@ -17,11 +17,12 @@ from hcl.cli import (
     main,
 )
 from hcl.config import resolve_config
-from hcl.data import save_csv, save_manifest
 from hcl.errors import ConfigError, ContractError, NumericError
 from hcl.model import init_params, save_checkpoint
 from hcl.numeric import make_rng
 from hcl.train import build_dataset
+
+from builders import save_csv, save_manifest
 
 SMALL = {
     "synthetic": "cluster", "n_samples": "60", "n_features": "8",
@@ -174,6 +175,42 @@ def test_main_eval_relative_manifest_from_elsewhere(tmp_path, monkeypatch):
                  str(tmp_path / "out" / "run-hcl-seed0.ckpt")]) == 0
     replay = json.loads((tmp_path / "out" / "eval-run-hcl-seed0.json").read_text())
     assert replay["auc"] == trained["report"]["auc"]
+
+
+def test_main_eval_rejects_changed_dataset(tmp_path, capsys):
+    base = build_dataset(resolve_config(small_pairs(tmp_path)))
+    save_csv(str(tmp_path / "x.csv"), base.views[0])
+    save_csv(str(tmp_path / "y.csv"), base.labels)
+    save_manifest(str(tmp_path / "m.manifest"), "x.csv", "y.csv", base.c)
+    pairs = small_pairs(tmp_path, manifest=str(tmp_path / "m.manifest"),
+                        seeds="0")
+    del pairs["synthetic"]
+    assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 0
+    ckpt = str(tmp_path / "out" / "run-hcl-seed0.ckpt")
+    assert main(["eval", "--checkpoint", ckpt]) == 0
+    # one feature value edited after training
+    edited = base.views[0].copy()
+    edited[3, 2] += 0.5
+    save_csv(str(tmp_path / "x.csv"), edited)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not match" in err
+    # naming the data on purpose still evaluates on it
+    assert main(["eval", "--checkpoint", ckpt,
+                 "--data", str(tmp_path / "m.manifest")]) == 0
+
+
+def test_cmd_eval_needs_dataset_checksum(tmp_path):
+    cmd_train(small_pairs(tmp_path, seeds="0"))
+    path = tmp_path / "out" / "run-hcl-seed0.ckpt"
+    doc = json.loads(path.read_text())
+    record = json.loads((tmp_path / "out" / "run-hcl-seed0.json").read_text())
+    assert doc["extra"]["dataset"] == record["checksums"]["dataset"]
+    del doc["extra"]["dataset"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ContractError, match="recorded sha256: none"):
+        cmd_eval(str(path))
 
 
 # ---------------------------------------------------------------------------

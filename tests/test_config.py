@@ -152,6 +152,7 @@ def test_method_coupling_forces_weights(method, alpha, beta):
     ("perf_train_sizes", "16"),
     ("batch_size", "2"),
     ("batch_size", "1"),
+    ("n_labeled", "2"),
 ])
 def test_invalid_field_raises_named_error(key, value):
     with pytest.raises(ConfigError, match=f"config field '{key}'"):
@@ -167,6 +168,16 @@ def test_small_batch_needs_supervised_term_off():
                       mode="two-view")
         assert cfg.batch_size == 2 and cfg.beta == 0.0
     assert resolve(batch_size="3", beta="0.5").batch_size == 3
+
+
+def test_few_labeled_rows_need_supervised_term_off():
+    # two labeled rows can never form a label group either
+    with pytest.raises(ConfigError, match="config field 'n_labeled'"):
+        resolve(n_labeled="2", beta="0.5", method="hcl-s")
+    for method in ("dnn", "hcl-u"):  # beta forced to 0
+        cfg = resolve(n_labeled="2", beta="0.5", method=method)
+        assert cfg.n_labeled == 2 and cfg.beta == 0.0
+    assert resolve(n_labeled="3", beta="0.5").n_labeled == 3
 
 
 def test_neg_size_accepts_int_and_full():

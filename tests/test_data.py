@@ -15,13 +15,13 @@ from hcl.data import (
     mask_features,
     rescale01,
     sample_batch,
-    save_csv,
-    save_manifest,
     split,
     synth_multiview,
 )
 from hcl.errors import ConfigError, ContractError, IngestionError, ShapeError
 from hcl.numeric import make_rng
+
+from builders import save_csv, save_manifest
 
 
 def toy_dataset(n=8, d=3, c=2, seed=0, two_view=False, labeled=None):
@@ -446,8 +446,28 @@ def test_sample_batch_golden_stream():
     assert plan.anchors.tolist() == [2, 4, 5, 9, 10, 11]
     assert plan.labeled.tolist() == [2, 4, 5, 9, 10, 11]
     assert [plan.anchors[row].tolist() for row in plan.neg_mask] == [
-        [5, 11], [10, 11], [4, 9], [10, 11], [5, 9], [2, 5]]
-    assert int(rng.integers(10**6)) == 594181
+        [4, 5], [2, 11], [4, 11], [10, 11], [4, 11], [9, 10]]
+    assert int(rng.integers(10**6)) == 349782
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_sample_batch_negatives_uniform(k):
+    # every anchor's negative set is a uniform k-subset of the other 7
+    # anchors, so each off-diagonal cell is selected with probability k / 7;
+    # the tolerance is five binomial standard errors over the draws
+    na, draws = 8, 3000
+    ds = toy_dataset(n=na)  # all labeled: the pool is every row
+    rng = make_rng(42 + k)
+    counts = np.zeros((na, na))
+    for _ in range(draws):
+        plan = sample_batch(ds, na, k, rng)
+        assert np.all(plan.neg_mask.sum(axis=1) == k)
+        counts += plan.neg_mask
+    assert not counts.diagonal().any()
+    p = k / (na - 1)
+    tol = 5.0 * np.sqrt(p * (1.0 - p) / draws)
+    freq = counts[~np.eye(na, dtype=bool)] / draws
+    assert np.abs(freq - p).max() < tol
 
 
 def test_sample_batch_validation():

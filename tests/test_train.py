@@ -7,7 +7,7 @@ import pytest
 
 import hcl.train as train_mod
 from hcl.config import resolve_config
-from hcl.data import Dataset, save_csv, save_manifest
+from hcl.data import Dataset
 from hcl.errors import ConfigError, ContractError, DegenerateBatchError
 from hcl.losses import (
     ContrastiveBatch,
@@ -30,7 +30,13 @@ from hcl.train import (
     train_step,
 )
 
-from builders import flatten_params, safe_model_instance, unflatten_into
+from builders import (
+    flatten_params,
+    safe_model_instance,
+    save_csv,
+    save_manifest,
+    unflatten_into,
+)
 from reference import finite_diff_grad, rel_error
 
 SMALL = {
@@ -245,9 +251,11 @@ def test_n_labeled_validated_against_dataset():
 
 
 def test_degenerate_supervised_batch_names_epoch():
+    # twelve classes on twelve rows: every row has its own label, so no
+    # label ever has two positives
     cfg = resolve_config({
         "synthetic": "cluster", "n_samples": "12", "n_features": "4",
-        "n_classes": "2", "n_labeled": "2", "epochs": "2", "seeds": "0",
+        "n_classes": "12", "n_labeled": "3", "epochs": "2", "seeds": "0",
         "batch_size": "8", "neg_size": "full", "encoder_sizes": "6,4",
         "method": "hcl-s", "beta": "0.5",
     })
