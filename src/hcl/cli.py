@@ -176,6 +176,27 @@ def cmd_bound_check(pairs: dict[str, str],
 # noise-sweep
 
 
+def _noise_cells(cfg: RunConfig, base: Dataset,
+                 variants: list[tuple[str, RunConfig]]):
+    """Each sweep cell in order: (level, method entry, seed, the entry's
+    resolved config, the noisy dataset it trains on)."""
+    for level in cfg.noise_levels:
+        # two independent corruptions per level, shared by every method and
+        # seed: the first is the single-view input and doubles as view one,
+        # the second corrupts the same clean features again to make view two
+        noise_rng = make_rng(1_000_000 * cfg.data_seed
+                             + int(round(level * 1000)))
+        noisy1 = inject_noise(base.views[0], level, noise_rng)
+        noisy2 = inject_noise(base.views[0], level, noise_rng)
+        for entry, variant in variants:
+            views = [noisy1] if variant.mode == "single-view" else [noisy1, noisy2]
+            noisy = Dataset(views=views, labels=base.labels,
+                            labeled_mask=base.labeled_mask,
+                            name=base.name, meta=base.meta)
+            for seed in cfg.seeds:
+                yield level, entry, seed, variant, noisy
+
+
 def cmd_noise_sweep(pairs: dict[str, str],
                     overrides: dict[str, str] | None = None) -> str:
     cfg = resolve_config(pairs, overrides)
@@ -189,31 +210,28 @@ def cmd_noise_sweep(pairs: dict[str, str],
     merged = dict(pairs)
     if overrides:
         merged.update(overrides)
+    # every entry's config is resolved before the first cell trains, so a
+    # rejected entry costs no finished cells
+    variants = []
+    for entry in cfg.methods:
+        method, _, mode = entry.partition("@")
+        variants.append((entry, resolve_config(merged, {
+            "methods": method, "method": method, "mode": mode or cfg.mode,
+        })))
     rows = []
     reports: dict[tuple[float, str], list[EvalReport]] = {}
-    for level in cfg.noise_levels:
-        # two independent corruptions per level, shared by every method and
-        # seed: the first is the single-view input and doubles as view one,
-        # the second corrupts the same clean features again to make view two
-        noise_rng = make_rng(1_000_000 * cfg.data_seed
-                             + int(round(level * 1000)))
-        noisy1 = inject_noise(base.views[0], level, noise_rng)
-        noisy2 = inject_noise(base.views[0], level, noise_rng)
-        for entry in cfg.methods:
-            method, _, mode = entry.partition("@")
-            mode = mode or cfg.mode
-            views = [noisy1] if mode == "single-view" else [noisy1, noisy2]
-            noisy = Dataset(views=views, labels=base.labels,
-                            labeled_mask=base.labeled_mask,
-                            name=base.name, meta=base.meta)
-            variant = resolve_config(merged, {
-                "methods": method, "method": method, "mode": mode,
-            })
-            for seed in cfg.seeds:
-                result = run_training(variant, seed, noisy)
-                rows.append((level, entry, seed, result.report))
-                reports.setdefault((level, entry), []).append(result.report)
-            f1s = [r.f1 for r in reports[(level, entry)]]
+    failure = None
+    for level, entry, seed, variant, noisy in _noise_cells(cfg, base, variants):
+        try:
+            result = run_training(variant, seed, noisy)
+        except HclError as err:
+            failure = (level, entry, seed, err)
+            break
+        rows.append((level, entry, seed, result.report))
+        group = reports.setdefault((level, entry), [])
+        group.append(result.report)
+        if len(group) % len(cfg.seeds) == 0:
+            f1s = [r.f1 for r in group]
             print(f"noise {level:g} {entry}: mean f1={np.mean(f1s):.4f} "
                   f"std={np.std(f1s):.4f}")
 
@@ -221,18 +239,29 @@ def cmd_noise_sweep(pairs: dict[str, str],
     for level, method, seed, rep in rows:
         lines.append(f"{level!r},{method},{seed},{rep.f1!r},{rep.auc!r}")
     text = "\n".join(lines) + "\n"
-    atomic_write_text(os.path.join(out, "noise_sweep.csv"), text)
+    if rows:
+        # a failed cell keeps the cells that finished before it
+        atomic_write_text(os.path.join(out, "noise_sweep.csv"), text)
 
     summary = ["level,method,f1_mean,f1_std,auc_mean,auc_std"]
     for (level, method), reps in reports.items():
+        if failure is not None and (level, method) == failure[:2]:
+            continue  # a group is summarized only when all its seeds finished
         f1s = [r.f1 for r in reps]
         aucs = [r.auc for r in reps]
         summary.append(
             f"{level!r},{method},{float(np.mean(f1s))!r},{float(np.std(f1s))!r},"
             f"{float(np.mean(aucs))!r},{float(np.std(aucs))!r}"
         )
-    atomic_write_text(os.path.join(out, "noise_summary.csv"),
-                      "\n".join(summary) + "\n")
+    if len(summary) > 1:
+        atomic_write_text(os.path.join(out, "noise_summary.csv"),
+                          "\n".join(summary) + "\n")
+    if failure is not None:
+        level, entry, seed, err = failure
+        kept = (f" ({len(rows)} finished cell(s) written to noise_sweep.csv)"
+                if rows else "")
+        raise type(err)(f"noise level {level:g}, method {entry}, seed {seed} "
+                        f"failed: {err}{kept}") from err
     return text
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
-from .losses import SimilarityConfig, _label_groups, _sup_groups
+from .losses import SimilarityConfig, _sup_groups
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng, unit_rows
 from .optimizer import OptimizerState
@@ -297,52 +297,40 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
     return reports
 
 
-def _stratum_sup_losses(z: Matrix, labels: Matrix, cfg: SimilarityConfig
-                        ) -> dict[int, tuple[float, float]]:
-    """Per-shared-label-count stratum: (restricted loss, matching N term).
+def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
+                   cfg: SimilarityConfig) -> dict[int, tuple[float, float, float]]:
+    """Per-shared-label-count stratum: (restricted loss, matching N term,
+    reference MI), from one pass over the label groups.
 
-    Reads the production loss's per-pair terms but averages only over
-    ordered positive pairs whose shared-positive count equals the stratum.
+    The loss reads the production loss's per-pair terms but averages only
+    over ordered positive pairs whose shared-positive count equals the
+    stratum. The reference MI is that of the same pairs' distribution over
+    quantized (prototype) ids, weighted exactly as the loss weighs pairs:
+    uniform over labels, uniform over pairs per label.
     """
     y = as_matrix(labels, "labels")
     shared = gram(y).astype(int)
     per_stratum: dict[int, list[tuple[float, float]]] = {}
+    tables: dict[int, list[np.ndarray]] = {}
     for pos, partners, neg, terms, _, _ in _sup_groups(
             unit_rows(z), y, cfg.temperature, indicator=False):
         eps = shared[pos[:, None], partners]
         for stratum in np.unique(eps):
+            mask = eps == stratum
             per_stratum.setdefault(int(stratum), []).append(
-                (float(terms[eps == stratum].mean()), math.log(neg.size))
+                (float(terms[mask].mean()), math.log(neg.size))
             )
+            ii, jj = np.nonzero(mask)
+            table = np.zeros((n_protos, n_protos))
+            np.add.at(table, (ids[pos[ii]], ids[partners[ii, jj]]),
+                      1.0 / int(mask.sum()))
+            tables.setdefault(int(stratum), []).append(table)
     out = {}
     for stratum, pairs in per_stratum.items():
         losses, n_terms = zip(*pairs)
-        out[stratum] = (float(np.mean(losses)), float(np.mean(n_terms)))
-    return out
-
-
-def _stratum_reference_mi(ids: np.ndarray, labels: Matrix, n_protos: int
-                          ) -> dict[int, float]:
-    """Reference MI per stratum from the enumerated positive-pair
-    distribution over quantized (prototype) ids, weighted exactly as the
-    loss weighs pairs: uniform over labels, uniform over pairs per label."""
-    y = as_matrix(labels, "labels")
-    shared = gram(y).astype(int)
-    tables: dict[int, list[np.ndarray]] = {}
-    for pos, _ in _label_groups(y):
-        eps = shared[np.ix_(pos, pos)]
-        offdiag = ~np.eye(pos.size, dtype=bool)
-        for stratum in np.unique(eps[offdiag]):
-            mask = offdiag & (eps == stratum)
-            count = int(mask.sum())
-            table = np.zeros((n_protos, n_protos))
-            ii, jj = np.nonzero(mask)
-            np.add.at(table, (ids[pos[ii]], ids[pos[jj]]), 1.0 / count)
-            tables.setdefault(int(stratum), []).append(table)
-    out = {}
-    for stratum, parts in tables.items():
-        joint = np.sum(parts, axis=0)
-        out[stratum] = discrete_mi(joint / joint.sum())
+        joint = np.sum(tables[stratum], axis=0)
+        out[stratum] = (float(np.mean(losses)), float(np.mean(n_terms)),
+                        discrete_mi(joint / joint.sum()))
     return out
 
 
@@ -374,20 +362,18 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         x_eval = eval_ds.views[0][rows]
         y_eval = eval_ds.labels[rows]
         z_eval, _ = encode(params, x_eval)
-        strata = _stratum_sup_losses(z_eval, y_eval, cfg)
+        ids = quantize_to_prototypes(x_eval, eval_ds.meta["prototypes"])
+        strata = _stratum_terms(z_eval, y_eval, ids, data_spec.c, cfg)
         if not strata:
             raise DegenerateBatchError(
                 "no label in the evaluation batch has two positives and a negative"
             )
-        ids = quantize_to_prototypes(x_eval, eval_ds.meta["prototypes"])
-        references = _stratum_reference_mi(ids, y_eval, data_spec.c)
         neg_common = int(round(math.exp(neg_size_term(y_eval))))
         for stratum in sorted(strata):
-            loss, n_term = strata[stratum]
+            loss, n_term, reference = strata[stratum]
             bound = (-loss + n_term) / stratum
             reports.append(BoundReport(size=neg_common, seed=seed, loss=loss,
-                                       bound=bound,
-                                       reference_mi=references[stratum],
+                                       bound=bound, reference_mi=reference,
                                        tolerance=train_spec.tolerance,
                                        stratum=stratum))
     return reports

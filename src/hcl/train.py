@@ -101,7 +101,6 @@ class TrainResult:
     params: ModelParams
     trace: list[LossBreakdown]
     report: EvalReport
-    labeled_mask: np.ndarray
     wall_seconds: float
 
 
@@ -163,18 +162,12 @@ def run_training(cfg: RunConfig, seed: int,
 
     n_labeled = int(ds.labeled_mask.sum())
     iterations = max(1, math.ceil(n_labeled / cfg.batch_size))
-    # with a full pool and one iteration the plan is deterministic and
-    # consumes no rng draws, so it can be built once
-    static_plan = None
-    if cfg.neg_size == "full" and cfg.batch_size >= n_labeled:
-        static_plan = sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
 
     trace: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for _ in range(iterations):
-            plan = static_plan if static_plan is not None else \
-                sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
+            plan = sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
             try:
                 sums += train_step(
                     params, state, ds, plan.anchors, weights, simcfg,
@@ -190,7 +183,6 @@ def run_training(cfg: RunConfig, seed: int,
 
     report = _score(cfg, seed, params, ds)
     return TrainResult(params=params, trace=trace, report=report,
-                       labeled_mask=ds.labeled_mask.copy(),
                        wall_seconds=time.perf_counter() - t0)
 
 

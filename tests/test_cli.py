@@ -271,6 +271,42 @@ def test_cmd_noise_sweep_deterministic(tmp_path):
     assert cmd_noise_sweep(pairs) == cmd_noise_sweep(pairs)
 
 
+def test_cmd_noise_sweep_keeps_finished_cells_when_a_cell_fails(
+        tmp_path, monkeypatch, capsys):
+    real = cli_mod.run_training
+    calls = []
+
+    def fail_on_last_cell(cfg, seed, base):
+        calls.append(seed)
+        if len(calls) == 8:  # level 1, hcl-u@two-view, seed 1
+            raise NumericError("loss diverged")
+        return real(cfg, seed, base)
+
+    monkeypatch.setattr(cli_mod, "run_training", fail_on_last_cell)
+    pairs = small_pairs(tmp_path, sub="n4", epochs=2, seeds="0,1",
+                        noise_levels="0,1",
+                        methods="hcl-u@single-view,hcl-u@two-view")
+    with pytest.raises(NumericError, match="noise level 1, method "
+                       "hcl-u@two-view, seed 1 failed: loss diverged") as info:
+        cmd_noise_sweep(pairs)
+    assert "7 finished cell(s) written to noise_sweep.csv" in str(info.value)
+    rows = list(csv.DictReader(
+        (tmp_path / "n4" / "noise_sweep.csv").read_text().splitlines()))
+    assert len(rows) == 7
+    assert (float(rows[-1]["level"]), rows[-1]["method"], rows[-1]["seed"]) \
+        == (1.0, "hcl-u@two-view", "0")
+    # the failed cell's (level, method) group lost a seed: no summary row
+    summary = list(csv.DictReader(
+        (tmp_path / "n4" / "noise_summary.csv").read_text().splitlines()))
+    assert [(float(r["level"]), r["method"]) for r in summary] == [
+        (0.0, "hcl-u@single-view"), (0.0, "hcl-u@two-view"),
+        (1.0, "hcl-u@single-view")]
+    calls.clear()
+    assert main(["noise-sweep", "--config", write_cfg(tmp_path, pairs)]) == 2
+    assert "error: noise level 1, method hcl-u@two-view, seed 1 failed" \
+        in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # perf-sweep
 
@@ -339,6 +375,64 @@ def test_main_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["train", "--config", missing]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _fuzz_pairs(rng, out_dir) -> dict[str, str]:
+    """One tiny random config: legal or not, it must train or fail by name."""
+    n = int(rng.integers(6, 40))
+    pick = lambda *options: str(options[int(rng.integers(len(options)))])
+    mode = pick("single-view", "two-view")
+    # augmentations mostly where they are legal, so most configs train
+    augs = ("none", "mask:0.25", "noise:0.5") if mode == "two-view" \
+        else ("none",) * 5 + ("mask:0.25",)
+    return {
+        "synthetic": pick("cluster", "multiview", "scene-like"),
+        "n_samples": str(n), "n_features": str(int(rng.integers(1, 10))),
+        "n_classes": str(int(rng.integers(2, 5))),
+        "n_labeled": str(int(rng.integers(1, n + 1))),
+        "data_seed": str(int(rng.integers(100))),
+        "mode": mode,
+        "method": pick("dnn", "simclr-style", "supcon-style", "hcl-u",
+                       "hcl-s", "hcl"),
+        "alpha": pick(0, 0.5, 1), "beta": pick(0, 0.01, 1),
+        "temperature": pick(1e-4, 0.05, 0.5, 2),
+        "batch_size": str(int(rng.integers(1, 13))),
+        "neg_size": pick("full", int(rng.integers(1, n + 1))),
+        "epochs": pick(1, 2), "seeds": pick("0", "3,4"),
+        "encoder_sizes": pick("4", "5,3"),
+        "classifier_activation": pick("sigmoid", "softmax"),
+        "base_lr": pick(0, 0.1, 1.0), "multiclass": pick("false", "true"),
+        "view1_aug": pick(*augs), "view2_aug": pick(*augs),
+        "out_dir": str(out_dir),
+    }
+
+
+def test_main_train_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
+    # every config either trains to a finite trace (exit 0) or is refused
+    # with a named error (exit 2); any other exception escapes main and
+    # fails the test with its traceback
+    # this seed's 40 configs include 20 that train, two-class scene-like
+    # data among them
+    rng = np.random.default_rng(9)
+    outcomes = []
+    for i in range(40):
+        pairs = _fuzz_pairs(rng, tmp_path / f"f{i}")
+        code = main(["train", "--config",
+                     write_cfg(tmp_path, pairs, name=f"f{i}.cfg")])
+        captured = capsys.readouterr()
+        outcomes.append(code)
+        if code == 2:
+            assert captured.err.startswith("error:"), (pairs, captured.err)
+            continue
+        assert code == 0, pairs
+        records = sorted((tmp_path / f"f{i}").glob("run-*.json"))
+        assert len(records) == len(pairs["seeds"].split(",")), pairs
+        for path in records:
+            trace = json.loads(path.read_text())["trace"]
+            assert trace and all(np.isfinite(
+                [e["l_c"], e["l_u"], e["l_s"], e["j"]]).all() for e in trace), pairs
+    # both outcomes are exercised
+    assert 0 in outcomes and 2 in outcomes
 
 
 def _stack(**weight) -> dict:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hcl.data import (
-    BatchPlan,
     Dataset,
     inject_noise,
     load_csv,
@@ -35,7 +34,7 @@ def toy_dataset(n=8, d=3, c=2, seed=0, two_view=False, labeled=None):
 
 
 # ---------------------------------------------------------------------------
-# Dataset and BatchPlan validation
+# Dataset validation
 
 
 def test_dataset_validation():
@@ -54,27 +53,6 @@ def test_dataset_validation():
         Dataset(views=[x], labels=y, labeled_mask=np.ones(5, bool))
     with pytest.raises(ContractError):
         Dataset(views=[], labels=y, labeled_mask=np.ones(4, bool))
-
-
-def test_batch_plan_validation():
-    pair = ~np.eye(2, dtype=bool)
-    good = BatchPlan(anchors=[0, 2, 5], labeled=[0, 2],
-                     neg_mask=~np.eye(3, dtype=bool))
-    assert np.array_equal(good.anchors[good.neg_mask[1]], [0, 5])
-    with pytest.raises(ContractError, match="own negative"):
-        BatchPlan(anchors=[0, 2, 5], labeled=[0], neg_mask=np.ones((3, 3), bool))
-    with pytest.raises(ContractError, match="unique"):
-        BatchPlan(anchors=[0, 0], labeled=[0], neg_mask=pair)
-    with pytest.raises(ContractError, match="non-negative"):
-        BatchPlan(anchors=[-1, 2], labeled=[2], neg_mask=pair)
-    with pytest.raises(ContractError, match="labeled"):
-        BatchPlan(anchors=[0, 2], labeled=[1], neg_mask=pair)
-    with pytest.raises(ShapeError):
-        BatchPlan(anchors=[0, 2], labeled=[0], neg_mask=[[False, True]])
-    with pytest.raises(ContractError, match="at least one negative"):
-        BatchPlan(anchors=[0, 2], labeled=[0], neg_mask=[[False, True], [False, False]])
-    with pytest.raises(ContractError, match="at least one anchor"):
-        BatchPlan(anchors=[], labeled=[], neg_mask=np.zeros((0, 0), bool))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +301,14 @@ def test_scene_like_shapes():
     assert (ds.labels.sum(axis=1) > 1).any()
 
 
+def test_scene_like_two_labels():
+    # a cluster's extra positives are capped at the one other label
+    for seed in range(5):
+        ds = make_scene_like(48, 6, 2, make_rng(seed))
+        counts = ds.labels.sum(axis=1)
+        assert np.all((counts >= 1) & (counts <= 2))
+
+
 # ---------------------------------------------------------------------------
 # Splits
 
@@ -412,14 +398,24 @@ def test_sample_batch_protocol_scale():
 
 
 def test_sample_batch_anchor_exclusion_sweep():
+    # sample_batch is the only builder of a plan and nothing checks it
+    # afterwards, so every invariant must hold by construction
     rng = make_rng(35)
-    for _ in range(40):
+    for trial in range(60):
         n = int(rng.integers(4, 30))
         ds = split(toy_dataset(n=n, seed=int(rng.integers(10**6))),
                    int(rng.integers(1, n)), rng)
-        k = int(rng.integers(1, n))
+        k = "full" if trial % 3 == 0 else int(rng.integers(1, n))
         plan = sample_batch(ds, int(rng.integers(1, 6)), k, rng)
         na = plan.anchors.size
+        if k == "full":
+            k = n - 1
+            assert np.array_equal(plan.anchors, np.arange(n))
+        assert np.all(np.diff(plan.anchors) > 0)  # unique and sorted
+        assert np.all(np.diff(plan.labeled) > 0)
+        assert np.isin(plan.labeled, plan.anchors).all()
+        assert ds.labeled_mask[plan.labeled].all()
+        assert plan.neg_mask.shape == (na, na)
         assert not plan.neg_mask.diagonal().any()
         assert np.all(plan.neg_mask.sum(axis=1) == k)
         for i in range(na):
@@ -427,6 +423,20 @@ def test_sample_batch_anchor_exclusion_sweep():
             assert np.unique(rows).size == k and plan.anchors[i] not in rows
         # the benchmark counts one negative per (anchor, negative) pair
         assert plan.negatives.size == na * k
+
+
+def test_sample_batch_full_single_batch_draws_nothing():
+    # a full pool whose batch takes every labeled row is fixed, so training
+    # can rebuild it every epoch without shifting the rng stream
+    ds = split(toy_dataset(n=20), 6, make_rng(38))
+    rng = make_rng(39)
+    before = rng.bit_generator.state
+    plan = sample_batch(ds, 6, "full", rng)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(plan.labeled, ds.labeled_indices)
+    again = sample_batch(ds, 50, "full", rng)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(again.neg_mask, plan.neg_mask)
 
 
 def test_sample_batch_reproducible():

@@ -10,6 +10,7 @@ import pytest
 from hcl.errors import ContractError, DegenerateBatchError, ShapeError
 from hcl.losses import (
     ContrastiveBatch,
+    _info_nce,
     LossBreakdown,
     SimilarityConfig,
     cross_entropy,
@@ -473,6 +474,32 @@ def test_every_loss_finite_across_temperatures(tau):
         assert math.isfinite(value) and value >= 0.0
         for g in grads:
             assert np.isfinite(g).all()
+
+
+def test_info_nce_invariants_sweep():
+    # the shared core of every loss, on random shapes, -inf-masked negatives,
+    # log-weights and logit scales 1/tau up to 1e4
+    rng = make_rng(23)
+    for _ in range(300):
+        rows, n_pos, n_neg = (int(v) for v in rng.integers(1, [9, 7, 13]))
+        scale = 10.0 ** rng.uniform(-2.0, 4.0)
+        pos = scale * rng.uniform(-1.0, 1.0, (rows, n_pos)) \
+            + rng.uniform(-3.0, 3.0, (rows, n_pos))
+        neg = scale * rng.uniform(-1.0, 1.0, (rows, n_neg)) \
+            + rng.uniform(-3.0, 3.0, (rows, n_neg))
+        dropped = rng.random((rows, n_neg)) < 0.4
+        dropped[np.arange(rows), rng.integers(0, n_neg, rows)] = False
+        neg[dropped] = -np.inf
+        terms, d_pos, d_neg = _info_nce(pos, neg)
+        for a in (terms, d_pos, d_neg):
+            assert np.isfinite(a).all()
+        assert (terms >= 0.0).all()
+        assert ((d_pos >= -1.0) & (d_pos <= 0.0)).all()
+        assert (d_neg >= 0.0).all() and not d_neg[dropped].any()
+        # adding one constant to every logit of a row leaves each term as
+        # it is, so the row's gradients sum to zero
+        shift = d_pos.sum(axis=1) + d_neg.sum(axis=1)
+        assert np.abs(shift).max() <= 1e-12
 
 
 # ------------------------------------------------------------- total loss

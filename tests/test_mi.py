@@ -11,8 +11,7 @@ from hcl.mi import (
     BoundTrainSpec,
     GaussianPairSpec,
     RingProtoSpec,
-    _stratum_reference_mi,
-    _stratum_sup_losses,
+    _stratum_terms,
     check_sup_bound,
     check_unsup_bound,
     discrete_mi,
@@ -295,7 +294,7 @@ def test_stratum_sup_losses_match_loop_oracle():
         n = int(rng.integers(6, 14))
         ds = make_ring_dataset(RingProtoSpec(c=4), max(n, 8), rng)
         z = rng.normal(size=(ds.n, 3))
-        got = _stratum_sup_losses(z, ds.labels, cfg)
+        got = _stratum_terms(z, ds.labels, ds.meta["ids"], 6, cfg)
         want = ref_stratum_sup(z, ds.labels, 0.7)
         assert set(got) == set(want)
         for eps in want:
@@ -307,21 +306,23 @@ def test_stratum_reference_mi_matches_loop_oracle():
     rng = make_rng(32)
     ds = make_ring_dataset(RingProtoSpec(), 48, rng)
     ids = ds.meta["ids"]
-    got = _stratum_reference_mi(ids, ds.labels, 6)
+    z = rng.normal(size=(ds.n, 3))
+    got = _stratum_terms(z, ds.labels, ids, 6, SimilarityConfig())
     want = {eps: max(ref_discrete_mi(t), 0.0)
             for eps, t in ref_stratum_pair_tables(ids, ds.labels, 6).items()}
     assert set(got) == set(want)
     for eps in want:
-        assert abs(got[eps] - want[eps]) < 1e-12
+        assert abs(got[eps][2] - want[eps]) < 1e-12
 
 
 def test_ring_reference_mi_near_analytic_values():
     # same-prototype pairs identify the prototype (ln 6); adjacent pairs
     # leave a two-way ambiguity (ln 6 - ln 2 = ln 3)
     ds = make_ring_dataset(RingProtoSpec(), 600, make_rng(33))
-    refs = _stratum_reference_mi(ds.meta["ids"], ds.labels, 6)
-    assert abs(refs[2] - math.log(6)) < 0.05
-    assert abs(refs[1] - math.log(3)) < 0.05
+    refs = _stratum_terms(ds.views[0], ds.labels, ds.meta["ids"], 6,
+                          SimilarityConfig())
+    assert abs(refs[2][2] - math.log(6)) < 0.05
+    assert abs(refs[1][2] - math.log(3)) < 0.05
 
 
 # ---------------------------------------------------------------------------
