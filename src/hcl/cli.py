@@ -10,7 +10,6 @@ seeds processed in deterministic order.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,7 +18,7 @@ import numpy as np
 from .config import RunConfig, config_for_seed, load_pairs, resolve_config
 from .data import Dataset, inject_noise, take_rows
 from .errors import ConfigError, ContractError, HclError
-from .ioutil import atomic_write_text, sha256_file
+from .ioutil import atomic_write_text, csv_text, json_text, sha256_file
 from .metrics import EvalReport
 from .mi import (
     BoundTrainSpec,
@@ -123,19 +122,13 @@ def cmd_eval(checkpoint: str, data: str | None = None,
             "--data to evaluate on it anyway"
         )
     report = replay_eval(cfg, seed, params, base)
-    body = {
-        "checkpoint": os.path.basename(checkpoint),
-        "seed": seed,
-        "f1": report.f1,
-        "auc": report.auc,
-        "per_label": list(report.per_label),
-        "n_eval": report.n_eval,
-    }
     target = out_dir if out_dir is not None else os.path.dirname(checkpoint) or "."
     os.makedirs(target, exist_ok=True)
     stem = os.path.splitext(os.path.basename(checkpoint))[0]
-    atomic_write_text(os.path.join(target, f"eval-{stem}.json"),
-                      json.dumps(body, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(os.path.join(target, f"eval-{stem}.json"), json_text({
+        "checkpoint": os.path.basename(checkpoint), "seed": seed,
+        **report.fields(),
+    }))
     print(f"eval {stem}: f1={report.f1:.4f} auc={report.auc:.4f} "
           f"n={report.n_eval}")
     return report
@@ -227,7 +220,7 @@ def cmd_noise_sweep(pairs: dict[str, str],
         except HclError as err:
             failure = (level, entry, seed, err)
             break
-        rows.append((level, entry, seed, result.report))
+        rows.append((level, entry, seed, result.report.f1, result.report.auc))
         group = reports.setdefault((level, entry), [])
         group.append(result.report)
         if len(group) % len(cfg.seeds) == 0:
@@ -235,27 +228,23 @@ def cmd_noise_sweep(pairs: dict[str, str],
             print(f"noise {level:g} {entry}: mean f1={np.mean(f1s):.4f} "
                   f"std={np.std(f1s):.4f}")
 
-    lines = ["level,method,seed,f1,auc"]
-    for level, method, seed, rep in rows:
-        lines.append(f"{level!r},{method},{seed},{rep.f1!r},{rep.auc!r}")
-    text = "\n".join(lines) + "\n"
+    text = csv_text(["level", "method", "seed", "f1", "auc"], rows)
     if rows:
         # a failed cell keeps the cells that finished before it
         atomic_write_text(os.path.join(out, "noise_sweep.csv"), text)
 
-    summary = ["level,method,f1_mean,f1_std,auc_mean,auc_std"]
+    summary = []
     for (level, method), reps in reports.items():
         if failure is not None and (level, method) == failure[:2]:
             continue  # a group is summarized only when all its seeds finished
         f1s = [r.f1 for r in reps]
         aucs = [r.auc for r in reps]
-        summary.append(
-            f"{level!r},{method},{float(np.mean(f1s))!r},{float(np.std(f1s))!r},"
-            f"{float(np.mean(aucs))!r},{float(np.std(aucs))!r}"
-        )
-    if len(summary) > 1:
-        atomic_write_text(os.path.join(out, "noise_summary.csv"),
-                          "\n".join(summary) + "\n")
+        summary.append((level, method, np.mean(f1s), np.std(f1s),
+                        np.mean(aucs), np.std(aucs)))
+    if summary:
+        atomic_write_text(os.path.join(out, "noise_summary.csv"), csv_text(
+            ["level", "method", "f1_mean", "f1_std", "auc_mean", "auc_std"],
+            summary))
     if failure is not None:
         level, entry, seed, err = failure
         kept = (f" ({len(rows)} finished cell(s) written to noise_sweep.csv)"
@@ -338,10 +327,8 @@ def cmd_perf_sweep(pairs: dict[str, str],
         rows.append(("neg-size", k, seconds))
         print(f"perf neg-size {k}: {seconds:.4f}s")
 
-    lines = ["sweep,size,seconds"]
-    for sweep, size, seconds in rows:
-        lines.append(f"{sweep},{size},{seconds!r}")
-    atomic_write_text(os.path.join(out, "perf.csv"), "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(out, "perf.csv"),
+                      csv_text(["sweep", "size", "seconds"], rows))
 
     lin_coeffs, lin_r2 = _fit_r2(cfg.perf_train_sizes, train_times, 1)
     quad_coeffs, quad_r2 = _fit_r2(cfg.perf_neg_sizes, neg_times, 2)
@@ -349,8 +336,7 @@ def cmd_perf_sweep(pairs: dict[str, str],
         "train_size": {"coefficients": lin_coeffs, "r_squared": lin_r2},
         "neg_size": {"coefficients": quad_coeffs, "r_squared": quad_r2},
     }
-    atomic_write_text(os.path.join(out, "perf_fits.json"),
-                      json.dumps(fits, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(os.path.join(out, "perf_fits.json"), json_text(fits))
     print(f"perf fits: train-size linear R2={lin_r2:.4f}, "
           f"neg-size quadratic R2={quad_r2:.4f}")
     return fits

@@ -299,6 +299,15 @@ def make_views(x: Matrix, aug_a: str, aug_b: str, rng: Rng) -> tuple[Matrix, Mat
 # ---------------------------------------------------------------------------
 # Synthetic datasets
 
+# cluster family: per-feature noise around a template, and the "on" level
+# of a template coordinate
+CLUSTER_SPREAD = 0.05
+CLUSTER_ON = 0.55
+# scene-like family: latent clusters, latent dimension, feature noise
+SCENE_CLUSTERS = 12
+SCENE_LATENT_DIM = 6
+SCENE_NOISE_SD = 1.0
+
 
 def synth_multiview(n: int, d1: int, d2: int, c: int, noise_sd: float,
                     rng: Rng) -> Dataset:
@@ -330,11 +339,10 @@ def synth_multiview(n: int, d1: int, d2: int, c: int, noise_sd: float,
                    labeled_mask=np.ones(n, dtype=bool), name="synth", meta=meta)
 
 
-def make_cluster_dataset(n: int, d: int, c: int, rng: Rng, *,
-                         spread: float = 0.05, box_hi: float = 0.55) -> Dataset:
+def make_cluster_dataset(n: int, d: int, c: int, rng: Rng) -> Dataset:
     """Single-view c-cluster dataset with one-hot labels.
 
-    Class centers are binary on/off templates at {0, box_hi}. After a
+    Class centers are binary on/off templates at {0, CLUSTER_ON}. After a
     per-column rescale the "on" coordinates sit near the top of the range,
     where additive-uniform corruption plus [0, 1] truncation saturates
     instead of destroying them, so the label signal degrades gracefully
@@ -342,18 +350,17 @@ def make_cluster_dataset(n: int, d: int, c: int, rng: Rng, *,
     """
     if n < c or c < 2 or d < 1:
         raise ContractError(f"need n >= c >= 2 and d >= 1, got {n}, {c}, {d}")
-    centers = np.where(rng.uniform(size=(c, d)) < 0.5, 0.0, box_hi)
+    centers = np.where(rng.uniform(size=(c, d)) < 0.5, 0.0, CLUSTER_ON)
     ids = rng.permutation(np.arange(n) % c)
-    x = centers[ids] + spread * rng.normal(size=(n, d))
-    np.clip(x, 0.0, box_hi, out=x)
+    x = centers[ids] + CLUSTER_SPREAD * rng.normal(size=(n, d))
+    np.clip(x, 0.0, CLUSTER_ON, out=x)
     labels = np.zeros((n, c))
     labels[np.arange(n), ids] = 1.0
     return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
                    name="clusters", meta={"centers": centers, "ids": ids})
 
 
-def make_scene_like(n: int, d: int, c: int, rng: Rng, *, n_clusters: int = 12,
-                    latent_dim: int = 6, noise_sd: float = 1.0) -> Dataset:
+def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
     """Single-view multi-label dataset shaped like a small tabular benchmark.
 
     Rows fall into latent clusters and every cluster carries one fixed
@@ -362,22 +369,22 @@ def make_scene_like(n: int, d: int, c: int, rng: Rng, *, n_clusters: int = 12,
     so the cluster geometry survives in raw similarities while a small
     labeled subset alone pins the patterns down only loosely.
     """
-    if n < 2 * n_clusters or c < 2 or d < latent_dim:
+    if n < 2 * SCENE_CLUSTERS or c < 2 or d < SCENE_LATENT_DIM:
         raise ContractError(
-            f"need n >= {2 * n_clusters}, c >= 2, d >= {latent_dim}, "
-            f"got {n}, {c}, {d}"
+            f"need n >= {2 * SCENE_CLUSTERS}, c >= 2, "
+            f"d >= {SCENE_LATENT_DIM}, got {n}, {c}, {d}"
         )
-    centers = 2.0 * rng.normal(size=(n_clusters, latent_dim))
-    ids = rng.permutation(np.arange(n) % n_clusters)
-    latent = centers[ids] + 0.6 * rng.normal(size=(n, latent_dim))
-    feature_map = rng.normal(size=(latent_dim, d))
-    x = latent @ feature_map + noise_sd * rng.normal(size=(n, d))
+    centers = 2.0 * rng.normal(size=(SCENE_CLUSTERS, SCENE_LATENT_DIM))
+    ids = rng.permutation(np.arange(n) % SCENE_CLUSTERS)
+    latent = centers[ids] + 0.6 * rng.normal(size=(n, SCENE_LATENT_DIM))
+    feature_map = rng.normal(size=(SCENE_LATENT_DIM, d))
+    x = latent @ feature_map + SCENE_NOISE_SD * rng.normal(size=(n, d))
     # per-cluster label patterns; round-robin base label keeps every label
     # populated, extra positives make some rows genuinely multi-label
-    patterns = np.zeros((n_clusters, c))
-    patterns[np.arange(n_clusters), np.arange(n_clusters) % c] = 1.0
-    extra = rng.integers(0, 3, size=n_clusters)
-    for k in range(n_clusters):
+    patterns = np.zeros((SCENE_CLUSTERS, c))
+    patterns[np.arange(SCENE_CLUSTERS), np.arange(SCENE_CLUSTERS) % c] = 1.0
+    extra = rng.integers(0, 3, size=SCENE_CLUSTERS)
+    for k in range(SCENE_CLUSTERS):
         if extra[k]:
             # with c = 2 there is one other label to add
             others = np.delete(np.arange(c), k % c)
@@ -394,14 +401,14 @@ def make_scene_like(n: int, d: int, c: int, rng: Rng, *, n_clusters: int = 12,
 # Splits and batch plans
 
 
-def take_rows(ds: Dataset, rows, name: str | None = None) -> Dataset:
-    """Row-indexed copy of a dataset. Keeps meta by reference."""
+def take_rows(ds: Dataset, rows) -> Dataset:
+    """Row-indexed copy of a dataset. Keeps its name, and meta by reference."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0:
         raise ContractError("rows must be a non-empty 1-D index array")
     return Dataset(views=[v[rows] for v in ds.views], labels=ds.labels[rows],
                    labeled_mask=ds.labeled_mask[rows],
-                   name=ds.name if name is None else name, meta=ds.meta)
+                   name=ds.name, meta=ds.meta)
 
 
 def split(ds: Dataset, n_labeled: int, rng: Rng) -> Dataset:

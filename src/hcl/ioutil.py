@@ -1,11 +1,15 @@
-"""Atomic file writes, checksums, and the key-value text format used by
-run configs and dataset manifests."""
+"""Atomic file writes, checksums, the key-value text format used by run
+configs and dataset manifests, and the one formatter of every output table
+and JSON document."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -24,6 +28,28 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def csv_text(header: list[str], rows) -> str:
+    """A CSV table, one line per row. Floats are written with ``repr``, so
+    equal values always give the same bytes; bools are ``true``/``false``
+    and ``None`` an empty cell."""
+    lines = [",".join(header)]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    """A JSON document with sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_file(path: str) -> str:

@@ -62,17 +62,7 @@ class LossBreakdown:
     l_c: float
     l_u: float
     l_s: float
-    alpha: float
-    beta: float
     j: float
-
-    def __post_init__(self) -> None:
-        expected = self.l_c + self.alpha * self.l_u + self.beta * self.l_s
-        if abs(self.j - expected) > 1e-12:
-            raise ContractError(
-                f"inconsistent breakdown: j={self.j!r} but "
-                f"l_c + alpha*l_u + beta*l_s = {expected!r}"
-            )
 
 
 def total_loss(l_c: float, l_u: float, l_s: float,
@@ -83,8 +73,7 @@ def total_loss(l_c: float, l_u: float, l_s: float,
             f"balance weights must be non-negative, got alpha={alpha}, beta={beta}"
         )
     j = float(l_c) + alpha * float(l_u) + beta * float(l_s)
-    return LossBreakdown(float(l_c), float(l_u), float(l_s),
-                         float(alpha), float(beta), j)
+    return LossBreakdown(float(l_c), float(l_u), float(l_s), j)
 
 
 @dataclass

@@ -7,7 +7,7 @@ with each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -73,7 +73,10 @@ def per_label_auc(scores: Matrix, y: Matrix) -> np.ndarray:
 
 def auc(scores: Matrix, y: Matrix) -> float:
     """Macro average of per-label rank AUC over labels with both classes."""
-    per = per_label_auc(scores, y)
+    return _macro_auc(per_label_auc(scores, y))
+
+
+def _macro_auc(per: np.ndarray) -> float:
     usable = per[~np.isnan(per)]
     if usable.size == 0:
         raise DegenerateBatchError(
@@ -90,24 +93,26 @@ class EvalReport:
     auc: float
     per_label: np.ndarray
     n_eval: int
-    seeds: list[int] = field(default_factory=lambda: [0])
 
     def __post_init__(self) -> None:
         self.per_label = np.asarray(self.per_label, dtype=np.float64)
-        if not self.seeds:
-            raise ContractError("a report needs at least one seed")
         for name, v in (("f1", self.f1), ("auc", self.auc)):
             if not 0.0 <= v <= 1.0:
                 raise ContractError(f"{name} must be in [0, 1], got {v}")
 
+    def fields(self) -> dict:
+        """The report as it is written into run records and eval files."""
+        return {"f1": self.f1, "auc": self.auc,
+                "per_label": list(self.per_label), "n_eval": self.n_eval}
+
 
 def evaluate(y_hat: Matrix, y: Matrix, *, threshold: float = 0.5,
-             multiclass: bool = False, seed: int = 0) -> EvalReport:
+             multiclass: bool = False) -> EvalReport:
     """Score one prediction matrix against its labels."""
+    per = per_label_auc(y_hat, y)
     return EvalReport(
         f1=f1_score(y_hat, y, threshold, multiclass=multiclass),
-        auc=auc(y_hat, y),
-        per_label=per_label_auc(y_hat, y),
+        auc=_macro_auc(per),
+        per_label=per,
         n_eval=as_matrix(y, "labels").shape[0],
-        seeds=[seed],
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, DegenerateBatchError, NumericError
+from .ioutil import csv_text
 from .losses import SimilarityConfig, _sup_groups
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng, unit_rows
@@ -54,21 +55,13 @@ def gaussian_mi(rho: float) -> float:
     return -0.5 * math.log1p(-rho * rho)
 
 
-def neg_size_term(labels: Matrix) -> float:
-    """(1/c) sum_a ln|N(a)| where N(a) = rows with label a negative."""
-    y = as_matrix(labels, "labels")
-    neg_counts = (y == 0.0).sum(axis=0)
-    if (neg_counts == 0).any():
-        bad = int(np.flatnonzero(neg_counts == 0)[0])
-        raise DegenerateBatchError(
-            f"label {bad} has no negative samples in this batch"
-        )
-    return float(np.log(neg_counts.astype(np.float64)).mean())
-
-
 @dataclass
 class BoundReport:
-    """One empirical bound evaluation against its reference MI."""
+    """One empirical bound evaluation against its reference MI.
+
+    ``size`` is |N|: the negative-set size of an unsupervised check, and the
+    stratum's N term as exp(mean ln|N(a)|), rounded, of a supervised one.
+    """
 
     size: int
     seed: int
@@ -88,14 +81,11 @@ class BoundReport:
 
 
 def reports_to_csv(reports: list[BoundReport], loss_name: str) -> str:
-    lines = [f"size,seed,stratum,{loss_name},bound,reference_mi,gap,satisfied"]
-    for r in reports:
-        stratum = "" if r.stratum is None else str(r.stratum)
-        lines.append(
-            f"{r.size},{r.seed},{stratum},{r.loss!r},{r.bound!r},"
-            f"{r.reference_mi!r},{r.gap!r},{str(r.satisfied).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["size", "seed", "stratum", loss_name, "bound", "reference_mi", "gap",
+         "satisfied"],
+        [(r.size, r.seed, r.stratum, r.loss, r.bound, r.reference_mi, r.gap,
+          r.satisfied) for r in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +358,11 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
             raise DegenerateBatchError(
                 "no label in the evaluation batch has two positives and a negative"
             )
-        neg_common = int(round(math.exp(neg_size_term(y_eval))))
         for stratum in sorted(strata):
             loss, n_term, reference = strata[stratum]
             bound = (-loss + n_term) / stratum
-            reports.append(BoundReport(size=neg_common, seed=seed, loss=loss,
+            reports.append(BoundReport(size=round(math.exp(n_term)),
+                                       seed=seed, loss=loss,
                                        bound=bound, reference_mi=reference,
                                        tolerance=train_spec.tolerance,
                                        stratum=stratum))

@@ -17,10 +17,9 @@ bit-identical to ``hcl-s``, and with alpha = beta = 0 to ``dnn``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,12 +35,12 @@ from .data import (
     synth_multiview,
 )
 from .errors import ConfigError, ContractError, DegenerateBatchError
+from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
     SimilarityConfig,
     cross_entropy,
-    supcon_loss,
     total_loss,
     unsup_loss_multiview,
     unsup_loss_single,
@@ -77,7 +76,16 @@ def dataset_checksum(ds: Dataset) -> str:
 
 
 def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:
-    """Resolve the mode against the dataset's actual view count."""
+    """Resolve the mode against the dataset's actual view count, after
+    checking that the method can train on the dataset's labels."""
+    # supcon-style trains through weighted_sup_loss, which is plain SupCon
+    # exactly when every row is one-hot or there is one label column
+    if cfg.method == "supcon-style" and ds.c > 1 \
+            and not np.all(ds.labels.sum(axis=1) == 1.0):
+        raise ConfigError(
+            "config field 'method': supcon-style needs single-label data "
+            "(one positive label per row); use hcl-s for multi-label data"
+        )
     if cfg.mode == "two-view":
         if ds.n_views == 2:
             if cfg.view1_aug != "none" or cfg.view2_aug != "none":
@@ -120,7 +128,7 @@ def _run_split(cfg: RunConfig, seed: int,
     return _prepare_views(ds, cfg, rng), rng
 
 
-def _score(cfg: RunConfig, seed: int, params, ds: Dataset) -> EvalReport:
+def _score(cfg: RunConfig, params, ds: Dataset) -> EvalReport:
     """Transductive evaluation of ``params`` on the unlabeled rows."""
     rows = ds.unlabeled_indices
     s, _ = encode(params, ds.views[0][rows], view=1)
@@ -129,7 +137,7 @@ def _score(cfg: RunConfig, seed: int, params, ds: Dataset) -> EvalReport:
         s = np.hstack([s, s2])
     y_hat, _ = classify(params, s)
     return evaluate(y_hat, ds.labels[rows], threshold=cfg.threshold,
-                    multiclass=cfg.multiclass, seed=seed)
+                    multiclass=cfg.multiclass)
 
 
 def run_training(cfg: RunConfig, seed: int,
@@ -174,14 +182,13 @@ def run_training(cfg: RunConfig, seed: int,
                     labeled=np.searchsorted(plan.anchors, plan.labeled),
                     neg_mask=plan.neg_mask, x_sim=x_sim_all,
                     weighted=cfg.method != "simclr-style",
-                    supcon=cfg.method == "supcon-style",
                 )
             except DegenerateBatchError as err:
                 raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
         mean = sums / iterations
         trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha, cfg.beta))
 
-    report = _score(cfg, seed, params, ds)
+    report = _score(cfg, params, ds)
     return TrainResult(params=params, trace=trace, report=report,
                        wall_seconds=time.perf_counter() - t0)
 
@@ -190,8 +197,8 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
                  weights: tuple[float, float, float], simcfg: SimilarityConfig,
                  *, labeled: np.ndarray | None = None,
                  neg_mask: np.ndarray | None = None,
-                 x_sim: np.ndarray | None = None, weighted: bool = True,
-                 supcon: bool = False) -> tuple[tuple[float, float, float], dict]:
+                 x_sim: np.ndarray | None = None, weighted: bool = True
+                 ) -> tuple[tuple[float, float, float], dict]:
     """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
     batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
     gradient of c*l_c + u*l_u + s*l_s, where (c, u, s) = ``weights``.
@@ -199,7 +206,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
     ``labeled``: positions in ``rows`` the classifier and l_s see (default
     all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
     row similarity side of the single-view l_u. ``weighted = False`` gives
-    plain InfoNCE for l_u; ``supcon`` swaps l_s for SupCon.
+    plain InfoNCE for l_u.
     """
     c, u, s = weights
     x1 = ds.views[0][rows]
@@ -229,8 +236,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
             back["d_z2"] = u * d_z2
         back["d_z1"] = u * d_z1
     if s > 0:
-        sup = supcon_loss if supcon else weighted_sup_loss
-        l_s, d_s = sup(s_lab, y_lab, simcfg)
+        l_s, d_s = weighted_sup_loss(s_lab, y_lab, simcfg)
         back["d_s"] = s * d_s
     return (l_c, l_u, l_s), back
 
@@ -251,7 +257,7 @@ def replay_eval(cfg: RunConfig, seed: int, params: ModelParams,
     """Re-derive the run's evaluation split and views from (config, seed)
     and score the given parameters on the unlabeled rows, without training."""
     ds, _ = _run_split(cfg, seed, base)
-    return _score(cfg, seed, params, ds)
+    return _score(cfg, params, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -270,37 +276,23 @@ class RunRecord:
     checksums: dict
 
     def to_json(self) -> str:
-        body = {
+        return json_text({
             "config": self.config,
             "seed": self.seed,
-            "trace": [
-                {"epoch": i, "l_c": b.l_c, "l_u": b.l_u, "l_s": b.l_s,
-                 "j": b.j}
-                for i, b in enumerate(self.trace)
-            ],
-            "report": {
-                "f1": self.report.f1,
-                "auc": self.report.auc,
-                "per_label": list(self.report.per_label),
-                "n_eval": self.report.n_eval,
-                "seeds": list(self.report.seeds),
-            },
+            "trace": [{"epoch": i, **asdict(b)}
+                      for i, b in enumerate(self.trace)],
+            "report": self.report.fields(),
             "wall_seconds": self.wall_seconds,
             "checksums": self.checksums,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        })
 
 
 def metrics_csv(records: list[RunRecord]) -> str:
-    """Per-seed metric rows; float fields use repr so equal runs produce
-    byte-identical files."""
+    """Per-seed metric rows, sorted by seed."""
     if not records:
         raise ContractError("need at least one run record")
-    lines = ["method,seed,f1,auc,n_eval"]
-    for r in sorted(records, key=lambda r: r.seed):
-        method = r.config.get("method", "?")
-        lines.append(
-            f"{method},{r.seed},{r.report.f1!r},{r.report.auc!r},"
-            f"{r.report.n_eval}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(["method", "seed", "f1", "auc", "n_eval"], [
+        (r.config.get("method", "?"), r.seed, r.report.f1, r.report.auc,
+         r.report.n_eval)
+        for r in sorted(records, key=lambda r: r.seed)
+    ])

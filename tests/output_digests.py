@@ -1,0 +1,107 @@
+"""Digest every CSV and JSON output of a fixed set of tiny ``hcl`` runs.
+
+    python tests/output_digests.py > digests.txt
+
+Runs ``hcl.cli.main`` from the ``src/`` next to this file, single-threaded,
+on fixed tiny configs: a two-view train followed by ``eval``, a single-view
+full-plan train, a noise sweep and both bound checks. Prints one
+``sha256  relative/path`` line per CSV and JSON output, sorted by path.
+
+Run records are digested after their ``out_dir`` is replaced by a fixed
+name and ``wall_seconds`` and the checkpoint checksum are dropped (the
+checkpoint embeds the config, so its bytes depend on the output
+directory); every other file is digested as written. Diffing the listings
+of two checkouts shows which outputs a change moved. This is a script, not
+a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # must precede the numpy import
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from hcl.cli import main  # noqa: E402
+
+TINY = {"n_samples": "60", "n_features": "8", "n_classes": "3",
+        "n_labeled": "15", "epochs": "3", "encoder_sizes": "8,6",
+        "base_lr": "0.5"}
+
+# case -> (subcommand, config pairs)
+CASES = {
+    "two-view": ("train", dict(TINY, synthetic="multiview", mode="two-view",
+                               seeds="0,1", batch_size="8", neg_size="4")),
+    "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",
+                                n_classes="4", method="hcl", seeds="3",
+                                batch_size="64", neg_size="full")),
+    "noise-sweep": ("noise-sweep", dict(
+        TINY, synthetic="cluster", seeds="0,1", batch_size="8", neg_size="4",
+        noise_levels="0,0.5",
+        methods="hcl,supcon-style,hcl-u@two-view,simclr-style@two-view")),
+    "bound-unsup": ("bound-check", {"synthetic": "cluster", "seeds": "0",
+                                    "bound_kind": "unsup",
+                                    "bound_sizes": "6,10",
+                                    "bound_epochs": "10"}),
+    "bound-sup": ("bound-check", {"synthetic": "cluster", "seeds": "0,1",
+                                  "bound_kind": "sup", "bound_epochs": "10"}),
+}
+
+
+def _run(root: str) -> None:
+    for case, (command, pairs) in CASES.items():
+        out = os.path.join(root, case)
+        cfg_path = os.path.join(root, f"{case}.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k} = {v}\n"
+                          for k, v in dict(pairs, out_dir=out).items())
+        argvs = [[command, "--config", cfg_path]]
+        if case == "two-view":
+            argvs += [["eval", "--checkpoint",
+                       os.path.join(out, f"run-hcl-seed{seed}.ckpt")]
+                      for seed in (0, 1)]
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"{case}: hcl {' '.join(argv)} exited {code}")
+
+
+def _digest(path: str, rel: str) -> str:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    name = os.path.basename(rel)
+    if name.startswith("run-") and name.endswith(".json"):
+        record = json.loads(blob)
+        record["config"]["out_dir"] = "<out>"
+        del record["wall_seconds"], record["checksums"]["checkpoint"]
+        blob = json.dumps(record, indent=2, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def main_digests() -> int:
+    with tempfile.TemporaryDirectory() as root:
+        _run(root)
+        listing = []
+        for dirpath, _, files in os.walk(root):
+            for name in files:
+                if name.endswith((".csv", ".json")):
+                    path = os.path.join(dirpath, name)
+                    rel = os.path.relpath(path, root)
+                    listing.append((rel, _digest(path, rel)))
+    for rel, digest in sorted(listing):
+        print(f"{digest}  {rel}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

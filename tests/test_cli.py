@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hcl.cli as cli_mod
+import hcl.train as train_mod
 from hcl.cli import (
     cmd_bound_check,
     cmd_eval,
@@ -107,6 +108,19 @@ def test_cmd_train_overrides_apply(tmp_path):
                         {"method": "dnn", "seeds": "4"})
     assert len(records) == 1 and records[0].seed == 4
     assert (tmp_path / "out" / "metrics-dnn.csv").is_file()
+
+
+def test_main_supcon_style_rejects_multi_label_data(tmp_path, monkeypatch,
+                                                    capsys):
+    pairs = small_pairs(tmp_path, synthetic="scene-like", n_classes=4,
+                        method="supcon-style")
+    assert (build_dataset(resolve_config(pairs)).labels.sum(axis=1) > 1).any()
+    steps = []
+    monkeypatch.setattr(train_mod, "train_step",
+                        lambda *args, **kwargs: steps.append(args))
+    assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 2
+    assert "config field 'method'" in capsys.readouterr().err
+    assert not steps
 
 
 def test_dataset_checksum_shared_across_seeds(tmp_path):

@@ -1,0 +1,30 @@
+"""The one formatter of output tables and JSON documents."""
+
+import numpy as np
+
+from hcl.ioutil import csv_text, json_text
+
+
+def test_csv_text_cell_bytes():
+    text = csv_text(["x", "flag", "empty", "n", "name"],
+                    [(np.float64(0.1), True, None, 3, "hcl-u@two-view"),
+                     (1.0, np.bool_(False), 2, np.int64(7), "")])
+    assert text == ("x,flag,empty,n,name\n"
+                    "0.1,true,,3,hcl-u@two-view\n"
+                    "1.0,false,2,7,\n")
+
+
+def test_csv_text_floats_round_trip():
+    values = [np.float64(1) / 3, float("nan"), 1e-300, np.float32(0.1)]
+    cells = csv_text(["v"], [(v,) for v in values]).splitlines()[1:]
+    assert cells == ["0.3333333333333333", "nan", "1e-300",
+                     "0.10000000149011612"]
+    assert float(cells[0]) == 1 / 3
+
+
+def test_json_text_sorted_indented_newline():
+    doc = {"b": [np.float64(0.25)], "a": {"y": 1, "x": None}}
+    assert json_text(doc) == (
+        '{\n  "a": {\n    "x": null,\n    "y": 1\n  },\n'
+        '  "b": [\n    0.25\n  ]\n}\n'
+    )

@@ -11,7 +11,6 @@ from hcl.errors import ContractError, DegenerateBatchError, ShapeError
 from hcl.losses import (
     ContrastiveBatch,
     _info_nce,
-    LossBreakdown,
     SimilarityConfig,
     cross_entropy,
     full_negatives,
@@ -502,6 +501,50 @@ def test_info_nce_invariants_sweep():
         assert np.abs(shift).max() <= 1e-12
 
 
+def test_public_losses_invariant_sweep():
+    # seeded random shapes, negative masks and temperatures through the
+    # four public contrastive losses
+    rng = make_rng(29)
+    for _ in range(120):
+        n = int(rng.integers(3, 11))
+        cfg = SimilarityConfig(10.0 ** rng.uniform(-2.0, 1.0))
+        single = single_view_batch(rng, n=n, project=bool(rng.integers(2)))
+        two = two_view_batch(rng, n=n)
+        results = [loss(batch, cfg, weighted=weighted)
+                   for loss, batch in ((unsup_loss_single, single),
+                                       (unsup_loss_multiview, two))
+                   for weighted in (True, False)]
+
+        # raw rows all parallel: every weight is 1, so weighting is a no-op
+        base = rng.normal(size=single.x1.shape[1])
+        scales = rng.uniform(0.1, 3.0, size=(2, n))
+        flat = dataclasses.replace(single, x1=np.outer(scales[0], base))
+        flat2 = dataclasses.replace(two, x1=np.outer(scales[0], base),
+                                    x2=np.outer(scales[1], base))
+        for loss, batch in ((unsup_loss_single, flat),
+                            (unsup_loss_multiview, flat2)):
+            w = loss(batch, cfg, weighted=True)[0]
+            assert w == pytest.approx(loss(batch, cfg, weighted=False)[0],
+                                      rel=1e-12, abs=1e-12)
+
+        c = int(rng.integers(2, 5))
+        s = rng.normal(size=(n, int(rng.integers(2, 6))))
+        ids = rng.integers(0, c, size=n)
+        ids[:3] = [0, 0, 1]  # label 0 has two positives and a negative
+        one_hot = np.eye(c)[ids]
+        v_w, g_w = weighted_sup_loss(s, one_hot, cfg)
+        v_s, g_s = supcon_loss(s, one_hot, cfg)
+        assert v_w == v_s and np.array_equal(g_w, g_s)
+        multi = (rng.random((n, c)) < 0.5).astype(float)
+        multi[:3, 0] = [1.0, 1.0, 0.0]
+        results += [(v_s, g_s), weighted_sup_loss(s, multi, cfg)]
+
+        for value, *grads in results:
+            assert value >= 0.0
+            for g in grads:
+                assert np.isfinite(g).all()
+
+
 # ------------------------------------------------------------- total loss
 
 
@@ -514,9 +557,3 @@ def test_total_loss_combination():
 def test_total_loss_rejects_negative_weights():
     with pytest.raises(ContractError):
         total_loss(1.0, 1.0, 1.0, alpha=-0.1, beta=0.0)
-
-
-def test_loss_breakdown_consistency_enforced():
-    with pytest.raises(ContractError):
-        LossBreakdown(l_c=1.0, l_u=0.0, l_s=0.0, alpha=0.0, beta=0.0, j=2.0)
-    LossBreakdown(l_c=1.0, l_u=0.5, l_s=0.0, alpha=1.0, beta=0.0, j=1.5)

@@ -145,8 +145,7 @@ def test_evaluate_single_report():
     y = rng.integers(0, 2, size=(20, 4)).astype(float)
     y[0] = 1.0 - y[1]  # every column has both classes
     scores = rng.uniform(size=(20, 4))
-    report = evaluate(scores, y, seed=3)
-    assert report.seeds == [3]
+    report = evaluate(scores, y)
     assert report.f1 == f1_score(scores, y)
     assert report.auc == auc(scores, y)
     assert np.array_equal(report.per_label, per_label_auc(scores, y))
@@ -156,5 +155,3 @@ def test_evaluate_single_report():
 def test_report_validation():
     with pytest.raises(ContractError):
         EvalReport(f1=1.2, auc=0.5, per_label=np.array([0.5]), n_eval=3)
-    with pytest.raises(ContractError):
-        EvalReport(f1=0.5, auc=0.5, per_label=np.array([0.5]), n_eval=3, seeds=[])

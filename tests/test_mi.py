@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hcl.errors import ContractError, DegenerateBatchError, NumericError
+from hcl.errors import ContractError, NumericError
 from hcl.mi import (
     BoundReport,
     BoundTrainSpec,
@@ -18,7 +18,6 @@ from hcl.mi import (
     gaussian_mi,
     make_gaussian_pair,
     make_ring_dataset,
-    neg_size_term,
     quantize_to_prototypes,
     reports_to_csv,
 )
@@ -124,31 +123,6 @@ def test_quantized_gaussian_table_validation():
         quantized_gaussian_table(0.5, bins=8)
     with pytest.raises(ContractError, match="rho"):
         quantized_gaussian_table(1.0)
-
-
-# ---------------------------------------------------------------------------
-# Negative-set size term
-
-
-def test_neg_size_term_uniform_counts():
-    y = np.zeros((10, 2))
-    y[:2, 0] = 1.0
-    y[2:4, 1] = 1.0
-    assert abs(neg_size_term(y) - math.log(8)) < 1e-15
-
-
-def test_neg_size_term_mixed_counts():
-    y = np.zeros((6, 2))
-    y[:2, 0] = 1.0
-    y[2:3, 1] = 1.0
-    expect = 0.5 * (math.log(4) + math.log(5))
-    assert abs(neg_size_term(y) - expect) < 1e-15
-
-
-def test_neg_size_term_degenerate():
-    y = np.ones((4, 1))
-    with pytest.raises(DegenerateBatchError, match="label 0"):
-        neg_size_term(y)
 
 
 # ---------------------------------------------------------------------------

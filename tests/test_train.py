@@ -305,6 +305,7 @@ def test_run_record_json_round_trip():
     assert len(body["trace"]) == 4
     assert body["trace"][0]["epoch"] == 0
     assert set(body["trace"][0]) == {"epoch", "l_c", "l_u", "l_s", "j"}
+    assert set(body["report"]) == {"f1", "auc", "per_label", "n_eval"}
     assert body["report"]["f1"] == rec.report.f1
     assert body["checksums"] == {"dataset": "dddddddd"}
     assert body["config"]["seeds"] == "0"
