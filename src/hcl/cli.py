@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,10 +30,11 @@ from .mi import (
     reports_to_csv,
 )
 from .model import load_checkpoint, save_checkpoint
-from .numeric import make_rng
+from .numeric import make_rng, pin_blas_threads
 from .train import (
     RunRecord,
     build_dataset,
+    check_dataset,
     dataset_checksum,
     metrics_csv,
     replay_eval,
@@ -71,6 +73,7 @@ def cmd_train(pairs: dict[str, str],
         record = RunRecord(
             config=snapshot, seed=seed, trace=result.trace,
             report=result.report, wall_seconds=result.wall_seconds,
+            blas_threads=pin_blas_threads(),
             checksums={"checkpoint": sha256_file(ckpt_path),
                        "dataset": data_sha},
         )
@@ -169,6 +172,13 @@ def cmd_bound_check(pairs: dict[str, str],
 # noise-sweep
 
 
+def _entry_dataset(base: Dataset, variant: RunConfig, view1, view2) -> Dataset:
+    """What a sweep entry trains on: a level's first corruption alone for a
+    single-view entry, both corruptions for a two-view one."""
+    views = [view1] if variant.mode == "single-view" else [view1, view2]
+    return replace(base, views=views)
+
+
 def _noise_cells(cfg: RunConfig, base: Dataset,
                  variants: list[tuple[str, RunConfig]]):
     """Each sweep cell in order: (level, method entry, seed, the entry's
@@ -182,10 +192,7 @@ def _noise_cells(cfg: RunConfig, base: Dataset,
         noisy1 = inject_noise(base.views[0], level, noise_rng)
         noisy2 = inject_noise(base.views[0], level, noise_rng)
         for entry, variant in variants:
-            views = [noisy1] if variant.mode == "single-view" else [noisy1, noisy2]
-            noisy = Dataset(views=views, labels=base.labels,
-                            labeled_mask=base.labeled_mask,
-                            name=base.name, meta=base.meta)
+            noisy = _entry_dataset(base, variant, noisy1, noisy2)
             for seed in cfg.seeds:
                 yield level, entry, seed, variant, noisy
 
@@ -203,14 +210,21 @@ def cmd_noise_sweep(pairs: dict[str, str],
     merged = dict(pairs)
     if overrides:
         merged.update(overrides)
-    # every entry's config is resolved before the first cell trains, so a
-    # rejected entry costs no finished cells
+    # every entry's config is resolved and checked against the labels and
+    # views its cells train on before the first cell trains, so a rejected
+    # entry costs no finished cells
     variants = []
     for entry in cfg.methods:
         method, _, mode = entry.partition("@")
-        variants.append((entry, resolve_config(merged, {
+        variant = resolve_config(merged, {
             "methods": method, "method": method, "mode": mode or cfg.mode,
-        })))
+        })
+        try:
+            clean = base.views[0]
+            check_dataset(_entry_dataset(base, variant, clean, clean), variant)
+        except ConfigError as err:
+            raise ConfigError(f"method entry {entry}: {err}") from err
+        variants.append((entry, variant))
     rows = []
     reports: dict[tuple[float, str], list[EvalReport]] = {}
     failure = None
@@ -385,6 +399,7 @@ def _overrides(args) -> dict[str, str]:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    pin_blas_threads()
     try:
         if args.command == "eval":
             cmd_eval(args.checkpoint, data=args.data, out_dir=args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class Dataset:
     views: list[Matrix]
     labels: Matrix
     labeled_mask: np.ndarray
-    name: str = "dataset"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -142,8 +141,8 @@ def _read_matrix(path: str, header: bool) -> tuple[Matrix, list[int]]:
     return np.array(rows, dtype=np.float64), lines
 
 
-def load_csv(feature_paths, labels_path: str, *, header: bool = False,
-             name: str | None = None) -> Dataset:
+def load_csv(feature_paths, labels_path: str, *,
+             header: bool = False) -> Dataset:
     """Load one or two view CSVs plus a 0/1 labels CSV into a Dataset."""
     if isinstance(feature_paths, (str, os.PathLike)):
         feature_paths = [feature_paths]
@@ -174,16 +173,16 @@ def load_csv(feature_paths, labels_path: str, *, header: bool = False,
             f"label value {labels[i, j]:g} is not 0 or 1"
         )
     return Dataset(views=views, labels=labels,
-                   labeled_mask=np.ones(n0, dtype=bool),
-                   name=name or os.path.splitext(os.path.basename(labels_path))[0])
+                   labeled_mask=np.ones(n0, dtype=bool))
 
 
 def load_manifest(path: str) -> Dataset:
     """Load a dataset named by a key-value manifest.
 
     Keys: ``view1`` (required), ``view2`` (optional), ``labels`` (required),
-    ``c`` (required, validated against the labels file), ``name`` and
-    ``header`` (optional). Relative paths resolve against the manifest.
+    ``c`` (required, validated against the labels file) and ``header``
+    (optional). A ``name`` key is accepted and ignored, so older manifests
+    still load. Relative paths resolve against the manifest.
     """
     with open(path, "r", encoding="utf-8") as fh:
         kv = parse_kv_text(fh.read(), source=path)
@@ -205,8 +204,7 @@ def load_manifest(path: str) -> Dataset:
     feature_paths = [resolve(kv["view1"])]
     if "view2" in kv:
         feature_paths.append(resolve(kv["view2"]))
-    ds = load_csv(feature_paths, resolve(kv["labels"]), header=header == "true",
-                  name=kv.get("name"))
+    ds = load_csv(feature_paths, resolve(kv["labels"]), header=header == "true")
     try:
         c = int(kv["c"])
     except ValueError:
@@ -336,7 +334,7 @@ def synth_multiview(n: int, d1: int, d2: int, c: int, noise_sd: float,
     meta = {"latent": latent, "view_maps": [map1, map2], "label_dirs": dirs,
             "label_thresholds": thresholds, "noise_sd": float(noise_sd)}
     return Dataset(views=[x1, x2], labels=labels,
-                   labeled_mask=np.ones(n, dtype=bool), name="synth", meta=meta)
+                   labeled_mask=np.ones(n, dtype=bool), meta=meta)
 
 
 def make_cluster_dataset(n: int, d: int, c: int, rng: Rng) -> Dataset:
@@ -357,7 +355,7 @@ def make_cluster_dataset(n: int, d: int, c: int, rng: Rng) -> Dataset:
     labels = np.zeros((n, c))
     labels[np.arange(n), ids] = 1.0
     return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
-                   name="clusters", meta={"centers": centers, "ids": ids})
+                   meta={"centers": centers, "ids": ids})
 
 
 def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
@@ -394,7 +392,7 @@ def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
     meta = {"latent": latent, "centers": centers, "ids": ids,
             "feature_map": feature_map, "patterns": patterns}
     return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
-                   name="scene-like", meta=meta)
+                   meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +400,12 @@ def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
 
 
 def take_rows(ds: Dataset, rows) -> Dataset:
-    """Row-indexed copy of a dataset. Keeps its name, and meta by reference."""
+    """Row-indexed copy of a dataset. Keeps meta by reference."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0:
         raise ContractError("rows must be a non-empty 1-D index array")
-    return Dataset(views=[v[rows] for v in ds.views], labels=ds.labels[rows],
-                   labeled_mask=ds.labeled_mask[rows],
-                   name=ds.name, meta=ds.meta)
+    return replace(ds, views=[v[rows] for v in ds.views],
+                   labels=ds.labels[rows], labeled_mask=ds.labeled_mask[rows])
 
 
 def split(ds: Dataset, n_labeled: int, rng: Rng) -> Dataset:
@@ -419,8 +416,7 @@ def split(ds: Dataset, n_labeled: int, rng: Rng) -> Dataset:
         )
     mask = np.zeros(ds.n, dtype=bool)
     mask[rng.choice(ds.n, size=n_labeled, replace=False)] = True
-    return Dataset(views=list(ds.views), labels=ds.labels, labeled_mask=mask,
-                   name=ds.name, meta=ds.meta)
+    return replace(ds, views=list(ds.views), labeled_mask=mask)
 
 
 def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:

@@ -9,11 +9,15 @@ respect to the embedding arguments (or predicted probabilities for
 with f the exponentiated cosine kernel. ``_info_nce`` is the single place
 this form is computed: it takes positive and negative logits
 ``cos/tau + log(weight)`` and returns the terms with their gradients in the
-logits, from one in-place exp pass. The losses build logits (-inf outside
-the negative set), call it, and chain its gradients back to the embeddings.
-The gradient of cosine(u, v) in u is (v_hat - cos * u_hat)/|u|, applied
-row-wise through the unit-normalization of each embedding matrix; 1/tau
-scales that thin gradient.
+logits, from one in-place exp pass. The negatives' gradient comes back
+unnormalised, as that exp block and a per-row scale. The losses build
+logits (-inf outside the negative set), call it, and chain its gradients
+back to the embeddings. Two folds each spare the n x n block one pass:
+1/tau scales the thin operand of the cosine product (``_scaled_cos``), and
+the per-row scale multiplies the thin operand of each backward product. The gradient of cosine(u, v) in u
+is (v_hat - cos * u_hat)/|u|, applied row-wise through the
+unit-normalization of each embedding matrix; 1/tau scales that thin
+gradient.
 
 This module is the one definition of every contrastive weight, each kept
 as the log-weight that gets added to the logits:
@@ -168,6 +172,16 @@ def _symmetric_backward(d_logits: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     return _unnormalize_rows(d_logits @ unit + d_logits.T @ unit, raw, unit)
 
 
+def _scaled_cos(uh: Matrix, vh: Matrix, tau: float) -> Matrix:
+    """cos(u_i, v_k) / tau for unit rows: 1/tau is folded into the thin
+    operand before the product and the clip is at +-1/tau, so the n x n
+    block is written once (bit-equal to clip(cos)/tau when 1/tau is a
+    power of two)."""
+    inv = 1.0 / tau
+    out = (uh * inv) @ vh.T
+    return np.clip(out, -inv, inv, out=out)
+
+
 def _log_weight(xa: Matrix, xb: Matrix) -> Matrix:
     """log of the raw-feature negative weight: 1 - cos(xa_i, xb_k)."""
     lw = unit_rows(xa) @ unit_rows(xb).T
@@ -175,7 +189,7 @@ def _log_weight(xa: Matrix, xb: Matrix) -> Matrix:
     return np.subtract(1.0, lw, out=lw)
 
 
-def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients in the logits.
 
     Row i scores each of its positive logits ``pos[i, j]`` against the
@@ -184,18 +198,22 @@ def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         terms[i, j] = log(exp(pos[i, j]) + sum_k exp(neg[i, k])) - pos[i, j]
 
     Weights arrive as log-weights already added to the logits. Returns
-    ``(terms, d_pos, d_neg)``, the gradients being those of ``terms.sum()``.
-    ``neg`` is shifted by its row max and exponentiated once, in place
-    (``row_logsumexp``), then scaled per row into ``d_neg``: the single-exp
-    softmax of Milakov & Gimelshein 2018. No temperature overflows.
+    ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are ``d_pos``
+    in ``pos`` and ``c * e`` in ``neg``, where ``e`` is ``neg`` itself,
+    shifted by its row max and exponentiated once, in place
+    (``row_logsumexp``), and ``c`` an (n, 1) column of per-row scales: the
+    single-exp softmax of Milakov & Gimelshein 2018 with the normalisation
+    deferred, as in FlashAttention. The caller folds ``c`` into the thin
+    operand of its backward product, so the n x n block is never scaled.
+    Dropped negatives are exact zeros of ``e``. No temperature overflows.
     """
     lse_neg, rowsum = row_logsumexp(neg)
     t = np.logaddexp(pos, lse_neg)
     d_pos = np.exp(pos - t) - 1.0
     # d_neg[i, k] = sum_j exp(neg[i, k] - t[i, j])
-    #             = e[i, k] / rowsum[i] * sum_j exp(lse_neg[i] - t[i, j]), e = neg now
-    neg *= np.sum(np.exp(lse_neg - t), axis=1, keepdims=True) / rowsum
-    return t - pos, d_pos, neg
+    #             = e[i, k] / rowsum[i] * sum_j exp(lse_neg[i] - t[i, j])
+    c = np.sum(np.exp(lse_neg - t), axis=1, keepdims=True) / rowsum
+    return t - pos, d_pos, neg, c
 
 
 def unsup_loss_single(batch: ContrastiveBatch,
@@ -223,17 +241,16 @@ def unsup_loss_single(batch: ContrastiveBatch,
         raise ContractError("weighted loss needs raw features x1")
     tau, n = cfg.temperature, batch.n
     xh, zh = unit_rows(xs), unit_rows(z)
-    logits = xh @ zh.T
-    np.clip(logits, -1.0, 1.0, out=logits)
-    logits /= tau
+    logits = _scaled_cos(xh, zh, tau)
     pos = logits.diagonal().copy()[:, None]
     if weighted:
         logits += _log_weight(batch.x1, batch.x1)
     logits[~batch.neg_mask] = _NEG_INF
 
-    terms, d_pos, d_cos = _info_nce(pos, logits)
-    np.fill_diagonal(d_cos, d_pos)
-    return float(np.mean(terms)), _unnormalize_rows(d_cos.T @ xh / (n * tau), z, zh)
+    terms, d_pos, e, c = _info_nce(pos, logits)
+    # d_logits = c * e with d_pos on the diagonal, where e is 0 (masked)
+    d_zh = e.T @ (c * xh) + d_pos * xh
+    return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
 
 
 def unsup_loss_multiview(batch: ContrastiveBatch,
@@ -257,9 +274,7 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
     # row r's positive is its other-view partner (r + n) mod 2n.
     z = np.vstack([batch.z1, batch.z2])
     zh = unit_rows(z)
-    logits = gram(zh)
-    np.clip(logits, -1.0, 1.0, out=logits)
-    logits /= tau
+    logits = _scaled_cos(zh, zh, tau)
     rows = np.arange(2 * n)
     partner = (rows + n) % (2 * n)
     pos = logits[rows, partner][:, None]
@@ -278,9 +293,13 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
             blocks[1] += _log_weight(x2, x2)[:, None, :]
     logits[~np.tile(batch.neg_mask, (2, 2))] = _NEG_INF
 
-    terms, d_pos, d_logits = _info_nce(pos, logits)
-    d_logits[rows, partner] = d_pos[:, 0]
-    d_z = _symmetric_backward(d_logits, z, zh) * (1.0 / (2 * n * tau))
+    terms, d_pos, e, c = _info_nce(pos, logits)
+    # d_logits = c * e with d_pos written at the partner entries, where e is
+    # 0 (masked). Those entries add d_pos[r] * zh[partner[r]] to row r of
+    # d_logits @ zh and, partner being an involution, d_pos[partner[r]] *
+    # zh[partner[r]] to row r of d_logits.T @ zh.
+    d_zh = c * (e @ zh) + e.T @ (c * zh) + (d_pos + d_pos[partner]) * zh[partner]
+    d_z = _unnormalize_rows(d_zh, z, zh) * (1.0 / (2 * n * tau))
     return float(np.mean(terms)), d_z[:n], d_z[n:]
 
 
@@ -342,7 +361,9 @@ def _sup_groups(sh: Matrix, y: Matrix, tau: float, indicator: bool) -> list:
         if not indicator:
             pos_logits += log_sigma[pair]
             neg_logits += log_gamma[cross]
-        out.append((pos, partners, neg, *_info_nce(pos_logits, neg_logits)))
+        terms, d_pos, e, c = _info_nce(pos_logits, neg_logits)
+        e *= c
+        out.append((pos, partners, neg, terms, d_pos, e))
     return out
 
 

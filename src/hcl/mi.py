@@ -144,8 +144,7 @@ def make_gaussian_pair(spec: GaussianPairSpec, n: int, rng: Rng) -> Dataset:
                               (u[:, 0] <= 0).astype(np.float64)])
     meta = {"latent": u, "view_maps": [v1, v2], "spec": spec}
     return Dataset(views=[x1, x2], labels=labels,
-                   labeled_mask=np.ones(n, dtype=bool), name="gaussian-pair",
-                   meta=meta)
+                   labeled_mask=np.ones(n, dtype=bool), meta=meta)
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def make_ring_dataset(spec: RingProtoSpec, n: int, rng: Rng) -> Dataset:
     labels[np.arange(n), (ids + 1) % spec.c] = 1.0
     meta = {"prototypes": protos, "ids": ids, "spec": spec}
     return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
-                   name="ring", meta=meta)
+                   meta=meta)
 
 
 def quantize_to_prototypes(x: Matrix, prototypes: Matrix) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Dense float64 array helpers: coercion, row normalization, logsumexp, gram.
+"""Dense float64 array helpers: coercion, row normalization, logsumexp, gram,
+and the one-thread pin of numpy's BLAS.
 
 Every array crossing a public boundary in this package is a 2-D C-ordered
 float64 ``numpy.ndarray`` (aliased ``Matrix`` below); randomness always flows
@@ -7,6 +8,9 @@ the same stream for the same seed on every platform.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -56,3 +60,49 @@ def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:
 def gram(m: Matrix) -> Matrix:
     """``m @ m.T`` by ``gemm`` on a copy, not by numpy's slower ``syrk``."""
     return m @ np.ascontiguousarray(m.T)
+
+
+# (setter, getter) exported by numpy's OpenBLAS: the scipy-openblas wheel's
+# ILP64 build first, then plain OpenBLAS builds. Scipy's own LP64 copy
+# exports none of these, and nothing here calls BLAS through scipy.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def pin_blas_threads() -> int | None:
+    """Run numpy's OpenBLAS on one thread, once per process.
+
+    A second thread doubles the CPU time of the n x n products and makes
+    their last bits, and so a run's checkpoint, depend on the thread count.
+    The library is found among the process's mapped files; the setter is
+    called through ``ctypes``. Returns the thread count in effect after the
+    pin, or None (and changes nothing) when no loaded OpenBLAS exports a
+    setter.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is None or getter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter(1)
+            return int(getter())
+    return None

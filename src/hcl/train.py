@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,9 +75,9 @@ def dataset_checksum(ds: Dataset) -> str:
     return h.hexdigest()
 
 
-def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:
-    """Resolve the mode against the dataset's actual view count, after
-    checking that the method can train on the dataset's labels."""
+def check_dataset(ds: Dataset, cfg: RunConfig) -> None:
+    """Raise ConfigError when the config's method or augmentations cannot
+    train on the labels and view count of ``ds``."""
     # supcon-style trains through weighted_sup_loss, which is plain SupCon
     # exactly when every row is one-hot or there is one label column
     if cfg.method == "supcon-style" and ds.c > 1 \
@@ -86,21 +86,26 @@ def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:
             "config field 'method': supcon-style needs single-label data "
             "(one positive label per row); use hcl-s for multi-label data"
         )
+    if cfg.mode == "two-view" and ds.n_views == 2 \
+            and (cfg.view1_aug != "none" or cfg.view2_aug != "none"):
+        raise ConfigError(
+            "config field 'view1_aug': augmentations apply only when the "
+            "dataset has a single view"
+        )
+
+
+def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:
+    """Resolve the mode against the dataset's actual view count, after
+    ``check_dataset``."""
+    check_dataset(ds, cfg)
     if cfg.mode == "two-view":
         if ds.n_views == 2:
-            if cfg.view1_aug != "none" or cfg.view2_aug != "none":
-                raise ConfigError(
-                    "config field 'view1_aug': augmentations apply only "
-                    "when the dataset has a single view"
-                )
             return ds
         x1, x2 = make_views(ds.views[0], cfg.view1_aug, cfg.view2_aug, rng)
-        return Dataset(views=[x1, x2], labels=ds.labels,
-                       labeled_mask=ds.labeled_mask, name=ds.name, meta=ds.meta)
+        return replace(ds, views=[x1, x2])
     if ds.n_views == 2:
         # single-view protocol on two-view data: the first view stands alone
-        return Dataset(views=[ds.views[0]], labels=ds.labels,
-                       labeled_mask=ds.labeled_mask, name=ds.name, meta=ds.meta)
+        return replace(ds, views=[ds.views[0]])
     return ds
 
 
@@ -273,6 +278,7 @@ class RunRecord:
     trace: list[LossBreakdown]
     report: EvalReport
     wall_seconds: float
+    blas_threads: int | None  # numpy's BLAS threads, None if not settable
     checksums: dict
 
     def to_json(self) -> str:
@@ -283,6 +289,7 @@ class RunRecord:
                       for i, b in enumerate(self.trace)],
             "report": self.report.fields(),
             "wall_seconds": self.wall_seconds,
+            "blas_threads": self.blas_threads,
             "checksums": self.checksums,
         })
 

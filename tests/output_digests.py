@@ -2,7 +2,8 @@
 
     python tests/output_digests.py > digests.txt
 
-Runs ``hcl.cli.main`` from the ``src/`` next to this file, single-threaded,
+Runs ``hcl.cli.main`` from the ``src/`` next to this file (which runs
+numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
 on fixed tiny configs: a two-view train followed by ``eval``, a single-view
 full-plan train, a noise sweep and both bound checks. Prints one
 ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
@@ -17,16 +18,13 @@ a test module: pytest does not collect it.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import os
-
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # must precede the numpy import
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
+import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))

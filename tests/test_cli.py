@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hcl.cli import (
 from hcl.config import resolve_config
 from hcl.errors import ConfigError, ContractError, NumericError
 from hcl.model import init_params, save_checkpoint
-from hcl.numeric import make_rng
+from hcl.numeric import make_rng, pin_blas_threads
 from hcl.train import build_dataset
 
 from builders import save_csv, save_manifest
@@ -62,6 +64,7 @@ def test_cmd_train_writes_artifacts(tmp_path):
         assert len(body["trace"]) == 3
         assert set(body["checksums"]) == {"checkpoint", "dataset"}
         assert body["config"]["seeds"] == str(seed)
+        assert body["blas_threads"] == pin_blas_threads()
     csv_text = (out / "metrics-hcl.csv").read_text()
     assert csv_text.startswith("method,seed,f1,auc,n_eval\n")
     assert csv_text.count("\n") == 3
@@ -101,6 +104,44 @@ def test_cmd_train_keeps_finished_seeds_when_a_seed_fails(
     assert not (tmp_path / "out" / "run-hcl-seed2.json").exists()
     assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 2
     assert f"error: seed {failing} failed" in capsys.readouterr().err
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # hcl pins numpy's BLAS to one thread itself, so a run's record and
+    # checkpoint are the same bytes whatever OPENBLAS_NUM_THREADS says.
+    # The scene config's 2n = 1026 products are large enough for OpenBLAS
+    # to split across two threads, which moves their last bits.
+    pairs = {
+        "synthetic": "scene-like", "n_samples": "2407", "n_features": "20",
+        "n_classes": "6", "n_labeled": "120", "epochs": "10", "alpha": "0.2",
+        "beta": "0.01", "base_lr": "1.0", "batch_size": "128",
+        "neg_size": "512", "encoder_sizes": "32,16", "mode": "two-view",
+        "view1_aug": "mask:0.25", "view2_aug": "mask:0.25", "seeds": "7",
+    }
+    blobs = []
+    for threads in ("1", "2"):
+        # the checkpoint embeds out_dir: the same relative --out in each
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        cfg = write_cfg(work, pairs)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hcl.cli", "train", "--config", cfg,
+             "--out", "out"], cwd=work, env=env, capture_output=True,
+            text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads((work / "out" / "run-hcl-seed7.json").read_text())
+        del record["wall_seconds"]
+        blobs.append((record,
+                      (work / "out" / "run-hcl-seed7.ckpt").read_bytes()))
+    assert blobs[0][0] == blobs[1][0]
+    assert blobs[0][1] == blobs[1][1]
 
 
 def test_cmd_train_overrides_apply(tmp_path):
@@ -277,6 +318,28 @@ def test_cmd_noise_sweep_rejects_two_view_base(tmp_path):
     pairs = small_pairs(tmp_path, sub="n2", synthetic="multiview")
     with pytest.raises(ConfigError, match="single-view dataset"):
         cmd_noise_sweep(pairs)
+
+
+@pytest.mark.parametrize("over,field", [
+    ({"methods": "hcl,supcon-style", "synthetic": "scene-like"}, "method"),
+    ({"methods": "hcl-u@two-view", "mode": "two-view",
+      "view1_aug": "mask:0.25"}, "view1_aug"),
+])
+def test_main_noise_sweep_rejects_last_entry_before_any_cell(
+        tmp_path, monkeypatch, capsys, over, field):
+    # supcon-style cannot take multi-label rows, and a two-view entry cannot
+    # take augmentations (its views are the two corruptions): both are
+    # known before the first cell trains
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_training",
+                        lambda *args: calls.append(args))
+    pairs = small_pairs(tmp_path, sub="n5", noise_levels="0,1", **over)
+    assert main(["noise-sweep", "--config", write_cfg(tmp_path, pairs)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err
+    assert f"method entry {over['methods'].split(',')[-1]}:" in err
+    assert calls == []
+    assert not (tmp_path / "n5" / "noise_sweep.csv").exists()
 
 
 def test_cmd_noise_sweep_deterministic(tmp_path):

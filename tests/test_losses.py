@@ -489,7 +489,8 @@ def test_info_nce_invariants_sweep():
         dropped = rng.random((rows, n_neg)) < 0.4
         dropped[np.arange(rows), rng.integers(0, n_neg, rows)] = False
         neg[dropped] = -np.inf
-        terms, d_pos, d_neg = _info_nce(pos, neg)
+        terms, d_pos, e, c = _info_nce(pos, neg)
+        d_neg = c * e
         for a in (terms, d_pos, d_neg):
             assert np.isfinite(a).all()
         assert (terms >= 0.0).all()
@@ -499,6 +500,73 @@ def test_info_nce_invariants_sweep():
         # it is, so the row's gradients sum to zero
         shift = d_pos.sum(axis=1) + d_neg.sum(axis=1)
         assert np.abs(shift).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["diagonal", "partner"])
+def test_info_nce_scaled_block_equals_dense_logit_gradient(layout):
+    # The kernels take d_logits as c * e with each row's positive written
+    # in where e is 0 (masked): the diagonal for the single-view loss, the
+    # other-view partner for the two-view one. That must equal the dense
+    # gradient of the summed terms in the full logit matrix, softmax(row)
+    # minus the positive's indicator.
+    rng = make_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        rows = 2 * n if layout == "partner" else n
+        r = np.arange(rows)
+        positive = (r + n) % rows if layout == "partner" else r
+        logits = rng.uniform(-4.0, 4.0, (rows, rows))
+        masked = rng.random((rows, rows)) < 0.3
+        # at least one negative per row, never the positive
+        masked[r, (positive + 1 + rng.integers(0, rows - 1, rows)) % rows] \
+            = False
+        masked[r, positive] = True
+        full = np.where(masked, -np.inf, logits)
+        full[r, positive] = logits[r, positive]
+        soft = np.exp(full - full.max(axis=1, keepdims=True))
+        dense = soft / soft.sum(axis=1, keepdims=True)
+        dense[r, positive] -= 1.0
+
+        neg = np.where(masked, -np.inf, logits)
+        _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg)
+        assert not e[r, positive].any()
+        d_logits = c * e
+        d_logits[r, positive] = d_pos[:, 0]
+        np.testing.assert_allclose(d_logits, dense, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.7, 2.0])
+def test_folded_kernels_gradient(tau):
+    # 1/tau folded into the thin operand and c into the backward product;
+    # at a tau that is not a power of two the fold moves bits, so check
+    # both unsupervised losses against finite differences there, on a
+    # sampled and on a full negative mask
+    rng = make_rng(37)
+    cfg = SimilarityConfig(tau)
+    for weighted in (True, False):
+        single = single_view_batch(rng, n=6, project=True)
+        two = two_view_batch(rng, n=5)
+        for b in (single, with_full_mask(single)):
+            _, grad = unsup_loss_single(b, cfg, weighted=weighted)
+
+            def fn(z, b=b):
+                nb = dataclasses.replace(b, z1=z)
+                return unsup_loss_single(nb, cfg, weighted=weighted)[0]
+
+            assert rel_error(grad, finite_diff_grad(fn, b.z1)) < GRAD_TOL
+        for b in (two, with_full_mask(two)):
+            _, g1, g2 = unsup_loss_multiview(b, cfg, weighted=weighted)
+
+            def fn1(z, b=b):
+                nb = dataclasses.replace(b, z1=z)
+                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
+
+            def fn2(z, b=b):
+                nb = dataclasses.replace(b, z2=z)
+                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
+
+            assert rel_error(g1, finite_diff_grad(fn1, b.z1)) < GRAD_TOL
+            assert rel_error(g2, finite_diff_grad(fn2, b.z2)) < GRAD_TOL
 
 
 def test_public_losses_invariant_sweep():

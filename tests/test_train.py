@@ -60,11 +60,10 @@ def trace_rows(result):
 
 
 def test_build_dataset_families():
-    for family, name in (("cluster", "clusters"), ("scene-like", "scene-like"),
-                         ("multiview", "synth")):
+    for family in ("cluster", "scene-like", "multiview"):
         cfg = small_cfg(synthetic=family, n_samples=64, n_features=10)
         ds = build_dataset(cfg)
-        assert ds.name == name and ds.n == 64
+        assert ds.n == 64
         assert ds.n_views == (2 if family == "multiview" else 1)
 
 
@@ -295,7 +294,7 @@ def make_record(seed, method="hcl"):
     snap["seeds"] = str(seed)
     return RunRecord(config=snap, seed=seed, trace=result.trace,
                      report=result.report, wall_seconds=result.wall_seconds,
-                     checksums={"dataset": "d" * 8})
+                     blas_threads=1, checksums={"dataset": "d" * 8})
 
 
 def test_run_record_json_round_trip():
@@ -308,6 +307,7 @@ def test_run_record_json_round_trip():
     assert set(body["report"]) == {"f1", "auc", "per_label", "n_eval"}
     assert body["report"]["f1"] == rec.report.f1
     assert body["checksums"] == {"dataset": "dddddddd"}
+    assert body["blas_threads"] == 1
     assert body["config"]["seeds"] == "0"
 
 
