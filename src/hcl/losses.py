@@ -12,19 +12,27 @@ this form is computed: it takes positive and negative logits
 logits, from one in-place exp pass. The negatives' gradient comes back
 unnormalised, as that exp block and a per-row scale. The losses build
 logits (-inf outside the negative set), call it, and chain its gradients
-back to the embeddings. Two folds each spare the n x n block one pass:
-1/tau scales the thin operand of the cosine product (``_scaled_cos``), and
-the per-row scale multiplies the thin operand of each backward product. The gradient of cosine(u, v) in u
-is (v_hat - cos * u_hat)/|u|, applied row-wise through the
-unit-normalization of each embedding matrix; 1/tau scales that thin
-gradient.
+back to the embeddings. Three folds each spare the n x n block a pass,
+by moving work onto the thin operands of a product:
+
+* 1/tau scales the thin left operand of the cosine product;
+* the raw-feature log-weight 1 - cos(x_i, x_k) rides in the same product,
+  as extra columns ``[-x_hat | 1]`` and ``[x_hat | 1]`` of the two operands
+  (``_logit_block``), so each logit block is written by one gemm;
+* the per-row scale multiplies the thin operand of each backward product.
+
+The gradient of cosine(u, v) in u is (v_hat - cos * u_hat)/|u|, applied
+row-wise through the unit-normalization of each embedding matrix; 1/tau
+scales that thin gradient. The weights are constant in the embeddings, so
+they leave the backward as it is.
 
 This module is the one definition of every contrastive weight, each kept
 as the log-weight that gets added to the logits:
 
 * unweighted variants use weight 1 (the usual InfoNCE denominator);
 * weighted variants use ``exp(1 - cos)`` on *raw input* features, in
-  [1, e^2] (``_log_weight``);
+  [1, e^2] (``_log_weight``); the kernels take the same weight from the
+  fused product, so there it holds up to the rounding of that product;
 * the supervised loss weighs the positive pair by label agreement
   sigma = (c - hamming)/c, in [1/c, 1], and each negative by the hamming
   distance gamma, in [1, c] (``_label_log_weights``).
@@ -172,18 +180,30 @@ def _symmetric_backward(d_logits: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     return _unnormalize_rows(d_logits @ unit + d_logits.T @ unit, raw, unit)
 
 
-def _scaled_cos(uh: Matrix, vh: Matrix, tau: float) -> Matrix:
-    """cos(u_i, v_k) / tau for unit rows: 1/tau is folded into the thin
-    operand before the product and the clip is at +-1/tau, so the n x n
-    block is written once (bit-equal to clip(cos)/tau when 1/tau is a
-    power of two)."""
-    inv = 1.0 / tau
-    out = (uh * inv) @ vh.T
-    return np.clip(out, -inv, inv, out=out)
+def _logit_block(uh: Matrix, vh: Matrix, tau: float,
+                 xa: Matrix | None = None, xb: Matrix | None = None,
+                 out: Matrix | None = None) -> Matrix:
+    """Logits cos(u_i, v_k)/tau + 1 - cos(xa_i, xb_k) for unit rows, by one
+    product of thin operands:
+
+        [uh/tau | -xa | 1] @ [vh | xb | 1].T
+
+    Without ``xa``/``xb`` the block is the unweighted cos/tau, and the x
+    and ones columns drop out. Nothing is clipped: rounding can put |cos| a
+    few ulp past 1, which ``row_logsumexp``'s row-max shift makes harmless.
+    ``out`` takes the block in place (a row slice of a larger buffer).
+    """
+    left, right = uh * (1.0 / tau), vh
+    if xa is not None:
+        left = np.hstack([left, -xa, np.ones((len(xa), 1))])
+        right = np.hstack([vh, xb, np.ones((len(xb), 1))])
+    return np.matmul(left, right.T, out=out)
 
 
 def _log_weight(xa: Matrix, xb: Matrix) -> Matrix:
-    """log of the raw-feature negative weight: 1 - cos(xa_i, xb_k)."""
+    """log of the raw-feature negative weight: 1 - cos(xa_i, xb_k), the
+    cosine clipped to [-1, 1]. The definition the kernels' fused product
+    (``_logit_block``) is tested against."""
     lw = unit_rows(xa) @ unit_rows(xb).T
     np.clip(lw, -1.0, 1.0, out=lw)
     return np.subtract(1.0, lw, out=lw)
@@ -241,10 +261,10 @@ def unsup_loss_single(batch: ContrastiveBatch,
         raise ContractError("weighted loss needs raw features x1")
     tau, n = cfg.temperature, batch.n
     xh, zh = unit_rows(xs), unit_rows(z)
-    logits = _scaled_cos(xh, zh, tau)
-    pos = logits.diagonal().copy()[:, None]
-    if weighted:
-        logits += _log_weight(batch.x1, batch.x1)
+    x1h = unit_rows(batch.x1) if weighted else None
+    logits = _logit_block(xh, zh, tau, x1h, x1h)
+    # the positive carries no weight; the block's diagonal does
+    pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
     logits[~batch.neg_mask] = _NEG_INF
 
     terms, d_pos, e, c = _info_nce(pos, logits)
@@ -274,23 +294,23 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
     # row r's positive is its other-view partner (r + n) mod 2n.
     z = np.vstack([batch.z1, batch.z2])
     zh = unit_rows(z)
-    logits = _scaled_cos(zh, zh, tau)
-    rows = np.arange(2 * n)
-    partner = (rows + n) % (2 * n)
-    pos = logits[rows, partner][:, None]
-    if weighted:
-        # blocks[a, i, b, k]: anchor (i, view a) vs (k, view b); n x n each
-        blocks = logits.reshape(2, n, 2, n)
-        x1, x2 = batch.x1, batch.x2
-        if x1.shape[1] == x2.shape[1]:
-            lw12 = _log_weight(x1, x2)
-            blocks[0, :, 0] += _log_weight(x1, x1)
-            blocks[0, :, 1] += lw12
-            blocks[1, :, 0] += lw12.T
-            blocks[1, :, 1] += _log_weight(x2, x2)
-        else:  # same-view proxy: the anchor view's own dissimilarity
-            blocks[0] += _log_weight(x1, x1)[:, None, :]
-            blocks[1] += _log_weight(x2, x2)[:, None, :]
+    partner = (np.arange(2 * n) + n) % (2 * n)
+    # the positive carries no weight; the block's partner entries do
+    pos = np.einsum("ij,ij->i", zh, zh[partner])[:, None] * (1.0 / tau)
+    if not weighted:
+        logits = _logit_block(zh, zh, tau)
+    elif batch.x1.shape[1] == batch.x2.shape[1]:
+        xh = unit_rows(np.vstack([batch.x1, batch.x2]))
+        logits = _logit_block(zh, zh, tau, xh, xh)
+    else:
+        # same-view proxy: anchors of view a weigh both views of each
+        # negative by view a's own dissimilarity, one row half per product
+        logits = np.empty((2 * n, 2 * n))
+        for a, x in enumerate((batch.x1, batch.x2)):
+            xh = unit_rows(x)
+            half = slice(a * n, (a + 1) * n)
+            _logit_block(zh[half], zh, tau, xh, np.vstack([xh, xh]),
+                         out=logits[half])
     logits[~np.tile(batch.neg_mask, (2, 2))] = _NEG_INF
 
     terms, d_pos, e, c = _info_nce(pos, logits)
@@ -324,7 +344,10 @@ def _label_log_weights(y: Matrix) -> tuple[Matrix, Matrix]:
     sets are never read, so they may be -inf.
     """
     c = y.shape[1]
-    ham = np.sum(y[:, None, :] != y[None, :, :], axis=2).astype(np.float64)
+    # hamming_ik = #(y_i = 1, y_k = 0) + #(y_i = 0, y_k = 1): one product
+    # and its transpose, exact integer counts in float64
+    ones_zeros = y @ (1.0 - y).T
+    ham = ones_zeros + ones_zeros.T
     with np.errstate(divide="ignore"):
         log_sigma = np.log(np.maximum((c - ham) / c, 0.0))
         log_gamma = np.log(np.maximum(ham, 0.0))

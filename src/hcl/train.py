@@ -86,12 +86,13 @@ def check_dataset(ds: Dataset, cfg: RunConfig) -> None:
             "config field 'method': supcon-style needs single-label data "
             "(one positive label per row); use hcl-s for multi-label data"
         )
-    if cfg.mode == "two-view" and ds.n_views == 2 \
-            and (cfg.view1_aug != "none" or cfg.view2_aug != "none"):
-        raise ConfigError(
-            "config field 'view1_aug': augmentations apply only when the "
-            "dataset has a single view"
-        )
+    if cfg.mode == "two-view" and ds.n_views == 2:
+        for field in ("view1_aug", "view2_aug"):
+            if getattr(cfg, field) != "none":
+                raise ConfigError(
+                    f"config field '{field}': augmentations apply only "
+                    "when the dataset has a single view"
+                )
 
 
 def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import hcl.losses as losses_mod
 from hcl.errors import ContractError, DegenerateBatchError, ShapeError
 from hcl.losses import (
     ContrastiveBatch,
     _info_nce,
+    _log_weight,
     SimilarityConfig,
     cross_entropy,
     full_negatives,
@@ -20,7 +22,7 @@ from hcl.losses import (
     unsup_loss_single,
     weighted_sup_loss,
 )
-from hcl.numeric import make_rng
+from hcl.numeric import make_rng, unit_rows
 
 from reference import (
     finite_diff_grad,
@@ -546,6 +548,7 @@ def test_folded_kernels_gradient(tau):
     for weighted in (True, False):
         single = single_view_batch(rng, n=6, project=True)
         two = two_view_batch(rng, n=5)
+        proxy = two_view_batch(rng, n=5, d1=3, d2=4)
         for b in (single, with_full_mask(single)):
             _, grad = unsup_loss_single(b, cfg, weighted=weighted)
 
@@ -554,7 +557,7 @@ def test_folded_kernels_gradient(tau):
                 return unsup_loss_single(nb, cfg, weighted=weighted)[0]
 
             assert rel_error(grad, finite_diff_grad(fn, b.z1)) < GRAD_TOL
-        for b in (two, with_full_mask(two)):
+        for b in (two, with_full_mask(two), proxy, with_full_mask(proxy)):
             _, g1, g2 = unsup_loss_multiview(b, cfg, weighted=weighted)
 
             def fn1(z, b=b):
@@ -567,6 +570,69 @@ def test_folded_kernels_gradient(tau):
 
             assert rel_error(g1, finite_diff_grad(fn1, b.z1)) < GRAD_TOL
             assert rel_error(g2, finite_diff_grad(fn2, b.z2)) < GRAD_TOL
+
+
+def _kernel_logits(monkeypatch, loss, batch, cfg, weighted):
+    """The (pos, neg) logits ``loss`` hands to ``_info_nce``."""
+    seen = []
+
+    def spy(pos, neg):
+        seen.append((pos.copy(), neg.copy()))
+        return _info_nce(pos, neg)
+
+    monkeypatch.setattr(losses_mod, "_info_nce", spy)
+    loss(batch, cfg, weighted=weighted)
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.3, 0.7, 2.0])
+def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
+    # Each kernel writes cos/tau + log-weight by one product of widened
+    # thin operands, unclipped. It must equal the cosine over tau plus the
+    # clipped _log_weight up to rounding, with -inf exactly outside the
+    # negative mask and the positives unweighted.
+    rng = make_rng(43)
+    cfg = SimilarityConfig(tau)
+    tol = 1e-12 * (1.0 + 1.0 / tau)
+
+    def check(got, want, mask):
+        (pos, neg), (want_pos, want_neg) = got, want
+        assert np.array_equal(np.isneginf(neg), ~mask)
+        assert np.abs(neg[mask] - want_neg[mask]).max() <= tol
+        assert np.abs(pos - want_pos).max() <= tol
+
+    for weighted in (True, False):
+        for project in (True, False):  # with and without x_sim
+            drawn = single_view_batch(rng, n=7, project=project)
+            for b in (drawn, with_full_mask(drawn)):
+                xs = b.x_sim if project else b.x1
+                cos = unit_rows(xs) @ unit_rows(b.z1).T
+                lw = _log_weight(b.x1, b.x1) if weighted else 0.0
+                got = _kernel_logits(monkeypatch, unsup_loss_single, b, cfg,
+                                     weighted)
+                check(got, (np.diag(cos)[:, None] / tau, cos / tau + lw),
+                      b.neg_mask)
+        for d2 in (4, 6):  # cross-view weights, then the same-view proxy
+            drawn = two_view_batch(rng, n=6, d1=4, d2=d2)
+            for b in (drawn, with_full_mask(drawn)):
+                n = b.n
+                zh = unit_rows(np.vstack([b.z1, b.z2]))
+                cos = zh @ zh.T
+                if not weighted:
+                    lw = 0.0
+                elif d2 == 4:
+                    x = np.vstack([b.x1, b.x2])
+                    lw = _log_weight(x, x)
+                else:
+                    lw = np.vstack([np.tile(_log_weight(v, v), 2)
+                                    for v in (b.x1, b.x2)])
+                partner = (np.arange(2 * n) + n) % (2 * n)
+                got = _kernel_logits(monkeypatch, unsup_loss_multiview, b,
+                                     cfg, weighted)
+                want = (cos[np.arange(2 * n), partner][:, None] / tau,
+                        cos / tau + lw)
+                check(got, want, np.tile(b.neg_mask, (2, 2)))
 
 
 def test_public_losses_invariant_sweep():

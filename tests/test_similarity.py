@@ -56,6 +56,22 @@ def test_hamming_matches_counting_oracle():
                     (c - h) / c, rel=1e-12)
 
 
+def test_hamming_product_equals_broadcast_bitwise():
+    # _label_log_weights counts hamming distances by a product; the counts
+    # are exact integers in float64, so its log-weights equal those of the
+    # (n, n, c) broadcast count bit for bit
+    rng = make_rng(5)
+    for _ in range(200):
+        n, c = int(rng.integers(2, 130)), int(rng.integers(1, 12))
+        y = (rng.random((n, c)) < rng.uniform(0.1, 0.9)).astype(float)
+        ham = np.sum(y[:, None, :] != y[None, :, :], axis=2).astype(np.float64)
+        with np.errstate(divide="ignore"):
+            want = (np.log(np.maximum((c - ham) / c, 0.0)),
+                    np.log(np.maximum(ham, 0.0)))
+        for got, ref in zip(_label_log_weights(y), want):
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_pos_weight_sigma_values_and_range():
     log_sigma, _ = _label_log_weights(np.array([[1.0, 0.0, 1.0]] * 2))
     assert log_sigma[0, 1] == 0.0

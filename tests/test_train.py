@@ -178,6 +178,15 @@ def test_multiview_family_accepts_upper_case_none_augmentation():
         trace_rows(run_training(plain, 0))
 
 
+@pytest.mark.parametrize("field", ["view1_aug", "view2_aug"])
+def test_two_view_dataset_rejects_augmentation_naming_its_field(field):
+    # the error names the augmentation that is set, not always view1_aug
+    cfg = small_cfg(synthetic="multiview", mode="two-view",
+                    **{field: "mask:0.25"})
+    with pytest.raises(ConfigError, match=f"config field '{field}'"):
+        run_training(cfg, 0)
+
+
 def test_simclr_style_differs_from_weighted_two_view():
     a = run_training(small_cfg(synthetic="multiview", mode="two-view",
                                method="hcl-u"), 0)
