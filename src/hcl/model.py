@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, IngestionError, ShapeError
 from .ioutil import atomic_write_text
@@ -134,7 +133,10 @@ def _apply_output(pre: Matrix, kind: str) -> Matrix:
     if kind == "identity":
         return pre
     if kind == "sigmoid":
-        return expit(pre)
+        # exp(-pre) overflows to inf far below zero, which gives exactly 0,
+        # and underflows to 0 far above it, which gives exactly 1
+        with np.errstate(over="ignore", under="ignore"):
+            return 1.0 / (1.0 + np.exp(-pre))
     # softmax, row-wise with max shift
     shifted = pre - np.max(pre, axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -346,4 +348,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         raise IngestionError(f"{path}: checkpoint has no {err.args[0]!r} entry") from None
     except (TypeError, ValueError) as err:
         raise IngestionError(f"{path}: malformed checkpoint entry: {err}") from None
+    for name, arr in named_parameters(params).items():
+        if not np.isfinite(arr).all():
+            raise IngestionError(
+                f"{path}: checkpoint parameter {name} holds non-finite values"
+            )
     return params, doc.get("extra", {})

@@ -144,6 +144,37 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert blobs[0][1] == blobs[1][1]
 
 
+NO_SCIPY_SCRIPT = """
+import sys
+from hcl.cli import main
+train_cfg, ckpt, bound_cfg = sys.argv[1:]
+assert main(["train", "--config", train_cfg]) == 0
+assert main(["eval", "--checkpoint", ckpt]) == 0
+assert main(["bound-check", "--config", bound_cfg]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: neither importing hcl nor running a
+    # command may load it, lazily or not
+    train_cfg = write_cfg(tmp_path, small_pairs(tmp_path, seeds="0",
+                                                mode="two-view",
+                                                synthetic="multiview"))
+    bound_cfg = write_cfg(tmp_path, {
+        "synthetic": "multiview", "out_dir": str(tmp_path / "b"),
+        "bound_sizes": "6", "bound_epochs": "2", "seeds": "0",
+    }, name="bound.cfg")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, train_cfg,
+         str(tmp_path / "out" / "run-hcl-seed0.ckpt"), bound_cfg],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cmd_train_overrides_apply(tmp_path):
     records = cmd_train(small_pairs(tmp_path),
                         {"method": "dnn", "seeds": "4"})
@@ -536,8 +567,11 @@ def _checkpoint_text(**entries) -> str:
      "malformed checkpoint entry"),
     (_checkpoint_text(classifier=_stack(shape=[2, 2])),
      "malformed checkpoint entry"),
+    # one little-endian NaN
+    (_checkpoint_text(classifier=_stack(data="AAAAAAAA+H8=")),
+     "checkpoint parameter cls.w0 holds non-finite values"),
 ], ids=["missing", "truncated", "incomplete", "wrong-type", "list-entry",
-        "bad-base64", "wrong-shape"])
+        "bad-base64", "wrong-shape", "non-finite"])
 def test_main_eval_bad_checkpoint_named(tmp_path, capsys, content, message):
     path = tmp_path / "run.ckpt"
     if content is not None:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from hcl.errors import ContractError, DegenerateBatchError, ShapeError
 from hcl.metrics import (
     EvalReport,
+    _midranks,
     auc,
     evaluate,
     f1_score,
@@ -107,6 +109,19 @@ def test_auc_matches_pairwise_oracle():
     assert checked > 50
 
 
+def test_midranks_equal_rankdata_bitwise():
+    # criterion 9's oracle scores are continuous; here ties dominate
+    rng = make_rng(12)
+    cols = [np.array([0.3]), np.full(7, -1.5), np.array([2.0, 2.0])]
+    for _ in range(400):
+        n = int(rng.integers(1, 80))
+        levels = int(rng.integers(1, 6))
+        cols.append(rng.integers(0, levels, size=n) / levels)
+        cols.append(np.round(rng.normal(size=n), 1))
+    for col in cols:
+        assert _midranks(col).tobytes() == rankdata(col).tobytes(), col
+
+
 def test_auc_monotone_transform_invariance():
     rng = make_rng(3)
     scores = rng.uniform(size=(25, 3))
@@ -138,6 +153,19 @@ def test_auc_skips_single_class_columns():
     per = per_label_auc(scores, y)
     assert per[0] == 1.0 and np.isnan(per[1])
     assert auc(scores, y) == 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_predictions_rejected(value):
+    rng = make_rng(6)
+    y = rng.integers(0, 2, size=(10, 3)).astype(float)
+    y[0] = 1.0 - y[1]
+    scores = rng.uniform(size=(10, 3))
+    scores[4, 2] = value
+    for score in (per_label_auc, evaluate):
+        with pytest.raises(ContractError,
+                           match="1 non-finite value.*row 4, label 2"):
+            score(scores, y)
 
 
 def test_evaluate_single_report():

@@ -1,9 +1,12 @@
 """Model stack: initialization, forward heads, exact backprop, checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from hcl.errors import ContractError, ShapeError
+from hcl.errors import ContractError, IngestionError, ShapeError
 from hcl.losses import cross_entropy
 from hcl.model import (
     LayerStack,
@@ -90,6 +93,32 @@ def test_classify_sigmoid_extreme_logits_safe():
     assert 0.0 <= y[0, 1] < 1e-12
     assert 1.0 - 1e-12 < y[0, 0] <= 1.0
     assert np.all(np.isfinite(y))
+
+
+def _sigmoid_head(pre: np.ndarray) -> np.ndarray:
+    """The sigmoid output of a one-unit identity layer fed ``pre``."""
+    stack = LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)],
+                       output_activation="sigmoid")
+    params = ModelParams(
+        encoder1=LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)]),
+        classifier=stack)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        y, _ = classify(params, pre.reshape(-1, 1))
+    return y[:, 0]
+
+
+def test_sigmoid_head_matches_expit():
+    # the numpy sigmoid may differ from scipy's expit in its last bits
+    # (numpy's exp is not libm's); both saturate to exactly 0 and 1
+    rng = make_rng(11)
+    pre = np.concatenate([rng.normal(size=4000) * 30.0,
+                          rng.uniform(-760.0, 760.0, size=4000)])
+    got, want = _sigmoid_head(pre), expit(pre)
+    scale = np.where(want > 0.0, want, 1.0)
+    assert float(np.max(np.abs(got - want) / scale)) <= 1e-15
+    special = np.array([0.0, 800.0, -800.0, np.inf, -np.inf])
+    assert _sigmoid_head(special).tobytes() == expit(special).tobytes()
 
 
 def test_classify_softmax_rows_sum_to_one():
@@ -207,6 +236,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a[k], b[k])
         assert np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64))
     assert extra2 == extra
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cls.w0", np.nan), ("e1.b1", np.inf), ("e2.w1", -np.inf),
+])
+def test_checkpoint_rejects_non_finite_values_by_name(tmp_path, name, value):
+    params, _, _, _, _ = safe_model_instance(16, two_view=True)
+    named_parameters(params)[name].flat[0] = value
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(params, path)
+    with pytest.raises(IngestionError, match=f"checkpoint parameter {name} "
+                       "holds non-finite values"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
