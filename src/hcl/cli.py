@@ -172,13 +172,6 @@ def cmd_bound_check(pairs: dict[str, str],
 # noise-sweep
 
 
-def _entry_dataset(base: Dataset, variant: RunConfig, view1, view2) -> Dataset:
-    """What a sweep entry trains on: a level's first corruption alone for a
-    single-view entry, both corruptions for a two-view one."""
-    views = [view1] if variant.mode == "single-view" else [view1, view2]
-    return replace(base, views=views)
-
-
 def _noise_cells(cfg: RunConfig, base: Dataset,
                  variants: list[tuple[str, RunConfig]]):
     """Each sweep cell in order: (level, method entry, seed, the entry's
@@ -191,8 +184,8 @@ def _noise_cells(cfg: RunConfig, base: Dataset,
                              + int(round(level * 1000)))
         noisy1 = inject_noise(base.views[0], level, noise_rng)
         noisy2 = inject_noise(base.views[0], level, noise_rng)
+        noisy = replace(base, views=[noisy1, noisy2])
         for entry, variant in variants:
-            noisy = _entry_dataset(base, variant, noisy1, noisy2)
             for seed in cfg.seeds:
                 yield level, entry, seed, variant, noisy
 
@@ -221,7 +214,7 @@ def cmd_noise_sweep(pairs: dict[str, str],
         })
         try:
             clean = base.views[0]
-            check_dataset(_entry_dataset(base, variant, clean, clean), variant)
+            check_dataset(replace(base, views=[clean, clean]), variant)
         except ConfigError as err:
             raise ConfigError(f"method entry {entry}: {err}") from err
         variants.append((entry, variant))

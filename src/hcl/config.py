@@ -100,13 +100,17 @@ def _or(word: str, value: object, parse):
     return parse_or
 
 
-def _list(item, what: str):
-    """A non-empty comma-separated list, each item parsed by ``item``."""
+def _list(item, what: str, distinct: bool = True):
+    """A non-empty comma-separated list of ``item`` values, distinct if asked."""
     def parse(key: str, raw: str) -> list:
         items = [s.strip() for s in raw.split(",") if s.strip()]
         if not items:
             raise _fail(key, f"expected a comma-separated list of {what}")
-        return [item(key, s) for s in items]
+        values = [item(key, s) for s in items]
+        for i, v in enumerate(values):
+            if distinct and v in values[:i]:
+                raise _fail(key, f"lists {v!r} more than once")
+        return values
     return parse
 
 
@@ -170,7 +174,7 @@ class RunConfig:
     threshold: float = _key("0.5", _float("in (0, 1)"))
     multiclass: bool = _key("false", _bool)
     # model
-    encoder_sizes: list[int] = _key("32,16", _ints(1))
+    encoder_sizes: list[int] = _key("32,16", _list(_int(1), "integers", distinct=False))
     classifier_activation: str = _key("sigmoid", _choice("sigmoid", "softmax"))
     # optimizer
     base_lr: float = _key("0.05", _float(">= 0"))

@@ -1,9 +1,11 @@
 """Dataset ingestion, synthetic generation, augmentation, splits, batching.
 
-Datasets hold one or two feature views plus a binary label matrix and a
-per-row labeled flag. Batch plans list anchor rows and carry each anchor's
-negative set as a boolean mask over anchor positions, the form in which the
-contrastive losses read it (``ContrastiveBatch.neg_mask``).
+A ``Dataset`` holds one or two feature views, a binary label matrix and a
+per-row labeled flag, and nothing else. A generator whose hidden pieces
+(latent, maps) are audited states its draw order, to replay them by seed.
+Batch plans list anchor rows and carry each anchor's negative set as a
+boolean mask over anchor positions, the form in which the contrastive
+losses read it (``ContrastiveBatch.neg_mask``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +30,6 @@ class Dataset:
     views: list[Matrix]
     labels: Matrix
     labeled_mask: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.views) <= 2:
@@ -310,8 +311,9 @@ SCENE_NOISE_SD = 1.0
 def synth_multiview(n: int, d1: int, d2: int, c: int, noise_sd: float,
                     rng: Rng) -> Dataset:
     """Two linear views of a shared unit-sphere latent, labels from random
-    halfspaces thresholded at per-label medians. Generative pieces are kept
-    in ``meta`` so audits can regress the latent back out."""
+    halfspaces thresholded at per-label medians. Draw order: the normal
+    (n, min(d1, d2)) latent (then row-normalized), the view-1 and view-2
+    maps, the label directions, then any view-1 and view-2 noise."""
     if n < 2 or d1 < 1 or d2 < 1:
         raise ContractError(f"need n >= 2 and positive dims, got {n}, {d1}, {d2}")
     if c < 2:
@@ -329,12 +331,9 @@ def synth_multiview(n: int, d1: int, d2: int, c: int, noise_sd: float,
         x1 = x1 + noise_sd * rng.normal(size=(n, d1))
         x2 = x2 + noise_sd * rng.normal(size=(n, d2))
     scores = latent @ dirs
-    thresholds = np.median(scores, axis=0)
-    labels = (scores > thresholds).astype(np.float64)
-    meta = {"latent": latent, "view_maps": [map1, map2], "label_dirs": dirs,
-            "label_thresholds": thresholds, "noise_sd": float(noise_sd)}
+    labels = (scores > np.median(scores, axis=0)).astype(np.float64)
     return Dataset(views=[x1, x2], labels=labels,
-                   labeled_mask=np.ones(n, dtype=bool), meta=meta)
+                   labeled_mask=np.ones(n, dtype=bool))
 
 
 def make_cluster_dataset(n: int, d: int, c: int, rng: Rng) -> Dataset:
@@ -354,8 +353,7 @@ def make_cluster_dataset(n: int, d: int, c: int, rng: Rng) -> Dataset:
     np.clip(x, 0.0, CLUSTER_ON, out=x)
     labels = np.zeros((n, c))
     labels[np.arange(n), ids] = 1.0
-    return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
-                   meta={"centers": centers, "ids": ids})
+    return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool))
 
 
 def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
@@ -389,10 +387,7 @@ def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
             patterns[k, rng.choice(others, size=min(extra[k], c - 1),
                                    replace=False)] = 1.0
     labels = patterns[ids]
-    meta = {"latent": latent, "centers": centers, "ids": ids,
-            "feature_map": feature_map, "patterns": patterns}
-    return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
-                   meta=meta)
+    return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +395,7 @@ def make_scene_like(n: int, d: int, c: int, rng: Rng) -> Dataset:
 
 
 def take_rows(ds: Dataset, rows) -> Dataset:
-    """Row-indexed copy of a dataset. Keeps meta by reference."""
+    """Row-indexed copy of a dataset."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0:
         raise ContractError("rows must be a non-empty 1-D index array")

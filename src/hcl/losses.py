@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateBatchError, ShapeError
+from .errors import ContractError, DegenerateBatchError, NumericError, ShapeError
 from .numeric import (ZERO_NORM_EPS, Matrix, as_matrix, gram, row_logsumexp,
                       unit_rows)
 
@@ -79,12 +79,15 @@ class LossBreakdown:
 
 def total_loss(l_c: float, l_u: float, l_s: float,
                alpha: float, beta: float) -> LossBreakdown:
-    """Combine the three loss terms into the training objective."""
+    """Combine the three loss terms into the (finite) training objective."""
     if alpha < 0 or beta < 0:
         raise ContractError(
             f"balance weights must be non-negative, got alpha={alpha}, beta={beta}"
         )
     j = float(l_c) + alpha * float(l_u) + beta * float(l_s)
+    if not np.isfinite(j):
+        raise NumericError(f"objective j = {j} is not finite: l_c={l_c}, "
+                           f"l_u={l_u}, l_s={l_s}, alpha={alpha}, beta={beta}")
     return LossBreakdown(float(l_c), float(l_u), float(l_s), j)
 
 

@@ -132,6 +132,9 @@ def _orthonormal_rows(rng: Rng, p: int, d: int) -> Matrix:
 
 
 def make_gaussian_pair(spec: GaussianPairSpec, n: int, rng: Rng) -> Dataset:
+    """n rows of the family, labeled by the sign of the first latent
+    component. Draw order: the (n, latent_dim) latent, the view-1 and view-2
+    maps (``_orthonormal_rows``), then the view-1 and view-2 noise."""
     if n < 2:
         raise ContractError(f"need n >= 2, got {n}")
     p = spec.latent_dim
@@ -142,9 +145,8 @@ def make_gaussian_pair(spec: GaussianPairSpec, n: int, rng: Rng) -> Dataset:
     x2 = spec.signal2 * (u @ v2) + spec.noise2 * rng.normal(size=(n, spec.d2))
     labels = np.column_stack([(u[:, 0] > 0).astype(np.float64),
                               (u[:, 0] <= 0).astype(np.float64)])
-    meta = {"latent": u, "view_maps": [v1, v2], "spec": spec}
     return Dataset(views=[x1, x2], labels=labels,
-                   labeled_mask=np.ones(n, dtype=bool), meta=meta)
+                   labeled_mask=np.ones(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -170,17 +172,16 @@ class RingProtoSpec:
 
 
 def make_ring_dataset(spec: RingProtoSpec, n: int, rng: Rng) -> Dataset:
+    """n samples with balanced prototype ids. Draw order: the permutation
+    of the ids, then the (n, 2) noise."""
     if n < 2 * spec.c:
         raise ContractError(f"need n >= {2 * spec.c}, got {n}")
-    protos = spec.prototypes()
     ids = rng.permutation(np.arange(n) % spec.c)
-    x = protos[ids] + spec.noise_sd * rng.normal(size=(n, 2))
+    x = spec.prototypes()[ids] + spec.noise_sd * rng.normal(size=(n, 2))
     labels = np.zeros((n, spec.c))
     labels[np.arange(n), ids] = 1.0
     labels[np.arange(n), (ids + 1) % spec.c] = 1.0
-    meta = {"prototypes": protos, "ids": ids, "spec": spec}
-    return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool),
-                   meta=meta)
+    return Dataset(views=[x], labels=labels, labeled_mask=np.ones(n, dtype=bool))
 
 
 def quantize_to_prototypes(x: Matrix, prototypes: Matrix) -> np.ndarray:
@@ -329,6 +330,7 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
     (-L_s + N) / eps <= reference MI of the quantized pair distribution."""
     reports = []
     cfg = SimilarityConfig(temperature=train_spec.temperature)
+    prototypes = data_spec.prototypes()
     for seed in train_spec.seeds:
         data_rng = make_rng(800_000 + seed)
         train_ds = make_ring_dataset(data_spec, train_spec.n_train, data_rng)
@@ -351,7 +353,7 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         x_eval = eval_ds.views[0][rows]
         y_eval = eval_ds.labels[rows]
         z_eval, _ = encode(params, x_eval)
-        ids = quantize_to_prototypes(x_eval, eval_ds.meta["prototypes"])
+        ids = quantize_to_prototypes(x_eval, prototypes)
         strata = _stratum_terms(z_eval, y_eval, ids, data_spec.c, cfg)
         if not strata:
             raise DegenerateBatchError(

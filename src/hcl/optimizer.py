@@ -32,7 +32,6 @@ class OptimizerState:
     trust_coeff: float = 0.001
     weight_decay: float = 0.0
     velocities: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
 
     def __post_init__(self) -> None:
         if self.base_lr < 0 or self.trust_coeff <= 0:
@@ -76,4 +75,3 @@ def lars_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v *= state.momentum
         v += eff_lr * step
         w -= v
-    state.step_count += 1

@@ -479,6 +479,20 @@ def test_main_flag_overrides(tmp_path):
     assert float(body["config"]["alpha"]) == 0.0
 
 
+@pytest.mark.parametrize("command", ["train", "noise-sweep"])
+def test_main_non_finite_objective_fails_by_name(tmp_path, capsys, command):
+    # each weight is finite and legal, but alpha*l_u overflows; LARS is
+    # scale-free, so only the objective itself shows it
+    pairs = small_pairs(tmp_path, sub="inf", method="hcl", alpha="1e308",
+                        beta="1e308", epochs=1, seeds="0", methods="hcl",
+                        noise_levels="0")
+    assert main([command, "--config", write_cfg(tmp_path, pairs)]) == 2
+    err = capsys.readouterr().err
+    assert "seed 0 failed: objective j" in err
+    assert "alpha=1e+308, beta=1e+308" in err
+    assert not list((tmp_path / "inf").glob("*.json"))
+
+
 def test_main_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["train", "--config", missing]) == 2

@@ -185,6 +185,27 @@ def test_neg_size_accepts_int_and_full():
     assert resolve(neg_size="full").neg_size == "full"
 
 
+@pytest.mark.parametrize("key, value, again", [
+    ("seeds", "0,0", "0"),
+    ("seeds", "3,1,03", "3"),
+    ("methods", "hcl-u,hcl-u", "'hcl-u'"),
+    ("noise_levels", "0,0.0", "0.0"),
+    ("noise_levels", "0.5,1,.5", "0.5"),
+    ("bound_sizes", "6,6", "6"),
+    ("perf_train_sizes", "256,256", "256"),
+    ("perf_neg_sizes", "64,128,64", "64"),
+])
+def test_duplicate_list_entries_rejected_by_name(key, value, again):
+    # entries are compared as parsed values, so "0" and "0.0" are one level
+    with pytest.raises(ConfigError,
+                       match=f"config field '{key}': lists {again} more than once"):
+        resolve(**{key: value})
+
+
+def test_encoder_sizes_may_repeat():
+    assert resolve(encoder_sizes="32,32").encoder_sizes == [32, 32]
+
+
 def test_methods_mode_qualifier_parsed():
     cfg = resolve(methods="hcl-u@single-view, hcl-u@two-view ,hcl-s")
     assert cfg.methods == ["hcl-u@single-view", "hcl-u@two-view", "hcl-s"]

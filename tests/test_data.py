@@ -18,7 +18,7 @@ from hcl.data import (
     synth_multiview,
 )
 from hcl.errors import ConfigError, ContractError, IngestionError, ShapeError
-from hcl.numeric import make_rng
+from hcl.numeric import make_rng, unit_rows
 
 from builders import save_csv, save_manifest
 
@@ -247,7 +247,8 @@ def test_make_views_rejects_bad_specs():
 
 def test_synth_multiview_latent_recoverable_without_noise():
     ds = synth_multiview(200, 5, 8, 4, 0.0, make_rng(17))
-    latent = ds.meta["latent"]
+    # the latent is the generator's first draw; replay it from the seed
+    latent = unit_rows(make_rng(17).normal(size=(200, 5)))
     for v in ds.views:
         coef, residuals, rank, _ = np.linalg.lstsq(v, latent, rcond=None)
         recon = v @ coef

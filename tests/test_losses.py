@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hcl.losses as losses_mod
-from hcl.errors import ContractError, DegenerateBatchError, ShapeError
+from hcl.errors import ContractError, DegenerateBatchError, NumericError, ShapeError
 from hcl.losses import (
     ContrastiveBatch,
     _info_nce,
@@ -691,3 +691,13 @@ def test_total_loss_combination():
 def test_total_loss_rejects_negative_weights():
     with pytest.raises(ContractError):
         total_loss(1.0, 1.0, 1.0, alpha=-0.1, beta=0.0)
+
+
+@pytest.mark.parametrize("terms, alpha, beta", [
+    ((1.0, 2.0, 3.0), 1e308, 1e308),  # finite weights whose products overflow
+    ((1.0, math.nan, 3.0), 0.5, 0.1),
+    ((math.inf, 2.0, 3.0), 0.5, 0.1),
+])
+def test_total_loss_rejects_non_finite_objective_by_name(terms, alpha, beta):
+    with pytest.raises(NumericError, match=r"objective j .* alpha=.*beta="):
+        total_loss(*terms, alpha=alpha, beta=beta)

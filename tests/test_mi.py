@@ -188,14 +188,31 @@ def test_gaussian_pair_spec_validation():
         GaussianPairSpec(noise1=0.0)
 
 
+def replay_gaussian_pair(spec, n, seed):
+    """The latent and view maps ``make_gaussian_pair`` draws from ``seed``,
+    replayed in its draw order: latent, view-1 map, view-2 map."""
+    rng = make_rng(seed)
+    u = rng.normal(size=(n, spec.latent_dim))
+    maps = [np.linalg.qr(rng.normal(size=(d, spec.latent_dim)))[0].T
+            for d in (spec.d1, spec.d2)]
+    return u, maps
+
+
+def ring_ids(labels):
+    """A ring row's prototype id: its positive label whose cyclic successor
+    is positive too."""
+    return np.argmax(labels * np.roll(labels, -1, axis=1), axis=1)
+
+
 def test_make_gaussian_pair_shapes_and_maps():
     spec = GaussianPairSpec(latent_dim=4, d1=8, d2=6)
     ds = make_gaussian_pair(spec, 200, make_rng(5))
+    _, view_maps = replay_gaussian_pair(spec, 200, 5)
     assert ds.views[0].shape == (200, 8)
     assert ds.views[1].shape == (200, 6)
     assert ds.labels.shape == (200, 2)
     assert np.array_equal(ds.labels.sum(axis=1), np.ones(200))
-    for vm, d in zip(ds.meta["view_maps"], (8, 6)):
+    for vm, d in zip(view_maps, (8, 6)):
         assert vm.shape == (4, d)
         assert np.allclose(vm @ vm.T, np.eye(4), atol=1e-12)
 
@@ -205,8 +222,8 @@ def test_make_gaussian_pair_latent_recovery():
     # latent up to the noise level
     spec = GaussianPairSpec(latent_dim=4, noise1=0.01, noise2=0.01)
     ds = make_gaussian_pair(spec, 500, make_rng(6))
-    u = ds.meta["latent"]
-    back = ds.views[0] @ ds.meta["view_maps"][0].T
+    u, view_maps = replay_gaussian_pair(spec, 500, 6)
+    back = ds.views[0] @ view_maps[0].T
     assert np.abs(back - u).max() < 0.06
 
 
@@ -239,7 +256,7 @@ def test_ring_spec_prototypes_on_circle():
 def test_make_ring_dataset_labels_follow_ids():
     spec = RingProtoSpec()
     ds = make_ring_dataset(spec, 60, make_rng(9))
-    ids = ds.meta["ids"]
+    ids = ring_ids(ds.labels)
     assert ds.labels.shape == (60, 6)
     assert np.array_equal(ds.labels.sum(axis=1), np.full(60, 2.0))
     assert (ds.labels[np.arange(60), ids] == 1.0).all()
@@ -253,8 +270,8 @@ def test_make_ring_dataset_labels_follow_ids():
 def test_quantize_recovers_ids_at_low_noise():
     spec = RingProtoSpec(noise_sd=0.02)
     ds = make_ring_dataset(spec, 120, make_rng(10))
-    got = quantize_to_prototypes(ds.views[0], ds.meta["prototypes"])
-    assert np.array_equal(got, ds.meta["ids"])
+    got = quantize_to_prototypes(ds.views[0], spec.prototypes())
+    assert np.array_equal(got, ring_ids(ds.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +285,7 @@ def test_stratum_sup_losses_match_loop_oracle():
         n = int(rng.integers(6, 14))
         ds = make_ring_dataset(RingProtoSpec(c=4), max(n, 8), rng)
         z = rng.normal(size=(ds.n, 3))
-        got = _stratum_terms(z, ds.labels, ds.meta["ids"], 6, cfg)
+        got = _stratum_terms(z, ds.labels, ring_ids(ds.labels), 6, cfg)
         want = ref_stratum_sup(z, ds.labels, 0.7)
         assert set(got) == set(want)
         for eps in want:
@@ -279,7 +296,7 @@ def test_stratum_sup_losses_match_loop_oracle():
 def test_stratum_reference_mi_matches_loop_oracle():
     rng = make_rng(32)
     ds = make_ring_dataset(RingProtoSpec(), 48, rng)
-    ids = ds.meta["ids"]
+    ids = ring_ids(ds.labels)
     z = rng.normal(size=(ds.n, 3))
     got = _stratum_terms(z, ds.labels, ids, 6, SimilarityConfig())
     want = {eps: max(ref_discrete_mi(t), 0.0)
@@ -293,7 +310,7 @@ def test_ring_reference_mi_near_analytic_values():
     # same-prototype pairs identify the prototype (ln 6); adjacent pairs
     # leave a two-way ambiguity (ln 6 - ln 2 = ln 3)
     ds = make_ring_dataset(RingProtoSpec(), 600, make_rng(33))
-    refs = _stratum_terms(ds.views[0], ds.labels, ds.meta["ids"], 6,
+    refs = _stratum_terms(ds.views[0], ds.labels, ring_ids(ds.labels), 6,
                           SimilarityConfig())
     assert abs(refs[2][2] - math.log(6)) < 0.05
     assert abs(refs[1][2] - math.log(3)) < 0.05

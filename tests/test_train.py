@@ -1,13 +1,14 @@
 """Training loop: determinism, method degenerations, records, and CSVs."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hcl.train as train_mod
 from hcl.config import resolve_config
-from hcl.data import Dataset
+from hcl.data import Dataset, inject_noise
 from hcl.errors import ConfigError, ContractError, DegenerateBatchError
 from hcl.losses import (
     ContrastiveBatch,
@@ -19,6 +20,7 @@ from hcl.losses import (
     weighted_sup_loss,
 )
 from hcl.model import classify, encode, named_parameters
+from hcl.numeric import make_rng
 from hcl.optimizer import OptimizerState
 from hcl.train import (
     RunRecord,
@@ -53,6 +55,15 @@ def small_cfg(**over):
 
 def trace_rows(result):
     return [(b.l_c, b.l_u, b.l_s, b.j) for b in result.trace]
+
+
+def run_bytes(result):
+    """A run's parameters, trace and report, each as bytes."""
+    report = result.report
+    return ([(k, v.tobytes()) for k, v in named_parameters(result.params).items()],
+            np.array(trace_rows(result)).tobytes(),
+            np.array([report.f1, report.auc, report.n_eval,
+                      *report.per_label]).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +179,23 @@ def test_multiview_family_single_view_uses_first_view():
     cfg = small_cfg(synthetic="multiview", mode="single-view")
     result = run_training(cfg, 0)
     assert result.params.encoder2 is None
+
+
+@pytest.mark.parametrize("method", ["hcl", "supcon-style"])
+def test_single_view_run_ignores_a_second_view(method):
+    # a noise-sweep level hands every entry both corruptions; a single-view
+    # entry must train exactly as on the first corruption alone
+    cfg = small_cfg(method=method, beta=0.4)
+    base = build_dataset(cfg)
+    rng = make_rng(3)
+    a = inject_noise(base.views[0], 0.5, rng)
+    b = inject_noise(base.views[0], 0.5, rng)
+    runs = [run_training(cfg, 1, replace(base, views=views))
+            for views in ([a, b], [a])]
+    params, trace, report = zip(*map(run_bytes, runs))
+    assert params[0] == params[1]
+    assert trace[0] == trace[1]
+    assert report[0] == report[1]
 
 
 def test_multiview_family_accepts_upper_case_none_augmentation():
