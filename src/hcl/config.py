@@ -249,6 +249,15 @@ def resolve_config(pairs: dict[str, str],
     for key in ("view1_aug", "view2_aug"):
         if cfg.mode == "single-view" and getattr(cfg, key) != "none":
             raise _fail(key, "view augmentations need mode = two-view")
+    # a sweep trains one cell per (method, mode): with mode = single-view,
+    # "hcl-u" and "hcl-u@single-view" are the same cell
+    cells: dict[tuple[str, str], str] = {}
+    for entry in cfg.methods:
+        name, _, tag = entry.partition("@")
+        first = cells.setdefault((name, tag or cfg.mode), entry)
+        if first != entry:
+            raise _fail("methods", f"lists {name}@{tag or cfg.mode} more than "
+                        f"once: {first!r} and {entry!r}")
 
     # effective snapshot: replaying these pairs reproduces this RunConfig
     cfg.snapshot = dict(merged, manifest=cfg.manifest,

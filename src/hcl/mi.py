@@ -247,14 +247,16 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
     instead of aborting the sweep."""
     if not sizes or any(int(s) < 1 for s in sizes):
         raise ContractError(f"sizes must be positive, got {sizes}")
+    sizes = sorted(int(s) for s in sizes)
+    # every size is checked before the first cell trains
+    if sizes[-1] + 1 > min(train_spec.n_train, train_spec.n_eval):
+        raise ContractError(
+            f"|N| = {sizes[-1]} needs more rows than n_train/n_eval allow"
+        )
     reference = data_spec.reference_mi()
     cfg = SimilarityConfig(temperature=train_spec.temperature)
     reports = []
-    for size in sorted(int(s) for s in sizes):
-        if size + 1 > min(train_spec.n_train, train_spec.n_eval):
-            raise ContractError(
-                f"|N| = {size} needs more rows than n_train/n_eval allow"
-            )
+    for size in sizes:
         for seed in train_spec.seeds:
             # One draw per seed keeps the view maps shared between the
             # training rows and the held-out rows.
@@ -268,9 +270,9 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
             )
             run_rng = make_rng(seed * 100_000 + size)
             enc = [train_spec.hidden_dim, train_spec.latent_dim]
-            params = init_params(run_rng, [data_spec.d1, *enc],
-                                 [2 * train_spec.latent_dim, 2],
-                                 encoder2_sizes=[data_spec.d2, *enc])
+            params = init_params(run_rng,
+                                 [[data_spec.d1, *enc], [data_spec.d2, *enc]],
+                                 [2 * train_spec.latent_dim, 2])
             state = train_spec.optimizer()
             try:
                 for _ in range(train_spec.epochs):
@@ -338,7 +340,7 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         run_rng = make_rng(seed * 100_000 + 777)
         params = init_params(
             run_rng,
-            encoder_sizes=[2, train_spec.hidden_dim, train_spec.latent_dim],
+            encoder_sizes=[[2, train_spec.hidden_dim, train_spec.latent_dim]],
             classifier_sizes=[train_spec.latent_dim, data_spec.c],
         )
         state = train_spec.optimizer()

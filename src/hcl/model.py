@@ -1,11 +1,11 @@
 """MLP encoder/classifier stacks with exact backpropagation.
 
-The model is a pair of feed-forward stacks: one encoder per view (ReLU
-hidden layers, linear output) and a classifier head (ReLU hidden layers,
-sigmoid or softmax output) that reads the concatenated view embeddings.
-``model_backward`` propagates upstream gradients from the classifier output
-and/or directly from the embeddings (where the contrastive losses attach)
-down to every weight and bias.
+The model is a list of feed-forward encoders, one per view (ReLU hidden
+layers, linear output), and a classifier head (ReLU hidden layers, sigmoid
+or softmax output) that reads the view embeddings concatenated in view
+order. ``model_backward`` propagates upstream gradients from the classifier
+output and/or directly from the embeddings (where the contrastive losses
+attach) down to every weight and bias.
 
 Checkpoints are JSON with base64-encoded little-endian float64 buffers, so a
 write -> read round trip reproduces every parameter bit for bit.
@@ -70,18 +70,20 @@ class LayerStack:
 
 @dataclass
 class ModelParams:
-    encoder1: LayerStack
+    """One encoder per view (view v is ``encoders[v - 1]``) and a classifier."""
+
+    encoders: list[LayerStack]
     classifier: LayerStack
-    encoder2: LayerStack | None = None
 
     def __post_init__(self) -> None:
-        latent = self.encoder1.out_dim
-        if self.encoder2 is not None and self.encoder2.out_dim != latent:
-            raise ShapeError(
-                f"encoders must share an output dimension, got {latent} "
-                f"and {self.encoder2.out_dim}"
-            )
-        expected = latent * (2 if self.encoder2 is not None else 1)
+        n_views = len(self.encoders)
+        if not 1 <= n_views <= 2:
+            raise ContractError(f"model needs 1 or 2 view encoders, got {n_views}")
+        latent = self.encoders[0].out_dim
+        if any(e.out_dim != latent for e in self.encoders):
+            raise ShapeError("encoders must share an output dimension, got "
+                             f"{[e.out_dim for e in self.encoders]}")
+        expected = latent * n_views
         if self.classifier.in_dim != expected:
             raise ShapeError(
                 f"classifier expects input dim {self.classifier.in_dim}, "
@@ -90,7 +92,7 @@ class ModelParams:
 
     @property
     def latent_dim(self) -> int:
-        return self.encoder1.out_dim
+        return self.encoders[0].out_dim
 
 
 @dataclass
@@ -118,15 +120,15 @@ def _init_stack(rng: Rng, sizes: list[int], output_activation: str) -> LayerStac
     return LayerStack(weights, biases, output_activation)
 
 
-def init_params(rng: Rng, encoder_sizes: list[int], classifier_sizes: list[int],
-                encoder2_sizes: list[int] | None = None,
+def init_params(rng: Rng, encoder_sizes: list[list[int]],
+                classifier_sizes: list[int],
                 classifier_activation: str = "sigmoid") -> ModelParams:
-    """Glorot-uniform weights, zero biases, in a fixed draw order
-    (encoder1, encoder2, classifier) so a seed pins every parameter."""
-    e1 = _init_stack(rng, list(encoder_sizes), "identity")
-    e2 = _init_stack(rng, list(encoder2_sizes), "identity") if encoder2_sizes else None
+    """Glorot-uniform weights, zero biases; ``encoder_sizes`` holds one
+    layer-size list per view. Each view's encoder is drawn in view order,
+    then the classifier, so a seed pins every parameter."""
+    encoders = [_init_stack(rng, list(sizes), "identity") for sizes in encoder_sizes]
     cls = _init_stack(rng, list(classifier_sizes), classifier_activation)
-    return ModelParams(encoder1=e1, classifier=cls, encoder2=e2)
+    return ModelParams(encoders, cls)
 
 
 def _apply_output(pre: Matrix, kind: str) -> Matrix:
@@ -163,14 +165,10 @@ def forward_stack(stack: LayerStack, x: Matrix) -> tuple[Matrix, ForwardCache]:
 
 
 def encode(params: ModelParams, x: Matrix, view: int = 1) -> tuple[Matrix, ForwardCache]:
-    """Embed raw features with the view's encoder (linear output layer)."""
-    if view == 1:
-        return forward_stack(params.encoder1, x)
-    if view == 2:
-        if params.encoder2 is None:
-            raise ContractError("model has no second-view encoder")
-        return forward_stack(params.encoder2, x)
-    raise ContractError(f"view must be 1 or 2, got {view}")
+    """Embed raw features with the encoder of ``view`` (1-based)."""
+    if not 1 <= view <= len(params.encoders):
+        raise ContractError(f"model has no encoder for view {view}")
+    return forward_stack(params.encoders[view - 1], x)
 
 
 def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, ForwardCache]:
@@ -210,9 +208,7 @@ def named_parameters(params: ModelParams) -> dict[str, np.ndarray]:
     The arrays are the live parameters; optimizers update them in place.
     """
     out: dict[str, np.ndarray] = {}
-    stacks = [("e1", params.encoder1)]
-    if params.encoder2 is not None:
-        stacks.append(("e2", params.encoder2))
+    stacks = [(f"e{v + 1}", e) for v, e in enumerate(params.encoders)]
     stacks.append(("cls", params.classifier))
     for prefix, stack in stacks:
         for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
@@ -226,34 +222,33 @@ def zero_grads(params: ModelParams) -> dict[str, Matrix]:
 
 
 def model_backward(params: ModelParams, *,
-                   enc1_cache: ForwardCache,
-                   enc2_cache: ForwardCache | None = None,
+                   enc_caches: list[ForwardCache],
                    cls_cache: ForwardCache | None = None,
                    d_yhat: Matrix | None = None,
                    d_s: Matrix | None = None,
-                   d_z1: Matrix | None = None,
-                   d_z2: Matrix | None = None,
+                   d_z: list[Matrix] | None = None,
                    classifier_rows: np.ndarray | None = None) -> dict[str, Matrix]:
     """Exact gradients of the composite objective for every parameter.
 
-    ``d_yhat`` is the upstream gradient at the classifier output and ``d_s``
-    an extra one at its input (rows = classifier batch); ``d_z1``/``d_z2``
-    attach directly at the encoder outputs (rows = encoder batch).
-    ``classifier_rows`` maps classifier rows into encoder rows when the
-    classifier saw a subset (e.g. only labeled samples); by default they are
-    assumed aligned. Only this function splits the concatenated embedding.
+    ``enc_caches`` and ``d_z`` hold one entry per view, in view order: the
+    encoder's forward cache and the gradient attached directly at its output
+    (rows = encoder batch). ``d_yhat`` is the upstream gradient at the
+    classifier output and ``d_s`` an extra one at its input (rows =
+    classifier batch). ``classifier_rows`` maps classifier rows into encoder
+    rows when the classifier saw a subset (e.g. only labeled samples); by
+    default they are assumed aligned. Only this function splits the
+    concatenated embedding.
     """
+    n_views = len(params.encoders)
+    for what, given in (("encoder cache", enc_caches), ("d_z", d_z)):
+        if given is not None and len(given) != n_views:
+            raise ContractError(f"need one {what} per view ({n_views}), "
+                                f"got {len(given)}")
     grads = zero_grads(params)
-    n1 = enc1_cache.out.shape[0]
     latent = params.latent_dim
-    acc1 = np.zeros((n1, latent))
-    acc2 = np.zeros((n1, latent)) if params.encoder2 is not None else None
-    if d_z1 is not None:
-        acc1 += d_z1
-    if d_z2 is not None:
-        if acc2 is None:
-            raise ContractError("d_z2 given but the model has one encoder")
-        acc2 += d_z2
+    accs = [np.zeros((enc_caches[0].out.shape[0], latent)) for _ in range(n_views)]
+    for acc, d in zip(accs, d_z or []):
+        acc += d
 
     # d_s lands before the classifier's own gradient: a classifier row sums
     # (d_z + d_s) + d_cls
@@ -271,15 +266,11 @@ def model_backward(params: ModelParams, *,
                 f"classifier_rows has {rows.shape[0]} entries for "
                 f"{d.shape[0]} classifier rows"
             )
-        np.add.at(acc1, rows, d[:, :latent])
-        if acc2 is not None:
-            np.add.at(acc2, rows, d[:, latent:])
+        for v, acc in enumerate(accs):
+            np.add.at(acc, rows, d[:, v * latent:(v + 1) * latent])
 
-    _backward_stack(params.encoder1, enc1_cache, acc1, grads, "e1")
-    if acc2 is not None:
-        if enc2_cache is None:
-            raise ContractError("second-view gradient needs enc2_cache")
-        _backward_stack(params.encoder2, enc2_cache, acc2, grads, "e2")
+    for v, (stack, cache, acc) in enumerate(zip(params.encoders, enc_caches, accs)):
+        _backward_stack(stack, cache, acc, grads, f"e{v + 1}")
     return grads
 
 
@@ -313,11 +304,13 @@ def _stack_from_json(obj: dict) -> LayerStack:
 
 def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
     """Serialize parameters (and JSON-safe ``extra`` metadata) atomically."""
+    # the v1 layout: "encoder2" is null for a one-view model
+    encoders = [_stack_to_json(e) for e in params.encoders] + [None]
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "encoder1": _stack_to_json(params.encoder1),
-        "encoder2": _stack_to_json(params.encoder2) if params.encoder2 else None,
+        "encoder1": encoders[0],
+        "encoder2": encoders[1],
         "classifier": _stack_to_json(params.classifier),
         "extra": extra or {},
     }
@@ -339,11 +332,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
             f"unsupported checkpoint version {doc.get('version')!r}"
         )
     try:
-        params = ModelParams(
-            encoder1=_stack_from_json(doc["encoder1"]),
-            classifier=_stack_from_json(doc["classifier"]),
-            encoder2=_stack_from_json(doc["encoder2"]) if doc["encoder2"] else None,
-        )
+        encoders = [_stack_from_json(doc["encoder1"])]
+        if doc["encoder2"]:
+            encoders.append(_stack_from_json(doc["encoder2"]))
+        params = ModelParams(encoders, _stack_from_json(doc["classifier"]))
     except KeyError as err:
         raise IngestionError(f"{path}: checkpoint has no {err.args[0]!r} entry") from None
     except (TypeError, ValueError) as err:

@@ -61,7 +61,11 @@ def lars_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         step = g + state.weight_decay * w if state.weight_decay else g
         if w.ndim > 1:
             w_norm = float(np.linalg.norm(w))
-            g_norm = float(np.linalg.norm(g))
+            with np.errstate(over="ignore"):
+                g_norm = float(np.linalg.norm(g))
+            if not np.isfinite(g_norm):  # finite g whose squares overflow
+                m = float(np.max(np.abs(g)))
+                g_norm = m * float(np.linalg.norm(g / m))
             local = state.trust_coeff * w_norm / (
                 g_norm + state.weight_decay * w_norm + _EPS
             )

@@ -137,10 +137,8 @@ def _run_split(cfg: RunConfig, seed: int,
 def _score(cfg: RunConfig, params, ds: Dataset) -> EvalReport:
     """Transductive evaluation of ``params`` on the unlabeled rows."""
     rows = ds.unlabeled_indices
-    s, _ = encode(params, ds.views[0][rows], view=1)
-    if ds.n_views == 2:
-        s2, _ = encode(params, ds.views[1][rows], view=2)
-        s = np.hstack([s, s2])
+    s = np.hstack([encode(params, x[rows], view=v + 1)[0]
+                   for v, x in enumerate(ds.views)])
     y_hat, _ = classify(params, s)
     return evaluate(y_hat, ds.labels[rows], threshold=cfg.threshold,
                     multiclass=cfg.multiclass)
@@ -161,12 +159,8 @@ def run_training(cfg: RunConfig, seed: int,
     else:
         x_sim_all = None
 
-    enc_sizes = [ds.views[0].shape[1]] + list(cfg.encoder_sizes)
-    enc2_sizes = [ds.views[1].shape[1]] + list(cfg.encoder_sizes) \
-        if ds.n_views == 2 else None
-    params = init_params(rng, enc_sizes,
+    params = init_params(rng, [[x.shape[1], *cfg.encoder_sizes] for x in ds.views],
                          [latent * ds.n_views, ds.c],
-                         encoder2_sizes=enc2_sizes,
                          classifier_activation=cfg.classifier_activation)
     state = OptimizerState(base_lr=cfg.base_lr, momentum=cfg.momentum,
                            trust_coeff=cfg.trust_coeff,
@@ -215,32 +209,28 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
     plain InfoNCE for l_u.
     """
     c, u, s = weights
-    x1 = ds.views[0][rows]
-    z1, c1 = encode(params, x1, view=1)
-    x2 = z2 = c2 = None
-    if ds.n_views == 2:
-        x2 = ds.views[1][rows]
-        z2, c2 = encode(params, x2, view=2)
-    back = {"enc1_cache": c1, "enc2_cache": c2, "classifier_rows": labeled}
+    xs = [x[rows] for x in ds.views]
+    zs, caches = zip(*(encode(params, x, view=v + 1) for v, x in enumerate(xs)))
+    back = {"enc_caches": list(caches), "classifier_rows": labeled}
     l_c = l_u = l_s = 0.0
     if c > 0 or s > 0:
         pos = slice(None) if labeled is None else labeled
-        s_lab = z1[pos] if z2 is None else np.hstack([z1[pos], z2[pos]])
+        s_lab = np.hstack([z[pos] for z in zs])
         y_lab = ds.labels[rows[pos]]
     if c > 0:
         y_hat, back["cls_cache"] = classify(params, s_lab)
         l_c, d_yhat = cross_entropy(y_hat, y_lab)
         back["d_yhat"] = c * d_yhat
     if u > 0:
-        batch = ContrastiveBatch(z1=z1, z2=z2, x1=x1, x2=x2, neg_mask=neg_mask,
-                                 x_sim=None if x_sim is None else x_sim[rows])
-        if z2 is None:
-            l_u, d_z1 = unsup_loss_single(batch, simcfg, weighted=weighted)
+        if len(zs) == 1:
+            batch = ContrastiveBatch(z1=zs[0], x1=xs[0], neg_mask=neg_mask,
+                                     x_sim=None if x_sim is None else x_sim[rows])
+            l_u, *d_z = unsup_loss_single(batch, simcfg, weighted=weighted)
         else:
-            l_u, d_z1, d_z2 = unsup_loss_multiview(batch, simcfg,
-                                                   weighted=weighted)
-            back["d_z2"] = u * d_z2
-        back["d_z1"] = u * d_z1
+            batch = ContrastiveBatch(z1=zs[0], z2=zs[1], x1=xs[0], x2=xs[1],
+                                     neg_mask=neg_mask)
+            l_u, *d_z = unsup_loss_multiview(batch, simcfg, weighted=weighted)
+        back["d_z"] = [u * d for d in d_z]
     if s > 0:
         l_s, d_s = weighted_sup_loss(s_lab, y_lab, simcfg)
         back["d_s"] = s * d_s

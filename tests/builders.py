@@ -33,9 +33,9 @@ def safe_model_instance(seed, *, two_view=False, multiclass=False,
     for attempt in range(200):
         params = init_params(
             rng,
-            encoder_sizes=[d1, hidden, latent],
+            encoder_sizes=[[d, hidden, latent]
+                           for d in ([d1, d2] if two_view else [d1])],
             classifier_sizes=[cls_in, hidden, c],
-            encoder2_sizes=[d2, hidden, latent] if two_view else None,
             classifier_activation="softmax" if multiclass else "sigmoid",
         )
         x1 = rng.normal(size=(n, d1))

@@ -4,16 +4,18 @@
 
 Runs ``hcl.cli.main`` from the ``src/`` next to this file (which runs
 numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
-on fixed tiny configs: a two-view train followed by ``eval``, a single-view
-full-plan train, a noise sweep and both bound checks. Prints one
-``sha256  relative/path`` line per CSV and JSON output, sorted by path.
+on fixed tiny configs: a two-view train followed by ``eval``, a two-view
+train on a manifest whose views have different widths (8 and 5 columns),
+a single-view full-plan train, a noise sweep and both bound checks. Prints
+one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
 
-Run records are digested after their ``out_dir`` is replaced by a fixed
-name and ``wall_seconds`` and the checkpoint checksum are dropped (the
-checkpoint embeds the config, so its bytes depend on the output
-directory); every other file is digested as written. Diffing the listings
-of two checkouts shows which outputs a change moved. This is a script, not
-a test module: pytest does not collect it.
+Run records are digested after their ``out_dir`` and ``manifest`` are
+replaced by fixed names and ``wall_seconds`` and the checkpoint checksum
+are dropped (the checkpoint embeds the config, so its bytes depend on the
+output directory); every other file is digested as written. The manifest's
+input files are written to a separate directory and are not listed.
+Diffing the listings of two checkouts shows which outputs a change moved.
+This is a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+sys.path.insert(0, HERE)
 
+import numpy as np  # noqa: E402
+
+from builders import save_csv, save_manifest  # noqa: E402
 from hcl.cli import main  # noqa: E402
 
 TINY = {"n_samples": "60", "n_features": "8", "n_classes": "3",
@@ -39,6 +45,8 @@ TINY = {"n_samples": "60", "n_features": "8", "n_classes": "3",
 CASES = {
     "two-view": ("train", dict(TINY, synthetic="multiview", mode="two-view",
                                seeds="0,1", batch_size="8", neg_size="4")),
+    "two-view-manifest": ("train", dict(TINY, mode="two-view", seeds="0",
+                                        batch_size="8", neg_size="4")),
     "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",
                                 n_classes="4", method="hcl", seeds="3",
                                 batch_size="64", neg_size="full")),
@@ -55,8 +63,26 @@ CASES = {
 }
 
 
-def _run(root: str) -> None:
+def _write_manifest(inputs: str) -> str:
+    """A 40-row, 3-label dataset with views of 8 and 5 columns, both linear
+    in the labels plus noise; returns the manifest's path."""
+    rng = np.random.default_rng(0)
+    y = (rng.random((40, 3)) < 0.5).astype(float)
+    views = [y @ rng.normal(size=(3, d)) + 0.3 * rng.normal(size=(40, d))
+             for d in (8, 5)]
+    for name, m in (("view1.csv", views[0]), ("view2.csv", views[1]),
+                    ("labels.csv", y)):
+        save_csv(os.path.join(inputs, name), m)
+    path = os.path.join(inputs, "data.manifest")
+    save_manifest(path, ["view1.csv", "view2.csv"], "labels.csv", 3)
+    return path
+
+
+def _run(root: str, inputs: str) -> None:
+    manifest = _write_manifest(inputs)
     for case, (command, pairs) in CASES.items():
+        if case == "two-view-manifest":
+            pairs = dict(pairs, manifest=manifest)
         out = os.path.join(root, case)
         cfg_path = os.path.join(root, f"{case}.cfg")
         with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -81,14 +107,17 @@ def _digest(path: str, rel: str) -> str:
     if name.startswith("run-") and name.endswith(".json"):
         record = json.loads(blob)
         record["config"]["out_dir"] = "<out>"
+        if record["config"]["manifest"]:
+            record["config"]["manifest"] = "<manifest>"
         del record["wall_seconds"], record["checksums"]["checkpoint"]
         blob = json.dumps(record, indent=2, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
 def main_digests() -> int:
-    with tempfile.TemporaryDirectory() as root:
-        _run(root)
+    with tempfile.TemporaryDirectory() as root, \
+            tempfile.TemporaryDirectory() as inputs:
+        _run(root, inputs)
         listing = []
         for dirpath, _, files in os.walk(root):
             for name in files:

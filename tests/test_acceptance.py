@@ -203,8 +203,8 @@ def _err_model_backward(seed):
     _, d_yhat = cross_entropy(y_hat, y)
     _, d_u = unsup_loss_single(batch(z))
     _, d_s = weighted_sup_loss(z, y)
-    grads = model_backward(params, enc1_cache=enc_cache, cls_cache=cls_cache,
-                           d_yhat=d_yhat, d_z1=alpha * d_u + beta * d_s)
+    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
+                           d_yhat=d_yhat, d_z=[alpha * d_u + beta * d_s])
     flat_grad = np.concatenate([grads[k].ravel() for k in keys])
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
     unflatten_into(named, keys, flat)

@@ -223,7 +223,7 @@ def test_cmd_eval_separate_out_dir(tmp_path):
 
 
 def test_cmd_eval_rejects_bare_checkpoint(tmp_path):
-    params = init_params(make_rng(0), [8, 6, 4], [4, 3])
+    params = init_params(make_rng(0), [[8, 6, 4]], [4, 3])
     path = str(tmp_path / "bare.ckpt")
     save_checkpoint(params, path)
     with pytest.raises(ContractError, match="no embedded run config"):

@@ -189,6 +189,8 @@ def test_neg_size_accepts_int_and_full():
     ("seeds", "0,0", "0"),
     ("seeds", "3,1,03", "3"),
     ("methods", "hcl-u,hcl-u", "'hcl-u'"),
+    # one (method, mode) cell under two spellings at the default single-view
+    ("methods", "hcl-u,hcl-u@single-view", "hcl-u@single-view"),
     ("noise_levels", "0,0.0", "0.0"),
     ("noise_levels", "0.5,1,.5", "0.5"),
     ("bound_sizes", "6,6", "6"),

@@ -21,8 +21,10 @@ from hcl.mi import (
     quantize_to_prototypes,
     reports_to_csv,
 )
+from hcl import mi
 from hcl.losses import SimilarityConfig
 from hcl.numeric import make_rng
+from hcl.train import train_step
 
 from reference import (
     quantized_gaussian_table,
@@ -360,11 +362,20 @@ def test_check_unsup_bound_divergence_reports_nan(monkeypatch):
     assert all(math.isnan(r.bound) and not r.satisfied for r in reports)
 
 
-def test_check_unsup_bound_validation():
+def test_check_unsup_bound_validation(monkeypatch):
+    # every size is checked before the first cell trains
+    steps = []
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return train_step(*args, **kwargs)
+
+    monkeypatch.setattr(mi, "train_step", counted_step)
     with pytest.raises(ContractError, match="sizes"):
         check_unsup_bound(GaussianPairSpec(), SMALL_UNSUP, [])
     with pytest.raises(ContractError, match="n_train"):
         check_unsup_bound(GaussianPairSpec(), SMALL_UNSUP, [8, 512])
+    assert len(steps) == 0
 
 
 def test_check_sup_bound_small_run():

@@ -1,5 +1,7 @@
 """Model stack: initialization, forward heads, exact backprop, checkpoints."""
 
+import base64
+import json
 import warnings
 
 import numpy as np
@@ -26,13 +28,13 @@ from reference import finite_diff_grad, rel_error
 
 
 def small_params(seed=0, **kw):
-    return init_params(make_rng(seed), encoder_sizes=[4, 3, 2],
+    return init_params(make_rng(seed), encoder_sizes=[[4, 3, 2]],
                        classifier_sizes=[2, 3], **kw)
 
 
 def test_init_glorot_bounds_and_zero_biases():
     rng = make_rng(0)
-    params = init_params(rng, [3, 3, 3], [3, 3])
+    params = init_params(rng, [[3, 3, 3]], [3, 3])
     for name, arr in named_parameters(params).items():
         if ".w" in name:
             # fan_in = fan_out = 3 gives limit exactly 1
@@ -51,24 +53,32 @@ def test_init_deterministic_per_seed():
 
 def test_init_rejects_bad_sizes():
     with pytest.raises(ContractError):
-        init_params(make_rng(0), [4], [4, 2])
+        init_params(make_rng(0), [[4]], [4, 2])
     with pytest.raises(ContractError):
-        init_params(make_rng(0), [4, 0], [0, 2])
+        init_params(make_rng(0), [[4, 0]], [0, 2])
 
 
 def test_model_params_dimension_checks():
     rng = make_rng(1)
     with pytest.raises(ShapeError, match="classifier"):
-        init_params(rng, [4, 3], [5, 2])
+        init_params(rng, [[4, 3]], [5, 2])
     with pytest.raises(ShapeError, match="share an output dimension"):
-        init_params(rng, [4, 3], [6, 2], encoder2_sizes=[4, 2])
+        init_params(rng, [[4, 3], [4, 2]], [6, 2])
     # two-view classifier consumes the concatenation
-    init_params(rng, [4, 3], [6, 2], encoder2_sizes=[5, 3])
+    init_params(rng, [[4, 3], [5, 3]], [6, 2])
+
+
+@pytest.mark.parametrize("n_encoders", [0, 3])
+def test_model_params_needs_one_or_two_encoders(n_encoders):
+    stack = LayerStack(weights=[np.eye(2)], biases=[np.zeros(2)])
+    with pytest.raises(ContractError, match=f"1 or 2 view encoders, got {n_encoders}"):
+        ModelParams(encoders=[stack] * n_encoders, classifier=LayerStack(
+            weights=[np.zeros((2 * n_encoders, 1))], biases=[np.zeros(1)]))
 
 
 def test_encode_identity_layer_passes_through():
     stack = LayerStack(weights=[np.eye(4)], biases=[np.zeros(4)])
-    params = ModelParams(encoder1=stack, classifier=LayerStack(
+    params = ModelParams(encoders=[stack], classifier=LayerStack(
         weights=[np.zeros((4, 2))], biases=[np.zeros(2)],
         output_activation="sigmoid"))
     x = make_rng(2).normal(size=(5, 4))
@@ -86,7 +96,7 @@ def test_classify_sigmoid_extreme_logits_safe():
     stack = LayerStack(weights=[np.array([[1.0, 1.0]])], biases=[np.array([1000.0, -2000.0])],
                        output_activation="sigmoid")
     params = ModelParams(
-        encoder1=LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)]),
+        encoders=[LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)])],
         classifier=stack)
     with np.errstate(over="raise"):
         y, _ = classify(params, np.array([[1000.0]]))
@@ -100,7 +110,7 @@ def _sigmoid_head(pre: np.ndarray) -> np.ndarray:
     stack = LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)],
                        output_activation="sigmoid")
     params = ModelParams(
-        encoder1=LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)]),
+        encoders=[LayerStack(weights=[np.eye(1)], biases=[np.zeros(1)])],
         classifier=stack)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -123,7 +133,7 @@ def test_sigmoid_head_matches_expit():
 
 def test_classify_softmax_rows_sum_to_one():
     rng = make_rng(3)
-    params = init_params(rng, [4, 3], [3, 5], classifier_activation="softmax")
+    params = init_params(rng, [[4, 3]], [3, 5], classifier_activation="softmax")
     z, _ = encode(params, rng.normal(size=(7, 4)) * 100.0)
     y, _ = classify(params, z)
     assert np.all(np.abs(y.sum(axis=1) - 1.0) < 1e-12)
@@ -145,7 +155,7 @@ def test_backward_matches_finite_differences_classifier_path(multiclass):
     z, enc_cache = encode(params, x)
     y_hat, cls_cache = classify(params, z)
     _, d_yhat = cross_entropy(y_hat, y)
-    grads = model_backward(params, enc1_cache=enc_cache, cls_cache=cls_cache,
+    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
                            d_yhat=d_yhat)
     flat_grad = np.concatenate([grads[k].ravel() for k in keys])
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
@@ -165,7 +175,7 @@ def test_backward_direct_embedding_gradient():
         return float(np.sum(w * z * z))
 
     z, enc_cache = encode(params, x)
-    grads = model_backward(params, enc1_cache=enc_cache, d_z1=2.0 * w * z)
+    grads = model_backward(params, enc_caches=[enc_cache], d_z=[2.0 * w * z])
     flat_grad = np.concatenate([grads[k].ravel() for k in keys])
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
     unflatten_into(named, keys, flat)
@@ -193,7 +203,7 @@ def test_backward_two_view_classifier_subset_rows():
     s = np.hstack([z1, z2])[rows]
     y_hat, cc = classify(params, s)
     _, d_yhat = cross_entropy(y_hat, y[rows])
-    grads = model_backward(params, enc1_cache=c1, enc2_cache=c2, cls_cache=cc,
+    grads = model_backward(params, enc_caches=[c1, c2], cls_cache=cc,
                            d_yhat=d_yhat, classifier_rows=rows)
     flat_grad = np.concatenate([grads[k].ravel() for k in keys])
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
@@ -201,11 +211,25 @@ def test_backward_two_view_classifier_subset_rows():
     assert rel_error(flat_grad, num.ravel()) < 1e-5
 
 
+def test_backward_needs_one_cache_and_d_z_per_view():
+    params, x1, x2, _, _ = safe_model_instance(13, two_view=True)
+    z1, c1 = encode(params, x1, view=1)
+    z2, c2 = encode(params, x2, view=2)
+    with pytest.raises(ContractError, match="one encoder cache per view"):
+        model_backward(params, enc_caches=[c1], d_z=[z1, z2])
+    with pytest.raises(ContractError, match="one d_z per view"):
+        model_backward(params, enc_caches=[c1, c2], d_z=[z1])
+    one_view, x, _, _, _ = safe_model_instance(12)
+    z, cache = encode(one_view, x)
+    with pytest.raises(ContractError, match="one d_z per view"):
+        model_backward(one_view, enc_caches=[cache], d_z=[z, z])
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     params, x, _, y, _ = safe_model_instance(14)
     z, enc_cache = encode(params, x)
     y_hat, cls_cache = classify(params, z)
-    grads = model_backward(params, enc1_cache=enc_cache, cls_cache=cls_cache,
+    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
                            d_yhat=np.zeros_like(y_hat))
     assert all(float(np.abs(g).max()) < 1e-8 for g in grads.values())
 
@@ -217,13 +241,14 @@ def test_backward_perfect_predictions_zero_classifier_grad():
     y = (y_hat > 0.5).astype(float)
     # drive predictions to their targets exactly via the clamp region
     _, d_yhat = cross_entropy(y, y)
-    grads = model_backward(params, enc1_cache=enc_cache, cls_cache=cls_cache,
+    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
                            d_yhat=d_yhat)
     assert all(float(np.abs(g).max()) < 1e-8 for g in grads.values())
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    params, _, _, _, _ = safe_model_instance(16, two_view=True)
+@pytest.mark.parametrize("two_view", [False, True], ids=["one-view", "two-view"])
+def test_checkpoint_round_trip_bit_exact(tmp_path, two_view):
+    params, _, _, _, _ = safe_model_instance(16, two_view=two_view)
     path = str(tmp_path / "model.ckpt")
     extra = {"threshold": 0.5, "label_kind": "multilabel"}
     save_checkpoint(params, path, extra)
@@ -236,6 +261,47 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a[k], b[k])
         assert np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64))
     assert extra2 == extra
+    # the v1 layout: a one-view model stores a null second encoder
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert sorted(doc) == ["classifier", "encoder1", "encoder2", "extra",
+                           "format", "version"]
+    assert (doc["encoder2"] is None) == (not two_view)
+    # save -> load -> save reproduces the file byte for byte
+    again = str(tmp_path / "again.ckpt")
+    save_checkpoint(loaded, again, extra2)
+    with open(path, "rb") as fa, open(again, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+def test_checkpoint_hand_built_v1_layout_loads(tmp_path):
+    # written as the v1 format spells it, without the writer's "sizes" keys
+    def stack(w, b, activation="identity"):
+        def arr(a):
+            a = np.asarray(a, dtype="<f8")
+            return {"shape": list(a.shape),
+                    "data": base64.b64encode(a.tobytes()).decode("ascii")}
+        return {"output_activation": activation,
+                "weights": [arr(w)], "biases": [arr(b)]}
+
+    w1, w2 = np.arange(6.0).reshape(3, 2), np.arange(8.0).reshape(4, 2)
+    wc = np.arange(8.0).reshape(4, 2) / 10.0
+    for second, cls_in in ((None, 2), (stack(w2, [0.5, -0.5]), 4)):
+        doc = {"format": "hcl-checkpoint", "version": 1,
+               "encoder1": stack(w1, [1.0, 2.0]), "encoder2": second,
+               "classifier": stack(wc[:cls_in], [0.0, 0.25], "sigmoid"),
+               "extra": {"threshold": 0.5}}
+        path = tmp_path / "v1.ckpt"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        params, extra = load_checkpoint(str(path))
+        assert extra == {"threshold": 0.5}
+        assert len(params.encoders) == (1 if second is None else 2)
+        named = named_parameters(params)
+        assert named["e1.w0"].tobytes() == w1.tobytes()
+        assert named["cls.w0"].tobytes() == wc[:cls_in].tobytes()
+        if second is not None:
+            assert named["e2.w0"].tobytes() == w2.tobytes()
+            assert named["e2.b0"].tolist() == [0.5, -0.5]
 
 
 @pytest.mark.parametrize("name, value", [

@@ -47,6 +47,21 @@ def test_weight_step_matches_hand_formula():
     assert np.allclose(params["w"], w1 - v2, rtol=0, atol=1e-15)
 
 
+def test_weight_step_does_not_depend_on_gradient_scale():
+    # the trust ratio divides by |g|, so scaling g scales nothing; at 1e160
+    # the sum of squares overflows, and a norm read as inf would freeze w
+    rng = make_rng(5)
+    w0 = rng.normal(size=(4, 3))
+    g0 = rng.normal(size=(4, 3))
+    moves = []
+    for scale in (1.0, 1e160):
+        params = {"w": w0.copy()}
+        lars_step(params, {"w": scale * g0}, OptimizerState())
+        moves.append(params["w"] - w0)
+    assert np.linalg.norm(moves[0]) > 0.0
+    assert np.linalg.norm(moves[1] - moves[0]) <= 1e-9 * np.linalg.norm(moves[0])
+
+
 def test_trust_ratio_equal_norms_yields_trust_coeff():
     w = np.array([[3.0, 0.0], [0.0, 4.0]])
     g = np.array([[0.0, 3.0], [4.0, 0.0]])  # same Frobenius norm as w

@@ -166,7 +166,7 @@ def test_two_view_augmented_run():
     result = run_training(cfg, 0)
     assert len(result.trace) == 4
     assert result.params.latent_dim == 6
-    assert result.params.encoder2 is not None
+    assert len(result.params.encoders) == 2
 
 
 def test_multiview_family_two_view_run():
@@ -178,7 +178,7 @@ def test_multiview_family_two_view_run():
 def test_multiview_family_single_view_uses_first_view():
     cfg = small_cfg(synthetic="multiview", mode="single-view")
     result = run_training(cfg, 0)
-    assert result.params.encoder2 is None
+    assert len(result.params.encoders) == 1
 
 
 @pytest.mark.parametrize("method", ["hcl", "supcon-style"])
