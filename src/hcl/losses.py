@@ -7,7 +7,8 @@ respect to the embedding arguments (or predicted probabilities for
     -log( w_pos * f(pos pair) / (w_pos * f(pos pair) + sum_k w_k * f(neg_k)) )
 
 with f the exponentiated cosine kernel. ``_info_nce`` is the single place
-this form is computed: it takes positive and negative logits
+this form is computed (its term half, ``_info_nce_terms``, serves the
+supervised losses): it takes positive and negative logits
 ``cos/tau + log(weight)`` and returns the terms with their gradients in the
 logits, from one in-place exp pass. The negatives' gradient comes back
 unnormalised, as that exp block and a per-row scale. The losses build
@@ -26,13 +27,22 @@ row-wise through the unit-normalization of each embedding matrix; 1/tau
 scales that thin gradient. The weights are constant in the embeddings, so
 they leave the backward as it is.
 
+The supervised losses run over flat arrays of pairs (``_sup_engine``), with
+no loop over labels. One product gives every (anchor i, label a) negative
+sum, S = exp(L - m) @ (1 - Y) over the valid labels' columns Y, with L =
+cos/tau + log gamma at the anchor's own negatives (the samples lacking one
+of its labels) and -inf elsewhere. The shift rule: m is one max per row,
+over those negatives. On single-label data they are one label's, so every
+sum is exact at every tau; on multi-label data, the few sums a small tau
+pushes below ``_SUM_FLOOR`` are redone with their own max.
+
 This module is the one definition of every contrastive weight, each kept
 as the log-weight that gets added to the logits:
 
 * unweighted variants use weight 1 (the usual InfoNCE denominator);
 * weighted variants use ``exp(1 - cos)`` on *raw input* features, in
-  [1, e^2] (``_log_weight``); the kernels take the same weight from the
-  fused product, so there it holds up to the rounding of that product;
+  [1, e^2], taken from the fused product (``_logit_block``), so it holds
+  up to the rounding of that product;
 * the supervised loss weighs the positive pair by label agreement
   sigma = (c - hamming)/c, in [1/c, 1], and each negative by the hamming
   distance gamma, in [1, c] (``_label_log_weights``).
@@ -46,9 +56,12 @@ import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, NumericError, ShapeError
 from .numeric import (ZERO_NORM_EPS, Matrix, as_matrix, gram, row_logsumexp,
-                      unit_rows)
+                      row_shift_exp, unit_rows)
 
 _NEG_INF = float("-inf")
+# A sum of under 2**48 exps this large has a normal float for its largest
+# term, so it keeps full precision under a shared shift.
+_SUM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -178,11 +191,6 @@ def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     return out
 
 
-def _symmetric_backward(d_logits: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
-    """Gradient in ``raw`` of sum(d_logits * gram(unit)), by two thin products."""
-    return _unnormalize_rows(d_logits @ unit + d_logits.T @ unit, raw, unit)
-
-
 def _logit_block(uh: Matrix, vh: Matrix, tau: float,
                  xa: Matrix | None = None, xb: Matrix | None = None,
                  out: Matrix | None = None) -> Matrix:
@@ -203,13 +211,12 @@ def _logit_block(uh: Matrix, vh: Matrix, tau: float,
     return np.matmul(left, right.T, out=out)
 
 
-def _log_weight(xa: Matrix, xb: Matrix) -> Matrix:
-    """log of the raw-feature negative weight: 1 - cos(xa_i, xb_k), the
-    cosine clipped to [-1, 1]. The definition the kernels' fused product
-    (``_logit_block``) is tested against."""
-    lw = unit_rows(xa) @ unit_rows(xb).T
-    np.clip(lw, -1.0, 1.0, out=lw)
-    return np.subtract(1.0, lw, out=lw)
+def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """The term half of ``_info_nce``, given the negatives' log-sum: returns
+    the terms, their gradient in ``pos`` and q = exp(lse_neg - t), the
+    negatives' share of each denominator t."""
+    t = np.logaddexp(pos, lse_neg)
+    return t - pos, np.exp(pos - t) - 1.0, np.exp(lse_neg - t)
 
 
 def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
@@ -231,12 +238,10 @@ def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]
     Dropped negatives are exact zeros of ``e``. No temperature overflows.
     """
     lse_neg, rowsum = row_logsumexp(neg)
-    t = np.logaddexp(pos, lse_neg)
-    d_pos = np.exp(pos - t) - 1.0
-    # d_neg[i, k] = sum_j exp(neg[i, k] - t[i, j])
-    #             = e[i, k] / rowsum[i] * sum_j exp(lse_neg[i] - t[i, j])
-    c = np.sum(np.exp(lse_neg - t), axis=1, keepdims=True) / rowsum
-    return t - pos, d_pos, neg, c
+    terms, d_pos, q = _info_nce_terms(pos, lse_neg)
+    # d_neg[i, k] = sum_j exp(neg[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
+    c = np.sum(q, axis=1, keepdims=True) / rowsum
+    return terms, d_pos, neg, c
 
 
 def unsup_loss_single(batch: ContrastiveBatch,
@@ -326,18 +331,6 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
     return float(np.mean(terms)), d_z[:n], d_z[n:]
 
 
-def _label_groups(y: Matrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Valid label groups: (positive idx, negative idx) with at least two
-    positives and one negative."""
-    groups = []
-    for a in range(y.shape[1]):
-        pos = np.flatnonzero(y[:, a] == 1.0)
-        neg = np.flatnonzero(y[:, a] == 0.0)
-        if pos.size >= 2 and neg.size >= 1:
-            groups.append((pos, neg))
-    return groups
-
-
 def _label_log_weights(y: Matrix) -> tuple[Matrix, Matrix]:
     """log sigma and log gamma for every pair of binary label rows of ``y``.
 
@@ -352,70 +345,78 @@ def _label_log_weights(y: Matrix) -> tuple[Matrix, Matrix]:
     ones_zeros = y @ (1.0 - y).T
     ham = ones_zeros + ones_zeros.T
     with np.errstate(divide="ignore"):
-        log_sigma = np.log(np.maximum((c - ham) / c, 0.0))
-        log_gamma = np.log(np.maximum(ham, 0.0))
+        log_sigma = np.log((c - ham) / c)
+        log_gamma = np.log(ham)
     return log_sigma, log_gamma
 
 
-def _sup_groups(sh: Matrix, y: Matrix, tau: float, indicator: bool) -> list:
-    """Per-pair supervised terms of every valid label group.
-
-    For each label with at least two positives and one negative, returns
-    ``(pos, partners, neg, terms, d_pos, d_neg)``: anchor ``pos[i]`` pairs
-    with each other positive ``partners[i, j]`` (shape (k, k-1)), and
-    ``terms[i, j]`` is
+def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
+    """The supervised losses' one engine, over flat arrays of pairs: pair p
+    is anchor ``pi[p]`` with another positive ``pj[p]`` of valid label
+    ``pa[p]`` (a column of ``yv``, the columns of ``y`` with two positives
+    and a negative), by label, then anchor, then partner. Its term is
 
         -log( sigma_ij f(s_i, s_j) /
-              (sigma_ij f(s_i, s_j) + sum_{k in neg} gamma_ik f(s_i, s_k)) )
+              (sigma_ij f(s_i, s_j) + sum_{k: y_ka = 0} gamma_ik f(s_i, s_k)) )
 
-    with sigma = gamma = 1 when ``indicator`` (single-label data) and the
-    label-distance weights otherwise. The gradients are in the logits.
+    with sigma = gamma = 1 when ``indicator``. Returns ``((yv, pa, pi, pj),
+    terms, value, grad)``: value averages the terms over each label's pairs,
+    then over labels, and grad is its gradient in ``s``.
     """
+    counts = y.sum(axis=0)
+    yv = y[:, (counts >= 2) & (counts < len(y))]
+    if not yv.size:
+        raise DegenerateBatchError(
+            f"no label with >=2 positives and >=1 negative in a batch of {len(y)} "
+            f"samples (positives per label: {counts.astype(int).tolist()})")
+    label, member = np.nonzero(yv.T)
+    k = np.bincount(label)
+    start = np.repeat(np.cumsum(k) - k, k)  # where each member's label starts
+    per = np.repeat(k - 1, k)  # each anchor's partner count
+    # step s of the anchor at place r of its label goes to place s + (s >= r)
+    step = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    place = np.repeat(np.arange(member.size) - start, per)
+    pa, pi = np.repeat(label, per), np.repeat(member, per)
+    pj = member[np.repeat(start, per) + step + (step >= place)]
+
+    n, g = yv.shape
+    sh = unit_rows(s)
     logits = np.clip(gram(sh), -1.0, 1.0) / tau
+    pair = pi * n + pj
+    pos = logits.ravel()[pair]
     if not indicator:
         log_sigma, log_gamma = _label_log_weights(y)
+        pos += log_sigma.ravel()[pair]
+        logits += log_gamma
+    not_y = 1.0 - yv
+    logits[(yv @ not_y.T) == 0.0] = _NEG_INF  # not among the anchor's negatives
+    e = logits.copy()
+    m = row_shift_exp(e)
+    sums = e @ not_y
+    sums[yv == 0.0] = 1.0  # sums no pair reads
+    # redo each sum the shared shift left under the floor with its own shift
+    fi, fa = np.nonzero((sums < _SUM_FLOOR) & (yv > 0.0))
+    own = logits[fi]
+    own[not_y[:, fa].T == 0.0] = _NEG_INF
+    lse_own, sums_own = row_logsumexp(own)
+    sums[fi, fa] = sums_own[:, 0]
+    lse = m + np.log(sums)
+    lse[fi, fa] = lse_own[:, 0]
+    key = pi * g + pa
+    terms, d_pos, q = _info_nce_terms(pos, lse.ravel()[key])
 
-    out = []
-    for pos, neg in _label_groups(y):
-        k = pos.size
-        cols = np.arange(k - 1)[None, :]
-        partners = pos[cols + (cols >= np.arange(k)[:, None])]
-        pair = (pos[:, None], partners)
-        cross = np.ix_(pos, neg)
-        pos_logits = logits[pair]
-        neg_logits = logits[cross]
-        if not indicator:
-            pos_logits += log_sigma[pair]
-            neg_logits += log_gamma[cross]
-        terms, d_pos, e, c = _info_nce(pos_logits, neg_logits)
-        e *= c
-        out.append((pos, partners, neg, terms, d_pos, e))
-    return out
-
-
-def _sup_engine(s: Matrix, y: Matrix, cfg: SimilarityConfig,
-                indicator: bool) -> tuple[float, Matrix]:
-    """Shared core of the supervised losses: the ``_sup_groups`` terms
-    averaged over ordered positive pairs within each label, then over
-    labels."""
-    n = y.shape[0]
-    tau = cfg.temperature
-    sh = unit_rows(s)
-    groups = _sup_groups(sh, y, tau, indicator)
-    if not groups:
-        counts = y.sum(axis=0).astype(int).tolist()
-        raise DegenerateBatchError(
-            f"no label with >=2 positives and >=1 negative in a batch of "
-            f"{n} samples (positives per label: {counts})"
-        )
-    m = np.zeros((n, n))
-    total = 0.0
-    for pos, partners, neg, terms, d_pos, d_neg in groups:
-        total += float(np.sum(terms)) / terms.size
-        scale = 1.0 / (len(groups) * terms.size * tau)
-        m[pos[:, None], partners] += d_pos * scale
-        m[np.ix_(pos, neg)] += d_neg * scale
-    return total / len(groups), _symmetric_backward(m, s, sh)
+    count = np.bincount(pa)
+    value = float(np.sum(np.bincount(pa, weights=terms) / count)) / g
+    w = 1.0 / (g * count * tau)
+    # exp(neg[i, k] - t_p) = e[i, k] q_p / sums[i, a]: one rate per (anchor,
+    # label), taken back to the negatives by one product through not_y
+    r = np.bincount(key, weights=q, minlength=n * g).reshape(n, g) * (w / sums)
+    r_own = r[fi, fa]
+    r[fi, fa] = 0.0
+    d = np.multiply(e, r @ not_y.T, out=e)
+    np.add.at(d, fi, r_own[:, None] * own)
+    d += np.bincount(pair, weights=d_pos * w[pa], minlength=n * n).reshape(n, n)
+    return (yv, pa, pi, pj), terms, value, _unnormalize_rows(d @ sh + d.T @ sh, s, sh)
 
 
 def _as_label_matrix(y, n: int) -> Matrix:
@@ -446,19 +447,18 @@ def supcon_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
     s = as_matrix(s, "s")
     y = _as_label_matrix(y, s.shape[0])
     if y.shape[1] == 1:
-        vals = np.unique(y)
-        if not np.all(np.isin(vals, (0.0, 1.0))):
+        classes = np.unique(y)
+        if not np.all(np.isin(classes, (0.0, 1.0))):
             # Column of class ids: expand to one-hot over observed classes.
             if np.any(y != np.round(y)):
                 raise ContractError("class-id labels must be integers")
-            classes = np.unique(y)
             y = (y == classes[None, :]).astype(np.float64)
     elif not _is_one_hot(y):
         raise ContractError(
             "supcon_loss needs single-label targets (binary column, class "
             "ids, or one-hot rows); use weighted_sup_loss for multi-label"
         )
-    return _sup_engine(s, y, cfg, indicator=True)
+    return _sup_engine(s, y, cfg.temperature, indicator=True)[2:]
 
 
 def weighted_sup_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
@@ -475,4 +475,4 @@ def weighted_sup_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
     y = _as_label_matrix(y, s.shape[0])
     if np.any((y != 0.0) & (y != 1.0)):
         raise ContractError("multi-label targets must be binary")
-    return _sup_engine(s, y, cfg, indicator=_is_one_hot(y))
+    return _sup_engine(s, y, cfg.temperature, indicator=_is_one_hot(y))[2:]

@@ -294,12 +294,16 @@ def _stack_to_json(stack: LayerStack) -> dict:
     }
 
 
-def _stack_from_json(obj: dict) -> LayerStack:
-    return LayerStack(
+def _stack_from_json(obj: dict, key: str) -> LayerStack:
+    stack = LayerStack(
         weights=[_decode_array(w) for w in obj["weights"]],
         biases=[_decode_array(b) for b in obj["biases"]],
         output_activation=obj["output_activation"],
     )
+    if obj.get("sizes", stack.sizes) != stack.sizes:  # v1 files may omit it
+        raise ValueError(f"{key} sizes {obj['sizes']} disagree with its "
+                         f"weights, which give {stack.sizes}")
+    return stack
 
 
 def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
@@ -332,10 +336,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
             f"unsupported checkpoint version {doc.get('version')!r}"
         )
     try:
-        encoders = [_stack_from_json(doc["encoder1"])]
+        encoders = [_stack_from_json(doc["encoder1"], "encoder1")]
         if doc["encoder2"]:
-            encoders.append(_stack_from_json(doc["encoder2"]))
-        params = ModelParams(encoders, _stack_from_json(doc["classifier"]))
+            encoders.append(_stack_from_json(doc["encoder2"], "encoder2"))
+        params = ModelParams(encoders, _stack_from_json(doc["classifier"], "classifier"))
     except KeyError as err:
         raise IngestionError(f"{path}: checkpoint has no {err.args[0]!r} entry") from None
     except (TypeError, ValueError) as err:

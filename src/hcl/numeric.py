@@ -46,13 +46,19 @@ def unit_rows(m: Matrix) -> Matrix:
     return out
 
 
-def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:
-    """Row-wise logsumexp of a 2-D logit array, in place: ``logits`` becomes
-    exp(logits - rowmax), rowmax 0 for an all -inf row (-inf entries become
-    0). Returns (n, 1) columns ``(lse, rowsum)``, rowsum the new row sums."""
+def row_shift_exp(logits: Matrix) -> Matrix:
+    """In place: ``logits`` becomes exp(logits - rowmax), rowmax 0 for an all
+    -inf row (-inf entries become 0). Returns the (n, 1) rowmax column."""
     m = np.max(logits, axis=1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     np.exp(np.subtract(logits, m, out=logits), out=logits)
+    return m
+
+
+def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:
+    """Row-wise logsumexp of a 2-D logit array, in place (``row_shift_exp``).
+    Returns (n, 1) columns ``(lse, rowsum)``, rowsum the new row sums."""
+    m = row_shift_exp(logits)
     rowsum = np.sum(logits, axis=1, keepdims=True)
     return m + np.log(rowsum), rowsum
 

@@ -2,7 +2,10 @@
 
 Everything here is written with explicit loops and ``math`` (or, for the
 quantized gaussian table, scipy's CDF) so that it cannot share bugs with
-the vectorized implementations under test. Keep it slow and obvious.
+the vectorized implementations under test. Keep it slow and obvious. The
+one exception is ``ref_log_weight``, the raw-feature log-weight as a
+matrix: the definition the kernels' fused product is tested against, and
+itself tested against the scalar ``ref_g``.
 """
 
 import math
@@ -11,6 +14,7 @@ import numpy as np
 from scipy.stats import multivariate_normal
 
 from hcl.errors import ContractError
+from hcl.numeric import unit_rows
 
 
 def ref_cosine(u, v):
@@ -28,6 +32,15 @@ def ref_f(u, v, tau):
 
 def ref_g(a, b):
     return math.exp(1.0 - ref_cosine(a, b))
+
+
+def ref_log_weight(xa, xb):
+    """log of the raw-feature negative weight, 1 - cos(xa_i, xb_k) with the
+    cosine clipped to [-1, 1], as one matrix: the definition the kernels'
+    fused logit product is tested against."""
+    lw = unit_rows(xa) @ unit_rows(xb).T
+    np.clip(lw, -1.0, 1.0, out=lw)
+    return np.subtract(1.0, lw, out=lw)
 
 
 def ref_hamming(y1, y2):
@@ -85,6 +98,11 @@ def ref_sup_groups(y):
 
 
 def ref_weighted_sup(s, y, tau, indicator=None):
+    """The label-weighted supervised loss, pair by pair. Each term,
+    -log(sigma f_ij / (sigma f_ij + sum_k gamma_ik f_ik)), is taken in the log
+    domain, logsumexp(pos, negs) - pos over the logits cos/tau + log weight
+    with every denominator shifted by its own max, so it is exact at any
+    temperature."""
     y = np.asarray(y, dtype=float)
     c = y.shape[1]
     if indicator is None:
@@ -101,12 +119,13 @@ def ref_weighted_sup(s, y, tau, indicator=None):
                 if i == j:
                     continue
                 sigma = 1.0 if indicator else 1.0 - ref_hamming(y[i], y[j]) / c
-                num = sigma * ref_f(s[i], s[j], tau)
-                den = num
+                logits = [ref_cosine(s[i], s[j]) / tau + math.log(sigma)]
                 for k in neg:
                     gamma = 1.0 if indicator else float(ref_hamming(y[i], y[k]))
-                    den += gamma * ref_f(s[i], s[k], tau)
-                terms.append(-math.log(num / den))
+                    logits.append(ref_cosine(s[i], s[k]) / tau + math.log(gamma))
+                top = max(logits)
+                lse = top + math.log(sum(math.exp(v - top) for v in logits))
+                terms.append(lse - logits[0])
         group_means.append(sum(terms) / len(terms))
     return sum(group_means) / len(group_means)
 

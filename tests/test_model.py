@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import warnings
 
 import numpy as np
@@ -302,6 +303,20 @@ def test_checkpoint_hand_built_v1_layout_loads(tmp_path):
         if second is not None:
             assert named["e2.w0"].tobytes() == w2.tobytes()
             assert named["e2.b0"].tolist() == [0.5, -0.5]
+
+
+@pytest.mark.parametrize("key", ["encoder1", "encoder2", "classifier"])
+def test_checkpoint_rejects_sizes_that_disagree_with_weights(tmp_path, key):
+    params, _, _, _, _ = safe_model_instance(16, two_view=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    want = doc[key]["sizes"]
+    doc[key]["sizes"] = [99, 1]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = f"{key} sizes [99, 1] disagree with its weights, which give {want}"
+    with pytest.raises(IngestionError, match=re.escape(message)):
+        load_checkpoint(str(path))
 
 
 @pytest.mark.parametrize("name, value", [

@@ -1,7 +1,8 @@
 """The similarity config and the contrastive weights of ``hcl.losses``.
 
 The weights are checked in the log form that gets added to the logits:
-``_log_weight`` for the raw-input weight exp(1 - cos) and
+``reference.ref_log_weight`` for the raw-input weight exp(1 - cos) (the
+definition the kernels' fused product is tested against) and
 ``_label_log_weights`` for the label weights sigma and gamma.
 """
 
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from hcl.errors import ContractError
-from hcl.losses import SimilarityConfig, _label_log_weights, _log_weight
+from hcl.losses import SimilarityConfig, _label_log_weights
 from hcl.numeric import make_rng
 
-from reference import ref_hamming
+from reference import ref_hamming, ref_log_weight
 
 
 def test_temperature_must_be_positive():
@@ -24,10 +25,10 @@ def test_temperature_must_be_positive():
 
 def test_weight_g_known_values():
     v = np.array([[1.0, 2.0, -0.5]])
-    assert _log_weight(v, 2.5 * v)[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert _log_weight(v, -v)[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert ref_log_weight(v, 2.5 * v)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert ref_log_weight(v, -v)[0, 0] == pytest.approx(2.0, abs=1e-12)
     # A zero-norm row has cosine 0 with everything: log-weight exactly 1.
-    assert _log_weight(np.zeros((1, 3)), v)[0, 0] == 1.0
+    assert ref_log_weight(np.zeros((1, 3)), v)[0, 0] == 1.0
 
 
 def test_weight_g_range_many_inputs():
@@ -36,7 +37,7 @@ def test_weight_g_range_many_inputs():
         d = int(rng.integers(1, 6))
         a = rng.normal(size=(1, d)) * float(rng.uniform(0.1, 10))
         b = rng.normal(size=(1, d)) * float(rng.uniform(0.1, 10))
-        lw = _log_weight(a, b)[0, 0]
+        lw = ref_log_weight(a, b)[0, 0]
         # The cosine is clipped to [-1, 1], so the log-weight is in [0, 2].
         assert 0.0 <= lw <= 2.0
 
