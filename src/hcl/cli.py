@@ -218,8 +218,7 @@ def cmd_noise_sweep(pairs: dict[str, str],
         except ConfigError as err:
             raise ConfigError(f"method entry {entry}: {err}") from err
         variants.append((entry, variant))
-    rows = []
-    reports: dict[tuple[float, str], list[EvalReport]] = {}
+    rows, summary = [], []
     failure = None
     for level, entry, seed, variant, noisy in _noise_cells(cfg, base, variants):
         try:
@@ -228,10 +227,12 @@ def cmd_noise_sweep(pairs: dict[str, str],
             failure = (level, entry, seed, err)
             break
         rows.append((level, entry, seed, result.report.f1, result.report.auc))
-        group = reports.setdefault((level, entry), [])
-        group.append(result.report)
-        if len(group) % len(cfg.seeds) == 0:
-            f1s = [r.f1 for r in group]
+        if len(rows) % len(cfg.seeds) == 0:
+            # cells run level, entry, seed: the last len(seeds) rows are this
+            # group's, and a group is summarized only when all its seeds finish
+            f1s, aucs = zip(*(r[3:] for r in rows[-len(cfg.seeds):]))
+            summary.append((level, entry, np.mean(f1s), np.std(f1s),
+                            np.mean(aucs), np.std(aucs)))
             print(f"noise {level:g} {entry}: mean f1={np.mean(f1s):.4f} "
                   f"std={np.std(f1s):.4f}")
 
@@ -240,14 +241,6 @@ def cmd_noise_sweep(pairs: dict[str, str],
         # a failed cell keeps the cells that finished before it
         atomic_write_text(os.path.join(out, "noise_sweep.csv"), text)
 
-    summary = []
-    for (level, method), reps in reports.items():
-        if failure is not None and (level, method) == failure[:2]:
-            continue  # a group is summarized only when all its seeds finished
-        f1s = [r.f1 for r in reps]
-        aucs = [r.auc for r in reps]
-        summary.append((level, method, np.mean(f1s), np.std(f1s),
-                        np.mean(aucs), np.std(aucs)))
     if summary:
         atomic_write_text(os.path.join(out, "noise_summary.csv"), csv_text(
             ["level", "method", "f1_mean", "f1_std", "auc_mean", "auc_std"],

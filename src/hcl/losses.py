@@ -36,13 +36,15 @@ over those negatives. On single-label data they are one label's, so every
 sum is exact at every tau; on multi-label data, the few sums a small tau
 pushes below ``_SUM_FLOOR`` are redone with their own max.
 
-This module is the one definition of every contrastive weight, each kept
-as the log-weight that gets added to the logits:
+The unsupervised losses take a ``ContrastiveBatch`` of one view
+(``unsup_loss_single``) or two (``unsup_loss_multiview``). This module is
+the one definition of every contrastive weight, each kept as the log-weight
+that gets added to the logits:
 
-* unweighted variants use weight 1 (the usual InfoNCE denominator);
-* weighted variants use ``exp(1 - cos)`` on *raw input* features, in
-  [1, e^2], taken from the fused product (``_logit_block``), so it holds
-  up to the rounding of that product;
+* a batch without ``xs`` uses weight 1 (the usual InfoNCE denominator);
+* a batch with ``xs`` uses ``exp(1 - cos)`` on those *raw input* features,
+  in [1, e^2], taken from the fused product (``_logit_block``), so it
+  holds up to the rounding of that product;
 * the supervised loss weighs the positive pair by label agreement
   sigma = (c - hamming)/c, in [1/c, 1], and each negative by the hamming
   distance gamma, in [1, c] (``_label_log_weights``).
@@ -104,29 +106,48 @@ def total_loss(l_c: float, l_u: float, l_s: float,
     return LossBreakdown(float(l_c), float(l_u), float(l_s), j)
 
 
+def _rows(a, name: str, n: int) -> Matrix:
+    m = as_matrix(a, name)
+    if m.shape[0] != n:
+        raise ShapeError(f"{name} has {m.shape[0]} rows, expected {n}")
+    return m
+
+
 @dataclass
 class ContrastiveBatch:
-    """Anchors, their negative sets, and the raw features behind them.
+    """Anchors, their negative sets, and the features behind them.
 
-    Every row is an anchor. ``neg_mask[i, k]`` marks sample ``k`` as a member
-    of anchor ``i``'s negative set; the diagonal must be False and every row
-    must select at least one negative. ``x1``/``x2`` hold the raw input
-    features used by the dissimilarity weight; ``x_sim`` optionally carries
-    the feature-side argument of the similarity kernel for single-view losses
-    when the raw features do not match the embedding dimension (e.g. a fixed
-    random projection of ``x1``).
+    Every row is an anchor. ``zs`` holds one embedding matrix per view, of
+    one width; ``neg_mask[i, k]`` marks sample ``k`` as a member of anchor
+    ``i``'s negative set (never ``i``, at least one per row). ``xs`` holds
+    one raw-feature matrix per view: with it the loss weighs each negative
+    by raw-input dissimilarity, without it (None) the loss is plain
+    InfoNCE. ``x_sim`` is the feature side of the single-view kernel (e.g.
+    a fixed projection of the raw features) and suits one view only.
     """
 
-    z1: Matrix
+    zs: list[Matrix]
     neg_mask: np.ndarray
-    x1: Matrix | None = None
-    z2: Matrix | None = None
-    x2: Matrix | None = None
+    xs: list[Matrix] | None = None
     x_sim: Matrix | None = None
 
     def __post_init__(self) -> None:
-        self.z1 = as_matrix(self.z1, "z1")
-        n = self.z1.shape[0]
+        if not len(self.zs):
+            raise ContractError("a batch needs at least one view")
+        if self.xs is not None and len(self.xs) != len(self.zs):
+            raise ShapeError(f"xs has {len(self.xs)} views, zs {len(self.zs)}")
+        if self.x_sim is not None and len(self.zs) != 1:
+            raise ContractError(f"x_sim serves the single-view loss, not a "
+                                f"batch of {len(self.zs)} views")
+        n = as_matrix(self.zs[0], "zs[0]").shape[0]
+        self.zs = [_rows(z, f"zs[{v}]", n) for v, z in enumerate(self.zs)]
+        if self.xs is not None:
+            self.xs = [_rows(x, f"xs[{v}]", n) for v, x in enumerate(self.xs)]
+        if self.x_sim is not None:
+            self.x_sim = _rows(self.x_sim, "x_sim", n)
+        if len({z.shape[1] for z in self.zs}) > 1:
+            raise ShapeError(f"view embeddings must share a dimension, got "
+                             f"{[z.shape for z in self.zs]}")
         self.neg_mask = np.asarray(self.neg_mask, dtype=bool)
         if self.neg_mask.shape != (n, n):
             raise ShapeError(
@@ -137,24 +158,10 @@ class ContrastiveBatch:
         if not np.all(self.neg_mask.any(axis=1)):
             empty = int(np.argmin(self.neg_mask.any(axis=1)))
             raise DegenerateBatchError(f"anchor {empty} has an empty negative set")
-        for name in ("x1", "z2", "x2", "x_sim"):
-            v = getattr(self, name)
-            if v is not None:
-                v = as_matrix(v, name)
-                if v.shape[0] != n:
-                    raise ShapeError(
-                        f"{name} has {v.shape[0]} rows, expected {n}"
-                    )
-                setattr(self, name, v)
-        if self.z2 is not None and self.z2.shape[1] != self.z1.shape[1]:
-            raise ShapeError(
-                f"view embeddings must share a dimension, got "
-                f"{self.z1.shape} and {self.z2.shape}"
-            )
 
     @property
     def n(self) -> int:
-        return self.z1.shape[0]
+        return self.zs[0].shape[0]
 
 
 def full_negatives(n: int) -> np.ndarray:
@@ -245,31 +252,29 @@ def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]
 
 
 def unsup_loss_single(batch: ContrastiveBatch,
-                      cfg: SimilarityConfig = DEFAULT_SIMILARITY,
-                      weighted: bool = True) -> tuple[float, Matrix]:
+                      cfg: SimilarityConfig = DEFAULT_SIMILARITY
+                      ) -> tuple[float, Matrix]:
     """Single-view contrastive loss pairing each input with its embedding.
 
-    Per anchor i the positive score is f(x_i, z_i) and each negative k in the
-    anchor's set contributes w_ik * f(x_i, z_k), with w = exp(1 - cos) on raw
-    features when ``weighted`` (otherwise 1). Returns the mean over anchors
-    and the gradient with respect to ``batch.z1``. The feature side of f is
-    ``batch.x_sim`` when provided, else ``batch.x1`` (dimensions must match
-    the embeddings).
+    Per anchor i the positive score is f(x_i, z_i), with x = ``batch.x_sim``
+    (of the embeddings' width), and each negative k in the anchor's set
+    contributes w_ik * f(x_i, z_k), with w = exp(1 - cos) on the raw
+    features ``batch.xs[0]`` when the batch has them (otherwise 1). Returns
+    the mean over anchors and the gradient with respect to ``batch.zs[0]``.
     """
-    z = batch.z1
-    xs = batch.x_sim if batch.x_sim is not None else batch.x1
-    if xs is None:
-        raise ContractError("single-view loss needs x1 (or x_sim) features")
-    if xs.shape[1] != z.shape[1]:
+    if len(batch.zs) != 1:
+        raise ContractError(f"single-view loss needs 1 view, got {len(batch.zs)}")
+    if batch.x_sim is None:
+        raise ContractError("single-view loss needs x_sim, the feature side of f")
+    z, x = batch.zs[0], batch.x_sim
+    if x.shape[1] != z.shape[1]:
         raise ShapeError(
-            f"feature side of f has dim {xs.shape[1]} but embeddings have "
+            f"feature side of f has dim {x.shape[1]} but embeddings have "
             f"{z.shape[1]}; pass x_sim with matching dimension"
         )
-    if weighted and batch.x1 is None:
-        raise ContractError("weighted loss needs raw features x1")
     tau, n = cfg.temperature, batch.n
-    xh, zh = unit_rows(xs), unit_rows(z)
-    x1h = unit_rows(batch.x1) if weighted else None
+    xh, zh = unit_rows(x), unit_rows(z)
+    x1h = None if batch.xs is None else unit_rows(batch.xs[0])
     logits = _logit_block(xh, zh, tau, x1h, x1h)
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
@@ -282,39 +287,37 @@ def unsup_loss_single(batch: ContrastiveBatch,
 
 
 def unsup_loss_multiview(batch: ContrastiveBatch,
-                         cfg: SimilarityConfig = DEFAULT_SIMILARITY,
-                         weighted: bool = True) -> tuple[float, Matrix, Matrix]:
+                         cfg: SimilarityConfig = DEFAULT_SIMILARITY
+                         ) -> tuple[float, Matrix, Matrix]:
     """Two-view contrastive loss, symmetrized over both anchor views.
 
     Anchor (i, v) scores its other-view partner as the positive and both
     views of every negative-set member as negatives (2|N_i| denominator
-    terms). Negative weights come from raw features: cross-view when the
-    view dimensions agree, otherwise the anchor view's own features stand in
-    for both. Returns (value, grad_z1, grad_z2), the mean over the 2n anchor
-    terms.
+    terms). When the batch has raw features ``xs``, they weigh the
+    negatives: cross-view when the view dimensions agree, otherwise the
+    anchor view's own features stand in for both. Returns (value, grad_z1,
+    grad_z2), the mean over the 2n anchor terms.
     """
-    if batch.z2 is None:
-        raise ContractError("two-view loss needs z2 embeddings")
-    if weighted and (batch.x1 is None or batch.x2 is None):
-        raise ContractError("weighted loss needs raw features x1 and x2")
+    if len(batch.zs) != 2:
+        raise ContractError(f"two-view loss needs 2 views, got {len(batch.zs)}")
     tau, n = cfg.temperature, batch.n
     # NT-Xent layout: rows 0..n-1 anchor view 1, rows n..2n-1 view 2, and
     # row r's positive is its other-view partner (r + n) mod 2n.
-    z = np.vstack([batch.z1, batch.z2])
+    z = np.vstack(batch.zs)
     zh = unit_rows(z)
     partner = (np.arange(2 * n) + n) % (2 * n)
     # the positive carries no weight; the block's partner entries do
     pos = np.einsum("ij,ij->i", zh, zh[partner])[:, None] * (1.0 / tau)
-    if not weighted:
+    if batch.xs is None:
         logits = _logit_block(zh, zh, tau)
-    elif batch.x1.shape[1] == batch.x2.shape[1]:
-        xh = unit_rows(np.vstack([batch.x1, batch.x2]))
+    elif batch.xs[0].shape[1] == batch.xs[1].shape[1]:
+        xh = unit_rows(np.vstack(batch.xs))
         logits = _logit_block(zh, zh, tau, xh, xh)
     else:
         # same-view proxy: anchors of view a weigh both views of each
         # negative by view a's own dissimilarity, one row half per product
         logits = np.empty((2 * n, 2 * n))
-        for a, x in enumerate((batch.x1, batch.x2)):
+        for a, x in enumerate(batch.xs):
             xh = unit_rows(x)
             half = slice(a * n, (a + 1) * n)
             _logit_block(zh[half], zh, tau, xh, np.vstack([xh, xh]),

@@ -61,6 +61,8 @@ class BoundReport:
 
     ``size`` is |N|: the negative-set size of an unsupervised check, and the
     stratum's N term as exp(mean ln|N(a)|), rounded, of a supervised one.
+    A supervised seed that diverged has no strata: its one report has size
+    0, no stratum, and NaN loss, bound and reference MI.
     """
 
     size: int
@@ -322,7 +324,8 @@ def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
 def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
                     ) -> list[BoundReport]:
     """Train the label-weighted objective, then verify, per eps stratum,
-    (-L_s + N) / eps <= reference MI of the quantized pair distribution."""
+    (-L_s + N) / eps <= reference MI of the quantized pair distribution.
+    A diverged seed yields one NaN report instead of aborting the sweep."""
     reports = []
     cfg = SimilarityConfig(temperature=train_spec.temperature)
     prototypes = data_spec.prototypes()
@@ -338,18 +341,23 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         )
         state = train_spec.optimizer()
         train_rows = train_ds.labeled_indices
-        for _ in range(train_spec.epochs):
-            rows = run_rng.choice(train_rows,
-                                  size=min(train_spec.batch_size, train_rows.size),
-                                  replace=False)
-            train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), cfg)
-        rows = run_rng.choice(eval_ds.n, size=min(train_spec.batch_size * 2,
-                                                  eval_ds.n), replace=False)
-        x_eval = eval_ds.views[0][rows]
-        y_eval = eval_ds.labels[rows]
-        z_eval, _ = encode(params, x_eval)
-        ids = quantize_to_prototypes(x_eval, prototypes)
-        strata = _stratum_terms(z_eval, y_eval, ids, data_spec.c, cfg)
+        batch = min(train_spec.batch_size, train_rows.size)
+        try:
+            for _ in range(train_spec.epochs):
+                rows = run_rng.choice(train_rows, size=batch, replace=False)
+                train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), cfg)
+            rows = run_rng.choice(eval_ds.n, size=min(train_spec.batch_size * 2,
+                                                      eval_ds.n), replace=False)
+            x_eval = eval_ds.views[0][rows]
+            z_eval, _ = encode(params, x_eval)
+            ids = quantize_to_prototypes(x_eval, prototypes)
+            strata = _stratum_terms(z_eval, eval_ds.labels[rows], ids,
+                                    data_spec.c, cfg)
+        except NumericError:
+            nan = float("nan")
+            reports.append(BoundReport(0, seed, nan, nan, nan,
+                                       tolerance=train_spec.tolerance))
+            continue
         for stratum in sorted(strata):
             loss, n_term, reference = strata[stratum]
             bound = (-loss + n_term) / stratum

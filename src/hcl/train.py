@@ -205,8 +205,9 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
 
     ``labeled``: positions in ``rows`` the classifier and l_s see (default
     all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
-    row similarity side of the single-view l_u. ``weighted = False`` gives
-    plain InfoNCE for l_u.
+    row similarity side of the single-view l_u. l_u takes one batch of all
+    views, and ``weighted = False`` leaves out its raw features, which gives
+    plain InfoNCE.
     """
     c, u, s = weights
     xs = [x[rows] for x in ds.views]
@@ -222,14 +223,10 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
         l_c, d_yhat = cross_entropy(y_hat, y_lab)
         back["d_yhat"] = c * d_yhat
     if u > 0:
-        if len(zs) == 1:
-            batch = ContrastiveBatch(z1=zs[0], x1=xs[0], neg_mask=neg_mask,
-                                     x_sim=None if x_sim is None else x_sim[rows])
-            l_u, *d_z = unsup_loss_single(batch, simcfg, weighted=weighted)
-        else:
-            batch = ContrastiveBatch(z1=zs[0], z2=zs[1], x1=xs[0], x2=xs[1],
-                                     neg_mask=neg_mask)
-            l_u, *d_z = unsup_loss_multiview(batch, simcfg, weighted=weighted)
+        batch = ContrastiveBatch(list(zs), neg_mask, xs if weighted else None,
+                                 None if x_sim is None else x_sim[rows])
+        kernel = unsup_loss_single if len(zs) == 1 else unsup_loss_multiview
+        l_u, *d_z = kernel(batch, simcfg)
         back["d_z"] = [u * d for d in d_z]
     if s > 0:
         l_s, d_s = weighted_sup_loss(s_lab, y_lab, simcfg)

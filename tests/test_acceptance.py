@@ -77,7 +77,7 @@ def _single_view_batch(rng):
     d = int(rng.integers(2, 7))
     x = rng.normal(size=(n, d))
     return ContrastiveBatch(
-        z1=rng.normal(size=(n, dz)), x1=x,
+        zs=[rng.normal(size=(n, dz))], xs=[x],
         x_sim=x @ rng.normal(size=(d, dz)),
         neg_mask=random_neg_mask(rng, n),
     )
@@ -89,8 +89,8 @@ def _two_view_batch(rng):
     # same feature dims half the time, exercising cross-view weights
     d2 = d1 if rng.uniform() < 0.5 else int(rng.integers(2, 7))
     return ContrastiveBatch(
-        z1=rng.normal(size=(n, dz)), z2=rng.normal(size=(n, dz)),
-        x1=rng.normal(size=(n, d1)), x2=rng.normal(size=(n, d2)),
+        zs=[rng.normal(size=(n, dz)), rng.normal(size=(n, dz))],
+        xs=[rng.normal(size=(n, d1)), rng.normal(size=(n, d2))],
         neg_mask=random_neg_mask(rng, n),
     )
 
@@ -128,28 +128,30 @@ def _err_cross_entropy(seed):
 def _err_unsup_single(seed, weighted):
     rng = make_rng(2_000 + seed)
     b = _single_view_batch(rng)
+    xs = b.xs if weighted else None  # no raw features: plain InfoNCE
 
     def value(z):
-        probe = ContrastiveBatch(z1=z, x1=b.x1, x_sim=b.x_sim,
+        probe = ContrastiveBatch(zs=[z], xs=xs, x_sim=b.x_sim,
                                  neg_mask=b.neg_mask)
-        return unsup_loss_single(probe, weighted=weighted)[0]
+        return unsup_loss_single(probe)[0]
 
-    _, grad = unsup_loss_single(b, weighted=weighted)
-    return rel_error(grad, finite_diff_grad(value, b.z1))
+    _, grad = unsup_loss_single(ContrastiveBatch(b.zs, b.neg_mask, xs, b.x_sim))
+    return rel_error(grad, finite_diff_grad(value, b.zs[0]))
 
 
 def _err_unsup_multiview(seed, weighted):
     rng = make_rng(3_000 + seed)
     b = _two_view_batch(rng)
+    xs = b.xs if weighted else None  # no raw features: plain InfoNCE
 
     def value(z1, z2):
-        probe = ContrastiveBatch(z1=z1, z2=z2, x1=b.x1, x2=b.x2,
-                                 neg_mask=b.neg_mask)
-        return unsup_loss_multiview(probe, weighted=weighted)[0]
+        probe = ContrastiveBatch(zs=[z1, z2], xs=xs, neg_mask=b.neg_mask)
+        return unsup_loss_multiview(probe)[0]
 
-    _, g1, g2 = unsup_loss_multiview(b, weighted=weighted)
-    n1 = finite_diff_grad(lambda m: value(m, b.z2), b.z1)
-    n2 = finite_diff_grad(lambda m: value(b.z1, m), b.z2)
+    z1, z2 = b.zs
+    _, g1, g2 = unsup_loss_multiview(ContrastiveBatch(b.zs, b.neg_mask, xs))
+    n1 = finite_diff_grad(lambda m: value(m, z2), z1)
+    n2 = finite_diff_grad(lambda m: value(z1, m), z2)
     return rel_error(np.concatenate([g1.ravel(), g2.ravel()]),
                      np.concatenate([n1.ravel(), n2.ravel()]))
 
@@ -186,7 +188,7 @@ def _err_model_backward(seed):
     flat, keys = flatten_params(named)
 
     def batch(z):
-        return ContrastiveBatch(z1=z, x1=x, x_sim=x @ proj, neg_mask=mask)
+        return ContrastiveBatch(zs=[z], xs=[x], x_sim=x @ proj, neg_mask=mask)
 
     def objective(vec):
         unflatten_into(named, keys, vec)
@@ -255,13 +257,13 @@ def test_criterion_02_degenerations():
         d = int(rng.integers(2, 7))
         base = rng.normal(size=d)
         b = ContrastiveBatch(
-            z1=rng.normal(size=(n, dz)), z2=rng.normal(size=(n, dz)),
-            x1=np.outer(rng.uniform(0.1, 2.0, size=n), base),
-            x2=np.outer(rng.uniform(0.1, 2.0, size=n), base),
+            zs=[rng.normal(size=(n, dz)), rng.normal(size=(n, dz))],
+            xs=[np.outer(rng.uniform(0.1, 2.0, size=n), base),
+                np.outer(rng.uniform(0.1, 2.0, size=n), base)],
             neg_mask=random_neg_mask(rng, n),
         )
-        vw, gw1, gw2 = unsup_loss_multiview(b, weighted=True)
-        vu, gu1, gu2 = unsup_loss_multiview(b, weighted=False)
+        vw, gw1, gw2 = unsup_loss_multiview(b)
+        vu, gu1, gu2 = unsup_loss_multiview(ContrastiveBatch(b.zs, b.neg_mask))
         unsup_diff = max(unsup_diff, abs(vw - vu),
                          float(np.abs(gw1 - gu1).max()),
                          float(np.abs(gw2 - gu2).max()))

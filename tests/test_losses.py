@@ -3,6 +3,7 @@ differences, and the documented degeneracy/equality behavior."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,9 +46,9 @@ def single_view_batch(rng, n=None, d=None, dz=None, project=False):
     d = d or (int(rng.integers(2, 7)) if project else dz)
     x = rng.normal(size=(n, d))
     z = rng.normal(size=(n, dz))
-    x_sim = rng.normal(size=(n, dz)) if project else None
+    x_sim = rng.normal(size=(n, dz)) if project else x
     mask = random_neg_mask(rng, n)
-    return ContrastiveBatch(z1=z, x1=x, x_sim=x_sim, neg_mask=mask)
+    return ContrastiveBatch(zs=[z], xs=[x], x_sim=x_sim, neg_mask=mask)
 
 
 def two_view_batch(rng, n=None, dz=None, d1=None, d2=None):
@@ -56,10 +57,8 @@ def two_view_batch(rng, n=None, dz=None, d1=None, d2=None):
     d1 = d1 or int(rng.integers(2, 7))
     d2 = d2 or d1
     return ContrastiveBatch(
-        z1=rng.normal(size=(n, dz)),
-        z2=rng.normal(size=(n, dz)),
-        x1=rng.normal(size=(n, d1)),
-        x2=rng.normal(size=(n, d2)),
+        zs=[rng.normal(size=(n, dz)), rng.normal(size=(n, dz))],
+        xs=[rng.normal(size=(n, d1)), rng.normal(size=(n, d2))],
         neg_mask=random_neg_mask(rng, n),
     )
 
@@ -70,25 +69,58 @@ def with_full_mask(b):
     return dataclasses.replace(b, neg_mask=full_negatives(b.n))
 
 
+def weighting(b, weighted):
+    """``b`` as it is, or without its raw features: plain InfoNCE."""
+    return b if weighted else dataclasses.replace(b, xs=None)
+
+
+def with_view(b, v, z):
+    """``b`` with view ``v``'s embeddings replaced by ``z``."""
+    zs = list(b.zs)
+    zs[v] = z
+    return dataclasses.replace(b, zs=zs)
+
+
 # ---------------------------------------------------------------- batch type
 
 
 def test_batch_rejects_self_negative():
     mask = np.ones((3, 3), dtype=bool)
     with pytest.raises(ContractError):
-        ContrastiveBatch(z1=np.eye(3), neg_mask=mask)
+        ContrastiveBatch(zs=[np.eye(3)], neg_mask=mask)
 
 
 def test_batch_rejects_empty_negative_set():
     mask = full_negatives(3)
     mask[1, :] = False
     with pytest.raises(DegenerateBatchError, match="anchor 1"):
-        ContrastiveBatch(z1=np.eye(3), neg_mask=mask)
+        ContrastiveBatch(zs=[np.eye(3)], neg_mask=mask)
 
 
 def test_batch_rejects_row_mismatch():
-    with pytest.raises(ShapeError):
-        ContrastiveBatch(z1=np.eye(3), x1=np.zeros((4, 2)), neg_mask=full_negatives(3))
+    # a 4-row entry in a 3-row batch is named, as is a view-count mismatch
+    # between xs and zs
+    z, x, bad = np.eye(3), np.zeros((3, 2)), np.zeros((4, 2))
+    for entry, fields in [
+        ("zs[1]", dict(zs=[z, np.eye(4, 3)])),
+        ("xs[0]", dict(zs=[z], xs=[bad])),
+        ("xs[1]", dict(zs=[z, z], xs=[x, bad])),
+        ("x_sim", dict(zs=[z], x_sim=np.zeros((4, 3)))),
+        ("xs has 1 views, zs 2", dict(zs=[z, z], xs=[x])),
+        ("xs has 2 views, zs 1", dict(zs=[z], xs=[x, x])),
+    ]:
+        with pytest.raises(ShapeError, match=re.escape(entry)):
+            ContrastiveBatch(neg_mask=full_negatives(3), **fields)
+
+
+def test_batch_rejects_views_no_kernel_takes():
+    with pytest.raises(ContractError, match="at least one view"):
+        ContrastiveBatch(zs=[], neg_mask=full_negatives(3))
+    with pytest.raises(ContractError, match="x_sim"):
+        ContrastiveBatch(zs=[np.eye(3)] * 2, x_sim=np.eye(3),
+                         neg_mask=full_negatives(3))
+    with pytest.raises(ShapeError, match="share a dimension"):
+        ContrastiveBatch(zs=[np.eye(3), np.eye(3, 2)], neg_mask=full_negatives(3))
 
 
 def test_full_negatives_shape():
@@ -159,9 +191,10 @@ def test_unsup_single_equal_scores_give_log2():
     # One negative per anchor with f(pos) = f(neg) and weights 1.
     row = np.array([0.6, -0.2, 1.1])
     z = np.vstack([row, row])
-    batch = ContrastiveBatch(z1=z, x1=z.copy(), neg_mask=full_negatives(2))
+    batch = ContrastiveBatch(zs=[z], xs=[z.copy()], x_sim=z.copy(),
+                             neg_mask=full_negatives(2))
     for weighted in (True, False):
-        value, _ = unsup_loss_single(batch, weighted=weighted)
+        value, _ = unsup_loss_single(weighting(batch, weighted))
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -173,10 +206,9 @@ def test_unsup_single_matches_oracle(weighted, project):
         drawn = single_view_batch(rng, project=project)
         cfg = SimilarityConfig(float(rng.uniform(0.4, 2.0)))
         for b in (drawn, with_full_mask(drawn)):
-            value, _ = unsup_loss_single(b, cfg, weighted=weighted)
-            x_sim = b.x_sim if b.x_sim is not None else b.x1
+            value, _ = unsup_loss_single(weighting(b, weighted), cfg)
             want = ref_unsup_single(
-                x_sim, b.x1, b.z1, neg_sets_from_mask(b.neg_mask),
+                b.x_sim, b.xs[0], b.zs[0], neg_sets_from_mask(b.neg_mask),
                 cfg.temperature, weighted
             )
             assert value == pytest.approx(want, abs=1e-10)
@@ -190,13 +222,13 @@ def test_unsup_single_gradient(weighted):
         drawn = single_view_batch(rng, project=bool(rng.integers(0, 2)))
         cfg = SimilarityConfig(float(rng.uniform(0.5, 1.5)))
         for b in (drawn, with_full_mask(drawn)):
-            _, grad = unsup_loss_single(b, cfg, weighted=weighted)
+            b = weighting(b, weighted)
+            _, grad = unsup_loss_single(b, cfg)
 
             def fn(z, b=b):
-                nb = dataclasses.replace(b, z1=z)
-                return unsup_loss_single(nb, cfg, weighted=weighted)[0]
+                return unsup_loss_single(with_view(b, 0, z), cfg)[0]
 
-            assert rel_error(grad, finite_diff_grad(fn, b.z1)) < GRAD_TOL
+            assert rel_error(grad, finite_diff_grad(fn, b.zs[0])) < GRAD_TOL
 
 
 def test_unsup_single_weights_vanish_on_identical_inputs():
@@ -206,20 +238,40 @@ def test_unsup_single_weights_vanish_on_identical_inputs():
     n, dz = 6, 4
     base = rng.normal(size=dz)
     x = np.outer(rng.uniform(0.2, 3.0, size=n), base)
-    b = ContrastiveBatch(z1=rng.normal(size=(n, dz)), x1=x,
+    b = ContrastiveBatch(zs=[rng.normal(size=(n, dz))], xs=[x],
                          x_sim=rng.normal(size=(n, dz)),
                          neg_mask=random_neg_mask(rng, n))
-    w, _ = unsup_loss_single(b, weighted=True)
-    u, _ = unsup_loss_single(b, weighted=False)
+    w, _ = unsup_loss_single(b)
+    u, _ = unsup_loss_single(weighting(b, False))
     assert w == pytest.approx(u, abs=1e-12)
 
 
 def test_unsup_single_dimension_mismatch_needs_projection():
     rng = make_rng(6)
-    b = ContrastiveBatch(z1=rng.normal(size=(3, 4)), x1=rng.normal(size=(3, 7)),
-                         neg_mask=full_negatives(3))
+    b = ContrastiveBatch(zs=[rng.normal(size=(3, 4))], xs=[rng.normal(size=(3, 7))],
+                         x_sim=rng.normal(size=(3, 7)), neg_mask=full_negatives(3))
     with pytest.raises(ShapeError, match="x_sim"):
         unsup_loss_single(b)
+
+
+def test_unsup_single_needs_x_sim():
+    # the raw features never stand in for the feature side of f
+    x = make_rng(6).normal(size=(3, 4))
+    b = ContrastiveBatch(zs=[x], xs=[x], neg_mask=full_negatives(3))
+    with pytest.raises(ContractError, match="x_sim"):
+        unsup_loss_single(b)
+
+
+@pytest.mark.parametrize("loss, views, message", [
+    (unsup_loss_single, 2, "single-view loss needs 1 view, got 2"),
+    (unsup_loss_multiview, 3, "two-view loss needs 2 views, got 3"),
+])
+def test_unsup_kernels_reject_wrong_view_count(loss, views, message):
+    z = make_rng(12).normal(size=(3, 2))
+    b = ContrastiveBatch(zs=[z] * views, xs=[z] * views,
+                         neg_mask=full_negatives(3))
+    with pytest.raises(ContractError, match=message):
+        loss(b)
 
 
 # --------------------------------------------------------- two-view unsup
@@ -229,8 +281,8 @@ def test_unsup_multiview_equal_vectors_give_log3():
     # Two samples, every embedding the same unit vector, weights 1:
     # denominator = positive + two equal negatives.
     v = np.array([[0.0, 1.0], [0.0, 1.0]])
-    b = ContrastiveBatch(z1=v, z2=v.copy(), neg_mask=full_negatives(2))
-    value, _, _ = unsup_loss_multiview(b, weighted=False)
+    b = ContrastiveBatch(zs=[v, v.copy()], neg_mask=full_negatives(2))
+    value, _, _ = unsup_loss_multiview(b)
     assert value == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -243,9 +295,9 @@ def test_unsup_multiview_matches_oracle(weighted, equal_dims):
         drawn = two_view_batch(rng, d1=d1, d2=d2)
         cfg = SimilarityConfig(float(rng.uniform(0.4, 2.0)))
         for b in (drawn, with_full_mask(drawn)):
-            value, _, _ = unsup_loss_multiview(b, cfg, weighted=weighted)
+            value, _, _ = unsup_loss_multiview(weighting(b, weighted), cfg)
             want = ref_unsup_multiview(
-                b.x1, b.x2, b.z1, b.z2, neg_sets_from_mask(b.neg_mask),
+                *b.xs, *b.zs, neg_sets_from_mask(b.neg_mask),
                 cfg.temperature, weighted,
             )
             assert value == pytest.approx(want, abs=1e-10)
@@ -260,24 +312,19 @@ def test_unsup_multiview_gradients(weighted):
         drawn = two_view_batch(rng, d1=d1, d2=d1 if equal else d1 + 2)
         cfg = SimilarityConfig(float(rng.uniform(0.5, 1.5)))
         for b in (drawn, with_full_mask(drawn)):
-            _, g1, g2 = unsup_loss_multiview(b, cfg, weighted=weighted)
+            b = weighting(b, weighted)
+            for v, g in enumerate(unsup_loss_multiview(b, cfg)[1:]):
 
-            def fn1(z, b=b):
-                nb = dataclasses.replace(b, z1=z)
-                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
+                def fn(z, b=b, v=v):
+                    return unsup_loss_multiview(with_view(b, v, z), cfg)[0]
 
-            def fn2(z, b=b):
-                nb = dataclasses.replace(b, z2=z)
-                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
-
-            assert rel_error(g1, finite_diff_grad(fn1, b.z1)) < GRAD_TOL
-            assert rel_error(g2, finite_diff_grad(fn2, b.z2)) < GRAD_TOL
+                assert rel_error(g, finite_diff_grad(fn, b.zs[v])) < GRAD_TOL
 
 
 def test_unsup_multiview_view_swap_symmetry():
     rng = make_rng(9)
     b = two_view_batch(rng, d1=3, d2=3)
-    swapped = ContrastiveBatch(z1=b.z2, z2=b.z1, x1=b.x2, x2=b.x1, neg_mask=b.neg_mask)
+    swapped = ContrastiveBatch(zs=b.zs[::-1], xs=b.xs[::-1], neg_mask=b.neg_mask)
     v1, _, _ = unsup_loss_multiview(b)
     v2, _, _ = unsup_loss_multiview(swapped)
     assert v1 == pytest.approx(v2, abs=1e-12)
@@ -290,20 +337,20 @@ def test_unsup_multiview_weighted_equals_unweighted_on_identical_raw():
     n, dz, d = 5, 3, 4
     base = rng.normal(size=d)
     b = ContrastiveBatch(
-        z1=rng.normal(size=(n, dz)), z2=rng.normal(size=(n, dz)),
-        x1=np.outer(rng.uniform(0.1, 2.0, size=n), base),
-        x2=np.outer(rng.uniform(0.1, 2.0, size=n), base),
+        zs=[rng.normal(size=(n, dz)), rng.normal(size=(n, dz))],
+        xs=[np.outer(rng.uniform(0.1, 2.0, size=n), base),
+            np.outer(rng.uniform(0.1, 2.0, size=n), base)],
         neg_mask=random_neg_mask(rng, n),
     )
-    w, _, _ = unsup_loss_multiview(b, weighted=True)
-    u, _, _ = unsup_loss_multiview(b, weighted=False)
+    w, _, _ = unsup_loss_multiview(b)
+    u, _, _ = unsup_loss_multiview(weighting(b, False))
     assert w == pytest.approx(u, abs=1e-12)
 
 
 def test_unsup_multiview_requires_second_view():
     rng = make_rng(11)
     b = single_view_batch(rng)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="two-view loss needs 2 views, got 1"):
         unsup_loss_multiview(b)
 
 
@@ -462,7 +509,7 @@ def test_every_loss_finite_across_temperatures(tau):
     multi = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1],
                       [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
     results = [
-        loss(batch, cfg, weighted=weighted)
+        loss(weighting(batch, weighted), cfg)
         for loss, drawn in ((unsup_loss_single, single),
                             (unsup_loss_multiview, two))
         for batch in (drawn, with_full_mask(drawn))
@@ -626,29 +673,24 @@ def test_folded_kernels_gradient(tau):
         two = two_view_batch(rng, n=5)
         proxy = two_view_batch(rng, n=5, d1=3, d2=4)
         for b in (single, with_full_mask(single)):
-            _, grad = unsup_loss_single(b, cfg, weighted=weighted)
+            b = weighting(b, weighted)
+            _, grad = unsup_loss_single(b, cfg)
 
             def fn(z, b=b):
-                nb = dataclasses.replace(b, z1=z)
-                return unsup_loss_single(nb, cfg, weighted=weighted)[0]
+                return unsup_loss_single(with_view(b, 0, z), cfg)[0]
 
-            assert rel_error(grad, finite_diff_grad(fn, b.z1)) < GRAD_TOL
+            assert rel_error(grad, finite_diff_grad(fn, b.zs[0])) < GRAD_TOL
         for b in (two, with_full_mask(two), proxy, with_full_mask(proxy)):
-            _, g1, g2 = unsup_loss_multiview(b, cfg, weighted=weighted)
+            b = weighting(b, weighted)
+            for v, g in enumerate(unsup_loss_multiview(b, cfg)[1:]):
 
-            def fn1(z, b=b):
-                nb = dataclasses.replace(b, z1=z)
-                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
+                def fn(z, b=b, v=v):
+                    return unsup_loss_multiview(with_view(b, v, z), cfg)[0]
 
-            def fn2(z, b=b):
-                nb = dataclasses.replace(b, z2=z)
-                return unsup_loss_multiview(nb, cfg, weighted=weighted)[0]
-
-            assert rel_error(g1, finite_diff_grad(fn1, b.z1)) < GRAD_TOL
-            assert rel_error(g2, finite_diff_grad(fn2, b.z2)) < GRAD_TOL
+                assert rel_error(g, finite_diff_grad(fn, b.zs[v])) < GRAD_TOL
 
 
-def _kernel_logits(monkeypatch, loss, batch, cfg, weighted):
+def _kernel_logits(monkeypatch, loss, batch, cfg):
     """The (pos, neg) logits ``loss`` hands to ``_info_nce``."""
     seen = []
 
@@ -657,7 +699,7 @@ def _kernel_logits(monkeypatch, loss, batch, cfg, weighted):
         return _info_nce(pos, neg)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
-    loss(batch, cfg, weighted=weighted)
+    loss(batch, cfg)
     monkeypatch.undo()
     return seen[0]
 
@@ -682,30 +724,29 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
         for project in (True, False):  # with and without x_sim
             drawn = single_view_batch(rng, n=7, project=project)
             for b in (drawn, with_full_mask(drawn)):
-                xs = b.x_sim if project else b.x1
-                cos = unit_rows(xs) @ unit_rows(b.z1).T
-                lw = ref_log_weight(b.x1, b.x1) if weighted else 0.0
-                got = _kernel_logits(monkeypatch, unsup_loss_single, b, cfg,
-                                     weighted)
+                cos = unit_rows(b.x_sim) @ unit_rows(b.zs[0]).T
+                lw = ref_log_weight(b.xs[0], b.xs[0]) if weighted else 0.0
+                got = _kernel_logits(monkeypatch, unsup_loss_single,
+                                     weighting(b, weighted), cfg)
                 check(got, (np.diag(cos)[:, None] / tau, cos / tau + lw),
                       b.neg_mask)
         for d2 in (4, 6):  # cross-view weights, then the same-view proxy
             drawn = two_view_batch(rng, n=6, d1=4, d2=d2)
             for b in (drawn, with_full_mask(drawn)):
                 n = b.n
-                zh = unit_rows(np.vstack([b.z1, b.z2]))
+                zh = unit_rows(np.vstack(b.zs))
                 cos = zh @ zh.T
                 if not weighted:
                     lw = 0.0
                 elif d2 == 4:
-                    x = np.vstack([b.x1, b.x2])
+                    x = np.vstack(b.xs)
                     lw = ref_log_weight(x, x)
                 else:
                     lw = np.vstack([np.tile(ref_log_weight(v, v), 2)
-                                    for v in (b.x1, b.x2)])
+                                    for v in b.xs])
                 partner = (np.arange(2 * n) + n) % (2 * n)
-                got = _kernel_logits(monkeypatch, unsup_loss_multiview, b,
-                                     cfg, weighted)
+                got = _kernel_logits(monkeypatch, unsup_loss_multiview,
+                                     weighting(b, weighted), cfg)
                 want = (cos[np.arange(2 * n), partner][:, None] / tau,
                         cos / tau + lw)
                 check(got, want, np.tile(b.neg_mask, (2, 2)))
@@ -720,21 +761,21 @@ def test_public_losses_invariant_sweep():
         cfg = SimilarityConfig(10.0 ** rng.uniform(-2.0, 1.0))
         single = single_view_batch(rng, n=n, project=bool(rng.integers(2)))
         two = two_view_batch(rng, n=n)
-        results = [loss(batch, cfg, weighted=weighted)
+        results = [loss(weighting(batch, weighted), cfg)
                    for loss, batch in ((unsup_loss_single, single),
                                        (unsup_loss_multiview, two))
                    for weighted in (True, False)]
 
         # raw rows all parallel: every weight is 1, so weighting is a no-op
-        base = rng.normal(size=single.x1.shape[1])
+        base = rng.normal(size=single.xs[0].shape[1])
         scales = rng.uniform(0.1, 3.0, size=(2, n))
-        flat = dataclasses.replace(single, x1=np.outer(scales[0], base))
-        flat2 = dataclasses.replace(two, x1=np.outer(scales[0], base),
-                                    x2=np.outer(scales[1], base))
+        flat = dataclasses.replace(single, xs=[np.outer(scales[0], base)])
+        flat2 = dataclasses.replace(two, xs=[np.outer(scales[0], base),
+                                             np.outer(scales[1], base)])
         for loss, batch in ((unsup_loss_single, flat),
                             (unsup_loss_multiview, flat2)):
-            w = loss(batch, cfg, weighted=True)[0]
-            assert w == pytest.approx(loss(batch, cfg, weighted=False)[0],
+            w = loss(batch, cfg)[0]
+            assert w == pytest.approx(loss(weighting(batch, False), cfg)[0],
                                       rel=1e-12, abs=1e-12)
 
         c = int(rng.integers(2, 5))

@@ -362,6 +362,32 @@ def test_check_unsup_bound_divergence_reports_nan(monkeypatch):
     assert all(math.isnan(r.bound) and not r.satisfied for r in reports)
 
 
+def test_check_sup_bound_divergence_keeps_finished_seeds(monkeypatch):
+    # seed 1 diverges at its first step; seed 0's strata are kept as they
+    # are, and seed 1 gets one unsatisfied NaN report with no stratum
+    spec = BoundTrainSpec(temperature=1.0, epochs=20, n_train=96, n_eval=128,
+                          seeds=(0, 1))
+    calls = []
+
+    def step_then_boom(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > spec.epochs:
+            raise NumericError("non-finite gradient for parameter 'e1.w0'")
+        return train_step(*args, **kwargs)
+
+    monkeypatch.setattr(mi, "train_step", step_then_boom)
+    reports = check_sup_bound(RingProtoSpec(), spec)
+    monkeypatch.undo()
+    finished = check_sup_bound(RingProtoSpec(), BoundTrainSpec(
+        temperature=1.0, epochs=20, n_train=96, n_eval=128, seeds=(0,)))
+    assert reports[:-1] == finished and len(finished) == 2
+    diverged = reports[-1]
+    assert (diverged.seed, diverged.size, diverged.stratum) == (1, 0, None)
+    assert all(math.isnan(v) for v in (diverged.loss, diverged.bound,
+                                       diverged.reference_mi))
+    assert not diverged.satisfied
+
+
 def test_check_unsup_bound_validation(monkeypatch):
     # every size is checked before the first cell trains
     steps = []

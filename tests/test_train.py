@@ -250,11 +250,11 @@ def _step_grad_error(monkeypatch, seed, two_view):
         if two_view:
             z2, _ = encode(params, x2, view=2)
             l_u = unsup_loss_multiview(ContrastiveBatch(
-                z1=z1, z2=z2, x1=x1, x2=x2, neg_mask=mask), simcfg)[0]
+                zs=[z1, z2], xs=[x1, x2], neg_mask=mask), simcfg)[0]
             s = np.hstack([z1, z2])[pos]
         else:
             l_u = unsup_loss_single(ContrastiveBatch(
-                z1=z1, x1=x1, x_sim=x_sim, neg_mask=mask), simcfg)[0]
+                zs=[z1], xs=[x1], x_sim=x_sim, neg_mask=mask), simcfg)[0]
             s = z1[pos]
         l_c = cross_entropy(classify(params, s)[0], y[pos])[0]
         l_s = weighted_sup_loss(s, y[pos], simcfg)[0]
