@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig, config_for_seed, load_pairs, resolve_config
 from .data import Dataset, inject_noise, take_rows
-from .errors import ConfigError, ContractError, HclError
+from .errors import ConfigError, ContractError, HclError, IngestionError
 from .ioutil import atomic_write_text, csv_text, json_text, sha256_file
 from .metrics import EvalReport
 from .mi import (
@@ -103,17 +103,24 @@ def cmd_train(pairs: dict[str, str],
 def cmd_eval(checkpoint: str, data: str | None = None,
              out_dir: str | None = None) -> EvalReport:
     params, extra = load_checkpoint(checkpoint)
-    if "config" not in extra or "seed" not in extra:
+    if not isinstance(extra, dict) or "config" not in extra or "seed" not in extra:
         raise ContractError(
             f"{checkpoint} has no embedded run config; it was not written "
             "by the train command"
         )
+    pairs, seed = extra["config"], extra["seed"]
+    if not (isinstance(pairs, dict) and all(
+            isinstance(k, str) and isinstance(v, str) for k, v in pairs.items())):
+        raise IngestionError(f"{checkpoint}: the embedded run config must map "
+                             f"field names to text, got {pairs!r}")
+    if type(seed) is not int or seed < 0:  # a bool is no seed
+        raise IngestionError(f"{checkpoint}: the embedded seed must be a "
+                             f"non-negative integer, got {seed!r}")
     overrides: dict[str, str] = {}
     if data is not None:
         overrides["manifest"] = data
         overrides["synthetic"] = ""
-    cfg = resolve_config(dict(extra["config"]), overrides)
-    seed = int(extra["seed"])
+    cfg = resolve_config(dict(pairs), overrides)
     base = build_dataset(cfg)
     # --data names other data on purpose; without it the run's own dataset
     # must be unchanged since training

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 from .data import _parse_aug
 from .errors import ConfigError
-from .ioutil import parse_kv_text
+from .ioutil import parse_kv_text, read_text
 
 MODES = ("single-view", "two-view")
 METHODS = ("dnn", "simclr-style", "supcon-style", "hcl-u", "hcl-s", "hcl")
@@ -267,12 +267,7 @@ def resolve_config(pairs: dict[str, str],
 
 def load_pairs(path: str) -> dict[str, str]:
     """Read a config file into its raw key-value pairs."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-    return parse_kv_text(text, source=path)
+    return parse_kv_text(read_text(path, "config file", ConfigError), source=path)
 
 
 def config_for_seed(cfg: RunConfig, seed: int) -> dict[str, str]:

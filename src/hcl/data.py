@@ -11,6 +11,7 @@ losses read it (``ContrastiveBatch.neg_mask``).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError, ShapeError
-from .ioutil import parse_kv_text
+from .ioutil import parse_kv_text, read_text
 from .losses import full_negatives
 from .numeric import Matrix, Rng, as_matrix, unit_rows
 
@@ -108,7 +109,7 @@ def _read_matrix(path: str, header: bool) -> tuple[Matrix, list[int]]:
     lines: list[int] = []
     width = None
     skipped_header = not header
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path, "data file"), newline="") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -185,8 +186,7 @@ def load_manifest(path: str) -> Dataset:
     (optional). A ``name`` key is accepted and ignored, so older manifests
     still load. Relative paths resolve against the manifest.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        kv = parse_kv_text(fh.read(), source=path)
+    kv = parse_kv_text(read_text(path, "manifest"), source=path)
     known = {"view1", "view2", "labels", "c", "name", "header"}
     for key in kv:
         if key not in known:

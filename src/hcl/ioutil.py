@@ -1,6 +1,6 @@
-"""Atomic file writes, checksums, the key-value text format used by run
-configs and dataset manifests, and the one formatter of every output table
-and JSON document."""
+"""The one reader of every input text file, atomic file writes, checksums,
+the key-value text format used by run configs and dataset manifests, and
+the one formatter of every output table and JSON document."""
 
 from __future__ import annotations
 
@@ -11,7 +11,19 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, HclError, IngestionError
+
+
+def read_text(path: str, what: str, error: type[HclError] = IngestionError) -> str:
+    """The text of the UTF-8 file ``path``, line endings as written. A file
+    that cannot be opened, read or decoded raises ``error``, naming ``what``
+    and the path."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise error(f"cannot read {what} {path}: {reason}") from None
 
 
 def atomic_write_text(path: str, text: str) -> None:

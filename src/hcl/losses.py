@@ -6,9 +6,12 @@ respect to the embedding arguments (or predicted probabilities for
 
     -log( w_pos * f(pos pair) / (w_pos * f(pos pair) + sum_k w_k * f(neg_k)) )
 
-with f the exponentiated cosine kernel. ``_info_nce`` is the single place
-this form is computed (its term half, ``_info_nce_terms``, serves the
-supervised losses): it takes positive and negative logits
+with f = exp(cos/tau) the exponentiated cosine kernel. Its one
+hyperparameter, the temperature tau, is a plain float argument of every
+contrastive loss (default 1); each refuses tau <= 0 or NaN with a
+``ContractError``. ``_info_nce`` is the single place this form is
+computed (its term half, ``_info_nce_terms``, serves the supervised
+losses): it takes positive and negative logits
 ``cos/tau + log(weight)`` and returns the terms with their gradients in the
 logits, from one in-place exp pass. The negatives' gradient comes back
 unnormalised, as that exp block and a per-row scale. The losses build
@@ -67,22 +70,6 @@ _SUM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
-class SimilarityConfig:
-    """Kernel hyperparameters. ``temperature`` must be positive."""
-
-    temperature: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ContractError(
-                f"temperature must be positive, got {self.temperature}"
-            )
-
-
-DEFAULT_SIMILARITY = SimilarityConfig()
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """One training step's objective: j = l_c + alpha*l_u + beta*l_s."""
 
@@ -104,6 +91,11 @@ def total_loss(l_c: float, l_u: float, l_s: float,
         raise NumericError(f"objective j = {j} is not finite: l_c={l_c}, "
                            f"l_u={l_u}, l_s={l_s}, alpha={alpha}, beta={beta}")
     return LossBreakdown(float(l_c), float(l_u), float(l_s), j)
+
+
+def _check_tau(tau: float) -> None:
+    if not tau > 0:  # NaN too
+        raise ContractError(f"temperature must be positive, got {tau}")
 
 
 def _rows(a, name: str, n: int) -> Matrix:
@@ -251,8 +243,7 @@ def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]
     return terms, d_pos, neg, c
 
 
-def unsup_loss_single(batch: ContrastiveBatch,
-                      cfg: SimilarityConfig = DEFAULT_SIMILARITY
+def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
                       ) -> tuple[float, Matrix]:
     """Single-view contrastive loss pairing each input with its embedding.
 
@@ -262,6 +253,7 @@ def unsup_loss_single(batch: ContrastiveBatch,
     features ``batch.xs[0]`` when the batch has them (otherwise 1). Returns
     the mean over anchors and the gradient with respect to ``batch.zs[0]``.
     """
+    _check_tau(tau)
     if len(batch.zs) != 1:
         raise ContractError(f"single-view loss needs 1 view, got {len(batch.zs)}")
     if batch.x_sim is None:
@@ -272,7 +264,7 @@ def unsup_loss_single(batch: ContrastiveBatch,
             f"feature side of f has dim {x.shape[1]} but embeddings have "
             f"{z.shape[1]}; pass x_sim with matching dimension"
         )
-    tau, n = cfg.temperature, batch.n
+    n = batch.n
     xh, zh = unit_rows(x), unit_rows(z)
     x1h = None if batch.xs is None else unit_rows(batch.xs[0])
     logits = _logit_block(xh, zh, tau, x1h, x1h)
@@ -286,8 +278,7 @@ def unsup_loss_single(batch: ContrastiveBatch,
     return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
 
 
-def unsup_loss_multiview(batch: ContrastiveBatch,
-                         cfg: SimilarityConfig = DEFAULT_SIMILARITY
+def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
                          ) -> tuple[float, Matrix, Matrix]:
     """Two-view contrastive loss, symmetrized over both anchor views.
 
@@ -298,9 +289,10 @@ def unsup_loss_multiview(batch: ContrastiveBatch,
     anchor view's own features stand in for both. Returns (value, grad_z1,
     grad_z2), the mean over the 2n anchor terms.
     """
+    _check_tau(tau)
     if len(batch.zs) != 2:
         raise ContractError(f"two-view loss needs 2 views, got {len(batch.zs)}")
-    tau, n = cfg.temperature, batch.n
+    n = batch.n
     # NT-Xent layout: rows 0..n-1 anchor view 1, rows n..2n-1 view 2, and
     # row r's positive is its other-view partner (r + n) mod 2n.
     z = np.vstack(batch.zs)
@@ -366,6 +358,7 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     terms, value, grad)``: value averages the terms over each label's pairs,
     then over labels, and grad is its gradient in ``s``.
     """
+    _check_tau(tau)
     counts = y.sum(axis=0)
     yv = y[:, (counts >= 2) & (counts < len(y))]
     if not yv.size:
@@ -437,8 +430,7 @@ def _is_one_hot(y: Matrix) -> bool:
                 np.all(y.sum(axis=1) == 1.0))
 
 
-def supcon_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
-                ) -> tuple[float, Matrix]:
+def supcon_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     """Supervised contrastive loss for single-label data.
 
     ``y`` may be a binary column (anchors and positives are the label-1
@@ -461,11 +453,10 @@ def supcon_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
             "supcon_loss needs single-label targets (binary column, class "
             "ids, or one-hot rows); use weighted_sup_loss for multi-label"
         )
-    return _sup_engine(s, y, cfg.temperature, indicator=True)[2:]
+    return _sup_engine(s, y, tau, indicator=True)[2:]
 
 
-def weighted_sup_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
-                      ) -> tuple[float, Matrix]:
+def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     """Label-distance-weighted supervised contrastive loss.
 
     ``y`` holds binary multi-label rows. Positive pairs within each valid
@@ -478,4 +469,4 @@ def weighted_sup_loss(s: Matrix, y, cfg: SimilarityConfig = DEFAULT_SIMILARITY
     y = _as_label_matrix(y, s.shape[0])
     if np.any((y != 0.0) & (y != 1.0)):
         raise ContractError("multi-label targets must be binary")
-    return _sup_engine(s, y, cfg.temperature, indicator=_is_one_hot(y))[2:]
+    return _sup_engine(s, y, tau, indicator=_is_one_hot(y))[2:]

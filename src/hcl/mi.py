@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, NumericError
 from .ioutil import csv_text
-from .losses import SimilarityConfig, _sup_engine
+from .losses import _check_tau, _sup_engine
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng
 from .optimizer import OptimizerState
@@ -224,19 +224,20 @@ class BoundTrainSpec:
             raise ContractError("need at least one seed")
         if self.tolerance <= 0:
             raise ContractError(f"tolerance must be > 0, got {self.tolerance}")
+        _check_tau(self.temperature)
 
     def optimizer(self) -> OptimizerState:
         return OptimizerState(base_lr=self.base_lr, momentum=self.momentum,
                               trust_coeff=self.trust_coeff)
 
 
-def _eval_unsup(ds: Dataset, size: int, params, cfg, spec: BoundTrainSpec,
+def _eval_unsup(ds: Dataset, size: int, params, spec: BoundTrainSpec,
                 rng: Rng) -> float:
     values = []
     for _ in range(spec.eval_batches):
         plan = sample_batch(ds, size + 1, size, rng)
         (_, value, _), _ = step_forward(params, ds, plan.anchors,
-                                        (0.0, 1.0, 0.0), cfg,
+                                        (0.0, 1.0, 0.0), spec.temperature,
                                         neg_mask=plan.neg_mask)
         values.append(value)
     return float(np.mean(values))
@@ -256,7 +257,7 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
             f"|N| = {sizes[-1]} needs more rows than n_train/n_eval allow"
         )
     reference = data_spec.reference_mi()
-    cfg = SimilarityConfig(temperature=train_spec.temperature)
+    tau = train_spec.temperature
     reports = []
     for size in sizes:
         for seed in train_spec.seeds:
@@ -280,8 +281,8 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
                 for _ in range(train_spec.epochs):
                     plan = sample_batch(train_ds, size + 1, size, run_rng)
                     train_step(params, state, train_ds, plan.anchors,
-                               (0.0, 1.0, 0.0), cfg, neg_mask=plan.neg_mask)
-                l_u = _eval_unsup(eval_ds, size, params, cfg, train_spec, run_rng)
+                               (0.0, 1.0, 0.0), tau, neg_mask=plan.neg_mask)
+                l_u = _eval_unsup(eval_ds, size, params, train_spec, run_rng)
                 bound = -l_u + math.log(size)
             except NumericError:
                 l_u, bound = float("nan"), float("nan")
@@ -292,7 +293,7 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
 
 
 def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
-                   cfg: SimilarityConfig) -> dict[int, tuple[float, float, float]]:
+                   tau: float) -> dict[int, tuple[float, float, float]]:
     """Per-shared-label-count stratum: (restricted loss, matching N term,
     reference MI), from one pass over the flat pairs of ``_sup_engine``.
 
@@ -303,7 +304,7 @@ def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
     uniform over labels, uniform over pairs per label.
     """
     y = as_matrix(labels, "labels")
-    (yv, pa, pi, pj), terms, _, _ = _sup_engine(z, y, cfg.temperature, False)
+    (yv, pa, pi, pj), terms, _, _ = _sup_engine(z, y, tau, False)
     eps = gram(y).astype(int)[pi, pj]
     log_negs = np.log(np.sum(yv == 0.0, axis=0))
     out = {}
@@ -327,7 +328,7 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
     (-L_s + N) / eps <= reference MI of the quantized pair distribution.
     A diverged seed yields one NaN report instead of aborting the sweep."""
     reports = []
-    cfg = SimilarityConfig(temperature=train_spec.temperature)
+    tau = train_spec.temperature
     prototypes = data_spec.prototypes()
     for seed in train_spec.seeds:
         data_rng = make_rng(800_000 + seed)
@@ -345,14 +346,14 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         try:
             for _ in range(train_spec.epochs):
                 rows = run_rng.choice(train_rows, size=batch, replace=False)
-                train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), cfg)
+                train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), tau)
             rows = run_rng.choice(eval_ds.n, size=min(train_spec.batch_size * 2,
                                                       eval_ds.n), replace=False)
             x_eval = eval_ds.views[0][rows]
             z_eval, _ = encode(params, x_eval)
             ids = quantize_to_prototypes(x_eval, prototypes)
             strata = _stratum_terms(z_eval, eval_ds.labels[rows], ids,
-                                    data_spec.c, cfg)
+                                    data_spec.c, tau)
         except NumericError:
             nan = float("nan")
             reports.append(BoundReport(0, seed, nan, nan, nan,

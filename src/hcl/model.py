@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, IngestionError, ShapeError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, json_text, read_text
 from .numeric import Matrix, Rng, as_matrix
 
 CHECKPOINT_FORMAT = "hcl-checkpoint"
@@ -318,16 +318,14 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
         "classifier": _stack_to_json(params.classifier),
         "extra": extra or {},
     }
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
+    atomic_write_text(path, json_text(doc))
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
+    text = read_text(path, "checkpoint")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise IngestionError(f"cannot read checkpoint {path}: {err.strerror}") from None
-    except ValueError as err:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as err:  # nesting past the stack
         raise IngestionError(f"{path} is not valid checkpoint JSON: {err}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"{path} is not a model checkpoint")

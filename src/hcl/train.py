@@ -39,7 +39,6 @@ from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
-    SimilarityConfig,
     cross_entropy,
     total_loss,
     unsup_loss_multiview,
@@ -165,7 +164,6 @@ def run_training(cfg: RunConfig, seed: int,
     state = OptimizerState(base_lr=cfg.base_lr, momentum=cfg.momentum,
                            trust_coeff=cfg.trust_coeff,
                            weight_decay=cfg.weight_decay)
-    simcfg = SimilarityConfig(temperature=cfg.temperature)
     weights = (1.0, cfg.alpha, cfg.beta)
 
     n_labeled = int(ds.labeled_mask.sum())
@@ -178,7 +176,7 @@ def run_training(cfg: RunConfig, seed: int,
             plan = sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
             try:
                 sums += train_step(
-                    params, state, ds, plan.anchors, weights, simcfg,
+                    params, state, ds, plan.anchors, weights, cfg.temperature,
                     labeled=np.searchsorted(plan.anchors, plan.labeled),
                     neg_mask=plan.neg_mask, x_sim=x_sim_all,
                     weighted=cfg.method != "simclr-style",
@@ -194,14 +192,15 @@ def run_training(cfg: RunConfig, seed: int,
 
 
 def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
-                 weights: tuple[float, float, float], simcfg: SimilarityConfig,
+                 weights: tuple[float, float, float], tau: float,
                  *, labeled: np.ndarray | None = None,
                  neg_mask: np.ndarray | None = None,
                  x_sim: np.ndarray | None = None, weighted: bool = True
                  ) -> tuple[tuple[float, float, float], dict]:
     """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
     batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
-    gradient of c*l_c + u*l_u + s*l_s, where (c, u, s) = ``weights``.
+    gradient of c*l_c + u*l_u + s*l_s, where (c, u, s) = ``weights`` and
+    ``tau`` is the kernel temperature of l_u and l_s.
 
     ``labeled``: positions in ``rows`` the classifier and l_s see (default
     all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
@@ -226,21 +225,21 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
         batch = ContrastiveBatch(list(zs), neg_mask, xs if weighted else None,
                                  None if x_sim is None else x_sim[rows])
         kernel = unsup_loss_single if len(zs) == 1 else unsup_loss_multiview
-        l_u, *d_z = kernel(batch, simcfg)
+        l_u, *d_z = kernel(batch, tau)
         back["d_z"] = [u * d for d in d_z]
     if s > 0:
-        l_s, d_s = weighted_sup_loss(s_lab, y_lab, simcfg)
+        l_s, d_s = weighted_sup_loss(s_lab, y_lab, tau)
         back["d_s"] = s * d_s
     return (l_c, l_u, l_s), back
 
 
 def train_step(params: ModelParams, state: OptimizerState, ds: Dataset,
                rows: np.ndarray, weights: tuple[float, float, float],
-               simcfg: SimilarityConfig, **inputs) -> tuple[float, float, float]:
+               tau: float, **inputs) -> tuple[float, float, float]:
     """One LARS step on c*L_c + u*L_u + s*L_s over the batch ``rows`` of
-    ``ds``; returns the terms (l_c, l_u, l_s). ``inputs`` are the keyword
-    arguments of ``step_forward``."""
-    terms, back = step_forward(params, ds, rows, weights, simcfg, **inputs)
+    ``ds``, at kernel temperature ``tau``; returns the terms (l_c, l_u,
+    l_s). ``inputs`` are the keyword arguments of ``step_forward``."""
+    terms, back = step_forward(params, ds, rows, weights, tau, **inputs)
     lars_step(named_parameters(params), model_backward(params, **back), state)
     return terms
 

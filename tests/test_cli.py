@@ -574,6 +574,7 @@ def _checkpoint_text(**entries) -> str:
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read checkpoint"),
     ('{"format": "hcl-checkpoint", "vers', "not valid checkpoint JSON"),
+    ("[" * 100_000, "not valid checkpoint JSON"),
     ('{"format": "hcl-checkpoint", "version": 1}', "no 'encoder1' entry"),
     (_checkpoint_text(encoder1="x"), "malformed checkpoint entry"),
     (_checkpoint_text(classifier=[1, 2]), "malformed checkpoint entry"),
@@ -584,13 +585,51 @@ def _checkpoint_text(**entries) -> str:
     # one little-endian NaN
     (_checkpoint_text(classifier=_stack(data="AAAAAAAA+H8=")),
      "checkpoint parameter cls.w0 holds non-finite values"),
-], ids=["missing", "truncated", "incomplete", "wrong-type", "list-entry",
-        "bad-base64", "wrong-shape", "non-finite"])
+    (_checkpoint_text(extra="config seed"), "has no embedded run config"),
+    (_checkpoint_text(extra={"config": 5, "seed": 0}),
+     "embedded run config must map field names to text"),
+    (_checkpoint_text(extra={"config": {"synthetic": None}, "seed": 0}),
+     "embedded run config must map field names to text"),
+    (_checkpoint_text(extra={"config": {"epochs": 3}, "seed": 0}),
+     "embedded run config must map field names to text"),
+    (_checkpoint_text(extra={"config": {}, "seed": "x"}),
+     "embedded seed must be a non-negative integer"),
+    (_checkpoint_text(extra={"config": {}, "seed": -1}),
+     "embedded seed must be a non-negative integer"),
+], ids=["missing", "truncated", "too-deep", "incomplete", "wrong-type", "list-entry",
+        "bad-base64", "wrong-shape", "non-finite", "extra-text",
+        "config-number", "config-null-value", "config-number-value",
+        "seed-text", "seed-negative"])
 def test_main_eval_bad_checkpoint_named(tmp_path, capsys, content, message):
     path = tmp_path / "run.ckpt"
     if content is not None:
         path.write_text(content, encoding="utf-8")
     assert main(["eval", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("view1, labels, not_utf8, message", [
+    ("nope.csv", "y.csv", None, "cannot read data file"),
+    ("x.csv", "nope.csv", None, "cannot read data file"),
+    ("sub", "y.csv", None, "cannot read data file"),
+    ("x.csv", "y.csv", "x.csv", "cannot read data file"),
+    ("x.csv", "y.csv", "m.manifest", "cannot read manifest"),
+    ("x.csv", "y.csv", "run.cfg", "cannot read config file"),
+], ids=["missing-view", "missing-labels", "directory-view", "view-not-utf8",
+        "manifest-not-utf8", "config-not-utf8"])
+def test_main_train_unreadable_input_named(tmp_path, capsys, view1, labels,
+                                           not_utf8, message):
+    save_csv(str(tmp_path / "x.csv"), np.eye(4))
+    save_csv(str(tmp_path / "y.csv"), np.eye(4)[:, :2])
+    (tmp_path / "sub").mkdir()
+    save_manifest(str(tmp_path / "m.manifest"), view1, labels, 2)
+    cfg = write_cfg(tmp_path, small_pairs(
+        tmp_path, synthetic="", manifest=str(tmp_path / "m.manifest")))
+    if not_utf8:
+        path = tmp_path / not_utf8
+        path.write_bytes(path.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    assert main(["train", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
 

@@ -13,7 +13,6 @@ from hcl.errors import ContractError, DegenerateBatchError, NumericError, ShapeE
 from hcl.losses import (
     ContrastiveBatch,
     _info_nce,
-    SimilarityConfig,
     cross_entropy,
     full_negatives,
     supcon_loss,
@@ -204,12 +203,12 @@ def test_unsup_single_matches_oracle(weighted, project):
     rng = make_rng(3)
     for _ in range(15):
         drawn = single_view_batch(rng, project=project)
-        cfg = SimilarityConfig(float(rng.uniform(0.4, 2.0)))
+        tau = float(rng.uniform(0.4, 2.0))
         for b in (drawn, with_full_mask(drawn)):
-            value, _ = unsup_loss_single(weighting(b, weighted), cfg)
+            value, _ = unsup_loss_single(weighting(b, weighted), tau)
             want = ref_unsup_single(
                 b.x_sim, b.xs[0], b.zs[0], neg_sets_from_mask(b.neg_mask),
-                cfg.temperature, weighted
+                tau, weighted
             )
             assert value == pytest.approx(want, abs=1e-10)
             assert value > 0.0
@@ -220,13 +219,13 @@ def test_unsup_single_gradient(weighted):
     rng = make_rng(4)
     for _ in range(6):
         drawn = single_view_batch(rng, project=bool(rng.integers(0, 2)))
-        cfg = SimilarityConfig(float(rng.uniform(0.5, 1.5)))
+        tau = float(rng.uniform(0.5, 1.5))
         for b in (drawn, with_full_mask(drawn)):
             b = weighting(b, weighted)
-            _, grad = unsup_loss_single(b, cfg)
+            _, grad = unsup_loss_single(b, tau)
 
             def fn(z, b=b):
-                return unsup_loss_single(with_view(b, 0, z), cfg)[0]
+                return unsup_loss_single(with_view(b, 0, z), tau)[0]
 
             assert rel_error(grad, finite_diff_grad(fn, b.zs[0])) < GRAD_TOL
 
@@ -293,12 +292,12 @@ def test_unsup_multiview_matches_oracle(weighted, equal_dims):
         d1 = int(rng.integers(2, 6))
         d2 = d1 if equal_dims else d1 + int(rng.integers(1, 4))
         drawn = two_view_batch(rng, d1=d1, d2=d2)
-        cfg = SimilarityConfig(float(rng.uniform(0.4, 2.0)))
+        tau = float(rng.uniform(0.4, 2.0))
         for b in (drawn, with_full_mask(drawn)):
-            value, _, _ = unsup_loss_multiview(weighting(b, weighted), cfg)
+            value, _, _ = unsup_loss_multiview(weighting(b, weighted), tau)
             want = ref_unsup_multiview(
                 *b.xs, *b.zs, neg_sets_from_mask(b.neg_mask),
-                cfg.temperature, weighted,
+                tau, weighted,
             )
             assert value == pytest.approx(want, abs=1e-10)
 
@@ -310,13 +309,13 @@ def test_unsup_multiview_gradients(weighted):
         equal = bool(rng.integers(0, 2))
         d1 = int(rng.integers(2, 5))
         drawn = two_view_batch(rng, d1=d1, d2=d1 if equal else d1 + 2)
-        cfg = SimilarityConfig(float(rng.uniform(0.5, 1.5)))
+        tau = float(rng.uniform(0.5, 1.5))
         for b in (drawn, with_full_mask(drawn)):
             b = weighting(b, weighted)
-            for v, g in enumerate(unsup_loss_multiview(b, cfg)[1:]):
+            for v, g in enumerate(unsup_loss_multiview(b, tau)[1:]):
 
                 def fn(z, b=b, v=v):
-                    return unsup_loss_multiview(with_view(b, v, z), cfg)[0]
+                    return unsup_loss_multiview(with_view(b, v, z), tau)[0]
 
                 assert rel_error(g, finite_diff_grad(fn, b.zs[v])) < GRAD_TOL
 
@@ -392,9 +391,9 @@ def test_supcon_matches_indicator_oracle():
         if len(np.unique(ids)) < 2:
             continue
         one_hot = (ids[:, None] == np.unique(ids)[None, :]).astype(float)
-        cfg = SimilarityConfig(float(rng.uniform(0.4, 1.6)))
-        value, _ = supcon_loss(s, ids, cfg)
-        want = ref_weighted_sup(s, one_hot, cfg.temperature, indicator=True)
+        tau = float(rng.uniform(0.4, 1.6))
+        value, _ = supcon_loss(s, ids, tau)
+        want = ref_weighted_sup(s, one_hot, tau, indicator=True)
         assert value == pytest.approx(want, abs=1e-10)
 
 
@@ -440,9 +439,9 @@ def test_weighted_sup_matches_enumerating_oracle():
         if not ok:
             continue
         s = rng.normal(size=(n, int(rng.integers(2, 5))))
-        cfg = SimilarityConfig(float(rng.uniform(0.4, 1.6)))
-        value, _ = weighted_sup_loss(s, y, cfg)
-        want = ref_weighted_sup(s, y, cfg.temperature)
+        tau = float(rng.uniform(0.4, 1.6))
+        value, _ = weighted_sup_loss(s, y, tau)
+        want = ref_weighted_sup(s, y, tau)
         assert value == pytest.approx(want, abs=1e-10)
         done += 1
 
@@ -499,7 +498,6 @@ def test_every_loss_finite_across_temperatures(tau):
     # Sharp temperatures put logits near 1/tau; values and gradients must
     # stay finite at every temperature the config accepts.
     rng = make_rng(19)
-    cfg = SimilarityConfig(tau)
     n = 8
     single = single_view_batch(rng, n=n, project=True)
     two = two_view_batch(rng, n=n)
@@ -509,15 +507,15 @@ def test_every_loss_finite_across_temperatures(tau):
     multi = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1],
                       [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
     results = [
-        loss(weighting(batch, weighted), cfg)
+        loss(weighting(batch, weighted), tau)
         for loss, drawn in ((unsup_loss_single, single),
                             (unsup_loss_multiview, two))
         for batch in (drawn, with_full_mask(drawn))
         for weighted in (True, False)
     ] + [
-        supcon_loss(s, ids.astype(float), cfg),
-        weighted_sup_loss(s, one_hot, cfg),
-        weighted_sup_loss(s, multi, cfg),
+        supcon_loss(s, ids.astype(float), tau),
+        weighted_sup_loss(s, one_hot, tau),
+        weighted_sup_loss(s, multi, tau),
     ]
     for value, *grads in results:
         assert math.isfinite(value) and value >= 0.0
@@ -554,18 +552,17 @@ def test_supervised_losses_exact_at_small_temperature(monkeypatch, tau):
     # logit can underflow for one of its labels; each such sum is redone
     # with its own shift. Compare against the log-domain scalar oracle.
     s, one_hot, multi = _sup_data(make_rng(41))
-    cfg = SimilarityConfig(tau)
     ids = one_hot.argmax(axis=1).astype(float)
-    for got, y in ((weighted_sup_loss(s, one_hot, cfg)[0], one_hot),
-                   (supcon_loss(s, ids, cfg)[0], one_hot),
-                   (weighted_sup_loss(s, multi, cfg)[0], multi)):
+    for got, y in ((weighted_sup_loss(s, one_hot, tau)[0], one_hot),
+                   (supcon_loss(s, ids, tau)[0], one_hot),
+                   (weighted_sup_loss(s, multi, tau)[0], multi)):
         assert got == pytest.approx(ref_weighted_sup(s, y, tau), rel=1e-12)
     if tau == 1e-4:
         # this data needs the repair: without it the multi-label loss is
         # off by about 1%
         monkeypatch.setattr(losses_mod, "_SUM_FLOOR", 0.0)
         with np.errstate(all="ignore"):
-            unrepaired = weighted_sup_loss(s, multi, cfg)[0]
+            unrepaired = weighted_sup_loss(s, multi, tau)[0]
         assert unrepaired != pytest.approx(ref_weighted_sup(s, multi, tau),
                                            rel=1e-3)
 
@@ -578,13 +575,12 @@ def test_supervised_gradients_both_shift_paths(monkeypatch, tau, repair):
     if repair == "every-sum-repaired":
         monkeypatch.setattr(losses_mod, "_SUM_FLOOR", np.inf)
     rng = make_rng(42)
-    cfg = SimilarityConfig(tau)
     for _ in range(3):
         s, one_hot, multi = _sup_data(rng, n=int(rng.integers(6, 10)))
         for loss, y in ((supcon_loss, one_hot), (weighted_sup_loss, one_hot),
                         (weighted_sup_loss, multi)):
-            _, grad = loss(s, y, cfg)
-            num = finite_diff_grad(lambda m: loss(m, y, cfg)[0], s, eps=1e-6)
+            _, grad = loss(s, y, tau)
+            num = finite_diff_grad(lambda m: loss(m, y, tau)[0], s, eps=1e-6)
             assert rel_error(grad, num) < GRAD_TOL
 
 
@@ -592,10 +588,10 @@ def test_supervised_repair_path_agrees_with_shared_shift(monkeypatch):
     # at a small tau the flagged sums are repaired and the rest keep the
     # shared shift; repairing every sum must give the same loss
     s, _, multi = _sup_data(make_rng(41))
-    cfg = SimilarityConfig(1e-4)
-    value, grad = weighted_sup_loss(s, multi, cfg)
+    tau = 1e-4
+    value, grad = weighted_sup_loss(s, multi, tau)
     monkeypatch.setattr(losses_mod, "_SUM_FLOOR", np.inf)
-    all_value, all_grad = weighted_sup_loss(s, multi, cfg)
+    all_value, all_grad = weighted_sup_loss(s, multi, tau)
     assert value == pytest.approx(all_value, rel=1e-14)
     assert rel_error(grad, all_grad) < 1e-12
 
@@ -667,30 +663,29 @@ def test_folded_kernels_gradient(tau):
     # both unsupervised losses against finite differences there, on a
     # sampled and on a full negative mask
     rng = make_rng(37)
-    cfg = SimilarityConfig(tau)
     for weighted in (True, False):
         single = single_view_batch(rng, n=6, project=True)
         two = two_view_batch(rng, n=5)
         proxy = two_view_batch(rng, n=5, d1=3, d2=4)
         for b in (single, with_full_mask(single)):
             b = weighting(b, weighted)
-            _, grad = unsup_loss_single(b, cfg)
+            _, grad = unsup_loss_single(b, tau)
 
             def fn(z, b=b):
-                return unsup_loss_single(with_view(b, 0, z), cfg)[0]
+                return unsup_loss_single(with_view(b, 0, z), tau)[0]
 
             assert rel_error(grad, finite_diff_grad(fn, b.zs[0])) < GRAD_TOL
         for b in (two, with_full_mask(two), proxy, with_full_mask(proxy)):
             b = weighting(b, weighted)
-            for v, g in enumerate(unsup_loss_multiview(b, cfg)[1:]):
+            for v, g in enumerate(unsup_loss_multiview(b, tau)[1:]):
 
                 def fn(z, b=b, v=v):
-                    return unsup_loss_multiview(with_view(b, v, z), cfg)[0]
+                    return unsup_loss_multiview(with_view(b, v, z), tau)[0]
 
                 assert rel_error(g, finite_diff_grad(fn, b.zs[v])) < GRAD_TOL
 
 
-def _kernel_logits(monkeypatch, loss, batch, cfg):
+def _kernel_logits(monkeypatch, loss, batch, tau):
     """The (pos, neg) logits ``loss`` hands to ``_info_nce``."""
     seen = []
 
@@ -699,7 +694,7 @@ def _kernel_logits(monkeypatch, loss, batch, cfg):
         return _info_nce(pos, neg)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
-    loss(batch, cfg)
+    loss(batch, tau)
     monkeypatch.undo()
     return seen[0]
 
@@ -711,7 +706,6 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
     # clipped ref_log_weight up to rounding, with -inf exactly outside the
     # negative mask and the positives unweighted.
     rng = make_rng(43)
-    cfg = SimilarityConfig(tau)
     tol = 1e-12 * (1.0 + 1.0 / tau)
 
     def check(got, want, mask):
@@ -727,7 +721,7 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
                 cos = unit_rows(b.x_sim) @ unit_rows(b.zs[0]).T
                 lw = ref_log_weight(b.xs[0], b.xs[0]) if weighted else 0.0
                 got = _kernel_logits(monkeypatch, unsup_loss_single,
-                                     weighting(b, weighted), cfg)
+                                     weighting(b, weighted), tau)
                 check(got, (np.diag(cos)[:, None] / tau, cos / tau + lw),
                       b.neg_mask)
         for d2 in (4, 6):  # cross-view weights, then the same-view proxy
@@ -746,7 +740,7 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
                                     for v in b.xs])
                 partner = (np.arange(2 * n) + n) % (2 * n)
                 got = _kernel_logits(monkeypatch, unsup_loss_multiview,
-                                     weighting(b, weighted), cfg)
+                                     weighting(b, weighted), tau)
                 want = (cos[np.arange(2 * n), partner][:, None] / tau,
                         cos / tau + lw)
                 check(got, want, np.tile(b.neg_mask, (2, 2)))
@@ -758,10 +752,10 @@ def test_public_losses_invariant_sweep():
     rng = make_rng(29)
     for _ in range(120):
         n = int(rng.integers(3, 11))
-        cfg = SimilarityConfig(10.0 ** rng.uniform(-2.0, 1.0))
+        tau = 10.0 ** rng.uniform(-2.0, 1.0)
         single = single_view_batch(rng, n=n, project=bool(rng.integers(2)))
         two = two_view_batch(rng, n=n)
-        results = [loss(weighting(batch, weighted), cfg)
+        results = [loss(weighting(batch, weighted), tau)
                    for loss, batch in ((unsup_loss_single, single),
                                        (unsup_loss_multiview, two))
                    for weighted in (True, False)]
@@ -774,8 +768,8 @@ def test_public_losses_invariant_sweep():
                                              np.outer(scales[1], base)])
         for loss, batch in ((unsup_loss_single, flat),
                             (unsup_loss_multiview, flat2)):
-            w = loss(batch, cfg)[0]
-            assert w == pytest.approx(loss(weighting(batch, False), cfg)[0],
+            w = loss(batch, tau)[0]
+            assert w == pytest.approx(loss(weighting(batch, False), tau)[0],
                                       rel=1e-12, abs=1e-12)
 
         c = int(rng.integers(2, 5))
@@ -783,12 +777,12 @@ def test_public_losses_invariant_sweep():
         ids = rng.integers(0, c, size=n)
         ids[:3] = [0, 0, 1]  # label 0 has two positives and a negative
         one_hot = np.eye(c)[ids]
-        v_w, g_w = weighted_sup_loss(s, one_hot, cfg)
-        v_s, g_s = supcon_loss(s, one_hot, cfg)
+        v_w, g_w = weighted_sup_loss(s, one_hot, tau)
+        v_s, g_s = supcon_loss(s, one_hot, tau)
         assert v_w == v_s and np.array_equal(g_w, g_s)
         multi = (rng.random((n, c)) < 0.5).astype(float)
         multi[:3, 0] = [1.0, 1.0, 0.0]
-        results += [(v_s, g_s), weighted_sup_loss(s, multi, cfg)]
+        results += [(v_s, g_s), weighted_sup_loss(s, multi, tau)]
 
         for value, *grads in results:
             assert value >= 0.0

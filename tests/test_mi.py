@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hcl.mi as mi
 from hcl.errors import ContractError, NumericError
 from hcl.mi import (
     BoundReport,
@@ -21,8 +22,6 @@ from hcl.mi import (
     quantize_to_prototypes,
     reports_to_csv,
 )
-from hcl import mi
-from hcl.losses import SimilarityConfig
 from hcl.numeric import make_rng
 from hcl.train import train_step
 
@@ -282,12 +281,11 @@ def test_quantize_recovers_ids_at_low_noise():
 
 def test_stratum_sup_losses_match_loop_oracle():
     rng = make_rng(31)
-    cfg = SimilarityConfig(temperature=0.7)
     for _ in range(15):
         n = int(rng.integers(6, 14))
         ds = make_ring_dataset(RingProtoSpec(c=4), max(n, 8), rng)
         z = rng.normal(size=(ds.n, 3))
-        got = _stratum_terms(z, ds.labels, ring_ids(ds.labels), 6, cfg)
+        got = _stratum_terms(z, ds.labels, ring_ids(ds.labels), 6, 0.7)
         want = ref_stratum_sup(z, ds.labels, 0.7)
         assert set(got) == set(want)
         for eps in want:
@@ -300,7 +298,7 @@ def test_stratum_reference_mi_matches_loop_oracle():
     ds = make_ring_dataset(RingProtoSpec(), 48, rng)
     ids = ring_ids(ds.labels)
     z = rng.normal(size=(ds.n, 3))
-    got = _stratum_terms(z, ds.labels, ids, 6, SimilarityConfig())
+    got = _stratum_terms(z, ds.labels, ids, 6, 1.0)
     want = {eps: max(ref_discrete_mi(t), 0.0)
             for eps, t in ref_stratum_pair_tables(ids, ds.labels, 6).items()}
     assert set(got) == set(want)
@@ -312,8 +310,7 @@ def test_ring_reference_mi_near_analytic_values():
     # same-prototype pairs identify the prototype (ln 6); adjacent pairs
     # leave a two-way ambiguity (ln 6 - ln 2 = ln 3)
     ds = make_ring_dataset(RingProtoSpec(), 600, make_rng(33))
-    refs = _stratum_terms(ds.views[0], ds.labels, ring_ids(ds.labels), 6,
-                          SimilarityConfig())
+    refs = _stratum_terms(ds.views[0], ds.labels, ring_ids(ds.labels), 6, 1.0)
     assert abs(refs[2][2] - math.log(6)) < 0.05
     assert abs(refs[1][2] - math.log(3)) < 0.05
 
@@ -351,12 +348,10 @@ def test_check_unsup_bound_zero_signal():
 
 
 def test_check_unsup_bound_divergence_reports_nan(monkeypatch):
-    import hcl.mi as mi_mod
-
     def boom(*args, **kwargs):
         raise NumericError("non-finite gradient for parameter 'e1.w0'")
 
-    monkeypatch.setattr(mi_mod, "train_step", boom)
+    monkeypatch.setattr(mi, "train_step", boom)
     reports = check_unsup_bound(GaussianPairSpec(), SMALL_UNSUP, [8])
     assert len(reports) == 2
     assert all(math.isnan(r.bound) and not r.satisfied for r in reports)

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import expit
 
 from hcl.errors import ContractError, IngestionError, ShapeError
+from hcl.ioutil import json_text
 from hcl.losses import cross_entropy
 from hcl.model import (
     LayerStack,
@@ -264,7 +265,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, two_view):
     assert extra2 == extra
     # the v1 layout: a one-view model stores a null second encoder
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
+    assert text == json_text(doc)  # the one JSON formatter wrote it
     assert sorted(doc) == ["classifier", "encoder1", "encoder2", "extra",
                            "format", "version"]
     assert (doc["encoder2"] is None) == (not two_view)

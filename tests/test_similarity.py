@@ -1,4 +1,4 @@
-"""The similarity config and the contrastive weights of ``hcl.losses``.
+"""The kernel temperature and the contrastive weights of ``hcl.losses``.
 
 The weights are checked in the log form that gets added to the logits:
 ``reference.ref_log_weight`` for the raw-input weight exp(1 - cos) (the
@@ -10,17 +10,42 @@ import numpy as np
 import pytest
 
 from hcl.errors import ContractError
-from hcl.losses import SimilarityConfig, _label_log_weights
+from hcl.losses import (
+    ContrastiveBatch,
+    _label_log_weights,
+    full_negatives,
+    supcon_loss,
+    unsup_loss_multiview,
+    unsup_loss_single,
+    weighted_sup_loss,
+)
+from hcl.mi import BoundTrainSpec
 from hcl.numeric import make_rng
 
 from reference import ref_hamming, ref_log_weight
 
 
-def test_temperature_must_be_positive():
-    with pytest.raises(ContractError):
-        SimilarityConfig(temperature=0.0)
-    with pytest.raises(ContractError):
-        SimilarityConfig(temperature=-1.0)
+_Z, _W = make_rng(0).normal(size=(2, 4, 3))
+_IDS = np.array([0.0, 0.0, 1.0, 1.0])
+# every place a temperature enters, on inputs that are otherwise valid
+TAU_ENTRY_POINTS = {
+    "unsup_loss_single": lambda tau: unsup_loss_single(
+        ContrastiveBatch([_Z], full_negatives(4), x_sim=_W), tau),
+    "unsup_loss_multiview": lambda tau: unsup_loss_multiview(
+        ContrastiveBatch([_Z, _W], full_negatives(4)), tau),
+    "supcon_loss": lambda tau: supcon_loss(_Z, _IDS, tau),
+    "weighted_sup_loss": lambda tau: weighted_sup_loss(
+        _Z, np.eye(2)[_IDS.astype(int)], tau),
+    "BoundTrainSpec": lambda tau: BoundTrainSpec(temperature=tau),
+}
+
+
+@pytest.mark.parametrize("entry", list(TAU_ENTRY_POINTS))
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_temperature_must_be_positive(entry, tau):
+    TAU_ENTRY_POINTS[entry](0.5)  # the inputs are valid
+    with pytest.raises(ContractError, match="temperature must be positive"):
+        TAU_ENTRY_POINTS[entry](tau)
 
 
 def test_weight_g_known_values():

@@ -12,7 +12,6 @@ from hcl.data import Dataset, inject_noise
 from hcl.errors import ConfigError, ContractError, DegenerateBatchError
 from hcl.losses import (
     ContrastiveBatch,
-    SimilarityConfig,
     cross_entropy,
     full_negatives,
     unsup_loss_multiview,
@@ -239,7 +238,7 @@ def _step_grad_error(monkeypatch, seed, two_view):
     pos = slice(None) if lab is None else lab
     x_sim = None if two_view else rng.normal(size=(8, params.latent_dim))
     mask = full_negatives(8)
-    simcfg = SimilarityConfig(temperature=0.5)
+    tau = 0.5
     alpha, beta = 0.7, 0.3
     named = named_parameters(params)
     flat, keys = flatten_params(named)
@@ -250,21 +249,21 @@ def _step_grad_error(monkeypatch, seed, two_view):
         if two_view:
             z2, _ = encode(params, x2, view=2)
             l_u = unsup_loss_multiview(ContrastiveBatch(
-                zs=[z1, z2], xs=[x1, x2], neg_mask=mask), simcfg)[0]
+                zs=[z1, z2], xs=[x1, x2], neg_mask=mask), tau)[0]
             s = np.hstack([z1, z2])[pos]
         else:
             l_u = unsup_loss_single(ContrastiveBatch(
-                zs=[z1], xs=[x1], x_sim=x_sim, neg_mask=mask), simcfg)[0]
+                zs=[z1], xs=[x1], x_sim=x_sim, neg_mask=mask), tau)[0]
             s = z1[pos]
         l_c = cross_entropy(classify(params, s)[0], y[pos])[0]
-        l_s = weighted_sup_loss(s, y[pos], simcfg)[0]
+        l_s = weighted_sup_loss(s, y[pos], tau)[0]
         return l_c + alpha * l_u + beta * l_s
 
     captured = {}
     monkeypatch.setattr(train_mod, "lars_step",
                         lambda p, grads, state: captured.update(grads))
     train_step(params, OptimizerState(), ds, np.arange(8),
-               (1.0, alpha, beta), simcfg, labeled=lab, neg_mask=mask,
+               (1.0, alpha, beta), tau, labeled=lab, neg_mask=mask,
                x_sim=x_sim)
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
     return rel_error(flatten_params(captured)[0], num.ravel())
