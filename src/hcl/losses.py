@@ -11,18 +11,19 @@ hyperparameter, the temperature tau, is a plain float argument of every
 contrastive loss (default 1); each refuses tau <= 0 or NaN with a
 ``ContractError``. ``_info_nce`` is the single place this form is
 computed (its term half, ``_info_nce_terms``, serves the supervised
-losses): it takes positive and negative logits
-``cos/tau + log(weight)`` and returns the terms with their gradients in the
-logits, from one in-place exp pass. The negatives' gradient comes back
-unnormalised, as that exp block and a per-row scale. The losses build
-logits (-inf outside the negative set), call it, and chain its gradients
-back to the embeddings. Three folds each spare the n x n block a pass,
-by moving work onto the thin operands of a product:
+losses): it takes positive logits ``cos/tau + log(weight)`` and the
+negative ones shifted (see below), and returns the terms with their
+gradients in the logits, from one in-place exp pass. The negatives'
+gradient comes back unnormalised, as that exp block and a per-row scale.
+The losses build logits (-inf outside the negative set), call it, and chain
+its gradients back to the embeddings. Four folds each spare the n x n block
+a pass, by moving work onto the thin operands of a product:
 
 * 1/tau scales the thin left operand of the cosine product;
 * the raw-feature log-weight 1 - cos(x_i, x_k) rides in the same product,
   as extra columns ``[-x_hat | 1]`` and ``[x_hat | 1]`` of the two operands
-  (``_logit_block``), so each logit block is written by one gemm;
+  (``_logit_operands``), so each logit block is written by one gemm;
+* the shift -B rides in the last column of the right operand;
 * the per-row scale multiplies the thin operand of each backward product.
 
 The gradient of cosine(u, v) in u is (v_hat - cos * u_hat)/|u|, applied
@@ -32,12 +33,23 @@ they leave the backward as it is.
 
 The supervised losses run over flat arrays of pairs (``_sup_engine``), with
 no loop over labels. One product gives every (anchor i, label a) negative
-sum, S = exp(L - m) @ (1 - Y) over the valid labels' columns Y, with L =
+sum, S = exp(L - B) @ (1 - Y) over the valid labels' columns Y, with L =
 cos/tau + log gamma at the anchor's own negatives (the samples lacking one
-of its labels) and -inf elsewhere. The shift rule: m is one max per row,
-over those negatives. On single-label data they are one label's, so every
-sum is exact at every tau; on multi-label data, the few sums a small tau
-pushes below ``_SUM_FLOOR`` are redone with their own max.
+of its labels) and -inf elsewhere.
+
+The shift rule, one for both engines: every exp is shifted by B, a known
+upper bound on the logits, so no pass looks for a row max. B = 1/tau for
+plain InfoNCE and 1/tau + 2 for the raw-feature weight (cos/tau <= 1/tau,
+1 - cos <= 2), and 1/tau + log c for the label weights (log gamma <= log
+c; 1/tau with indicator weights). A sum of exps shifted by B holds full
+precision when it lies in [``_SUM_FLOOR``, inf). Any row, or supervised
+(anchor, label) sum, outside it is redone with its own max
+(``row_logsumexp``). That catches a row whose logits all lie far below B
+at a small tau, and, in the unclipped unsupervised block, a row with a
+cosine rounded a few ulp past 1 at a tau so small (below about 1e-18)
+that the rounding puts a logit more than 709 past B. An unsupervised row
+is rebuilt from its thin operands; a supervised sum from the logits the
+engine keeps.
 
 The unsupervised losses take a ``ContrastiveBatch`` of one view
 (``unsup_loss_single``) or two (``unsup_loss_multiview``). This module is
@@ -46,7 +58,7 @@ that gets added to the logits:
 
 * a batch without ``xs`` uses weight 1 (the usual InfoNCE denominator);
 * a batch with ``xs`` uses ``exp(1 - cos)`` on those *raw input* features,
-  in [1, e^2], taken from the fused product (``_logit_block``), so it
+  in [1, e^2], taken from the fused product (``_logit_operands``), so it
   holds up to the rounding of that product;
 * the supervised loss weighs the positive pair by label agreement
   sigma = (c - hamming)/c, in [1/c, 1], and each negative by the hamming
@@ -55,13 +67,14 @@ that gets added to the logits:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, NumericError, ShapeError
-from .numeric import (ZERO_NORM_EPS, Matrix, as_matrix, gram, row_logsumexp,
-                      row_shift_exp, unit_rows)
+from .numeric import ZERO_NORM_EPS, Matrix, as_matrix, gram, row_logsumexp, unit_rows
 
 _NEG_INF = float("-inf")
 # A sum of under 2**48 exps this large has a normal float for its largest
@@ -190,24 +203,47 @@ def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     return out
 
 
-def _logit_block(uh: Matrix, vh: Matrix, tau: float,
-                 xa: Matrix | None = None, xb: Matrix | None = None,
-                 out: Matrix | None = None) -> Matrix:
-    """Logits cos(u_i, v_k)/tau + 1 - cos(xa_i, xb_k) for unit rows, by one
-    product of thin operands:
+def _logit_operands(uh: Matrix, vh: Matrix, tau: float, bound: float,
+                    xa: Matrix | None = None, xb: Matrix | None = None
+                    ) -> tuple[Matrix, Matrix]:
+    """Thin operands ``(left, right)`` whose product ``left @ right.T`` is the
+    shifted logit block cos(u_i, v_k)/tau + 1 - cos(xa_i, xb_k) - bound for
+    unit rows:
 
-        [uh/tau | -xa | 1] @ [vh | xb | 1].T
+        [uh/tau | -xa | 1] @ [vh | xb | 1 - bound].T
 
-    Without ``xa``/``xb`` the block is the unweighted cos/tau, and the x
-    and ones columns drop out. Nothing is clipped: rounding can put |cos| a
-    few ulp past 1, which ``row_logsumexp``'s row-max shift makes harmless.
-    ``out`` takes the block in place (a row slice of a larger buffer).
+    Without ``xa``/``xb`` the block is cos/tau - bound, from
+    ``[uh/tau | 1] @ [vh | -bound].T``. Nothing is clipped: rounding can put
+    |cos| a few ulp past 1, and so a logit past ``bound``; ``_info_nce``
+    redoes any row whose shifted sum overflows.
     """
-    left, right = uh * (1.0 / tau), vh
-    if xa is not None:
-        left = np.hstack([left, -xa, np.ones((len(xa), 1))])
-        right = np.hstack([vh, xb, np.ones((len(xb), 1))])
-    return np.matmul(left, right.T, out=out)
+    ones = np.ones((len(uh), 1))
+    if xa is None:
+        return (np.hstack([uh * (1.0 / tau), ones]),
+                np.hstack([vh, np.full((len(vh), 1), -bound)]))
+    return (np.hstack([uh * (1.0 / tau), -xa, ones]),
+            np.hstack([vh, xb, np.full((len(xb), 1), 1.0 - bound)]))
+
+
+def _logit_rows(parts: list[tuple[Matrix, Matrix]], drop: np.ndarray,
+                rows: np.ndarray | None = None) -> Matrix:
+    """Rows ``rows`` (ascending; every row when None) of a shifted logit
+    block, -inf where ``drop``. ``parts`` holds one ``_logit_operands`` pair
+    per run of consecutive block rows, in row order; each run is written by
+    one product, straight into the block."""
+    out = np.empty((len(drop) if rows is None else len(rows), drop.shape[1]))
+    first = 0
+    for left, right in parts:
+        stop = first + len(left)
+        if rows is None:
+            lo, hi, picked = first, stop, left
+        else:
+            lo, hi = np.searchsorted(rows, (first, stop))
+            picked = left[rows[lo:hi] - first]
+        np.matmul(picked, right.T, out=out[lo:hi])
+        first = stop
+    out[drop if rows is None else drop[rows]] = _NEG_INF
+    return out
 
 
 def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -218,29 +254,53 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
     return t - pos, np.exp(pos - t) - 1.0, np.exp(lse_neg - t)
 
 
-def _info_nce(pos: Matrix, neg: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+def _info_nce(pos: Matrix, neg: Matrix, bound: float,
+              rebuild: Callable[[np.ndarray], Matrix]
+              ) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients in the logits.
 
     Row i scores each of its positive logits ``pos[i, j]`` against the
-    row's shared negative logits ``neg[i, :]`` (``-inf`` drops a negative):
+    row's shared negative logits L[i, :] (``-inf`` drops a negative):
 
-        terms[i, j] = log(exp(pos[i, j]) + sum_k exp(neg[i, k])) - pos[i, j]
+        terms[i, j] = log(exp(pos[i, j]) + sum_k exp(L[i, k])) - pos[i, j]
 
-    Weights arrive as log-weights already added to the logits. Returns
-    ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are ``d_pos``
-    in ``pos`` and ``c * e`` in ``neg``, where ``e`` is ``neg`` itself,
-    shifted by its row max and exponentiated once, in place
-    (``row_logsumexp``), and ``c`` an (n, 1) column of per-row scales: the
-    single-exp softmax of Milakov & Gimelshein 2018 with the normalisation
-    deferred, as in FlashAttention. The caller folds ``c`` into the thin
-    operand of its backward product, so the n x n block is never scaled.
-    Dropped negatives are exact zeros of ``e``. No temperature overflows.
+    Weights arrive as log-weights already added to the logits. ``neg``
+    holds L - ``bound``, shifted by a known upper bound on every negative
+    logit, and ``rebuild(rows)`` returns those rows of it afresh (ascending
+    row indices). ``neg`` is exponentiated once, in place, with no row-max
+    pass; a row whose shifted sum is not in [``_SUM_FLOOR``, inf) (all its
+    logits far below the bound, or one rounded far past it) is rebuilt
+    and redone with its own max (``row_logsumexp``).
+
+    Returns ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are
+    ``d_pos`` in ``pos`` and ``c * e`` in the negative logits, where ``e``
+    is ``neg`` exponentiated under its row's shift and ``c`` an (n, 1)
+    column of per-row scales: the single-exp softmax of Milakov &
+    Gimelshein 2018 with the normalisation deferred, as in FlashAttention.
+    The caller folds ``c`` into the thin operand of its backward product,
+    so the n x n block is never scaled. Dropped negatives are exact zeros
+    of ``e``. No temperature overflows.
     """
-    lse_neg, rowsum = row_logsumexp(neg)
+    with np.errstate(over="ignore", divide="ignore"):  # redone below
+        np.exp(neg, out=neg)
+        rowsum = np.sum(neg, axis=1, keepdims=True)
+        lse_neg = bound + np.log(rowsum)
+    redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
+    if redo.size:
+        own = rebuild(redo)
+        lse_own, rowsum[redo] = row_logsumexp(own)
+        neg[redo] = own
+        lse_neg[redo] = bound + lse_own
     terms, d_pos, q = _info_nce_terms(pos, lse_neg)
-    # d_neg[i, k] = sum_j exp(neg[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
+    # d_neg[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
     c = np.sum(q, axis=1, keepdims=True) / rowsum
     return terms, d_pos, neg, c
+
+
+def _unsup_bound(batch: ContrastiveBatch, tau: float) -> float:
+    """An upper bound on the batch's logits: cos/tau <= 1/tau, plus 2 for
+    the raw-feature log-weight 1 - cos when the batch has ``xs``."""
+    return 1.0 / tau if batch.xs is None else 1.0 / tau + 2.0
 
 
 def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
@@ -267,12 +327,13 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
     n = batch.n
     xh, zh = unit_rows(x), unit_rows(z)
     x1h = None if batch.xs is None else unit_rows(batch.xs[0])
-    logits = _logit_block(xh, zh, tau, x1h, x1h)
+    bound = _unsup_bound(batch, tau)
+    block = partial(_logit_rows, [_logit_operands(xh, zh, tau, bound, x1h, x1h)],
+                    ~batch.neg_mask)
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
-    logits[~batch.neg_mask] = _NEG_INF
 
-    terms, d_pos, e, c = _info_nce(pos, logits)
+    terms, d_pos, e, c = _info_nce(pos, block(), bound, block)
     # d_logits = c * e with d_pos on the diagonal, where e is 0 (masked)
     d_zh = e.T @ (c * xh) + d_pos * xh
     return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
@@ -300,23 +361,21 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     partner = (np.arange(2 * n) + n) % (2 * n)
     # the positive carries no weight; the block's partner entries do
     pos = np.einsum("ij,ij->i", zh, zh[partner])[:, None] * (1.0 / tau)
+    bound = _unsup_bound(batch, tau)
     if batch.xs is None:
-        logits = _logit_block(zh, zh, tau)
+        parts = [_logit_operands(zh, zh, tau, bound)]
     elif batch.xs[0].shape[1] == batch.xs[1].shape[1]:
         xh = unit_rows(np.vstack(batch.xs))
-        logits = _logit_block(zh, zh, tau, xh, xh)
+        parts = [_logit_operands(zh, zh, tau, bound, xh, xh)]
     else:
         # same-view proxy: anchors of view a weigh both views of each
         # negative by view a's own dissimilarity, one row half per product
-        logits = np.empty((2 * n, 2 * n))
-        for a, x in enumerate(batch.xs):
-            xh = unit_rows(x)
-            half = slice(a * n, (a + 1) * n)
-            _logit_block(zh[half], zh, tau, xh, np.vstack([xh, xh]),
-                         out=logits[half])
-    logits[~np.tile(batch.neg_mask, (2, 2))] = _NEG_INF
+        parts = [_logit_operands(zh[a * n:(a + 1) * n], zh, tau, bound,
+                                 xh, np.vstack([xh, xh]))
+                 for a, xh in enumerate(map(unit_rows, batch.xs))]
+    block = partial(_logit_rows, parts, ~np.tile(batch.neg_mask, (2, 2)))
 
-    terms, d_pos, e, c = _info_nce(pos, logits)
+    terms, d_pos, e, c = _info_nce(pos, block(), bound, block)
     # d_logits = c * e with d_pos written at the partner entries, where e is
     # 0 (masked). Those entries add d_pos[r] * zh[partner[r]] to row r of
     # d_logits @ zh and, partner being an involution, d_pos[partner[r]] *
@@ -326,8 +385,10 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     return float(np.mean(terms)), d_z[:n], d_z[n:]
 
 
-def _label_log_weights(y: Matrix) -> tuple[Matrix, Matrix]:
-    """log sigma and log gamma for every pair of binary label rows of ``y``.
+def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:
+    """log sigma at the entries ``pair`` of the n x n grid of row pairs (an
+    index such as ``(rows, cols)``, or ``...`` for the whole grid), and log
+    gamma for every pair of binary label rows of ``y``.
 
     sigma_ij = (c - hamming_ij)/c weighs positive pairs and gamma_ik =
     hamming_ik weighs negatives. sigma >= 1/c for pairs sharing a positive
@@ -340,7 +401,7 @@ def _label_log_weights(y: Matrix) -> tuple[Matrix, Matrix]:
     ones_zeros = y @ (1.0 - y).T
     ham = ones_zeros + ones_zeros.T
     with np.errstate(divide="ignore"):
-        log_sigma = np.log((c - ham) / c)
+        log_sigma = np.log((c - ham[pair]) / c)
         log_gamma = np.log(ham)
     return log_sigma, log_gamma
 
@@ -380,23 +441,26 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     logits = np.clip(gram(sh), -1.0, 1.0) / tau
     pair = pi * n + pj
     pos = logits.ravel()[pair]
+    # every logit is at most bound: cos/tau <= 1/tau and log gamma <= log c
+    bound = 1.0 / tau
     if not indicator:
-        log_sigma, log_gamma = _label_log_weights(y)
-        pos += log_sigma.ravel()[pair]
+        log_sigma, log_gamma = _label_log_weights(y, (pi, pj))
+        pos += log_sigma
         logits += log_gamma
+        bound += np.log(y.shape[1])
     not_y = 1.0 - yv
     logits[(yv @ not_y.T) == 0.0] = _NEG_INF  # not among the anchor's negatives
-    e = logits.copy()
-    m = row_shift_exp(e)
+    e = np.subtract(logits, bound)
+    np.exp(e, out=e)
     sums = e @ not_y
     sums[yv == 0.0] = 1.0  # sums no pair reads
-    # redo each sum the shared shift left under the floor with its own shift
-    fi, fa = np.nonzero((sums < _SUM_FLOOR) & (yv > 0.0))
+    # redo each sum the shared shift left outside [floor, inf) with its own shift
+    fi, fa = np.nonzero(~((sums >= _SUM_FLOOR) & (sums < np.inf)) & (yv > 0.0))
     own = logits[fi]
     own[not_y[:, fa].T == 0.0] = _NEG_INF
     lse_own, sums_own = row_logsumexp(own)
     sums[fi, fa] = sums_own[:, 0]
-    lse = m + np.log(sums)
+    lse = bound + np.log(sums)
     lse[fi, fa] = lse_own[:, 0]
     key = pi * g + pa
     terms, d_pos, q = _info_nce_terms(pos, lse.ravel()[key])

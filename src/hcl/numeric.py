@@ -1,5 +1,7 @@
-"""Dense float64 array helpers: coercion, row normalization, logsumexp, gram,
-and the one-thread pin of numpy's BLAS.
+"""Dense float64 array helpers: coercion, row normalization, gram, the
+one-thread pin of numpy's BLAS, and a row-max logsumexp: the losses shift
+their exps by a known bound on the logits instead, and redo with it only
+the rows that shift leaves out of range.
 
 Every array crossing a public boundary in this package is a 2-D C-ordered
 float64 ``numpy.ndarray`` (aliased ``Matrix`` below); randomness always flows
@@ -46,19 +48,13 @@ def unit_rows(m: Matrix) -> Matrix:
     return out
 
 
-def row_shift_exp(logits: Matrix) -> Matrix:
-    """In place: ``logits`` becomes exp(logits - rowmax), rowmax 0 for an all
-    -inf row (-inf entries become 0). Returns the (n, 1) rowmax column."""
+def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:
+    """Row-wise logsumexp of a 2-D logit array, in place: ``logits`` becomes
+    exp(logits - rowmax), rowmax 0 for an all -inf row (-inf entries become
+    0). Returns (n, 1) columns ``(lse, rowsum)``, rowsum the new row sums."""
     m = np.max(logits, axis=1, keepdims=True)
     m[~np.isfinite(m)] = 0.0
     np.exp(np.subtract(logits, m, out=logits), out=logits)
-    return m
-
-
-def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:
-    """Row-wise logsumexp of a 2-D logit array, in place (``row_shift_exp``).
-    Returns (n, 1) columns ``(lse, rowsum)``, rowsum the new row sums."""
-    m = row_shift_exp(logits)
     rowsum = np.sum(logits, axis=1, keepdims=True)
     return m + np.log(rowsum), rowsum
 

@@ -4,10 +4,11 @@
 
 Runs ``hcl.cli.main`` from the ``src/`` next to this file (which runs
 numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
-on fixed tiny configs: a two-view train followed by ``eval``, a two-view
-train on a manifest whose views have different widths (8 and 5 columns),
-a single-view full-plan train, a noise sweep and both bound checks. Prints
-one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
+on fixed tiny configs: a two-view train followed by ``eval``, the same
+train at temperature 1e-4, a two-view train on a manifest whose views have
+different widths (8 and 5 columns), a single-view full-plan train, a noise
+sweep and both bound checks. Prints one ``sha256  relative/path`` line per
+CSV and JSON output, sorted by path.
 
 Run records are digested after their ``out_dir`` and ``manifest`` are
 replaced by fixed names and ``wall_seconds`` and the checkpoint checksum
@@ -41,10 +42,15 @@ TINY = {"n_samples": "60", "n_features": "8", "n_classes": "3",
         "n_labeled": "15", "epochs": "3", "encoder_sizes": "8,6",
         "base_lr": "0.5"}
 
+TWO_VIEW = dict(TINY, synthetic="multiview", mode="two-view", seeds="0,1",
+                batch_size="8", neg_size="4")
+
 # case -> (subcommand, config pairs)
 CASES = {
-    "two-view": ("train", dict(TINY, synthetic="multiview", mode="two-view",
-                               seeds="0,1", batch_size="8", neg_size="4")),
+    "two-view": ("train", TWO_VIEW),
+    # sharp enough that some rows' sums under the logits' bound underflow
+    # and take the kernels' own-max repair
+    "two-view-sharp": ("train", dict(TWO_VIEW, temperature="0.0001")),
     "two-view-manifest": ("train", dict(TINY, mode="two-view", seeds="0",
                                         batch_size="8", neg_size="4")),
     "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",

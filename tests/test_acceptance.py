@@ -297,7 +297,7 @@ def test_criterion_03_weight_ranges():
         y3 = y1.copy()
         y3[j] = 0.0  # force at least one disagreement
         y = np.vstack([y1, y2, y3])
-        log_sigma, log_gamma = _label_log_weights(y)
+        log_sigma, log_gamma = _label_log_weights(y, ...)
         shares = ((y @ y.T) > 0) & ~np.eye(3, dtype=bool)
         differs = np.any(y[:, None, :] != y[None, :, :], axis=2)
         violations += int(np.sum(~((np.log(1.0 / c) <= log_sigma[shares])

@@ -4,6 +4,7 @@ differences, and the documented degeneracy/equality behavior."""
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hcl.losses import (
     unsup_loss_single,
     weighted_sup_loss,
 )
-from hcl.numeric import make_rng, unit_rows
+from hcl.numeric import make_rng, row_logsumexp, unit_rows
 
 from reference import (
     finite_diff_grad,
@@ -523,6 +524,26 @@ def test_every_loss_finite_across_temperatures(tau):
             assert np.isfinite(g).all()
 
 
+def test_no_runtime_warning_at_small_temperature():
+    # at tau = 1e-4 some rows' shared-shift sums underflow and are redone;
+    # neither path may take the log of 0 or warn otherwise
+    rng = make_rng(19)
+    s = rng.normal(size=(8, 4))
+    multi = (rng.random((8, 3)) < 0.5).astype(float)
+    multi[:3, 0] = [1.0, 1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for drawn in (single_view_batch(rng, n=8, project=True),
+                      two_view_batch(rng, n=8),
+                      two_view_batch(rng, n=8, d1=3, d2=5)):
+            loss = unsup_loss_single if len(drawn.zs) == 1 \
+                else unsup_loss_multiview
+            for b in (drawn, with_full_mask(drawn)):
+                for weighted in (True, False):
+                    loss(weighting(b, weighted), 1e-4)
+        weighted_sup_loss(s, multi, 1e-4)
+
+
 def test_supervised_pairs_run_by_label_then_anchor_then_partner():
     # the flat pair arrays list what loops over valid labels, anchors and
     # partners would, in that order
@@ -610,7 +631,10 @@ def test_info_nce_invariants_sweep():
         dropped = rng.random((rows, n_neg)) < 0.4
         dropped[np.arange(rows), rng.integers(0, n_neg, rows)] = False
         neg[dropped] = -np.inf
-        terms, d_pos, e, c = _info_nce(pos, neg)
+        # the bound of every logit, shifted in before the call
+        bound = scale + 3.0
+        terms, d_pos, e, c = _info_nce(pos, neg - bound, bound,
+                                       lambda rows: neg[rows] - bound)
         d_neg = c * e
         for a in (terms, d_pos, d_neg):
             assert np.isfinite(a).all()
@@ -648,8 +672,9 @@ def test_info_nce_scaled_block_equals_dense_logit_gradient(layout):
         dense = soft / soft.sum(axis=1, keepdims=True)
         dense[r, positive] -= 1.0
 
-        neg = np.where(masked, -np.inf, logits)
-        _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg)
+        neg = np.where(masked, -np.inf, logits) - 4.0  # shifted by the bound
+        _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg.copy(),
+                                   4.0, lambda rows: neg[rows])
         assert not e[r, positive].any()
         d_logits = c * e
         d_logits[r, positive] = d_pos[:, 0]
@@ -686,12 +711,13 @@ def test_folded_kernels_gradient(tau):
 
 
 def _kernel_logits(monkeypatch, loss, batch, tau):
-    """The (pos, neg) logits ``loss`` hands to ``_info_nce``."""
+    """The (pos, neg) logits ``loss`` hands to ``_info_nce``, with the
+    bound it shifted the negatives by added back."""
     seen = []
 
-    def spy(pos, neg):
-        seen.append((pos.copy(), neg.copy()))
-        return _info_nce(pos, neg)
+    def spy(pos, neg, bound, rebuild):
+        seen.append((pos.copy(), neg + bound))
+        return _info_nce(pos, neg, bound, rebuild)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
     loss(batch, tau)
@@ -744,6 +770,102 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
                 want = (cos[np.arange(2 * n), partner][:, None] / tau,
                         cos / tau + lw)
                 check(got, want, np.tile(b.neg_mask, (2, 2)))
+
+
+def _repaired_rows(monkeypatch):
+    """Count the rows the kernels hand to ``row_logsumexp``: those whose
+    sums under the bound's shared shift were redone with their own max."""
+    seen = []
+
+    def spy(logits):
+        seen.append(len(logits))
+        return row_logsumexp(logits)
+
+    monkeypatch.setattr(losses_mod, "row_logsumexp", spy)
+    return seen
+
+
+def _near_duplicate_batches(rng, n=6):
+    """Single- and two-view batches of ``n`` embedding rows that all lie
+    within a relative 1e-15..1e-6 of one direction, so every cosine rounds
+    near 1 and at a tiny tau rounding alone sets each logit's distance to
+    the bound."""
+    base = rng.normal(size=4)
+    eps = 10.0 ** rng.uniform(-15.0, -6.0)
+    z1, z2 = (base + eps * rng.normal(size=(n, 4)) for _ in range(2))
+    xs = [rng.normal(size=(n, 3)), rng.normal(size=(n, 3))]
+    mask = full_negatives(n)
+    return (ContrastiveBatch([z1], mask, xs[:1], x_sim=z2),
+            ContrastiveBatch([z1, z2], mask, xs))
+
+
+@pytest.mark.parametrize("tau", [1e-20, 1e-200])
+def test_unsup_kernels_finite_on_near_duplicate_rows(monkeypatch, tau):
+    # a cosine rounded a few ulp past 1 puts its logit about 1e4 (tau =
+    # 1e-20) or 1e184 (tau = 1e-200) past the bound, so its row's shifted
+    # sum overflows to inf; that row must be redone like an underflowing one
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(47)
+    for _ in range(25):
+        for drawn in _near_duplicate_batches(rng):
+            loss = unsup_loss_single if len(drawn.zs) == 1 \
+                else unsup_loss_multiview
+            for weighted in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    value, *grads = loss(weighting(drawn, weighted), tau)
+                assert math.isfinite(value)
+                for g in grads:
+                    assert np.isfinite(g).all()
+    assert sum(repaired) > 0
+
+
+def _unsup_layouts(rng):
+    """(loss, batch) for every kernel layout: single view plain and
+    weighted, two views plain, weighted of one width, and the proxy."""
+    single = single_view_batch(rng, n=7, project=True)
+    two = two_view_batch(rng, n=6, d1=4, d2=4)
+    proxy = two_view_batch(rng, n=6, d1=3, d2=5)
+    return [(unsup_loss_single, weighting(single, False)),
+            (unsup_loss_single, single),
+            (unsup_loss_multiview, weighting(two, False)),
+            (unsup_loss_multiview, two),
+            (unsup_loss_multiview, proxy)]
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+def test_unsup_repair_of_every_row_matches_shared_shift(monkeypatch, tau):
+    # forcing every row through the repair (floor inf) rebuilds each row
+    # from the thin operands and shifts it by its own max; the result must
+    # match the bound's shared shift
+    rng = make_rng(53)
+    for loss, drawn in _unsup_layouts(rng):
+        for b in (drawn, with_full_mask(drawn)):
+            value, *grads = loss(b, tau)
+            monkeypatch.setattr(losses_mod, "_SUM_FLOOR", np.inf)
+            all_value, *all_grads = loss(b, tau)
+            monkeypatch.undo()
+            assert value == pytest.approx(all_value, rel=1e-14)
+            for g, all_g in zip(grads, all_grads):
+                assert rel_error(g, all_g) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.5])
+def test_unsup_gradients_with_every_row_repaired(monkeypatch, tau):
+    monkeypatch.setattr(losses_mod, "_SUM_FLOOR", np.inf)
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(59)
+    eps = 1e-6 * tau
+    for loss, drawn in _unsup_layouts(rng):
+        for b in (drawn, with_full_mask(drawn)):
+            for v, g in enumerate(loss(b, tau)[1:]):
+
+                def fn(z, b=b, v=v, loss=loss):
+                    return loss(with_view(b, v, z), tau)[0]
+
+                num = finite_diff_grad(fn, b.zs[v], eps=eps)
+                assert rel_error(g, num) < GRAD_TOL
+    assert sum(repaired) > 0
 
 
 def test_public_losses_invariant_sweep():

@@ -72,7 +72,7 @@ def test_hamming_matches_counting_oracle():
     for _ in range(200):
         c = int(rng.integers(1, 12))
         y = rng.integers(0, 2, size=(5, c)).astype(float)
-        log_sigma, log_gamma = _label_log_weights(y)
+        log_sigma, log_gamma = _label_log_weights(y, ...)
         for i in range(5):
             for k in range(5):
                 h = ref_hamming(y[i], y[k])
@@ -94,15 +94,15 @@ def test_hamming_product_equals_broadcast_bitwise():
         with np.errstate(divide="ignore"):
             want = (np.log(np.maximum((c - ham) / c, 0.0)),
                     np.log(np.maximum(ham, 0.0)))
-        for got, ref in zip(_label_log_weights(y), want):
+        for got, ref in zip(_label_log_weights(y, ...), want):
             assert got.tobytes() == ref.tobytes()
 
 
 def test_pos_weight_sigma_values_and_range():
-    log_sigma, _ = _label_log_weights(np.array([[1.0, 0.0, 1.0]] * 2))
+    log_sigma, _ = _label_log_weights(np.array([[1.0, 0.0, 1.0]] * 2), ...)
     assert log_sigma[0, 1] == 0.0
     log_sigma, _ = _label_log_weights(np.array([[1.0, 0.0, 1.0, 0.0],
-                                                [1.0, 1.0, 1.0, 0.0]]))
+                                                [1.0, 1.0, 1.0, 0.0]]), ...)
     assert np.exp(log_sigma[0, 1]) == pytest.approx(0.75)
     rng = make_rng(3)
     checked = 0
@@ -111,13 +111,13 @@ def test_pos_weight_sigma_values_and_range():
         y = rng.integers(0, 2, size=(2, c)).astype(float)
         if not np.any((y[0] == 1) & (y[1] == 1)):
             continue  # not a positive pair for any label
-        log_sigma, _ = _label_log_weights(y)
+        log_sigma, _ = _label_log_weights(y, ...)
         assert np.log(1.0 / c) <= log_sigma[0, 1] <= 0.0
         checked += 1
 
 
 def test_neg_weight_gamma_values_and_range():
-    _, log_gamma = _label_log_weights(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    _, log_gamma = _label_log_weights(np.array([[1.0, 0.0], [0.0, 1.0]]), ...)
     assert np.exp(log_gamma[0, 1]) == pytest.approx(2.0)
     rng = make_rng(4)
     checked = 0
@@ -126,7 +126,7 @@ def test_neg_weight_gamma_values_and_range():
         y = rng.integers(0, 2, size=(2, c)).astype(float)
         if np.array_equal(y[0], y[1]):
             continue
-        _, log_gamma = _label_log_weights(y)
+        _, log_gamma = _label_log_weights(y, ...)
         assert 0.0 <= log_gamma[0, 1] <= np.log(c)
         assert np.exp(log_gamma[0, 1]) == pytest.approx(
             ref_hamming(y[0], y[1]), rel=1e-12)
