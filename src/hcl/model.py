@@ -7,6 +7,11 @@ order. ``model_backward`` propagates upstream gradients from the classifier
 output and/or directly from the embeddings (where the contrastive losses
 attach) down to every weight and bias.
 
+Every weight and bias is a view into one float64 arena, ``ModelParams.flat``,
+laid out in ``named_parameters`` order; ``model_backward`` returns the
+gradient as one vector with the same layout, so an optimizer updates the
+whole model with a few whole-buffer operations.
+
 Checkpoints are JSON with base64-encoded little-endian float64 buffers, so a
 write -> read round trip reproduces every parameter bit for bit.
 """
@@ -70,10 +75,20 @@ class LayerStack:
 
 @dataclass
 class ModelParams:
-    """One encoder per view (view v is ``encoders[v - 1]``) and a classifier."""
+    """One encoder per view (view v is ``encoders[v - 1]``) and a classifier.
+
+    Construction copies every weight and bias into the arena ``flat`` and
+    gives the model its own stacks, whose arrays are views of it, so writing
+    ``flat`` moves the layers; the stacks passed in are left as they were.
+    ``layout`` holds one ``(name, start, stop, shape)`` per parameter: its
+    slice ``flat[start:stop]``, in ``named_parameters`` order.
+    """
 
     encoders: list[LayerStack]
     classifier: LayerStack
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: list[tuple[str, int, int, tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n_views = len(self.encoders)
@@ -89,6 +104,24 @@ class ModelParams:
                 f"classifier expects input dim {self.classifier.in_dim}, "
                 f"encoders provide {expected}"
             )
+        stacks = [(f"e{v + 1}", e) for v, e in enumerate(self.encoders)]
+        stacks.append(("cls", self.classifier))
+        self.layout, arrays, start = [], [], 0
+        for prefix, stack in stacks:
+            for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+                for name, arr in ((f"{prefix}.w{i}", w), (f"{prefix}.b{i}", b)):
+                    self.layout.append((name, start, start + arr.size, arr.shape))
+                    arrays.append(arr.ravel())
+                    start += arr.size
+        self.flat = np.concatenate(arrays, dtype=np.float64)
+        views = named_parameters(self)
+        own = []
+        for prefix, stack in stacks:
+            layers = range(len(stack.weights))
+            own.append(LayerStack([views[f"{prefix}.w{i}"] for i in layers],
+                                  [views[f"{prefix}.b{i}"] for i in layers],
+                                  stack.output_activation))
+        self.encoders, self.classifier = own[:-1], own[-1]
 
     @property
     def latent_dim(self) -> int:
@@ -182,7 +215,9 @@ def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, ForwardCache]:
 
 def _backward_stack(stack: LayerStack, cache: ForwardCache, d_out: Matrix,
                     grads: dict[str, Matrix], prefix: str) -> Matrix:
-    """Accumulate parameter grads; return the gradient at the stack input."""
+    """Accumulate parameter grads; return the gradient at the first layer's
+    pre-activation. Only the classifier needs the gradient at its input
+    (that times ``weights[0].T``), so the encoders skip that product."""
     last = len(stack.weights) - 1
     kind = stack.output_activation
     if kind == "identity":
@@ -198,27 +233,35 @@ def _backward_stack(stack: LayerStack, cache: ForwardCache, d_out: Matrix,
             d_pre = d_pre * (cache.pre[i] > 0.0)
         grads[f"{prefix}.w{i}"] += cache.inputs[i].T @ d_pre
         grads[f"{prefix}.b{i}"] += d_pre.sum(axis=0)
-        d_pre = d_pre @ stack.weights[i].T
+        if i:
+            d_pre = d_pre @ stack.weights[i].T
     return d_pre
 
 
-def named_parameters(params: ModelParams) -> dict[str, np.ndarray]:
-    """Flat name -> array views ('e1.w0', 'e1.b0', ..., 'cls.w0', ...).
+def named_parameters(params: ModelParams,
+                     buf: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Name -> array views ('e1.w0', 'e1.b0', ..., 'cls.w0', ...), in arena order.
 
-    The arrays are the live parameters; optimizers update them in place.
+    By default the arrays are the live parameters, views into
+    ``params.flat`` that optimizers update in place. ``buf``, a vector laid
+    out like ``params.flat`` (such as a gradient from ``model_backward``),
+    gives the same names and shapes over views of it instead.
     """
-    out: dict[str, np.ndarray] = {}
-    stacks = [(f"e{v + 1}", e) for v, e in enumerate(params.encoders)]
-    stacks.append(("cls", params.classifier))
-    for prefix, stack in stacks:
-        for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-            out[f"{prefix}.w{i}"] = w
-            out[f"{prefix}.b{i}"] = b
-    return out
+    buf = params.flat if buf is None else buf
+    if buf.shape != params.flat.shape:
+        raise ShapeError(f"buffer has shape {buf.shape}, parameters "
+                         f"{params.flat.shape}")
+    return {name: buf[start:stop].reshape(shape)
+            for name, start, stop, shape in params.layout}
 
 
-def zero_grads(params: ModelParams) -> dict[str, Matrix]:
-    return {name: np.zeros_like(arr) for name, arr in named_parameters(params).items()}
+def first_nonfinite(params: ModelParams, buf: np.ndarray) -> str | None:
+    """The name of the first parameter whose slice of ``buf`` (laid out like
+    ``params.flat``) holds a NaN or an infinity, or None if none does."""
+    if np.isfinite(buf).all():
+        return None
+    return next(name for name, start, stop, _ in params.layout
+                if not np.isfinite(buf[start:stop]).all())
 
 
 def model_backward(params: ModelParams, *,
@@ -227,8 +270,9 @@ def model_backward(params: ModelParams, *,
                    d_yhat: Matrix | None = None,
                    d_s: Matrix | None = None,
                    d_z: list[Matrix] | None = None,
-                   classifier_rows: np.ndarray | None = None) -> dict[str, Matrix]:
-    """Exact gradients of the composite objective for every parameter.
+                   classifier_rows: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of the composite objective, one vector laid out like
+    ``params.flat`` (``named_parameters(params, grad)`` names its pieces).
 
     ``enc_caches`` and ``d_z`` hold one entry per view, in view order: the
     encoder's forward cache and the gradient attached directly at its output
@@ -244,7 +288,8 @@ def model_backward(params: ModelParams, *,
         if given is not None and len(given) != n_views:
             raise ContractError(f"need one {what} per view ({n_views}), "
                                 f"got {len(given)}")
-    grads = zero_grads(params)
+    grad = np.zeros_like(params.flat)
+    grads = named_parameters(params, grad)
     latent = params.latent_dim
     accs = [np.zeros((enc_caches[0].out.shape[0], latent)) for _ in range(n_views)]
     for acc, d in zip(accs, d_z or []):
@@ -256,8 +301,8 @@ def model_backward(params: ModelParams, *,
     if d_yhat is not None:
         if cls_cache is None:
             raise ContractError("classifier gradient needs its forward cache")
-        at_input.append(_backward_stack(params.classifier, cls_cache, d_yhat,
-                                        grads, "cls"))
+        d_pre = _backward_stack(params.classifier, cls_cache, d_yhat, grads, "cls")
+        at_input.append(d_pre @ params.classifier.weights[0].T)
     for d in at_input:
         rows = np.arange(d.shape[0]) if classifier_rows is None \
             else np.asarray(classifier_rows, dtype=int)
@@ -271,7 +316,7 @@ def model_backward(params: ModelParams, *,
 
     for v, (stack, cache, acc) in enumerate(zip(params.encoders, enc_caches, accs)):
         _backward_stack(stack, cache, acc, grads, f"e{v + 1}")
-    return grads
+    return grad
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -282,7 +327,8 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 def _decode_array(obj: dict) -> np.ndarray:
     raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+    # read-only, but ModelParams copies it into its arena
+    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
 
 
 def _stack_to_json(stack: LayerStack) -> dict:
@@ -342,9 +388,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         raise IngestionError(f"{path}: checkpoint has no {err.args[0]!r} entry") from None
     except (TypeError, ValueError) as err:
         raise IngestionError(f"{path}: malformed checkpoint entry: {err}") from None
-    for name, arr in named_parameters(params).items():
-        if not np.isfinite(arr).all():
-            raise IngestionError(
-                f"{path}: checkpoint parameter {name} holds non-finite values"
-            )
+    name = first_nonfinite(params, params.flat)
+    if name is not None:
+        raise IngestionError(
+            f"{path}: checkpoint parameter {name} holds non-finite values"
+        )
     return params, doc.get("extra", {})

@@ -46,7 +46,7 @@ from .losses import (
     weighted_sup_loss,
 )
 from .metrics import EvalReport, evaluate
-from .model import ModelParams, classify, encode, init_params, model_backward, named_parameters
+from .model import ModelParams, classify, encode, init_params, model_backward
 from .numeric import Rng, make_rng
 from .optimizer import OptimizerState, lars_step
 
@@ -240,7 +240,7 @@ def train_step(params: ModelParams, state: OptimizerState, ds: Dataset,
     ``ds``, at kernel temperature ``tau``; returns the terms (l_c, l_u,
     l_s). ``inputs`` are the keyword arguments of ``step_forward``."""
     terms, back = step_forward(params, ds, rows, weights, tau, **inputs)
-    lars_step(named_parameters(params), model_backward(params, **back), state)
+    lars_step(params, model_backward(params, **back), state)
     return terms
 
 

@@ -73,21 +73,6 @@ def _margins_ok(params, x1, x2, two_view):
     return True
 
 
-def flatten_params(named):
-    """Pack a name->array dict into one vector (sorted by name)."""
-    keys = sorted(named)
-    return np.concatenate([named[k].ravel() for k in keys]), keys
-
-
-def unflatten_into(named, keys, vec):
-    """Write a flat vector back into the arrays of ``named`` in place."""
-    off = 0
-    for k in keys:
-        arr = named[k]
-        arr[...] = vec[off:off + arr.size].reshape(arr.shape)
-        off += arr.size
-
-
 def save_csv(path, matrix):
     """Write a matrix as CSV with round-trip-exact float formatting."""
     lines = [",".join(repr(float(v)) for v in row)

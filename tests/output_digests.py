@@ -5,10 +5,10 @@
 Runs ``hcl.cli.main`` from the ``src/`` next to this file (which runs
 numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
 on fixed tiny configs: a two-view train followed by ``eval``, the same
-train at temperature 1e-4, a two-view train on a manifest whose views have
-different widths (8 and 5 columns), a single-view full-plan train, a noise
-sweep and both bound checks. Prints one ``sha256  relative/path`` line per
-CSV and JSON output, sorted by path.
+train once with weight decay 0.01 and once at temperature 1e-4, a two-view
+train on a manifest whose views have different widths (8 and 5 columns), a
+single-view full-plan train, a noise sweep and both bound checks. Prints
+one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
 
 Run records are digested after their ``out_dir`` and ``manifest`` are
 replaced by fixed names and ``wall_seconds`` and the checkpoint checksum
@@ -48,6 +48,8 @@ TWO_VIEW = dict(TINY, synthetic="multiview", mode="two-view", seeds="0,1",
 # case -> (subcommand, config pairs)
 CASES = {
     "two-view": ("train", TWO_VIEW),
+    # the weight-decay branch of the LARS update
+    "two-view-decay": ("train", dict(TWO_VIEW, weight_decay="0.01")),
     # sharp enough that some rows' sums under the logits' bound underflow
     # and take the kernels' own-max repair
     "two-view-sharp": ("train", dict(TWO_VIEW, temperature="0.0001")),

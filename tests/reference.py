@@ -5,7 +5,9 @@ quantized gaussian table, scipy's CDF) so that it cannot share bugs with
 the vectorized implementations under test. Keep it slow and obvious. The
 one exception is ``ref_log_weight``, the raw-feature log-weight as a
 matrix: the definition the kernels' fused product is tested against, and
-itself tested against the scalar ``ref_g``.
+itself tested against the scalar ``ref_g``. ``ref_lars_step`` takes LARS
+one parameter at a time with the numpy arithmetic of the whole-buffer step,
+so the two must agree bit for bit.
 """
 
 import math
@@ -254,6 +256,35 @@ def ref_stratum_pair_tables(ids, y, n_protos):
             for i, j in pairs:
                 table[i, j] += 1.0 / len(pairs)
     return {eps: t / t.sum() for eps, t in tables.items()}
+
+
+def ref_lars_step(params, grads, state, velocities):
+    """One LARS step, parameter by parameter, on name -> array dicts.
+
+    ``state`` supplies the hyperparameters of an ``OptimizerState``;
+    ``velocities`` maps names to momentum buffers and gains the missing
+    ones. Updates ``params`` and ``velocities`` in place.
+    """
+    for name, w in params.items():
+        g = grads[name]
+        step = g + state.weight_decay * w if state.weight_decay else g
+        if w.ndim > 1:
+            w_norm = float(np.linalg.norm(w))
+            with np.errstate(over="ignore"):
+                g_norm = float(np.linalg.norm(g))
+            if not np.isfinite(g_norm):  # finite g whose squares overflow
+                m = float(np.max(np.abs(g)))
+                g_norm = m * float(np.linalg.norm(g / m))
+            local = state.trust_coeff * w_norm / (
+                g_norm + state.weight_decay * w_norm + 1e-12
+            )
+            eff_lr = state.base_lr * local
+        else:
+            eff_lr = state.base_lr
+        v = velocities.setdefault(name, np.zeros_like(w))
+        v *= state.momentum
+        v += eff_lr * step
+        w -= v
 
 
 def finite_diff_grad(fn, x, eps=1e-5):

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from builders import flatten_params, safe_model_instance, unflatten_into
+from builders import safe_model_instance
 from reference import (finite_diff_grad, random_neg_mask, ref_auc_pairwise,
                        ref_f1_micro, ref_log_weight, rel_error)
 
@@ -39,7 +39,7 @@ from hcl.mi import (
     check_sup_bound,
     check_unsup_bound,
 )
-from hcl.model import classify, encode, model_backward, named_parameters
+from hcl.model import classify, encode, model_backward
 from hcl.numeric import make_rng
 from hcl.train import build_dataset, run_training
 
@@ -184,14 +184,13 @@ def _err_model_backward(seed):
     proj = rng.normal(size=(x.shape[1], params.latent_dim))
     mask = random_neg_mask(rng, n)
     alpha, beta = 0.7, 0.4
-    named = named_parameters(params)
-    flat, keys = flatten_params(named)
+    flat = params.flat.copy()
 
     def batch(z):
         return ContrastiveBatch(zs=[z], xs=[x], x_sim=x @ proj, neg_mask=mask)
 
     def objective(vec):
-        unflatten_into(named, keys, vec)
+        params.flat[:] = vec
         z, _ = encode(params, x)
         y_hat, _ = classify(params, z)
         l_c = cross_entropy(y_hat, y)[0]
@@ -204,12 +203,11 @@ def _err_model_backward(seed):
     _, d_yhat = cross_entropy(y_hat, y)
     _, d_u = unsup_loss_single(batch(z))
     _, d_s = weighted_sup_loss(z, y)
-    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
-                           d_yhat=d_yhat, d_z=[alpha * d_u + beta * d_s])
-    flat_grad = np.concatenate([grads[k].ravel() for k in keys])
+    grad = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
+                          d_yhat=d_yhat, d_z=[alpha * d_u + beta * d_s])
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
-    unflatten_into(named, keys, flat)
-    return rel_error(flat_grad, num.ravel())
+    params.flat[:] = flat
+    return rel_error(grad, num.ravel())
 
 
 def test_criterion_01_gradient_suite():

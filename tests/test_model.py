@@ -24,8 +24,9 @@ from hcl.model import (
     save_checkpoint,
 )
 from hcl.numeric import make_rng
+from hcl.optimizer import OptimizerState, lars_step
 
-from builders import flatten_params, safe_model_instance, unflatten_into
+from builders import safe_model_instance
 from reference import finite_diff_grad, rel_error
 
 
@@ -76,6 +77,65 @@ def test_model_params_needs_one_or_two_encoders(n_encoders):
     with pytest.raises(ContractError, match=f"1 or 2 view encoders, got {n_encoders}"):
         ModelParams(encoders=[stack] * n_encoders, classifier=LayerStack(
             weights=[np.zeros((2 * n_encoders, 1))], biases=[np.zeros(1)]))
+
+
+def test_model_params_copies_the_stacks_passed_in():
+    # one stack passed for both views still gives two encoders of their own
+    stack = LayerStack(weights=[np.eye(2)], biases=[np.zeros(2)])
+    params = ModelParams(encoders=[stack, stack], classifier=LayerStack(
+        weights=[np.ones((4, 1))], biases=[np.zeros(1)]))
+    lars_step(params, np.ones_like(params.flat), OptimizerState())
+    assert np.array_equal(stack.weights[0], np.eye(2))
+    assert not stack.biases[0].any()
+    e1, e2 = params.encoders
+    assert e1 is not stack and e2 is not stack
+    assert not np.shares_memory(e1.weights[0], e2.weights[0])
+    assert np.array_equal(e1.weights[0], e2.weights[0])
+    assert not np.array_equal(e1.weights[0], np.eye(2))
+
+
+def _built(how, tmp_path):
+    if how == "init":
+        return init_params(make_rng(4), [[4, 3, 2], [5, 2]], [4, 3, 2])
+    if how == "checkpoint":
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(_built("init", tmp_path), path)
+        return load_checkpoint(path)[0]
+    rng = make_rng(5)
+    return ModelParams(
+        encoders=[LayerStack(weights=[rng.normal(size=(3, 4)),
+                                      rng.normal(size=(4, 2))],
+                             biases=[np.zeros(4), np.arange(2.0)])],
+        classifier=LayerStack(weights=[rng.normal(size=(2, 3))],
+                              biases=[np.ones(3)], output_activation="sigmoid"))
+
+
+@pytest.mark.parametrize("how", ["init", "checkpoint", "hand-built"])
+def test_parameters_tile_the_arena(tmp_path, how):
+    params = _built(how, tmp_path)
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.flags.c_contiguous
+    held = [a for stack in [*params.encoders, params.classifier]
+            for w, b in zip(stack.weights, stack.biases) for a in (w, b)]
+    named = named_parameters(params)
+    assert len(held) == len(named)
+    offset = 0
+    for arr, (name, view) in zip(held, named.items()):
+        for a in (arr, view):
+            assert np.shares_memory(a, flat), name
+            assert a.flags.c_contiguous, name
+            # in order, with no gap and no overlap
+            assert a.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+        assert arr.shape == view.shape
+        offset += arr.size
+    assert offset == flat.size
+    before = [a.copy() for a in held]
+    lars_step(params, np.ones_like(flat), OptimizerState())
+    # the step moved the arrays the stacks themselves hold
+    for arr, old, name in zip(held, before, named):
+        assert not np.array_equal(arr, old), name
+    with pytest.raises(ShapeError, match="buffer"):
+        named_parameters(params, flat[1:])
 
 
 def test_encode_identity_layer_passes_through():
@@ -145,11 +205,10 @@ def test_classify_softmax_rows_sum_to_one():
 @pytest.mark.parametrize("multiclass", [False, True])
 def test_backward_matches_finite_differences_classifier_path(multiclass):
     params, x, _, y, _ = safe_model_instance(10 + multiclass, multiclass=multiclass)
-    named = named_parameters(params)
-    flat, keys = flatten_params(named)
+    flat = params.flat.copy()
 
     def objective(vec):
-        unflatten_into(named, keys, vec)
+        params.flat[:] = vec
         z, _ = encode(params, x)
         y_hat, _ = classify(params, z)
         return cross_entropy(y_hat, y)[0]
@@ -157,43 +216,39 @@ def test_backward_matches_finite_differences_classifier_path(multiclass):
     z, enc_cache = encode(params, x)
     y_hat, cls_cache = classify(params, z)
     _, d_yhat = cross_entropy(y_hat, y)
-    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
-                           d_yhat=d_yhat)
-    flat_grad = np.concatenate([grads[k].ravel() for k in keys])
+    grad = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
+                          d_yhat=d_yhat)
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
-    unflatten_into(named, keys, flat)  # restore
-    assert rel_error(flat_grad, num.ravel()) < 1e-5
+    params.flat[:] = flat  # restore
+    assert rel_error(grad, num.ravel()) < 1e-5
 
 
 def test_backward_direct_embedding_gradient():
     params, x, _, _, rng = safe_model_instance(12)
-    named = named_parameters(params)
-    flat, keys = flatten_params(named)
+    flat = params.flat.copy()
     w = rng.normal(size=(x.shape[0], params.latent_dim))
 
     def objective(vec):
-        unflatten_into(named, keys, vec)
+        params.flat[:] = vec
         z, _ = encode(params, x)
         return float(np.sum(w * z * z))
 
     z, enc_cache = encode(params, x)
-    grads = model_backward(params, enc_caches=[enc_cache], d_z=[2.0 * w * z])
-    flat_grad = np.concatenate([grads[k].ravel() for k in keys])
+    grad = model_backward(params, enc_caches=[enc_cache], d_z=[2.0 * w * z])
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
-    unflatten_into(named, keys, flat)
-    assert rel_error(flat_grad, num.ravel()) < 1e-5
+    params.flat[:] = flat
+    assert rel_error(grad, num.ravel()) < 1e-5
     # classifier untouched on this path
-    assert not grads["cls.w0"].any()
+    assert not named_parameters(params, grad)["cls.w0"].any()
 
 
 def test_backward_two_view_classifier_subset_rows():
     params, x1, x2, y, _ = safe_model_instance(13, two_view=True)
-    named = named_parameters(params)
-    flat, keys = flatten_params(named)
+    flat = params.flat.copy()
     rows = np.array([0, 2, 3])
 
     def objective(vec):
-        unflatten_into(named, keys, vec)
+        params.flat[:] = vec
         z1, _ = encode(params, x1, view=1)
         z2, _ = encode(params, x2, view=2)
         s = np.hstack([z1, z2])[rows]
@@ -205,12 +260,11 @@ def test_backward_two_view_classifier_subset_rows():
     s = np.hstack([z1, z2])[rows]
     y_hat, cc = classify(params, s)
     _, d_yhat = cross_entropy(y_hat, y[rows])
-    grads = model_backward(params, enc_caches=[c1, c2], cls_cache=cc,
-                           d_yhat=d_yhat, classifier_rows=rows)
-    flat_grad = np.concatenate([grads[k].ravel() for k in keys])
+    grad = model_backward(params, enc_caches=[c1, c2], cls_cache=cc,
+                          d_yhat=d_yhat, classifier_rows=rows)
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
-    unflatten_into(named, keys, flat)
-    assert rel_error(flat_grad, num.ravel()) < 1e-5
+    params.flat[:] = flat
+    assert rel_error(grad, num.ravel()) < 1e-5
 
 
 def test_backward_needs_one_cache_and_d_z_per_view():
@@ -231,9 +285,9 @@ def test_backward_zero_upstream_gives_zero_grads():
     params, x, _, y, _ = safe_model_instance(14)
     z, enc_cache = encode(params, x)
     y_hat, cls_cache = classify(params, z)
-    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
-                           d_yhat=np.zeros_like(y_hat))
-    assert all(float(np.abs(g).max()) < 1e-8 for g in grads.values())
+    grad = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
+                          d_yhat=np.zeros_like(y_hat))
+    assert float(np.abs(grad).max()) < 1e-8
 
 
 def test_backward_perfect_predictions_zero_classifier_grad():
@@ -243,9 +297,9 @@ def test_backward_perfect_predictions_zero_classifier_grad():
     y = (y_hat > 0.5).astype(float)
     # drive predictions to their targets exactly via the clamp region
     _, d_yhat = cross_entropy(y, y)
-    grads = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
-                           d_yhat=d_yhat)
-    assert all(float(np.abs(g).max()) < 1e-8 for g in grads.values())
+    grad = model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
+                          d_yhat=d_yhat)
+    assert float(np.abs(grad).max()) < 1e-8
 
 
 @pytest.mark.parametrize("two_view", [False, True], ids=["one-view", "two-view"])
@@ -263,6 +317,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, two_view):
         assert np.array_equal(a[k], b[k])
         assert np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64))
     assert extra2 == extra
+    assert loaded.flat.tobytes() == params.flat.tobytes()
     # the v1 layout: a one-view model stores a null second encoder
     with open(path, encoding="utf-8") as fh:
         text = fh.read()

@@ -31,13 +31,7 @@ from hcl.train import (
     train_step,
 )
 
-from builders import (
-    flatten_params,
-    safe_model_instance,
-    save_csv,
-    save_manifest,
-    unflatten_into,
-)
+from builders import safe_model_instance, save_csv, save_manifest
 from reference import finite_diff_grad, rel_error
 
 SMALL = {
@@ -240,11 +234,10 @@ def _step_grad_error(monkeypatch, seed, two_view):
     mask = full_negatives(8)
     tau = 0.5
     alpha, beta = 0.7, 0.3
-    named = named_parameters(params)
-    flat, keys = flatten_params(named)
+    flat = params.flat.copy()
 
     def objective(vec):
-        unflatten_into(named, keys, vec)
+        params.flat[:] = vec
         z1, _ = encode(params, x1, view=1)
         if two_view:
             z2, _ = encode(params, x2, view=2)
@@ -259,14 +252,14 @@ def _step_grad_error(monkeypatch, seed, two_view):
         l_s = weighted_sup_loss(s, y[pos], tau)[0]
         return l_c + alpha * l_u + beta * l_s
 
-    captured = {}
+    captured = []
     monkeypatch.setattr(train_mod, "lars_step",
-                        lambda p, grads, state: captured.update(grads))
+                        lambda p, grad, state: captured.append(grad))
     train_step(params, OptimizerState(), ds, np.arange(8),
                (1.0, alpha, beta), tau, labeled=lab, neg_mask=mask,
                x_sim=x_sim)
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
-    return rel_error(flatten_params(captured)[0], num.ravel())
+    return rel_error(captured[0], num.ravel())
 
 
 @pytest.mark.parametrize("two_view", [True, False])
