@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .data import _parse_aug
+from .data import SCENE_CLUSTERS, SCENE_LATENT_DIM, _parse_aug
 from .errors import ConfigError
 from .ioutil import parse_kv_text, read_text
 
@@ -230,6 +230,18 @@ def resolve_config(pairs: dict[str, str],
             raise _fail("manifest", f"file not found: {cfg.manifest}")
         # absolute, so that the snapshot replays from any directory
         cfg.manifest = os.path.abspath(cfg.manifest)
+    if cfg.synthetic == "scene-like":
+        if cfg.n_samples < 2 * SCENE_CLUSTERS:
+            raise _fail("n_samples", f"scene-like data needs at least "
+                        f"{2 * SCENE_CLUSTERS} (two per latent cluster), got "
+                        f"{cfg.n_samples}")
+        if cfg.n_features < SCENE_LATENT_DIM:
+            raise _fail("n_features", f"scene-like data needs at least "
+                        f"{SCENE_LATENT_DIM} (its latent dimension), got "
+                        f"{cfg.n_features}")
+    if cfg.synthetic == "cluster" and cfg.n_samples < cfg.n_classes:
+        raise _fail("n_samples", f"cluster data needs at least n_classes = "
+                    f"{cfg.n_classes} (one per class), got {cfg.n_samples}")
     if cfg.method == "simclr-style" and cfg.mode != "two-view":
         raise _fail("method", "simclr-style needs mode = two-view")
     # method coupling: unused terms are forced off so the objective, the

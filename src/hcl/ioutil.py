@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError, HclError, IngestionError
+from .errors import ConfigError, HclError, IngestionError, NumericError
 
 
 def read_text(path: str, what: str, error: type[HclError] = IngestionError) -> str:
@@ -60,8 +60,13 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def json_text(doc) -> str:
-    """A JSON document with sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """A strict JSON document with sorted keys, two-space indent, trailing
+    newline. A NaN or infinite number raises ``NumericError``: strict JSON
+    has no token for it."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise NumericError(f"cannot write a JSON document: {err}") from None
 
 
 def sha256_file(path: str) -> str:

@@ -11,7 +11,7 @@ hyperparameter, the temperature tau, is a plain float argument of every
 contrastive loss (default 1); each refuses tau <= 0 or NaN with a
 ``ContractError``. ``_info_nce`` is the single place this form is
 computed (its term half, ``_info_nce_terms``, serves the supervised
-losses): it takes positive logits ``cos/tau + log(weight)`` and the
+loss): it takes positive logits ``cos/tau + log(weight)`` and the
 negative ones shifted (see below), and returns the terms with their
 gradients in the logits, from one in-place exp pass. The negatives'
 gradient comes back unnormalised, as that exp block and a per-row scale.
@@ -31,7 +31,7 @@ row-wise through the unit-normalization of each embedding matrix; 1/tau
 scales that thin gradient. The weights are constant in the embeddings, so
 they leave the backward as it is.
 
-The supervised losses run over flat arrays of pairs (``_sup_engine``), with
+The supervised loss runs over flat arrays of pairs (``_sup_engine``), with
 no loop over labels. One product gives every (anchor i, label a) negative
 sum, S = exp(L - B) @ (1 - Y) over the valid labels' columns Y, with L =
 cos/tau + log gamma at the anchor's own negatives (the samples lacking one
@@ -62,7 +62,8 @@ that gets added to the logits:
   holds up to the rounding of that product;
 * the supervised loss weighs the positive pair by label agreement
   sigma = (c - hamming)/c, in [1/c, 1], and each negative by the hamming
-  distance gamma, in [1, c] (``_label_log_weights``).
+  distance gamma, in [1, c] (``_label_log_weights``), or by 1 when every
+  row of the batch is one-hot.
 """
 
 from __future__ import annotations
@@ -407,7 +408,7 @@ def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:
 
 
 def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
-    """The supervised losses' one engine, over flat arrays of pairs: pair p
+    """The one supervised engine, over flat arrays of pairs: pair p
     is anchor ``pi[p]`` with another positive ``pj[p]`` of valid label
     ``pa[p]`` (a column of ``yv``, the columns of ``y`` with two positives
     and a negative), by label, then anchor, then partner. Its term is
@@ -479,58 +480,26 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     return (yv, pa, pi, pj), terms, value, _unnormalize_rows(d @ sh + d.T @ sh, s, sh)
 
 
-def _as_label_matrix(y, n: int) -> Matrix:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
-    if y.ndim != 2 or y.shape[0] != n:
-        raise ShapeError(f"labels must have {n} rows, got shape {y.shape}")
-    return y
-
-
 def _is_one_hot(y: Matrix) -> bool:
     return bool(y.shape[1] >= 2 and
                 np.all((y == 0.0) | (y == 1.0)) and
                 np.all(y.sum(axis=1) == 1.0))
 
 
-def supcon_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
-    """Supervised contrastive loss for single-label data.
-
-    ``y`` may be a binary column (anchors and positives are the label-1
-    samples, label-0 samples are negatives), a column of class ids, or
-    one-hot rows. Per class, averages over ordered same-class pairs; classes
-    need at least two members and one non-member to contribute. Returns the
-    loss and its gradient in ``s``.
-    """
-    s = as_matrix(s, "s")
-    y = _as_label_matrix(y, s.shape[0])
-    if y.shape[1] == 1:
-        classes = np.unique(y)
-        if not np.all(np.isin(classes, (0.0, 1.0))):
-            # Column of class ids: expand to one-hot over observed classes.
-            if np.any(y != np.round(y)):
-                raise ContractError("class-id labels must be integers")
-            y = (y == classes[None, :]).astype(np.float64)
-    elif not _is_one_hot(y):
-        raise ContractError(
-            "supcon_loss needs single-label targets (binary column, class "
-            "ids, or one-hot rows); use weighted_sup_loss for multi-label"
-        )
-    return _sup_engine(s, y, tau, indicator=True)[2:]
-
-
 def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
-    """Label-distance-weighted supervised contrastive loss.
+    """The supervised term: a label-weighted supervised contrastive loss.
 
-    ``y`` holds binary multi-label rows. Positive pairs within each valid
-    label are scaled by label agreement (1 - hamming/c) and negatives by
-    hamming distance. When every row is one-hot the weights reduce to
-    indicators (agreement 1, disagreement 1), which makes the loss coincide
-    exactly with ``supcon_loss``. Returns the loss and its gradient in ``s``.
+    ``y`` is an (n, c) binary label matrix. Positive pairs within each
+    valid label are scaled by label agreement (1 - hamming/c) and negatives
+    by hamming distance. A batch whose rows are all one-hot (c >= 2) takes
+    indicator weights instead, which makes the loss plain SupCon (Khosla et
+    al. 2020): that is a per-batch switch, not a property of the weights,
+    which give every one-hot negative hamming distance 2. With one label
+    column every weight is 1 as it stands. Returns the loss and its
+    gradient in ``s``.
     """
     s = as_matrix(s, "s")
-    y = _as_label_matrix(y, s.shape[0])
+    y = _rows(y, "y", s.shape[0])
     if np.any((y != 0.0) & (y != 1.0)):
         raise ContractError("multi-label targets must be binary")
     return _sup_engine(s, y, tau, indicator=_is_one_hot(y))[2:]

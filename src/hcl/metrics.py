@@ -121,9 +121,11 @@ class EvalReport:
                 raise ContractError(f"{name} must be in [0, 1], got {v}")
 
     def fields(self) -> dict:
-        """The report as it is written into run records and eval files."""
+        """The report as it is written into run records and eval files; a
+        label without both classes in the eval rows has AUC ``None``."""
+        per_label = [None if np.isnan(v) else v for v in self.per_label]
         return {"f1": self.f1, "auc": self.auc,
-                "per_label": list(self.per_label), "n_eval": self.n_eval}
+                "per_label": per_label, "n_eval": self.n_eval}
 
 
 def evaluate(y_hat: Matrix, y: Matrix, *, threshold: float = 0.5,

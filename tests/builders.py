@@ -4,8 +4,11 @@ Instances are resampled until every ReLU pre-activation sits away from zero
 and every embedding row away from the zero vector: the finite-difference
 oracle is invalid at the ReLU kink, and the cosine has no derivative at a
 zero row. ``save_csv`` and ``save_manifest`` write the files that
-``hcl.data.load_manifest`` reads.
+``hcl.data.load_manifest`` reads, and ``strict_json`` reads the JSON the
+package writes.
 """
+
+import json
 
 import numpy as np
 
@@ -88,3 +91,11 @@ def save_manifest(path, view_files, labels_file, c, name="dataset"):
     pairs = {f"view{i + 1}": p for i, p in enumerate(view_files)}
     pairs.update({"labels": labels_file, "c": str(int(c)), "name": name})
     atomic_write_text(path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
+
+
+def strict_json(text, name):
+    """Parse the JSON document ``text`` read from ``name``, refusing the NaN
+    and Infinity tokens that strict JSON parsers reject."""
+    def refuse(token):
+        raise ValueError(f"{name}: non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)

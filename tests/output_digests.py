@@ -10,7 +10,8 @@ train on a manifest whose views have different widths (8 and 5 columns), a
 single-view full-plan train, a noise sweep and both bound checks. Prints
 one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
 
-Run records are digested after their ``out_dir`` and ``manifest`` are
+Every JSON output is first parsed strictly: a NaN or Infinity token stops
+the script, naming the file. Run records are digested after their ``out_dir`` and ``manifest`` are
 replaced by fixed names and ``wall_seconds`` and the checkpoint checksum
 are dropped (the checkpoint embeds the config, so its bytes depend on the
 output directory); every other file is digested as written. The manifest's
@@ -35,7 +36,7 @@ sys.path.insert(0, HERE)
 
 import numpy as np  # noqa: E402
 
-from builders import save_csv, save_manifest  # noqa: E402
+from builders import save_csv, save_manifest, strict_json  # noqa: E402
 from hcl.cli import main  # noqa: E402
 
 TINY = {"n_samples": "60", "n_features": "8", "n_classes": "3",
@@ -112,13 +113,14 @@ def _digest(path: str, rel: str) -> str:
     with open(path, "rb") as fh:
         blob = fh.read()
     name = os.path.basename(rel)
-    if name.startswith("run-") and name.endswith(".json"):
-        record = json.loads(blob)
-        record["config"]["out_dir"] = "<out>"
-        if record["config"]["manifest"]:
-            record["config"]["manifest"] = "<manifest>"
-        del record["wall_seconds"], record["checksums"]["checkpoint"]
-        blob = json.dumps(record, indent=2, sort_keys=True).encode("utf-8")
+    if name.endswith(".json"):
+        record = strict_json(blob, rel)
+        if name.startswith("run-"):
+            record["config"]["out_dir"] = "<out>"
+            if record["config"]["manifest"]:
+                record["config"]["manifest"] = "<manifest>"
+            del record["wall_seconds"], record["checksums"]["checkpoint"]
+            blob = json.dumps(record, indent=2, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 

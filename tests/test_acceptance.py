@@ -18,7 +18,8 @@ import numpy as np
 
 from builders import safe_model_instance
 from reference import (finite_diff_grad, random_neg_mask, ref_auc_pairwise,
-                       ref_f1_micro, ref_log_weight, rel_error)
+                       ref_f1_micro, ref_log_weight, ref_weighted_sup,
+                       rel_error)
 
 from hcl.cli import main
 from hcl.config import resolve_config
@@ -26,7 +27,6 @@ from hcl.losses import (
     ContrastiveBatch,
     _label_log_weights,
     cross_entropy,
-    supcon_loss,
     unsup_loss_multiview,
     unsup_loss_single,
     weighted_sup_loss,
@@ -95,12 +95,12 @@ def _two_view_batch(rng):
     )
 
 
-def _single_label_ids(rng, n):
-    """Class ids with every class populated at least twice."""
+def _single_label_targets(rng, n):
+    """One-hot rows with every class populated at least twice."""
     k = int(rng.integers(2, max(3, n // 2 + 1)))
     ids = np.concatenate([np.repeat(np.arange(k), 2),
                           rng.integers(0, k, size=n - 2 * k)])
-    return rng.permutation(ids)
+    return np.eye(k)[rng.permutation(ids)]
 
 
 def _multi_label_targets(rng, n, c):
@@ -160,9 +160,10 @@ def _err_supcon(seed):
     rng = make_rng(4_000 + seed)
     n, dz = _rand_dims(rng)
     s = rng.normal(size=(n, dz))
-    ids = _single_label_ids(rng, n).astype(float)
-    _, grad = supcon_loss(s, ids)
-    return rel_error(grad, finite_diff_grad(lambda m: supcon_loss(m, ids)[0], s))
+    y = _single_label_targets(rng, n)  # one-hot: the indicator weights
+    _, grad = weighted_sup_loss(s, y)
+    return rel_error(grad,
+                     finite_diff_grad(lambda m: weighted_sup_loss(m, y)[0], s))
 
 
 def _err_weighted_sup(seed):
@@ -237,16 +238,19 @@ def test_criterion_01_gradient_suite():
 
 
 def test_criterion_02_degenerations():
-    sup_diff = 0.0
+    # one-hot labels: the value against the pair-by-pair SupCon oracle, the
+    # gradient (which the oracle lacks) against finite differences
+    sup_diff = sup_grad_err = 0.0
     for seed in range(100):
         rng = make_rng(20_000 + seed)
         n, dz = _rand_dims(rng)
         s = rng.normal(size=(n, dz))
-        ids = _single_label_ids(rng, n)
-        one_hot = (ids[:, None] == np.unique(ids)[None, :]).astype(float)
+        one_hot = _single_label_targets(rng, n)
         vw, gw = weighted_sup_loss(s, one_hot)
-        vi, gi = supcon_loss(s, one_hot)
-        sup_diff = max(sup_diff, abs(vw - vi), float(np.abs(gw - gi).max()))
+        vi = ref_weighted_sup(s, one_hot, 1.0, indicator=True)
+        sup_diff = max(sup_diff, abs(vw - vi))
+        num = finite_diff_grad(lambda m: weighted_sup_loss(m, one_hot)[0], s)
+        sup_grad_err = max(sup_grad_err, rel_error(gw, num))
 
     unsup_diff = 0.0
     for seed in range(100):
@@ -266,11 +270,14 @@ def test_criterion_02_degenerations():
                          float(np.abs(gw1 - gu1).max()),
                          float(np.abs(gw2 - gu2).max()))
 
-    ok = sup_diff <= EXACT_TOL and unsup_diff <= EXACT_TOL
-    _report(2, ok, f"degenerations: one-hot sup diff {sup_diff:.2e}, "
-                   f"identical-raw two-view diff {unsup_diff:.2e} "
-                   f"(100 batches each)")
+    ok = (sup_diff <= EXACT_TOL and sup_grad_err < GRAD_TOL
+          and unsup_diff <= EXACT_TOL)
+    _report(2, ok, f"degenerations: one-hot sup diff vs SupCon oracle "
+                   f"{sup_diff:.2e} (grad rel err vs finite differences "
+                   f"{sup_grad_err:.2e}), identical-raw two-view diff "
+                   f"{unsup_diff:.2e} (100 batches each)")
     assert sup_diff <= EXACT_TOL
+    assert sup_grad_err < GRAD_TOL
     assert unsup_diff <= EXACT_TOL
 
 

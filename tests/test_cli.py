@@ -25,7 +25,7 @@ from hcl.model import init_params, save_checkpoint
 from hcl.numeric import make_rng, pin_blas_threads
 from hcl.train import build_dataset
 
-from builders import save_csv, save_manifest
+from builders import save_csv, save_manifest, strict_json
 
 SMALL = {
     "synthetic": "cluster", "n_samples": "60", "n_features": "8",
@@ -47,6 +47,10 @@ def write_cfg(tmp_path, pairs, name="run.cfg"):
     path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()),
                     encoding="utf-8")
     return str(path)
+
+
+def read_strict_json(path):
+    return strict_json(path.read_text(encoding="utf-8"), path)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +497,20 @@ def test_main_non_finite_objective_fails_by_name(tmp_path, capsys, command):
     assert not list((tmp_path / "inf").glob("*.json"))
 
 
+def test_main_writes_undefined_auc_as_null(tmp_path):
+    # seed 1's eval rows leave a label without both classes: its AUC is
+    # undefined and both the run record and the eval file write it as null
+    pairs = {"synthetic": "scene-like", "n_samples": "40", "n_classes": "3",
+             "n_labeled": "20", "seeds": "0,1", "method": "dnn",
+             "epochs": "2", "out_dir": str(tmp_path / "out")}
+    assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 0
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(out / "run-dnn-seed1.ckpt")]) == 0
+    per_label = read_strict_json(out / "run-dnn-seed1.json")["report"]["per_label"]
+    assert None in per_label
+    assert read_strict_json(out / "eval-run-dnn-seed1.json")["per_label"] == per_label
+
+
 def test_main_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["train", "--config", missing]) == 2
@@ -529,31 +547,79 @@ def _fuzz_pairs(rng, out_dir) -> dict[str, str]:
     }
 
 
+def _finishes_or_fails_by_name(tmp_path, capsys, command, pairs, name):
+    """Run one fuzzed config: it exits 0, or 2 with one named error line;
+    any other exception escapes ``main`` and fails the test."""
+    code = main([command, "--config", write_cfg(tmp_path, pairs, f"{name}.cfg")])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error:") and err.count("error:") == 1, \
+            (pairs, err)
+    assert code in (0, 2), pairs
+    return code
+
+
 def test_main_train_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
-    # every config either trains to a finite trace (exit 0) or is refused
-    # with a named error (exit 2); any other exception escapes main and
-    # fails the test with its traceback
+    # every config either trains to a finite trace in strict JSON (exit 0)
+    # or is refused with a named error (exit 2)
     # this seed's 40 configs include 20 that train, two-class scene-like
     # data among them
     rng = np.random.default_rng(9)
     outcomes = []
     for i in range(40):
         pairs = _fuzz_pairs(rng, tmp_path / f"f{i}")
-        code = main(["train", "--config",
-                     write_cfg(tmp_path, pairs, name=f"f{i}.cfg")])
-        captured = capsys.readouterr()
+        code = _finishes_or_fails_by_name(tmp_path, capsys, "train", pairs, f"f{i}")
         outcomes.append(code)
         if code == 2:
-            assert captured.err.startswith("error:"), (pairs, captured.err)
             continue
-        assert code == 0, pairs
         records = sorted((tmp_path / f"f{i}").glob("run-*.json"))
         assert len(records) == len(pairs["seeds"].split(",")), pairs
         for path in records:
-            trace = json.loads(path.read_text())["trace"]
+            trace = read_strict_json(path)["trace"]
             assert trace and all(np.isfinite(
                 [e["l_c"], e["l_u"], e["l_s"], e["j"]]).all() for e in trace), pairs
     # both outcomes are exercised
+    assert 0 in outcomes and 2 in outcomes
+
+
+def test_main_sweep_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
+    # the same contract for noise sweeps and bound checks; a finished run
+    # writes its CSV with one row per cell
+    rng = np.random.default_rng(11)
+    pick = lambda *options: str(options[int(rng.integers(len(options)))])
+    outcomes = []
+    for i in range(12):
+        # the sweep corrupts one view into two itself: single-view sources,
+        # and no augmentations on top
+        pairs = dict(_fuzz_pairs(rng, tmp_path / f"s{i}"),
+                     synthetic=pick("cluster", "scene-like"),
+                     view1_aug="none", view2_aug="none",
+                     noise_levels=pick("0", "0,0.5", "1"),
+                     methods=pick("hcl", "supcon-style,hcl-u@two-view",
+                                  "hcl-s@two-view,dnn", "simclr-style"))
+        code = _finishes_or_fails_by_name(tmp_path, capsys, "noise-sweep",
+                                          pairs, f"s{i}")
+        outcomes.append(code)
+        if code == 0:
+            rows = (tmp_path / f"s{i}" / "noise_sweep.csv").read_text()
+            cells = (len(pairs["noise_levels"].split(","))
+                     * len(pairs["methods"].split(","))
+                     * len(pairs["seeds"].split(",")))
+            assert rows.count("\n") == 1 + cells, pairs
+    for i in range(8):
+        pairs = {"synthetic": "cluster", "out_dir": str(tmp_path / f"b{i}"),
+                 "bound_kind": pick("unsup", "sup"),
+                 "bound_sizes": pick("0", "1", "2,4", "6"),
+                 "bound_epochs": pick(0, 1, 3),
+                 "bound_temperature": pick("", 1e-4, 0.5, 1e3),
+                 "bound_tolerance": pick(0.05, 1e-9),
+                 "seeds": pick("0", "1,2")}
+        code = _finishes_or_fails_by_name(tmp_path, capsys, "bound-check",
+                                          pairs, f"b{i}")
+        outcomes.append(code)
+        if code == 0:
+            assert (tmp_path / f"b{i}" / f"bounds-{pairs['bound_kind']}.csv"
+                    ).is_file(), pairs
     assert 0 in outcomes and 2 in outcomes
 
 

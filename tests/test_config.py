@@ -130,6 +130,7 @@ def test_method_coupling_forces_weights(method, alpha, beta):
     ("weight_decay", "-0.5"),
     ("epochs", "0"),
     ("n_samples", "3"),
+    ("n_samples", "5"),  # cluster data with the default 6 classes
     ("n_classes", "1"),
     ("seeds", "-1"),
     ("seeds", ""),
@@ -157,6 +158,14 @@ def test_method_coupling_forces_weights(method, alpha, beta):
 def test_invalid_field_raises_named_error(key, value):
     with pytest.raises(ConfigError, match=f"config field '{key}'"):
         resolve(**{key: value})
+
+
+@pytest.mark.parametrize("key, least", [("n_samples", 24), ("n_features", 6)])
+def test_scene_like_size_rule_raises_named_error(key, least):
+    # checked before any data is drawn; the least size passes
+    with pytest.raises(ConfigError, match=f"config field '{key}'"):
+        resolve(synthetic="scene-like", **{key: least - 1})
+    resolve(synthetic="scene-like", **{key: least})
 
 
 def test_small_batch_needs_supervised_term_off():

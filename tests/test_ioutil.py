@@ -1,7 +1,9 @@
 """The one formatter of output tables and JSON documents."""
 
 import numpy as np
+import pytest
 
+from hcl.errors import NumericError
 from hcl.ioutil import csv_text, json_text
 
 
@@ -28,3 +30,10 @@ def test_json_text_sorted_indented_newline():
         '{\n  "a": {\n    "x": null,\n    "y": 1\n  },\n'
         '  "b": [\n    0.25\n  ]\n}\n'
     )
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.float64("inf"), -np.inf])
+def test_json_text_refuses_non_finite_numbers(value):
+    # strict JSON has no token for them; the error is a named HclError
+    with pytest.raises(NumericError, match="cannot write a JSON document"):
+        json_text({"report": {"per_label": [0.5, value]}})

@@ -16,7 +16,6 @@ from hcl.losses import (
     _info_nce,
     cross_entropy,
     full_negatives,
-    supcon_loss,
     total_loss,
     unsup_loss_multiview,
     unsup_loss_single,
@@ -359,28 +358,15 @@ def test_unsup_multiview_requires_second_view():
 
 def test_supcon_two_pos_one_neg_log2():
     s = np.tile(np.array([0.3, 0.4, -0.2]), (3, 1))  # all pairwise f equal
-    y = np.array([1.0, 1.0, 0.0])
-    value, _ = supcon_loss(s, y)
+    y = np.array([[1.0], [1.0], [0.0]])
+    value, _ = weighted_sup_loss(s, y)
     assert value == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_supcon_all_same_class_raises():
     s = make_rng(12).normal(size=(4, 3))
     with pytest.raises(DegenerateBatchError, match="4 samples"):
-        supcon_loss(s, np.ones(4))
-
-
-def test_supcon_class_id_and_one_hot_agree():
-    rng = make_rng(13)
-    s = rng.normal(size=(8, 4))
-    ids = rng.integers(0, 3, size=8).astype(float)
-    while len(np.unique(ids)) < 2:
-        ids = rng.integers(0, 3, size=8).astype(float)
-    one_hot = (ids[:, None] == np.unique(ids)[None, :]).astype(float)
-    v1, g1 = supcon_loss(s, ids)
-    v2, g2 = supcon_loss(s, one_hot)
-    assert v1 == v2
-    assert np.array_equal(g1, g2)
+        weighted_sup_loss(s, np.ones((4, 1)))
 
 
 def test_supcon_matches_indicator_oracle():
@@ -393,7 +379,7 @@ def test_supcon_matches_indicator_oracle():
             continue
         one_hot = (ids[:, None] == np.unique(ids)[None, :]).astype(float)
         tau = float(rng.uniform(0.4, 1.6))
-        value, _ = supcon_loss(s, ids, tau)
+        value, _ = weighted_sup_loss(s, one_hot, tau)
         want = ref_weighted_sup(s, one_hot, tau, indicator=True)
         assert value == pytest.approx(want, abs=1e-10)
 
@@ -406,16 +392,10 @@ def test_supcon_gradient():
         ids = rng.integers(0, 3, size=n).astype(float)
         if len(np.unique(ids)) < 2:
             continue
-        _, grad = supcon_loss(s, ids)
-        num = finite_diff_grad(lambda m: supcon_loss(m, ids)[0], s)
+        one_hot = (ids[:, None] == np.unique(ids)[None, :]).astype(float)
+        _, grad = weighted_sup_loss(s, one_hot)
+        num = finite_diff_grad(lambda m: weighted_sup_loss(m, one_hot)[0], s)
         assert rel_error(grad, num) < GRAD_TOL
-
-
-def test_supcon_rejects_multilabel_rows():
-    s = np.eye(3)
-    y = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ContractError, match="weighted_sup_loss"):
-        supcon_loss(s, y)
 
 
 def test_weighted_sup_fully_disjoint_negative_gives_log_1_plus_c():
@@ -464,6 +444,8 @@ def test_weighted_sup_gradient():
 
 
 def test_weighted_sup_one_hot_equals_supcon_bitwise():
+    # routing only: one-hot rows take the engine's indicator weights (plain
+    # SupCon); the values themselves are checked against the oracle above
     rng = make_rng(18)
     for _ in range(10):
         n = int(rng.integers(4, 10))
@@ -474,7 +456,7 @@ def test_weighted_sup_one_hot_equals_supcon_bitwise():
         y[np.arange(n), ids] = 1.0
         s = rng.normal(size=(n, 4))
         v1, g1 = weighted_sup_loss(s, y)
-        v2, g2 = supcon_loss(s, y)
+        v2, g2 = losses_mod._sup_engine(s, y, 1.0, indicator=True)[2:]
         assert v1 == v2
         assert np.array_equal(g1, g2)
 
@@ -484,6 +466,14 @@ def test_weighted_sup_degenerate_raises_with_composition():
     y = np.array([[1.0, 0.0], [1.0, 0.0]])  # label 0 lacks negatives, label 1 positives
     with pytest.raises(DegenerateBatchError, match="positives per label"):
         weighted_sup_loss(s, y)
+
+
+def test_weighted_sup_needs_a_label_matrix():
+    s = np.eye(3)
+    with pytest.raises(ShapeError, match="y must be 2-D"):
+        weighted_sup_loss(s, np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ShapeError, match="y has 2 rows, expected 3"):
+        weighted_sup_loss(s, np.eye(2))
 
 
 def test_weighted_sup_rejects_non_binary():
@@ -514,7 +504,7 @@ def test_every_loss_finite_across_temperatures(tau):
         for batch in (drawn, with_full_mask(drawn))
         for weighted in (True, False)
     ] + [
-        supcon_loss(s, ids.astype(float), tau),
+        weighted_sup_loss(s, one_hot[:, :1], tau),
         weighted_sup_loss(s, one_hot, tau),
         weighted_sup_loss(s, multi, tau),
     ]
@@ -573,9 +563,9 @@ def test_supervised_losses_exact_at_small_temperature(monkeypatch, tau):
     # logit can underflow for one of its labels; each such sum is redone
     # with its own shift. Compare against the log-domain scalar oracle.
     s, one_hot, multi = _sup_data(make_rng(41))
-    ids = one_hot.argmax(axis=1).astype(float)
+    column = one_hot[:, :1]
     for got, y in ((weighted_sup_loss(s, one_hot, tau)[0], one_hot),
-                   (supcon_loss(s, ids, tau)[0], one_hot),
+                   (weighted_sup_loss(s, column, tau)[0], column),
                    (weighted_sup_loss(s, multi, tau)[0], multi)):
         assert got == pytest.approx(ref_weighted_sup(s, y, tau), rel=1e-12)
     if tau == 1e-4:
@@ -598,10 +588,10 @@ def test_supervised_gradients_both_shift_paths(monkeypatch, tau, repair):
     rng = make_rng(42)
     for _ in range(3):
         s, one_hot, multi = _sup_data(rng, n=int(rng.integers(6, 10)))
-        for loss, y in ((supcon_loss, one_hot), (weighted_sup_loss, one_hot),
-                        (weighted_sup_loss, multi)):
-            _, grad = loss(s, y, tau)
-            num = finite_diff_grad(lambda m: loss(m, y, tau)[0], s, eps=1e-6)
+        for y in (one_hot[:, :1], one_hot, multi):
+            _, grad = weighted_sup_loss(s, y, tau)
+            num = finite_diff_grad(lambda m: weighted_sup_loss(m, y, tau)[0],
+                                   s, eps=1e-6)
             assert rel_error(grad, num) < GRAD_TOL
 
 
@@ -870,7 +860,7 @@ def test_unsup_gradients_with_every_row_repaired(monkeypatch, tau):
 
 def test_public_losses_invariant_sweep():
     # seeded random shapes, negative masks and temperatures through the
-    # four public contrastive losses
+    # three public contrastive losses
     rng = make_rng(29)
     for _ in range(120):
         n = int(rng.integers(3, 11))
@@ -900,11 +890,11 @@ def test_public_losses_invariant_sweep():
         ids[:3] = [0, 0, 1]  # label 0 has two positives and a negative
         one_hot = np.eye(c)[ids]
         v_w, g_w = weighted_sup_loss(s, one_hot, tau)
-        v_s, g_s = supcon_loss(s, one_hot, tau)
-        assert v_w == v_s and np.array_equal(g_w, g_s)
+        assert v_w == pytest.approx(
+            ref_weighted_sup(s, one_hot, tau, indicator=True), rel=1e-12)
         multi = (rng.random((n, c)) < 0.5).astype(float)
         multi[:3, 0] = [1.0, 1.0, 0.0]
-        results += [(v_s, g_s), weighted_sup_loss(s, multi, tau)]
+        results += [(v_w, g_w), weighted_sup_loss(s, multi, tau)]
 
         for value, *grads in results:
             assert value >= 0.0

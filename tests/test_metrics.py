@@ -180,6 +180,13 @@ def test_evaluate_single_report():
     assert report.n_eval == 20
 
 
+def test_report_fields_write_undefined_auc_as_none():
+    report = EvalReport(f1=0.5, auc=0.75,
+                        per_label=np.array([0.75, np.nan]), n_eval=4)
+    assert report.fields() == {"f1": 0.5, "auc": 0.75,
+                               "per_label": [0.75, None], "n_eval": 4}
+
+
 def test_report_validation():
     with pytest.raises(ContractError):
         EvalReport(f1=1.2, auc=0.5, per_label=np.array([0.5]), n_eval=3)

@@ -14,7 +14,6 @@ from hcl.losses import (
     ContrastiveBatch,
     _label_log_weights,
     full_negatives,
-    supcon_loss,
     unsup_loss_multiview,
     unsup_loss_single,
     weighted_sup_loss,
@@ -26,16 +25,17 @@ from reference import ref_hamming, ref_log_weight
 
 
 _Z, _W = make_rng(0).normal(size=(2, 4, 3))
-_IDS = np.array([0.0, 0.0, 1.0, 1.0])
+_Y = np.eye(2)[[0, 0, 1, 1]]
 # every place a temperature enters, on inputs that are otherwise valid
 TAU_ENTRY_POINTS = {
     "unsup_loss_single": lambda tau: unsup_loss_single(
         ContrastiveBatch([_Z], full_negatives(4), x_sim=_W), tau),
     "unsup_loss_multiview": lambda tau: unsup_loss_multiview(
         ContrastiveBatch([_Z, _W], full_negatives(4)), tau),
-    "supcon_loss": lambda tau: supcon_loss(_Z, _IDS, tau),
-    "weighted_sup_loss": lambda tau: weighted_sup_loss(
-        _Z, np.eye(2)[_IDS.astype(int)], tau),
+    # one-hot rows take the indicator weights, one column the label weights
+    "weighted_sup_loss": lambda tau: weighted_sup_loss(_Z, _Y, tau),
+    "weighted_sup_loss_one_column": lambda tau: weighted_sup_loss(
+        _Z, _Y[:, :1], tau),
     "BoundTrainSpec": lambda tau: BoundTrainSpec(temperature=tau),
 }
 

@@ -135,7 +135,7 @@ def test_hcl_without_alpha_is_hcl_s():
 
 
 def test_supcon_style_matches_hcl_s_on_single_label_data():
-    # one-hot labels make the label weights collapse to the plain indicator
+    # on one-hot labels weighted_sup_loss switches to indicator weights
     a = run_training(small_cfg(method="hcl-s", beta=0.4), 1)
     b = run_training(small_cfg(method="supcon-style", beta=0.4), 1)
     assert trace_rows(a) == trace_rows(b)
