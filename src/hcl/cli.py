@@ -150,7 +150,7 @@ def cmd_eval(checkpoint: str, data: str | None = None,
 
 def cmd_bound_check(pairs: dict[str, str],
                     overrides: dict[str, str] | None = None) -> str:
-    cfg = resolve_config(pairs, overrides)
+    cfg = resolve_config(pairs, overrides, splits=False)
     out = _ensure_out(cfg)
     if cfg.bound_temperature is not None:
         tau = cfg.bound_temperature
@@ -288,7 +288,8 @@ def _timed_run(merged: dict[str, str], extra: dict[str, str],
 
 def cmd_perf_sweep(pairs: dict[str, str],
                    overrides: dict[str, str] | None = None) -> dict:
-    cfg = resolve_config(pairs, overrides)
+    # each timed variant sets its own n_labeled
+    cfg = resolve_config(pairs, overrides, splits=False)
     out = _ensure_out(cfg)
     need = max(max(cfg.perf_train_sizes), max(cfg.perf_neg_sizes) + 2)
     base = build_dataset(cfg)

@@ -51,6 +51,20 @@ that the rounding puts a logit more than 709 past B. An unsupervised row
 is rebuilt from its thin operands; a supervised sum from the logits the
 engine keeps.
 
+The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
+the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
+batch alone: negative sets that are the full complement
+(``count_nonzero(neg_mask) == n(n - 1)``), one operand pair (no raw
+features, or both views' of one width) and at least two bands of
+``_SYM_BAND_ROWS`` rows over the 2n anchors. The shifted block, its mask
+and its partner map are then symmetric, so each logit pair is computed and
+exponentiated once, in row bands, and each row sum gathers row and column
+sums. Its repair is all or nothing: a stored entry serves two rows and
+cannot take one row's own shift, so when any row's sum lies outside
+[``_SUM_FLOOR``, inf) the whole call runs the dense path (``_logit_rows``
+and ``_info_nce``) unchanged. The branch sums in another order than the
+dense path, so the two agree to rounding, not bit for bit.
+
 The unsupervised losses take a ``ContrastiveBatch`` of one view
 (``unsup_loss_single``) or two (``unsup_loss_multiview``). This module is
 the one definition of every contrastive weight, each kept as the log-weight
@@ -81,6 +95,10 @@ _NEG_INF = float("-inf")
 # A sum of under 2**48 exps this large has a normal float for its largest
 # term, so it keeps full precision under a shared shift.
 _SUM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# Rows per band of the two-view kernel's symmetric branch, which a batch
+# of fewer than two bands' rows skips: the dense path is faster there
+# (measured at 2n = 12 to 1026; see CHANGES.md).
+_SYM_BAND_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -374,16 +392,81 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
         parts = [_logit_operands(zh[a * n:(a + 1) * n], zh, tau, bound,
                                  xh, np.vstack([xh, xh]))
                  for a, xh in enumerate(map(unit_rows, batch.xs))]
-    block = partial(_logit_rows, parts, ~np.tile(batch.neg_mask, (2, 2)))
 
-    terms, d_pos, e, c = _info_nce(pos, block(), bound, block)
+    out = None
+    if n >= _SYM_BAND_ROWS and len(parts) == 1 \
+            and np.count_nonzero(batch.neg_mask) == n * (n - 1):
+        # every off-diagonal entry (ContrastiveBatch rules out the diagonal):
+        # the full complement, whose block, mask and partner map are symmetric
+        out = _symmetric_info_nce(*parts[0], zh, pos, bound, partner)
+    if out is None:
+        block = partial(_logit_rows, parts, ~np.tile(batch.neg_mask, (2, 2)))
+        terms, d_pos, e, c = _info_nce(pos, block(), bound, block)
+        out = terms, d_pos, c * (e @ zh) + e.T @ (c * zh)
+    terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
     # 0 (masked). Those entries add d_pos[r] * zh[partner[r]] to row r of
     # d_logits @ zh and, partner being an involution, d_pos[partner[r]] *
     # zh[partner[r]] to row r of d_logits.T @ zh.
-    d_zh = c * (e @ zh) + e.T @ (c * zh) + (d_pos + d_pos[partner]) * zh[partner]
+    d_zh = d_neg + (d_pos + d_pos[partner]) * zh[partner]
     d_z = _unnormalize_rows(d_zh, z, zh) * (1.0 / (2 * n * tau))
     return float(np.mean(terms)), d_z[:n], d_z[n:]
+
+
+def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
+                        bound: float, partner: np.ndarray
+                        ) -> tuple[Matrix, Matrix, Matrix] | None:
+    """``_info_nce`` of the two-view kernel on a full-complement batch of one
+    operand pair, computing each symmetric logit pair once.
+
+    The 2n rows split into bands of about ``_SYM_BAND_ROWS`` rows, the last
+    one shorter when they do not divide evenly. Band I holds the block's
+    entries in its rows and in the columns from its own first row on: its
+    diagonal square and every tile right of it. Each band is one product,
+    exponentiated in place; row r's sum adds its band's row sum to the
+    column sums of the earlier bands. Only the self and partner entries are
+    dropped. Returns ``(terms, d_pos, d_neg)``, with d_neg = c * (e @ zh) +
+    e.T @ (c * zh) as the dense path forms it, here by one product per band
+    side: ``E_IJ @ Y_J`` and ``E_IJ.T @ Y_I`` with Y = [zh | c * zh].
+
+    Returns None when a row's shifted sum is outside [``_SUM_FLOOR``, inf):
+    a stored entry serves two rows, so it cannot take a row's own shift, and
+    the caller runs the dense path instead.
+    """
+    size = len(zh)
+    step = -(-size // (size // _SYM_BAND_ROWS))
+    spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    # one buffer for every band: separate band arrays were handed back to
+    # the OS and page-faulted in again on every call
+    buf = np.empty(sum((hi - lo) * (size - lo) for lo, hi in spans))
+    bands, start = [], 0
+    rowsum, ones = np.zeros(size), np.ones(size)
+    with np.errstate(over="ignore"):  # an overflowing sum falls back
+        for lo, hi in spans:
+            e = buf[start:start + (hi - lo) * (size - lo)].reshape(hi - lo, -1)
+            start += e.size
+            np.matmul(left[lo:hi], right[lo:].T, out=e)
+            rows = np.arange(hi - lo)
+            e[rows, rows] = _NEG_INF
+            # a partner left of the band was dropped in the partner's band
+            own = partner[lo:hi] >= lo
+            e[rows[own], partner[lo:hi][own] - lo] = _NEG_INF
+            np.exp(e, out=e)
+            rowsum[lo:hi] += e @ ones[lo:]
+            rowsum[hi:] += ones[lo:hi] @ e[:, hi - lo:]
+            bands.append(e)
+    if not np.all((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)):
+        return None
+    rowsum = rowsum[:, None]
+    terms, d_pos, q = _info_nce_terms(pos, bound + np.log(rowsum))
+    c = q / rowsum
+    y = np.hstack([zh, c * zh])
+    prod = np.zeros_like(y)
+    for (lo, hi), e in zip(spans, bands):
+        prod[lo:hi] += e @ y[lo:]
+        prod[hi:] += e[:, hi - lo:].T @ y[lo:hi]
+    d = zh.shape[1]
+    return terms, d_pos, c * prod[:, :d] + prod[:, d:]
 
 
 def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:

@@ -5,13 +5,15 @@ and every embedding row away from the zero vector: the finite-difference
 oracle is invalid at the ReLU kink, and the cosine has no derivative at a
 zero row. ``save_csv`` and ``save_manifest`` write the files that
 ``hcl.data.load_manifest`` reads, and ``strict_json`` reads the JSON the
-package writes.
+package writes. ``symmetric_branch_calls`` records the two-view kernel's
+symmetric branch.
 """
 
 import json
 
 import numpy as np
 
+import hcl.losses as losses_mod
 from hcl.ioutil import atomic_write_text
 from hcl.model import encode, init_params
 from hcl.numeric import as_matrix, make_rng
@@ -99,3 +101,18 @@ def strict_json(text, name):
     def refuse(token):
         raise ValueError(f"{name}: non-standard JSON token {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+def symmetric_branch_calls(monkeypatch):
+    """Record each call of ``losses._symmetric_info_nce``: True when it
+    finished, False when it handed the batch back to the dense path."""
+    seen = []
+    branch = losses_mod._symmetric_info_nce
+
+    def spy(*args):
+        out = branch(*args)
+        seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(losses_mod, "_symmetric_info_nce", spy)
+    return seen

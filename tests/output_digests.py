@@ -6,7 +6,8 @@ Runs ``hcl.cli.main`` from the ``src/`` next to this file (which runs
 numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
 on fixed tiny configs: a two-view train followed by ``eval``, the same
 train once with weight decay 0.01 and once at temperature 1e-4, a two-view
-train on a manifest whose views have different widths (8 and 5 columns), a
+full-complement train at temperature 0.5 and at 1e-4, a two-view train on a
+manifest whose views have different widths (8 and 5 columns), a
 single-view full-plan train, a noise sweep and both bound checks. Prints
 one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
 
@@ -45,6 +46,7 @@ TINY = {"n_samples": "60", "n_features": "8", "n_classes": "3",
 
 TWO_VIEW = dict(TINY, synthetic="multiview", mode="two-view", seeds="0,1",
                 batch_size="8", neg_size="4")
+TWO_VIEW_FULL = dict(TWO_VIEW, n_samples="193", neg_size="full")
 
 # case -> (subcommand, config pairs)
 CASES = {
@@ -54,6 +56,13 @@ CASES = {
     # sharp enough that some rows' sums under the logits' bound underflow
     # and take the kernels' own-max repair
     "two-view-sharp": ("train", dict(TWO_VIEW, temperature="0.0001")),
+    # every row an anchor with the full complement: 2n = 386 rows take the
+    # two-view kernel's symmetric branch, in bands of 129, 129 and 128
+    "two-view-full": ("train", TWO_VIEW_FULL),
+    # so sharp that at each seed's first step some row's sum underflows and
+    # the symmetric branch hands the whole call to the dense path; after
+    # that step every row has a near neighbour and the branch finishes
+    "two-view-full-sharp": ("train", dict(TWO_VIEW_FULL, temperature="0.0001")),
     "two-view-manifest": ("train", dict(TINY, mode="two-view", seeds="0",
                                         batch_size="8", neg_size="4")),
     "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",

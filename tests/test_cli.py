@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import hcl.cli as cli_mod
+import hcl.losses as losses_mod
 import hcl.train as train_mod
 from hcl.cli import (
     cmd_bound_check,
@@ -25,7 +27,12 @@ from hcl.model import init_params, save_checkpoint
 from hcl.numeric import make_rng, pin_blas_threads
 from hcl.train import build_dataset
 
-from builders import save_csv, save_manifest, strict_json
+from builders import (
+    save_csv,
+    save_manifest,
+    strict_json,
+    symmetric_branch_calls,
+)
 
 SMALL = {
     "synthetic": "cluster", "n_samples": "60", "n_features": "8",
@@ -318,6 +325,15 @@ def test_cmd_bound_check_unsup_rows(tmp_path):
     assert (tmp_path / "b" / "bounds-unsup.csv").read_text() == text
 
 
+def test_cmd_bound_check_ignores_n_labeled(tmp_path):
+    # the check trains on its own data, so the default n_labeled = 120 on
+    # 30 samples is no error here
+    pairs = {"synthetic": "cluster", "n_samples": "30",
+             "out_dir": str(tmp_path / "b"), "bound_sizes": "6",
+             "bound_epochs": "2", "seeds": "0"}
+    assert len(cmd_bound_check(pairs).splitlines()) == 2
+
+
 def test_cmd_bound_check_sup_rows(tmp_path):
     pairs = {"synthetic": "multiview", "out_dir": str(tmp_path / "b"),
              "bound_kind": "sup", "bound_epochs": "10", "seeds": "0"}
@@ -518,9 +534,18 @@ def test_main_error_exit_code(tmp_path, capsys):
 
 
 def _fuzz_pairs(rng, out_dir) -> dict[str, str]:
-    """One tiny random config: legal or not, it must train or fail by name."""
+    """One tiny random config: legal or not, it must train or fail by name.
+    The numeric fields reach the edges of what the parser accepts."""
     n = int(rng.integers(6, 40))
     pick = lambda *options: str(options[int(rng.integers(len(options)))])
+
+    def spread(lo, hi, *edges):
+        # half the draws at an edge or a usual value, half log-uniform in
+        # [10**lo, 10**hi]
+        if rng.random() < 0.5:
+            return pick(*edges)
+        return repr(10.0 ** float(rng.uniform(lo, hi)))
+
     mode = pick("single-view", "two-view")
     # augmentations mostly where they are legal, so most configs train
     augs = ("none", "mask:0.25", "noise:0.5") if mode == "two-view" \
@@ -534,14 +559,19 @@ def _fuzz_pairs(rng, out_dir) -> dict[str, str]:
         "mode": mode,
         "method": pick("dnn", "simclr-style", "supcon-style", "hcl-u",
                        "hcl-s", "hcl"),
-        "alpha": pick(0, 0.5, 1), "beta": pick(0, 0.01, 1),
-        "temperature": pick(1e-4, 0.05, 0.5, 2),
+        "alpha": spread(-300, 308, 0, 0.5, 1, 1e308),
+        "beta": spread(-300, 308, 0, 0.01, 1, 1e308),
+        "temperature": spread(-323, 300, 5e-324, 1e-4, 0.05, 0.5, 2, 1e300),
         "batch_size": str(int(rng.integers(1, 13))),
         "neg_size": pick("full", int(rng.integers(1, n + 1))),
         "epochs": pick(1, 2), "seeds": pick("0", "3,4"),
         "encoder_sizes": pick("4", "5,3"),
         "classifier_activation": pick("sigmoid", "softmax"),
-        "base_lr": pick(0, 0.1, 1.0), "multiclass": pick("false", "true"),
+        "base_lr": spread(-300, 300, 0, 0.1, 1.0, 1e300),
+        "trust_coeff": spread(-323, 300, 5e-324, 0.001, 1e300),
+        "weight_decay": spread(-300, 300, 0, 0.01, 1e300),
+        "momentum": pick(0, 0.9, 0.999999, float(rng.uniform(0.0, 0.999999))),
+        "multiclass": pick("false", "true"),
         "view1_aug": pick(*augs), "view2_aug": pick(*augs),
         "out_dir": str(out_dir),
     }
@@ -559,14 +589,37 @@ def _finishes_or_fails_by_name(tmp_path, capsys, command, pairs, name):
     return code
 
 
-def test_main_train_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
-    # every config either trains to a finite trace in strict JSON (exit 0)
-    # or is refused with a named error (exit 2)
-    # this seed's 40 configs include 20 that train, two-class scene-like
-    # data among them
+def _assert_metric_cells_finite(out_dir, pairs):
+    """Every number in every metric CSV a finished command wrote is finite."""
+    tables = sorted(out_dir.glob("*.csv"))
+    assert tables, pairs
+    for path in tables:
+        for row in list(csv.reader(path.read_text().splitlines()))[1:]:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:  # a method name
+                    continue
+                assert math.isfinite(value), (path.name, row, pairs)
+
+
+def _symmetric_outcomes(monkeypatch):
+    """Put every two-view full-complement batch of 4 or more rows per view
+    through the kernel's symmetric branch, whose shipped bands need 128,
+    and record per call whether it finished (True) or fell back (False)."""
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 4)
+    return symmetric_branch_calls(monkeypatch)
+
+
+def test_main_train_fuzz_finishes_or_fails_by_name(tmp_path, capsys, monkeypatch):
+    # every config either trains to a finite trace in strict JSON and finite
+    # metric cells (exit 0) or is refused with a named error (exit 2)
+    # this seed's 120 configs include 16 that train, scene-like data among
+    # them; most of the rest fail by name at an extreme value
+    symmetric = _symmetric_outcomes(monkeypatch)
     rng = np.random.default_rng(9)
     outcomes = []
-    for i in range(40):
+    for i in range(120):
         pairs = _fuzz_pairs(rng, tmp_path / f"f{i}")
         code = _finishes_or_fails_by_name(tmp_path, capsys, "train", pairs, f"f{i}")
         outcomes.append(code)
@@ -578,17 +631,21 @@ def test_main_train_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
             trace = read_strict_json(path)["trace"]
             assert trace and all(np.isfinite(
                 [e["l_c"], e["l_u"], e["l_s"], e["j"]]).all() for e in trace), pairs
-    # both outcomes are exercised
+        _assert_metric_cells_finite(tmp_path / f"f{i}", pairs)
+    # both outcomes are exercised, and the symmetric branch both finishes
+    # and hands calls back to the dense path
     assert 0 in outcomes and 2 in outcomes
+    assert True in symmetric and False in symmetric
 
 
-def test_main_sweep_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
+def test_main_sweep_fuzz_finishes_or_fails_by_name(tmp_path, capsys, monkeypatch):
     # the same contract for noise sweeps and bound checks; a finished run
     # writes its CSV with one row per cell
+    _symmetric_outcomes(monkeypatch)
     rng = np.random.default_rng(11)
     pick = lambda *options: str(options[int(rng.integers(len(options)))])
     outcomes = []
-    for i in range(12):
+    for i in range(36):
         # the sweep corrupts one view into two itself: single-view sources,
         # and no augmentations on top
         pairs = dict(_fuzz_pairs(rng, tmp_path / f"s{i}"),
@@ -606,7 +663,8 @@ def test_main_sweep_fuzz_finishes_or_fails_by_name(tmp_path, capsys):
                      * len(pairs["methods"].split(","))
                      * len(pairs["seeds"].split(",")))
             assert rows.count("\n") == 1 + cells, pairs
-    for i in range(8):
+            _assert_metric_cells_finite(tmp_path / f"s{i}", pairs)
+    for i in range(16):
         pairs = {"synthetic": "cluster", "out_dir": str(tmp_path / f"b{i}"),
                  "bound_kind": pick("unsup", "sup"),
                  "bound_sizes": pick("0", "1", "2,4", "6"),

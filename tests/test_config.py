@@ -162,10 +162,24 @@ def test_invalid_field_raises_named_error(key, value):
 
 @pytest.mark.parametrize("key, least", [("n_samples", 24), ("n_features", 6)])
 def test_scene_like_size_rule_raises_named_error(key, least):
-    # checked before any data is drawn; the least size passes
+    # checked before any data is drawn; the least size passes (with fewer
+    # labeled rows than samples)
     with pytest.raises(ConfigError, match=f"config field '{key}'"):
         resolve(synthetic="scene-like", **{key: least - 1})
-    resolve(synthetic="scene-like", **{key: least})
+    resolve(synthetic="scene-like", n_labeled=20, **{key: least})
+
+
+def test_n_labeled_must_leave_an_unlabeled_row():
+    # a synthetic family has n_samples rows, known before any is drawn, and
+    # the unlabeled rows are the eval set; the most that leaves one passes
+    for family in ("cluster", "multiview", "scene-like"):
+        with pytest.raises(ConfigError, match="config field 'n_labeled'"):
+            resolve(synthetic=family, n_samples="30", n_labeled="30")
+        assert resolve(synthetic=family, n_samples="30",
+                       n_labeled="29").n_labeled == 29
+    # bound-check and perf-sweep never split the config's dataset by it
+    cfg = resolve_config(dict(BASE, n_samples="30"), splits=False)
+    assert cfg.n_labeled == 120
 
 
 def test_small_batch_needs_supervised_term_off():

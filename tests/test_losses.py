@@ -23,6 +23,7 @@ from hcl.losses import (
 )
 from hcl.numeric import make_rng, row_logsumexp, unit_rows
 
+from builders import symmetric_branch_calls
 from reference import (
     finite_diff_grad,
     neg_sets_from_mask,
@@ -351,6 +352,110 @@ def test_unsup_multiview_requires_second_view():
     b = single_view_batch(rng)
     with pytest.raises(ContractError, match="two-view loss needs 2 views, got 1"):
         unsup_loss_multiview(b)
+
+
+# ------------------------------------------ two-view symmetric branch
+
+# The symmetric branch sums and multiplies in another order than the dense
+# path, so the two agree to rounding only: a few ulp of float64 per entry.
+SYM_TOL = 1e-13
+
+
+def _dense(monkeypatch, b, tau):
+    """``unsup_loss_multiview`` on ``b`` through the dense path alone."""
+    with monkeypatch.context() as m:
+        m.setattr(losses_mod, "_symmetric_info_nce", lambda *args: None)
+        return unsup_loss_multiview(b, tau)
+
+
+def _agree(got, want, tol=SYM_TOL):
+    (value, *grads), (want_value, *want_grads) = got, want
+    assert value == pytest.approx(want_value, rel=tol)
+    for g, w in zip(grads, want_grads):
+        assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+
+# (n, rows per band): 2n rows in bands of ceil(2n / (2n // rows)), here
+# 2+2+2, 4+4, then uneven last bands: 4+4+2, 5+5+4, 5+5+5+3, 6+6+4 and,
+# at the shipped 128 rows, 129+129+128
+@pytest.mark.parametrize("n, rows", [(3, 2), (4, 4), (5, 3), (7, 4), (9, 4),
+                                     (8, 5), (193, 128)])
+def test_symmetric_branch_matches_dense_path(monkeypatch, n, rows):
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", rows)
+    taken = symmetric_branch_calls(monkeypatch)
+    rng = make_rng(61 + n)
+    for weighted in (True, False):
+        for tau in (0.1, 0.5, 2.0):
+            b = weighting(with_full_mask(two_view_batch(rng, n=n, dz=4, d1=3)),
+                          weighted)
+            _agree(unsup_loss_multiview(b, tau), _dense(monkeypatch, b, tau))
+    assert taken == [True] * 6
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.7])
+def test_symmetric_branch_gradient(monkeypatch, tau):
+    # 2n = 10 rows in bands of 4, 4 and 2
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
+    taken = symmetric_branch_calls(monkeypatch)
+    rng = make_rng(67)
+    for weighted in (True, False):
+        b = weighting(with_full_mask(two_view_batch(rng, n=5, d1=3)), weighted)
+        for v, g in enumerate(unsup_loss_multiview(b, tau)[1:]):
+
+            def fn(z, b=b, v=v):
+                return unsup_loss_multiview(with_view(b, v, z), tau)[0]
+
+            assert rel_error(g, finite_diff_grad(fn, b.zs[v])) < GRAD_TOL
+    assert taken and all(taken)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-20])
+def test_symmetric_branch_falls_back_to_dense_path(monkeypatch, tau):
+    # at tau = 1e-4 some rows' sums under the bound underflow; at 1e-20 a
+    # near-duplicate row's rounding overflows its sum. A stored entry serves
+    # two rows and cannot take one row's own shift, so the whole call runs
+    # the dense path, bit for bit, and stays finite without a warning.
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
+    taken = symmetric_branch_calls(monkeypatch)
+    rng = make_rng(71)
+    for _ in range(5):
+        drawn = with_full_mask(two_view_batch(rng, n=7, dz=4, d1=3)) \
+            if tau == 1e-4 else _near_duplicate_batches(rng, n=7)[1]
+        for weighted in (True, False):
+            b = weighting(drawn, weighted)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                value, *grads = unsup_loss_multiview(b, tau)
+            want_value, *want_grads = _dense(monkeypatch, b, tau)
+            assert math.isfinite(value) and value == want_value
+            for g, w in zip(grads, want_grads):
+                assert np.isfinite(g).all() and np.array_equal(g, w)
+    assert taken and not any(taken)
+
+
+def test_symmetric_branch_routing(monkeypatch):
+    # only a full-complement batch of one operand pair (no raw features, or
+    # raw features of one width) with at least two bands' rows takes it
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
+    taken = symmetric_branch_calls(monkeypatch)
+    rng = make_rng(73)
+    full = with_full_mask(two_view_batch(rng, n=6, d1=3))
+    sampled = dataclasses.replace(full, neg_mask=random_neg_mask(rng, 6, size=4))
+    proxy = with_full_mask(two_view_batch(rng, n=6, d1=3, d2=5))
+    for b in (sampled, weighting(sampled, False), proxy):
+        unsup_loss_multiview(b, 0.5)
+    assert taken == []
+    unsup_loss_multiview(with_full_mask(two_view_batch(rng, n=2, d1=3)), 0.5)
+    assert taken == []  # 2n = 4 rows: fewer than two bands of 3
+    for b in (full, weighting(full, False)):
+        unsup_loss_multiview(b, 0.5)
+    assert taken == [True, True]
+    monkeypatch.undo()
+    # as shipped: 2n = 256 rows make two bands of 128, 2n = 254 one
+    taken = symmetric_branch_calls(monkeypatch)
+    for n in (127, 128):
+        unsup_loss_multiview(with_full_mask(two_view_batch(rng, n=n)), 0.5)
+    assert taken == [True]
 
 
 # ------------------------------------------------------------- supervised

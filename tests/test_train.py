@@ -273,9 +273,20 @@ def test_train_step_gradient_matches_finite_differences(monkeypatch, two_view):
 # Validation and degenerate batches
 
 
-def test_n_labeled_validated_against_dataset():
+def test_n_labeled_validated_against_dataset(tmp_path):
+    # synthetic data is sized by the config, so resolving refuses it; a
+    # manifest's rows are counted only when the run reads it
     with pytest.raises(ConfigError, match="n_labeled"):
         run_training(small_cfg(n_labeled=60), 0)
+    ds = build_dataset(small_cfg())
+    save_csv(str(tmp_path / "x.csv"), ds.views[0])
+    save_csv(str(tmp_path / "y.csv"), ds.labels)
+    save_manifest(str(tmp_path / "m.manifest"), str(tmp_path / "x.csv"),
+                  str(tmp_path / "y.csv"), ds.c)
+    cfg = small_cfg(synthetic="", manifest=str(tmp_path / "m.manifest"),
+                    n_labeled=60)
+    with pytest.raises(ConfigError, match="n_labeled.*in \\(0, 60\\)"):
+        run_training(cfg, 0)
 
 
 def test_degenerate_supervised_batch_names_epoch():
