@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from .data import SCENE_CLUSTERS, SCENE_LATENT_DIM, _parse_aug
 from .errors import ConfigError
 from .ioutil import parse_kv_text, read_text
+from .losses import tau_ok
 
 MODES = ("single-view", "two-view")
 METHODS = ("dnn", "simclr-style", "supcon-style", "hcl-u", "hcl-s", "hcl")
@@ -52,6 +53,7 @@ def _int(lo: int):
 _RANGES = {
     ">= 0": lambda v: v >= 0,
     "> 0": lambda v: v > 0,
+    "> 0 with a finite reciprocal": tau_ok,
     "in (0, 1)": lambda v: 0.0 < v < 1.0,
     "in [0, 1)": lambda v: 0.0 <= v < 1.0,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
@@ -119,6 +121,7 @@ def _ints(lo: int):
 
 
 _level = _float("in [0, 1]", "levels must be")  # one noise level
+_tau = _float("> 0 with a finite reciprocal")  # one temperature
 
 
 def _aug(key: str, raw: str) -> str:
@@ -165,7 +168,7 @@ class RunConfig:
     method: str = _key("hcl", _choice(*METHODS))
     alpha: float = _key("0.2", _float(">= 0"))
     beta: float = _key("0.01", _float(">= 0"))
-    temperature: float = _key("0.5", _float("> 0"))
+    temperature: float = _key("0.5", _tau)
     batch_size: int = _key("128", _int(1))
     neg_size: int | str = _key("full", _or("full", "full", _int(1)))
     epochs: int = _key("200", _int(1))
@@ -191,7 +194,7 @@ class RunConfig:
     bound_sizes: list[int] = _key("16,64,256", _ints(1))
     bound_tolerance: float = _key("0.05", _float("> 0"))
     bound_epochs: int = _key("300", _int(1))
-    bound_temperature: float | None = _key("", _or("", None, _float("> 0")))
+    bound_temperature: float | None = _key("", _or("", None, _tau))
     # sweeps; a methods entry may pin its own mode, e.g. "hcl-u@two-view"
     methods: list[str] = _key("hcl-u", _list(_method_entry, "methods"))
     noise_levels: list[float] = _key("0,0.25,0.5,0.75,1", _list(_level, "numbers"))

@@ -8,21 +8,23 @@ respect to the embedding arguments (or predicted probabilities for
 
 with f = exp(cos/tau) the exponentiated cosine kernel. Its one
 hyperparameter, the temperature tau, is a plain float argument of every
-contrastive loss (default 1); each refuses tau <= 0 or NaN with a
-``ContractError``. ``_info_nce`` is the single place this form is
-computed (its term half, ``_info_nce_terms``, serves the supervised
-loss): it takes positive logits ``cos/tau + log(weight)`` and the
-negative ones shifted (see below), and returns the terms with their
-gradients in the logits, from one in-place exp pass. The negatives'
-gradient comes back unnormalised, as that exp block and a per-row scale.
-The losses build logits (-inf outside the negative set), call it, and chain
-its gradients back to the embeddings. Four folds each spare the n x n block
-a pass, by moving work onto the thin operands of a product:
+contrastive loss (default 1); each refuses, with a ``ContractError``, a
+tau that is not positive or whose 1/tau is not finite (``_check_tau``).
+``_info_nce`` is the single place this form is computed (its term half,
+``_info_nce_terms``, serves the supervised loss): it takes positive logits
+``cos/tau + log(weight)`` and the negative ones shifted (see below), and
+returns the terms with their gradients in the logits, from one in-place
+exp pass. The negatives' gradient comes back unnormalised, as that exp
+block and a per-row scale. The losses build logits (-inf outside the
+negative set), call it, and chain its gradients back to the embeddings.
+Four folds each spare the n x n block a pass, by moving work onto the thin
+operands of a product:
 
 * 1/tau scales the thin left operand of the cosine product;
 * the raw-feature log-weight 1 - cos(x_i, x_k) rides in the same product,
   as extra columns ``[-x_hat | 1]`` and ``[x_hat | 1]`` of the two operands
-  (``_logit_operands``), so each logit block is written by one gemm;
+  (``_logit_operands``), so each unsupervised logit block is one product
+  of one operand pair (``_logit_block``);
 * the shift -B rides in the last column of the right operand;
 * the per-row scale multiplies the thin operand of each backward product.
 
@@ -41,29 +43,30 @@ The shift rule, one for both engines: every exp is shifted by B, a known
 upper bound on the logits, so no pass looks for a row max. B = 1/tau for
 plain InfoNCE and 1/tau + 2 for the raw-feature weight (cos/tau <= 1/tau,
 1 - cos <= 2), and 1/tau + log c for the label weights (log gamma <= log
-c; 1/tau with indicator weights). A sum of exps shifted by B holds full
-precision when it lies in [``_SUM_FLOOR``, inf). Any row, or supervised
-(anchor, label) sum, outside it is redone with its own max
-(``row_logsumexp``). That catches a row whose logits all lie far below B
-at a small tau, and, in the unclipped unsupervised block, a row with a
-cosine rounded a few ulp past 1 at a tau so small (below about 1e-18)
-that the rounding puts a logit more than 709 past B. An unsupervised row
-is rebuilt from its thin operands; a supervised sum from the logits the
-engine keeps.
+c; 1/tau with indicator weights). ``_logit_operands`` returns the
+unsupervised B with the operands whose shift column it sets. A sum of exps
+shifted by B holds full precision when it lies in [``_SUM_FLOOR``, inf).
+Any row, or supervised (anchor, label) sum, outside it is redone with its
+own max (``row_logsumexp``). That catches a row whose logits all lie far
+below B at a small tau, and, in the unclipped unsupervised block, a row
+with a cosine rounded a few ulp past 1 at a tau so small (below about
+1e-18) that the rounding puts a logit more than 709 past B. An
+unsupervised row is read from a fresh block; a supervised sum from the
+logits the engine keeps.
 
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
 batch alone: negative sets that are the full complement
-(``count_nonzero(neg_mask) == n(n - 1)``), one operand pair (no raw
-features, or both views' of one width) and at least two bands of
-``_SYM_BAND_ROWS`` rows over the 2n anchors. The shifted block, its mask
-and its partner map are then symmetric, so each logit pair is computed and
-exponentiated once, in row bands, and each row sum gathers row and column
-sums. Its repair is all or nothing: a stored entry serves two rows and
-cannot take one row's own shift, so when any row's sum lies outside
-[``_SUM_FLOOR``, inf) the whole call runs the dense path (``_logit_rows``
-and ``_info_nce``) unchanged. The branch sums in another order than the
-dense path, so the two agree to rounding, not bit for bit.
+(``count_nonzero(neg_mask) == n(n - 1)``), an operand pair whose product
+is symmetric (no raw features, or both views' of one width) and at least
+two bands of ``_SYM_BAND_ROWS`` rows over the 2n anchors. The shifted
+block, its mask and its partner map are then symmetric, so each logit pair
+is computed and exponentiated once, in row bands, and each row sum gathers
+row and column sums. Its repair is all or nothing: a stored entry serves
+two rows and cannot take one row's own shift, so when any row's sum lies
+outside [``_SUM_FLOOR``, inf) the whole call runs the dense path
+(``_logit_block`` and ``_info_nce``) unchanged. The branch sums in another
+order than the dense path, so the two agree to rounding, not bit for bit.
 
 The unsupervised losses take a ``ContrastiveBatch`` of one view
 (``unsup_loss_single``) or two (``unsup_loss_multiview``). This module is
@@ -82,6 +85,7 @@ that gets added to the logits:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -125,9 +129,15 @@ def total_loss(l_c: float, l_u: float, l_s: float,
     return LossBreakdown(float(l_c), float(l_u), float(l_s), j)
 
 
+def tau_ok(tau: float) -> bool:
+    """Positive (not NaN), with a finite 1/tau: the logits' scale."""
+    return tau > 0 and math.isfinite(1.0 / float(tau))
+
+
 def _check_tau(tau: float) -> None:
-    if not tau > 0:  # NaN too
-        raise ContractError(f"temperature must be positive, got {tau}")
+    if not tau_ok(tau):
+        raise ContractError(
+            f"temperature must be positive with a finite reciprocal, got {tau}")
 
 
 def _rows(a, name: str, n: int) -> Matrix:
@@ -222,46 +232,35 @@ def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
     return out
 
 
-def _logit_operands(uh: Matrix, vh: Matrix, tau: float, bound: float,
+def _logit_operands(uh: Matrix, vh: Matrix, tau: float,
                     xa: Matrix | None = None, xb: Matrix | None = None
-                    ) -> tuple[Matrix, Matrix]:
+                    ) -> tuple[Matrix, Matrix, float]:
     """Thin operands ``(left, right)`` whose product ``left @ right.T`` is the
     shifted logit block cos(u_i, v_k)/tau + 1 - cos(xa_i, xb_k) - bound for
-    unit rows:
+    unit rows, and that ``bound``, an upper bound on every logit:
 
-        [uh/tau | -xa | 1] @ [vh | xb | 1 - bound].T
+        [uh/tau | -xa | 1] @ [vh | xb | 1 - bound].T,  bound = 1/tau + 2
 
-    Without ``xa``/``xb`` the block is cos/tau - bound, from
-    ``[uh/tau | 1] @ [vh | -bound].T``. Nothing is clipped: rounding can put
-    |cos| a few ulp past 1, and so a logit past ``bound``; ``_info_nce``
-    redoes any row whose shifted sum overflows.
+    (cos/tau <= 1/tau, 1 - cos <= 2). Without ``xa``/``xb`` the block is
+    cos/tau - bound, from ``[uh/tau | 1] @ [vh | -bound].T`` with bound =
+    1/tau. Nothing is clipped: rounding can put |cos| a few ulp past 1, and
+    so a logit past ``bound``; ``_info_nce`` redoes any row whose shifted
+    sum overflows.
     """
     ones = np.ones((len(uh), 1))
     if xa is None:
+        bound = 1.0 / tau
         return (np.hstack([uh * (1.0 / tau), ones]),
-                np.hstack([vh, np.full((len(vh), 1), -bound)]))
+                np.hstack([vh, np.full((len(vh), 1), -bound)]), bound)
+    bound = 1.0 / tau + 2.0
     return (np.hstack([uh * (1.0 / tau), -xa, ones]),
-            np.hstack([vh, xb, np.full((len(xb), 1), 1.0 - bound)]))
+            np.hstack([vh, xb, np.full((len(xb), 1), 1.0 - bound)]), bound)
 
 
-def _logit_rows(parts: list[tuple[Matrix, Matrix]], drop: np.ndarray,
-                rows: np.ndarray | None = None) -> Matrix:
-    """Rows ``rows`` (ascending; every row when None) of a shifted logit
-    block, -inf where ``drop``. ``parts`` holds one ``_logit_operands`` pair
-    per run of consecutive block rows, in row order; each run is written by
-    one product, straight into the block."""
-    out = np.empty((len(drop) if rows is None else len(rows), drop.shape[1]))
-    first = 0
-    for left, right in parts:
-        stop = first + len(left)
-        if rows is None:
-            lo, hi, picked = first, stop, left
-        else:
-            lo, hi = np.searchsorted(rows, (first, stop))
-            picked = left[rows[lo:hi] - first]
-        np.matmul(picked, right.T, out=out[lo:hi])
-        first = stop
-    out[drop if rows is None else drop[rows]] = _NEG_INF
+def _logit_block(left: Matrix, right: Matrix, drop: np.ndarray) -> Matrix:
+    """The shifted logit block ``left @ right.T``, -inf where ``drop``."""
+    out = left @ right.T
+    out[drop] = _NEG_INF
     return out
 
 
@@ -273,8 +272,7 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
     return t - pos, np.exp(pos - t) - 1.0, np.exp(lse_neg - t)
 
 
-def _info_nce(pos: Matrix, neg: Matrix, bound: float,
-              rebuild: Callable[[np.ndarray], Matrix]
+def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float
               ) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients in the logits.
 
@@ -283,30 +281,31 @@ def _info_nce(pos: Matrix, neg: Matrix, bound: float,
 
         terms[i, j] = log(exp(pos[i, j]) + sum_k exp(L[i, k])) - pos[i, j]
 
-    Weights arrive as log-weights already added to the logits. ``neg``
-    holds L - ``bound``, shifted by a known upper bound on every negative
-    logit, and ``rebuild(rows)`` returns those rows of it afresh (ascending
-    row indices). ``neg`` is exponentiated once, in place, with no row-max
+    Weights arrive as log-weights already added to the logits. ``block()``
+    builds L - ``bound``, shifted by a known upper bound on every negative
+    logit. That block is exponentiated once, in place, with no row-max
     pass; a row whose shifted sum is not in [``_SUM_FLOOR``, inf) (all its
-    logits far below the bound, or one rounded far past it) is rebuilt
-    and redone with its own max (``row_logsumexp``).
+    logits far below the bound, or one rounded far past it) is read from a
+    fresh ``block()`` and redone with its own max (``row_logsumexp``).
 
     Returns ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are
     ``d_pos`` in ``pos`` and ``c * e`` in the negative logits, where ``e``
-    is ``neg`` exponentiated under its row's shift and ``c`` an (n, 1)
+    is the block exponentiated under its row's shift and ``c`` an (n, 1)
     column of per-row scales: the single-exp softmax of Milakov &
     Gimelshein 2018 with the normalisation deferred, as in FlashAttention.
     The caller folds ``c`` into the thin operand of its backward product,
     so the n x n block is never scaled. Dropped negatives are exact zeros
-    of ``e``. No temperature overflows.
+    of ``e``. Results overflow only as the exact terms do, when 1/tau nears
+    the largest float.
     """
+    neg = block()
     with np.errstate(over="ignore", divide="ignore"):  # redone below
         np.exp(neg, out=neg)
         rowsum = np.sum(neg, axis=1, keepdims=True)
         lse_neg = bound + np.log(rowsum)
     redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
     if redo.size:
-        own = rebuild(redo)
+        own = block()[redo]
         lse_own, rowsum[redo] = row_logsumexp(own)
         neg[redo] = own
         lse_neg[redo] = bound + lse_own
@@ -314,12 +313,6 @@ def _info_nce(pos: Matrix, neg: Matrix, bound: float,
     # d_neg[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
     c = np.sum(q, axis=1, keepdims=True) / rowsum
     return terms, d_pos, neg, c
-
-
-def _unsup_bound(batch: ContrastiveBatch, tau: float) -> float:
-    """An upper bound on the batch's logits: cos/tau <= 1/tau, plus 2 for
-    the raw-feature log-weight 1 - cos when the batch has ``xs``."""
-    return 1.0 / tau if batch.xs is None else 1.0 / tau + 2.0
 
 
 def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
@@ -346,13 +339,12 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
     n = batch.n
     xh, zh = unit_rows(x), unit_rows(z)
     x1h = None if batch.xs is None else unit_rows(batch.xs[0])
-    bound = _unsup_bound(batch, tau)
-    block = partial(_logit_rows, [_logit_operands(xh, zh, tau, bound, x1h, x1h)],
-                    ~batch.neg_mask)
+    left, right, bound = _logit_operands(xh, zh, tau, x1h, x1h)
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
 
-    terms, d_pos, e, c = _info_nce(pos, block(), bound, block)
+    terms, d_pos, e, c = _info_nce(
+        pos, partial(_logit_block, left, right, ~batch.neg_mask), bound)
     # d_logits = c * e with d_pos on the diagonal, where e is 0 (masked)
     d_zh = e.T @ (c * xh) + d_pos * xh
     return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
@@ -380,28 +372,31 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     partner = (np.arange(2 * n) + n) % (2 * n)
     # the positive carries no weight; the block's partner entries do
     pos = np.einsum("ij,ij->i", zh, zh[partner])[:, None] * (1.0 / tau)
-    bound = _unsup_bound(batch, tau)
     if batch.xs is None:
-        parts = [_logit_operands(zh, zh, tau, bound)]
+        xa = xb = None
     elif batch.xs[0].shape[1] == batch.xs[1].shape[1]:
-        xh = unit_rows(np.vstack(batch.xs))
-        parts = [_logit_operands(zh, zh, tau, bound, xh, xh)]
+        xa = xb = unit_rows(np.vstack(batch.xs))
     else:
         # same-view proxy: anchors of view a weigh both views of each
-        # negative by view a's own dissimilarity, one row half per product
-        parts = [_logit_operands(zh[a * n:(a + 1) * n], zh, tau, bound,
-                                 xh, np.vstack([xh, xh]))
-                 for a, xh in enumerate(map(unit_rows, batch.xs))]
+        # negative by view a's own dissimilarity, as one operand pair:
+        # view-1 rows carry [x1h | 0], view-2 rows [0 | x2h], every column
+        # [x1h | x2h], so the extra terms are exact zeros
+        x1h, x2h = map(unit_rows, batch.xs)
+        xa = np.block([[x1h, np.zeros_like(x2h)], [np.zeros_like(x1h), x2h]])
+        xb = np.tile(np.hstack([x1h, x2h]), (2, 1))
+    left, right, bound = _logit_operands(zh, zh, tau, xa, xb)
+    symmetric = xa is xb  # left @ right.T is symmetric, save the proxy's
 
     out = None
-    if n >= _SYM_BAND_ROWS and len(parts) == 1 \
+    if symmetric and n >= _SYM_BAND_ROWS \
             and np.count_nonzero(batch.neg_mask) == n * (n - 1):
         # every off-diagonal entry (ContrastiveBatch rules out the diagonal):
         # the full complement, whose block, mask and partner map are symmetric
-        out = _symmetric_info_nce(*parts[0], zh, pos, bound, partner)
+        out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
-        block = partial(_logit_rows, parts, ~np.tile(batch.neg_mask, (2, 2)))
-        terms, d_pos, e, c = _info_nce(pos, block(), bound, block)
+        terms, d_pos, e, c = _info_nce(
+            pos, partial(_logit_block, left, right,
+                         ~np.tile(batch.neg_mask, (2, 2))), bound)
         out = terms, d_pos, c * (e @ zh) + e.T @ (c * zh)
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
@@ -416,8 +411,9 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
 def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
                         bound: float, partner: np.ndarray
                         ) -> tuple[Matrix, Matrix, Matrix] | None:
-    """``_info_nce`` of the two-view kernel on a full-complement batch of one
-    operand pair, computing each symmetric logit pair once.
+    """``_info_nce`` of the two-view kernel on a full-complement batch whose
+    operands ``left @ right.T`` form a symmetric block, computing each
+    symmetric logit pair once.
 
     The 2n rows split into bands of about ``_SYM_BAND_ROWS`` rows, the last
     one shorter when they do not divide evenly. Band I holds the block's

@@ -197,27 +197,28 @@ def quantize_to_prototypes(x: Matrix, prototypes: Matrix) -> np.ndarray:
 # Bound-check harnesses
 
 
+# The bound harnesses' fixed settings: LARS hyperparameters, the encoders'
+# hidden and latent widths, and the supervised check's batch size.
+_BOUND_LARS = {"base_lr": 0.5, "momentum": 0.9, "trust_coeff": 0.05}
+_BOUND_HIDDEN, _BOUND_LATENT = 32, 8
+_SUP_BOUND_BATCH = 128
+
+
 @dataclass(frozen=True)
 class BoundTrainSpec:
     """Training/evaluation protocol for the bound harnesses."""
 
     epochs: int = 300
-    base_lr: float = 0.5
-    momentum: float = 0.9
-    trust_coeff: float = 0.05
     temperature: float = 0.1
-    latent_dim: int = 8
-    hidden_dim: int = 32
     n_train: int = 512
     n_eval: int = 1024
     eval_batches: int = 8
-    batch_size: int = 128
     seeds: tuple = (0, 1, 2, 3, 4)
     tolerance: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.eval_batches < 1 or self.batch_size < 1:
-            raise ContractError("epochs, eval_batches, batch_size must be >= 1")
+        if self.epochs < 1 or self.eval_batches < 1:
+            raise ContractError("epochs and eval_batches must be >= 1")
         if self.n_train < 2 or self.n_eval < 2:
             raise ContractError("need n_train >= 2 and n_eval >= 2")
         if not self.seeds:
@@ -225,10 +226,6 @@ class BoundTrainSpec:
         if self.tolerance <= 0:
             raise ContractError(f"tolerance must be > 0, got {self.tolerance}")
         _check_tau(self.temperature)
-
-    def optimizer(self) -> OptimizerState:
-        return OptimizerState(base_lr=self.base_lr, momentum=self.momentum,
-                              trust_coeff=self.trust_coeff)
 
 
 def _eval_unsup(ds: Dataset, size: int, params, spec: BoundTrainSpec,
@@ -272,11 +269,11 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
                 pool, np.arange(train_spec.n_train, pool.n)
             )
             run_rng = make_rng(seed * 100_000 + size)
-            enc = [train_spec.hidden_dim, train_spec.latent_dim]
+            enc = [_BOUND_HIDDEN, _BOUND_LATENT]
             params = init_params(run_rng,
                                  [[data_spec.d1, *enc], [data_spec.d2, *enc]],
-                                 [2 * train_spec.latent_dim, 2])
-            state = train_spec.optimizer()
+                                 [2 * _BOUND_LATENT, 2])
+            state = OptimizerState(**_BOUND_LARS)
             try:
                 for _ in range(train_spec.epochs):
                     plan = sample_batch(train_ds, size + 1, size, run_rng)
@@ -337,17 +334,17 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         run_rng = make_rng(seed * 100_000 + 777)
         params = init_params(
             run_rng,
-            encoder_sizes=[[2, train_spec.hidden_dim, train_spec.latent_dim]],
-            classifier_sizes=[train_spec.latent_dim, data_spec.c],
+            encoder_sizes=[[2, _BOUND_HIDDEN, _BOUND_LATENT]],
+            classifier_sizes=[_BOUND_LATENT, data_spec.c],
         )
-        state = train_spec.optimizer()
+        state = OptimizerState(**_BOUND_LARS)
         train_rows = train_ds.labeled_indices
-        batch = min(train_spec.batch_size, train_rows.size)
+        batch = min(_SUP_BOUND_BATCH, train_rows.size)
         try:
             for _ in range(train_spec.epochs):
                 rows = run_rng.choice(train_rows, size=batch, replace=False)
                 train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), tau)
-            rows = run_rng.choice(eval_ds.n, size=min(train_spec.batch_size * 2,
+            rows = run_rng.choice(eval_ds.n, size=min(_SUP_BOUND_BATCH * 2,
                                                       eval_ds.n), replace=False)
             x_eval = eval_ds.views[0][rows]
             z_eval, _ = encode(params, x_eval)

@@ -149,6 +149,8 @@ def test_method_coupling_forces_weights(method, alpha, beta):
     ("beta", "nan"),
     ("base_lr", "inf"),
     ("temperature", "inf"),
+    ("temperature", "5e-324"),  # positive, but 1/temperature overflows
+    ("bound_temperature", "5e-324"),
     ("bound_tolerance", "inf"),
     ("perf_train_sizes", "16"),
     ("batch_size", "2"),

@@ -728,8 +728,7 @@ def test_info_nce_invariants_sweep():
         neg[dropped] = -np.inf
         # the bound of every logit, shifted in before the call
         bound = scale + 3.0
-        terms, d_pos, e, c = _info_nce(pos, neg - bound, bound,
-                                       lambda rows: neg[rows] - bound)
+        terms, d_pos, e, c = _info_nce(pos, lambda: neg - bound, bound)
         d_neg = c * e
         for a in (terms, d_pos, d_neg):
             assert np.isfinite(a).all()
@@ -768,8 +767,8 @@ def test_info_nce_scaled_block_equals_dense_logit_gradient(layout):
         dense[r, positive] -= 1.0
 
         neg = np.where(masked, -np.inf, logits) - 4.0  # shifted by the bound
-        _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg.copy(),
-                                   4.0, lambda rows: neg[rows])
+        _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg.copy,
+                                   4.0)
         assert not e[r, positive].any()
         d_logits = c * e
         d_logits[r, positive] = d_pos[:, 0]
@@ -810,9 +809,9 @@ def _kernel_logits(monkeypatch, loss, batch, tau):
     bound it shifted the negatives by added back."""
     seen = []
 
-    def spy(pos, neg, bound, rebuild):
-        seen.append((pos.copy(), neg + bound))
-        return _info_nce(pos, neg, bound, rebuild)
+    def spy(pos, block, bound):
+        seen.append((pos.copy(), block() + bound))
+        return _info_nce(pos, block, bound)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
     loss(batch, tau)
@@ -961,6 +960,33 @@ def test_unsup_gradients_with_every_row_repaired(monkeypatch, tau):
                 num = finite_diff_grad(fn, b.zs[v], eps=eps)
                 assert rel_error(g, num) < GRAD_TOL
     assert sum(repaired) > 0
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.5, 2.0])
+def test_unsup_bound_covers_every_logit(monkeypatch, tau):
+    # A bound below some logit costs only speed, as repair gives the right
+    # values, so check the bound itself: it is at least every unshifted
+    # logit up to rounding, no row reaches the repair, and no full batch of
+    # a symmetric product falls back. 2n = 12 rows make two bands of 6.
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 6)
+    repaired = _repaired_rows(monkeypatch)
+    taken = symmetric_branch_calls(monkeypatch)
+    operands = losses_mod._logit_operands
+    excess = []
+
+    def spy(*args):
+        left, right, bound = operands(*args)
+        # left @ right.T holds each logit minus the bound
+        excess.append(np.max(left @ right.T) / (1.0 + bound))
+        return left, right, bound
+
+    monkeypatch.setattr(losses_mod, "_logit_operands", spy)
+    for loss, drawn in _unsup_layouts(make_rng(79)):
+        for b in (drawn, with_full_mask(drawn)):
+            loss(b, tau)
+    assert len(excess) == 10 and max(excess) <= 1e-14
+    assert repaired == []
+    assert taken == [True, True]  # two views of one width, plain and weighted
 
 
 def test_public_losses_invariant_sweep():

@@ -6,6 +6,9 @@ definition the kernels' fused product is tested against) and
 ``_label_log_weights`` for the label weights sigma and gamma.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,12 +43,24 @@ TAU_ENTRY_POINTS = {
 }
 
 
+# the smallest positive float, and the largest whose reciprocal overflows
+TINY_TAUS = [5e-324, 1 / sys.float_info.max]
+
+
 @pytest.mark.parametrize("entry", list(TAU_ENTRY_POINTS))
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), *TINY_TAUS])
 def test_temperature_must_be_positive(entry, tau):
     TAU_ENTRY_POINTS[entry](0.5)  # the inputs are valid
-    with pytest.raises(ContractError, match="temperature must be positive"):
+    with pytest.raises(ContractError, match="temperature must be positive "
+                       "with a finite reciprocal"):
         TAU_ENTRY_POINTS[entry](tau)
+
+
+@pytest.mark.parametrize("entry", list(TAU_ENTRY_POINTS))
+def test_smallest_temperature_with_finite_reciprocal_passes(entry):
+    # the losses may overflow at this scale; the check must let it through
+    with np.errstate(all="ignore"):
+        TAU_ENTRY_POINTS[entry](math.nextafter(1 / sys.float_info.max, 1.0))
 
 
 def test_weight_g_known_values():
