@@ -4,7 +4,10 @@ Subcommands: ``train``, ``eval``, ``bound-check``, ``noise-sweep``,
 ``perf-sweep``. Every command reads a flat key-value config file; the
 shared flags override individual fields. Outputs are one JSON RunRecord
 per run plus one aggregated CSV per sweep, all written atomically, with
-seeds processed in deterministic order.
+seeds processed in deterministic order. A command that trains a list of
+runs stops at the first failed run and re-raises its error through
+``_failed``, naming the run; ``train`` and ``noise-sweep`` first write the
+runs that finished, ``perf-sweep`` writes nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ def _ensure_out(cfg: RunConfig) -> str:
     return cfg.out_dir
 
 
+def _failed(run: str, err: HclError, kept: str = "") -> HclError:
+    """``err``'s own type, naming the failed run and what was kept."""
+    note = f" ({kept})" if kept else ""
+    return type(err)(f"{run} failed: {err}{note}")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -62,7 +71,7 @@ def cmd_train(pairs: dict[str, str],
         try:
             result = run_training(cfg, seed, base)
         except HclError as err:
-            failure = (seed, err)
+            failure = (f"seed {seed}", err)
             break
         stem = f"run-{cfg.method}-seed{seed}"
         ckpt_path = os.path.join(out, f"{stem}.ckpt")
@@ -89,10 +98,10 @@ def cmd_train(pairs: dict[str, str],
         print(f"{cfg.method}: mean f1={np.mean(f1s):.4f} "
               f"std={np.std(f1s):.4f} over {len(f1s)} seeds")
     if failure is not None:
-        seed, err = failure
-        kept = (f" ({len(records)} finished seed(s) written to "
-                f"metrics-{cfg.method}.csv)" if records else "")
-        raise type(err)(f"seed {seed} failed: {err}{kept}") from err
+        run, err = failure
+        kept = (f"{len(records)} finished seed(s) written to "
+                f"metrics-{cfg.method}.csv" if records else "")
+        raise _failed(run, err, kept) from err
     return records
 
 
@@ -231,7 +240,8 @@ def cmd_noise_sweep(pairs: dict[str, str],
         try:
             result = run_training(variant, seed, noisy)
         except HclError as err:
-            failure = (level, entry, seed, err)
+            failure = (f"noise level {level:g}, method {entry}, seed {seed}",
+                       err)
             break
         rows.append((level, entry, seed, result.report.f1, result.report.auc))
         if len(rows) % len(cfg.seeds) == 0:
@@ -241,7 +251,7 @@ def cmd_noise_sweep(pairs: dict[str, str],
             summary.append((level, entry, np.mean(f1s), np.std(f1s),
                             np.mean(aucs), np.std(aucs)))
             print(f"noise {level:g} {entry}: mean f1={np.mean(f1s):.4f} "
-                  f"std={np.std(f1s):.4f}")
+                  f"std={np.std(f1s):.4f} mean auc={np.mean(aucs):.4f}")
 
     text = csv_text(["level", "method", "seed", "f1", "auc"], rows)
     if rows:
@@ -253,11 +263,10 @@ def cmd_noise_sweep(pairs: dict[str, str],
             ["level", "method", "f1_mean", "f1_std", "auc_mean", "auc_std"],
             summary))
     if failure is not None:
-        level, entry, seed, err = failure
-        kept = (f" ({len(rows)} finished cell(s) written to noise_sweep.csv)"
+        run, err = failure
+        kept = (f"{len(rows)} finished cell(s) written to noise_sweep.csv"
                 if rows else "")
-        raise type(err)(f"noise level {level:g}, method {entry}, seed {seed} "
-                        f"failed: {err}{kept}") from err
+        raise _failed(run, err, kept) from err
     return text
 
 
@@ -278,12 +287,8 @@ def _timed_run(merged: dict[str, str], extra: dict[str, str],
                sub: Dataset, reps: int = 3) -> float:
     """Best-of-``reps`` wall clock for one training variant."""
     variant = resolve_config(merged, extra)
-    best = None
-    for _ in range(reps):
-        result = run_training(variant, 0, sub)
-        if best is None or result.wall_seconds < best:
-            best = result.wall_seconds
-    return best
+    return min(run_training(variant, 0, sub).wall_seconds
+               for _ in range(reps))
 
 
 def cmd_perf_sweep(pairs: dict[str, str],
@@ -303,43 +308,35 @@ def cmd_perf_sweep(pairs: dict[str, str],
         merged.update(overrides)
     # timings isolate the contrastive path: one view, no label term
     common = {"method": "hcl-u", "mode": "single-view",
-              "view1_aug": "none", "view2_aug": "none"}
-
-    rows = []
+              "view1_aug": "none", "view2_aug": "none", "seeds": "0"}
     # cost per epoch is iterations x fixed batch work, so it scales with
     # the labeled-set size
-    train_times = []
-    for size in cfg.perf_train_sizes:
-        sub = take_rows(base, np.arange(size))
-        extra = dict(common)
-        extra.update({
-            "n_labeled": str(size - 16), "batch_size": "64",
-            "neg_size": str(cfg.perf_neg_fixed),
-            "epochs": str(cfg.perf_epochs), "seeds": "0",
-        })
-        seconds = _timed_run(merged, extra, sub)
-        train_times.append(seconds)
-        rows.append(("train-size", size, seconds))
-        print(f"perf train-size {size}: {seconds:.4f}s")
-
+    variants = [("train-size", size, take_rows(base, np.arange(size)), {
+        "n_labeled": str(size - 16), "batch_size": "64",
+        "neg_size": str(cfg.perf_neg_fixed), "epochs": str(cfg.perf_epochs),
+    }) for size in cfg.perf_train_sizes]
     # a pool of k+1 anchors with k negatives each gives the k^2 regime
-    neg_times = []
-    for k in cfg.perf_neg_sizes:
-        extra = dict(common)
-        extra.update({
-            "n_labeled": "1", "batch_size": "1", "neg_size": str(k),
-            "epochs": str(cfg.perf_epochs * 10), "seeds": "0",
-        })
-        seconds = _timed_run(merged, extra, base)
-        neg_times.append(seconds)
-        rows.append(("neg-size", k, seconds))
-        print(f"perf neg-size {k}: {seconds:.4f}s")
+    variants += [("neg-size", k, base, {
+        "n_labeled": "1", "batch_size": "1", "neg_size": str(k),
+        "epochs": str(cfg.perf_epochs * 10),
+    }) for k in cfg.perf_neg_sizes]
+
+    rows = []
+    for sweep, size, sub, extra in variants:
+        try:
+            seconds = _timed_run(merged, {**common, **extra}, sub)
+        except HclError as err:
+            raise _failed(f"perf {sweep} {size}", err) from err
+        rows.append((sweep, size, seconds))
+        print(f"perf {sweep} {size}: {seconds:.4f}s")
 
     atomic_write_text(os.path.join(out, "perf.csv"),
                       csv_text(["sweep", "size", "seconds"], rows))
 
-    lin_coeffs, lin_r2 = _fit_r2(cfg.perf_train_sizes, train_times, 1)
-    quad_coeffs, quad_r2 = _fit_r2(cfg.perf_neg_sizes, neg_times, 2)
+    times = [seconds for _, _, seconds in rows]
+    n_train = len(cfg.perf_train_sizes)
+    lin_coeffs, lin_r2 = _fit_r2(cfg.perf_train_sizes, times[:n_train], 1)
+    quad_coeffs, quad_r2 = _fit_r2(cfg.perf_neg_sizes, times[n_train:], 2)
     fits = {
         "train_size": {"coefficients": lin_coeffs, "r_squared": lin_r2},
         "neg_size": {"coefficients": quad_coeffs, "r_squared": quad_r2},

@@ -560,9 +560,8 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
 
 
 def _is_one_hot(y: Matrix) -> bool:
-    return bool(y.shape[1] >= 2 and
-                np.all((y == 0.0) | (y == 1.0)) and
-                np.all(y.sum(axis=1) == 1.0))
+    """Whether binary ``y`` has two or more columns and one 1 in every row."""
+    return bool(y.shape[1] >= 2 and np.all(y.sum(axis=1) == 1.0))
 
 
 def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:

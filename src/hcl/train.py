@@ -39,6 +39,7 @@ from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
+    _is_one_hot,
     cross_entropy,
     total_loss,
     unsup_loss_multiview,
@@ -79,8 +80,7 @@ def check_dataset(ds: Dataset, cfg: RunConfig) -> None:
     train on the labels and view count of ``ds``."""
     # supcon-style trains through weighted_sup_loss, which is plain SupCon
     # exactly when every row is one-hot or there is one label column
-    if cfg.method == "supcon-style" and ds.c > 1 \
-            and not np.all(ds.labels.sum(axis=1) == 1.0):
+    if cfg.method == "supcon-style" and ds.c > 1 and not _is_one_hot(ds.labels):
         raise ConfigError(
             "config field 'method': supcon-style needs single-label data "
             "(one positive label per row); use hcl-s for multi-label data"

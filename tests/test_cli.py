@@ -112,6 +112,12 @@ def test_cmd_train_keeps_finished_seeds_when_a_seed_fails(
         assert "1 finished seed(s) written to metrics-hcl.csv" in str(info.value)
         rows = csv.read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("hcl,0,")
+        # seed 0's files were written as it finished, and they replay
+        ckpt = tmp_path / "out" / "run-hcl-seed0.ckpt"
+        assert ckpt.exists()
+        assert (tmp_path / "out" / "run-hcl-seed0.json").exists()
+        f1 = float(rows[1].split(",")[2])
+        assert cmd_eval(str(ckpt)).f1 == f1
     assert not (tmp_path / "out" / "run-hcl-seed2.json").exists()
     assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 2
     assert f"error: seed {failing} failed" in capsys.readouterr().err
@@ -439,14 +445,17 @@ def test_cmd_noise_sweep_keeps_finished_cells_when_a_cell_fails(
 # perf-sweep
 
 
-def test_cmd_perf_sweep_outputs(tmp_path):
-    pairs = {
+def perf_pairs(tmp_path):
+    return {
         "synthetic": "cluster", "n_samples": "200", "n_features": "8",
         "n_classes": "3", "out_dir": str(tmp_path / "p"),
         "perf_train_sizes": "64,96,128", "perf_neg_sizes": "8,16,24",
         "perf_epochs": "1", "encoder_sizes": "8,6",
     }
-    fits = cmd_perf_sweep(pairs)
+
+
+def test_cmd_perf_sweep_outputs(tmp_path):
+    fits = cmd_perf_sweep(perf_pairs(tmp_path))
     assert set(fits) == {"train_size", "neg_size"}
     assert len(fits["train_size"]["coefficients"]) == 2
     assert len(fits["neg_size"]["coefficients"]) == 3
@@ -455,6 +464,27 @@ def test_cmd_perf_sweep_outputs(tmp_path):
     assert len(rows) == 6
     saved = json.loads((tmp_path / "p" / "perf_fits.json").read_text())
     assert saved["train_size"]["r_squared"] == fits["train_size"]["r_squared"]
+
+
+def test_cmd_perf_sweep_names_a_failed_variant(tmp_path, monkeypatch,
+                                                capsys):
+    real = cli_mod.run_training
+
+    def fail_on_neg_size(cfg, seed, base):
+        if cfg.batch_size == 1:  # every neg-size variant, none of train-size
+            raise NumericError("loss diverged")
+        return real(cfg, seed, base)
+
+    monkeypatch.setattr(cli_mod, "run_training", fail_on_neg_size)
+    pairs = perf_pairs(tmp_path)
+    with pytest.raises(NumericError,
+                       match="^perf neg-size 8 failed: loss diverged$"):
+        cmd_perf_sweep(pairs)
+    # no partial timing table or fit
+    assert list((tmp_path / "p").iterdir()) == []
+    assert main(["perf-sweep", "--config", write_cfg(tmp_path, pairs)]) == 2
+    assert "error: perf neg-size 8 failed: loss diverged\n" \
+        in capsys.readouterr().err
 
 
 def test_cmd_perf_sweep_validates_sizes(tmp_path):

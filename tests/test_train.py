@@ -24,6 +24,7 @@ from hcl.optimizer import OptimizerState
 from hcl.train import (
     RunRecord,
     build_dataset,
+    check_dataset,
     dataset_checksum,
     metrics_csv,
     replay_eval,
@@ -189,6 +190,22 @@ def test_single_view_run_ignores_a_second_view(method):
     assert params[0] == params[1]
     assert trace[0] == trace[1]
     assert report[0] == report[1]
+
+
+@pytest.mark.parametrize("labels, accepted", [
+    ([[1.0], [0.0], [1.0]], True),  # one column: every weight is 1
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], True),
+    ([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], False),
+])
+def test_check_dataset_supcon_style_label_shapes(labels, accepted):
+    ds = Dataset(views=[np.eye(3)], labels=np.array(labels),
+                 labeled_mask=np.ones(3, dtype=bool))
+    cfg = small_cfg(method="supcon-style", beta=0.4)
+    if accepted:
+        check_dataset(ds, cfg)
+    else:
+        with pytest.raises(ConfigError, match="config field 'method'"):
+            check_dataset(ds, cfg)
 
 
 def test_multiview_family_accepts_upper_case_none_augmentation():
