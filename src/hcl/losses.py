@@ -15,8 +15,12 @@ tau that is not positive or whose 1/tau is not finite (``_check_tau``).
 ``cos/tau + log(weight)`` and the negative ones shifted (see below), and
 returns the terms with their gradients in the logits, from one in-place
 exp pass. The negatives' gradient comes back unnormalised, as that exp
-block and a per-row scale. The losses build logits (-inf outside the
-negative set), call it, and chain its gradients back to the embeddings.
+block and a per-row scale. The losses build the shifted logits of every
+entry, finite, call it with the entries that are negatives, and chain its
+gradients back to the embeddings. No exp here reads -inf (numpy's float64
+exp is about 8x slower on it than on finite input, on AVX-512): a dropped
+entry is exponentiated like any other and zeroed after the exp. Only the
+repair rows handed to ``row_logsumexp`` carry -inf.
 Four folds each spare the n x n block a pass, by moving work onto the thin
 operands of a product:
 
@@ -24,7 +28,7 @@ operands of a product:
 * the raw-feature log-weight 1 - cos(x_i, x_k) rides in the same product,
   as extra columns ``[-x_hat | 1]`` and ``[x_hat | 1]`` of the two operands
   (``_logit_operands``), so each unsupervised logit block is one product
-  of one operand pair (``_logit_block``);
+  ``left @ right.T`` of one operand pair;
 * the shift -B rides in the last column of the right operand;
 * the per-row scale multiplies the thin operand of each backward product.
 
@@ -36,8 +40,9 @@ they leave the backward as it is.
 The supervised loss runs over flat arrays of pairs (``_sup_engine``), with
 no loop over labels. One product gives every (anchor i, label a) negative
 sum, S = exp(L - B) @ (1 - Y) over the valid labels' columns Y, with L =
-cos/tau + log gamma at the anchor's own negatives (the samples lacking one
-of its labels) and -inf elsewhere.
+cos/tau + log gamma at every entry: the zeros of 1 - Y drop the samples
+that are not negatives of an (anchor, label), so no entry is masked
+before the exp.
 
 The shift rule, one for both engines: every exp is shifted by B, a known
 upper bound on the logits, so no pass looks for a row max. B = 1/tau for
@@ -65,8 +70,8 @@ is computed and exponentiated once, in row bands, and each row sum gathers
 row and column sums. Its repair is all or nothing: a stored entry serves
 two rows and cannot take one row's own shift, so when any row's sum lies
 outside [``_SUM_FLOOR``, inf) the whole call runs the dense path
-(``_logit_block`` and ``_info_nce``) unchanged. The branch sums in another
-order than the dense path, so the two agree to rounding, not bit for bit.
+(``_info_nce``) unchanged. The branch sums in another order than the
+dense path, so the two agree to rounding, not bit for bit.
 
 The unsupervised losses take a ``ContrastiveBatch`` of one view
 (``unsup_loss_single``) or two (``unsup_loss_multiview``). This module is
@@ -257,13 +262,6 @@ def _logit_operands(uh: Matrix, vh: Matrix, tau: float,
             np.hstack([vh, xb, np.full((len(xb), 1), 1.0 - bound)]), bound)
 
 
-def _logit_block(left: Matrix, right: Matrix, drop: np.ndarray) -> Matrix:
-    """The shifted logit block ``left @ right.T``, -inf where ``drop``."""
-    out = left @ right.T
-    out[drop] = _NEG_INF
-    return out
-
-
 def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """The term half of ``_info_nce``, given the negatives' log-sum: returns
     the terms, their gradient in ``pos`` and q = exp(lse_neg - t), the
@@ -272,21 +270,27 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
     return t - pos, np.exp(pos - t) - 1.0, np.exp(lse_neg - t)
 
 
-def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float
-              ) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
+              keep: np.ndarray | tuple) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients in the logits.
 
-    Row i scores each of its positive logits ``pos[i, j]`` against the
-    row's shared negative logits L[i, :] (``-inf`` drops a negative):
+    Row i scores each of its positive logits ``pos[i, j]`` against its
+    negative logits L[i, k], the entries that ``keep`` selects in row i:
 
         terms[i, j] = log(exp(pos[i, j]) + sum_k exp(L[i, k])) - pos[i, j]
 
     Weights arrive as log-weights already added to the logits. ``block()``
-    builds L - ``bound``, shifted by a known upper bound on every negative
-    logit. That block is exponentiated once, in place, with no row-max
-    pass; a row whose shifted sum is not in [``_SUM_FLOOR``, inf) (all its
-    logits far below the bound, or one rounded far past it) is read from a
-    fresh ``block()`` and redone with its own max (``row_logsumexp``).
+    builds L - ``bound`` at every entry, the dropped ones too, shifted by a
+    known upper bound on every logit. ``keep`` is a boolean mask of the
+    negatives, or, when they are the full complement, the index pair
+    ``(rows, cols)`` of the few entries it drops. The block is exponentiated
+    once, in place, with no row-max pass and no -inf; the dropped entries
+    are zeroed after it, by a 0/1 product with the mask or, cheaper on a
+    full complement, by writing the pairs. A row whose sum is not in [``_SUM_FLOOR``, inf) (all its logits
+    far below the bound, or one rounded far past it, which a product with
+    a dropped overflow turns into NaN) is read from a fresh ``block()``
+    with -inf at its dropped entries and redone with its own max
+    (``row_logsumexp``).
 
     Returns ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are
     ``d_pos`` in ``pos`` and ``c * e`` in the negative logits, where ``e``
@@ -298,14 +302,22 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float
     of ``e``. Results overflow only as the exact terms do, when 1/tau nears
     the largest float.
     """
+    pairs = isinstance(keep, tuple)
     neg = block()
-    with np.errstate(over="ignore", divide="ignore"):  # redone below
+    # a row that overflows, meets inf * 0 = NaN or sums to 0 is redone below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.exp(neg, out=neg)
+        if pairs:
+            neg[keep] = 0.0
+        else:
+            np.multiply(neg, keep, out=neg)
         rowsum = np.sum(neg, axis=1, keepdims=True)
         lse_neg = bound + np.log(rowsum)
     redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
     if redo.size:
-        own = block()[redo]
+        own = block()
+        own[keep if pairs else ~keep] = _NEG_INF
+        own = own[redo]
         lse_own, rowsum[redo] = row_logsumexp(own)
         neg[redo] = own
         lse_neg[redo] = bound + lse_own
@@ -343,9 +355,13 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
 
-    terms, d_pos, e, c = _info_nce(
-        pos, partial(_logit_block, left, right, ~batch.neg_mask), bound)
-    # d_logits = c * e with d_pos on the diagonal, where e is 0 (masked)
+    keep = batch.neg_mask
+    if np.count_nonzero(keep) == n * (n - 1):
+        # a full complement drops only the diagonal: write it, skip the product
+        keep = (np.arange(n),) * 2
+    terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
+                                   bound, keep)
+    # d_logits = c * e with d_pos on the diagonal, where e is 0 (dropped)
     d_zh = e.T @ (c * xh) + d_pos * xh
     return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
 
@@ -387,20 +403,23 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     left, right, bound = _logit_operands(zh, zh, tau, xa, xb)
     symmetric = xa is xb  # left @ right.T is symmetric, save the proxy's
 
+    # every off-diagonal entry (ContrastiveBatch rules out the diagonal):
+    # the full complement, whose block, mask and partner map are symmetric
+    full = np.count_nonzero(batch.neg_mask) == n * (n - 1)
     out = None
-    if symmetric and n >= _SYM_BAND_ROWS \
-            and np.count_nonzero(batch.neg_mask) == n * (n - 1):
-        # every off-diagonal entry (ContrastiveBatch rules out the diagonal):
-        # the full complement, whose block, mask and partner map are symmetric
+    if symmetric and full and n >= _SYM_BAND_ROWS:
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
-        terms, d_pos, e, c = _info_nce(
-            pos, partial(_logit_block, left, right,
-                         ~np.tile(batch.neg_mask, (2, 2))), bound)
+        # a full complement drops each row's self and partner entries only
+        rows = np.arange(2 * n)
+        keep = (np.tile(rows, 2), np.concatenate([rows, partner])) if full \
+            else np.tile(batch.neg_mask, (2, 2))
+        terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
+                                       bound, keep)
         out = terms, d_pos, c * (e @ zh) + e.T @ (c * zh)
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
-    # 0 (masked). Those entries add d_pos[r] * zh[partner[r]] to row r of
+    # 0 (dropped). Those entries add d_pos[r] * zh[partner[r]] to row r of
     # d_logits @ zh and, partner being an involution, d_pos[partner[r]] *
     # zh[partner[r]] to row r of d_logits.T @ zh.
     d_zh = d_neg + (d_pos + d_pos[partner]) * zh[partner]
@@ -421,7 +440,7 @@ def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
     diagonal square and every tile right of it. Each band is one product,
     exponentiated in place; row r's sum adds its band's row sum to the
     column sums of the earlier bands. Only the self and partner entries are
-    dropped. Returns ``(terms, d_pos, d_neg)``, with d_neg = c * (e @ zh) +
+    dropped, zeroed after the band's exp. Returns ``(terms, d_pos, d_neg)``, with d_neg = c * (e @ zh) +
     e.T @ (c * zh) as the dense path forms it, here by one product per band
     side: ``E_IJ @ Y_J`` and ``E_IJ.T @ Y_I`` with Y = [zh | c * zh].
 
@@ -442,12 +461,12 @@ def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
             e = buf[start:start + (hi - lo) * (size - lo)].reshape(hi - lo, -1)
             start += e.size
             np.matmul(left[lo:hi], right[lo:].T, out=e)
+            np.exp(e, out=e)
             rows = np.arange(hi - lo)
-            e[rows, rows] = _NEG_INF
+            e[rows, rows] = 0.0
             # a partner left of the band was dropped in the partner's band
             own = partner[lo:hi] >= lo
-            e[rows[own], partner[lo:hi][own] - lo] = _NEG_INF
-            np.exp(e, out=e)
+            e[rows[own], partner[lo:hi][own] - lo] = 0.0
             rowsum[lo:hi] += e @ ones[lo:]
             rowsum[hi:] += ones[lo:hi] @ e[:, hi - lo:]
             bands.append(e)
@@ -472,8 +491,10 @@ def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:
 
     sigma_ij = (c - hamming_ij)/c weighs positive pairs and gamma_ik =
     hamming_ik weighs negatives. sigma >= 1/c for pairs sharing a positive
-    label; gamma >= 1 for anchor-negative pairs. Entries outside those index
-    sets are never read, so they may be -inf.
+    label; gamma >= 1 for anchor-negative pairs. Entries outside those sets
+    are never read: log sigma may be -inf there, and log gamma is taken of
+    max(hamming, 1), so that identical label rows (hamming 0, which only
+    zeros of the engine's 1 - Y meet) give a finite 0.
     """
     c = y.shape[1]
     # hamming_ik = #(y_i = 1, y_k = 0) + #(y_i = 0, y_k = 1): one product
@@ -482,8 +503,7 @@ def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:
     ham = ones_zeros + ones_zeros.T
     with np.errstate(divide="ignore"):
         log_sigma = np.log((c - ham[pair]) / c)
-        log_gamma = np.log(ham)
-    return log_sigma, log_gamma
+    return log_sigma, np.log(np.maximum(ham, 1.0))
 
 
 def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
@@ -528,8 +548,9 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
         pos += log_sigma
         logits += log_gamma
         bound += np.log(y.shape[1])
+    # e is read only through not_y, whose zeros drop the entries outside
+    # each (anchor, label)'s negatives, so no entry is masked before the exp
     not_y = 1.0 - yv
-    logits[(yv @ not_y.T) == 0.0] = _NEG_INF  # not among the anchor's negatives
     e = np.subtract(logits, bound)
     np.exp(e, out=e)
     sums = e @ not_y

@@ -8,6 +8,7 @@ on fixed tiny configs: a two-view train followed by ``eval``, the same
 train once with weight decay 0.01 and once at temperature 1e-4, a two-view
 full-complement train at temperature 0.5 and at 1e-4, a two-view train on a
 manifest whose views have different widths (8 and 5 columns), a
+single-view train with sampled negatives at temperature 1e-4, a
 single-view full-plan train, a noise sweep and both bound checks. Prints
 one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
 
@@ -65,6 +66,10 @@ CASES = {
     "two-view-full-sharp": ("train", dict(TWO_VIEW_FULL, temperature="0.0001")),
     "two-view-manifest": ("train", dict(TINY, mode="two-view", seeds="0",
                                         batch_size="8", neg_size="4")),
+    # one view, sampled negatives, sharp enough that the single-view
+    # kernel's dropped entries meet underflowing rows and their repair
+    "single-view-sharp": ("train", dict(TWO_VIEW, mode="single-view",
+                                        temperature="0.0001")),
     "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",
                                 n_classes="4", method="hcl", seeds="3",
                                 batch_size="64", neg_size="full")),

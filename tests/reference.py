@@ -7,7 +7,10 @@ one exception is ``ref_log_weight``, the raw-feature log-weight as a
 matrix: the definition the kernels' fused product is tested against, and
 itself tested against the scalar ``ref_g``. ``ref_lars_step`` takes LARS
 one parameter at a time with the numpy arithmetic of the whole-buffer step,
-so the two must agree bit for bit.
+so the two must agree bit for bit. ``old_info_nce`` and
+``old_symmetric_info_nce`` keep the unsupervised kernels' earlier
+formulation, -inf written by index at the dropped entries and then one exp
+over the block, as the bit-equality reference of the finite-exp kernels.
 """
 
 import math
@@ -15,8 +18,9 @@ import math
 import numpy as np
 from scipy.stats import multivariate_normal
 
+import hcl.losses as losses
 from hcl.errors import ContractError
-from hcl.numeric import unit_rows
+from hcl.numeric import row_logsumexp, unit_rows
 
 
 def ref_cosine(u, v):
@@ -342,3 +346,65 @@ def quantized_gaussian_table(rho, bins=64, span=6.0):
     cells = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
     cells = np.clip(cells, 0.0, None)
     return cells / cells.sum()
+
+
+def old_info_nce(pos, block, bound, keep):
+    """``losses._info_nce`` in its earlier formulation, on the same
+    arguments: -inf at the dropped entries by boolean index, then one exp
+    over the whole block, and every row outside [floor, inf) redone from
+    that masked block with its own max."""
+    neg = block()
+    if isinstance(keep, tuple):
+        drop = np.zeros(neg.shape, dtype=bool)
+        drop[keep] = True
+    else:
+        drop = ~keep
+    neg[drop] = -np.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        np.exp(neg, out=neg)
+        rowsum = np.sum(neg, axis=1, keepdims=True)
+        lse_neg = bound + np.log(rowsum)
+    redo = np.flatnonzero(~((rowsum >= losses._SUM_FLOOR) & (rowsum < np.inf)))
+    if redo.size:
+        own = block()
+        own[drop] = -np.inf
+        own = own[redo]
+        lse_own, rowsum[redo] = row_logsumexp(own)
+        neg[redo] = own
+        lse_neg[redo] = bound + lse_own
+    terms, d_pos, q = losses._info_nce_terms(pos, lse_neg)
+    c = np.sum(q, axis=1, keepdims=True) / rowsum
+    return terms, d_pos, neg, c
+
+
+def old_symmetric_info_nce(left, right, zh, pos, bound, partner):
+    """``losses._symmetric_info_nce`` in its earlier formulation: each
+    band's self and partner entries set to -inf before its exp."""
+    size = len(zh)
+    step = -(-size // (size // losses._SYM_BAND_ROWS))
+    spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    bands = []
+    rowsum, ones = np.zeros(size), np.ones(size)
+    with np.errstate(over="ignore"):
+        for lo, hi in spans:
+            e = left[lo:hi] @ right[lo:].T
+            rows = np.arange(hi - lo)
+            e[rows, rows] = -np.inf
+            own = partner[lo:hi] >= lo
+            e[rows[own], partner[lo:hi][own] - lo] = -np.inf
+            np.exp(e, out=e)
+            rowsum[lo:hi] += e @ ones[lo:]
+            rowsum[hi:] += ones[lo:hi] @ e[:, hi - lo:]
+            bands.append(e)
+    if not np.all((rowsum >= losses._SUM_FLOOR) & (rowsum < np.inf)):
+        return None
+    rowsum = rowsum[:, None]
+    terms, d_pos, q = losses._info_nce_terms(pos, bound + np.log(rowsum))
+    c = q / rowsum
+    y = np.hstack([zh, c * zh])
+    prod = np.zeros_like(y)
+    for (lo, hi), e in zip(spans, bands):
+        prod[lo:hi] += e @ y[lo:]
+        prod[hi:] += e[:, hi - lo:].T @ y[lo:hi]
+    d = zh.shape[1]
+    return terms, d_pos, c * prod[:, :d] + prod[:, d:]

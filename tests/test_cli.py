@@ -499,6 +499,37 @@ def test_cmd_perf_sweep_validates_sizes(tmp_path):
         cmd_perf_sweep(pairs)
 
 
+def test_cmd_perf_sweep_checks_synthetic_rows_before_building(tmp_path,
+                                                              monkeypatch):
+    # a synthetic family's row count is n_samples, known at resolve time:
+    # too few rows fail by name before any data is generated
+    built = []
+    real = cli_mod.build_dataset
+
+    def spy(cfg):
+        built.append(cfg.manifest or cfg.synthetic)
+        return real(cfg)
+
+    monkeypatch.setattr(cli_mod, "build_dataset", spy)
+    pairs = {"synthetic": "cluster", "n_samples": "200",
+             "out_dir": str(tmp_path / "p")}
+    with pytest.raises(ConfigError, match="^config field 'n_samples': the "
+                       "sweep needs at least 2048 rows, the dataset has 200$"):
+        cmd_perf_sweep(pairs)
+    assert built == [] and not (tmp_path / "p").exists()
+    # a manifest's rows are counted once it is loaded
+    manifest = tmp_path / "data.manifest"
+    rng = make_rng(0)
+    save_csv(tmp_path / "x.csv", rng.normal(size=(40, 3)))
+    save_csv(tmp_path / "y.csv", np.eye(2)[np.arange(40) % 2])
+    save_manifest(manifest, ["x.csv"], "y.csv", 2)
+    with pytest.raises(ConfigError, match="needs at least 2048 rows, the "
+                       "dataset has 40$"):
+        cmd_perf_sweep({"manifest": str(manifest),
+                        "out_dir": str(tmp_path / "m")})
+    assert built == [str(manifest)]
+
+
 # ---------------------------------------------------------------------------
 # main
 

@@ -27,6 +27,8 @@ from builders import symmetric_branch_calls
 from reference import (
     finite_diff_grad,
     neg_sets_from_mask,
+    old_info_nce,
+    old_symmetric_info_nce,
     random_neg_mask,
     ref_cross_entropy,
     ref_log_weight,
@@ -713,8 +715,8 @@ def test_supervised_repair_path_agrees_with_shared_shift(monkeypatch):
 
 
 def test_info_nce_invariants_sweep():
-    # the shared core of every loss, on random shapes, -inf-masked negatives,
-    # log-weights and logit scales 1/tau up to 1e4
+    # the shared core of every loss, on random shapes, finite blocks with
+    # dropped negatives, log-weights and logit scales 1/tau up to 1e4
     rng = make_rng(23)
     for _ in range(300):
         rows, n_pos, n_neg = (int(v) for v in rng.integers(1, [9, 7, 13]))
@@ -725,10 +727,16 @@ def test_info_nce_invariants_sweep():
             + rng.uniform(-3.0, 3.0, (rows, n_neg))
         dropped = rng.random((rows, n_neg)) < 0.4
         dropped[np.arange(rows), rng.integers(0, n_neg, rows)] = False
-        neg[dropped] = -np.inf
         # the bound of every logit, shifted in before the call
         bound = scale + 3.0
-        terms, d_pos, e, c = _info_nce(pos, lambda: neg - bound, bound)
+        terms, d_pos, e, c = _info_nce(pos, lambda: neg - bound, bound,
+                                       ~dropped)
+        # the dropped entries as an index pair: the same bits
+        by_pairs = _info_nce(pos, lambda: neg - bound, bound,
+                             np.nonzero(dropped))
+        for a, b in zip((terms, d_pos, e, c), by_pairs):
+            assert np.array_equal(a, b)
+        assert not e[dropped].any()  # exact zeros after the exp
         d_neg = c * e
         for a in (terms, d_pos, d_neg):
             assert np.isfinite(a).all()
@@ -766,9 +774,9 @@ def test_info_nce_scaled_block_equals_dense_logit_gradient(layout):
         dense = soft / soft.sum(axis=1, keepdims=True)
         dense[r, positive] -= 1.0
 
-        neg = np.where(masked, -np.inf, logits) - 4.0  # shifted by the bound
+        neg = logits - 4.0  # shifted by the bound
         _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg.copy,
-                                   4.0)
+                                   4.0, ~masked)
         assert not e[r, positive].any()
         d_logits = c * e
         d_logits[r, positive] = d_pos[:, 0]
@@ -805,13 +813,19 @@ def test_folded_kernels_gradient(tau):
 
 
 def _kernel_logits(monkeypatch, loss, batch, tau):
-    """The (pos, neg) logits ``loss`` hands to ``_info_nce``, with the
-    bound it shifted the negatives by added back."""
+    """The (pos, neg, keep) ``loss`` hands to ``_info_nce``: its logits, with
+    the bound it shifted the negatives by added back, and the boolean mask
+    of the negatives its ``keep`` selects."""
     seen = []
 
-    def spy(pos, block, bound):
-        seen.append((pos.copy(), block() + bound))
-        return _info_nce(pos, block, bound)
+    def spy(pos, block, bound, keep):
+        neg = block()
+        selected = keep
+        if isinstance(keep, tuple):  # the index pair of the dropped entries
+            selected = np.ones(neg.shape, dtype=bool)
+            selected[keep] = False
+        seen.append((pos.copy(), neg + bound, selected))
+        return _info_nce(pos, block, bound, keep)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
     loss(batch, tau)
@@ -823,14 +837,14 @@ def _kernel_logits(monkeypatch, loss, batch, tau):
 def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
     # Each kernel writes cos/tau + log-weight by one product of widened
     # thin operands, unclipped. It must equal the cosine over tau plus the
-    # clipped ref_log_weight up to rounding, with -inf exactly outside the
-    # negative mask and the positives unweighted.
+    # clipped ref_log_weight up to rounding, finite at every entry, with
+    # exactly the negative mask selected and the positives unweighted.
     rng = make_rng(43)
     tol = 1e-12 * (1.0 + 1.0 / tau)
 
     def check(got, want, mask):
-        (pos, neg), (want_pos, want_neg) = got, want
-        assert np.array_equal(np.isneginf(neg), ~mask)
+        (pos, neg, keep), (want_pos, want_neg) = got, want
+        assert np.isfinite(neg).all() and np.array_equal(keep, mask)
         assert np.abs(neg[mask] - want_neg[mask]).max() <= tol
         assert np.abs(pos - want_pos).max() <= tol
 
@@ -914,12 +928,13 @@ def test_unsup_kernels_finite_on_near_duplicate_rows(monkeypatch, tau):
     assert sum(repaired) > 0
 
 
-def _unsup_layouts(rng):
+def _unsup_layouts(rng, n=None):
     """(loss, batch) for every kernel layout: single view plain and
-    weighted, two views plain, weighted of one width, and the proxy."""
-    single = single_view_batch(rng, n=7, project=True)
-    two = two_view_batch(rng, n=6, d1=4, d2=4)
-    proxy = two_view_batch(rng, n=6, d1=3, d2=5)
+    weighted, two views plain, weighted of one width, and the proxy; of
+    ``n`` rows, or 7 for one view and 6 for two."""
+    single = single_view_batch(rng, n=n or 7, project=True)
+    two = two_view_batch(rng, n=n or 6, d1=4, d2=4)
+    proxy = two_view_batch(rng, n=n or 6, d1=3, d2=5)
     return [(unsup_loss_single, weighting(single, False)),
             (unsup_loss_single, single),
             (unsup_loss_multiview, weighting(two, False)),
@@ -960,6 +975,120 @@ def test_unsup_gradients_with_every_row_repaired(monkeypatch, tau):
                 num = finite_diff_grad(fn, b.zs[v], eps=eps)
                 assert rel_error(g, num) < GRAD_TOL
     assert sum(repaired) > 0
+
+
+def _old_formulation(monkeypatch, loss, b, tau):
+    """``loss`` on ``b`` with both unsupervised kernel cores in their
+    earlier formulation: -inf at the dropped entries, then the exp."""
+    with monkeypatch.context() as m:
+        m.setattr(losses_mod, "_info_nce", old_info_nce)
+        m.setattr(losses_mod, "_symmetric_info_nce", old_symmetric_info_nce)
+        return loss(b, tau)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5, 2.0])
+@pytest.mark.parametrize("n", [7, 130])
+def test_finite_exp_kernels_equal_old_formulation_bitwise(monkeypatch, tau, n):
+    # zeroing the dropped entries after a finite exp (a 0/1 product with a
+    # sampled mask, a write of the pairs on a full complement, the
+    # symmetric branch's self and partner entries) gives the bits of
+    # exponentiating -inf there; at n = 130 a full two-view batch of one
+    # width takes the symmetric branch, and at tau = 1e-4 rows are repaired
+    repaired = _repaired_rows(monkeypatch)
+    taken = symmetric_branch_calls(monkeypatch)
+    rng = make_rng(83 + n)
+    for loss, drawn in _unsup_layouts(rng, n):
+        for b in (drawn, with_full_mask(drawn)):
+            value, *grads = loss(b, tau)
+            want_value, *want_grads = _old_formulation(monkeypatch, loss, b, tau)
+            assert value == want_value
+            for g, w in zip(grads, want_grads):
+                assert np.array_equal(g, w)
+    assert (sum(repaired) > 0) == (tau == 1e-4)
+    # the plain and the weighted full batch of one width
+    assert taken == ([True, True] if n == 130 else [])
+
+
+def test_finite_exp_kernels_near_old_formulation_on_near_duplicates(
+        monkeypatch):
+    # at tau = 1e-20 a dropped entry can overflow; its product with 0 is
+    # NaN, so its row is redone with its own max where the old formulation
+    # kept the shared shift: finite, and equal to rounding
+    rng = make_rng(89)
+    for _ in range(10):
+        for drawn in _near_duplicate_batches(rng, n=7):
+            loss = unsup_loss_single if len(drawn.zs) == 1 \
+                else unsup_loss_multiview
+            sampled = dataclasses.replace(drawn,
+                                          neg_mask=random_neg_mask(rng, 7))
+            for b in (drawn, sampled, weighting(sampled, False)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    value, *grads = loss(b, 1e-20)
+                want_value, *want_grads = _old_formulation(monkeypatch, loss,
+                                                           b, 1e-20)
+                assert math.isfinite(value)
+                assert value == pytest.approx(want_value, rel=1e-12)
+                for g, w in zip(grads, want_grads):
+                    assert np.isfinite(g).all() and rel_error(g, w) <= 1e-12
+
+
+def test_info_nce_redoes_a_row_whose_dropped_entry_overflows(monkeypatch):
+    # a dropped entry past 709 above the shift exponentiates to inf, and
+    # its product with 0 to NaN, so its row is redone with -inf there and
+    # its own max; the old formulation kept that row's shared shift
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(101)
+    pos = rng.uniform(-1.0, 1.0, (4, 2))
+    neg = rng.uniform(-3.0, 0.0, (4, 5))
+    neg[1, 2] = 1000.0
+    keep = np.ones((4, 5), dtype=bool)
+    keep[1, 2] = keep[3, 0] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        terms, d_pos, e, c = _info_nce(pos, neg.copy, 0.0, keep)
+    assert repaired == [1]
+    assert not e[~keep].any() and np.isfinite(c * e).all()
+    want_terms, want_d_pos, want_e, want_c = old_info_nce(pos, neg.copy, 0.0,
+                                                          keep)
+    np.testing.assert_allclose(terms, want_terms, rtol=1e-12)
+    np.testing.assert_allclose(d_pos, want_d_pos, rtol=1e-12)
+    np.testing.assert_allclose(c * e, want_c * want_e, rtol=1e-12)
+
+
+class _FiniteExpNumpy:
+    """numpy, save that ``exp`` refuses -inf input."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def exp(x, *args, **kwargs):
+        if np.isneginf(x).any():
+            raise AssertionError("a contrastive exp read -inf")
+        return np.exp(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+def test_no_contrastive_exp_reads_neg_inf(monkeypatch, tau):
+    # -inf stays in the repair rows handed to row_logsumexp (numeric's own
+    # numpy); every exp in hcl.losses reads finite input: the dense paths
+    # on sampled and full masks, the symmetric branch, the supervised
+    # engine with label and with indicator weights
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
+    monkeypatch.setattr(losses_mod, "np", _FiniteExpNumpy())
+    taken = symmetric_branch_calls(monkeypatch)
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(97)
+    for loss, drawn in _unsup_layouts(rng):
+        for b in (drawn, with_full_mask(drawn)):
+            assert math.isfinite(loss(b, tau)[0])
+    s, one_hot, multi = _sup_data(rng)
+    for y in (one_hot, one_hot[:, :1], multi):
+        assert math.isfinite(weighted_sup_loss(s, y, tau)[0])
+    # two full batches of one width; at tau = 1e-4 both fall back
+    assert taken == [tau == 0.5] * 2
+    assert (sum(repaired) > 0) == (tau == 1e-4)
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.5, 2.0])

@@ -91,8 +91,10 @@ def test_hamming_matches_counting_oracle():
         for i in range(5):
             for k in range(5):
                 h = ref_hamming(y[i], y[k])
-                # Identical rows give log gamma = -inf, i.e. weight 0.
-                assert np.exp(log_gamma[i, k]) == pytest.approx(h, rel=1e-12)
+                # Identical rows (h = 0) are never a negative pair, and
+                # their log gamma is log 1 = 0, so that no exp reads -inf.
+                assert np.exp(log_gamma[i, k]) == pytest.approx(max(h, 1),
+                                                                rel=1e-12)
                 assert np.exp(log_sigma[i, k]) == pytest.approx(
                     (c - h) / c, rel=1e-12)
 
@@ -108,7 +110,7 @@ def test_hamming_product_equals_broadcast_bitwise():
         ham = np.sum(y[:, None, :] != y[None, :, :], axis=2).astype(np.float64)
         with np.errstate(divide="ignore"):
             want = (np.log(np.maximum((c - ham) / c, 0.0)),
-                    np.log(np.maximum(ham, 0.0)))
+                    np.log(np.maximum(ham, 1.0)))
         for got, ref in zip(_label_log_weights(y, ...), want):
             assert got.tobytes() == ref.tobytes()
 
