@@ -283,25 +283,30 @@ def _fit_r2(x, y, degree: int):
     return [float(c) for c in coeffs], r2
 
 
+def _timed_run(merged: dict[str, str], extra: dict[str, str],
+               sub: Dataset, reps: int = 3) -> float:
+    """Best-of-``reps`` wall clock for one training variant."""
+    variant = resolve_config(merged, extra)
+    return min(run_training(variant, 0, sub).wall_seconds
+               for _ in range(reps))
+
+
 def cmd_perf_sweep(pairs: dict[str, str],
                    overrides: dict[str, str] | None = None) -> dict:
     # each timed variant sets its own n_labeled
     cfg = resolve_config(pairs, overrides, splits=False)
     need = max(max(cfg.perf_train_sizes), max(cfg.perf_neg_sizes) + 2)
-
-    def check_rows(rows: int) -> None:
-        if rows < need:
-            raise ConfigError(
-                f"config field 'n_samples': the sweep needs at least {need} "
-                f"rows, the dataset has {rows}"
-            )
-
     # a synthetic family's row count is known now, a manifest's once read
-    if cfg.synthetic:
-        check_rows(cfg.n_samples)
+    base = None if cfg.synthetic else build_dataset(cfg)
+    have = cfg.n_samples if base is None else base.n
+    if have < need:
+        raise ConfigError(
+            f"config field 'n_samples': the sweep needs at least {need} "
+            f"rows, the dataset has {have}"
+        )
     out = _ensure_out(cfg)
-    base = build_dataset(cfg)
-    check_rows(base.n)
+    if base is None:
+        base = build_dataset(cfg)
     merged = dict(pairs)
     if overrides:
         merged.update(overrides)
@@ -320,21 +325,13 @@ def cmd_perf_sweep(pairs: dict[str, str],
         "epochs": str(cfg.perf_epochs * 10),
     }) for k in cfg.perf_neg_sizes]
 
-    # a variant's time is its best wall clock over three rounds, each of
-    # which trains every variant once: a slow stretch of a shared host then
-    # costs one round, not all three repetitions of one size
-    best = [float("inf")] * len(variants)
-    for _ in range(3):
-        for k, (sweep, size, sub, extra) in enumerate(variants):
-            try:
-                variant = resolve_config(merged, {**common, **extra})
-                seconds = run_training(variant, 0, sub).wall_seconds
-            except HclError as err:
-                raise _failed(f"perf {sweep} {size}", err) from err
-            best[k] = min(best[k], seconds)
-    rows = [(sweep, size, seconds)
-            for (sweep, size, _, _), seconds in zip(variants, best)]
-    for sweep, size, seconds in rows:
+    rows = []
+    for sweep, size, sub, extra in variants:
+        try:
+            seconds = _timed_run(merged, {**common, **extra}, sub)
+        except HclError as err:
+            raise _failed(f"perf {sweep} {size}", err) from err
+        rows.append((sweep, size, seconds))
         print(f"perf {sweep} {size}: {seconds:.4f}s")
 
     atomic_write_text(os.path.join(out, "perf.csv"),

@@ -286,11 +286,11 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
     ``(rows, cols)`` of the few entries it drops. The block is exponentiated
     once, in place, with no row-max pass and no -inf; the dropped entries
     are zeroed after it, by a 0/1 product with the mask or, cheaper on a
-    full complement, by writing the pairs. A row whose sum is not in [``_SUM_FLOOR``, inf) (all its logits
-    far below the bound, or one rounded far past it, which a product with
-    a dropped overflow turns into NaN) is read from a fresh ``block()``
-    with -inf at its dropped entries and redone with its own max
-    (``row_logsumexp``).
+    full complement, by writing the pairs. A row whose sum is not in
+    [``_SUM_FLOOR``, inf) (all its logits far below the bound, or one
+    rounded far past it, which a product with a dropped overflow turns
+    into NaN) is read from a fresh ``block()`` with -inf at its dropped
+    entries and redone with its own max (``row_logsumexp``).
 
     Returns ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are
     ``d_pos`` in ``pos`` and ``c * e`` in the negative logits, where ``e``
@@ -410,12 +410,8 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     if symmetric and full and n >= _SYM_BAND_ROWS:
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
-        # a full complement drops each row's self and partner entries only
-        rows = np.arange(2 * n)
-        keep = (np.tile(rows, 2), np.concatenate([rows, partner])) if full \
-            else np.tile(batch.neg_mask, (2, 2))
         terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
-                                       bound, keep)
+                                       bound, np.tile(batch.neg_mask, (2, 2)))
         out = terms, d_pos, c * (e @ zh) + e.T @ (c * zh)
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
@@ -440,9 +436,10 @@ def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
     diagonal square and every tile right of it. Each band is one product,
     exponentiated in place; row r's sum adds its band's row sum to the
     column sums of the earlier bands. Only the self and partner entries are
-    dropped, zeroed after the band's exp. Returns ``(terms, d_pos, d_neg)``, with d_neg = c * (e @ zh) +
-    e.T @ (c * zh) as the dense path forms it, here by one product per band
-    side: ``E_IJ @ Y_J`` and ``E_IJ.T @ Y_I`` with Y = [zh | c * zh].
+    dropped, zeroed after the band's exp. Returns ``(terms, d_pos,
+    d_neg)``, with d_neg = c * (e @ zh) + e.T @ (c * zh) as the dense path
+    forms it, here by one product per band side: ``E_IJ @ Y_J`` and
+    ``E_IJ.T @ Y_I`` with Y = [zh | c * zh].
 
     Returns None when a row's shifted sum is outside [``_SUM_FLOOR``, inf):
     a stored entry serves two rows, so it cannot take a row's own shift, and

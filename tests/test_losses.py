@@ -989,9 +989,9 @@ def _old_formulation(monkeypatch, loss, b, tau):
 @pytest.mark.parametrize("tau", [1e-4, 0.5, 2.0])
 @pytest.mark.parametrize("n", [7, 130])
 def test_finite_exp_kernels_equal_old_formulation_bitwise(monkeypatch, tau, n):
-    # zeroing the dropped entries after a finite exp (a 0/1 product with a
-    # sampled mask, a write of the pairs on a full complement, the
-    # symmetric branch's self and partner entries) gives the bits of
+    # zeroing the dropped entries after a finite exp (a 0/1 product with
+    # the mask, a write of the diagonal on a full single-view complement,
+    # the symmetric branch's self and partner entries) gives the bits of
     # exponentiating -inf there; at n = 130 a full two-view batch of one
     # width takes the symmetric branch, and at tau = 1e-4 rows are repaired
     repaired = _repaired_rows(monkeypatch)
