@@ -425,6 +425,13 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     (``np.argpartition``) mark that anchor's negatives. Each row is then a
     uniform k-subset of the other anchors. When k = na - 1 the complement is
     forced and no random number is drawn.
+
+    The plan reads only ``rng``, ``ds.n``, ``ds.labeled_mask``,
+    ``batch_size`` and ``neg_size``, never features or labels, so the same
+    rng state on datasets with equal rows and labeled mask draws equal
+    plans; ``train.PlanMemo`` replays streams on that contract. A memo keeps
+    steps x na^2 bytes of masks per stream of sampled negative sets and none
+    per plan for full complements.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")

@@ -315,9 +315,15 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
         lse_neg = bound + np.log(rowsum)
     redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
     if redo.size:
-        own = block()
-        own[keep if pairs else ~keep] = _NEG_INF
-        own = own[redo]
+        # the rows of the full product: left[redo] @ right.T can differ from
+        # them in the last bits
+        own = block()[redo]
+        if pairs:
+            rows, cols = keep
+            at = np.isin(rows, redo)
+            own[np.searchsorted(redo, rows[at]), cols[at]] = _NEG_INF
+        else:
+            own[~keep[redo]] = _NEG_INF
         lse_own, rowsum[redo] = row_logsumexp(own)
         neg[redo] = own
         lse_neg[redo] = bound + lse_own

@@ -5,6 +5,18 @@ whose consumption order is fixed: labeled/unlabeled split, view
 construction, the single-view similarity projection, parameter init, then
 the per-iteration batch stream.
 
+The batch stream reads nothing of the data but its row count and labeled
+mask: ``sample_batch`` draws from the rng, ``ds.n``, ``ds.labeled_mask``,
+``batch_size`` and ``neg_size`` alone. So two runs whose rng stands in the
+same state after the setup draws, on datasets of the same rows and labeled
+mask, draw the same plans whatever their features, labels and method. A
+``PlanMemo`` keys each stream on exactly that input and the step count, draws
+it once and replays it to every later run with the same key; the noise sweep
+passes one to all its cells. A memo keeps steps x na^2 mask bytes per stream
+of sampled negative sets (na anchors a batch) and none per plan for full
+complements, which share one read-only mask per anchor count. Without a memo,
+plans are drawn one per step and dropped after it.
+
 ``train_step`` is the one optimizer step: encode the batch's views, take
 the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
 ``model_backward`` and update with ``lars_step``. ``run_training`` steps
@@ -25,6 +37,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import (
+    BatchPlan,
     Dataset,
     load_manifest,
     make_cluster_dataset,
@@ -143,10 +156,51 @@ def _score(cfg: RunConfig, params, ds: Dataset) -> EvalReport:
                     multiclass=cfg.multiclass)
 
 
-def run_training(cfg: RunConfig, seed: int,
-                 base: Dataset | None = None) -> TrainResult:
+class PlanMemo:
+    """The batch streams of a sweep, each drawn once and replayed.
+
+    A stream is keyed on the exact input of the sampler: the rng's
+    ``bit_generator.state`` before the first draw, ``ds.n``, the labeled
+    mask's bytes, ``batch_size``, ``neg_size`` and the step count. Plans
+    handed out are read-only, since every run with the key shares them; a
+    full-complement plan holds the memo's one mask for its anchor count.
+    """
+
+    def __init__(self) -> None:
+        # key -> (the stream's plans, the rng state after drawing them)
+        self._streams: dict[tuple, tuple[list[BatchPlan], dict]] = {}
+        self._full: dict[int, np.ndarray] = {}
+
+    def stream(self, ds: Dataset, batch_size: int, neg_size, steps: int,
+               rng: Rng) -> list[BatchPlan]:
+        """The ``steps`` plans ``sample_batch`` would draw from ``rng`` in
+        turn, with ``rng`` left where drawing them leaves it."""
+        key = (repr(rng.bit_generator.state), ds.n, ds.labeled_mask.tobytes(),
+               batch_size, neg_size, steps)
+        if key not in self._streams:
+            plans = [self._shared(sample_batch(ds, batch_size, neg_size, rng))
+                     for _ in range(steps)]
+            self._streams[key] = plans, rng.bit_generator.state
+        plans, end = self._streams[key]
+        rng.bit_generator.state = end
+        return plans
+
+    def _shared(self, plan: BatchPlan) -> BatchPlan:
+        na = plan.anchors.size
+        if np.count_nonzero(plan.neg_mask) == na * (na - 1):
+            mask = self._full.setdefault(na, plan.neg_mask)
+            plan = replace(plan, neg_mask=mask)
+        for array in (plan.anchors, plan.labeled, plan.neg_mask):
+            array.flags.writeable = False
+        return plan
+
+
+def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
+                 memo: PlanMemo | None = None) -> TrainResult:
     """Train one model for one seed; returns parameters, the per-epoch loss
-    trace, and the transductive evaluation on the unlabeled rows."""
+    trace, and the transductive evaluation on the unlabeled rows. With a
+    ``memo`` the batch stream is replayed from it when an earlier run drew
+    the same one."""
     t0 = time.perf_counter()
     ds, rng = _run_split(cfg, seed, base)
 
@@ -168,12 +222,18 @@ def run_training(cfg: RunConfig, seed: int,
 
     n_labeled = int(ds.labeled_mask.sum())
     iterations = max(1, math.ceil(n_labeled / cfg.batch_size))
+    steps = cfg.epochs * iterations
+    if memo is None:
+        plans = (sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
+                 for _ in range(steps))
+    else:
+        plans = iter(memo.stream(ds, cfg.batch_size, cfg.neg_size, steps, rng))
 
     trace: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for _ in range(iterations):
-            plan = sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
+            plan = next(plans)
             try:
                 sums += train_step(
                     params, state, ds, plan.anchors, weights, cfg.temperature,

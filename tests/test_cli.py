@@ -22,6 +22,7 @@ from hcl.cli import (
     main,
 )
 from hcl.config import resolve_config
+from hcl.data import sample_batch
 from hcl.errors import ConfigError, ContractError, NumericError
 from hcl.model import init_params, save_checkpoint
 from hcl.numeric import make_rng, pin_blas_threads
@@ -405,16 +406,60 @@ def test_cmd_noise_sweep_deterministic(tmp_path):
     assert cmd_noise_sweep(pairs) == cmd_noise_sweep(pairs)
 
 
+def test_cmd_noise_sweep_draws_each_batch_stream_once(tmp_path,
+                                                      monkeypatch):
+    # the cells of one seed and view mode draw one stream at every level and
+    # for every method: 2 seeds x 2 view modes = 4 streams of 3 x 2 steps
+    draws = []
+
+    def count_draws(*args):
+        draws.append(args)
+        return sample_batch(*args)
+
+    cells, handed_out = [], []
+    real_run, real_step = cli_mod.run_training, train_mod.train_step
+
+    def run_cell(cfg, seed, base, memo):
+        cells.append((cfg, seed, base, real_run(cfg, seed, base, memo)))
+        return cells[-1][-1]
+
+    def keep_inputs(params, state, ds, rows, *args, **inputs):
+        handed_out.append((rows, inputs["neg_mask"]))
+        return real_step(params, state, ds, rows, *args, **inputs)
+
+    monkeypatch.setattr(train_mod, "sample_batch", count_draws)
+    monkeypatch.setattr(train_mod, "train_step", keep_inputs)
+    monkeypatch.setattr(cli_mod, "run_training", run_cell)
+    pairs = small_pairs(tmp_path, sub="n6", epochs=3, batch_size=8,
+                        noise_levels="0,1", methods="hcl-u@single-view,"
+                        "hcl-u@two-view,hcl-s@two-view")
+    text = cmd_noise_sweep(pairs)
+    assert len(cells) == 12 and len(draws) == 4 * 3 * 2
+    for rows, neg_mask in handed_out:
+        for array in (rows, neg_mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+    # each cell equals the same cell run alone, drawing its own stream
+    monkeypatch.undo()
+    rows = list(csv.DictReader(text.splitlines()))
+    for row, (cfg, seed, base, shared) in zip(rows, cells, strict=True):
+        alone = cli_mod.run_training(cfg, seed, base)
+        assert (repr(alone.report.f1), repr(alone.report.auc)) \
+            == (repr(shared.report.f1), repr(shared.report.auc))
+        assert (row["f1"], row["auc"]) == (repr(alone.report.f1),
+                                           repr(alone.report.auc))
+
+
 def test_cmd_noise_sweep_keeps_finished_cells_when_a_cell_fails(
         tmp_path, monkeypatch, capsys):
     real = cli_mod.run_training
     calls = []
 
-    def fail_on_last_cell(cfg, seed, base):
+    def fail_on_last_cell(cfg, seed, base, memo):
         calls.append(seed)
         if len(calls) == 8:  # level 1, hcl-u@two-view, seed 1
             raise NumericError("loss diverged")
-        return real(cfg, seed, base)
+        return real(cfg, seed, base, memo)
 
     monkeypatch.setattr(cli_mod, "run_training", fail_on_last_cell)
     pairs = small_pairs(tmp_path, sub="n4", epochs=2, seeds="0,1",
@@ -464,6 +509,29 @@ def test_cmd_perf_sweep_outputs(tmp_path):
     assert len(rows) == 6
     saved = json.loads((tmp_path / "p" / "perf_fits.json").read_text())
     assert saved["train_size"]["r_squared"] == fits["train_size"]["r_squared"]
+
+
+def test_cmd_perf_sweep_times_variants_in_interleaved_rounds(tmp_path,
+                                                             monkeypatch):
+    # three rounds, each training every variant once; a variant's time is
+    # its best of the three
+    real = cli_mod.run_training
+    calls = []
+
+    def timed(cfg, seed, base):
+        result = real(cfg, seed, base)
+        calls.append(((base.n, cfg.n_labeled, cfg.neg_size),
+                      result.wall_seconds))
+        return result
+
+    monkeypatch.setattr(cli_mod, "run_training", timed)
+    cmd_perf_sweep(perf_pairs(tmp_path))
+    order = [key for key, _ in calls]
+    assert len(set(order[:6])) == 6 and order == order[:6] * 3
+    rows = list(csv.DictReader(
+        (tmp_path / "p" / "perf.csv").read_text().splitlines()))
+    assert [float(r["seconds"]) for r in rows] == [
+        min(t for key, t in calls if key == variant) for variant in order[:6]]
 
 
 def test_cmd_perf_sweep_names_a_failed_variant(tmp_path, monkeypatch,

@@ -440,6 +440,25 @@ def test_sample_batch_full_single_batch_draws_nothing():
     assert np.array_equal(again.neg_mask, plan.neg_mask)
 
 
+@pytest.mark.parametrize("batch_size,neg_size", [
+    (4, 12), (4, 2), (12, 6), (5, "full"), (40, "full")])
+def test_sample_batch_reads_only_rows_labeled_mask_and_sizes(batch_size,
+                                                            neg_size):
+    # the contract a batch-stream memo keys on: two datasets that differ in
+    # their views (count, width, values) and labels but share the row count
+    # and labeled mask draw equal plans and leave the rng in one state
+    labeled = split(toy_dataset(n=30), 10, make_rng(36)).labeled_mask
+    one = toy_dataset(n=30, d=3, c=2, seed=1, labeled=labeled)
+    two = toy_dataset(n=30, d=5, c=4, seed=2, two_view=True, labeled=labeled)
+    rng_one, rng_two = make_rng(37), make_rng(37)
+    for _ in range(3):
+        a = sample_batch(one, batch_size, neg_size, rng_one)
+        b = sample_batch(two, batch_size, neg_size, rng_two)
+        for field in ("anchors", "labeled", "neg_mask"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert rng_one.bit_generator.state == rng_two.bit_generator.state
+
+
 def test_sample_batch_reproducible():
     ds = split(toy_dataset(n=30), 10, make_rng(36))
     a = sample_batch(ds, 4, 12, make_rng(37))

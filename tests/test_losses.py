@@ -1056,6 +1056,37 @@ def test_info_nce_redoes_a_row_whose_dropped_entry_overflows(monkeypatch):
     np.testing.assert_allclose(c * e, want_c * want_e, rtol=1e-12)
 
 
+@pytest.mark.parametrize("form", ["mask", "pairs"])
+def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
+        monkeypatch, form):
+    # rows 1 and 4 sit far below the bound, so their shared-shift sums
+    # underflow and only they are redone: the fresh block is indexed by
+    # them before -inf goes in, and the block itself is never written
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(103)
+    n = 6
+    pos = rng.uniform(-1.0, 1.0, (n, 2))
+    neg = rng.uniform(-3.0, 0.0, (n, n))
+    neg[[1, 4]] -= 1000.0
+    rows = np.r_[np.arange(n), 2, 4]
+    cols = np.r_[np.arange(n), 5, 0]
+    keep = np.ones((n, n), dtype=bool)
+    keep[rows, cols] = False
+    builds = []
+
+    def block():
+        builds.append(neg.copy())
+        return builds[-1]
+
+    got = _info_nce(pos, block, 0.0, keep if form == "mask" else (rows, cols))
+    assert repaired == [2]
+    assert len(builds) == 2 and np.array_equal(builds[1], neg)
+    want = old_info_nce(pos, neg.copy, 0.0, keep)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+    assert not got[2][~keep].any()
+
+
 class _FiniteExpNumpy:
     """numpy, save that ``exp`` refuses -inf input."""
 

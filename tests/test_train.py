@@ -8,7 +8,7 @@ import pytest
 
 import hcl.train as train_mod
 from hcl.config import resolve_config
-from hcl.data import Dataset, inject_noise
+from hcl.data import Dataset, inject_noise, sample_batch, split
 from hcl.errors import ConfigError, ContractError, DegenerateBatchError
 from hcl.losses import (
     ContrastiveBatch,
@@ -22,6 +22,7 @@ from hcl.model import classify, encode, named_parameters
 from hcl.numeric import make_rng
 from hcl.optimizer import OptimizerState
 from hcl.train import (
+    PlanMemo,
     RunRecord,
     build_dataset,
     check_dataset,
@@ -110,6 +111,93 @@ def test_different_seeds_differ():
     a = run_training(small_cfg(), 0)
     b = run_training(small_cfg(), 1)
     assert trace_rows(a) != trace_rows(b)
+
+
+# ---------------------------------------------------------------------------
+# Batch-stream memo
+
+
+def memo_dataset(n_labeled=10):
+    return split(build_dataset(small_cfg()), n_labeled, make_rng(50))
+
+
+def count_draws(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample_batch(*args)
+
+    monkeypatch.setattr(train_mod, "sample_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("neg_size", [8, "full"])
+def test_plan_memo_replays_a_stream_it_drew(monkeypatch, neg_size):
+    ds = memo_dataset()
+    calls = count_draws(monkeypatch)
+    memo, drawn = PlanMemo(), make_rng(51)
+    direct = [sample_batch(ds, 4, neg_size, drawn) for _ in range(5)]
+    first, again = make_rng(51), make_rng(51)
+    plans = memo.stream(ds, 4, neg_size, 5, first)
+    assert memo.stream(ds, 4, neg_size, 5, again) is plans
+    assert len(calls) == 5
+    for plan, want in zip(plans, direct, strict=True):
+        for field in ("anchors", "labeled", "neg_mask"):
+            assert np.array_equal(getattr(plan, field), getattr(want, field))
+    # a replay leaves the rng where drawing the stream leaves it
+    assert first.bit_generator.state == drawn.bit_generator.state
+    assert again.bit_generator.state == drawn.bit_generator.state
+
+
+def test_plan_memo_keys_on_every_input_of_the_sampler(monkeypatch):
+    ds = memo_dataset()
+    calls = count_draws(monkeypatch)
+    memo = PlanMemo()
+    memo.stream(ds, 4, 8, 3, make_rng(52))
+    other_mask = memo_dataset(n_labeled=11)
+    other_rows = replace(ds, views=[ds.views[0][:-1]], labels=ds.labels[:-1],
+                         labeled_mask=ds.labeled_mask[:-1])
+    rng = make_rng(52)
+    rng.random()
+    for args in [(ds, 4, 8, 3, make_rng(53)), (ds, 4, 8, 3, rng),
+                 (other_mask, 4, 8, 3, make_rng(52)),
+                 (other_rows, 4, 8, 3, make_rng(52)),
+                 (ds, 5, 8, 3, make_rng(52)), (ds, 4, 7, 3, make_rng(52)),
+                 (ds, 4, 8, 4, make_rng(52))]:
+        before = len(calls)
+        memo.stream(*args)
+        assert len(calls) == before + args[3]
+    # features and labels are not read: a relabelled copy replays
+    relabelled = replace(ds, views=[-ds.views[0]], labels=1.0 - ds.labels)
+    before = len(calls)
+    memo.stream(relabelled, 4, 8, 3, make_rng(52))
+    assert len(calls) == before
+
+
+@pytest.mark.parametrize("neg_size", [8, "full"])
+def test_plan_memo_hands_out_read_only_plans(neg_size):
+    plans = PlanMemo().stream(memo_dataset(), 4, neg_size, 3, make_rng(54))
+    for plan in plans:
+        for array in (plan.anchors, plan.labeled, plan.neg_mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+    if neg_size == "full":
+        # full complements share one mask; no plan keeps an n x n of its own
+        assert all(plan.neg_mask is plans[0].neg_mask for plan in plans)
+
+
+def test_run_training_with_a_memo_equals_drawing(monkeypatch):
+    cfg = small_cfg(batch_size=8)
+    memo = PlanMemo()
+    calls = count_draws(monkeypatch)
+    plain = run_training(cfg, 3)
+    steps = len(calls)
+    assert steps == cfg.epochs * 2
+    once = run_training(cfg, 3, memo=memo)
+    replayed = run_training(cfg, 3, memo=memo)
+    assert len(calls) == 2 * steps
+    assert run_bytes(once) == run_bytes(plain) == run_bytes(replayed)
 
 
 # ---------------------------------------------------------------------------
