@@ -82,7 +82,7 @@ class BatchPlan:
 
     ``neg_mask`` is (n_anchors, n_anchors): entry [i, j] marks anchor
     position j as a negative of anchor position i. ``sample_batch``, the
-    only builder, makes every plan valid by construction: anchors unique
+    only sampler, makes every plan valid by construction: anchors unique
     and sorted, labeled rows among them, no anchor its own negative and
     every anchor with at least one. The plan is not checked again here;
     ``losses.ContrastiveBatch`` checks the mask the losses receive.

@@ -62,10 +62,10 @@ logits the engine keeps.
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
 batch alone: negative sets that are the full complement
-(``count_nonzero(neg_mask) == n(n - 1)``), an operand pair whose product
-is symmetric (no raw features, or both views' of one width) and at least
-two bands of ``_SYM_BAND_ROWS`` rows over the 2n anchors. The shifted
-block, its mask and its partner map are then symmetric, so each logit pair
+(``_is_full_complement``), an operand pair whose product is symmetric (no
+raw features, or both views' of one width) and at least two bands of
+``_SYM_BAND_ROWS`` rows over the 2n anchors. The shifted block, its mask
+and its partner map are then symmetric, so each logit pair
 is computed and exponentiated once, in row bands, and each row sum gathers
 row and column sums. Its repair is all or nothing: a stored entry serves
 two rows and cannot take one row's own shift, so when any row's sum lies
@@ -208,6 +208,14 @@ def full_negatives(n: int) -> np.ndarray:
     return ~np.eye(n, dtype=bool)
 
 
+def _is_full_complement(mask: np.ndarray) -> bool:
+    """Whether boolean ``mask`` is ``full_negatives(n)``: square, clear on
+    its diagonal and set everywhere else."""
+    n = len(mask)
+    return bool(mask.shape == (n, n) and not mask.diagonal().any()
+                and np.count_nonzero(mask) == n * (n - 1))
+
+
 def cross_entropy(y_hat: Matrix, y: Matrix) -> tuple[float, Matrix]:
     """Mean elementwise binary cross-entropy and its gradient in ``y_hat``.
 
@@ -271,7 +279,7 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
 
 
 def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
-              keep: np.ndarray | tuple) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+              keep: np.ndarray) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients in the logits.
 
     Row i scores each of its positive logits ``pos[i, j]`` against its
@@ -281,16 +289,15 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
 
     Weights arrive as log-weights already added to the logits. ``block()``
     builds L - ``bound`` at every entry, the dropped ones too, shifted by a
-    known upper bound on every logit. ``keep`` is a boolean mask of the
-    negatives, or, when they are the full complement, the index pair
-    ``(rows, cols)`` of the few entries it drops. The block is exponentiated
-    once, in place, with no row-max pass and no -inf; the dropped entries
-    are zeroed after it, by a 0/1 product with the mask or, cheaper on a
-    full complement, by writing the pairs. A row whose sum is not in
-    [``_SUM_FLOOR``, inf) (all its logits far below the bound, or one
-    rounded far past it, which a product with a dropped overflow turns
-    into NaN) is read from a fresh ``block()`` with -inf at its dropped
-    entries and redone with its own max (``row_logsumexp``).
+    known upper bound on every logit. ``keep`` is the boolean mask of the
+    negatives. The block is exponentiated once, in place, with no row-max
+    pass and no -inf; the dropped entries are zeroed after it, by a 0/1
+    product with the mask or, cheaper when the mask is the full complement
+    (``_is_full_complement``), by one strided write of the diagonal. A row
+    whose sum is not in [``_SUM_FLOOR``, inf) (all its logits far below the
+    bound, or one rounded far past it, which a product with a dropped
+    overflow turns into NaN) is read from a fresh ``block()`` with -inf at
+    its dropped entries and redone with its own max (``row_logsumexp``).
 
     Returns ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are
     ``d_pos`` in ``pos`` and ``c * e`` in the negative logits, where ``e``
@@ -302,13 +309,12 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
     of ``e``. Results overflow only as the exact terms do, when 1/tau nears
     the largest float.
     """
-    pairs = isinstance(keep, tuple)
     neg = block()
     # a row that overflows, meets inf * 0 = NaN or sums to 0 is redone below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.exp(neg, out=neg)
-        if pairs:
-            neg[keep] = 0.0
+        if _is_full_complement(keep):
+            np.fill_diagonal(neg, 0.0)
         else:
             np.multiply(neg, keep, out=neg)
         rowsum = np.sum(neg, axis=1, keepdims=True)
@@ -318,12 +324,7 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
         # the rows of the full product: left[redo] @ right.T can differ from
         # them in the last bits
         own = block()[redo]
-        if pairs:
-            rows, cols = keep
-            at = np.isin(rows, redo)
-            own[np.searchsorted(redo, rows[at]), cols[at]] = _NEG_INF
-        else:
-            own[~keep[redo]] = _NEG_INF
+        own[~keep[redo]] = _NEG_INF
         lse_own, rowsum[redo] = row_logsumexp(own)
         neg[redo] = own
         lse_neg[redo] = bound + lse_own
@@ -360,13 +361,8 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
     left, right, bound = _logit_operands(xh, zh, tau, x1h, x1h)
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
-
-    keep = batch.neg_mask
-    if np.count_nonzero(keep) == n * (n - 1):
-        # a full complement drops only the diagonal: write it, skip the product
-        keep = (np.arange(n),) * 2
     terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
-                                   bound, keep)
+                                   bound, batch.neg_mask)
     # d_logits = c * e with d_pos on the diagonal, where e is 0 (dropped)
     d_zh = e.T @ (c * xh) + d_pos * xh
     return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
@@ -409,11 +405,9 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     left, right, bound = _logit_operands(zh, zh, tau, xa, xb)
     symmetric = xa is xb  # left @ right.T is symmetric, save the proxy's
 
-    # every off-diagonal entry (ContrastiveBatch rules out the diagonal):
-    # the full complement, whose block, mask and partner map are symmetric
-    full = np.count_nonzero(batch.neg_mask) == n * (n - 1)
+    # on the full complement the block, mask and partner map are symmetric
     out = None
-    if symmetric and full and n >= _SYM_BAND_ROWS:
+    if symmetric and n >= _SYM_BAND_ROWS and _is_full_complement(batch.neg_mask):
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
         terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),

@@ -52,6 +52,7 @@ from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
+    _is_full_complement,
     _is_one_hot,
     cross_entropy,
     total_loss,
@@ -186,9 +187,8 @@ class PlanMemo:
         return plans
 
     def _shared(self, plan: BatchPlan) -> BatchPlan:
-        na = plan.anchors.size
-        if np.count_nonzero(plan.neg_mask) == na * (na - 1):
-            mask = self._full.setdefault(na, plan.neg_mask)
+        if _is_full_complement(plan.neg_mask):
+            mask = self._full.setdefault(plan.anchors.size, plan.neg_mask)
             plan = replace(plan, neg_mask=mask)
         for array in (plan.anchors, plan.labeled, plan.neg_mask):
             array.flags.writeable = False

@@ -7,10 +7,11 @@ numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
 on fixed tiny configs: a two-view train followed by ``eval``, the same
 train once with weight decay 0.01 and once at temperature 1e-4, a two-view
 full-complement train at temperature 0.5 and at 1e-4, a two-view train on a
-manifest whose views have different widths (8 and 5 columns), a
-single-view train with sampled negatives at temperature 1e-4, a
-single-view full-plan train, a noise sweep and both bound checks. Prints
-one ``sha256  relative/path`` line per CSV and JSON output, sorted by path.
+manifest whose views have different widths (8 and 5 columns), single-view
+trains with sampled negatives and with the full complement, both at
+temperature 1e-4, a single-view full-plan train, a noise sweep and both
+bound checks. Prints one ``sha256  relative/path`` line per CSV and JSON
+output, sorted by path.
 
 Every JSON output is first parsed strictly: a NaN or Infinity token stops
 the script, naming the file. Run records are digested after their ``out_dir`` and ``manifest`` are
@@ -70,6 +71,11 @@ CASES = {
     # kernel's dropped entries meet underflowing rows and their repair
     "single-view-sharp": ("train", dict(TWO_VIEW, mode="single-view",
                                         temperature="0.0001")),
+    # one view, the full complement at the same sharpness: the single-view
+    # kernel's diagonal write, then rows repaired under it
+    "single-view-full-sharp": ("train", dict(TWO_VIEW, mode="single-view",
+                                             neg_size="full",
+                                             temperature="0.0001")),
     "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",
                                 n_classes="4", method="hcl", seeds="3",
                                 batch_size="64", neg_size="full")),

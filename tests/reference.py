@@ -354,11 +354,7 @@ def old_info_nce(pos, block, bound, keep):
     over the whole block, and every row outside [floor, inf) redone from
     that masked block with its own max."""
     neg = block()
-    if isinstance(keep, tuple):
-        drop = np.zeros(neg.shape, dtype=bool)
-        drop[keep] = True
-    else:
-        drop = ~keep
+    drop = ~keep
     neg[drop] = -np.inf
     with np.errstate(over="ignore", divide="ignore"):
         np.exp(neg, out=neg)

@@ -731,11 +731,6 @@ def test_info_nce_invariants_sweep():
         bound = scale + 3.0
         terms, d_pos, e, c = _info_nce(pos, lambda: neg - bound, bound,
                                        ~dropped)
-        # the dropped entries as an index pair: the same bits
-        by_pairs = _info_nce(pos, lambda: neg - bound, bound,
-                             np.nonzero(dropped))
-        for a, b in zip((terms, d_pos, e, c), by_pairs):
-            assert np.array_equal(a, b)
         assert not e[dropped].any()  # exact zeros after the exp
         d_neg = c * e
         for a in (terms, d_pos, d_neg):
@@ -814,17 +809,12 @@ def test_folded_kernels_gradient(tau):
 
 def _kernel_logits(monkeypatch, loss, batch, tau):
     """The (pos, neg, keep) ``loss`` hands to ``_info_nce``: its logits, with
-    the bound it shifted the negatives by added back, and the boolean mask
-    of the negatives its ``keep`` selects."""
+    the bound it shifted the negatives by added back, and its mask of the
+    negatives."""
     seen = []
 
     def spy(pos, block, bound, keep):
-        neg = block()
-        selected = keep
-        if isinstance(keep, tuple):  # the index pair of the dropped entries
-            selected = np.ones(neg.shape, dtype=bool)
-            selected[keep] = False
-        seen.append((pos.copy(), neg + bound, selected))
+        seen.append((pos.copy(), block() + bound, keep))
         return _info_nce(pos, block, bound, keep)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
@@ -1056,35 +1046,76 @@ def test_info_nce_redoes_a_row_whose_dropped_entry_overflows(monkeypatch):
     np.testing.assert_allclose(c * e, want_c * want_e, rtol=1e-12)
 
 
-@pytest.mark.parametrize("form", ["mask", "pairs"])
+@pytest.mark.parametrize("form", ["mask", "full"])
 def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
         monkeypatch, form):
     # rows 1 and 4 sit far below the bound, so their shared-shift sums
     # underflow and only they are redone: the fresh block is indexed by
-    # them before -inf goes in, and the block itself is never written
+    # them before -inf goes in, and the block itself is never written. The
+    # full complement takes the diagonal write before the repair.
     repaired = _repaired_rows(monkeypatch)
     rng = make_rng(103)
     n = 6
     pos = rng.uniform(-1.0, 1.0, (n, 2))
     neg = rng.uniform(-3.0, 0.0, (n, n))
     neg[[1, 4]] -= 1000.0
-    rows = np.r_[np.arange(n), 2, 4]
-    cols = np.r_[np.arange(n), 5, 0]
-    keep = np.ones((n, n), dtype=bool)
-    keep[rows, cols] = False
+    keep = full_negatives(n)
+    if form == "mask":
+        keep[[2, 4], [5, 0]] = False
     builds = []
 
     def block():
         builds.append(neg.copy())
         return builds[-1]
 
-    got = _info_nce(pos, block, 0.0, keep if form == "mask" else (rows, cols))
+    got = _info_nce(pos, block, 0.0, keep)
     assert repaired == [2]
     assert len(builds) == 2 and np.array_equal(builds[1], neg)
     want = old_info_nce(pos, neg.copy, 0.0, keep)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
     assert not got[2][~keep].any()
+
+
+def test_is_full_complement_truth_table():
+    # square, clear on the diagonal and n(n - 1) entries: a count alone
+    # would take a set diagonal with one entry dropped, and the tiled
+    # two-view mask is clear on its diagonal
+    for n in range(1, 6):
+        assert losses_mod._is_full_complement(full_negatives(n))
+        assert losses_mod._is_full_complement(~np.eye(n, dtype=bool))
+    n = 5
+    dropped = full_negatives(n)
+    dropped[1, 3] = False
+    assert not losses_mod._is_full_complement(dropped)
+    dropped[2, 2] = True
+    assert np.count_nonzero(dropped) == n * (n - 1)
+    assert not losses_mod._is_full_complement(dropped)
+    assert not losses_mod._is_full_complement(
+        np.tile(full_negatives(4), (2, 2)))
+    # clear on its diagonal with 3 * 2 entries, but not square
+    rect = full_negatives(4)[:3]
+    rect[:, 3] = False
+    assert not losses_mod._is_full_complement(rect)
+
+
+@pytest.mark.parametrize("n", [7, 130])
+@pytest.mark.parametrize("tau", [1e-4, 0.5, 2.0])
+def test_full_complement_diagonal_write_equals_mask_product(
+        monkeypatch, n, tau):
+    # the single-view kernel zeroes a full complement's diagonal by one
+    # strided write; the 0/1 product with the mask must give the same bits
+    rng = make_rng(107)
+    drawn = dataclasses.replace(single_view_batch(rng, n=n, project=True),
+                                neg_mask=~np.eye(n, dtype=bool))
+    for weighted in (True, False):
+        b = weighting(drawn, weighted)
+        value, grad = unsup_loss_single(b, tau)
+        with monkeypatch.context() as m:
+            m.setattr(losses_mod, "_is_full_complement", lambda mask: False)
+            want_value, want_grad = unsup_loss_single(b, tau)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
 
 
 class _FiniteExpNumpy:
