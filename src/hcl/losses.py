@@ -98,7 +98,14 @@ from functools import partial
 import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, NumericError, ShapeError
-from .numeric import ZERO_NORM_EPS, Matrix, as_matrix, gram, row_logsumexp, unit_rows
+from .numeric import (
+    Matrix,
+    _divide_rows,
+    _unit_rows_norms,
+    as_matrix,
+    gram,
+    row_logsumexp,
+)
 
 _NEG_INF = float("-inf")
 # A sum of under 2**48 exps this large has a normal float for its largest
@@ -179,6 +186,9 @@ class ContrastiveBatch:
             raise ContractError(f"x_sim serves the single-view loss, not a "
                                 f"batch of {len(self.zs)} views")
         n = as_matrix(self.zs[0], "zs[0]").shape[0]
+        if not n:
+            raise DegenerateBatchError("a batch needs at least one anchor, "
+                                       "got zs[0] with 0 rows")
         self.zs = [_rows(z, f"zs[{v}]", n) for v, z in enumerate(self.zs)]
         if self.xs is not None:
             self.xs = [_rows(x, f"xs[{v}]", n) for v, x in enumerate(self.xs)]
@@ -192,11 +202,12 @@ class ContrastiveBatch:
             raise ShapeError(
                 f"neg_mask must be {n}x{n}, got {self.neg_mask.shape}"
             )
-        if np.any(np.diag(self.neg_mask)):
+        if self.neg_mask.diagonal().any():
             raise ContractError("an anchor may not appear in its own negative set")
-        if not np.all(self.neg_mask.any(axis=1)):
-            empty = int(np.argmin(self.neg_mask.any(axis=1)))
-            raise DegenerateBatchError(f"anchor {empty} has an empty negative set")
+        filled = self.neg_mask.any(axis=1)
+        if not filled.all():
+            raise DegenerateBatchError(
+                f"anchor {int(np.argmin(filled))} has an empty negative set")
 
     @property
     def n(self) -> int:
@@ -210,9 +221,12 @@ def full_negatives(n: int) -> np.ndarray:
 
 def _is_full_complement(mask: np.ndarray) -> bool:
     """Whether boolean ``mask`` is ``full_negatives(n)``: square, clear on
-    its diagonal and set everywhere else."""
+    its diagonal and set everywhere else. The first row's count settles
+    most other masks (a two-view tiled one among them) before the whole
+    mask is counted."""
     n = len(mask)
     return bool(mask.shape == (n, n) and not mask.diagonal().any()
+                and (not n or np.count_nonzero(mask[0]) == n - 1)
                 and np.count_nonzero(mask) == n * (n - 1))
 
 
@@ -220,29 +234,38 @@ def cross_entropy(y_hat: Matrix, y: Matrix) -> tuple[float, Matrix]:
     """Mean elementwise binary cross-entropy and its gradient in ``y_hat``.
 
     Predictions are clamped to [1e-12, 1 - 1e-12] before the logs; the
-    gradient is zero where the clamp is active.
+    gradient is zero where the clamp is active. An empty pair has no mean
+    and is refused.
     """
     y_hat = as_matrix(y_hat, "y_hat")
     y = as_matrix(y, "y")
     if y_hat.shape != y.shape:
         raise ShapeError(f"y_hat {y_hat.shape} and y {y.shape} must match")
-    if np.any((y != 0.0) & (y != 1.0)):
+    if not y.size:
+        raise DegenerateBatchError(
+            f"cross-entropy of an empty batch: y_hat and y have shape {y.shape}")
+    if ((y != 0.0) & (y != 1.0)).any():
         raise ContractError("targets must be binary")
     lo, hi = 1e-12, 1.0 - 1e-12
-    p = np.clip(y_hat, lo, hi)
-    value = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
-    grad = (p - y) / (p * (1.0 - p)) / y.size
-    grad[(y_hat <= lo) | (y_hat >= hi)] = 0.0
+    p = np.minimum(np.maximum(y_hat, lo), hi)  # np.clip's result, unwrapped
+    t = y * np.log(p)
+    t += (1.0 - y) * np.log1p(-p)
+    value = -_mean(t)
+    grad = p - y
+    grad /= p * (1.0 - p)
+    grad /= y.size
+    clamped = (y_hat <= lo) | (y_hat >= hi)
+    if clamped.any():
+        grad[clamped] = 0.0
     return value, grad
 
 
-def _unnormalize_rows(d_unit: Matrix, raw: Matrix, unit: Matrix) -> Matrix:
-    """Back-propagate a gradient in the unit rows to the raw rows."""
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    inner = np.sum(d_unit * unit, axis=1, keepdims=True)
-    out = (d_unit - inner * unit) / np.where(norms < ZERO_NORM_EPS, 1.0, norms)
-    out[norms.ravel() < ZERO_NORM_EPS] = 0.0
-    return out
+def _unnormalize_rows(d_unit: Matrix, unit: Matrix, norms: Matrix) -> Matrix:
+    """Back-propagate a gradient in the unit rows ``unit`` to the raw rows,
+    whose (n, 1) norms ``_unit_rows_norms`` returned with them."""
+    inner = np.add.reduce(d_unit * unit, axis=1, keepdims=True)
+    out = d_unit - inner * unit
+    return _divide_rows(out, norms, out=out)
 
 
 def _logit_operands(uh: Matrix, vh: Matrix, tau: float,
@@ -258,16 +281,30 @@ def _logit_operands(uh: Matrix, vh: Matrix, tau: float,
     cos/tau - bound, from ``[uh/tau | 1] @ [vh | -bound].T`` with bound =
     1/tau. Nothing is clipped: rounding can put |cos| a few ulp past 1, and
     so a logit past ``bound``; ``_info_nce`` redoes any row whose shifted
-    sum overflows.
+    sum overflows. Each operand is written into one (rows, d + f + 1)
+    array, f the raw-feature width (0 without them).
     """
-    ones = np.ones((len(uh), 1))
+    d = uh.shape[1]
+    width = d + 1 + (0 if xa is None else xa.shape[1])
+    left, right = np.empty((len(uh), width)), np.empty((len(vh), width))
+    np.multiply(uh, 1.0 / tau, out=left[:, :d])
+    right[:, :d] = vh
+    left[:, -1] = 1.0
     if xa is None:
         bound = 1.0 / tau
-        return (np.hstack([uh * (1.0 / tau), ones]),
-                np.hstack([vh, np.full((len(vh), 1), -bound)]), bound)
-    bound = 1.0 / tau + 2.0
-    return (np.hstack([uh * (1.0 / tau), -xa, ones]),
-            np.hstack([vh, xb, np.full((len(xb), 1), 1.0 - bound)]), bound)
+        right[:, -1] = -bound
+    else:
+        bound = 1.0 / tau + 2.0
+        np.negative(xa, out=left[:, d:-1])
+        right[:, d:-1] = xb
+        right[:, -1] = 1.0 - bound
+    return left, right, bound
+
+
+def _mean(a: np.ndarray) -> float:
+    """``float(np.mean(a))`` of a float64 array, bit for bit: its sum over
+    every axis divided by the count, without ``np.mean``'s Python layers."""
+    return float(np.add.reduce(a, axis=None) / a.size)
 
 
 def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -317,7 +354,7 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
             np.fill_diagonal(neg, 0.0)
         else:
             np.multiply(neg, keep, out=neg)
-        rowsum = np.sum(neg, axis=1, keepdims=True)
+        rowsum = np.add.reduce(neg, axis=1, keepdims=True)
         lse_neg = bound + np.log(rowsum)
     redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
     if redo.size:
@@ -330,7 +367,7 @@ def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
         lse_neg[redo] = bound + lse_own
     terms, d_pos, q = _info_nce_terms(pos, lse_neg)
     # d_neg[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
-    c = np.sum(q, axis=1, keepdims=True) / rowsum
+    c = np.add.reduce(q, axis=1, keepdims=True) / rowsum
     return terms, d_pos, neg, c
 
 
@@ -356,8 +393,9 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
             f"{z.shape[1]}; pass x_sim with matching dimension"
         )
     n = batch.n
-    xh, zh = unit_rows(x), unit_rows(z)
-    x1h = None if batch.xs is None else unit_rows(batch.xs[0])
+    xh = _unit_rows_norms(x)[0]
+    zh, z_norms = _unit_rows_norms(z)
+    x1h = None if batch.xs is None else _unit_rows_norms(batch.xs[0])[0]
     left, right, bound = _logit_operands(xh, zh, tau, x1h, x1h)
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
@@ -365,7 +403,7 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
                                    bound, batch.neg_mask)
     # d_logits = c * e with d_pos on the diagonal, where e is 0 (dropped)
     d_zh = e.T @ (c * xh) + d_pos * xh
-    return float(np.mean(terms)), _unnormalize_rows(d_zh / (n * tau), z, zh)
+    return _mean(terms), _unnormalize_rows(d_zh / (n * tau), zh, z_norms)
 
 
 def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
@@ -385,21 +423,23 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     n = batch.n
     # NT-Xent layout: rows 0..n-1 anchor view 1, rows n..2n-1 view 2, and
     # row r's positive is its other-view partner (r + n) mod 2n.
-    z = np.vstack(batch.zs)
-    zh = unit_rows(z)
+    zh, z_norms = _unit_rows_norms(np.concatenate(batch.zs))
     partner = (np.arange(2 * n) + n) % (2 * n)
-    # the positive carries no weight; the block's partner entries do
-    pos = np.einsum("ij,ij->i", zh, zh[partner])[:, None] * (1.0 / tau)
+    # the positive carries no weight; the block's partner entries do. Rows
+    # r and partner[r] multiply the same pair of rows, so one dot per
+    # (view-1, view-2) pair serves both
+    half = np.einsum("ij,ij->i", zh[:n], zh[n:]) * (1.0 / tau)
+    pos = np.concatenate([half, half])[:, None]
     if batch.xs is None:
         xa = xb = None
     elif batch.xs[0].shape[1] == batch.xs[1].shape[1]:
-        xa = xb = unit_rows(np.vstack(batch.xs))
+        xa = xb = _unit_rows_norms(np.concatenate(batch.xs))[0]
     else:
         # same-view proxy: anchors of view a weigh both views of each
         # negative by view a's own dissimilarity, as one operand pair:
         # view-1 rows carry [x1h | 0], view-2 rows [0 | x2h], every column
         # [x1h | x2h], so the extra terms are exact zeros
-        x1h, x2h = map(unit_rows, batch.xs)
+        x1h, x2h = (_unit_rows_norms(x)[0] for x in batch.xs)
         xa = np.block([[x1h, np.zeros_like(x2h)], [np.zeros_like(x1h), x2h]])
         xb = np.tile(np.hstack([x1h, x2h]), (2, 1))
     left, right, bound = _logit_operands(zh, zh, tau, xa, xb)
@@ -410,8 +450,9 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     if symmetric and n >= _SYM_BAND_ROWS and _is_full_complement(batch.neg_mask):
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
+        keep = np.concatenate([batch.neg_mask] * 2, axis=1)  # the mask tiled 2 x 2
         terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
-                                       bound, np.tile(batch.neg_mask, (2, 2)))
+                                       bound, np.concatenate([keep, keep]))
         out = terms, d_pos, c * (e @ zh) + e.T @ (c * zh)
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
@@ -419,8 +460,8 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     # d_logits @ zh and, partner being an involution, d_pos[partner[r]] *
     # zh[partner[r]] to row r of d_logits.T @ zh.
     d_zh = d_neg + (d_pos + d_pos[partner]) * zh[partner]
-    d_z = _unnormalize_rows(d_zh, z, zh) * (1.0 / (2 * n * tau))
-    return float(np.mean(terms)), d_z[:n], d_z[n:]
+    d_z = _unnormalize_rows(d_zh, zh, z_norms) * (1.0 / (2 * n * tau))
+    return _mean(terms), d_z[:n], d_z[n:]
 
 
 def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
@@ -534,7 +575,7 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     pj = member[np.repeat(start, per) + step + (step >= place)]
 
     n, g = yv.shape
-    sh = unit_rows(s)
+    sh, s_norms = _unit_rows_norms(s)
     logits = np.clip(gram(sh), -1.0, 1.0) / tau
     pair = pi * n + pj
     pos = logits.ravel()[pair]
@@ -552,14 +593,18 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     np.exp(e, out=e)
     sums = e @ not_y
     sums[yv == 0.0] = 1.0  # sums no pair reads
-    # redo each sum the shared shift left outside [floor, inf) with its own shift
+    # redo each sum the shared shift left outside [floor, inf) with its own
+    # shift; at most temperatures there is none, and the repair is skipped
     fi, fa = np.nonzero(~((sums >= _SUM_FLOOR) & (sums < np.inf)) & (yv > 0.0))
-    own = logits[fi]
-    own[not_y[:, fa].T == 0.0] = _NEG_INF
-    lse_own, sums_own = row_logsumexp(own)
-    sums[fi, fa] = sums_own[:, 0]
+    repair = fi.size > 0
+    if repair:
+        own = logits[fi]
+        own[not_y[:, fa].T == 0.0] = _NEG_INF
+        lse_own, sums_own = row_logsumexp(own)
+        sums[fi, fa] = sums_own[:, 0]
     lse = bound + np.log(sums)
-    lse[fi, fa] = lse_own[:, 0]
+    if repair:
+        lse[fi, fa] = lse_own[:, 0]
     key = pi * g + pa
     terms, d_pos, q = _info_nce_terms(pos, lse.ravel()[key])
 
@@ -569,12 +614,15 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     # exp(neg[i, k] - t_p) = e[i, k] q_p / sums[i, a]: one rate per (anchor,
     # label), taken back to the negatives by one product through not_y
     r = np.bincount(key, weights=q, minlength=n * g).reshape(n, g) * (w / sums)
-    r_own = r[fi, fa]
-    r[fi, fa] = 0.0
+    if repair:
+        r_own = r[fi, fa]
+        r[fi, fa] = 0.0
     d = np.multiply(e, r @ not_y.T, out=e)
-    np.add.at(d, fi, r_own[:, None] * own)
+    if repair:
+        np.add.at(d, fi, r_own[:, None] * own)
     d += np.bincount(pair, weights=d_pos * w[pa], minlength=n * n).reshape(n, n)
-    return (yv, pa, pi, pj), terms, value, _unnormalize_rows(d @ sh + d.T @ sh, s, sh)
+    return ((yv, pa, pi, pj), terms, value,
+            _unnormalize_rows(d @ sh + d.T @ sh, sh, s_norms))
 
 
 def _is_one_hot(y: Matrix) -> bool:

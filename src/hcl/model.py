@@ -82,12 +82,18 @@ class ModelParams:
     ``flat`` moves the layers; the stacks passed in are left as they were.
     ``layout`` holds one ``(name, start, stop, shape)`` per parameter: its
     slice ``flat[start:stop]``, in ``named_parameters`` order.
+    ``param_sizes`` holds each parameter's ``stop - start`` in that order,
+    and ``slots`` one list per stack (the encoders, then the classifier) of
+    its parameters' ``(start, stop)``: w0, b0, w1, b1, ...
     """
 
     encoders: list[LayerStack]
     classifier: LayerStack
     flat: np.ndarray = field(init=False, repr=False, compare=False)
     layout: list[tuple[str, int, int, tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False)
+    param_sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    slots: list[list[tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -106,14 +112,18 @@ class ModelParams:
             )
         stacks = [(f"e{v + 1}", e) for v, e in enumerate(self.encoders)]
         stacks.append(("cls", self.classifier))
-        self.layout, arrays, start = [], [], 0
+        self.layout, self.slots, arrays, start = [], [], [], 0
         for prefix, stack in stacks:
+            self.slots.append([])
             for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
                 for name, arr in ((f"{prefix}.w{i}", w), (f"{prefix}.b{i}", b)):
                     self.layout.append((name, start, start + arr.size, arr.shape))
+                    self.slots[-1].append((start, start + arr.size))
                     arrays.append(arr.ravel())
                     start += arr.size
         self.flat = np.concatenate(arrays, dtype=np.float64)
+        self.param_sizes = np.array([stop - start
+                                     for _, start, stop, _ in self.layout])
         views = named_parameters(self)
         own = []
         for prefix, stack in stacks:
@@ -189,7 +199,8 @@ def forward_stack(stack: LayerStack, x: Matrix) -> tuple[Matrix, ForwardCache]:
     last = len(stack.weights) - 1
     for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
         cache.inputs.append(h)
-        pre = h @ w + b
+        pre = h @ w
+        pre += b
         cache.pre.append(pre)
         h = _apply_output(pre, stack.output_activation) if i == last \
             else np.maximum(pre, 0.0)
@@ -214,10 +225,11 @@ def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, ForwardCache]:
 
 
 def _backward_stack(stack: LayerStack, cache: ForwardCache, d_out: Matrix,
-                    grads: dict[str, Matrix], prefix: str) -> Matrix:
-    """Accumulate parameter grads; return the gradient at the first layer's
-    pre-activation. Only the classifier needs the gradient at its input
-    (that times ``weights[0].T``), so the encoders skip that product."""
+                    grad: np.ndarray, slots: list[tuple[int, int]]) -> Matrix:
+    """Accumulate parameter grads into their ``slots`` of the flat ``grad``
+    (``ModelParams.slots`` of this stack); return the gradient at the first
+    layer's pre-activation. Only the classifier needs the gradient at its
+    input (that times ``weights[0].T``), so the encoders skip that product."""
     last = len(stack.weights) - 1
     kind = stack.output_activation
     if kind == "identity":
@@ -229,10 +241,11 @@ def _backward_stack(stack: LayerStack, cache: ForwardCache, d_out: Matrix,
         y = cache.out
         d_pre = y * (d_out - np.sum(d_out * y, axis=1, keepdims=True))
     for i in range(last, -1, -1):
-        if i != last:
-            d_pre = d_pre * (cache.pre[i] > 0.0)
-        grads[f"{prefix}.w{i}"] += cache.inputs[i].T @ d_pre
-        grads[f"{prefix}.b{i}"] += d_pre.sum(axis=0)
+        if i != last:  # d_pre is the fresh product below
+            d_pre *= cache.pre[i] > 0.0
+        (w_lo, w_hi), (b_lo, b_hi) = slots[2 * i], slots[2 * i + 1]
+        grad[w_lo:w_hi] += (cache.inputs[i].T @ d_pre).ravel()
+        grad[b_lo:b_hi] += d_pre.sum(axis=0)
         if i:
             d_pre = d_pre @ stack.weights[i].T
     return d_pre
@@ -288,8 +301,7 @@ def model_backward(params: ModelParams, *,
         if given is not None and len(given) != n_views:
             raise ContractError(f"need one {what} per view ({n_views}), "
                                 f"got {len(given)}")
-    grad = np.zeros_like(params.flat)
-    grads = named_parameters(params, grad)
+    grad = np.zeros(params.flat.size)
     latent = params.latent_dim
     accs = [np.zeros((enc_caches[0].out.shape[0], latent)) for _ in range(n_views)]
     for acc, d in zip(accs, d_z or []):
@@ -301,7 +313,8 @@ def model_backward(params: ModelParams, *,
     if d_yhat is not None:
         if cls_cache is None:
             raise ContractError("classifier gradient needs its forward cache")
-        d_pre = _backward_stack(params.classifier, cls_cache, d_yhat, grads, "cls")
+        d_pre = _backward_stack(params.classifier, cls_cache, d_yhat, grad,
+                                params.slots[-1])
         at_input.append(d_pre @ params.classifier.weights[0].T)
     for d in at_input:
         rows = np.arange(d.shape[0]) if classifier_rows is None \
@@ -314,8 +327,9 @@ def model_backward(params: ModelParams, *,
         for v, acc in enumerate(accs):
             np.add.at(acc, rows, d[:, v * latent:(v + 1) * latent])
 
-    for v, (stack, cache, acc) in enumerate(zip(params.encoders, enc_caches, accs)):
-        _backward_stack(stack, cache, acc, grads, f"e{v + 1}")
+    for stack, cache, acc, slots in zip(params.encoders, enc_caches, accs,
+                                        params.slots):
+        _backward_stack(stack, cache, acc, grad, slots)
     return grad
 
 

@@ -38,14 +38,29 @@ def as_matrix(a, name: str = "array") -> Matrix:
     return m
 
 
+def _divide_rows(a: Matrix, norms: Matrix, out: Matrix | None = None) -> Matrix:
+    """``a / norms`` for an (n, 1) column of row norms, into ``out`` when
+    given; rows whose norm is below ``ZERO_NORM_EPS`` come back as zeros.
+    The zeroing pass runs only when such a row exists."""
+    if norms.min(initial=np.inf) >= ZERO_NORM_EPS:  # False on a NaN norm
+        return np.divide(a, norms, out=out)
+    zero = norms < ZERO_NORM_EPS
+    out = np.divide(a, np.where(zero, 1.0, norms), out=out)
+    out[zero.ravel()] = 0.0
+    return out
+
+
+def _unit_rows_norms(m: Matrix) -> tuple[Matrix, Matrix]:
+    """The unit rows of 2-D float64 ``m`` (zero rows for (near-)zero norms)
+    and its (n, 1) row norms, by the expression ``np.linalg.norm(m, axis=1,
+    keepdims=True)`` evaluates for real input, so bit-equal to it."""
+    norms = np.sqrt(np.add.reduce(m * m, axis=1, keepdims=True))
+    return _divide_rows(m, norms), norms
+
+
 def unit_rows(m: Matrix) -> Matrix:
     """Row-normalize ``m``; rows with (near-)zero norm come back as zeros."""
-    m = as_matrix(m)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    safe = np.where(norms < ZERO_NORM_EPS, 1.0, norms)
-    out = m / safe
-    out[norms.ravel() < ZERO_NORM_EPS] = 0.0
-    return out
+    return _unit_rows_norms(as_matrix(m))[0]
 
 
 def row_logsumexp(logits: Matrix) -> tuple[Matrix, Matrix]:

@@ -90,7 +90,6 @@ def lars_step(params: ModelParams, grad: np.ndarray,
                 g_norm = m * _norm(g / m)
             local = state.trust_coeff * w_norm / (g_norm + decay * w_norm + _EPS)
             rates[j] = state.base_lr * local
-    sizes = [stop - start for _, start, stop, _ in params.layout]
     v *= state.momentum
-    v += np.repeat(rates, sizes) * step
+    v += np.repeat(rates, params.param_sizes) * step
     w -= v

@@ -275,7 +275,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
     l_c = l_u = l_s = 0.0
     if c > 0 or s > 0:
         pos = slice(None) if labeled is None else labeled
-        s_lab = np.hstack([z[pos] for z in zs])
+        s_lab = np.concatenate([z[pos] for z in zs], axis=1)
         y_lab = ds.labels[rows[pos]]
     if c > 0:
         y_hat, back["cls_cache"] = classify(params, s_lab)

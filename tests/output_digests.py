@@ -1,6 +1,7 @@
 """Digest every CSV and JSON output of a fixed set of tiny ``hcl`` runs.
 
     python tests/output_digests.py > digests.txt
+    python tests/output_digests.py --against digests.txt
 
 Runs ``hcl.cli.main`` from the ``src/`` next to this file (which runs
 numpy's BLAS on one thread itself, whatever ``OPENBLAS_NUM_THREADS`` says)
@@ -20,11 +21,16 @@ are dropped (the checkpoint embeds the config, so its bytes depend on the
 output directory); every other file is digested as written. The manifest's
 input files are written to a separate directory and are not listed.
 Diffing the listings of two checkouts shows which outputs a change moved.
+With ``--against LISTING`` the script compares its listing with a saved
+one instead of printing it: it prints each changed, added or missing line
+(``changed``, ``added``, ``missing``, then the path and digests) and exits
+1 on any difference, or prints that all lines are equal and exits 0.
 This is a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -144,19 +150,67 @@ def _digest(path: str, rel: str) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def main_digests() -> int:
+def _listing() -> dict[str, str]:
+    """relative path -> sha256 of every CSV and JSON output."""
     with tempfile.TemporaryDirectory() as root, \
             tempfile.TemporaryDirectory() as inputs:
         _run(root, inputs)
-        listing = []
+        listing = {}
         for dirpath, _, files in os.walk(root):
             for name in files:
                 if name.endswith((".csv", ".json")):
                     path = os.path.join(dirpath, name)
                     rel = os.path.relpath(path, root)
-                    listing.append((rel, _digest(path, rel)))
-    for rel, digest in sorted(listing):
-        print(f"{digest}  {rel}")
+                    listing[rel] = _digest(path, rel)
+    return listing
+
+
+def _read_listing(path: str) -> dict[str, str]:
+    """A saved listing's ``sha256  path`` lines as path -> sha256."""
+    saved = {}
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            digest, sep, rel = line.rstrip("\n").partition("  ")
+            if not sep or not rel:
+                raise SystemExit(f"{path}:{number}: not a 'sha256  path' line")
+            saved[rel] = digest
+    return saved
+
+
+def _compare(listing: dict[str, str], saved: dict[str, str]) -> list[str]:
+    """One line per path whose digest changed, or that only one side has."""
+    out = []
+    for rel in sorted(listing.keys() | saved.keys()):
+        old, new = saved.get(rel), listing.get(rel)
+        if old is None:
+            out.append(f"added    {rel}  {new}")
+        elif new is None:
+            out.append(f"missing  {rel}  {old}")
+        elif old != new:
+            out.append(f"changed  {rel}  {old} -> {new}")
+    return out
+
+
+def main_digests(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="LISTING",
+                        help="compare with a saved listing instead of "
+                             "printing this one; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    saved = None if args.against is None else _read_listing(args.against)
+    listing = _listing()
+    if saved is None:
+        for rel, digest in sorted(listing.items()):
+            print(f"{digest}  {rel}")
+        return 0
+    differences = _compare(listing, saved)
+    for line in differences:
+        print(line)
+    if differences:
+        return 1
+    print(f"all {len(listing)} lines equal {args.against}")
     return 0
 
 

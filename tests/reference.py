@@ -11,6 +11,12 @@ so the two must agree bit for bit. ``old_info_nce`` and
 ``old_symmetric_info_nce`` keep the unsupervised kernels' earlier
 formulation, -inf written by index at the dropped entries and then one exp
 over the block, as the bit-equality reference of the finite-exp kernels.
+The other ``old_*`` functions keep the earlier formulations of the step's
+bookkeeping, as the bit-equality references of the current ones:
+``np.linalg.norm`` row norms recomputed from the raw rows, operands built by
+``np.hstack``, the two-view positive as a dot over all 2n rows, a
+supervised engine that runs its repair block on every call, and a
+cross-entropy that writes its clamp zeros on every call.
 """
 
 import math
@@ -20,7 +26,7 @@ from scipy.stats import multivariate_normal
 
 import hcl.losses as losses
 from hcl.errors import ContractError
-from hcl.numeric import row_logsumexp, unit_rows
+from hcl.numeric import ZERO_NORM_EPS, gram, row_logsumexp, unit_rows
 
 
 def ref_cosine(u, v):
@@ -346,6 +352,111 @@ def quantized_gaussian_table(rho, bins=64, span=6.0):
     cells = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
     cells = np.clip(cells, 0.0, None)
     return cells / cells.sum()
+
+
+def old_unit_rows(m):
+    """``numeric.unit_rows`` in its earlier formulation: ``np.linalg.norm``
+    row norms, a safe divisor and a write of every zero-norm row."""
+    m = np.asarray(m, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    out = m / np.where(norms < ZERO_NORM_EPS, 1.0, norms)
+    out[norms.ravel() < ZERO_NORM_EPS] = 0.0
+    return out
+
+
+def old_unnormalize_rows(d_unit, raw, unit):
+    """``losses._unnormalize_rows`` in its earlier formulation, the norms
+    recomputed from the raw rows."""
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    inner = np.sum(d_unit * unit, axis=1, keepdims=True)
+    out = (d_unit - inner * unit) / np.where(norms < ZERO_NORM_EPS, 1.0, norms)
+    out[norms.ravel() < ZERO_NORM_EPS] = 0.0
+    return out
+
+
+def old_logit_operands(uh, vh, tau, xa=None, xb=None):
+    """``losses._logit_operands`` in its earlier formulation, by
+    ``np.hstack`` over fresh constant columns."""
+    ones = np.ones((len(uh), 1))
+    if xa is None:
+        bound = 1.0 / tau
+        return (np.hstack([uh * (1.0 / tau), ones]),
+                np.hstack([vh, np.full((len(vh), 1), -bound)]), bound)
+    bound = 1.0 / tau + 2.0
+    return (np.hstack([uh * (1.0 / tau), -xa, ones]),
+            np.hstack([vh, xb, np.full((len(xb), 1), 1.0 - bound)]), bound)
+
+
+def old_two_view_pos(zh, tau):
+    """The two-view kernel's positive logits in their earlier formulation:
+    one dot per row of the 2n-row layout with its partner row."""
+    n = len(zh) // 2
+    partner = (np.arange(2 * n) + n) % (2 * n)
+    return np.einsum("ij,ij->i", zh, zh[partner])[:, None] * (1.0 / tau)
+
+
+def old_sup_engine(s, y, tau, indicator):
+    """``losses._sup_engine`` in its earlier formulation, which runs its
+    repair block (on an empty selection when no sum needs it) on every
+    call; returns ``(terms, value, grad)``."""
+    counts = y.sum(axis=0)
+    yv = y[:, (counts >= 2) & (counts < len(y))]
+    label, member = np.nonzero(yv.T)
+    k = np.bincount(label)
+    start = np.repeat(np.cumsum(k) - k, k)
+    per = np.repeat(k - 1, k)
+    step = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    place = np.repeat(np.arange(member.size) - start, per)
+    pa, pi = np.repeat(label, per), np.repeat(member, per)
+    pj = member[np.repeat(start, per) + step + (step >= place)]
+
+    n, g = yv.shape
+    sh = old_unit_rows(s)
+    logits = np.clip(gram(sh), -1.0, 1.0) / tau
+    pair = pi * n + pj
+    pos = logits.ravel()[pair]
+    bound = 1.0 / tau
+    if not indicator:
+        log_sigma, log_gamma = losses._label_log_weights(y, (pi, pj))
+        pos += log_sigma
+        logits += log_gamma
+        bound += np.log(y.shape[1])
+    not_y = 1.0 - yv
+    e = np.subtract(logits, bound)
+    np.exp(e, out=e)
+    sums = e @ not_y
+    sums[yv == 0.0] = 1.0
+    fi, fa = np.nonzero(~((sums >= losses._SUM_FLOOR) & (sums < np.inf))
+                        & (yv > 0.0))
+    own = logits[fi]
+    own[not_y[:, fa].T == 0.0] = -np.inf
+    lse_own, sums_own = row_logsumexp(own)
+    sums[fi, fa] = sums_own[:, 0]
+    lse = bound + np.log(sums)
+    lse[fi, fa] = lse_own[:, 0]
+    key = pi * g + pa
+    terms, d_pos, q = losses._info_nce_terms(pos, lse.ravel()[key])
+    count = np.bincount(pa)
+    value = float(np.sum(np.bincount(pa, weights=terms) / count)) / g
+    w = 1.0 / (g * count * tau)
+    r = np.bincount(key, weights=q, minlength=n * g).reshape(n, g) * (w / sums)
+    r_own = r[fi, fa]
+    r[fi, fa] = 0.0
+    d = np.multiply(e, r @ not_y.T, out=e)
+    np.add.at(d, fi, r_own[:, None] * own)
+    d += np.bincount(pair, weights=d_pos * w[pa], minlength=n * n).reshape(n, n)
+    return terms, value, old_unnormalize_rows(d @ sh + d.T @ sh, s, sh)
+
+
+def old_cross_entropy(y_hat, y):
+    """``losses.cross_entropy`` in its earlier formulation, which writes the
+    clamped cells' zeros on every call."""
+    lo, hi = 1e-12, 1.0 - 1e-12
+    p = np.clip(y_hat, lo, hi)
+    value = float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
+    grad = (p - y) / (p * (1.0 - p)) / y.size
+    grad[(y_hat <= lo) | (y_hat >= hi)] = 0.0
+    return value, grad
 
 
 def old_info_nce(pos, block, bound, keep):

@@ -21,14 +21,19 @@ from hcl.losses import (
     unsup_loss_single,
     weighted_sup_loss,
 )
-from hcl.numeric import make_rng, row_logsumexp, unit_rows
+from hcl.numeric import _unit_rows_norms, make_rng, row_logsumexp, unit_rows
 
 from builders import symmetric_branch_calls
 from reference import (
     finite_diff_grad,
     neg_sets_from_mask,
+    old_cross_entropy,
     old_info_nce,
+    old_logit_operands,
+    old_sup_engine,
     old_symmetric_info_nce,
+    old_two_view_pos,
+    old_unnormalize_rows,
     random_neg_mask,
     ref_cross_entropy,
     ref_log_weight,
@@ -184,6 +189,33 @@ def test_cross_entropy_input_validation():
         cross_entropy(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ContractError):
         cross_entropy(np.full((1, 2), 0.5), np.array([[0.2, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+def test_cross_entropy_refuses_an_empty_batch(shape):
+    # an empty pair has no mean: it is refused by name, not returned as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateBatchError,
+                           match=r"empty batch.*shape \(" + str(shape[0])):
+            cross_entropy(np.zeros(shape), np.zeros(shape))
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+def test_cross_entropy_bitwise_equals_earlier_formulation(clamped):
+    # the clamp's zeros are written only when a cell is clamped; value and
+    # gradient keep the earlier formulation's bits either way
+    rng = make_rng(3)
+    y_hat = rng.uniform(0.01, 0.99, size=(64, 10))
+    y = rng.integers(0, 2, size=(64, 10)).astype(float)
+    if clamped:
+        y_hat[[0, 5, 9], [1, 2, 3]] = [0.0, 1.0, 1e-13]
+    value, grad = cross_entropy(y_hat, y)
+    want_value, want_grad = old_cross_entropy(y_hat, y)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
+    if clamped:
+        assert not grad[[0, 5, 9], [1, 2, 3]].any()
 
 
 # ------------------------------------------------------- single-view unsup
@@ -1091,12 +1123,45 @@ def test_is_full_complement_truth_table():
     dropped[2, 2] = True
     assert np.count_nonzero(dropped) == n * (n - 1)
     assert not losses_mod._is_full_complement(dropped)
-    assert not losses_mod._is_full_complement(
-        np.tile(full_negatives(4), (2, 2)))
+    # first row full, a later row short
+    short = full_negatives(n)
+    short[3, 1] = False
+    assert not losses_mod._is_full_complement(short)
+    # the two-view tiled mask, which its first row settles
+    for n in (2, 4, 64):
+        assert not losses_mod._is_full_complement(
+            np.tile(full_negatives(n), (2, 2)))
     # clear on its diagonal with 3 * 2 entries, but not square
     rect = full_negatives(4)[:3]
     rect[:, 3] = False
     assert not losses_mod._is_full_complement(rect)
+
+
+class _CountingNumpy:
+    """numpy, save that ``count_nonzero`` records the size it counts."""
+
+    def __init__(self):
+        self.counted = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a, *args, **kwargs):
+        self.counted.append(np.size(a))
+        return np.count_nonzero(a, *args, **kwargs)
+
+
+def test_is_full_complement_counts_one_row_of_a_tiled_mask(monkeypatch):
+    # the dense two-view path's 2n x 2n tiled mask is settled by its first
+    # row's count; the whole mask is counted only when that row is full
+    counting = _CountingNumpy()
+    monkeypatch.setattr(losses_mod, "np", counting)
+    n = 64
+    assert not losses_mod._is_full_complement(np.tile(full_negatives(n), (2, 2)))
+    assert counting.counted == [2 * n]
+    counting.counted.clear()
+    assert losses_mod._is_full_complement(full_negatives(n))
+    assert counting.counted == [n, n * n]
 
 
 @pytest.mark.parametrize("n", [7, 130])
@@ -1222,6 +1287,86 @@ def test_public_losses_invariant_sweep():
             assert value >= 0.0
             for g in grads:
                 assert np.isfinite(g).all()
+
+
+# ------------------------------------------- bookkeeping, bit for bit
+
+
+def test_empty_batch_is_refused_by_name():
+    # zero anchors pass every per-row check vacuously; the batch refuses
+    # them rather than letting a loss average nothing into NaN
+    for zs in ([np.zeros((0, 3))], [np.zeros((0, 3)), np.zeros((0, 3))]):
+        with pytest.raises(DegenerateBatchError, match="at least one anchor"):
+            ContrastiveBatch(zs, np.zeros((0, 0), dtype=bool))
+
+
+def test_unnormalize_rows_with_zero_norm_rows():
+    # the norms that _unit_rows_norms returns stand in for recomputing them
+    # from the raw rows; zero-norm rows (exact, and below the threshold)
+    # get a zero gradient, and every other row the earlier bits
+    rng = make_rng(67)
+    raw = rng.normal(size=(9, 6))
+    d_unit = rng.normal(size=raw.shape)
+    for zero in ([], [0, 3, 8]):
+        m = raw.copy()
+        m[zero[:2]] = 0.0
+        m[zero[2:]] *= 1e-14
+        unit, norms = _unit_rows_norms(m)
+        got = losses_mod._unnormalize_rows(d_unit, unit, norms)
+        assert np.array_equal(got, old_unnormalize_rows(d_unit, m, unit))
+        assert not got[zero].any()
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+def test_logit_operands_bitwise_equal_hstack(tau):
+    # each operand is written into one buffer; its entries, and so the
+    # product's, are the hstack form's bit for bit, plain and weighted
+    rng = make_rng(71)
+    uh, vh = unit_rows(rng.normal(size=(12, 5))), unit_rows(rng.normal(size=(9, 5)))
+    xa, xb = unit_rows(rng.normal(size=(12, 4))), unit_rows(rng.normal(size=(9, 4)))
+    for args in ((), (xa, xb)):
+        left, right, bound = losses_mod._logit_operands(uh, vh, tau, *args)
+        want_left, want_right, want_bound = old_logit_operands(uh, vh, tau, *args)
+        assert bound == want_bound
+        assert np.array_equal(left, want_left)
+        assert np.array_equal(right, want_right)
+        assert left.flags.c_contiguous and right.flags.c_contiguous
+        assert np.array_equal(left @ right.T, want_left @ want_right.T)
+
+
+@pytest.mark.parametrize("n, dz", [(3, 2), (8, 16), (64, 16), (130, 37)])
+def test_two_view_positives_bitwise_equal_2n_row_einsum(monkeypatch, n, dz):
+    # one dot per (view-1, view-2) row pair, written to both halves, is the
+    # 2n-row einsum of each row with its partner, bit for bit
+    seen = []
+
+    def spy(pos, *args):
+        seen.append(pos)
+        return _info_nce(pos, *args)
+
+    monkeypatch.setattr(losses_mod, "_info_nce", spy)
+    rng = make_rng(73)
+    b = two_view_batch(rng, n=n, dz=dz)
+    unsup_loss_multiview(b, 0.3)
+    assert np.array_equal(seen[0], old_two_view_pos(unit_rows(np.vstack(b.zs)), 0.3))
+
+
+@pytest.mark.parametrize("tau", [0.5, 1e-4])
+def test_sup_engine_repairs_only_when_a_sum_needs_it(monkeypatch, tau):
+    # at tau = 0.5 no (anchor, label) sum leaves [floor, inf), so the engine
+    # never reaches row_logsumexp; at tau = 1e-4 some do, and it repairs
+    # them. Either way terms, value and gradient keep the bits of the
+    # earlier engine, which ran its repair block on every call.
+    s, one_hot, multi = _sup_data(make_rng(41))
+    for y, indicator in ((one_hot, True), (multi, False)):
+        with monkeypatch.context() as m:
+            repaired = _repaired_rows(m)
+            _, terms, value, grad = losses_mod._sup_engine(s, y, tau, indicator)
+        want_terms, want_value, want_grad = old_sup_engine(s, y, tau, indicator)
+        assert bool(repaired) == (tau == 1e-4)
+        assert np.array_equal(terms, want_terms)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
 
 
 # ------------------------------------------------------------- total loss

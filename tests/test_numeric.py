@@ -8,9 +8,17 @@ import pytest
 from scipy.special import logsumexp
 
 from hcl.errors import ContractError, ShapeError
-from hcl.numeric import as_matrix, gram, make_rng, row_logsumexp, unit_rows
+from hcl.numeric import (
+    ZERO_NORM_EPS,
+    _unit_rows_norms,
+    as_matrix,
+    gram,
+    make_rng,
+    row_logsumexp,
+    unit_rows,
+)
 
-from reference import finite_diff_grad, rel_error
+from reference import finite_diff_grad, old_unit_rows, rel_error
 
 
 def test_as_matrix_rejects_non_2d():
@@ -146,6 +154,27 @@ def test_unit_rows_zero_row_stays_zero():
     u = unit_rows(m)
     assert np.allclose(u[0], [0.6, 0.8], atol=1e-12)
     assert np.array_equal(u[1], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n, d, zero", [
+    (0, 3, []), (1, 4, []), (1, 4, [0]), (40, 37, []), (40, 37, [0, 9, 39]),
+])
+def test_unit_rows_norms_bitwise_equal_linalg_norm(n, d, zero):
+    # the helper's norms are np.linalg.norm's bit for bit, and its unit rows
+    # (and unit_rows) the earlier where-and-write formulation's, with or
+    # without zero-norm rows: exact zeros, and one just below the threshold
+    rng = make_rng(61)
+    m = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    m[zero] = 0.0
+    if len(zero) > 1:
+        m[zero[1]] = 0.5 * ZERO_NORM_EPS / math.sqrt(d)
+    unit, norms = _unit_rows_norms(m)
+    assert norms.shape == (n, 1)
+    assert np.array_equal(norms, np.linalg.norm(m, axis=1, keepdims=True))
+    want = old_unit_rows(m)
+    assert np.array_equal(unit, want)
+    assert np.array_equal(unit_rows(m), want)
+    assert not unit[zero].any()
 
 
 def test_rel_error_scales():
