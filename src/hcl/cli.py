@@ -3,11 +3,12 @@
 Subcommands: ``train``, ``eval``, ``bound-check``, ``noise-sweep``,
 ``perf-sweep``. Every command reads a flat key-value config file; the
 shared flags override individual fields. Outputs are one JSON RunRecord
-per run plus one aggregated CSV per sweep, all written atomically, with
-seeds processed in deterministic order. A command that trains a list of
-runs stops at the first failed run and re-raises its error through
-``_failed``, naming the run; ``train`` and ``noise-sweep`` first write the
-runs that finished, ``perf-sweep`` writes nothing.
+per run, whose ``blas_threads`` and ``checksums`` ``train`` fills, plus
+one aggregated CSV per sweep, all written atomically, with seeds processed
+in deterministic order. A command that trains a list of runs stops at the
+first failed run and re-raises its error through ``_failed``, naming the
+run; ``train`` and ``noise-sweep`` first write the runs that finished,
+``perf-sweep`` writes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, config_for_seed, load_pairs, resolve_config
+from .config import RunConfig, load_pairs, resolve_config
 from .data import Dataset, inject_noise, take_rows
 from .errors import ConfigError, ContractError, HclError, IngestionError
 from .ioutil import atomic_write_text, csv_text, json_text, sha256_file
@@ -46,9 +47,14 @@ from .train import (
 )
 
 
-def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+def _ensure_out(path: str, name: str = "config field 'out_dir'") -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in path
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(
+            f"{name}: cannot create {path!r}: {reason}") from None
+    return path
 
 
 def _failed(run: str, err: HclError, kept: str = "") -> HclError:
@@ -64,33 +70,28 @@ def _failed(run: str, err: HclError, kept: str = "") -> HclError:
 def cmd_train(pairs: dict[str, str],
               overrides: dict[str, str] | None = None) -> list[RunRecord]:
     cfg = resolve_config(pairs, overrides)
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out_dir)
     base = build_dataset(cfg)
     data_sha = dataset_checksum(base)
     records, failure = [], None
     for seed in cfg.seeds:
         try:
-            result = run_training(cfg, seed, base)
+            record = run_training(cfg, seed, base)
         except HclError as err:
             failure = (f"seed {seed}", err)
             break
         stem = f"run-{cfg.method}-seed{seed}"
         ckpt_path = os.path.join(out, f"{stem}.ckpt")
-        snapshot = config_for_seed(cfg, seed)
-        save_checkpoint(result.params, ckpt_path,
-                        extra={"config": snapshot, "seed": seed,
+        save_checkpoint(record.params, ckpt_path,
+                        extra={"config": record.config, "seed": seed,
                                "dataset": data_sha})
-        record = RunRecord(
-            config=snapshot, seed=seed, trace=result.trace,
-            report=result.report, wall_seconds=result.wall_seconds,
-            blas_threads=pin_blas_threads(),
-            checksums={"checkpoint": sha256_file(ckpt_path),
-                       "dataset": data_sha},
-        )
+        record.blas_threads = pin_blas_threads()
+        record.checksums = {"checkpoint": sha256_file(ckpt_path),
+                            "dataset": data_sha}
         atomic_write_text(os.path.join(out, f"{stem}.json"), record.to_json())
         records.append(record)
-        print(f"{stem}: f1={result.report.f1:.4f} auc={result.report.auc:.4f} "
-              f"({result.wall_seconds:.1f}s)")
+        print(f"{stem}: f1={record.report.f1:.4f} auc={record.report.auc:.4f} "
+              f"({record.wall_seconds:.1f}s)")
     if records:
         # a failed seed keeps the seeds that finished before it
         atomic_write_text(os.path.join(out, f"metrics-{cfg.method}.csv"),
@@ -143,7 +144,7 @@ def cmd_eval(checkpoint: str, data: str | None = None,
         )
     report = replay_eval(cfg, seed, params, base)
     target = out_dir if out_dir is not None else os.path.dirname(checkpoint) or "."
-    os.makedirs(target, exist_ok=True)
+    _ensure_out(target, "--out")
     stem = os.path.splitext(os.path.basename(checkpoint))[0]
     atomic_write_text(os.path.join(target, f"eval-{stem}.json"), json_text({
         "checkpoint": os.path.basename(checkpoint), "seed": seed,
@@ -161,7 +162,7 @@ def cmd_eval(checkpoint: str, data: str | None = None,
 def cmd_bound_check(pairs: dict[str, str],
                     overrides: dict[str, str] | None = None) -> str:
     cfg = resolve_config(pairs, overrides, splits=False)
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out_dir)
     if cfg.bound_temperature is not None:
         tau = cfg.bound_temperature
     else:
@@ -210,7 +211,7 @@ def _noise_cells(cfg: RunConfig, base: Dataset,
 def cmd_noise_sweep(pairs: dict[str, str],
                     overrides: dict[str, str] | None = None) -> str:
     cfg = resolve_config(pairs, overrides)
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out_dir)
     base = build_dataset(cfg)
     if base.n_views != 1:
         raise ConfigError(
@@ -242,12 +243,12 @@ def cmd_noise_sweep(pairs: dict[str, str],
     memo = PlanMemo()
     for level, entry, seed, variant, noisy in _noise_cells(cfg, base, variants):
         try:
-            result = run_training(variant, seed, noisy, memo=memo)
+            report = run_training(variant, seed, noisy, memo=memo).report
         except HclError as err:
             failure = (f"noise level {level:g}, method {entry}, seed {seed}",
                        err)
             break
-        rows.append((level, entry, seed, result.report.f1, result.report.auc))
+        rows.append((level, entry, seed, report.f1, report.auc))
         if len(rows) % len(cfg.seeds) == 0:
             # cells run level, entry, seed: the last len(seeds) rows are this
             # group's, and a group is summarized only when all its seeds finish
@@ -300,7 +301,7 @@ def cmd_perf_sweep(pairs: dict[str, str],
             f"config field 'n_samples': the sweep needs at least {need} "
             f"rows, the dataset has {have}"
         )
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out_dir)
     if base is None:
         base = build_dataset(cfg)
     merged = dict(pairs)

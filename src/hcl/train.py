@@ -1,6 +1,8 @@
 """Training loop: one code path for every method, one step for every harness.
 
-A run is fully determined by (config, seed). The seed drives a single rng
+A run is fully determined by (config, seed), and ``run_training`` returns
+its ``RunRecord``; the CLI, which writes the run's files, fills the
+record's ``blas_threads`` and ``checksums``. The seed drives a single rng
 whose consumption order is fixed: labeled/unlabeled split, view
 construction, the single-view similarity projection, parameter init, then
 the per-iteration batch stream.
@@ -31,11 +33,11 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, config_for_seed
 from .data import (
     BatchPlan,
     Dataset,
@@ -100,10 +102,10 @@ def check_dataset(ds: Dataset, cfg: RunConfig) -> None:
             "(one positive label per row); use hcl-s for multi-label data"
         )
     if cfg.mode == "two-view" and ds.n_views == 2:
-        for field in ("view1_aug", "view2_aug"):
-            if getattr(cfg, field) != "none":
+        for key in ("view1_aug", "view2_aug"):
+            if getattr(cfg, key) != "none":
                 raise ConfigError(
-                    f"config field '{field}': augmentations apply only "
+                    f"config field '{key}': augmentations apply only "
                     "when the dataset has a single view"
                 )
 
@@ -121,14 +123,6 @@ def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:
         # single-view protocol on two-view data: the first view stands alone
         return replace(ds, views=[ds.views[0]])
     return ds
-
-
-@dataclass
-class TrainResult:
-    params: ModelParams
-    trace: list[LossBreakdown]
-    report: EvalReport
-    wall_seconds: float
 
 
 def _run_split(cfg: RunConfig, seed: int,
@@ -196,11 +190,11 @@ class PlanMemo:
 
 
 def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
-                 memo: PlanMemo | None = None) -> TrainResult:
-    """Train one model for one seed; returns parameters, the per-epoch loss
-    trace, and the transductive evaluation on the unlabeled rows. With a
-    ``memo`` the batch stream is replayed from it when an earlier run drew
-    the same one."""
+                 memo: PlanMemo | None = None) -> RunRecord:
+    """Train one model for one seed; returns its record: the per-epoch loss
+    trace, the transductive evaluation on the unlabeled rows and the trained
+    parameters. With a ``memo`` the batch stream is replayed from it when an
+    earlier run drew the same one."""
     t0 = time.perf_counter()
     ds, rng = _run_split(cfg, seed, base)
 
@@ -247,8 +241,9 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
         trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha, cfg.beta))
 
     report = _score(cfg, params, ds)
-    return TrainResult(params=params, trace=trace, report=report,
-                       wall_seconds=time.perf_counter() - t0)
+    wall_seconds = time.perf_counter() - t0
+    return RunRecord(config=config_for_seed(cfg, seed), seed=seed, trace=trace,
+                     report=report, wall_seconds=wall_seconds, params=params)
 
 
 def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
@@ -318,15 +313,18 @@ def replay_eval(cfg: RunConfig, seed: int, params: ModelParams,
 
 @dataclass
 class RunRecord:
-    """Everything needed to audit or replay one (config, seed) run."""
+    """Everything needed to audit or replay one (config, seed) run. The CLI
+    sets ``blas_threads`` and ``checksums``; ``run_training`` sets the rest,
+    and the trained ``params`` stay out of ``to_json``, ``==`` and ``repr``."""
 
     config: dict
     seed: int
     trace: list[LossBreakdown]
     report: EvalReport
     wall_seconds: float
-    blas_threads: int | None  # numpy's BLAS threads, None if not settable
-    checksums: dict
+    params: ModelParams = field(compare=False, repr=False)
+    blas_threads: int | None = None  # BLAS threads, None if not settable
+    checksums: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json_text({

@@ -24,7 +24,7 @@ from hcl.cli import (
 from hcl.config import resolve_config
 from hcl.data import sample_batch
 from hcl.errors import ConfigError, ContractError, NumericError
-from hcl.model import init_params, save_checkpoint
+from hcl.model import init_params, load_checkpoint, save_checkpoint
 from hcl.numeric import make_rng, pin_blas_threads
 from hcl.train import build_dataset
 
@@ -80,6 +80,19 @@ def test_cmd_train_writes_artifacts(tmp_path):
     csv_text = (out / "metrics-hcl.csv").read_text()
     assert csv_text.startswith("method,seed,f1,auc,n_eval\n")
     assert csv_text.count("\n") == 3
+
+
+def test_cmd_train_writes_the_records_it_returns(tmp_path):
+    # each run's files are its record: the JSON is to_json() byte for
+    # byte, the checkpoint holds the record's trained params
+    records = cmd_train(small_pairs(tmp_path))
+    for record in records:
+        stem = tmp_path / "out" / f"run-hcl-seed{record.seed}"
+        written = stem.with_suffix(".json").read_text(encoding="utf-8")
+        assert written == record.to_json()
+        params, extra = load_checkpoint(str(stem.with_suffix(".ckpt")))
+        assert np.array_equal(params.flat, record.params.flat)
+        assert extra["config"] == record.config
 
 
 def test_cmd_train_metric_csv_byte_identical_across_reruns(tmp_path):
@@ -654,6 +667,48 @@ def test_main_writes_undefined_auc_as_null(tmp_path):
     per_label = read_strict_json(out / "run-dnn-seed1.json")["report"]["per_label"]
     assert None in per_label
     assert read_strict_json(out / "eval-run-dnn-seed1.json")["per_label"] == per_label
+
+
+@pytest.mark.parametrize("command", ["train", "noise-sweep", "bound-check",
+                                     "perf-sweep"])
+def test_main_out_dir_naming_a_file_fails_by_name(tmp_path, capsys, command):
+    # an out_dir that names an existing file is refused by name with exit
+    # 2, not a traceback, before anything trains
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    pairs = perf_pairs(tmp_path) if command == "perf-sweep" \
+        else small_pairs(tmp_path)
+    pairs["out_dir"] = str(taken)
+    assert main([command, "--config", write_cfg(tmp_path, pairs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: config field 'out_dir': cannot create "
+                            f"{str(taken)!r}: File exists\n")
+    assert captured.out == ""
+
+
+def test_main_eval_out_naming_a_file_fails_by_name(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, small_pairs(tmp_path, seeds="0"))
+    assert main(["train", "--config", cfg]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    capsys.readouterr()
+    ckpt = str(tmp_path / "out" / "run-hcl-seed0.ckpt")
+    assert main(["eval", "--checkpoint", ckpt, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out: cannot create {str(taken)!r}: File exists\n")
+
+
+@pytest.mark.parametrize("leaf, reason", [
+    pytest.param("taken/sub", "Not a directory", id="file-child"),
+    pytest.param("nul\0byte", "embedded null byte", id="nul-byte"),
+])
+def test_cmd_train_out_dir_that_cannot_be_made_is_named(tmp_path, leaf,
+                                                        reason):
+    (tmp_path / "taken").write_text("")
+    path = f"{tmp_path}/{leaf}"
+    with pytest.raises(ConfigError, match="^config field 'out_dir': cannot "
+                       f"create .*: {reason}$"):
+        cmd_train(small_pairs(tmp_path, out_dir=path))
 
 
 def test_main_error_exit_code(tmp_path, capsys):

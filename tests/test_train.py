@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hcl.train as train_mod
-from hcl.config import resolve_config
+from hcl.config import config_for_seed, resolve_config
 from hcl.data import Dataset, inject_noise, sample_batch, split
 from hcl.errors import ConfigError, ContractError, DegenerateBatchError
 from hcl.losses import (
@@ -18,7 +18,13 @@ from hcl.losses import (
     unsup_loss_single,
     weighted_sup_loss,
 )
-from hcl.model import classify, encode, named_parameters
+from hcl.model import (
+    ModelParams,
+    classify,
+    encode,
+    init_params,
+    named_parameters,
+)
 from hcl.numeric import make_rng
 from hcl.optimizer import OptimizerState
 from hcl.train import (
@@ -433,13 +439,36 @@ def test_replay_eval_two_view_matches():
 
 
 def make_record(seed, method="hcl"):
-    cfg = small_cfg(method=method)
-    result = run_training(cfg, seed)
-    snap = dict(cfg.snapshot)
-    snap["seeds"] = str(seed)
-    return RunRecord(config=snap, seed=seed, trace=result.trace,
-                     report=result.report, wall_seconds=result.wall_seconds,
-                     blas_threads=1, checksums={"dataset": "d" * 8})
+    """``run_training``'s record with the fields a writer fills set."""
+    record = run_training(small_cfg(method=method), seed)
+    record.blas_threads = 1
+    record.checksums = {"dataset": "d" * 8}
+    return record
+
+
+def test_run_training_returns_the_run_record():
+    cfg = small_cfg(method="hcl")
+    record = run_training(cfg, 2)
+    assert isinstance(record, RunRecord)
+    assert record.config == config_for_seed(cfg, 2)
+    assert record.config["seeds"] == "2" and record.seed == 2
+    assert len(record.trace) == 4 and record.wall_seconds > 0
+    # the writer's fields are left to the writer
+    assert record.blas_threads is None and record.checksums == {}
+    # the record carries the trained model: it scores as the report says
+    assert isinstance(record.params, ModelParams)
+    assert replay_eval(cfg, 2, record.params).f1 == record.report.f1
+
+
+def test_run_record_leaves_params_out_of_json_eq_and_repr():
+    record = run_training(small_cfg(method="hcl"), 0)
+    assert "params" not in json.loads(record.to_json())
+    other = replace(record, params=init_params(
+        make_rng(9), [[8, 8, 6]], [6, 3]))
+    assert not np.array_equal(other.params.flat, record.params.flat)
+    assert other == record
+    assert repr(other) == repr(record) and "params" not in repr(record)
+    assert replace(record, seed=1) != record
 
 
 def test_run_record_json_round_trip():
