@@ -28,3 +28,8 @@ class ConfigError(HclError, ValueError):
 
 class NumericError(HclError, ArithmeticError):
     """A non-finite value appeared where the computation cannot proceed."""
+
+
+class OutputError(HclError):
+    """An output file cannot be written; the message names the path and the
+    OS reason."""

@@ -11,7 +11,13 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError, HclError, IngestionError, NumericError
+from .errors import (
+    ConfigError,
+    HclError,
+    IngestionError,
+    NumericError,
+    OutputError,
+)
 
 
 def read_text(path: str, what: str, error: type[HclError] = IngestionError) -> str:
@@ -28,17 +34,23 @@ def read_text(path: str, what: str, error: type[HclError] = IngestionError) -> s
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file + rename in the same dir,
-    so readers never observe a partial file."""
+    so readers never observe a partial file. A write that fails removes the
+    temp file; an ``OSError`` becomes an ``OutputError`` naming ``path`` and
+    the OS reason. Every output file, checkpoints too, is written here."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            reason = err.strerror or err
+            raise OutputError(f"cannot write {path}: {reason}") from None
         raise
 
 

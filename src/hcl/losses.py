@@ -14,14 +14,19 @@ tau that is not positive or whose 1/tau is not finite (``_check_tau``).
 ``_info_nce_terms``, serves the supervised loss): it takes positive logits
 ``cos/tau + log(weight)`` and the negative ones shifted (see below), and
 returns the terms with their gradients in the logits, from one in-place
-exp pass. The negatives' gradient comes back unnormalised, as that exp
-block and a per-row scale. The losses build the shifted logits of every
-entry, finite, call it with the entries that are negatives, and chain its
+exp pass. It takes the anchor rows in blocks of ``_SYM_BAND_ROWS``, in the
+style of FlashAttention's tiling (Dao et al. 2022): every step is
+row-local, so each block goes product, exp, sums, terms and the caller's
+backward while it sits in cache, and no block of all the rows is built.
+The negatives' gradient comes back unnormalised, as each block's exp and a
+per-row scale, to the caller's backward of that block. The losses hand it
+the thin operands whose product is the shifted logits of every entry,
+finite, and the mask of the entries that are negatives, and chain its
 gradients back to the embeddings. No exp here reads -inf (numpy's float64
 exp is about 8x slower on it than on finite input, on AVX-512): a dropped
 entry is exponentiated like any other and zeroed after the exp. Only the
 repair rows handed to ``row_logsumexp`` carry -inf.
-Four folds each spare the n x n block a pass, by moving work onto the thin
+Four folds each spare the logit block a pass, by moving work onto the thin
 operands of a product:
 
 * 1/tau scales the thin left operand of the cosine product;
@@ -56,8 +61,8 @@ own max (``row_logsumexp``). That catches a row whose logits all lie far
 below B at a small tau, and, in the unclipped unsupervised block, a row
 with a cosine rounded a few ulp past 1 at a tau so small (below about
 1e-18) that the rounding puts a logit more than 709 past B. An
-unsupervised row is read from a fresh block; a supervised sum from the
-logits the engine keeps.
+unsupervised row is read from a fresh product of its block of rows; a
+supervised sum from the logits the engine keeps.
 
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
@@ -71,7 +76,10 @@ row and column sums. Its repair is all or nothing: a stored entry serves
 two rows and cannot take one row's own shift, so when any row's sum lies
 outside [``_SUM_FLOOR``, inf) the whole call runs the dense path
 (``_info_nce``) unchanged. The branch sums in another order than the
-dense path, so the two agree to rounding, not bit for bit.
+dense path, so the two agree to rounding, not bit for bit. A dense call
+of several blocks likewise agrees with a one-block call to rounding: its
+backward sums the blocks' products, and BLAS may round a block's rows of
+the logit product otherwise than the same rows of the whole product.
 
 The unsupervised losses take a ``ContrastiveBatch`` of one view
 (``unsup_loss_single``) or two (``unsup_loss_multiview``). This module is
@@ -113,7 +121,9 @@ _NEG_INF = float("-inf")
 _SUM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # Rows per band of the two-view kernel's symmetric branch, which a batch
 # of fewer than two bands' rows skips: the dense path is faster there
-# (measured at 2n = 12 to 1026; see CHANGES.md).
+# (measured at 2n = 12 to 1026; see CHANGES.md). Also the rows per block of
+# the dense path, whose (128, n) block stays in cache from its product to
+# its backward (64 rows were slower at full-plan's n = 1000).
 _SYM_BAND_ROWS = 128
 
 
@@ -315,60 +325,92 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
     return t - pos, np.exp(pos - t) - 1.0, np.exp(lse_neg - t)
 
 
-def _info_nce(pos: Matrix, block: Callable[[], Matrix], bound: float,
-              keep: np.ndarray) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Weighted InfoNCE terms and their gradients in the logits.
+def _accumulate(acc: Matrix | None, part: Matrix) -> Matrix:
+    """``part`` when ``acc`` is None (a call's first block), else ``acc``
+    with ``part`` added in place: a one-block call keeps the bits of the
+    unblocked sum."""
+    if acc is None:
+        return part
+    acc += part
+    return acc
+
+
+def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
+              keep: np.ndarray, backward: Callable
+              ) -> tuple[Matrix, Matrix, Matrix]:
+    """Weighted InfoNCE terms and their gradients, one block of anchor rows
+    at a time.
 
     Row i scores each of its positive logits ``pos[i, j]`` against its
     negative logits L[i, k], the entries that ``keep`` selects in row i:
 
         terms[i, j] = log(exp(pos[i, j]) + sum_k exp(L[i, k])) - pos[i, j]
 
-    Weights arrive as log-weights already added to the logits. ``block()``
-    builds L - ``bound`` at every entry, the dropped ones too, shifted by a
-    known upper bound on every logit. ``keep`` is the boolean mask of the
-    negatives. The block is exponentiated once, in place, with no row-max
-    pass and no -inf; the dropped entries are zeroed after it, by a 0/1
-    product with the mask or, cheaper when the mask is the full complement
-    (``_is_full_complement``), by one strided write of the diagonal. A row
-    whose sum is not in [``_SUM_FLOOR``, inf) (all its logits far below the
-    bound, or one rounded far past it, which a product with a dropped
-    overflow turns into NaN) is read from a fresh ``block()`` with -inf at
-    its dropped entries and redone with its own max (``row_logsumexp``).
+    Weights arrive as log-weights already added to the logits. The product
+    ``left @ right.T`` is L - ``bound`` at every entry, the dropped ones
+    too, shifted by a known upper bound on every logit. ``keep`` is the
+    boolean mask of the negatives.
 
-    Returns ``(terms, d_pos, e, c)``: the gradients of ``terms.sum()`` are
-    ``d_pos`` in ``pos`` and ``c * e`` in the negative logits, where ``e``
-    is the block exponentiated under its row's shift and ``c`` an (n, 1)
-    column of per-row scales: the single-exp softmax of Milakov &
-    Gimelshein 2018 with the normalisation deferred, as in FlashAttention.
-    The caller folds ``c`` into the thin operand of its backward product,
-    so the n x n block is never scaled. Dropped negatives are exact zeros
-    of ``e``. Results overflow only as the exact terms do, when 1/tau nears
-    the largest float.
+    Every step is row-local, so the rows go in blocks of ``_SYM_BAND_ROWS``
+    and no block of all the rows is built: each block's product goes into
+    one reused (rows, n) buffer and is exponentiated in place, with no
+    row-max pass and no -inf. Its dropped entries are zeroed after the exp,
+    by one strided write of the block's diagonal when the mask is the full
+    complement (``_is_full_complement``), otherwise by a 0/1 product with
+    the mask's rows. A row whose sum is not in [``_SUM_FLOOR``, inf) (all
+    its logits far below the bound, or one rounded far past it, which a
+    product with a dropped overflow turns into NaN) is read from a fresh
+    product of its block, with -inf at its dropped entries, and redone with
+    its own max (``row_logsumexp``).
+
+    The gradient of ``terms.sum()`` in the negative logits of the block's
+    rows is ``c * e``: ``e`` is the block exponentiated under its rows'
+    shifts, dropped negatives exact zeros, and ``c`` a (rows, 1) column of
+    per-row scales, the single-exp softmax of Milakov & Gimelshein 2018
+    with the normalisation deferred, as in FlashAttention (Dao et al.
+    2022). ``backward(rows, e, c, acc)`` is called once per block in row
+    order, ``rows`` a slice; it folds ``c`` into the thin operand of its
+    products, so no block is scaled, and returns the gradient so far, with
+    ``acc`` None at the first block (``_accumulate``). ``e`` is valid only
+    during the call. Returns ``(terms, d_pos, acc)``: ``d_pos`` is the
+    gradient in ``pos`` and ``acc`` the last block's return. Results
+    overflow only as the exact terms do, when 1/tau nears the largest
+    float.
     """
-    neg = block()
-    # a row that overflows, meets inf * 0 = NaN or sums to 0 is redone below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.exp(neg, out=neg)
-        if _is_full_complement(keep):
-            np.fill_diagonal(neg, 0.0)
-        else:
-            np.multiply(neg, keep, out=neg)
-        rowsum = np.add.reduce(neg, axis=1, keepdims=True)
-        lse_neg = bound + np.log(rowsum)
-    redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
-    if redo.size:
-        # the rows of the full product: left[redo] @ right.T can differ from
-        # them in the last bits
-        own = block()[redo]
-        own[~keep[redo]] = _NEG_INF
-        lse_own, rowsum[redo] = row_logsumexp(own)
-        neg[redo] = own
-        lse_neg[redo] = bound + lse_own
-    terms, d_pos, q = _info_nce_terms(pos, lse_neg)
-    # d_neg[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
-    c = np.add.reduce(q, axis=1, keepdims=True) / rowsum
-    return terms, d_pos, neg, c
+    size, width = len(left), len(right)
+    step = min(_SYM_BAND_ROWS, size)
+    buf = np.empty((step, width))
+    full = _is_full_complement(keep)
+    parts, acc = [], None
+    for lo in range(0, size, step):
+        rows = slice(lo, min(lo + step, size))
+        e = np.matmul(left[rows], right.T, out=buf[:rows.stop - lo])
+        # a row that overflows, meets inf * 0 = NaN or sums to 0 is redone
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            np.exp(e, out=e)
+            if full:
+                e.reshape(-1)[lo::width + 1] = 0.0  # entries (i, lo + i)
+            else:
+                np.multiply(e, keep[rows], out=e)
+            rowsum = np.add.reduce(e, axis=1, keepdims=True)
+            lse_neg = bound + np.log(rowsum)
+        redo = np.flatnonzero(~((rowsum >= _SUM_FLOOR) & (rowsum < np.inf)))
+        if redo.size:
+            # rows of the block's own product: left[lo + redo] @ right.T
+            # can differ from them in the last bits
+            own = np.matmul(left[rows], right.T)[redo]
+            own[~keep[lo + redo]] = _NEG_INF
+            lse_own, rowsum[redo] = row_logsumexp(own)
+            e[redo] = own
+            lse_neg[redo] = bound + lse_own
+        terms, d_pos, q = _info_nce_terms(pos[rows], lse_neg)
+        parts.append((terms, d_pos))
+        # d_neg[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
+        c = np.add.reduce(q, axis=1, keepdims=True) / rowsum
+        acc = backward(rows, e, c, acc)
+    if len(parts) > 1:
+        terms, d_pos = (np.concatenate(p) for p in zip(*parts))
+    return terms, d_pos, acc
 
 
 def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
@@ -399,10 +441,11 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
     left, right, bound = _logit_operands(xh, zh, tau, x1h, x1h)
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
-    terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
-                                   bound, batch.neg_mask)
     # d_logits = c * e with d_pos on the diagonal, where e is 0 (dropped)
-    d_zh = e.T @ (c * xh) + d_pos * xh
+    terms, d_pos, d_neg = _info_nce(
+        pos, left, right, bound, batch.neg_mask,
+        lambda rows, e, c, acc: _accumulate(acc, e.T @ (c * xh[rows])))
+    d_zh = d_neg + d_pos * xh
     return _mean(terms), _unnormalize_rows(d_zh / (n * tau), zh, z_norms)
 
 
@@ -451,9 +494,8 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
         keep = np.concatenate([batch.neg_mask] * 2, axis=1)  # the mask tiled 2 x 2
-        terms, d_pos, e, c = _info_nce(pos, partial(np.matmul, left, right.T),
-                                       bound, np.concatenate([keep, keep]))
-        out = terms, d_pos, c * (e @ zh) + e.T @ (c * zh)
+        out = _info_nce(pos, left, right, bound, np.concatenate([keep, keep]),
+                        partial(_two_view_backward, zh))
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
     # 0 (dropped). Those entries add d_pos[r] * zh[partner[r]] to row r of
@@ -462,6 +504,15 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     d_zh = d_neg + (d_pos + d_pos[partner]) * zh[partner]
     d_z = _unnormalize_rows(d_zh, zh, z_norms) * (1.0 / (2 * n * tau))
     return _mean(terms), d_z[:n], d_z[n:]
+
+
+def _two_view_backward(zh: Matrix, rows: slice, e: Matrix, c: Matrix,
+                       acc: Matrix | None) -> Matrix:
+    """The two-view kernel's backward of one block of ``_info_nce``:
+    d_neg = c * (e @ zh) + e.T @ (c * zh), from the block's rows."""
+    acc = _accumulate(acc, e.T @ (c * zh[rows]))
+    acc[rows] += c * (e @ zh)
+    return acc
 
 
 def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,

@@ -105,9 +105,11 @@ def _macro_auc(per: np.ndarray) -> float:
     return float(usable.mean())
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
-    """F1/AUC, per-label AUC and the number of scored rows of one evaluation."""
+    """F1/AUC, per-label AUC and the number of scored rows of one evaluation.
+    Two reports are equal when their ``fields()`` are: by value, with the
+    NaN AUCs of labels lacking a class equal to each other."""
 
     f1: float
     auc: float
@@ -126,6 +128,11 @@ class EvalReport:
         per_label = [None if np.isnan(v) else v for v in self.per_label]
         return {"f1": self.f1, "auc": self.auc,
                 "per_label": per_label, "n_eval": self.n_eval}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return self.fields() == other.fields()
 
 
 def evaluate(y_hat: Matrix, y: Matrix, *, threshold: float = 0.5,

@@ -315,7 +315,8 @@ def replay_eval(cfg: RunConfig, seed: int, params: ModelParams,
 class RunRecord:
     """Everything needed to audit or replay one (config, seed) run. The CLI
     sets ``blas_threads`` and ``checksums``; ``run_training`` sets the rest,
-    and the trained ``params`` stay out of ``to_json``, ``==`` and ``repr``."""
+    and the trained ``params`` stay out of ``to_json``, ``==`` and ``repr``.
+    ``==`` compares every other field by value, the report too."""
 
     config: dict
     seed: int

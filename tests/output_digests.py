@@ -10,9 +10,10 @@ train once with weight decay 0.01 and once at temperature 1e-4, a two-view
 full-complement train at temperature 0.5 and at 1e-4, a two-view train on a
 manifest whose views have different widths (8 and 5 columns), single-view
 trains with sampled negatives and with the full complement, both at
-temperature 1e-4, a single-view full-plan train, a noise sweep and both
-bound checks. Prints one ``sha256  relative/path`` line per CSV and JSON
-output, sorted by path.
+temperature 1e-4, a single-view full-complement train over 300 rows (three
+blocks of the dense kernel), a single-view full-plan train, a noise sweep
+and both bound checks. Prints one ``sha256  relative/path`` line per CSV
+and JSON output, sorted by path.
 
 Every JSON output is first parsed strictly: a NaN or Infinity token stops
 the script, naming the file. Run records are digested after their ``out_dir`` and ``manifest`` are
@@ -82,6 +83,11 @@ CASES = {
     "single-view-full-sharp": ("train", dict(TWO_VIEW, mode="single-view",
                                              neg_size="full",
                                              temperature="0.0001")),
+    # one view, the full complement over a pool of 300 rows: the dense
+    # kernel's blocks of 128, 128 and 44 anchor rows
+    "single-view-full": ("train", dict(TWO_VIEW, mode="single-view",
+                                       n_samples="300", neg_size="full",
+                                       seeds="0")),
     "full-plan": ("train", dict(TINY, synthetic="scene-like", n_features="10",
                                 n_classes="4", method="hcl", seeds="3",
                                 batch_size="64", neg_size="full")),

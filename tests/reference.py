@@ -5,12 +5,16 @@ quantized gaussian table, scipy's CDF) so that it cannot share bugs with
 the vectorized implementations under test. Keep it slow and obvious. The
 one exception is ``ref_log_weight``, the raw-feature log-weight as a
 matrix: the definition the kernels' fused product is tested against, and
-itself tested against the scalar ``ref_g``. ``ref_lars_step`` takes LARS
-one parameter at a time with the numpy arithmetic of the whole-buffer step,
-so the two must agree bit for bit. ``old_info_nce`` and
-``old_symmetric_info_nce`` keep the unsupervised kernels' earlier
-formulation, -inf written by index at the dropped entries and then one exp
-over the block, as the bit-equality reference of the finite-exp kernels.
+itself the matrix form of the scalar ``ref_log_g``. The unsupervised
+oracles sum each term's exps under its largest log-score
+(``ref_neg_log_share``), so they hold at a tau as small as 1e-4.
+``ref_lars_step`` takes LARS one parameter at a time with the numpy
+arithmetic of the whole-buffer step, so the two must agree bit for bit.
+``old_info_nce`` and ``old_symmetric_info_nce`` keep the unsupervised
+kernels' earlier formulation, -inf written by index at the dropped entries
+and then one exp over the block (``old_info_nce`` on the same blocks of
+rows as the current core), as the bit-equality reference of the
+finite-exp kernels.
 The other ``old_*`` functions keep the earlier formulations of the step's
 bookkeeping, as the bit-equality references of the current ones:
 ``np.linalg.norm`` row norms recomputed from the raw rows, operands built by
@@ -42,8 +46,17 @@ def ref_f(u, v, tau):
     return math.exp(ref_cosine(u, v) / tau)
 
 
-def ref_g(a, b):
-    return math.exp(1.0 - ref_cosine(a, b))
+def ref_log_g(a, b):
+    """log of the raw-feature negative weight g = exp(1 - cos(a, b))."""
+    return 1.0 - ref_cosine(a, b)
+
+
+def ref_neg_log_share(pos, negs):
+    """-log(exp(pos) / (exp(pos) + sum_k exp(negs[k]))) of log-scores, summed
+    under the largest one's shift, so that no exp overflows at a small tau."""
+    top = max(pos, *negs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in (pos, *negs))) \
+        - pos
 
 
 def ref_log_weight(xa, xb):
@@ -67,12 +80,10 @@ def ref_unsup_single(x_sim, x_raw, z, neg_sets, tau, weighted):
     n = len(z)
     total = 0.0
     for i in range(n):
-        f_pos = ref_f(x_sim[i], z[i], tau)
-        den = f_pos
-        for k in neg_sets[i]:
-            w = ref_g(x_raw[i], x_raw[k]) if weighted else 1.0
-            den += w * ref_f(x_sim[i], z[k], tau)
-        total += -math.log(f_pos / den)
+        negs = [ref_cosine(x_sim[i], z[k]) / tau
+                + (ref_log_g(x_raw[i], x_raw[k]) if weighted else 0.0)
+                for k in neg_sets[i]]
+        total += ref_neg_log_share(ref_cosine(x_sim[i], z[i]) / tau, negs)
     return total / n
 
 
@@ -82,18 +93,17 @@ def ref_unsup_multiview(x1, x2, z1, z2, neg_sets, tau, weighted):
     total = 0.0
     for i in range(n):
         for za, zb, xa in ((z1, z2, x1), (z2, z1, x2)):
-            f_pos = ref_f(za[i], zb[i], tau)
-            den = f_pos
+            negs = []
             for k in neg_sets[i]:
                 for zv, xv in ((z1, x1), (z2, x2)):
                     if not weighted:
-                        w = 1.0
+                        log_w = 0.0
                     elif same_dims:
-                        w = ref_g(xa[i], xv[k])
+                        log_w = ref_log_g(xa[i], xv[k])
                     else:
-                        w = ref_g(xa[i], xa[k])
-                    den += w * ref_f(za[i], zv[k], tau)
-            total += -math.log(f_pos / den)
+                        log_w = ref_log_g(xa[i], xa[k])
+                    negs.append(ref_cosine(za[i], zv[k]) / tau + log_w)
+            total += ref_neg_log_share(ref_cosine(za[i], zb[i]) / tau, negs)
     return total / (2 * n)
 
 
@@ -459,29 +469,39 @@ def old_cross_entropy(y_hat, y):
     return value, grad
 
 
-def old_info_nce(pos, block, bound, keep):
+def old_info_nce(pos, left, right, bound, keep, backward):
     """``losses._info_nce`` in its earlier formulation, on the same
-    arguments: -inf at the dropped entries by boolean index, then one exp
-    over the whole block, and every row outside [floor, inf) redone from
-    that masked block with its own max."""
-    neg = block()
-    drop = ~keep
-    neg[drop] = -np.inf
-    with np.errstate(over="ignore", divide="ignore"):
-        np.exp(neg, out=neg)
-        rowsum = np.sum(neg, axis=1, keepdims=True)
-        lse_neg = bound + np.log(rowsum)
-    redo = np.flatnonzero(~((rowsum >= losses._SUM_FLOOR) & (rowsum < np.inf)))
-    if redo.size:
-        own = block()
-        own[drop] = -np.inf
-        own = own[redo]
-        lse_own, rowsum[redo] = row_logsumexp(own)
-        neg[redo] = own
-        lse_neg[redo] = bound + lse_own
-    terms, d_pos, q = losses._info_nce_terms(pos, lse_neg)
-    c = np.sum(q, axis=1, keepdims=True) / rowsum
-    return terms, d_pos, neg, c
+    arguments and the same blocks of ``losses._SYM_BAND_ROWS`` rows: each
+    block's product a fresh array, -inf at its dropped entries by boolean
+    index, then one exp over the block, and every row outside [floor, inf)
+    redone from the masked block with its own max."""
+    size = len(left)
+    step = min(losses._SYM_BAND_ROWS, size)
+    terms, d_pos = np.empty_like(pos), np.empty_like(pos)
+    acc = None
+    for lo in range(0, size, step):
+        rows = slice(lo, min(lo + step, size))
+        neg = left[rows] @ right.T
+        drop = ~keep[rows]
+        neg[drop] = -np.inf
+        with np.errstate(over="ignore", divide="ignore"):
+            np.exp(neg, out=neg)
+            rowsum = np.sum(neg, axis=1, keepdims=True)
+            lse_neg = bound + np.log(rowsum)
+        redo = np.flatnonzero(
+            ~((rowsum >= losses._SUM_FLOOR) & (rowsum < np.inf)))
+        if redo.size:
+            own = left[rows] @ right.T
+            own[drop] = -np.inf
+            own = own[redo]
+            lse_own, rowsum[redo] = row_logsumexp(own)
+            neg[redo] = own
+            lse_neg[redo] = bound + lse_own
+        terms[rows], d_pos[rows], q = losses._info_nce_terms(pos[rows],
+                                                             lse_neg)
+        c = np.sum(q, axis=1, keepdims=True) / rowsum
+        acc = backward(rows, neg, c, acc)
+    return terms, d_pos, acc
 
 
 def old_symmetric_info_nce(left, right, zh, pos, bound, partner):

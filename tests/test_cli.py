@@ -711,6 +711,22 @@ def test_cmd_train_out_dir_that_cannot_be_made_is_named(tmp_path, leaf,
         cmd_train(small_pairs(tmp_path, out_dir=path))
 
 
+def test_main_train_write_that_fails_is_named(tmp_path, capsys):
+    # a directory where seed 0's run record goes: the record's write fails
+    # after the seed's checkpoint is written, by name with exit 2, and no
+    # temp file is left
+    out = tmp_path / "out"
+    taken = out / "run-hcl-seed0.json"
+    taken.mkdir(parents=True)
+    cfg = write_cfg(tmp_path, small_pairs(tmp_path, seeds="0"))
+    assert main(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {taken}: Is a directory\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run-hcl-seed0.ckpt", "run-hcl-seed0.json"]
+    assert not any(taken.iterdir())
+
+
 def test_main_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["train", "--config", missing]) == 2

@@ -1,10 +1,13 @@
 """The one formatter of output tables and JSON documents."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
-from hcl.errors import NumericError
-from hcl.ioutil import csv_text, json_text
+from hcl.errors import NumericError, OutputError
+from hcl.ioutil import atomic_write_text, csv_text, json_text
 
 
 def test_csv_text_cell_bytes():
@@ -37,3 +40,33 @@ def test_json_text_refuses_non_finite_numbers(value):
     # strict JSON has no token for them; the error is a named HclError
     with pytest.raises(NumericError, match="cannot write a JSON document"):
         json_text({"report": {"per_label": [0.5, value]}})
+
+
+def test_atomic_write_failure_is_named_and_leaves_no_temp_file(tmp_path,
+                                                               monkeypatch):
+    # the rename fails after the temp file is written: the temp file goes,
+    # the file already at the path keeps its bytes, and the OSError becomes
+    # an OutputError naming the path and the reason
+    target = tmp_path / "metrics.csv"
+    target.write_text("old\n")
+
+    def replace(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OutputError) as info:
+        atomic_write_text(str(target), "new\n")
+    assert str(info.value) == (f"cannot write {target}: "
+                               f"{os.strerror(errno.ENOSPC)}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+    assert target.read_text() == "old\n"
+
+
+def test_atomic_write_into_a_directory_is_named(tmp_path):
+    taken = tmp_path / "run.json"
+    taken.mkdir()
+    with pytest.raises(OutputError, match=f"^cannot write {taken}: "
+                       "Is a directory$"):
+        atomic_write_text(str(taken), "{}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    assert not any(taken.iterdir())

@@ -4,10 +4,12 @@ differences, and the documented degeneracy/equality behavior."""
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import hcl.losses as losses_mod
 from hcl.errors import ContractError, DegenerateBatchError, NumericError, ShapeError
@@ -746,6 +748,21 @@ def test_supervised_repair_path_agrees_with_shared_shift(monkeypatch):
     assert rel_error(grad, all_grad) < 1e-12
 
 
+def core_on_block(pos, shifted, bound, keep, core=_info_nce):
+    """``core`` (``_info_nce`` or ``old_info_nce``) on the shifted logit
+    block ``shifted``, handed over as the product ``shifted @ I``, which
+    is exact. Returns ``(terms, d_pos, e, c)``, the ``e`` and ``c`` of
+    every block of rows stacked."""
+    e, c = np.empty_like(shifted), np.empty((len(shifted), 1))
+
+    def backward(rows, e_rows, c_rows, acc):
+        e[rows], c[rows] = e_rows, c_rows
+
+    terms, d_pos, _ = core(pos, shifted, np.eye(shifted.shape[1]), bound,
+                           keep, backward)
+    return terms, d_pos, e, c
+
+
 def test_info_nce_invariants_sweep():
     # the shared core of every loss, on random shapes, finite blocks with
     # dropped negatives, log-weights and logit scales 1/tau up to 1e4
@@ -761,8 +778,8 @@ def test_info_nce_invariants_sweep():
         dropped[np.arange(rows), rng.integers(0, n_neg, rows)] = False
         # the bound of every logit, shifted in before the call
         bound = scale + 3.0
-        terms, d_pos, e, c = _info_nce(pos, lambda: neg - bound, bound,
-                                       ~dropped)
+        terms, d_pos, e, c = core_on_block(pos, neg - bound, bound,
+                                           ~dropped)
         assert not e[dropped].any()  # exact zeros after the exp
         d_neg = c * e
         for a in (terms, d_pos, d_neg):
@@ -802,8 +819,8 @@ def test_info_nce_scaled_block_equals_dense_logit_gradient(layout):
         dense[r, positive] -= 1.0
 
         neg = logits - 4.0  # shifted by the bound
-        _, d_pos, e, c = _info_nce(logits[r, positive][:, None], neg.copy,
-                                   4.0, ~masked)
+        _, d_pos, e, c = core_on_block(logits[r, positive][:, None], neg,
+                                       4.0, ~masked)
         assert not e[r, positive].any()
         d_logits = c * e
         d_logits[r, positive] = d_pos[:, 0]
@@ -845,9 +862,9 @@ def _kernel_logits(monkeypatch, loss, batch, tau):
     negatives."""
     seen = []
 
-    def spy(pos, block, bound, keep):
-        seen.append((pos.copy(), block() + bound, keep))
-        return _info_nce(pos, block, bound, keep)
+    def spy(pos, left, right, bound, keep, backward):
+        seen.append((pos.copy(), left @ right.T + bound, keep))
+        return _info_nce(pos, left, right, bound, keep, backward)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
     loss(batch, tau)
@@ -1068,24 +1085,43 @@ def test_info_nce_redoes_a_row_whose_dropped_entry_overflows(monkeypatch):
     keep[1, 2] = keep[3, 0] = False
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        terms, d_pos, e, c = _info_nce(pos, neg.copy, 0.0, keep)
+        terms, d_pos, e, c = core_on_block(pos, neg, 0.0, keep)
     assert repaired == [1]
     assert not e[~keep].any() and np.isfinite(c * e).all()
-    want_terms, want_d_pos, want_e, want_c = old_info_nce(pos, neg.copy, 0.0,
-                                                          keep)
+    want_terms, want_d_pos, want_e, want_c = core_on_block(
+        pos, neg, 0.0, keep, core=old_info_nce)
     np.testing.assert_allclose(terms, want_terms, rtol=1e-12)
     np.testing.assert_allclose(d_pos, want_d_pos, rtol=1e-12)
     np.testing.assert_allclose(c * e, want_c * want_e, rtol=1e-12)
+
+
+class _MatmulNumpy:
+    """numpy, save that ``matmul`` records each call: whether it wrote into
+    a given ``out``, and a copy of its result."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        result = np.matmul(*args, **kwargs)
+        self.calls.append(("out" in kwargs, result.copy()))
+        return result
 
 
 @pytest.mark.parametrize("form", ["mask", "full"])
 def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
         monkeypatch, form):
     # rows 1 and 4 sit far below the bound, so their shared-shift sums
-    # underflow and only they are redone: the fresh block is indexed by
-    # them before -inf goes in, and the block itself is never written. The
-    # full complement takes the diagonal write before the repair.
+    # underflow and only they are redone: from a fresh product of their
+    # block, indexed by them before -inf goes in, so neither the block's
+    # buffer nor an operand is written. The full complement takes the
+    # diagonal write before the repair.
     repaired = _repaired_rows(monkeypatch)
+    products = _MatmulNumpy()
+    monkeypatch.setattr(losses_mod, "np", products)
     rng = make_rng(103)
     n = 6
     pos = rng.uniform(-1.0, 1.0, (n, 2))
@@ -1094,19 +1130,185 @@ def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
     keep = full_negatives(n)
     if form == "mask":
         keep[[2, 4], [5, 0]] = False
-    builds = []
-
-    def block():
-        builds.append(neg.copy())
-        return builds[-1]
-
-    got = _info_nce(pos, block, 0.0, keep)
+    shifted = neg.copy()
+    got = core_on_block(pos, shifted, 0.0, keep)
     assert repaired == [2]
-    assert len(builds) == 2 and np.array_equal(builds[1], neg)
-    want = old_info_nce(pos, neg.copy, 0.0, keep)
+    # the block into its buffer, then the repair's fresh product
+    assert [into for into, _ in products.calls] == [True, False]
+    assert all(np.array_equal(product, neg) for _, product in products.calls)
+    assert np.array_equal(shifted, neg)
+    want = core_on_block(pos, neg, 0.0, keep, core=old_info_nce)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
     assert not got[2][~keep].any()
+
+
+# ---------------------------------------------- row-blocked dense path
+#
+# _info_nce takes the anchor rows in blocks of _SYM_BAND_ROWS (128): product,
+# exp, zeroing, sums, repair, terms and the caller's backward per block.
+
+
+def _block_calls(monkeypatch):
+    """Record each block's call of ``losses._accumulate``: True for a
+    call's first block, which assigns the gradient, False for a later one,
+    which adds to it."""
+    seen = []
+    accumulate = losses_mod._accumulate
+
+    def spy(acc, part):
+        seen.append(acc is None)
+        return accumulate(acc, part)
+
+    monkeypatch.setattr(losses_mod, "_accumulate", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+def test_info_nce_blocks_match_a_direct_logsumexp(monkeypatch, n):
+    # n rows against n + 1 columns (so one row has a negative), in blocks of
+    # 128 with a last block of 1 row at 129 and 257; the last row sits far
+    # below the bound and is repaired in the last block. Every row against
+    # scipy's logsumexp of its negatives, and c * e against the softmax.
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(107 + n)
+    pos = rng.uniform(-1.0, 1.0, (n, 2))
+    neg = rng.uniform(-3.0, 0.0, (n, n + 1))
+    neg[-1] -= 1000.0
+    keep = rng.random((n, n + 1)) < 0.7
+    keep[np.arange(n), rng.integers(0, n + 1, n)] = True
+    terms, d_pos, e, c = core_on_block(pos, neg, 0.0, keep)
+    assert repaired == [1]
+    lse = logsumexp(np.where(keep, neg, -np.inf), axis=1, keepdims=True)
+    t = np.logaddexp(pos, lse)
+    np.testing.assert_allclose(terms, t - pos, rtol=1e-12)
+    np.testing.assert_allclose(d_pos, np.exp(pos - t) - 1.0, rtol=1e-12,
+                               atol=1e-15)
+    d_neg = np.where(keep, np.exp(neg[:, :, None] - t[:, None, :]).sum(axis=2),
+                     0.0)
+    np.testing.assert_allclose(c * e, d_neg, rtol=1e-12, atol=1e-300)
+    want = core_on_block(pos, neg, 0.0, keep, core=old_info_nce)
+    for g, w in zip((terms, d_pos, e, c), want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("form", ["mask", "full"])
+def test_info_nce_blocks_of_three_rows_keep_every_bit(monkeypatch, form):
+    # every step before the backward is row-local, so blocks of 3 rows
+    # (3 + 3 + 3 + 2) give the terms, d_pos, e and c of one block of all 11
+    # rows bit for bit; row 7 sits far below the bound and is repaired in
+    # the third block
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(109)
+    n = 11
+    pos = rng.uniform(-1.0, 1.0, (n, 2))
+    neg = rng.uniform(-3.0, 0.0, (n, n))
+    neg[7] -= 1000.0
+    keep = full_negatives(n) if form == "full" else random_neg_mask(rng, n)
+    whole = core_on_block(pos, neg, 0.0, keep)
+    monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
+    blocked = core_on_block(pos, neg, 0.0, keep)
+    assert repaired == [1, 1]
+    for g, w in zip(blocked, whole, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+def test_blocks_of_three_rows_move_losses_by_rounding_only(monkeypatch, tau):
+    # the backward products of a multi-block call sum over blocks, so its
+    # gradients agree with one block's to rounding; the symmetric branch is
+    # off, so the full two-view batch of one width runs the dense path too
+    rng = make_rng(113)
+    layouts = [(unsup_loss_single, single_view_batch(rng, n=11, project=True)),
+               (unsup_loss_multiview, two_view_batch(rng, n=7, d1=3)),
+               (unsup_loss_multiview, two_view_batch(rng, n=7, d1=3, d2=4))]
+    for loss, drawn in layouts:
+        for b in (drawn, with_full_mask(drawn)):
+            want = loss(b, tau)
+            with monkeypatch.context() as m:
+                m.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
+                m.setattr(losses_mod, "_symmetric_info_nce",
+                          lambda *args: None)
+                blocks = _block_calls(m)
+                got = loss(b, tau)
+            assert blocks == [True] + [False] * (-(-len(b.zs) * b.n // 3) - 1)
+            _agree(got, want, tol=1e-13)
+
+
+def _check_against_oracles(loss, b, tau, rng):
+    """``loss`` on ``b``: its value within 1e-12 of the loop oracle, and its
+    gradients against finite differences along three random directions of
+    the stacked embeddings (view 1's rows, then view 2's, as the kernel
+    lays out its anchor rows): over every row, over the first block's rows
+    and over the last block's."""
+    value, *grads = loss(b, tau)
+    neg_sets = neg_sets_from_mask(b.neg_mask)
+    if loss is unsup_loss_single:
+        want = ref_unsup_single(b.x_sim, b.xs[0], b.zs[0], neg_sets, tau, True)
+    else:
+        want = ref_unsup_multiview(*b.xs, *b.zs, neg_sets, tau, True)
+    assert value == pytest.approx(want, rel=1e-12)
+    z = np.vstack(b.zs)
+    dirs = rng.normal(size=(3, *z.shape))
+    dirs[1, 128:] = 0.0
+    dirs[2, :(len(z) - 1) // 128 * 128] = 0.0
+
+    def fn(t):
+        moved = np.split(z + np.tensordot(t, dirs, axes=1), len(b.zs))
+        return loss(dataclasses.replace(b, zs=moved), tau)[0]
+
+    num = finite_diff_grad(fn, np.zeros(3), eps=1e-5 * tau)
+    assert rel_error(np.tensordot(dirs, np.vstack(grads), axes=2), num) \
+        < GRAD_TOL
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+@pytest.mark.parametrize("n", [127, 128, 129, 257])
+def test_single_view_blocks_match_oracles(monkeypatch, n, tau):
+    # one block at 127 and 128 rows, then 128 + 1 and 128 + 128 + 1
+    rng = make_rng(127 + n)
+    drawn = single_view_batch(rng, n=n, d=3, dz=2, project=True)
+    blocks = _block_calls(monkeypatch)
+    for b in (drawn, with_full_mask(drawn)):
+        _check_against_oracles(unsup_loss_single, b, tau, rng)
+    calls = -(-n // 128)
+    assert blocks[:2 * calls] == ([True] + [False] * (calls - 1)) * 2
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+@pytest.mark.parametrize("n", [63, 65])
+def test_two_view_dense_blocks_match_oracles(monkeypatch, n, tau):
+    # 2n = 126 rows make one block, 130 make 128 + 2; under 128 anchors even
+    # the full batch of one width runs the dense path, as does the proxy
+    taken = symmetric_branch_calls(monkeypatch)
+    rng = make_rng(131 + n)
+    blocks = _block_calls(monkeypatch)
+    for drawn in (two_view_batch(rng, n=n, dz=2, d1=3),
+                  two_view_batch(rng, n=n, dz=2, d1=3, d2=4)):
+        for b in (drawn, with_full_mask(drawn)):
+            _check_against_oracles(unsup_loss_multiview, b, tau, rng)
+    assert taken == []
+    first = [True] + [False] * (2 * n // 128)
+    assert blocks[:len(first)] == first
+
+
+def test_single_view_kernel_builds_no_n_by_n_block():
+    # at full-plan's n = 1000 the (n, n) float block alone is 8 MB; the
+    # blocked path's buffer and a repair's fresh block are (128, n)
+    n = 1000
+    rng = make_rng(137)
+    b = ContrastiveBatch(zs=[rng.normal(size=(n, 16))],
+                         xs=[rng.normal(size=(n, 20))],
+                         x_sim=rng.normal(size=(n, 16)),
+                         neg_mask=full_negatives(n))
+    unsup_loss_single(b, 0.5)
+    tracemalloc.start()
+    try:
+        unsup_loss_single(b, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
 
 
 def test_is_full_complement_truth_table():

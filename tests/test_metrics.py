@@ -187,6 +187,22 @@ def test_report_fields_write_undefined_auc_as_none():
                                "per_label": [0.75, None], "n_eval": 4}
 
 
+def test_reports_compare_by_value():
+    # per_label is an array: equality is by value, with the NaN AUC of a
+    # label lacking a class equal to another
+    report = EvalReport(f1=0.5, auc=0.75,
+                        per_label=np.array([0.75, np.nan]), n_eval=4)
+    same = EvalReport(f1=0.5, auc=0.75,
+                      per_label=[0.75, float("nan")], n_eval=4)
+    assert report == same and not report != same
+    for other in (EvalReport(0.5, 0.75, np.array([0.75, 0.5]), 4),
+                  EvalReport(0.5, 0.75, np.array([0.75]), 4),
+                  EvalReport(0.5, 0.75, np.array([0.75, np.nan]), 5),
+                  EvalReport(0.25, 0.75, np.array([0.75, np.nan]), 4)):
+        assert report != other
+    assert report != report.fields()
+
+
 def test_report_validation():
     with pytest.raises(ContractError):
         EvalReport(f1=1.2, auc=0.5, per_label=np.array([0.5]), n_eval=3)

@@ -471,6 +471,23 @@ def test_run_record_leaves_params_out_of_json_eq_and_repr():
     assert replace(record, seed=1) != record
 
 
+def test_run_records_of_one_config_and_seed_compare_by_value():
+    # two runs of one (config, seed) differ only in their wall time; a
+    # report with a NaN per-label AUC equals its twin
+    cfg = small_cfg(method="hcl")
+    first, second = run_training(cfg, 0), run_training(cfg, 0)
+    assert first.report == second.report
+    assert (first == second) == (first.wall_seconds == second.wall_seconds)
+    assert first == replace(second, wall_seconds=first.wall_seconds)
+    nan_auc = [replace(r.report, per_label=np.append(r.report.per_label,
+                                                     np.nan))
+               for r in (first, second)]
+    assert replace(first, report=nan_auc[0]) == replace(
+        second, report=nan_auc[1], wall_seconds=first.wall_seconds)
+    assert replace(first, report=nan_auc[0]) != first
+    assert replace(first, trace=first.trace[:-1]) != first
+
+
 def test_run_record_json_round_trip():
     rec = make_record(0)
     body = json.loads(rec.to_json())
