@@ -8,12 +8,14 @@ one aggregated CSV per sweep, all written atomically, with seeds processed
 in deterministic order. A command that trains a list of runs stops at the
 first failed run and re-raises its error through ``_failed``, naming the
 run; ``train`` and ``noise-sweep`` first write the runs that finished,
-``perf-sweep`` writes nothing.
+``perf-sweep`` writes nothing. A ``train`` seed whose checkpoint or record
+cannot be written has failed like one that could not train.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -75,20 +77,22 @@ def cmd_train(pairs: dict[str, str],
     data_sha = dataset_checksum(base)
     records, failure = [], None
     for seed in cfg.seeds:
+        stem = f"run-{cfg.method}-seed{seed}"
+        ckpt_path = os.path.join(out, f"{stem}.ckpt")
         try:
+            # a seed fails as a whole, its training or one of its writes
             record = run_training(cfg, seed, base)
+            save_checkpoint(record.params, ckpt_path,
+                            extra={"config": record.config, "seed": seed,
+                                   "dataset": data_sha})
+            record.blas_threads = pin_blas_threads()
+            record.checksums = {"checkpoint": sha256_file(ckpt_path),
+                                "dataset": data_sha}
+            atomic_write_text(os.path.join(out, f"{stem}.json"),
+                              record.to_json())
         except HclError as err:
             failure = (f"seed {seed}", err)
             break
-        stem = f"run-{cfg.method}-seed{seed}"
-        ckpt_path = os.path.join(out, f"{stem}.ckpt")
-        save_checkpoint(record.params, ckpt_path,
-                        extra={"config": record.config, "seed": seed,
-                               "dataset": data_sha})
-        record.blas_threads = pin_blas_threads()
-        record.checksums = {"checkpoint": sha256_file(ckpt_path),
-                            "dataset": data_sha}
-        atomic_write_text(os.path.join(out, f"{stem}.json"), record.to_json())
         records.append(record)
         print(f"{stem}: f1={record.report.f1:.4f} auc={record.report.auc:.4f} "
               f"({record.wall_seconds:.1f}s)")
@@ -372,7 +376,10 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command line, built once per process: a parse
+    keeps nothing from an earlier one."""
     parser = argparse.ArgumentParser(
         prog="hcl",
         description="weighted contrastive learning experiments",

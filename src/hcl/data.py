@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError, ShapeError
 from .ioutil import parse_kv_text, read_text
-from .losses import full_negatives
+from .losses import shared_full_negatives
 from .numeric import Matrix, Rng, as_matrix, unit_rows
 
 
@@ -85,7 +85,9 @@ class BatchPlan:
     only sampler, makes every plan valid by construction: anchors unique
     and sorted, labeled rows among them, no anchor its own negative and
     every anchor with at least one. The plan is not checked again here;
-    ``losses.ContrastiveBatch`` checks the mask the losses receive.
+    ``losses.ContrastiveBatch`` checks the mask the losses receive. A full
+    complement is the read-only mask ``losses.shared_full_negatives``
+    shares among the plans of one anchor count.
     """
 
     anchors: np.ndarray
@@ -429,9 +431,10 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     The plan reads only ``rng``, ``ds.n``, ``ds.labeled_mask``,
     ``batch_size`` and ``neg_size``, never features or labels, so the same
     rng state on datasets with equal rows and labeled mask draws equal
-    plans; ``train.PlanMemo`` replays streams on that contract. A memo keeps
-    steps x na^2 bytes of masks per stream of sampled negative sets and none
-    per plan for full complements.
+    plans; ``train.PlanMemo`` replays streams on that contract. A full
+    complement is ``losses.shared_full_negatives(na)``, one read-only mask
+    shared by every plan with na anchors; a sampled negative set is a fresh
+    mask.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -478,8 +481,9 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
         anchors = np.sort(np.concatenate(pool))
     na = anchors.size
     if k == na - 1:
-        # forced full complement, no sampling needed
-        neg_mask = full_negatives(na)
+        # forced full complement, no sampling needed: the one read-only
+        # mask of this anchor count, which the losses know without a scan
+        neg_mask = shared_full_negatives(na)
     else:
         # the k smallest of iid uniform keys are a uniform k-subset; an
         # infinite diagonal key is never among them because k <= na - 2

@@ -42,9 +42,14 @@ row-wise through the unit-normalization of each embedding matrix; 1/tau
 scales that thin gradient. The weights are constant in the embeddings, so
 they leave the backward as it is.
 
-The supervised loss runs over flat arrays of pairs (``_sup_engine``), with
-no loop over labels. One product gives every (anchor i, label a) negative
-sum, S = exp(L - B) @ (1 - Y) over the valid labels' columns Y, with L =
+The supervised loss runs over flat arrays of pairs, with no loop over
+labels, in two halves. The label half (``sup_labels``, a ``SupLabels``) is
+a pure function of the binary label rows: the valid columns Y, the flat
+pairs and their indices, the per-label counts, the one-hot switch and the
+label log-weights. The embedding half (``_sup_engine``) takes it with the
+embeddings, so a caller whose label rows repeat (a run whose every batch
+labels all its labeled rows) makes it once. One product gives every
+(anchor i, label a) negative sum, S = exp(L - B) @ (1 - Y), with L =
 cos/tau + log gamma at every entry: the zeros of 1 - Y drop the samples
 that are not negatives of an (anchor, label), so no entry is masked
 before the exp.
@@ -63,6 +68,13 @@ with a cosine rounded a few ulp past 1 at a tau so small (below about
 1e-18) that the rounding puts a logit more than 709 past B. An
 unsupervised row is read from a fresh product of its block of rows; a
 supervised sum from the logits the engine keeps.
+
+A full complement is known without a scan when it is the mask
+``shared_full_negatives(n)`` hands out, one read-only mask per anchor count
+held in 2n - 1 bytes (every full-complement plan of ``data.sample_batch``
+holds it): ``_is_full_complement`` and ``ContrastiveBatch`` recognise it by
+identity. Any other mask, ``full_negatives(n)``'s fresh writable one among
+them, is scanned.
 
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
@@ -104,6 +116,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateBatchError, NumericError, ShapeError
 from .numeric import (
@@ -212,6 +225,8 @@ class ContrastiveBatch:
             raise ShapeError(
                 f"neg_mask must be {n}x{n}, got {self.neg_mask.shape}"
             )
+        if n > 1 and _is_shared_full(self.neg_mask):
+            return  # valid by construction: no diagonal, n - 1 per row
         if self.neg_mask.diagonal().any():
             raise ContractError("an anchor may not appear in its own negative set")
         filled = self.neg_mask.any(axis=1)
@@ -229,11 +244,44 @@ def full_negatives(n: int) -> np.ndarray:
     return ~np.eye(n, dtype=bool)
 
 
+# anchor count -> its shared full complement, for the last _SHARED_COUNTS
+# counts asked for: a run asks for one count again and again
+_SHARED_FULL: dict[int, np.ndarray] = {}
+_SHARED_COUNTS = 2
+
+
+def shared_full_negatives(n: int) -> np.ndarray:
+    """``full_negatives(n)`` as one read-only mask that every caller with
+    the same ``n`` shares, so that ``_is_full_complement`` and
+    ``ContrastiveBatch`` recognise it by identity instead of scanning it.
+    The masks of the last two counts asked for are kept. Each is a view of
+    one row of 2n - 1 bytes, false at its middle only, whose row i starts i
+    bytes before that middle: n^2 entries held in 2n - 1 bytes, and a view
+    that cannot be made writable."""
+    mask = _SHARED_FULL.pop(n, None)
+    if mask is None:
+        if len(_SHARED_FULL) >= _SHARED_COUNTS:
+            del _SHARED_FULL[next(iter(_SHARED_FULL))]
+        row = np.ones(2 * n - 1, dtype=bool)
+        row[n - 1] = False
+        # entry (i, j) is row[n - 1 - i + j], false where j = i
+        mask = sliding_window_view(row, n)[::-1]
+    _SHARED_FULL[n] = mask  # last in the dict: the most recent count
+    return mask
+
+
+def _is_shared_full(mask: np.ndarray) -> bool:
+    """Whether ``mask`` is a kept ``shared_full_negatives`` mask."""
+    return _SHARED_FULL.get(len(mask)) is mask
+
+
 def _is_full_complement(mask: np.ndarray) -> bool:
     """Whether boolean ``mask`` is ``full_negatives(n)``: square, clear on
-    its diagonal and set everywhere else. The first row's count settles
-    most other masks (a two-view tiled one among them) before the whole
-    mask is counted."""
+    its diagonal and set everywhere else. A shared mask is known at once;
+    on any other the first row's count settles most masks (a two-view
+    tiled one among them) before the whole mask is counted."""
+    if _is_shared_full(mask):
+        return True
     n = len(mask)
     return bool(mask.shape == (n, n) and not mask.diagonal().any()
                 and (not n or np.count_nonzero(mask[0]) == n - 1)
@@ -595,20 +643,47 @@ def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:
     return log_sigma, np.log(np.maximum(ham, 1.0))
 
 
-def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
-    """The one supervised engine, over flat arrays of pairs: pair p
-    is anchor ``pi[p]`` with another positive ``pj[p]`` of valid label
-    ``pa[p]`` (a column of ``yv``, the columns of ``y`` with two positives
-    and a negative), by label, then anchor, then partner. Its term is
+@dataclass(frozen=True, eq=False)
+class SupLabels:
+    """The label half of the supervised loss: everything ``_sup_engine``
+    reads of the binary label rows, made by ``sup_labels``. Its arrays are
+    read-only, so one label half serves every batch of embeddings with
+    those label rows.
 
-        -log( sigma_ij f(s_i, s_j) /
-              (sigma_ij f(s_i, s_j) + sum_{k: y_ka = 0} gamma_ik f(s_i, s_k)) )
-
-    with sigma = gamma = 1 when ``indicator``. Returns ``((yv, pa, pi, pj),
-    terms, value, grad)``: value averages the terms over each label's pairs,
-    then over labels, and grad is its gradient in ``s``.
+    The pairs are flat arrays: pair p is anchor ``pi[p]`` with another
+    positive ``pj[p]`` of valid label ``pa[p]`` (a column of ``yv``, the
+    columns of ``y`` with two positives and a negative), by label, then
+    anchor, then partner. ``pair`` and ``key`` are their flat indices into
+    the n x n grid of row pairs and the n x g grid of (anchor, label)
+    sums, and ``count`` is each valid label's pair count. ``log_sigma``
+    (per pair) and ``log_gamma`` (n x n) are the label log-weights and
+    ``shift`` = log c what they add to the logits' bound; with indicator
+    weights they are None, None and 0.
     """
-    _check_tau(tau)
+
+    yv: Matrix
+    not_y: Matrix
+    absent: np.ndarray  # yv == 0: the (anchor, label) sums no pair reads
+    pa: np.ndarray
+    pi: np.ndarray
+    pj: np.ndarray
+    pair: np.ndarray
+    key: np.ndarray
+    count: np.ndarray
+    log_sigma: Matrix | None
+    log_gamma: Matrix | None
+    shift: float
+
+
+def sup_labels(y, indicator: bool | None = None) -> SupLabels:
+    """The label half of ``weighted_sup_loss`` for the (n, c) binary label
+    rows ``y``, a pure function of them. ``indicator`` None takes the
+    loss's one-hot switch (``_is_one_hot``); True or False forces indicator
+    or label weights. Refuses labels that are not binary, and a batch with
+    no valid label (``DegenerateBatchError``)."""
+    y = as_matrix(y, "y")
+    if np.any((y != 0.0) & (y != 1.0)):
+        raise ContractError("multi-label targets must be binary")
     counts = y.sum(axis=0)
     yv = y[:, (counts >= 2) & (counts < len(y))]
     if not yv.size:
@@ -624,29 +699,56 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     place = np.repeat(np.arange(member.size) - start, per)
     pa, pi = np.repeat(label, per), np.repeat(member, per)
     pj = member[np.repeat(start, per) + step + (step >= place)]
-
     n, g = yv.shape
+    log_sigma = log_gamma = None
+    shift = 0.0
+    if not (_is_one_hot(y) if indicator is None else indicator):
+        log_sigma, log_gamma = _label_log_weights(y, (pi, pj))
+        shift = np.log(y.shape[1])
+    labels = SupLabels(yv=yv, not_y=1.0 - yv, absent=yv == 0.0, pa=pa, pi=pi,
+                       pj=pj, pair=pi * n + pj, key=pi * g + pa,
+                       count=np.bincount(pa), log_sigma=log_sigma,
+                       log_gamma=log_gamma, shift=shift)
+    for array in vars(labels).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return labels
+
+
+def _sup_engine(s: Matrix, labels: SupLabels, tau: float
+                ) -> tuple[Matrix, float, Matrix]:
+    """The embedding half of the supervised loss, over the flat pairs of
+    the label half ``labels``. Pair p's term is
+
+        -log( sigma_ij f(s_i, s_j) /
+              (sigma_ij f(s_i, s_j) + sum_{k: y_ka = 0} gamma_ik f(s_i, s_k)) )
+
+    with i, j, a = ``pi[p]``, ``pj[p]``, ``pa[p]`` and sigma = gamma = 1
+    under indicator weights. Returns ``(terms, value, grad)``: value
+    averages the terms over each label's pairs, then over labels, and grad
+    is its gradient in ``s``.
+    """
+    _check_tau(tau)
+    not_y = labels.not_y
+    n, g = not_y.shape
     sh, s_norms = _unit_rows_norms(s)
     logits = np.clip(gram(sh), -1.0, 1.0) / tau
-    pair = pi * n + pj
-    pos = logits.ravel()[pair]
+    pos = logits.ravel()[labels.pair]
     # every logit is at most bound: cos/tau <= 1/tau and log gamma <= log c
     bound = 1.0 / tau
-    if not indicator:
-        log_sigma, log_gamma = _label_log_weights(y, (pi, pj))
-        pos += log_sigma
-        logits += log_gamma
-        bound += np.log(y.shape[1])
+    if labels.log_gamma is not None:
+        pos += labels.log_sigma
+        logits += labels.log_gamma
+        bound += labels.shift
     # e is read only through not_y, whose zeros drop the entries outside
     # each (anchor, label)'s negatives, so no entry is masked before the exp
-    not_y = 1.0 - yv
     e = np.subtract(logits, bound)
     np.exp(e, out=e)
     sums = e @ not_y
-    sums[yv == 0.0] = 1.0  # sums no pair reads
+    sums[labels.absent] = 1.0  # sums no pair reads, in range
     # redo each sum the shared shift left outside [floor, inf) with its own
     # shift; at most temperatures there is none, and the repair is skipped
-    fi, fa = np.nonzero(~((sums >= _SUM_FLOOR) & (sums < np.inf)) & (yv > 0.0))
+    fi, fa = np.nonzero(~((sums >= _SUM_FLOOR) & (sums < np.inf)))
     repair = fi.size > 0
     if repair:
         own = logits[fi]
@@ -656,10 +758,9 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     lse = bound + np.log(sums)
     if repair:
         lse[fi, fa] = lse_own[:, 0]
-    key = pi * g + pa
+    key, pa, count = labels.key, labels.pa, labels.count
     terms, d_pos, q = _info_nce_terms(pos, lse.ravel()[key])
 
-    count = np.bincount(pa)
     value = float(np.sum(np.bincount(pa, weights=terms) / count)) / g
     w = 1.0 / (g * count * tau)
     # exp(neg[i, k] - t_p) = e[i, k] q_p / sums[i, a]: one rate per (anchor,
@@ -671,9 +772,9 @@ def _sup_engine(s: Matrix, y: Matrix, tau: float, indicator: bool) -> tuple:
     d = np.multiply(e, r @ not_y.T, out=e)
     if repair:
         np.add.at(d, fi, r_own[:, None] * own)
-    d += np.bincount(pair, weights=d_pos * w[pa], minlength=n * n).reshape(n, n)
-    return ((yv, pa, pi, pj), terms, value,
-            _unnormalize_rows(d @ sh + d.T @ sh, sh, s_norms))
+    d += np.bincount(labels.pair, weights=d_pos * w[pa],
+                     minlength=n * n).reshape(n, n)
+    return terms, value, _unnormalize_rows(d @ sh + d.T @ sh, sh, s_norms)
 
 
 def _is_one_hot(y: Matrix) -> bool:
@@ -684,17 +785,20 @@ def _is_one_hot(y: Matrix) -> bool:
 def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     """The supervised term: a label-weighted supervised contrastive loss.
 
-    ``y`` is an (n, c) binary label matrix. Positive pairs within each
-    valid label are scaled by label agreement (1 - hamming/c) and negatives
-    by hamming distance. A batch whose rows are all one-hot (c >= 2) takes
-    indicator weights instead, which makes the loss plain SupCon (Khosla et
-    al. 2020): that is a per-batch switch, not a property of the weights,
-    which give every one-hot negative hamming distance 2. With one label
-    column every weight is 1 as it stands. Returns the loss and its
-    gradient in ``s``.
+    ``y`` is an (n, c) binary label matrix, or its label half
+    ``sup_labels(y)``, which gives the same bits without recomputing it.
+    Positive pairs within each valid label are scaled by label agreement
+    (1 - hamming/c) and negatives by hamming distance. A batch whose rows
+    are all one-hot (c >= 2) takes indicator weights instead, which makes
+    the loss plain SupCon (Khosla et al. 2020): that is a per-batch switch,
+    not a property of the weights, which give every one-hot negative
+    hamming distance 2. With one label column every weight is 1 as it
+    stands. Returns the loss and its gradient in ``s``.
     """
     s = as_matrix(s, "s")
-    y = _rows(y, "y", s.shape[0])
-    if np.any((y != 0.0) & (y != 1.0)):
-        raise ContractError("multi-label targets must be binary")
-    return _sup_engine(s, y, tau, indicator=_is_one_hot(y))[2:]
+    if isinstance(y, SupLabels):
+        if len(y.yv) != len(s):
+            raise ShapeError(f"y has {len(y.yv)} rows, expected {len(s)}")
+    else:
+        y = sup_labels(_rows(y, "y", len(s)))
+    return _sup_engine(s, y, tau)[1:]

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, NumericError
 from .ioutil import csv_text
-from .losses import _check_tau, _sup_engine
+from .losses import _check_tau, _sup_engine, sup_labels
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng
 from .optimizer import OptimizerState
@@ -292,7 +292,8 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
 def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
                    tau: float) -> dict[int, tuple[float, float, float]]:
     """Per-shared-label-count stratum: (restricted loss, matching N term,
-    reference MI), from one pass over the flat pairs of ``_sup_engine``.
+    reference MI), from one pass over the flat pairs of the label half
+    (``losses.sup_labels``).
 
     The loss reads the production loss's per-pair terms but averages only
     over ordered positive pairs whose shared-positive count equals the
@@ -301,9 +302,11 @@ def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
     uniform over labels, uniform over pairs per label.
     """
     y = as_matrix(labels, "labels")
-    (yv, pa, pi, pj), terms, _, _ = _sup_engine(z, y, tau, False)
+    half = sup_labels(y, indicator=False)
+    terms = _sup_engine(z, half, tau)[0]
+    pa, pi, pj = half.pa, half.pi, half.pj
     eps = gram(y).astype(int)[pi, pj]
-    log_negs = np.log(np.sum(yv == 0.0, axis=0))
+    log_negs = np.log(np.sum(half.absent, axis=0))
     out = {}
     for stratum in np.unique(eps):
         sel = eps == stratum

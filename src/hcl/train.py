@@ -16,8 +16,17 @@ mask, draw the same plans whatever their features, labels and method. A
 it once and replays it to every later run with the same key; the noise sweep
 passes one to all its cells. A memo keeps steps x na^2 mask bytes per stream
 of sampled negative sets (na anchors a batch) and none per plan for full
-complements, which share one read-only mask per anchor count. Without a memo,
-plans are drawn one per step and dropped after it.
+complements: every full complement ``sample_batch`` returns is the one
+read-only mask of its anchor count (``losses.shared_full_negatives``).
+Without a memo, plans are drawn one per step and dropped after it.
+
+The supervised loss splits into a label half (``losses.sup_labels``), a
+pure function of the batch's label rows, and an embedding half. A run keeps
+its last step's label half and reuses it while the next batch's label rows
+equal the last ones. That holds on every step when ``batch_size`` covers
+all labeled rows, since each batch then labels all of them; otherwise it
+costs one comparison of the label rows a step. The kept label half is
+dropped with the run.
 
 ``train_step`` is the one optimizer step: encode the batch's views, take
 the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
@@ -33,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -54,9 +64,9 @@ from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
-    _is_full_complement,
     _is_one_hot,
     cross_entropy,
+    sup_labels,
     total_loss,
     unsup_loss_multiview,
     unsup_loss_single,
@@ -157,14 +167,12 @@ class PlanMemo:
     A stream is keyed on the exact input of the sampler: the rng's
     ``bit_generator.state`` before the first draw, ``ds.n``, the labeled
     mask's bytes, ``batch_size``, ``neg_size`` and the step count. Plans
-    handed out are read-only, since every run with the key shares them; a
-    full-complement plan holds the memo's one mask for its anchor count.
+    handed out are read-only, since every run with the key shares them.
     """
 
     def __init__(self) -> None:
         # key -> (the stream's plans, the rng state after drawing them)
         self._streams: dict[tuple, tuple[list[BatchPlan], dict]] = {}
-        self._full: dict[int, np.ndarray] = {}
 
     def stream(self, ds: Dataset, batch_size: int, neg_size, steps: int,
                rng: Rng) -> list[BatchPlan]:
@@ -181,12 +189,22 @@ class PlanMemo:
         return plans
 
     def _shared(self, plan: BatchPlan) -> BatchPlan:
-        if _is_full_complement(plan.neg_mask):
-            mask = self._full.setdefault(plan.anchors.size, plan.neg_mask)
-            plan = replace(plan, neg_mask=mask)
         for array in (plan.anchors, plan.labeled, plan.neg_mask):
             array.flags.writeable = False
         return plan
+
+
+class _LastLabels:
+    """A run's last label half of the supervised loss, reused while the
+    batch's label rows equal the ones it was made from."""
+
+    def __init__(self) -> None:
+        self._y = self._half = None
+
+    def __call__(self, y: np.ndarray):
+        if self._y is None or not np.array_equal(y, self._y):
+            self._half, self._y = sup_labels(y), y
+        return self._half
 
 
 def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
@@ -223,6 +241,7 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
     else:
         plans = iter(memo.stream(ds, cfg.batch_size, cfg.neg_size, steps, rng))
 
+    label_half = _LastLabels()
     trace: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
@@ -234,6 +253,7 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
                     labeled=np.searchsorted(plan.anchors, plan.labeled),
                     neg_mask=plan.neg_mask, x_sim=x_sim_all,
                     weighted=cfg.method != "simclr-style",
+                    label_half=label_half,
                 )
             except DegenerateBatchError as err:
                 raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
@@ -250,7 +270,8 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
                  weights: tuple[float, float, float], tau: float,
                  *, labeled: np.ndarray | None = None,
                  neg_mask: np.ndarray | None = None,
-                 x_sim: np.ndarray | None = None, weighted: bool = True
+                 x_sim: np.ndarray | None = None, weighted: bool = True,
+                 label_half: Callable | None = None
                  ) -> tuple[tuple[float, float, float], dict]:
     """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
     batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
@@ -261,7 +282,9 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
     all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
     row similarity side of the single-view l_u. l_u takes one batch of all
     views, and ``weighted = False`` leaves out its raw features, which gives
-    plain InfoNCE.
+    plain InfoNCE. ``label_half``: maps the labeled rows' labels to the
+    label half of l_s (default ``losses.sup_labels``; a run passes its
+    ``_LastLabels``).
     """
     c, u, s = weights
     xs = [x[rows] for x in ds.views]
@@ -283,7 +306,8 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
         l_u, *d_z = kernel(batch, tau)
         back["d_z"] = [u * d for d in d_z]
     if s > 0:
-        l_s, d_s = weighted_sup_loss(s_lab, y_lab, tau)
+        labels = y_lab if label_half is None else label_half(y_lab)
+        l_s, d_s = weighted_sup_loss(s_lab, labels, tau)
         back["d_s"] = s * d_s
     return (l_c, l_u, l_s), back
 

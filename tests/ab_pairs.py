@@ -11,10 +11,13 @@ non-zero or reports ``correct: false``, naming the side and the pair, and
 exits 1. Otherwise it prints one row for every ``end_to_end`` metric of the
 change's ``BENCHMARK.json``: both medians, the relative change of the
 median, the interquartile range of the parent's runs, and the pairs the
-change won by the metric's ``better`` (a tie counts for neither side),
-then each side's failed/attempted run counts. ``pair_stats`` holds the
-statistics. This is a script, not a test module: pytest does not collect
-it.
+change won by the metric's ``better`` (a tie counts for neither side).
+Below them come the same rows for the raw ``wall_s`` and ``reference_s``,
+read from each run's printed report lines (``report_values``): a
+normalised gain that the raw wall time does not show comes from the
+reference kernel, not from the change. Last come each side's
+failed/attempted run counts. ``pair_stats`` holds the statistics. This is
+a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -49,9 +52,29 @@ def pair_stats(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+# raw report values printed beside the end-to-end metrics, lower is better
+RAW = ("wall_s", "reference_s")
+
+
+def report_values(lines: list[str], names=RAW) -> dict[str, float]:
+    """The value of each metric in ``names`` from a benchmark run's printed
+    report, whose metric lines read ``  <name>  <value>  <unit>  <note>``.
+    Raises ``ValueError`` naming a metric the report lacks."""
+    found = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) >= 2 and parts[0] in names and parts[0] not in found:
+            found[parts[0]] = float(parts[1])
+    missing = [name for name in names if name not in found]
+    if missing:
+        raise ValueError(f"report has no line for {', '.join(missing)}")
+    return found
+
+
 def run_bench(checkout: str, args) -> tuple[int, dict | None, str]:
     """One untraced benchmark run in ``checkout``: its exit code, its JSON
-    result (None when it printed none) and the tail of its stderr."""
+    result (None when it printed none; else with the ``report_values`` of
+    its report lines under ``"raw"``) and the tail of its stderr."""
     proc = subprocess.run(
         ["python3", "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(args.seconds),
@@ -60,7 +83,9 @@ def run_bench(checkout: str, args) -> tuple[int, dict | None, str]:
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
-    except json.JSONDecodeError:
+        if result is not None:
+            result["raw"] = report_values(lines[:-1])
+    except (json.JSONDecodeError, ValueError):
         result = None
     return proc.returncode, result, proc.stderr[-400:]
 
@@ -84,8 +109,9 @@ def main(argv=None) -> int:
         for side in order:
             code, result, err = run_bench(sides[side], args)
             if code != 0 or result is None or not result.get("correct"):
-                why = "reported correct: false" if code == 0 and result \
-                    else f"exited {code}"
+                why = (f"exited {code}" if code else
+                       "printed no result" if result is None else
+                       "reported correct: false")
                 print(f"pair {i}: the {side} run {why}\n{err}",
                       file=sys.stderr)
                 return 1
@@ -97,12 +123,14 @@ def main(argv=None) -> int:
           f"alternating pairs of {args.seconds:g} s")
     print(f"{'metric':<18}{'parent':>12}{'change':>12}{'rel':>9}"
           f"{'parent_iqr':>12}  change won")
-    for m in metrics:
-        name = m["name"]
-        stats = pair_stats(
-            [r["metrics"][name]["value"] for r in results["parent"]],
-            [r["metrics"][name]["value"] for r in results["change"]],
-            m["better"])
+    rows = [(m["name"], m["better"],
+             lambda r, name=m["name"]: r["metrics"][name]["value"])
+            for m in metrics]
+    rows += [(f"raw {name}", "lower", lambda r, name=name: r["raw"][name])
+             for name in RAW]
+    for name, better, value in rows:
+        stats = pair_stats([value(r) for r in results["parent"]],
+                           [value(r) for r in results["change"]], better)
         print(f"{name:<18}{stats['parent_median']:>12.4f}"
               f"{stats['change_median']:>12.4f}{stats['relative']:>+9.2%}"
               f"{stats['parent_iqr']:>12.4f}  {stats['wins']} of {args.pairs}")

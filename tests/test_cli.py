@@ -1,9 +1,12 @@
 """CLI commands: artifacts, replays, sweeps, arg parsing, exit codes."""
 
 import csv
+import errno
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -721,10 +724,110 @@ def test_main_train_write_that_fails_is_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_pairs(tmp_path, seeds="0"))
     assert main(["train", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
-        f"error: cannot write {taken}: Is a directory\n")
+        f"error: seed 0 failed: cannot write {taken}: Is a directory\n")
     assert sorted(p.name for p in out.iterdir()) == [
         "run-hcl-seed0.ckpt", "run-hcl-seed0.json"]
     assert not any(taken.iterdir())
+
+
+def _files(out):
+    """Each file's bytes, a run record's with its timing set to 0, the one
+    field two runs of one config need not share."""
+    return {p.name: re.sub(rb'"wall_seconds": [^,\n]+', b'"wall_seconds": 0',
+                           p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def test_main_train_write_that_fails_keeps_the_seeds_before_it(
+        tmp_path, monkeypatch, capsys):
+    # the k-th of a 2-seed train's renames fails, for every k: checkpoint
+    # and record of seed 0, of seed 1, then the metric CSV. Each time the
+    # command exits 2 with one error line naming the file (and, from seed
+    # 1 on, the seed and what was kept), leaves no temp file, and every
+    # file written before the fault is byte-equal to a clean run's (but for
+    # the records' timings)
+    cfg = write_cfg(tmp_path, small_pairs(tmp_path))
+    out = tmp_path / "out"
+    real_replace, targets = os.replace, []
+
+    def recording(src, dst):
+        targets.append(str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert main(["train", "--config", cfg]) == 0
+    monkeypatch.setattr(os, "replace", real_replace)
+    clean = _files(out)
+    names = [os.path.basename(t) for t in targets]
+    assert names == ["run-hcl-seed0.ckpt", "run-hcl-seed0.json",
+                     "run-hcl-seed1.ckpt", "run-hcl-seed1.json",
+                     "metrics-hcl.csv"]
+    header, row0, _ = clean["metrics-hcl.csv"].decode().splitlines(True)
+    for k in range(1, len(targets) + 1):
+        shutil.rmtree(out)
+        calls = []
+
+        def failing(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(errno.EIO, "injected fault")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        monkeypatch.setattr(os, "replace", real_replace)
+        fault = f"cannot write {targets[k - 1]}: injected fault"
+        if k <= 2:
+            want = f"seed 0 failed: {fault}"
+        elif k <= 4:
+            want = (f"seed 1 failed: {fault} (1 finished seed(s) written "
+                    "to metrics-hcl.csv)")
+        else:
+            want = fault
+        assert capsys.readouterr().err == f"error: {want}\n"
+        got = _files(out)
+        assert not [name for name in got if name.endswith(".tmp")]
+        before = names[:k - 1]
+        for name in before:
+            assert got[name] == clean[name], (k, name)
+        kept = {"metrics-hcl.csv": (header + row0).encode()} \
+            if 2 < k <= 4 else {}
+        assert got == {**{name: clean[name] for name in before}, **kept}
+
+
+def test_main_parses_each_command_line_on_its_own(tmp_path, monkeypatch):
+    # one process, one parser (built once), many command lines: each call
+    # sees only its own subcommand and flags
+    seen = []
+    for name in ("cmd_train", "cmd_noise_sweep", "cmd_bound_check",
+                 "cmd_perf_sweep"):
+        monkeypatch.setattr(cli_mod, name,
+                            lambda pairs, overrides, name=name:
+                            seen.append((name, pairs, overrides)))
+    monkeypatch.setattr(cli_mod, "cmd_eval",
+                        lambda checkpoint, data, out_dir:
+                        seen.append(("cmd_eval", checkpoint, data, out_dir)))
+    cfg = write_cfg(tmp_path, {"epochs": "2"})
+    pairs = {"epochs": "2"}
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    assert main(["train", "--config", cfg, "--seed", "3", "--epochs", "5"]) == 0
+    assert main(["noise-sweep", "--config", cfg]) == 0
+    assert main(["eval", "--checkpoint", "a.ckpt", "--data", "m.txt"]) == 0
+    with pytest.raises(SystemExit):
+        main(["train", "--seed", "4"])  # no --config: argparse refuses it
+    assert main(["eval", "--checkpoint", "b.ckpt"]) == 0
+    assert main(["train", "--config", cfg, "--method", "dnn"]) == 0
+    assert main(["bound-check", "--config", cfg, "--out", "x"]) == 0
+    assert main(["perf-sweep", "--config", cfg]) == 0
+    assert seen == [
+        ("cmd_train", pairs, {"seeds": "3", "epochs": "5"}),
+        ("cmd_noise_sweep", pairs, {}),
+        ("cmd_eval", "a.ckpt", "m.txt", None),
+        ("cmd_eval", "b.ckpt", None, None),
+        ("cmd_train", pairs, {"method": "dnn"}),
+        ("cmd_bound_check", pairs, {"out_dir": "x"}),
+        ("cmd_perf_sweep", pairs, {}),
+    ]
 
 
 def test_main_error_exit_code(tmp_path, capsys):

@@ -18,6 +18,7 @@ from hcl.data import (
     synth_multiview,
 )
 from hcl.errors import ConfigError, ContractError, IngestionError, ShapeError
+from hcl.losses import full_negatives, shared_full_negatives
 from hcl.numeric import make_rng, unit_rows
 
 from builders import save_csv, save_manifest
@@ -438,6 +439,26 @@ def test_sample_batch_full_single_batch_draws_nothing():
     again = sample_batch(ds, 50, "full", rng)
     assert rng.bit_generator.state == before
     assert np.array_equal(again.neg_mask, plan.neg_mask)
+
+
+def test_sample_batch_full_complement_is_the_shared_read_only_mask():
+    # a full pool and a forced complement (k = na - 1) both hand out the
+    # one read-only mask of their anchor count; a sampled set is its own
+    ds = split(toy_dataset(n=20), 6, make_rng(40))
+    rng = make_rng(41)
+    full = sample_batch(ds, 6, "full", rng)
+    assert full.neg_mask is shared_full_negatives(20)
+    forced = sample_batch(ds, 4, 3, rng)
+    assert forced.neg_mask is shared_full_negatives(4)
+    for plan in (full, forced):
+        assert np.array_equal(plan.neg_mask, full_negatives(plan.anchors.size))
+        with pytest.raises(ValueError, match="read-only"):
+            plan.neg_mask[0, 1] = False
+    sampled = sample_batch(ds, 4, 2, rng)
+    assert sampled.neg_mask.flags.writeable
+    # full_negatives itself stays a fresh writable mask
+    assert full_negatives(20) is not full.neg_mask
+    assert full_negatives(20).flags.writeable
 
 
 @pytest.mark.parametrize("batch_size,neg_size", [

@@ -18,6 +18,7 @@ from hcl.losses import (
     _info_nce,
     cross_entropy,
     full_negatives,
+    sup_labels,
     total_loss,
     unsup_loss_multiview,
     unsup_loss_single,
@@ -597,7 +598,8 @@ def test_weighted_sup_one_hot_equals_supcon_bitwise():
         y[np.arange(n), ids] = 1.0
         s = rng.normal(size=(n, 4))
         v1, g1 = weighted_sup_loss(s, y)
-        v2, g2 = losses_mod._sup_engine(s, y, 1.0, indicator=True)[2:]
+        v2, g2 = losses_mod._sup_engine(s, sup_labels(y, indicator=True),
+                                        1.0)[1:]
         assert v1 == v2
         assert np.array_equal(g1, g2)
 
@@ -681,11 +683,11 @@ def test_supervised_pairs_run_by_label_then_anchor_then_partner():
     rng = make_rng(43)
     y = (rng.random((9, 4)) < 0.5).astype(float)
     y[:, 1] = 1.0  # no negative: not a valid label
-    (yv, pa, pi, pj), *_ = losses_mod._sup_engine(
-        rng.normal(size=(9, 3)), y, 0.5, indicator=False)
+    half = sup_labels(y, indicator=False)
     groups = ref_sup_groups(y)
-    assert np.array_equal(yv, y[:, [a for a, _, _ in groups]])
-    assert list(zip(pa.tolist(), pi.tolist(), pj.tolist())) == [
+    assert np.array_equal(half.yv, y[:, [a for a, _, _ in groups]])
+    assert list(zip(half.pa.tolist(), half.pi.tolist(),
+                    half.pj.tolist())) == [
         (g, i, j) for g, (_, pos, _) in enumerate(groups)
         for i in pos for j in pos if i != j]
 
@@ -1563,12 +1565,158 @@ def test_sup_engine_repairs_only_when_a_sum_needs_it(monkeypatch, tau):
     for y, indicator in ((one_hot, True), (multi, False)):
         with monkeypatch.context() as m:
             repaired = _repaired_rows(m)
-            _, terms, value, grad = losses_mod._sup_engine(s, y, tau, indicator)
+            terms, value, grad = losses_mod._sup_engine(
+                s, sup_labels(y, indicator), tau)
         want_terms, want_value, want_grad = old_sup_engine(s, y, tau, indicator)
         assert bool(repaired) == (tau == 1e-4)
         assert np.array_equal(terms, want_terms)
         assert value == want_value
         assert np.array_equal(grad, want_grad)
+
+
+def _label_sweep(rng, n=9):
+    """Label matrices of ``n`` rows for the label half: one-hot, a single
+    column, multi-label, a label every row holds, and a row with no label."""
+    one_hot = np.eye(3)[np.arange(n) % 3]
+    multi = (rng.random((n, 4)) < 0.5).astype(float)
+    multi[:3, 0] = [1.0, 1.0, 0.0]
+    held_by_all = multi.copy()
+    held_by_all[:, 2] = 1.0  # never valid: no row is its negative
+    no_label = multi.copy()
+    no_label[4] = 0.0
+    return {"one-hot": one_hot, "one column": one_hot[:, :1],
+            "multi-label": multi, "held by every row": held_by_all,
+            "row with no label": no_label}
+
+
+@pytest.mark.parametrize("tau", [0.5, 1e-4])
+def test_label_half_gives_the_bits_of_the_whole_loss(monkeypatch, tau):
+    # one label half serves several embedding batches, each bit-equal to
+    # weighted_sup_loss on the label matrix and to the engine before the
+    # split; at tau = 1e-4 the repair runs and reads the kept logits
+    rng = make_rng(61)
+    repairs = _repaired_rows(monkeypatch)
+    for name, y in _label_sweep(rng).items():
+        half = sup_labels(y)
+        for _ in range(3):
+            s = rng.normal(size=(len(y), 4))
+            value, grad = weighted_sup_loss(s, half, tau)
+            want_value, want_grad = weighted_sup_loss(s, y, tau)
+            assert value == want_value, name
+            assert np.array_equal(grad, want_grad), name
+            _, old_value, old_grad = old_sup_engine(
+                s, y, tau, losses_mod._is_one_hot(y))
+            assert value == old_value and np.array_equal(grad, old_grad), name
+    assert bool(repairs) == (tau == 1e-4)
+
+
+def test_label_half_is_read_only_and_switches_like_the_loss():
+    rng = make_rng(62)
+    for name, y in _label_sweep(rng).items():
+        half = sup_labels(y)
+        one_hot = losses_mod._is_one_hot(y)
+        assert (half.log_gamma is None) == one_hot, name
+        assert (half.log_sigma is None) == one_hot, name
+        assert half.shift == (0.0 if one_hot else np.log(y.shape[1])), name
+        n, g = half.yv.shape
+        assert np.array_equal(half.pair, half.pi * n + half.pj)
+        assert np.array_equal(half.key, half.pi * g + half.pa)
+        assert np.array_equal(half.count, np.bincount(half.pa))
+        for field in dataclasses.fields(half):
+            array = getattr(half, field.name)
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
+    # forced weights override the switch, as the MI strata need
+    assert sup_labels(np.eye(3)[[0, 0, 1, 1, 2]], indicator=False).log_gamma \
+        is not None
+
+
+def test_label_half_refuses_what_the_loss_refuses():
+    with pytest.raises(ContractError, match="binary"):
+        sup_labels(np.array([[0.5, 1.0], [1.0, 0.0]]))
+    with pytest.raises(DegenerateBatchError, match="positives per label"):
+        sup_labels(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    half = sup_labels(np.eye(2)[[0, 0, 1, 1]])
+    with pytest.raises(ShapeError, match="y has 4 rows, expected 3"):
+        weighted_sup_loss(np.eye(3), half)
+    with pytest.raises(ContractError, match="temperature"):
+        weighted_sup_loss(np.eye(4), half, 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1e-4])
+def test_label_half_gradient_matches_finite_differences(tau):
+    rng = make_rng(63)
+    for name, y in _label_sweep(rng, n=7).items():
+        half = sup_labels(y)
+        s = rng.normal(size=(len(y), 3))
+        _, grad = weighted_sup_loss(s, half, tau)
+        # a sharp temperature needs a step below the loss's curvature scale
+        num = finite_diff_grad(lambda x: weighted_sup_loss(x, half, tau)[0],
+                               s, eps=1e-5 if tau == 0.5 else 1e-8)
+        assert rel_error(grad, num) < GRAD_TOL, name
+
+
+# --------------------------------------------------- shared full complement
+
+
+def test_shared_full_mask_is_read_only_and_known_without_a_scan(monkeypatch):
+    mask = losses_mod.shared_full_negatives(6)
+    assert mask is losses_mod.shared_full_negatives(6)
+    assert np.array_equal(mask, full_negatives(6))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 1] = False
+    scans, real = [], np.count_nonzero
+
+    def counting(a, *args, **kwargs):
+        scans.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(losses_mod.np, "count_nonzero", counting)
+    assert losses_mod._is_full_complement(mask) and not scans
+    # a copy, writable or not, is the same mask by value and is scanned
+    copy = mask.copy()
+    assert losses_mod._is_full_complement(copy) and scans
+    copy.flags.writeable = False
+    scans.clear()
+    assert losses_mod._is_full_complement(copy) and scans
+    monkeypatch.undo()
+    z = make_rng(64).normal(size=(6, 3))
+    assert ContrastiveBatch([z], mask, x_sim=z).neg_mask is mask
+    # one flipped entry is scanned and refused
+    off = mask.copy()
+    off[2, 4] = False
+    assert not losses_mod._is_full_complement(off)
+    diag = mask.copy()
+    diag[3, 3] = True
+    assert not losses_mod._is_full_complement(diag)
+    with pytest.raises(ContractError, match="own negative set"):
+        ContrastiveBatch([z], diag, x_sim=z)
+    # nothing can write the shared mask, so it is taken on trust
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        mask.flags.writeable = True
+
+
+def test_shared_full_mask_of_one_anchor_is_still_refused():
+    one = losses_mod.shared_full_negatives(1)
+    with pytest.raises(DegenerateBatchError, match="empty negative set"):
+        ContrastiveBatch([np.ones((1, 2))], one, x_sim=np.ones((1, 2)))
+
+
+def test_shared_full_masks_are_kept_for_the_last_two_counts():
+    shared = losses_mod.shared_full_negatives
+    first, second = shared(11), shared(12)
+    assert shared(11) is first  # 11 is now the most recent count
+    shared(13)  # 12, the least recent, is dropped
+    assert sorted(losses_mod._SHARED_FULL) == [11, 13]
+    assert not losses_mod._is_shared_full(second)
+    assert losses_mod._is_full_complement(second)  # by a scan
+    assert shared(12) is not second
+    # the n^2 entries are held in one row of 2n - 1 bytes
+    root = first
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == 2 * 11 - 1
 
 
 # ------------------------------------------------------------- total loss

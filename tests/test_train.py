@@ -14,6 +14,7 @@ from hcl.losses import (
     ContrastiveBatch,
     cross_entropy,
     full_negatives,
+    sup_labels,
     unsup_loss_multiview,
     unsup_loss_single,
     weighted_sup_loss,
@@ -204,6 +205,73 @@ def test_run_training_with_a_memo_equals_drawing(monkeypatch):
     replayed = run_training(cfg, 3, memo=memo)
     assert len(calls) == 2 * steps
     assert run_bytes(once) == run_bytes(plain) == run_bytes(replayed)
+
+
+@pytest.mark.parametrize("neg_size", [4, "full"])
+def test_plan_memo_replay_equals_drawing_on_either_mask(monkeypatch, neg_size):
+    # a full-complement stream replays the one shared mask of its anchor
+    # count; every run, drawn or replayed, keeps the same bits
+    cfg = small_cfg(method="hcl", neg_size=neg_size, batch_size=8)
+    memo = PlanMemo()
+    plain = run_training(cfg, 4)
+    once = run_training(cfg, 4, memo=memo)
+    replayed = run_training(cfg, 4, memo=memo)
+    assert run_bytes(once) == run_bytes(plain) == run_bytes(replayed)
+    masks = {id(plan.neg_mask) for (plans, _) in memo._streams.values()
+             for plan in plans}
+    assert (len(masks) == 1) == (neg_size == "full")
+
+
+def count_label_halves(monkeypatch):
+    calls = []
+
+    def spy(y):
+        calls.append(len(y))
+        return sup_labels(y)
+
+    monkeypatch.setattr(train_mod, "sup_labels", spy)
+    return calls
+
+
+@pytest.mark.parametrize("method, batch_size, over", [
+    ("hcl", 16, {}),  # every batch labels all 15 labeled rows
+    ("hcl-s", 16, {"mode": "two-view", "view1_aug": "mask:0.25",
+                   "view2_aug": "mask:0.25"}),
+    ("hcl", 6, {}),  # the labeled rows change every step
+    ("supcon-style", 16, {"mode": "two-view"}),
+])
+def test_reusing_the_label_half_keeps_every_bit(monkeypatch, method,
+                                                batch_size, over):
+    cfg = small_cfg(method=method, batch_size=batch_size, **over)
+    steps = cfg.epochs * -(-cfg.n_labeled // batch_size)
+    made = 1 if batch_size >= cfg.n_labeled else steps
+    calls = count_label_halves(monkeypatch)
+    reused = run_training(cfg, 5)
+    assert len(calls) == made
+    with monkeypatch.context() as m:
+        # a label half made afresh on every step
+        m.setattr(train_mod._LastLabels, "__call__",
+                  lambda self, y: train_mod.sup_labels(y))
+        fresh = run_training(cfg, 5)
+    assert len(calls) == made + steps
+    assert reused.trace == fresh.trace and reused.report == fresh.report
+    assert np.array_equal(reused.params.flat, fresh.params.flat)
+
+
+def test_last_labels_keeps_one_entry_and_compares_by_value(monkeypatch):
+    calls = count_label_halves(monkeypatch)
+    last = train_mod._LastLabels()
+    y = np.eye(3)[[0, 0, 1, 1, 2, 2]]
+    half = last(y)
+    assert last(y.copy()) is half and len(calls) == 1
+    other = last(y[::-1])  # the same rows in another order
+    assert other is not half and len(calls) == 2
+    kept = last(y)
+    assert kept is not half and len(calls) == 3
+    # labels that fail leave the kept entry as it was
+    with pytest.raises(DegenerateBatchError):
+        last(np.ones((4, 1)))
+    assert last(y) is kept and len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
