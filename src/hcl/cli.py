@@ -9,7 +9,8 @@ in deterministic order. A command that trains a list of runs stops at the
 first failed run and re-raises its error through ``_failed``, naming the
 run; ``train`` and ``noise-sweep`` first write the runs that finished,
 ``perf-sweep`` writes nothing. A ``train`` seed whose checkpoint or record
-cannot be written has failed like one that could not train.
+cannot be written has failed like one that could not train, and its
+checkpoint is removed.
 """
 
 from __future__ import annotations
@@ -79,18 +80,23 @@ def cmd_train(pairs: dict[str, str],
     for seed in cfg.seeds:
         stem = f"run-{cfg.method}-seed{seed}"
         ckpt_path = os.path.join(out, f"{stem}.ckpt")
+        saved = False
         try:
-            # a seed fails as a whole, its training or one of its writes
+            # a seed fails as a whole, its training or one of its writes,
+            # and leaves no checkpoint without its record
             record = run_training(cfg, seed, base)
             save_checkpoint(record.params, ckpt_path,
                             extra={"config": record.config, "seed": seed,
                                    "dataset": data_sha})
+            saved = True
             record.blas_threads = pin_blas_threads()
             record.checksums = {"checkpoint": sha256_file(ckpt_path),
                                 "dataset": data_sha}
             atomic_write_text(os.path.join(out, f"{stem}.json"),
                               record.to_json())
         except HclError as err:
+            if saved:
+                os.remove(ckpt_path)
             failure = (f"seed {seed}", err)
             break
         records.append(record)

@@ -47,8 +47,9 @@ labels, in two halves. The label half (``sup_labels``, a ``SupLabels``) is
 a pure function of the binary label rows: the valid columns Y, the flat
 pairs and their indices, the per-label counts, the one-hot switch and the
 label log-weights. The embedding half (``_sup_engine``) takes it with the
-embeddings, so a caller whose label rows repeat (a run whose every batch
-labels all its labeled rows) makes it once. One product gives every
+embeddings. ``sup_labels`` keeps the last label half and hands it out again
+while the label rows are the same bytes, so a run whose every batch labels
+all its labeled rows makes it once. One product gives every
 (anchor i, label a) negative sum, S = exp(L - B) @ (1 - Y), with L =
 cos/tau + log gamma at every entry: the zeros of 1 - Y drop the samples
 that are not negatives of an (anchor, label), so no entry is masked
@@ -70,11 +71,12 @@ unsupervised row is read from a fresh product of its block of rows; a
 supervised sum from the logits the engine keeps.
 
 A full complement is known without a scan when it is the mask
-``shared_full_negatives(n)`` hands out, one read-only mask per anchor count
-held in 2n - 1 bytes (every full-complement plan of ``data.sample_batch``
-holds it): ``_is_full_complement`` and ``ContrastiveBatch`` recognise it by
-identity. Any other mask, ``full_negatives(n)``'s fresh writable one among
-them, is scanned.
+``shared_full_negatives(n)`` hands out, one read-only mask held in 2n - 1
+bytes and kept for the last anchor count asked for (every full-complement
+plan of ``data.sample_batch`` holds it): ``_is_full_complement`` and
+``ContrastiveBatch`` recognise it by identity. Any other mask, one of an
+earlier count and ``full_negatives(n)``'s fresh writable one among them, is
+scanned.
 
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
@@ -244,29 +246,27 @@ def full_negatives(n: int) -> np.ndarray:
     return ~np.eye(n, dtype=bool)
 
 
-# anchor count -> its shared full complement, for the last _SHARED_COUNTS
-# counts asked for: a run asks for one count again and again
+# the last anchor count asked for -> its shared full complement: a run asks
+# for one count again and again
 _SHARED_FULL: dict[int, np.ndarray] = {}
-_SHARED_COUNTS = 2
 
 
 def shared_full_negatives(n: int) -> np.ndarray:
     """``full_negatives(n)`` as one read-only mask that every caller with
     the same ``n`` shares, so that ``_is_full_complement`` and
     ``ContrastiveBatch`` recognise it by identity instead of scanning it.
-    The masks of the last two counts asked for are kept. Each is a view of
-    one row of 2n - 1 bytes, false at its middle only, whose row i starts i
-    bytes before that middle: n^2 entries held in 2n - 1 bytes, and a view
-    that cannot be made writable."""
-    mask = _SHARED_FULL.pop(n, None)
+    Only the last count's mask is kept: another count replaces it. It is a
+    view of one row of 2n - 1 bytes, false at its middle only, whose row i
+    starts i bytes before that middle: n^2 entries held in 2n - 1 bytes,
+    and a view that cannot be made writable."""
+    mask = _SHARED_FULL.get(n)
     if mask is None:
-        if len(_SHARED_FULL) >= _SHARED_COUNTS:
-            del _SHARED_FULL[next(iter(_SHARED_FULL))]
         row = np.ones(2 * n - 1, dtype=bool)
         row[n - 1] = False
         # entry (i, j) is row[n - 1 - i + j], false where j = i
         mask = sliding_window_view(row, n)[::-1]
-    _SHARED_FULL[n] = mask  # last in the dict: the most recent count
+        _SHARED_FULL.clear()
+        _SHARED_FULL[n] = mask
     return mask
 
 
@@ -675,13 +675,39 @@ class SupLabels:
     shift: float
 
 
+# the last label half made, keyed on (indicator, shape, bytes) of its label
+# rows: a run whose every batch labels all its labeled rows asks for one
+# label half again and again
+_LAST_SUP: dict[tuple, SupLabels] = {}
+
+
 def sup_labels(y, indicator: bool | None = None) -> SupLabels:
     """The label half of ``weighted_sup_loss`` for the (n, c) binary label
     rows ``y``, a pure function of them. ``indicator`` None takes the
     loss's one-hot switch (``_is_one_hot``); True or False forces indicator
     or label weights. Refuses labels that are not binary, and a batch with
-    no valid label (``DegenerateBatchError``)."""
+    no valid label (``DegenerateBatchError``).
+
+    The last label half is kept and handed out again while the label rows
+    are the same bytes, which costs one copy and comparison of the rows;
+    other rows replace it, and rows that are refused leave it."""
     y = as_matrix(y, "y")
+    key = (indicator, y.shape, y.tobytes())
+    labels = _LAST_SUP.get(key)
+    if labels is None:
+        labels = _make_sup_labels(y, indicator)
+        _LAST_SUP.clear()
+        _LAST_SUP[key] = labels
+    return labels
+
+
+def forget_sup_labels() -> None:
+    """Drop the kept label half; a run calls it when its steps are done."""
+    _LAST_SUP.clear()
+
+
+def _make_sup_labels(y: Matrix, indicator: bool | None) -> SupLabels:
+    """``sup_labels`` made afresh."""
     if np.any((y != 0.0) & (y != 1.0)):
         raise ContractError("multi-label targets must be binary")
     counts = y.sum(axis=0)
@@ -785,20 +811,15 @@ def _is_one_hot(y: Matrix) -> bool:
 def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     """The supervised term: a label-weighted supervised contrastive loss.
 
-    ``y`` is an (n, c) binary label matrix, or its label half
-    ``sup_labels(y)``, which gives the same bits without recomputing it.
-    Positive pairs within each valid label are scaled by label agreement
-    (1 - hamming/c) and negatives by hamming distance. A batch whose rows
-    are all one-hot (c >= 2) takes indicator weights instead, which makes
-    the loss plain SupCon (Khosla et al. 2020): that is a per-batch switch,
-    not a property of the weights, which give every one-hot negative
-    hamming distance 2. With one label column every weight is 1 as it
-    stands. Returns the loss and its gradient in ``s``.
+    ``y`` is an (n, c) binary label matrix. Positive pairs within each
+    valid label are scaled by label agreement (1 - hamming/c) and negatives
+    by hamming distance. A batch whose rows are all one-hot (c >= 2) takes
+    indicator weights instead, which makes the loss plain SupCon (Khosla et
+    al. 2020): that is a per-batch switch, not a property of the weights,
+    which give every one-hot negative hamming distance 2. With one label
+    column every weight is 1 as it stands. Label rows equal to the last
+    call's reuse its label half (``sup_labels``). Returns the loss and its
+    gradient in ``s``.
     """
     s = as_matrix(s, "s")
-    if isinstance(y, SupLabels):
-        if len(y.yv) != len(s):
-            raise ShapeError(f"y has {len(y.yv)} rows, expected {len(s)}")
-    else:
-        y = sup_labels(_rows(y, "y", len(s)))
-    return _sup_engine(s, y, tau)[1:]
+    return _sup_engine(s, sup_labels(_rows(y, "y", len(s))), tau)[1:]

@@ -17,16 +17,18 @@ it once and replays it to every later run with the same key; the noise sweep
 passes one to all its cells. A memo keeps steps x na^2 mask bytes per stream
 of sampled negative sets (na anchors a batch) and none per plan for full
 complements: every full complement ``sample_batch`` returns is the one
-read-only mask of its anchor count (``losses.shared_full_negatives``).
+read-only mask ``losses.shared_full_negatives`` keeps for its anchor count.
 Without a memo, plans are drawn one per step and dropped after it.
 
 The supervised loss splits into a label half (``losses.sup_labels``), a
-pure function of the batch's label rows, and an embedding half. A run keeps
-its last step's label half and reuses it while the next batch's label rows
-equal the last ones. That holds on every step when ``batch_size`` covers
-all labeled rows, since each batch then labels all of them; otherwise it
-costs one comparison of the label rows a step. The kept label half is
-dropped with the run.
+pure function of the batch's label rows, and an embedding half.
+``sup_labels`` keeps the last label half it made and hands it out again
+while the label rows are the same bytes. A step's label rows are the same
+as the last step's whenever ``batch_size`` covers all labeled rows, since
+each batch then labels all of them, so such a run makes its label half
+once; otherwise it costs one copy and comparison of the label rows a step.
+A run drops the kept label half (``losses.forget_sup_labels``) when its
+steps are done.
 
 ``train_step`` is the one optimizer step: encode the batch's views, take
 the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
@@ -42,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -66,7 +67,7 @@ from .losses import (
     LossBreakdown,
     _is_one_hot,
     cross_entropy,
-    sup_labels,
+    forget_sup_labels,
     total_loss,
     unsup_loss_multiview,
     unsup_loss_single,
@@ -194,19 +195,6 @@ class PlanMemo:
         return plan
 
 
-class _LastLabels:
-    """A run's last label half of the supervised loss, reused while the
-    batch's label rows equal the ones it was made from."""
-
-    def __init__(self) -> None:
-        self._y = self._half = None
-
-    def __call__(self, y: np.ndarray):
-        if self._y is None or not np.array_equal(y, self._y):
-            self._half, self._y = sup_labels(y), y
-        return self._half
-
-
 def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
                  memo: PlanMemo | None = None) -> RunRecord:
     """Train one model for one seed; returns its record: the per-epoch loss
@@ -241,7 +229,6 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
     else:
         plans = iter(memo.stream(ds, cfg.batch_size, cfg.neg_size, steps, rng))
 
-    label_half = _LastLabels()
     trace: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
@@ -253,12 +240,12 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
                     labeled=np.searchsorted(plan.anchors, plan.labeled),
                     neg_mask=plan.neg_mask, x_sim=x_sim_all,
                     weighted=cfg.method != "simclr-style",
-                    label_half=label_half,
                 )
             except DegenerateBatchError as err:
                 raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
         mean = sums / iterations
         trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha, cfg.beta))
+    forget_sup_labels()
 
     report = _score(cfg, params, ds)
     wall_seconds = time.perf_counter() - t0
@@ -270,8 +257,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
                  weights: tuple[float, float, float], tau: float,
                  *, labeled: np.ndarray | None = None,
                  neg_mask: np.ndarray | None = None,
-                 x_sim: np.ndarray | None = None, weighted: bool = True,
-                 label_half: Callable | None = None
+                 x_sim: np.ndarray | None = None, weighted: bool = True
                  ) -> tuple[tuple[float, float, float], dict]:
     """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
     batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
@@ -282,9 +268,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
     all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
     row similarity side of the single-view l_u. l_u takes one batch of all
     views, and ``weighted = False`` leaves out its raw features, which gives
-    plain InfoNCE. ``label_half``: maps the labeled rows' labels to the
-    label half of l_s (default ``losses.sup_labels``; a run passes its
-    ``_LastLabels``).
+    plain InfoNCE.
     """
     c, u, s = weights
     xs = [x[rows] for x in ds.views]
@@ -306,8 +290,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
         l_u, *d_z = kernel(batch, tau)
         back["d_z"] = [u * d for d in d_z]
     if s > 0:
-        labels = y_lab if label_half is None else label_half(y_lab)
-        l_s, d_s = weighted_sup_loss(s_lab, labels, tau)
+        l_s, d_s = weighted_sup_loss(s_lab, y_lab, tau)
         back["d_s"] = s * d_s
     return (l_c, l_u, l_s), back
 

@@ -1589,25 +1589,63 @@ def _label_sweep(rng, n=9):
             "row with no label": no_label}
 
 
+def _count_label_halves(monkeypatch):
+    """Start with no kept label half and count the ones made afresh."""
+    made, real = [], losses_mod._make_sup_labels
+
+    def spy(y, indicator):
+        made.append(len(y))
+        return real(y, indicator)
+
+    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
+    monkeypatch.setattr(losses_mod, "_make_sup_labels", spy)
+    return made
+
+
 @pytest.mark.parametrize("tau", [0.5, 1e-4])
 def test_label_half_gives_the_bits_of_the_whole_loss(monkeypatch, tau):
     # one label half serves several embedding batches, each bit-equal to
-    # weighted_sup_loss on the label matrix and to the engine before the
-    # split; at tau = 1e-4 the repair runs and reads the kept logits
+    # weighted_sup_loss on a label half made afresh and to the engine
+    # before the split; at tau = 1e-4 the repair runs and reads the kept
+    # logits
     rng = make_rng(61)
     repairs = _repaired_rows(monkeypatch)
     for name, y in _label_sweep(rng).items():
         half = sup_labels(y)
         for _ in range(3):
             s = rng.normal(size=(len(y), 4))
-            value, grad = weighted_sup_loss(s, half, tau)
-            want_value, want_grad = weighted_sup_loss(s, y, tau)
+            _, value, grad = losses_mod._sup_engine(s, half, tau)
+            with monkeypatch.context() as m:
+                m.setattr(losses_mod, "_LAST_SUP", {})
+                want_value, want_grad = weighted_sup_loss(s, y, tau)
             assert value == want_value, name
             assert np.array_equal(grad, want_grad), name
             _, old_value, old_grad = old_sup_engine(
                 s, y, tau, losses_mod._is_one_hot(y))
             assert value == old_value and np.array_equal(grad, old_grad), name
     assert bool(repairs) == (tau == 1e-4)
+
+
+def test_sup_labels_keeps_the_last_label_rows(monkeypatch):
+    made = _count_label_halves(monkeypatch)
+    y = np.eye(3)[[0, 0, 1, 1, 2, 2]]
+    half = sup_labels(y)
+    assert sup_labels(y.copy()) is half and made == [6]
+    # the loss reads the kept label half
+    s = make_rng(65).normal(size=(6, 2))
+    assert weighted_sup_loss(s, y)[0] == losses_mod._sup_engine(s, half, 1.0)[1]
+    assert made == [6]
+    other = sup_labels(y[::-1])  # the same rows in another order
+    assert other is not half and len(made) == 2
+    assert sup_labels(y, indicator=False) is not half and len(made) == 3
+    kept = sup_labels(y)
+    assert kept is not half and len(made) == 4
+    # label rows that are refused leave the kept label half as it was
+    with pytest.raises(DegenerateBatchError):
+        sup_labels(np.ones((4, 1)))
+    with pytest.raises(ContractError, match="binary"):
+        sup_labels(0.5 * y)
+    assert sup_labels(y) is kept and len(made) == 6
 
 
 def test_label_half_is_read_only_and_switches_like_the_loss():
@@ -1638,10 +1676,8 @@ def test_label_half_refuses_what_the_loss_refuses():
     with pytest.raises(DegenerateBatchError, match="positives per label"):
         sup_labels(np.array([[1.0, 0.0], [1.0, 0.0]]))
     half = sup_labels(np.eye(2)[[0, 0, 1, 1]])
-    with pytest.raises(ShapeError, match="y has 4 rows, expected 3"):
-        weighted_sup_loss(np.eye(3), half)
     with pytest.raises(ContractError, match="temperature"):
-        weighted_sup_loss(np.eye(4), half, 0.0)
+        losses_mod._sup_engine(np.eye(4), half, 0.0)
 
 
 @pytest.mark.parametrize("tau", [0.5, 1e-4])
@@ -1650,9 +1686,9 @@ def test_label_half_gradient_matches_finite_differences(tau):
     for name, y in _label_sweep(rng, n=7).items():
         half = sup_labels(y)
         s = rng.normal(size=(len(y), 3))
-        _, grad = weighted_sup_loss(s, half, tau)
+        grad = losses_mod._sup_engine(s, half, tau)[2]
         # a sharp temperature needs a step below the loss's curvature scale
-        num = finite_diff_grad(lambda x: weighted_sup_loss(x, half, tau)[0],
+        num = finite_diff_grad(lambda x: losses_mod._sup_engine(x, half, tau)[1],
                                s, eps=1e-5 if tau == 0.5 else 1e-8)
         assert rel_error(grad, num) < GRAD_TOL, name
 
@@ -1703,15 +1739,16 @@ def test_shared_full_mask_of_one_anchor_is_still_refused():
         ContrastiveBatch([np.ones((1, 2))], one, x_sim=np.ones((1, 2)))
 
 
-def test_shared_full_masks_are_kept_for_the_last_two_counts():
+def test_shared_full_mask_is_kept_for_the_last_count_only(monkeypatch):
+    monkeypatch.setattr(losses_mod, "_SHARED_FULL", {})
     shared = losses_mod.shared_full_negatives
-    first, second = shared(11), shared(12)
-    assert shared(11) is first  # 11 is now the most recent count
-    shared(13)  # 12, the least recent, is dropped
-    assert sorted(losses_mod._SHARED_FULL) == [11, 13]
-    assert not losses_mod._is_shared_full(second)
-    assert losses_mod._is_full_complement(second)  # by a scan
-    assert shared(12) is not second
+    first = shared(11)
+    assert shared(11) is first
+    shared(12)  # another count replaces the kept mask
+    assert list(losses_mod._SHARED_FULL) == [12]
+    assert not losses_mod._is_shared_full(first)
+    assert losses_mod._is_full_complement(first)  # by a scan
+    assert shared(11) is not first
     # the n^2 entries are held in one row of 2n - 1 bytes
     root = first
     while root.base is not None:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hcl.losses as losses_mod
 import hcl.train as train_mod
 from hcl.config import config_for_seed, resolve_config
 from hcl.data import Dataset, inject_noise, sample_batch, split
@@ -14,7 +15,6 @@ from hcl.losses import (
     ContrastiveBatch,
     cross_entropy,
     full_negatives,
-    sup_labels,
     unsup_loss_multiview,
     unsup_loss_single,
     weighted_sup_loss,
@@ -223,14 +223,16 @@ def test_plan_memo_replay_equals_drawing_on_either_mask(monkeypatch, neg_size):
 
 
 def count_label_halves(monkeypatch):
-    calls = []
+    """Start with no kept label half and count the ones made afresh."""
+    made, real = [], losses_mod._make_sup_labels
 
-    def spy(y):
-        calls.append(len(y))
-        return sup_labels(y)
+    def spy(y, indicator):
+        made.append(len(y))
+        return real(y, indicator)
 
-    monkeypatch.setattr(train_mod, "sup_labels", spy)
-    return calls
+    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
+    monkeypatch.setattr(losses_mod, "_make_sup_labels", spy)
+    return made
 
 
 @pytest.mark.parametrize("method, batch_size, over", [
@@ -250,28 +252,12 @@ def test_reusing_the_label_half_keeps_every_bit(monkeypatch, method,
     assert len(calls) == made
     with monkeypatch.context() as m:
         # a label half made afresh on every step
-        m.setattr(train_mod._LastLabels, "__call__",
-                  lambda self, y: train_mod.sup_labels(y))
+        m.setattr(losses_mod, "sup_labels", lambda y, indicator=None:
+                  losses_mod._make_sup_labels(y, indicator))
         fresh = run_training(cfg, 5)
     assert len(calls) == made + steps
     assert reused.trace == fresh.trace and reused.report == fresh.report
     assert np.array_equal(reused.params.flat, fresh.params.flat)
-
-
-def test_last_labels_keeps_one_entry_and_compares_by_value(monkeypatch):
-    calls = count_label_halves(monkeypatch)
-    last = train_mod._LastLabels()
-    y = np.eye(3)[[0, 0, 1, 1, 2, 2]]
-    half = last(y)
-    assert last(y.copy()) is half and len(calls) == 1
-    other = last(y[::-1])  # the same rows in another order
-    assert other is not half and len(calls) == 2
-    kept = last(y)
-    assert kept is not half and len(calls) == 3
-    # labels that fail leave the kept entry as it was
-    with pytest.raises(DegenerateBatchError):
-        last(np.ones((4, 1)))
-    assert last(y) is kept and len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
