@@ -4,13 +4,21 @@ Subcommands: ``train``, ``eval``, ``bound-check``, ``noise-sweep``,
 ``perf-sweep``. Every command reads a flat key-value config file; the
 shared flags override individual fields. Outputs are one JSON RunRecord
 per run, whose ``blas_threads`` and ``checksums`` ``train`` fills, plus
-one aggregated CSV per sweep, all written atomically, with seeds processed
-in deterministic order. A command that trains a list of runs stops at the
-first failed run and re-raises its error through ``_failed``, naming the
-run; ``train`` and ``noise-sweep`` first write the runs that finished,
-``perf-sweep`` writes nothing. A ``train`` seed whose checkpoint or record
-cannot be written has failed like one that could not train, and its
-checkpoint is removed.
+one aggregated CSV per sweep, all written atomically.
+
+A multi-run command runs its cells in order through ``train.run_cells``:
+``train``'s seeds, ``noise-sweep``'s (level, method, seed) cells,
+``perf-sweep``'s three interleaved timing rounds and a bound check's cells.
+The first cell that fails with an ``HclError`` ends the command. ``train``
+and ``noise-sweep`` write the cells that finished, then re-raise the error
+through ``_failed``, naming the cell and what was kept; ``perf-sweep``
+names the variant and writes nothing; a bound check raises the error as it
+is. A bound cell whose training diverges is no failure: it gives NaN loss
+and bound. A ``train`` seed whose checkpoint or record cannot be written
+has failed like one that could not train, and its checkpoint is removed.
+The first output write that fails ends the command by name, and no later
+output is written: a failed ``noise_sweep.csv`` leaves no
+``noise_summary.csv``.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .train import (
     dataset_checksum,
     metrics_csv,
     replay_eval,
+    run_cells,
     run_training,
 )
 
@@ -60,9 +69,11 @@ def _ensure_out(path: str, name: str = "config field 'out_dir'") -> str:
     return path
 
 
-def _failed(run: str, err: HclError, kept: str = "") -> HclError:
-    """``err``'s own type, naming the failed run and what was kept."""
-    note = f" ({kept})" if kept else ""
+def _failed(run: str, err: HclError, kept: int = 0,
+            where: str = "") -> HclError:
+    """``err``'s own type, naming the failed run and the ``kept`` runs that
+    finished before it, written to ``where``."""
+    note = f" ({kept} finished {where})" if kept else ""
     return type(err)(f"{run} failed: {err}{note}")
 
 
@@ -76,32 +87,30 @@ def cmd_train(pairs: dict[str, str],
     out = _ensure_out(cfg.out_dir)
     base = build_dataset(cfg)
     data_sha = dataset_checksum(base)
-    records, failure = [], None
-    for seed in cfg.seeds:
+
+    def train_seed(seed: int) -> RunRecord:
+        # a seed fails as a whole, its training or one of its writes, and
+        # leaves no checkpoint without its record
         stem = f"run-{cfg.method}-seed{seed}"
         ckpt_path = os.path.join(out, f"{stem}.ckpt")
-        saved = False
+        record = run_training(cfg, seed, base)
+        save_checkpoint(record.params, ckpt_path,
+                        extra={"config": record.config, "seed": seed,
+                               "dataset": data_sha})
         try:
-            # a seed fails as a whole, its training or one of its writes,
-            # and leaves no checkpoint without its record
-            record = run_training(cfg, seed, base)
-            save_checkpoint(record.params, ckpt_path,
-                            extra={"config": record.config, "seed": seed,
-                                   "dataset": data_sha})
-            saved = True
             record.blas_threads = pin_blas_threads()
             record.checksums = {"checkpoint": sha256_file(ckpt_path),
                                 "dataset": data_sha}
             atomic_write_text(os.path.join(out, f"{stem}.json"),
                               record.to_json())
-        except HclError as err:
-            if saved:
-                os.remove(ckpt_path)
-            failure = (f"seed {seed}", err)
-            break
-        records.append(record)
+        except BaseException:
+            os.remove(ckpt_path)
+            raise
         print(f"{stem}: f1={record.report.f1:.4f} auc={record.report.auc:.4f} "
               f"({record.wall_seconds:.1f}s)")
+        return record
+
+    records, failure = run_cells(cfg.seeds, train_seed)
     if records:
         # a failed seed keeps the seeds that finished before it
         atomic_write_text(os.path.join(out, f"metrics-{cfg.method}.csv"),
@@ -110,10 +119,9 @@ def cmd_train(pairs: dict[str, str],
         print(f"{cfg.method}: mean f1={np.mean(f1s):.4f} "
               f"std={np.std(f1s):.4f} over {len(f1s)} seeds")
     if failure is not None:
-        run, err = failure
-        kept = (f"{len(records)} finished seed(s) written to "
-                f"metrics-{cfg.method}.csv" if records else "")
-        raise _failed(run, err, kept) from err
+        seed, err = failure
+        raise _failed(f"seed {seed}", err, len(records),
+                      f"seed(s) written to metrics-{cfg.method}.csv") from err
     return records
 
 
@@ -137,11 +145,8 @@ def cmd_eval(checkpoint: str, data: str | None = None,
     if type(seed) is not int or seed < 0:  # a bool is no seed
         raise IngestionError(f"{checkpoint}: the embedded seed must be a "
                              f"non-negative integer, got {seed!r}")
-    overrides: dict[str, str] = {}
-    if data is not None:
-        overrides["manifest"] = data
-        overrides["synthetic"] = ""
-    cfg = resolve_config(dict(pairs), overrides)
+    overrides = {} if data is None else {"manifest": data, "synthetic": ""}
+    cfg = resolve_config(pairs, overrides)
     base = build_dataset(cfg)
     # --data names other data on purpose; without it the run's own dataset
     # must be unchanged since training
@@ -184,10 +189,9 @@ def cmd_bound_check(pairs: dict[str, str],
                           tolerance=cfg.bound_tolerance)
     if cfg.bound_kind == "unsup":
         reports = check_unsup_bound(GaussianPairSpec(), spec, cfg.bound_sizes)
-        text = reports_to_csv(reports, "unsup_loss")
     else:
         reports = check_sup_bound(RingProtoSpec(), spec)
-        text = reports_to_csv(reports, "sup_loss")
+    text = reports_to_csv(reports, f"{cfg.bound_kind}_loss")
     path = os.path.join(out, f"bounds-{cfg.bound_kind}.csv")
     atomic_write_text(path, text)
     n_ok = sum(r.satisfied for r in reports)
@@ -210,12 +214,10 @@ def _noise_cells(cfg: RunConfig, base: Dataset,
         # the second corrupts the same clean features again to make view two
         noise_rng = make_rng(1_000_000 * cfg.data_seed
                              + int(round(level * 1000)))
-        noisy1 = inject_noise(base.views[0], level, noise_rng)
-        noisy2 = inject_noise(base.views[0], level, noise_rng)
-        noisy = replace(base, views=[noisy1, noisy2])
-        for entry, variant in variants:
-            for seed in cfg.seeds:
-                yield level, entry, seed, variant, noisy
+        noisy = replace(base, views=[
+            inject_noise(base.views[0], level, noise_rng) for _ in range(2)])
+        yield from ((level, entry, seed, variant, noisy)
+                    for entry, variant in variants for seed in cfg.seeds)
 
 
 def cmd_noise_sweep(pairs: dict[str, str],
@@ -228,45 +230,42 @@ def cmd_noise_sweep(pairs: dict[str, str],
             "config field 'manifest': the noise sweep builds its own views "
             "by corrupting a single-view dataset; got a two-view source"
         )
-    merged = dict(pairs)
-    if overrides:
-        merged.update(overrides)
     # every entry's config is resolved and checked against the labels and
     # views its cells train on before the first cell trains, so a rejected
     # entry costs no finished cells
     variants = []
     for entry in cfg.methods:
         method, _, mode = entry.partition("@")
-        variant = resolve_config(merged, {
+        variant = resolve_config(pairs, {
+            **(overrides or {}),
             "methods": method, "method": method, "mode": mode or cfg.mode,
         })
         try:
-            clean = base.views[0]
-            check_dataset(replace(base, views=[clean, clean]), variant)
+            check_dataset(replace(base, views=[base.views[0]] * 2), variant)
         except ConfigError as err:
             raise ConfigError(f"method entry {entry}: {err}") from err
         variants.append((entry, variant))
-    rows, summary = [], []
-    failure = None
     # cells of one seed and view mode draw one batch stream at every level
     # and for every method: the memo draws it once
     memo = PlanMemo()
-    for level, entry, seed, variant, noisy in _noise_cells(cfg, base, variants):
-        try:
-            report = run_training(variant, seed, noisy, memo=memo).report
-        except HclError as err:
-            failure = (f"noise level {level:g}, method {entry}, seed {seed}",
-                       err)
-            break
-        rows.append((level, entry, seed, report.f1, report.auc))
-        if len(rows) % len(cfg.seeds) == 0:
-            # cells run level, entry, seed: the last len(seeds) rows are this
-            # group's, and a group is summarized only when all its seeds finish
-            f1s, aucs = zip(*(r[3:] for r in rows[-len(cfg.seeds):]))
-            summary.append((level, entry, np.mean(f1s), np.std(f1s),
-                            np.mean(aucs), np.std(aucs)))
-            print(f"noise {level:g} {entry}: mean f1={np.mean(f1s):.4f} "
-                  f"std={np.std(f1s):.4f} mean auc={np.mean(aucs):.4f}")
+
+    def train_cell(cell) -> tuple:
+        level, entry, seed, variant, noisy = cell
+        report = run_training(variant, seed, noisy, memo=memo).report
+        return level, entry, seed, report.f1, report.auc
+
+    rows, failure = run_cells(_noise_cells(cfg, base, variants), train_cell)
+    summary = []
+    # cells run level, entry, seed: each run of len(seeds) rows is one
+    # group, summarized only when all its seeds finished
+    group = len(cfg.seeds)
+    for start in range(0, len(rows) - group + 1, group):
+        level, entry = rows[start][:2]
+        f1s, aucs = zip(*(r[3:] for r in rows[start:start + group]))
+        summary.append((level, entry, np.mean(f1s), np.std(f1s),
+                        np.mean(aucs), np.std(aucs)))
+        print(f"noise {level:g} {entry}: mean f1={np.mean(f1s):.4f} "
+              f"std={np.std(f1s):.4f} mean auc={np.mean(aucs):.4f}")
 
     text = csv_text(["level", "method", "seed", "f1", "auc"], rows)
     if rows:
@@ -278,10 +277,10 @@ def cmd_noise_sweep(pairs: dict[str, str],
             ["level", "method", "f1_mean", "f1_std", "auc_mean", "auc_std"],
             summary))
     if failure is not None:
-        run, err = failure
-        kept = (f"{len(rows)} finished cell(s) written to noise_sweep.csv"
-                if rows else "")
-        raise _failed(run, err, kept) from err
+        (level, entry, seed, _, _), err = failure
+        raise _failed(f"noise level {level:g}, method {entry}, seed {seed}",
+                      err, len(rows), "cell(s) written to noise_sweep.csv"
+                      ) from err
     return text
 
 
@@ -289,13 +288,14 @@ def cmd_noise_sweep(pairs: dict[str, str],
 # perf-sweep
 
 
-def _fit_r2(x, y, degree: int):
+def _fit(x, y, degree: int) -> dict:
+    """A least-squares polynomial of ``degree``: its coefficients and R^2."""
     coeffs = np.polyfit(x, y, degree)
     pred = np.polyval(coeffs, x)
     ss_res = float(np.sum((np.asarray(y) - pred) ** 2))
     ss_tot = float(np.sum((np.asarray(y) - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return [float(c) for c in coeffs], r2
+    return {"coefficients": [float(c) for c in coeffs], "r_squared": r2}
 
 
 def cmd_perf_sweep(pairs: dict[str, str],
@@ -314,11 +314,8 @@ def cmd_perf_sweep(pairs: dict[str, str],
     out = _ensure_out(cfg.out_dir)
     if base is None:
         base = build_dataset(cfg)
-    merged = dict(pairs)
-    if overrides:
-        merged.update(overrides)
-    # timings isolate the contrastive path: one view, no label term
-    common = {"method": "hcl-u", "mode": "single-view",
+    # the flags; timings isolate the contrastive path: one view, no label term
+    common = {**(overrides or {}), "method": "hcl-u", "mode": "single-view",
               "view1_aug": "none", "view2_aug": "none", "seeds": "0"}
     # cost per epoch is iterations x fixed batch work, so it scales with
     # the labeled-set size
@@ -335,34 +332,31 @@ def cmd_perf_sweep(pairs: dict[str, str],
     # a variant's time is its best wall clock over three rounds, each of
     # which trains every variant once: a slow stretch of a shared host then
     # costs one round, not all three repetitions of one size
-    best = [float("inf")] * len(variants)
-    for _ in range(3):
-        for k, (sweep, size, sub, extra) in enumerate(variants):
-            try:
-                variant = resolve_config(merged, {**common, **extra})
-                seconds = run_training(variant, 0, sub).wall_seconds
-            except HclError as err:
-                raise _failed(f"perf {sweep} {size}", err) from err
-            best[k] = min(best[k], seconds)
+    def time_variant(cell) -> float:
+        _, _, sub, extra = cell
+        variant = resolve_config(pairs, {**common, **extra})
+        return run_training(variant, 0, sub).wall_seconds
+
+    rounds, failure = run_cells(variants * 3, time_variant)
+    if failure is not None:
+        (sweep, size, _, _), err = failure
+        raise _failed(f"perf {sweep} {size}", err) from err
+    times = [min(rounds[k::len(variants)]) for k in range(len(variants))]
     rows = [(sweep, size, seconds)
-            for (sweep, size, _, _), seconds in zip(variants, best)]
+            for (sweep, size, _, _), seconds in zip(variants, times)]
     for sweep, size, seconds in rows:
         print(f"perf {sweep} {size}: {seconds:.4f}s")
 
     atomic_write_text(os.path.join(out, "perf.csv"),
                       csv_text(["sweep", "size", "seconds"], rows))
 
-    times = [seconds for _, _, seconds in rows]
     n_train = len(cfg.perf_train_sizes)
-    lin_coeffs, lin_r2 = _fit_r2(cfg.perf_train_sizes, times[:n_train], 1)
-    quad_coeffs, quad_r2 = _fit_r2(cfg.perf_neg_sizes, times[n_train:], 2)
-    fits = {
-        "train_size": {"coefficients": lin_coeffs, "r_squared": lin_r2},
-        "neg_size": {"coefficients": quad_coeffs, "r_squared": quad_r2},
-    }
+    fits = {"train_size": _fit(cfg.perf_train_sizes, times[:n_train], 1),
+            "neg_size": _fit(cfg.perf_neg_sizes, times[n_train:], 2)}
     atomic_write_text(os.path.join(out, "perf_fits.json"), json_text(fits))
-    print(f"perf fits: train-size linear R2={lin_r2:.4f}, "
-          f"neg-size quadratic R2={quad_r2:.4f}")
+    print(f"perf fits: train-size linear "
+          f"R2={fits['train_size']['r_squared']:.4f}, neg-size quadratic "
+          f"R2={fits['neg_size']['r_squared']:.4f}")
     return fits
 
 
@@ -413,20 +407,16 @@ def _overrides(args) -> dict[str, str]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     pin_blas_threads()
+    # a non-finite result that matters is a named HclError: no numpy warnings
     try:
-        if args.command == "eval":
-            cmd_eval(args.checkpoint, data=args.data, out_dir=args.out)
-            return 0
-        pairs = load_pairs(args.config)
-        overrides = _overrides(args)
-        if args.command == "train":
-            cmd_train(pairs, overrides)
-        elif args.command == "bound-check":
-            cmd_bound_check(pairs, overrides)
-        elif args.command == "noise-sweep":
-            cmd_noise_sweep(pairs, overrides)
-        else:
-            cmd_perf_sweep(pairs, overrides)
+        with np.errstate(all="ignore"):
+            if args.command == "eval":
+                cmd_eval(args.checkpoint, data=args.data, out_dir=args.out)
+            else:
+                command = {"train": cmd_train, "bound-check": cmd_bound_check,
+                           "noise-sweep": cmd_noise_sweep,
+                           "perf-sweep": cmd_perf_sweep}[args.command]
+                command(load_pairs(args.config), _overrides(args))
         return 0
     except HclError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .losses import _check_tau, _sup_engine, sup_labels
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng
 from .optimizer import OptimizerState
-from .train import step_forward, train_step
+from .train import run_cells, step_forward, train_step
 
 
 def discrete_mi(joint) -> float:
@@ -228,18 +229,6 @@ class BoundTrainSpec:
         _check_tau(self.temperature)
 
 
-def _eval_unsup(ds: Dataset, size: int, params, spec: BoundTrainSpec,
-                rng: Rng) -> float:
-    values = []
-    for _ in range(spec.eval_batches):
-        plan = sample_batch(ds, size + 1, size, rng)
-        (_, value, _), _ = step_forward(params, ds, plan.anchors,
-                                        (0.0, 1.0, 0.0), spec.temperature,
-                                        neg_mask=plan.neg_mask)
-        values.append(value)
-    return float(np.mean(values))
-
-
 def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
                       sizes: list[int]) -> list[BoundReport]:
     """Train per (|N|, seed), then verify -L_u + ln|N| <= reference MI on
@@ -255,37 +244,45 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
         )
     reference = data_spec.reference_mi()
     tau = train_spec.temperature
-    reports = []
-    for size in sizes:
-        for seed in train_spec.seeds:
-            # One draw per seed keeps the view maps shared between the
-            # training rows and the held-out rows.
-            data_rng = make_rng(900_000 + seed)
-            pool = make_gaussian_pair(
-                data_spec, train_spec.n_train + train_spec.n_eval, data_rng
-            )
-            train_ds = take_rows(pool, np.arange(train_spec.n_train))
-            eval_ds = take_rows(
-                pool, np.arange(train_spec.n_train, pool.n)
-            )
-            run_rng = make_rng(seed * 100_000 + size)
-            enc = [_BOUND_HIDDEN, _BOUND_LATENT]
-            params = init_params(run_rng,
-                                 [[data_spec.d1, *enc], [data_spec.d2, *enc]],
-                                 [2 * _BOUND_LATENT, 2])
-            state = OptimizerState(**_BOUND_LARS)
-            try:
-                for _ in range(train_spec.epochs):
-                    plan = sample_batch(train_ds, size + 1, size, run_rng)
-                    train_step(params, state, train_ds, plan.anchors,
-                               (0.0, 1.0, 0.0), tau, neg_mask=plan.neg_mask)
-                l_u = _eval_unsup(eval_ds, size, params, train_spec, run_rng)
-                bound = -l_u + math.log(size)
-            except NumericError:
-                l_u, bound = float("nan"), float("nan")
-            reports.append(BoundReport(size=size, seed=seed, loss=l_u,
-                                       bound=bound, reference_mi=reference,
-                                       tolerance=train_spec.tolerance))
+
+    def check_cell(cell) -> BoundReport:
+        size, seed = cell
+        # One draw per seed keeps the view maps shared between the training
+        # rows and the held-out rows.
+        data_rng = make_rng(900_000 + seed)
+        pool = make_gaussian_pair(
+            data_spec, train_spec.n_train + train_spec.n_eval, data_rng)
+        train_ds = take_rows(pool, np.arange(train_spec.n_train))
+        eval_ds = take_rows(pool, np.arange(train_spec.n_train, pool.n))
+        run_rng = make_rng(seed * 100_000 + size)
+        enc = [_BOUND_HIDDEN, _BOUND_LATENT]
+        params = init_params(run_rng,
+                             [[data_spec.d1, *enc], [data_spec.d2, *enc]],
+                             [2 * _BOUND_LATENT, 2])
+        state = OptimizerState(**_BOUND_LARS)
+        try:
+            for _ in range(train_spec.epochs):
+                plan = sample_batch(train_ds, size + 1, size, run_rng)
+                train_step(params, state, train_ds, plan.anchors,
+                           (0.0, 1.0, 0.0), tau, neg_mask=plan.neg_mask)
+            values = []
+            for _ in range(train_spec.eval_batches):
+                plan = sample_batch(eval_ds, size + 1, size, run_rng)
+                (_, value, _), _ = step_forward(
+                    params, eval_ds, plan.anchors, (0.0, 1.0, 0.0), tau,
+                    neg_mask=plan.neg_mask)
+                values.append(value)
+            l_u = float(np.mean(values))
+            bound = -l_u + math.log(size)
+        except NumericError:
+            l_u, bound = float("nan"), float("nan")
+        return BoundReport(size=size, seed=seed, loss=l_u, bound=bound,
+                           reference_mi=reference,
+                           tolerance=train_spec.tolerance)
+
+    reports, failure = run_cells(product(sizes, train_spec.seeds), check_cell)
+    if failure is not None:
+        raise failure[1]
     return reports
 
 
@@ -327,19 +324,16 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
     """Train the label-weighted objective, then verify, per eps stratum,
     (-L_s + N) / eps <= reference MI of the quantized pair distribution.
     A diverged seed yields one NaN report instead of aborting the sweep."""
-    reports = []
     tau = train_spec.temperature
     prototypes = data_spec.prototypes()
-    for seed in train_spec.seeds:
+
+    def check_seed(seed: int) -> list[BoundReport]:
         data_rng = make_rng(800_000 + seed)
         train_ds = make_ring_dataset(data_spec, train_spec.n_train, data_rng)
         eval_ds = make_ring_dataset(data_spec, train_spec.n_eval, data_rng)
         run_rng = make_rng(seed * 100_000 + 777)
-        params = init_params(
-            run_rng,
-            encoder_sizes=[[2, _BOUND_HIDDEN, _BOUND_LATENT]],
-            classifier_sizes=[_BOUND_LATENT, data_spec.c],
-        )
+        params = init_params(run_rng, [[2, _BOUND_HIDDEN, _BOUND_LATENT]],
+                             [_BOUND_LATENT, data_spec.c])
         state = OptimizerState(**_BOUND_LARS)
         train_rows = train_ds.labeled_indices
         batch = min(_SUP_BOUND_BATCH, train_rows.size)
@@ -356,15 +350,16 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
                                     data_spec.c, tau)
         except NumericError:
             nan = float("nan")
-            reports.append(BoundReport(0, seed, nan, nan, nan,
-                                       tolerance=train_spec.tolerance))
-            continue
-        for stratum in sorted(strata):
-            loss, n_term, reference = strata[stratum]
-            bound = (-loss + n_term) / stratum
-            reports.append(BoundReport(size=round(math.exp(n_term)),
-                                       seed=seed, loss=loss,
-                                       bound=bound, reference_mi=reference,
-                                       tolerance=train_spec.tolerance,
-                                       stratum=stratum))
-    return reports
+            return [BoundReport(0, seed, nan, nan, nan,
+                                tolerance=train_spec.tolerance)]
+        return [BoundReport(size=round(math.exp(n_term)), seed=seed,
+                            loss=loss, bound=(-loss + n_term) / stratum,
+                            reference_mi=reference,
+                            tolerance=train_spec.tolerance, stratum=stratum)
+                for stratum, (loss, n_term, reference)
+                in sorted(strata.items())]
+
+    per_seed, failure = run_cells(train_spec.seeds, check_seed)
+    if failure is not None:
+        raise failure[1]
+    return [report for reports in per_seed for report in reports]

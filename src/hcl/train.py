@@ -60,7 +60,7 @@ from .data import (
     split,
     synth_multiview,
 )
-from .errors import ConfigError, ContractError, DegenerateBatchError
+from .errors import ConfigError, ContractError, DegenerateBatchError, HclError
 from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
@@ -312,6 +312,20 @@ def replay_eval(cfg: RunConfig, seed: int, params: ModelParams,
     and score the given parameters on the unlabeled rows, without training."""
     ds, _ = _run_split(cfg, seed, base)
     return _score(cfg, params, ds)
+
+
+def run_cells(cells, run_cell) -> tuple[list, tuple | None]:
+    """``run_cell`` on each of ``cells`` in order, the one loop of every
+    multi-run command: the finished results, and ``(cell, err)`` for the
+    first cell that raised an ``HclError`` (``None`` if none did), after
+    which no cell runs. Any other exception propagates as it is."""
+    results = []
+    for cell in cells:
+        try:
+            results.append(run_cell(cell))
+        except HclError as err:
+            return results, (cell, err)
+    return results, None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -730,10 +731,13 @@ def test_main_train_write_that_fails_is_named(tmp_path, capsys):
 
 
 def _files(out):
-    """Each file's bytes, a run record's with its timing set to 0, the one
-    field two runs of one config need not share."""
-    return {p.name: re.sub(rb'"wall_seconds": [^,\n]+', b'"wall_seconds": 0',
-                           p.read_bytes()) for p in sorted(out.iterdir())}
+    """Each file's bytes with its timings set to 0, the one thing two runs
+    of one config need not share: a run record's ``wall_seconds`` and each
+    ``perf.csv`` row's seconds."""
+    def untimed(data):
+        data = re.sub(rb'"wall_seconds": [^,\n]+', b'"wall_seconds": 0', data)
+        return re.sub(rb"(?m)^((?:train|neg)-size,\d+),.*$", rb"\1,0", data)
+    return {p.name: untimed(p.read_bytes()) for p in sorted(out.iterdir())}
 
 
 def test_main_train_write_that_fails_keeps_the_seeds_before_it(
@@ -795,6 +799,102 @@ def test_main_train_write_that_fails_keeps_the_seeds_before_it(
         kept = {"metrics-hcl.csv": (header + row0).encode()} \
             if 2 < k <= 4 else {}
         assert got == {**{name: clean[name] for name in before}, **kept}
+
+
+def _fault_argv(tmp_path, command):
+    """The command line of a small ``command`` run that writes to
+    ``tmp_path / "out"``; ``eval`` first trains the checkpoint it reads."""
+    out = str(tmp_path / "out")
+    if command == "eval":
+        pairs = small_pairs(tmp_path, sub="trained", seeds="0")
+        assert main(["train", "--config", write_cfg(tmp_path, pairs)]) == 0
+        ckpt = str(tmp_path / "trained" / "run-hcl-seed0.ckpt")
+        return ["eval", "--checkpoint", ckpt, "--out", out]
+    pairs = {
+        "noise-sweep": small_pairs(tmp_path, epochs=2, noise_levels="0,1",
+                                   methods="hcl-u@single-view,hcl-u@two-view"),
+        "bound-check": {"synthetic": "multiview", "out_dir": out,
+                        "bound_sizes": "6", "bound_epochs": "5",
+                        "seeds": "0,1"},
+        "perf-sweep": dict(perf_pairs(tmp_path), out_dir=out),
+    }[command]
+    return [command, "--config", write_cfg(tmp_path, pairs)]
+
+
+@pytest.mark.parametrize("command, names", [
+    ("noise-sweep", ["noise_sweep.csv", "noise_summary.csv"]),
+    ("eval", ["eval-run-hcl-seed0.json"]),
+    ("bound-check", ["bounds-unsup.csv"]),
+    ("perf-sweep", ["perf.csv", "perf_fits.json"]),
+])
+def test_main_write_that_fails_ends_the_command_by_name(
+        tmp_path, monkeypatch, capsys, command, names):
+    # the k-th of the command's renames fails, for every k. Each time the
+    # command exits 2 with one error line naming the file, leaves no temp
+    # file, and has written exactly the files before the fault, byte-equal
+    # to a clean run's (but for perf-sweep's timings): the first failed
+    # write ends the command, and no later output is written
+    argv = _fault_argv(tmp_path, command)
+    out = tmp_path / "out"
+    real_replace, targets = os.replace, []
+
+    def recording(src, dst):
+        targets.append(str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert main(argv) == 0
+    monkeypatch.setattr(os, "replace", real_replace)
+    clean = _files(out)
+    assert [os.path.basename(t) for t in targets] == names
+    for k in range(1, len(targets) + 1):
+        shutil.rmtree(out)
+        calls = []
+
+        def failing(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(errno.EIO, "injected fault")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        capsys.readouterr()
+        assert main(argv) == 2
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert capsys.readouterr().err == (
+            f"error: cannot write {targets[k - 1]}: injected fault\n")
+        got = _files(out) if out.exists() else {}
+        assert not [name for name in got if name.endswith(".tmp")]
+        assert got == {name: clean[name] for name in names[:k - 1]}, k
+
+
+def test_main_sweep_flags_reach_every_cell(tmp_path, monkeypatch):
+    # a command-line flag overrides the config file in every cell of a
+    # sweep; perf-sweep's variants still set their own epochs, neg_size
+    # and seeds over the flags
+    real, seen = cli_mod.run_training, []
+
+    def record(cfg, seed, base, **memo):
+        seen.append(cfg)
+        return real(cfg, seed, base, **memo)
+
+    monkeypatch.setattr(cli_mod, "run_training", record)
+    pairs = small_pairs(tmp_path, sub="n", noise_levels="0,1",
+                        methods="hcl-u@single-view,hcl-s@two-view")
+    assert main(["noise-sweep", "--config", write_cfg(tmp_path, pairs),
+                 "--epochs", "1"]) == 0
+    assert len(seen) == 2 * 2 * 2
+    assert all(cfg.epochs == 1 for cfg in seen)
+    seen.clear()
+    assert main(["perf-sweep", "--config",
+                 write_cfg(tmp_path, perf_pairs(tmp_path)), "--alpha", "0.5",
+                 "--epochs", "7", "--neg-size", "5", "--seed", "3"]) == 0
+    assert len(seen) == 6 * 3
+    assert all(cfg.alpha == 0.5 for cfg in seen)
+    # perf_epochs for train-size, ten times it for neg-size
+    assert {cfg.epochs for cfg in seen} == {1, 10}
+    assert {cfg.neg_size for cfg in seen} == {32, 8, 16, 24}
+    assert all(cfg.seeds == [0] for cfg in seen)
 
 
 def test_main_parses_each_command_line_on_its_own(tmp_path, monkeypatch):
@@ -889,9 +989,14 @@ def _fuzz_pairs(rng, out_dir) -> dict[str, str]:
 
 
 def _finishes_or_fails_by_name(tmp_path, capsys, command, pairs, name):
-    """Run one fuzzed config: it exits 0, or 2 with one named error line;
-    any other exception escapes ``main`` and fails the test."""
-    code = main([command, "--config", write_cfg(tmp_path, pairs, f"{name}.cfg")])
+    """Run one fuzzed config: it exits 0, or 2 with one named error line,
+    and emits no warning; any other exception escapes ``main`` and fails
+    the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config",
+                     write_cfg(tmp_path, pairs, f"{name}.cfg")])
+    assert [str(w.message) for w in caught] == [], pairs
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error:") and err.count("error:") == 1, \

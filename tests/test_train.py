@@ -10,7 +10,12 @@ import hcl.losses as losses_mod
 import hcl.train as train_mod
 from hcl.config import config_for_seed, resolve_config
 from hcl.data import Dataset, inject_noise, sample_batch, split
-from hcl.errors import ConfigError, ContractError, DegenerateBatchError
+from hcl.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateBatchError,
+    NumericError,
+)
 from hcl.losses import (
     ContrastiveBatch,
     cross_entropy,
@@ -36,6 +41,7 @@ from hcl.train import (
     dataset_checksum,
     metrics_csv,
     replay_eval,
+    run_cells,
     run_training,
     train_step,
 )
@@ -570,3 +576,42 @@ def test_metrics_csv_layout_and_determinism():
 def test_metrics_csv_rejects_empty():
     with pytest.raises(ContractError):
         metrics_csv([])
+
+
+# ---------------------------------------------------------------------------
+# The cell map
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2, 3])
+def test_run_cells_stops_at_the_first_failed_cell(failing):
+    # cells run in order; the HclError of cell k ends the map, no later
+    # cell is called, and the k finished results come back with (cell, err)
+    calls, err = [], NumericError("loss diverged")
+
+    def run_cell(cell):
+        calls.append(cell)
+        if cell == failing:
+            raise err
+        return 10 * cell
+
+    results, failure = run_cells(range(4), run_cell)
+    assert calls == list(range(failing + 1))
+    assert results == [10 * cell for cell in range(failing)]
+    assert failure == (failing, err)
+
+
+def test_run_cells_returns_every_result_when_no_cell_fails():
+    assert run_cells(iter([1, 2, 3]), lambda c: -c) == ([-1, -2, -3], None)
+    assert run_cells([], lambda c: c) == ([], None)
+
+
+def test_run_cells_lets_any_other_exception_through_as_it_is():
+    calls = []
+
+    def run_cell(cell):
+        calls.append(cell)
+        return {}[cell]
+
+    with pytest.raises(KeyError) as info:
+        run_cells(["a", "b"], run_cell)
+    assert info.type is KeyError and calls == ["a"]
