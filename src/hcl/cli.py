@@ -6,6 +6,9 @@ shared flags override individual fields. Outputs are one JSON RunRecord
 per run, whose ``blas_threads`` and ``checksums`` ``train`` fills, plus
 one aggregated CSV per sweep, all written atomically.
 
+``train``, ``noise-sweep`` and ``perf-sweep`` check each config against
+the rows it trains on (``train.check_dataset``) before the first cell and
+before making the output directory, so a rejected config leaves none.
 A multi-run command runs its cells in order through ``train.run_cells``:
 ``train``'s seeds, ``noise-sweep``'s (level, method, seed) cells,
 ``perf-sweep``'s three interleaved timing rounds and a bound check's cells.
@@ -84,8 +87,9 @@ def _failed(run: str, err: HclError, kept: int = 0,
 def cmd_train(pairs: dict[str, str],
               overrides: dict[str, str] | None = None) -> list[RunRecord]:
     cfg = resolve_config(pairs, overrides)
-    out = _ensure_out(cfg.out_dir)
     base = build_dataset(cfg)
+    check_dataset(base, cfg)
+    out = _ensure_out(cfg.out_dir)
     data_sha = dataset_checksum(base)
 
     def train_seed(seed: int) -> RunRecord:
@@ -176,7 +180,7 @@ def cmd_eval(checkpoint: str, data: str | None = None,
 
 def cmd_bound_check(pairs: dict[str, str],
                     overrides: dict[str, str] | None = None) -> str:
-    cfg = resolve_config(pairs, overrides, splits=False)
+    cfg = resolve_config(pairs, overrides)
     out = _ensure_out(cfg.out_dir)
     if cfg.bound_temperature is not None:
         tau = cfg.bound_temperature
@@ -223,16 +227,16 @@ def _noise_cells(cfg: RunConfig, base: Dataset,
 def cmd_noise_sweep(pairs: dict[str, str],
                     overrides: dict[str, str] | None = None) -> str:
     cfg = resolve_config(pairs, overrides)
-    out = _ensure_out(cfg.out_dir)
     base = build_dataset(cfg)
     if base.n_views != 1:
         raise ConfigError(
             "config field 'manifest': the noise sweep builds its own views "
             "by corrupting a single-view dataset; got a two-view source"
         )
-    # every entry's config is resolved and checked against the labels and
-    # views its cells train on before the first cell trains, so a rejected
-    # entry costs no finished cells
+    # every config is checked before the first cell trains: the sweep's own
+    # against its rows, whose rules every entry shares, then each entry's
+    # against the labels and views its cells train on
+    check_dataset(base, cfg)
     variants = []
     for entry in cfg.methods:
         method, _, mode = entry.partition("@")
@@ -245,6 +249,7 @@ def cmd_noise_sweep(pairs: dict[str, str],
         except ConfigError as err:
             raise ConfigError(f"method entry {entry}: {err}") from err
         variants.append((entry, variant))
+    out = _ensure_out(cfg.out_dir)
     # cells of one seed and view mode draw one batch stream at every level
     # and for every method: the memo draws it once
     memo = PlanMemo()
@@ -300,8 +305,7 @@ def _fit(x, y, degree: int) -> dict:
 
 def cmd_perf_sweep(pairs: dict[str, str],
                    overrides: dict[str, str] | None = None) -> dict:
-    # each timed variant sets its own n_labeled
-    cfg = resolve_config(pairs, overrides, splits=False)
+    cfg = resolve_config(pairs, overrides)
     need = max(max(cfg.perf_train_sizes), max(cfg.perf_neg_sizes) + 2)
     # a synthetic family's row count is known now, a manifest's once read
     base = None if cfg.synthetic else build_dataset(cfg)
@@ -311,7 +315,6 @@ def cmd_perf_sweep(pairs: dict[str, str],
             f"config field 'n_samples': the sweep needs at least {need} "
             f"rows, the dataset has {have}"
         )
-    out = _ensure_out(cfg.out_dir)
     if base is None:
         base = build_dataset(cfg)
     # the flags; timings isolate the contrastive path: one view, no label term
@@ -319,25 +322,32 @@ def cmd_perf_sweep(pairs: dict[str, str],
               "view1_aug": "none", "view2_aug": "none", "seeds": "0"}
     # cost per epoch is iterations x fixed batch work, so it scales with
     # the labeled-set size
-    variants = [("train-size", size, take_rows(base, np.arange(size)), {
+    specs = [("train-size", size, take_rows(base, np.arange(size)), {
         "n_labeled": str(size - 16), "batch_size": "64",
         "neg_size": str(cfg.perf_neg_fixed), "epochs": str(cfg.perf_epochs),
     }) for size in cfg.perf_train_sizes]
     # a pool of k+1 anchors with k negatives each gives the k^2 regime
-    variants += [("neg-size", k, base, {
+    specs += [("neg-size", k, base, {
         "n_labeled": "1", "batch_size": "1", "neg_size": str(k),
         "epochs": str(cfg.perf_epochs * 10),
     }) for k in cfg.perf_neg_sizes]
 
-    # a variant's time is its best wall clock over three rounds, each of
-    # which trains every variant once: a slow stretch of a shared host then
-    # costs one round, not all three repetitions of one size
-    def time_variant(cell) -> float:
-        _, _, sub, extra = cell
+    def checked_variant(spec) -> tuple:
+        sweep, size, sub, extra = spec
         variant = resolve_config(pairs, {**common, **extra})
-        return run_training(variant, 0, sub).wall_seconds
+        check_dataset(sub, variant)
+        return sweep, size, sub, variant
 
-    rounds, failure = run_cells(variants * 3, time_variant)
+    # every variant is resolved once and checked against its rows before
+    # round 1, so a rejected variant costs no timing
+    variants, failure = run_cells(specs, checked_variant)
+    if failure is None:
+        out = _ensure_out(cfg.out_dir)
+        # a variant's time is its best wall clock over three rounds, each
+        # of which trains every variant once: a slow stretch of a shared
+        # host then costs one round, not all three repetitions of one size
+        rounds, failure = run_cells(variants * 3, lambda cell: run_training(
+            cell[3], 0, cell[2]).wall_seconds)
     if failure is not None:
         (sweep, size, _, _), err = failure
         raise _failed(f"perf {sweep} {size}", err) from err

@@ -210,14 +210,12 @@ DEFAULTS: dict[str, str] = {f.name: f.metadata["default"] for f in _FIELDS}
 
 
 def resolve_config(pairs: dict[str, str],
-                   overrides: dict[str, str] | None = None, *,
-                   splits: bool = True) -> RunConfig:
+                   overrides: dict[str, str] | None = None) -> RunConfig:
     """Merge file pairs, CLI overrides, and defaults into a RunConfig.
 
     Raises ConfigError naming the offending field for every violation; no
-    partial result is returned. ``splits = False`` is for a command that
-    never splits the config's dataset by ``n_labeled`` (bound-check,
-    perf-sweep): the rule tying ``n_labeled`` to ``n_samples`` is skipped.
+    partial result is returned. The rules that need the dataset's rows
+    (``n_labeled``, ``neg_size``) are ``train.check_dataset``'s.
     """
     merged = dict(DEFAULTS)
     for source in (pairs, overrides or {}):
@@ -248,10 +246,6 @@ def resolve_config(pairs: dict[str, str],
     if cfg.synthetic == "cluster" and cfg.n_samples < cfg.n_classes:
         raise _fail("n_samples", f"cluster data needs at least n_classes = "
                     f"{cfg.n_classes} (one per class), got {cfg.n_samples}")
-    # a manifest's row count is known only once it is read (train._run_split)
-    if splits and cfg.synthetic and cfg.n_labeled >= cfg.n_samples:
-        raise _fail("n_labeled", f"must be < n_samples = {cfg.n_samples}, got "
-                    f"{cfg.n_labeled}: the unlabeled rows are the eval set")
     if cfg.method == "simclr-style" and cfg.mode != "two-view":
         raise _fail("method", "simclr-style needs mode = two-view")
     # method coupling: unused terms are forced off so the objective, the

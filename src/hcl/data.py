@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError, ShapeError
 from .ioutil import parse_kv_text, read_text
-from .losses import shared_full_negatives
+from .losses import full_negatives
 from .numeric import Matrix, Rng, as_matrix, unit_rows
 
 
@@ -86,8 +86,8 @@ class BatchPlan:
     and sorted, labeled rows among them, no anchor its own negative and
     every anchor with at least one. The plan is not checked again here;
     ``losses.ContrastiveBatch`` checks the mask the losses receive. A full
-    complement is the read-only mask ``losses.shared_full_negatives``
-    shares among the plans of one anchor count.
+    complement is the one read-only mask ``losses.full_negatives`` shares
+    among the plans of one anchor count.
     """
 
     anchors: np.ndarray
@@ -432,7 +432,7 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     ``batch_size`` and ``neg_size``, never features or labels, so the same
     rng state on datasets with equal rows and labeled mask draws equal
     plans; ``train.PlanMemo`` replays streams on that contract. A full
-    complement is ``losses.shared_full_negatives(na)``, one read-only mask
+    complement is ``losses.full_negatives(na)``, one read-only mask
     shared by every plan with na anchors; a sampled negative set is a fresh
     mask.
     """
@@ -482,8 +482,8 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     na = anchors.size
     if k == na - 1:
         # forced full complement, no sampling needed: the one read-only
-        # mask of this anchor count, which the losses know without a scan
-        neg_mask = shared_full_negatives(na)
+        # mask of this anchor count, which the losses know by identity
+        neg_mask = full_negatives(na)
     else:
         # the k smallest of iid uniform keys are a uniform k-subset; an
         # infinite diagonal key is never among them because k <= na - 2

@@ -70,13 +70,14 @@ with a cosine rounded a few ulp past 1 at a tau so small (below about
 unsupervised row is read from a fresh product of its block of rows; a
 supervised sum from the logits the engine keeps.
 
-A full complement is known without a scan when it is the mask
-``shared_full_negatives(n)`` hands out, one read-only mask held in 2n - 1
-bytes and kept for the last anchor count asked for (every full-complement
-plan of ``data.sample_batch`` holds it): ``_is_full_complement`` and
-``ContrastiveBatch`` recognise it by identity. Any other mask, one of an
-earlier count and ``full_negatives(n)``'s fresh writable one among them, is
-scanned.
+The full complement has one form: the mask ``full_negatives(n)`` hands
+out, one read-only mask held in 2n - 1 bytes and kept for the last anchor
+count asked for (every full-complement plan of ``data.sample_batch`` holds
+it). ``_is_full_complement`` and ``ContrastiveBatch`` know it by identity
+alone. Any other mask, one of an earlier count or a copy of the full
+complement among them, is a general mask: ``ContrastiveBatch`` checks it,
+``_info_nce`` zeroes its dropped entries by the 0/1 product and the
+two-view kernel takes its dense path for it.
 
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
@@ -227,7 +228,7 @@ class ContrastiveBatch:
             raise ShapeError(
                 f"neg_mask must be {n}x{n}, got {self.neg_mask.shape}"
             )
-        if n > 1 and _is_shared_full(self.neg_mask):
+        if n > 1 and _is_full_complement(self.neg_mask):
             return  # valid by construction: no diagonal, n - 1 per row
         if self.neg_mask.diagonal().any():
             raise ContractError("an anchor may not appear in its own negative set")
@@ -241,24 +242,20 @@ class ContrastiveBatch:
         return self.zs[0].shape[0]
 
 
-def full_negatives(n: int) -> np.ndarray:
-    """Mask selecting, for each anchor, every other sample as a negative."""
-    return ~np.eye(n, dtype=bool)
-
-
-# the last anchor count asked for -> its shared full complement: a run asks
-# for one count again and again
+# the last anchor count asked for -> its full complement: a run asks for one
+# count again and again
 _SHARED_FULL: dict[int, np.ndarray] = {}
 
 
-def shared_full_negatives(n: int) -> np.ndarray:
-    """``full_negatives(n)`` as one read-only mask that every caller with
-    the same ``n`` shares, so that ``_is_full_complement`` and
-    ``ContrastiveBatch`` recognise it by identity instead of scanning it.
-    Only the last count's mask is kept: another count replaces it. It is a
-    view of one row of 2n - 1 bytes, false at its middle only, whose row i
-    starts i bytes before that middle: n^2 entries held in 2n - 1 bytes,
-    and a view that cannot be made writable."""
+def full_negatives(n: int) -> np.ndarray:
+    """Mask selecting, for each anchor, every other sample as a negative.
+
+    It is one read-only mask that every caller with the same ``n`` shares,
+    so that ``_is_full_complement`` and ``ContrastiveBatch`` know it by
+    identity. Only the last count's mask is kept: another count replaces
+    it. It is a view of one row of 2n - 1 bytes, false at its middle only,
+    whose row i starts i bytes before that middle: n^2 entries held in
+    2n - 1 bytes, and a view that cannot be made writable."""
     mask = _SHARED_FULL.get(n)
     if mask is None:
         row = np.ones(2 * n - 1, dtype=bool)
@@ -270,22 +267,11 @@ def shared_full_negatives(n: int) -> np.ndarray:
     return mask
 
 
-def _is_shared_full(mask: np.ndarray) -> bool:
-    """Whether ``mask`` is a kept ``shared_full_negatives`` mask."""
-    return _SHARED_FULL.get(len(mask)) is mask
-
-
 def _is_full_complement(mask: np.ndarray) -> bool:
-    """Whether boolean ``mask`` is ``full_negatives(n)``: square, clear on
-    its diagonal and set everywhere else. A shared mask is known at once;
-    on any other the first row's count settles most masks (a two-view
-    tiled one among them) before the whole mask is counted."""
-    if _is_shared_full(mask):
-        return True
-    n = len(mask)
-    return bool(mask.shape == (n, n) and not mask.diagonal().any()
-                and (not n or np.count_nonzero(mask[0]) == n - 1)
-                and np.count_nonzero(mask) == n * (n - 1))
+    """Whether ``mask`` is the kept ``full_negatives`` mask. Any other mask,
+    one of an earlier count or a copy of the full complement among them, is
+    a general mask."""
+    return _SHARED_FULL.get(len(mask)) is mask
 
 
 def cross_entropy(y_hat: Matrix, y: Matrix) -> tuple[float, Matrix]:
@@ -650,20 +636,19 @@ class SupLabels:
     read-only, so one label half serves every batch of embeddings with
     those label rows.
 
-    The pairs are flat arrays: pair p is anchor ``pi[p]`` with another
-    positive ``pj[p]`` of valid label ``pa[p]`` (a column of ``yv``, the
-    columns of ``y`` with two positives and a negative), by label, then
-    anchor, then partner. ``pair`` and ``key`` are their flat indices into
-    the n x n grid of row pairs and the n x g grid of (anchor, label)
-    sums, and ``count`` is each valid label's pair count. ``log_sigma``
+    ``not_y`` is 1 - Y over the valid columns Y of ``y``, those with two
+    positives and a negative. The pairs are flat arrays: pair p is anchor
+    ``pi[p]`` with another positive ``pj[p]`` of valid label ``pa[p]``, by
+    label, then anchor, then partner. ``pair`` and ``key`` are their flat
+    indices into the n x n grid of row pairs and the n x g grid of (anchor,
+    label) sums, and ``count`` is each valid label's pair count. ``log_sigma``
     (per pair) and ``log_gamma`` (n x n) are the label log-weights and
     ``shift`` = log c what they add to the logits' bound; with indicator
     weights they are None, None and 0.
     """
 
-    yv: Matrix
     not_y: Matrix
-    absent: np.ndarray  # yv == 0: the (anchor, label) sums no pair reads
+    absent: np.ndarray  # not_y == 1: the (anchor, label) sums no pair reads
     pa: np.ndarray
     pi: np.ndarray
     pj: np.ndarray
@@ -731,7 +716,7 @@ def _make_sup_labels(y: Matrix, indicator: bool | None) -> SupLabels:
     if not (_is_one_hot(y) if indicator is None else indicator):
         log_sigma, log_gamma = _label_log_weights(y, (pi, pj))
         shift = np.log(y.shape[1])
-    labels = SupLabels(yv=yv, not_y=1.0 - yv, absent=yv == 0.0, pa=pa, pi=pi,
+    labels = SupLabels(not_y=1.0 - yv, absent=yv == 0.0, pa=pa, pi=pi,
                        pj=pj, pair=pi * n + pj, key=pi * g + pa,
                        count=np.bincount(pa), log_sigma=log_sigma,
                        log_gamma=log_gamma, shift=shift)

@@ -17,7 +17,8 @@ it once and replays it to every later run with the same key; the noise sweep
 passes one to all its cells. A memo keeps steps x na^2 mask bytes per stream
 of sampled negative sets (na anchors a batch) and none per plan for full
 complements: every full complement ``sample_batch`` returns is the one
-read-only mask ``losses.shared_full_negatives`` keeps for its anchor count.
+read-only mask ``losses.full_negatives`` keeps for its anchor count, and the
+losses know it by identity.
 Without a memo, plans are drawn one per step and dropped after it.
 
 The supervised loss splits into a label half (``losses.sup_labels``), a
@@ -103,8 +104,20 @@ def dataset_checksum(ds: Dataset) -> str:
 
 
 def check_dataset(ds: Dataset, cfg: RunConfig) -> None:
-    """Raise ConfigError when the config's method or augmentations cannot
-    train on the labels and view count of ``ds``."""
+    """Raise ConfigError, naming the field, when the config cannot train on
+    ``ds``: ``n_labeled`` must leave an unlabeled row (the eval set), an
+    integer ``neg_size`` must fit in the rows, and the method and
+    augmentations must suit the labels and view count."""
+    if not 0 < cfg.n_labeled < ds.n:
+        raise ConfigError(
+            f"config field 'n_labeled': must be in (0, {ds.n}) for this "
+            f"dataset, got {cfg.n_labeled}"
+        )
+    if cfg.neg_size != "full" and cfg.neg_size > ds.n - 1:
+        raise ConfigError(
+            f"config field 'neg_size': must be <= {ds.n - 1} for this "
+            f"dataset of {ds.n} rows, got {cfg.neg_size}"
+        )
     # supcon-style trains through weighted_sup_loss, which is plain SupCon
     # exactly when every row is one-hot or there is one label column
     if cfg.method == "supcon-style" and ds.c > 1 and not _is_one_hot(ds.labels):
@@ -121,35 +134,23 @@ def check_dataset(ds: Dataset, cfg: RunConfig) -> None:
                 )
 
 
-def _prepare_views(ds: Dataset, cfg: RunConfig, rng: Rng) -> Dataset:
-    """Resolve the mode against the dataset's actual view count, after
-    ``check_dataset``."""
-    check_dataset(ds, cfg)
-    if cfg.mode == "two-view":
-        if ds.n_views == 2:
-            return ds
-        x1, x2 = make_views(ds.views[0], cfg.view1_aug, cfg.view2_aug, rng)
-        return replace(ds, views=[x1, x2])
-    if ds.n_views == 2:
-        # single-view protocol on two-view data: the first view stands alone
-        return replace(ds, views=[ds.views[0]])
-    return ds
-
-
 def _run_split(cfg: RunConfig, seed: int,
                base: Dataset | None) -> tuple[Dataset, Rng]:
     """The run's labeled/unlabeled split and views, derived from (config,
-    seed), with the rng that drew them, positioned for the next draw."""
+    seed), with the rng that drew them, positioned for the next draw. The
+    mode is resolved against the dataset's actual view count."""
     if base is None:
         base = build_dataset(cfg)
-    if not 0 < cfg.n_labeled < base.n:
-        raise ConfigError(
-            f"config field 'n_labeled': must be in (0, {base.n}) for this "
-            f"dataset, got {cfg.n_labeled}"
-        )
+    check_dataset(base, cfg)
     rng = make_rng(seed)
     ds = split(base, cfg.n_labeled, rng)
-    return _prepare_views(ds, cfg, rng), rng
+    if cfg.mode == "two-view" and ds.n_views == 1:
+        x1, x2 = make_views(ds.views[0], cfg.view1_aug, cfg.view2_aug, rng)
+        ds = replace(ds, views=[x1, x2])
+    elif cfg.mode == "single-view" and ds.n_views == 2:
+        # single-view protocol on two-view data: the first view stands alone
+        ds = replace(ds, views=[ds.views[0]])
+    return ds, rng
 
 
 def _score(cfg: RunConfig, params, ds: Dataset) -> EvalReport:

@@ -10,14 +10,16 @@ output as its JSON result. The script stops at the first run that exits
 non-zero or reports ``correct: false``, naming the side and the pair, and
 exits 1. Otherwise it prints one row for every ``end_to_end`` metric of the
 change's ``BENCHMARK.json``: both medians, the relative change of the
-median, the interquartile range of the parent's runs, and the pairs the
-change won by the metric's ``better`` (a tie counts for neither side).
-Below them come the same rows for the raw ``wall_s`` and ``reference_s``,
+median, the interquartile range of the parent's runs, the pairs the
+change won by the metric's ``better`` (a tie counts for neither side) and,
+last, the metric's ``verdict`` under its ``bound``. Below them come the
+same rows, with no verdict, for the raw ``wall_s`` and ``reference_s``,
 read from each run's printed report lines (``report_values``): a
 normalised gain that the raw wall time does not show comes from the
 reference kernel, not from the change. Last come each side's
-failed/attempted run counts. ``pair_stats`` holds the statistics. This is
-a script, not a test module: pytest does not collect it.
+failed/attempted run counts. ``pair_stats`` holds the statistics and
+``verdict`` the rule. This is a script, not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,33 @@ def pair_stats(parent: list[float], change: list[float], better: str) -> dict:
         "parent_iqr": float(q3 - q1),
         "wins": int(sum(sign * (c - p) > 0 for p, c in zip(parent, change))),
     }
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """The rule one end-to-end metric is judged by, from paired runs, with
+    ``bound`` the worst relative move of the median it allows. The first
+    that holds of:
+
+    * ``unresolved``: the parent's interquartile range exceeds ``bound``
+      times its median, unless every change run beats every parent run;
+    * ``outside bound``: the change's median is worse than the parent's by
+      more than ``bound``, relative to the parent's;
+    * ``gain``: the change won at least nine tenths of the pairs and its
+      median is better by more than the parent's interquartile range;
+    * ``within bound``: anything else."""
+    stats = pair_stats(parent, change, better)
+    sign = 1.0 if better == "higher" else -1.0
+    p_med = stats["parent_median"]
+    gained = sign * (stats["change_median"] - p_med)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if stats["parent_iqr"] > bound * abs(p_med) and not beats_all:
+        return "unresolved"
+    if -gained > bound * abs(p_med):
+        return "outside bound"
+    if 10 * stats["wins"] >= 9 * len(parent) and gained > stats["parent_iqr"]:
+        return "gain"
+    return "within bound"
 
 
 # raw report values printed beside the end-to-end metrics, lower is better
@@ -122,18 +151,21 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} "
           f"alternating pairs of {args.seconds:g} s")
     print(f"{'metric':<18}{'parent':>12}{'change':>12}{'rel':>9}"
-          f"{'parent_iqr':>12}  change won")
-    rows = [(m["name"], m["better"],
+          f"{'parent_iqr':>12}  change won  verdict")
+    rows = [(m["name"], m["better"], m["bound"],
              lambda r, name=m["name"]: r["metrics"][name]["value"])
             for m in metrics]
-    rows += [(f"raw {name}", "lower", lambda r, name=name: r["raw"][name])
-             for name in RAW]
-    for name, better, value in rows:
-        stats = pair_stats([value(r) for r in results["parent"]],
-                           [value(r) for r in results["change"]], better)
+    rows += [(f"raw {name}", "lower", None,
+              lambda r, name=name: r["raw"][name]) for name in RAW]
+    for name, better, bound, value in rows:
+        runs = [[value(r) for r in results[side]]
+                for side in ("parent", "change")]
+        stats = pair_stats(*runs, better)
+        won = f"{stats['wins']} of {args.pairs}"
+        judged = "-" if bound is None else verdict(*runs, better, bound)
         print(f"{name:<18}{stats['parent_median']:>12.4f}"
               f"{stats['change_median']:>12.4f}{stats['relative']:>+9.2%}"
-              f"{stats['parent_iqr']:>12.4f}  {stats['wins']} of {args.pairs}")
+              f"{stats['parent_iqr']:>12.4f}  {won:<10}  {judged}")
     for side, runs in results.items():
         failed = sum(r["failed"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ab_pairs import pair_stats, report_values
+from ab_pairs import pair_stats, report_values, verdict
 
 PARENT = [1.0, 2.0, 3.0, 4.0, 5.0]
 CHANGE = [0.5, 2.0, 3.6, 2.4, 4.0]
@@ -70,3 +70,28 @@ def test_report_values_names_a_missing_metric():
     lines = [line for line in REPORT if "reference_s" not in line]
     with pytest.raises(ValueError, match="reference_s"):
         report_values(lines)
+
+
+# ten paired runs around 1.0 with quartiles 0.99 and 1.01
+TIGHT = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.01, 0.99]
+WIDE = [float(v) for v in range(1, 11)]  # IQR 4.5 around a median of 5.5
+
+
+@pytest.mark.parametrize("parent, change, better, expected", [
+    # the parent's spread exceeds the bound, and the runs overlap
+    (WIDE, [v - 0.1 for v in WIDE], "lower", "unresolved"),
+    # ... unless every change run beats every parent run
+    (WIDE, [0.5] * 10, "lower", "gain"),
+    (TIGHT, [v * 1.3 for v in TIGHT], "lower", "outside bound"),
+    (TIGHT, [v * 0.7 for v in TIGHT], "higher", "outside bound"),
+    (TIGHT, [v - 0.1 for v in TIGHT], "lower", "gain"),
+    (TIGHT, [v + 0.1 for v in TIGHT], "higher", "gain"),
+    # every pair won, but by less than the parent's IQR
+    (TIGHT, [v - 0.01 for v in TIGHT], "lower", "within bound"),
+    # a large move of the median from 8 of 10 pairs
+    (TIGHT, [v - 0.1 for v in TIGHT[:8]] + [v + 0.01 for v in TIGHT[8:]],
+     "lower", "within bound"),
+    (TIGHT, [v * 1.05 for v in TIGHT], "lower", "within bound"),
+])
+def test_verdict_applies_the_rules_in_order(parent, change, better, expected):
+    assert verdict(parent, change, better, 0.25) == expected

@@ -334,6 +334,19 @@ def test_cmd_eval_needs_dataset_checksum(tmp_path):
         cmd_eval(str(path))
 
 
+@pytest.mark.parametrize("command", ["train", "noise-sweep"])
+def test_main_refuses_an_oversized_neg_size_before_any_output(
+        tmp_path, capsys, command):
+    # 40 rows hold at most 39 negatives: checked against the data by field
+    # before the first cell trains and before the output directory is made
+    pairs = small_pairs(tmp_path, sub="big-neg", n_samples=40, neg_size=60)
+    assert main([command, "--config", write_cfg(tmp_path, pairs)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config field 'neg_size': must be <= 39 for this dataset of "
+        "40 rows, got 60"]
+    assert not (tmp_path / "big-neg").exists()
+
+
 # ---------------------------------------------------------------------------
 # bound-check
 
@@ -570,6 +583,25 @@ def test_cmd_perf_sweep_names_a_failed_variant(tmp_path, monkeypatch,
     assert main(["perf-sweep", "--config", write_cfg(tmp_path, pairs)]) == 2
     assert "error: perf neg-size 8 failed: loss diverged\n" \
         in capsys.readouterr().err
+
+
+def test_cmd_perf_sweep_checks_every_variant_before_round_one(tmp_path,
+                                                             monkeypatch):
+    # a 32-row train-size variant cannot hold the default 32 negatives: it
+    # is refused by field before any variant trains or the output directory
+    # is made. The config's own n_labeled, which every variant sets anew,
+    # is not checked
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_training",
+                        lambda *args: calls.append(args))
+    pairs = dict(perf_pairs(tmp_path), perf_train_sizes="64,32",
+                 n_labeled="500")
+    with pytest.raises(ConfigError, match=re.escape(
+            "perf train-size 32 failed: config field 'neg_size': must be "
+            "<= 31 for this dataset of 32 rows, got 32")):
+        cmd_perf_sweep(pairs)
+    assert calls == []
+    assert not (tmp_path / "p").exists()
 
 
 def test_cmd_perf_sweep_validates_sizes(tmp_path):

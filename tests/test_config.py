@@ -171,19 +171,6 @@ def test_scene_like_size_rule_raises_named_error(key, least):
     resolve(synthetic="scene-like", n_labeled=20, **{key: least})
 
 
-def test_n_labeled_must_leave_an_unlabeled_row():
-    # a synthetic family has n_samples rows, known before any is drawn, and
-    # the unlabeled rows are the eval set; the most that leaves one passes
-    for family in ("cluster", "multiview", "scene-like"):
-        with pytest.raises(ConfigError, match="config field 'n_labeled'"):
-            resolve(synthetic=family, n_samples="30", n_labeled="30")
-        assert resolve(synthetic=family, n_samples="30",
-                       n_labeled="29").n_labeled == 29
-    # bound-check and perf-sweep never split the config's dataset by it
-    cfg = resolve_config(dict(BASE, n_samples="30"), splits=False)
-    assert cfg.n_labeled == 120
-
-
 def test_small_batch_needs_supervised_term_off():
     # two rows can never hold two positives and a negative of one label
     with pytest.raises(ConfigError, match="config field 'batch_size'"):

@@ -101,7 +101,7 @@ def test_batch_rejects_self_negative():
 
 
 def test_batch_rejects_empty_negative_set():
-    mask = full_negatives(3)
+    mask = ~np.eye(3, dtype=bool)
     mask[1, :] = False
     with pytest.raises(DegenerateBatchError, match="anchor 1"):
         ContrastiveBatch(zs=[np.eye(3)], neg_mask=mask)
@@ -484,8 +484,12 @@ def test_symmetric_branch_routing(monkeypatch):
     assert taken == []
     unsup_loss_multiview(with_full_mask(two_view_batch(rng, n=2, d1=3)), 0.5)
     assert taken == []  # 2n = 4 rows: fewer than two bands of 3
+    # the n = 2 batch's mask replaced the kept one: ``full``'s mask is now
+    # an earlier count's, a general mask, until it is asked for again
+    unsup_loss_multiview(full, 0.5)
+    assert taken == []
     for b in (full, weighting(full, False)):
-        unsup_loss_multiview(b, 0.5)
+        unsup_loss_multiview(with_full_mask(b), 0.5)
     assert taken == [True, True]
     monkeypatch.undo()
     # as shipped: 2n = 256 rows make two bands of 128, 2n = 254 one
@@ -685,7 +689,7 @@ def test_supervised_pairs_run_by_label_then_anchor_then_partner():
     y[:, 1] = 1.0  # no negative: not a valid label
     half = sup_labels(y, indicator=False)
     groups = ref_sup_groups(y)
-    assert np.array_equal(half.yv, y[:, [a for a, _, _ in groups]])
+    assert np.array_equal(1.0 - half.not_y, y[:, [a for a, _, _ in groups]])
     assert list(zip(half.pa.tolist(), half.pi.tolist(),
                     half.pj.tolist())) == [
         (g, i, j) for g, (_, pos, _) in enumerate(groups)
@@ -1129,7 +1133,7 @@ def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
     pos = rng.uniform(-1.0, 1.0, (n, 2))
     neg = rng.uniform(-3.0, 0.0, (n, n))
     neg[[1, 4]] -= 1000.0
-    keep = full_negatives(n)
+    keep = full_negatives(n) if form == "full" else ~np.eye(n, dtype=bool)
     if form == "mask":
         keep[[2, 4], [5, 0]] = False
     shifted = neg.copy()
@@ -1314,31 +1318,24 @@ def test_single_view_kernel_builds_no_n_by_n_block():
 
 
 def test_is_full_complement_truth_table():
-    # square, clear on the diagonal and n(n - 1) entries: a count alone
-    # would take a set diagonal with one entry dropped, and the tiled
-    # two-view mask is clear on its diagonal
+    # the full complement is known by identity alone: a copy of it, the
+    # mask of an earlier count, a view of it and any other mask are general
+    # masks
     for n in range(1, 6):
         assert losses_mod._is_full_complement(full_negatives(n))
-        assert losses_mod._is_full_complement(~np.eye(n, dtype=bool))
+        assert not losses_mod._is_full_complement(~np.eye(n, dtype=bool))
+    earlier = full_negatives(4)
+    full_negatives(5)
+    assert not losses_mod._is_full_complement(earlier)
     n = 5
-    dropped = full_negatives(n)
+    dropped = ~np.eye(n, dtype=bool)
     dropped[1, 3] = False
     assert not losses_mod._is_full_complement(dropped)
-    dropped[2, 2] = True
-    assert np.count_nonzero(dropped) == n * (n - 1)
-    assert not losses_mod._is_full_complement(dropped)
-    # first row full, a later row short
-    short = full_negatives(n)
-    short[3, 1] = False
-    assert not losses_mod._is_full_complement(short)
-    # the two-view tiled mask, which its first row settles
+    # the two-view tiled mask
     for n in (2, 4, 64):
         assert not losses_mod._is_full_complement(
             np.tile(full_negatives(n), (2, 2)))
-    # clear on its diagonal with 3 * 2 entries, but not square
-    rect = full_negatives(4)[:3]
-    rect[:, 3] = False
-    assert not losses_mod._is_full_complement(rect)
+    assert not losses_mod._is_full_complement(full_negatives(4)[:3])
 
 
 class _CountingNumpy:
@@ -1355,36 +1352,67 @@ class _CountingNumpy:
         return np.count_nonzero(a, *args, **kwargs)
 
 
-def test_is_full_complement_counts_one_row_of_a_tiled_mask(monkeypatch):
-    # the dense two-view path's 2n x 2n tiled mask is settled by its first
-    # row's count; the whole mask is counted only when that row is full
+class _UnreadMask(np.ndarray):
+    """A mask whose entries fail the test when anything reads them."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("a ufunc read the mask")
+
+    def __getitem__(self, key):
+        raise AssertionError("the mask was indexed")
+
+    def diagonal(self, *args, **kwargs):
+        raise AssertionError("the mask's diagonal was read")
+
+
+def test_is_full_complement_reads_no_entry(monkeypatch):
+    # identity settles every mask: neither the dense two-view path's 2n x 2n
+    # tiled mask nor a copy of the full complement is counted or indexed
     counting = _CountingNumpy()
     monkeypatch.setattr(losses_mod, "np", counting)
     n = 64
-    assert not losses_mod._is_full_complement(np.tile(full_negatives(n), (2, 2)))
-    assert counting.counted == [2 * n]
-    counting.counted.clear()
+    for mask in (np.tile(full_negatives(n), (2, 2)), ~np.eye(n, dtype=bool)):
+        assert not losses_mod._is_full_complement(mask.view(_UnreadMask))
     assert losses_mod._is_full_complement(full_negatives(n))
-    assert counting.counted == [n, n * n]
+    assert counting.counted == []
 
 
-@pytest.mark.parametrize("n", [7, 130])
+@pytest.mark.parametrize("n", [7, 130, 300])
 @pytest.mark.parametrize("tau", [1e-4, 0.5, 2.0])
-def test_full_complement_diagonal_write_equals_mask_product(
-        monkeypatch, n, tau):
-    # the single-view kernel zeroes a full complement's diagonal by one
-    # strided write; the 0/1 product with the mask must give the same bits
+def test_full_complement_diagonal_write_equals_mask_product(n, tau):
+    # the single-view kernel zeroes the full complement's diagonal by one
+    # strided write; a writable copy, a general mask, takes the 0/1 product
+    # with the mask's rows and must give the same bits (n = 300: blocks of
+    # 128, 128 and 44 rows)
     rng = make_rng(107)
-    drawn = dataclasses.replace(single_view_batch(rng, n=n, project=True),
-                                neg_mask=~np.eye(n, dtype=bool))
+    drawn = with_full_mask(single_view_batch(rng, n=n, project=True))
+    copy = ~np.eye(n, dtype=bool)
+    assert not losses_mod._is_full_complement(copy)
     for weighted in (True, False):
         b = weighting(drawn, weighted)
         value, grad = unsup_loss_single(b, tau)
-        with monkeypatch.context() as m:
-            m.setattr(losses_mod, "_is_full_complement", lambda mask: False)
-            want_value, want_grad = unsup_loss_single(b, tau)
+        want_value, want_grad = unsup_loss_single(
+            dataclasses.replace(b, neg_mask=copy), tau)
         assert value == want_value
         assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.5])
+def test_full_complement_copy_takes_the_two_view_dense_path(monkeypatch, tau):
+    # a writable copy of the full complement is a general mask, so the
+    # two-view kernel runs its dense path for it: only the shared mask
+    # reaches the symmetric branch, and the two agree to rounding
+    taken = symmetric_branch_calls(monkeypatch)
+    n = 130
+    b = with_full_mask(two_view_batch(make_rng(139), n=n, d1=3))
+    copy = dataclasses.replace(b, neg_mask=~np.eye(n, dtype=bool))
+    for weighted in (True, False):
+        calls = len(taken)
+        want = unsup_loss_multiview(weighting(copy, weighted), tau)
+        assert len(taken) == calls
+        _agree(unsup_loss_multiview(weighting(b, weighted), tau), want,
+               tol=1e-12)
+        assert len(taken) == calls + 1
 
 
 class _FiniteExpNumpy:
@@ -1656,7 +1684,7 @@ def test_label_half_is_read_only_and_switches_like_the_loss():
         assert (half.log_gamma is None) == one_hot, name
         assert (half.log_sigma is None) == one_hot, name
         assert half.shift == (0.0 if one_hot else np.log(y.shape[1])), name
-        n, g = half.yv.shape
+        n, g = half.not_y.shape
         assert np.array_equal(half.pair, half.pi * n + half.pj)
         assert np.array_equal(half.key, half.pi * g + half.pa)
         assert np.array_equal(half.count, np.bincount(half.pa))
@@ -1693,62 +1721,47 @@ def test_label_half_gradient_matches_finite_differences(tau):
         assert rel_error(grad, num) < GRAD_TOL, name
 
 
-# --------------------------------------------------- shared full complement
+# ------------------------------------------------------ the full complement
 
 
-def test_shared_full_mask_is_read_only_and_known_without_a_scan(monkeypatch):
-    mask = losses_mod.shared_full_negatives(6)
-    assert mask is losses_mod.shared_full_negatives(6)
-    assert np.array_equal(mask, full_negatives(6))
+def test_shared_full_mask_is_read_only_and_known_without_a_scan():
+    mask = full_negatives(6)
+    assert mask is full_negatives(6)
+    assert np.array_equal(mask, ~np.eye(6, dtype=bool))
     with pytest.raises(ValueError, match="read-only"):
         mask[0, 1] = False
-    scans, real = [], np.count_nonzero
-
-    def counting(a, *args, **kwargs):
-        scans.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(losses_mod.np, "count_nonzero", counting)
-    assert losses_mod._is_full_complement(mask) and not scans
-    # a copy, writable or not, is the same mask by value and is scanned
-    copy = mask.copy()
-    assert losses_mod._is_full_complement(copy) and scans
-    copy.flags.writeable = False
-    scans.clear()
-    assert losses_mod._is_full_complement(copy) and scans
-    monkeypatch.undo()
+    assert losses_mod._is_full_complement(mask)
     z = make_rng(64).normal(size=(6, 3))
     assert ContrastiveBatch([z], mask, x_sim=z).neg_mask is mask
-    # one flipped entry is scanned and refused
-    off = mask.copy()
-    off[2, 4] = False
-    assert not losses_mod._is_full_complement(off)
-    diag = mask.copy()
-    diag[3, 3] = True
-    assert not losses_mod._is_full_complement(diag)
+    # a writable copy is the same mask by value, a general mask that
+    # passes the batch's checks
+    copy = ~np.eye(6, dtype=bool)
+    assert ContrastiveBatch([z], copy, x_sim=z).neg_mask is copy
+    assert not losses_mod._is_full_complement(copy)
+    # one flipped entry of a copy is checked and refused
+    copy[3, 3] = True
     with pytest.raises(ContractError, match="own negative set"):
-        ContrastiveBatch([z], diag, x_sim=z)
+        ContrastiveBatch([z], copy, x_sim=z)
     # nothing can write the shared mask, so it is taken on trust
     with pytest.raises(ValueError, match="WRITEABLE"):
         mask.flags.writeable = True
 
 
 def test_shared_full_mask_of_one_anchor_is_still_refused():
-    one = losses_mod.shared_full_negatives(1)
+    one = full_negatives(1)
     with pytest.raises(DegenerateBatchError, match="empty negative set"):
         ContrastiveBatch([np.ones((1, 2))], one, x_sim=np.ones((1, 2)))
 
 
 def test_shared_full_mask_is_kept_for_the_last_count_only(monkeypatch):
     monkeypatch.setattr(losses_mod, "_SHARED_FULL", {})
-    shared = losses_mod.shared_full_negatives
-    first = shared(11)
-    assert shared(11) is first
-    shared(12)  # another count replaces the kept mask
+    first = full_negatives(11)
+    assert full_negatives(11) is first
+    full_negatives(12)  # another count replaces the kept mask
     assert list(losses_mod._SHARED_FULL) == [12]
-    assert not losses_mod._is_shared_full(first)
-    assert losses_mod._is_full_complement(first)  # by a scan
-    assert shared(11) is not first
+    # an earlier count's mask is a general mask
+    assert not losses_mod._is_full_complement(first)
+    assert full_negatives(11) is not first
     # the n^2 entries are held in one row of 2n - 1 bytes
     root = first
     while root.base is not None:

@@ -352,13 +352,46 @@ def test_single_view_run_ignores_a_second_view(method):
     ([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], False),
 ])
 def test_check_dataset_supcon_style_label_shapes(labels, accepted):
-    ds = Dataset(views=[np.eye(3)], labels=np.array(labels),
-                 labeled_mask=np.ones(3, dtype=bool))
-    cfg = small_cfg(method="supcon-style", beta=0.4)
+    # each label row twice: 6 rows, of which 3 labeled leave an eval set
+    ds = Dataset(views=[np.eye(6)], labels=np.tile(labels, (2, 1)),
+                 labeled_mask=np.ones(6, dtype=bool))
+    cfg = small_cfg(method="supcon-style", beta=0.4, n_labeled=3,
+                    neg_size="full")
     if accepted:
         check_dataset(ds, cfg)
     else:
         with pytest.raises(ConfigError, match="config field 'method'"):
+            check_dataset(ds, cfg)
+
+
+def test_check_dataset_n_labeled_must_leave_an_unlabeled_row():
+    # the unlabeled rows are the eval set; the most labeled rows that leave
+    # one pass, and one more fails by field, before the run draws anything
+    for family in ("cluster", "multiview", "scene-like"):
+        cfg = small_cfg(synthetic=family, n_samples=30, n_labeled=29)
+        ds = build_dataset(cfg)
+        check_dataset(ds, cfg)
+        over = small_cfg(synthetic=family, n_samples=30, n_labeled=30)
+        with pytest.raises(ConfigError, match="config field 'n_labeled'"):
+            check_dataset(ds, over)
+        with pytest.raises(ConfigError, match="config field 'n_labeled'"):
+            run_training(over, 0, ds)
+    # resolving needs no rows, so bound-check and perf-sweep, which never
+    # split the config's dataset by it, take any n_labeled
+    assert resolve_config(dict(SMALL, n_samples="30",
+                               n_labeled="120")).n_labeled == 120
+
+
+@pytest.mark.parametrize("neg_size, accepted", [
+    ("29", True), ("30", False), ("full", True)])
+def test_check_dataset_neg_size_must_fit_the_rows(neg_size, accepted):
+    cfg = small_cfg(n_samples=30, neg_size=neg_size)
+    ds = build_dataset(cfg)
+    if accepted:
+        check_dataset(ds, cfg)
+    else:
+        with pytest.raises(ConfigError, match="config field 'neg_size': "
+                           "must be <= 29 for this dataset of 30 rows"):
             check_dataset(ds, cfg)
 
 
