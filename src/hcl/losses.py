@@ -13,16 +13,16 @@ tau that is not positive or whose 1/tau is not finite (``_check_tau``).
 ``_info_nce`` is the single place this form is computed (its term half,
 ``_info_nce_terms``, serves the supervised loss): it takes positive logits
 ``cos/tau + log(weight)`` and the negative ones shifted (see below), and
-returns the terms with their gradients in the logits, from one in-place
-exp pass. It takes the anchor rows in blocks of ``_SYM_BAND_ROWS``, in the
-style of FlashAttention's tiling (Dao et al. 2022): every step is
-row-local, so each block goes product, exp, sums, terms and the caller's
-backward while it sits in cache, and no block of all the rows is built.
-The negatives' gradient comes back unnormalised, as each block's exp and a
-per-row scale, to the caller's backward of that block. The losses hand it
-the thin operands whose product is the shifted logits of every entry,
-finite, and the mask of the entries that are negatives, and chain its
-gradients back to the embeddings. No exp here reads -inf (numpy's float64
+returns the terms with their gradients, from one in-place exp pass. It
+takes the anchor rows in blocks of ``_SYM_BAND_ROWS``, in the style of
+FlashAttention's tiling (Dao et al. 2022): every step is row-local, so
+each block goes product, exp, sums, terms and backward while it sits in
+cache, and no block of all the rows is built. The losses hand it the thin
+operands whose product is the shifted logits of every entry, finite, the
+mask of the entries that are negatives, and the unit rows that its
+backward products multiply: it returns the negatives' gradient in the
+unit embedding rows, and the losses chain it back to the embeddings. No
+exp here reads -inf (numpy's float64
 exp is about 8x slower on it than on finite input, on AVX-512): a dropped
 entry is exponentiated like any other and zeroed after the exp. Only the
 repair rows handed to ``row_logsumexp`` carry -inf.
@@ -59,7 +59,7 @@ The shift rule, one for both engines: every exp is shifted by B, a known
 upper bound on the logits, so no pass looks for a row max. B = 1/tau for
 plain InfoNCE and 1/tau + 2 for the raw-feature weight (cos/tau <= 1/tau,
 1 - cos <= 2), and 1/tau + log c for the label weights (log gamma <= log
-c; 1/tau with indicator weights). ``_logit_operands`` returns the
+c; 1/tau with unit weights). ``_logit_operands`` returns the
 unsupervised B with the operands whose shift column it sets. A sum of exps
 shifted by B holds full precision when it lies in [``_SUM_FLOOR``, inf).
 Any row, or supervised (anchor, label) sum, outside it is redone with its
@@ -114,9 +114,7 @@ that gets added to the logits:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -359,18 +357,8 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
     return t - pos, np.exp(pos - t) - 1.0, np.exp(lse_neg - t)
 
 
-def _accumulate(acc: Matrix | None, part: Matrix) -> Matrix:
-    """``part`` when ``acc`` is None (a call's first block), else ``acc``
-    with ``part`` added in place: a one-block call keeps the bits of the
-    unblocked sum."""
-    if acc is None:
-        return part
-    acc += part
-    return acc
-
-
 def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
-              keep: np.ndarray, backward: Callable
+              keep: np.ndarray, col: Matrix, row: Matrix | None = None
               ) -> tuple[Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients, one block of anchor rows
     at a time.
@@ -402,20 +390,24 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
     shifts, dropped negatives exact zeros, and ``c`` a (rows, 1) column of
     per-row scales, the single-exp softmax of Milakov & Gimelshein 2018
     with the normalisation deferred, as in FlashAttention (Dao et al.
-    2022). ``backward(rows, e, c, acc)`` is called once per block in row
-    order, ``rows`` a slice; it folds ``c`` into the thin operand of its
-    products, so no block is scaled, and returns the gradient so far, with
-    ``acc`` None at the first block (``_accumulate``). ``e`` is valid only
-    during the call. Returns ``(terms, d_pos, acc)``: ``d_pos`` is the
-    gradient in ``pos`` and ``acc`` the last block's return. Results
-    overflow only as the exact terms do, when 1/tau nears the largest
-    float.
+    2022). Each block carries it to thin rows while it sits in cache, with
+    ``c`` folded into the thin operand, so no block is scaled:
+
+        d_neg = (c * e).T @ col + (c * e) @ row
+
+    the gradient in the columns' unit rows, given the anchors' ``col``,
+    plus, when ``row`` (the columns' rows) is given, the gradient in the
+    anchors', for a kernel whose anchors are its columns. The first block
+    assigns d_neg and each later one adds to it, so a one-block call keeps
+    the bits of the unblocked sum. Returns ``(terms, d_pos, d_neg)``,
+    ``d_pos`` the gradient in ``pos``. Results overflow only as the exact
+    terms do, when 1/tau nears the largest float.
     """
     size, width = len(left), len(right)
     step = min(_SYM_BAND_ROWS, size)
     buf = np.empty((step, width))
     full = _is_full_complement(keep)
-    parts, acc = [], None
+    parts = []
     for lo in range(0, size, step):
         rows = slice(lo, min(lo + step, size))
         e = np.matmul(left[rows], right.T, out=buf[:rows.stop - lo])
@@ -439,12 +431,17 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
             lse_neg[redo] = bound + lse_own
         terms, d_pos, q = _info_nce_terms(pos[rows], lse_neg)
         parts.append((terms, d_pos))
-        # d_neg[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
+        # d_L[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
         c = np.add.reduce(q, axis=1, keepdims=True) / rowsum
-        acc = backward(rows, e, c, acc)
+        if lo:
+            d_neg += e.T @ (c * col[rows])
+        else:
+            d_neg = e.T @ (c * col[rows])
+        if row is not None:
+            d_neg[rows] += c * (e @ row)
     if len(parts) > 1:
         terms, d_pos = (np.concatenate(p) for p in zip(*parts))
-    return terms, d_pos, acc
+    return terms, d_pos, d_neg
 
 
 def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
@@ -476,9 +473,8 @@ def unsup_loss_single(batch: ContrastiveBatch, tau: float = 1.0
     # the positive carries no weight; the block's diagonal does
     pos = np.einsum("ij,ij->i", xh, zh)[:, None] * (1.0 / tau)
     # d_logits = c * e with d_pos on the diagonal, where e is 0 (dropped)
-    terms, d_pos, d_neg = _info_nce(
-        pos, left, right, bound, batch.neg_mask,
-        lambda rows, e, c, acc: _accumulate(acc, e.T @ (c * xh[rows])))
+    terms, d_pos, d_neg = _info_nce(pos, left, right, bound,
+                                    batch.neg_mask, xh)
     d_zh = d_neg + d_pos * xh
     return _mean(terms), _unnormalize_rows(d_zh / (n * tau), zh, z_norms)
 
@@ -527,9 +523,8 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     if symmetric and n >= _SYM_BAND_ROWS and _is_full_complement(batch.neg_mask):
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
-        keep = np.concatenate([batch.neg_mask] * 2, axis=1)  # the mask tiled 2 x 2
-        out = _info_nce(pos, left, right, bound, np.concatenate([keep, keep]),
-                        partial(_two_view_backward, zh))
+        out = _info_nce(pos, left, right, bound,
+                        np.tile(batch.neg_mask, (2, 2)), zh, zh)
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
     # 0 (dropped). Those entries add d_pos[r] * zh[partner[r]] to row r of
@@ -538,15 +533,6 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
     d_zh = d_neg + (d_pos + d_pos[partner]) * zh[partner]
     d_z = _unnormalize_rows(d_zh, zh, z_norms) * (1.0 / (2 * n * tau))
     return _mean(terms), d_z[:n], d_z[n:]
-
-
-def _two_view_backward(zh: Matrix, rows: slice, e: Matrix, c: Matrix,
-                       acc: Matrix | None) -> Matrix:
-    """The two-view kernel's backward of one block of ``_info_nce``:
-    d_neg = c * (e @ zh) + e.T @ (c * zh), from the block's rows."""
-    acc = _accumulate(acc, e.T @ (c * zh[rows]))
-    acc[rows] += c * (e @ zh)
-    return acc
 
 
 def _symmetric_info_nce(left: Matrix, right: Matrix, zh: Matrix, pos: Matrix,
@@ -643,8 +629,8 @@ class SupLabels:
     indices into the n x n grid of row pairs and the n x g grid of (anchor,
     label) sums, and ``count`` is each valid label's pair count. ``log_sigma``
     (per pair) and ``log_gamma`` (n x n) are the label log-weights and
-    ``shift`` = log c what they add to the logits' bound; with indicator
-    weights they are None, None and 0.
+    ``shift`` = log c what they add to the logits' bound; with unit
+    weights, which one-hot rows take, they are None, None and 0.
     """
 
     not_y: Matrix
@@ -660,38 +646,38 @@ class SupLabels:
     shift: float
 
 
-# the last label half made, keyed on (indicator, shape, bytes) of its label
-# rows: a run whose every batch labels all its labeled rows asks for one
+# the last label half made, keyed on the shape and bytes of its label rows: a run whose every batch labels all its labeled rows asks for one
 # label half again and again
 _LAST_SUP: dict[tuple, SupLabels] = {}
 
 
-def sup_labels(y, indicator: bool | None = None) -> SupLabels:
+def sup_labels(y) -> SupLabels:
     """The label half of ``weighted_sup_loss`` for the (n, c) binary label
-    rows ``y``, a pure function of them. ``indicator`` None takes the
-    loss's one-hot switch (``_is_one_hot``); True or False forces indicator
-    or label weights. Refuses labels that are not binary, and a batch with
-    no valid label (``DegenerateBatchError``).
+    rows ``y``, a pure function of them: unit weights when every row
+    is one-hot (``_is_one_hot``), label weights otherwise. Refuses labels
+    that are not binary, and a batch with no valid label
+    (``DegenerateBatchError``).
 
     The last label half is kept and handed out again while the label rows
     are the same bytes, which costs one copy and comparison of the rows;
     other rows replace it, and rows that are refused leave it."""
     y = as_matrix(y, "y")
-    key = (indicator, y.shape, y.tobytes())
+    key = (y.shape, y.tobytes())
     labels = _LAST_SUP.get(key)
     if labels is None:
-        labels = _make_sup_labels(y, indicator)
+        labels = _make_sup_labels(y)
         _LAST_SUP.clear()
         _LAST_SUP[key] = labels
     return labels
 
 
 def forget_sup_labels() -> None:
-    """Drop the kept label half; a run calls it when its steps are done."""
+    """Drop the kept label half; every harness that steps the supervised
+    loss calls it when its steps end, whether they finished or raised."""
     _LAST_SUP.clear()
 
 
-def _make_sup_labels(y: Matrix, indicator: bool | None) -> SupLabels:
+def _make_sup_labels(y: Matrix) -> SupLabels:
     """``sup_labels`` made afresh."""
     if np.any((y != 0.0) & (y != 1.0)):
         raise ContractError("multi-label targets must be binary")
@@ -713,7 +699,7 @@ def _make_sup_labels(y: Matrix, indicator: bool | None) -> SupLabels:
     n, g = yv.shape
     log_sigma = log_gamma = None
     shift = 0.0
-    if not (_is_one_hot(y) if indicator is None else indicator):
+    if not _is_one_hot(y):
         log_sigma, log_gamma = _label_log_weights(y, (pi, pj))
         shift = np.log(y.shape[1])
     labels = SupLabels(not_y=1.0 - yv, absent=yv == 0.0, pa=pa, pi=pi,
@@ -735,7 +721,7 @@ def _sup_engine(s: Matrix, labels: SupLabels, tau: float
               (sigma_ij f(s_i, s_j) + sum_{k: y_ka = 0} gamma_ik f(s_i, s_k)) )
 
     with i, j, a = ``pi[p]``, ``pj[p]``, ``pa[p]`` and sigma = gamma = 1
-    under indicator weights. Returns ``(terms, value, grad)``: value
+    under unit weights. Returns ``(terms, value, grad)``: value
     averages the terms over each label's pairs, then over labels, and grad
     is its gradient in ``s``.
     """
@@ -799,7 +785,7 @@ def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     ``y`` is an (n, c) binary label matrix. Positive pairs within each
     valid label are scaled by label agreement (1 - hamming/c) and negatives
     by hamming distance. A batch whose rows are all one-hot (c >= 2) takes
-    indicator weights instead, which makes the loss plain SupCon (Khosla et
+    unit weights instead, which makes the loss plain SupCon (Khosla et
     al. 2020): that is a per-batch switch, not a property of the weights,
     which give every one-hot negative hamming distance 2. With one label
     column every weight is 1 as it stands. Label rows equal to the last

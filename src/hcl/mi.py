@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, NumericError
 from .ioutil import csv_text
-from .losses import _check_tau, _sup_engine, sup_labels
+from .losses import _check_tau, _sup_engine, forget_sup_labels, sup_labels
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng
 from .optimizer import OptimizerState
@@ -290,7 +290,8 @@ def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
                    tau: float) -> dict[int, tuple[float, float, float]]:
     """Per-shared-label-count stratum: (restricted loss, matching N term,
     reference MI), from one pass over the flat pairs of the label half
-    (``losses.sup_labels``).
+    (``losses.sup_labels``). Ring labels give every row two positives, so
+    the label half takes the label weights.
 
     The loss reads the production loss's per-pair terms but averages only
     over ordered positive pairs whose shared-positive count equals the
@@ -299,7 +300,7 @@ def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
     uniform over labels, uniform over pairs per label.
     """
     y = as_matrix(labels, "labels")
-    half = sup_labels(y, indicator=False)
+    half = sup_labels(y)
     terms = _sup_engine(z, half, tau)[0]
     pa, pi, pj = half.pa, half.pi, half.pj
     eps = gram(y).astype(int)[pi, pj]
@@ -359,7 +360,10 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
                 for stratum, (loss, n_term, reference)
                 in sorted(strata.items())]
 
-    per_seed, failure = run_cells(train_spec.seeds, check_seed)
+    try:
+        per_seed, failure = run_cells(train_spec.seeds, check_seed)
+    finally:
+        forget_sup_labels()
     if failure is not None:
         raise failure[1]
     return [report for reports in per_seed for report in reports]

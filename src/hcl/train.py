@@ -29,7 +29,8 @@ as the last step's whenever ``batch_size`` covers all labeled rows, since
 each batch then labels all of them, so such a run makes its label half
 once; otherwise it costs one copy and comparison of the label rows a step.
 A run drops the kept label half (``losses.forget_sup_labels``) when its
-steps are done.
+steps end, whether they finished or raised, and so does ``mi``'s
+supervised bound check when its cells end.
 
 ``train_step`` is the one optimizer step: encode the batch's views, take
 the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
@@ -231,22 +232,26 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
         plans = iter(memo.stream(ds, cfg.batch_size, cfg.neg_size, steps, rng))
 
     trace: list[LossBreakdown] = []
-    for epoch in range(cfg.epochs):
-        sums = np.zeros(3)
-        for _ in range(iterations):
-            plan = next(plans)
-            try:
-                sums += train_step(
-                    params, state, ds, plan.anchors, weights, cfg.temperature,
-                    labeled=np.searchsorted(plan.anchors, plan.labeled),
-                    neg_mask=plan.neg_mask, x_sim=x_sim_all,
-                    weighted=cfg.method != "simclr-style",
-                )
-            except DegenerateBatchError as err:
-                raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
-        mean = sums / iterations
-        trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha, cfg.beta))
-    forget_sup_labels()
+    try:
+        for epoch in range(cfg.epochs):
+            sums = np.zeros(3)
+            for _ in range(iterations):
+                plan = next(plans)
+                try:
+                    sums += train_step(
+                        params, state, ds, plan.anchors, weights,
+                        cfg.temperature,
+                        labeled=np.searchsorted(plan.anchors, plan.labeled),
+                        neg_mask=plan.neg_mask, x_sim=x_sim_all,
+                        weighted=cfg.method != "simclr-style",
+                    )
+                except DegenerateBatchError as err:
+                    raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
+            mean = sums / iterations
+            trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha,
+                                    cfg.beta))
+    finally:
+        forget_sup_labels()
 
     report = _score(cfg, params, ds)
     wall_seconds = time.perf_counter() - t0

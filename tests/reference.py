@@ -469,16 +469,16 @@ def old_cross_entropy(y_hat, y):
     return value, grad
 
 
-def old_info_nce(pos, left, right, bound, keep, backward):
+def old_info_nce(pos, left, right, bound, keep, col, row=None):
     """``losses._info_nce`` in its earlier formulation, on the same
     arguments and the same blocks of ``losses._SYM_BAND_ROWS`` rows: each
     block's product a fresh array, -inf at its dropped entries by boolean
     index, then one exp over the block, and every row outside [floor, inf)
-    redone from the masked block with its own max."""
+    redone from the masked block with its own max. Its backward products
+    are the core's."""
     size = len(left)
     step = min(losses._SYM_BAND_ROWS, size)
     terms, d_pos = np.empty_like(pos), np.empty_like(pos)
-    acc = None
     for lo in range(0, size, step):
         rows = slice(lo, min(lo + step, size))
         neg = left[rows] @ right.T
@@ -500,8 +500,11 @@ def old_info_nce(pos, left, right, bound, keep, backward):
         terms[rows], d_pos[rows], q = losses._info_nce_terms(pos[rows],
                                                              lse_neg)
         c = np.sum(q, axis=1, keepdims=True) / rowsum
-        acc = backward(rows, neg, c, acc)
-    return terms, d_pos, acc
+        part = neg.T @ (c * col[rows])
+        d_neg = part if lo == 0 else d_neg + part
+        if row is not None:
+            d_neg[rows] += c * (neg @ row)
+    return terms, d_pos, d_neg
 
 
 def old_symmetric_info_nce(left, right, zh, pos, bound, partner):

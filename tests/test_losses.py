@@ -590,8 +590,9 @@ def test_weighted_sup_gradient():
 
 
 def test_weighted_sup_one_hot_equals_supcon_bitwise():
-    # routing only: one-hot rows take the engine's indicator weights (plain
-    # SupCon); the values themselves are checked against the oracle above
+    # routing only: one-hot rows take indicator weights (plain SupCon), the
+    # bits of the earlier engine run with them; the values themselves are
+    # checked against the oracle above
     rng = make_rng(18)
     for _ in range(10):
         n = int(rng.integers(4, 10))
@@ -602,8 +603,7 @@ def test_weighted_sup_one_hot_equals_supcon_bitwise():
         y[np.arange(n), ids] = 1.0
         s = rng.normal(size=(n, 4))
         v1, g1 = weighted_sup_loss(s, y)
-        v2, g2 = losses_mod._sup_engine(s, sup_labels(y, indicator=True),
-                                        1.0)[1:]
+        v2, g2 = old_sup_engine(s, y, 1.0, True)[1:]
         assert v1 == v2
         assert np.array_equal(g1, g2)
 
@@ -687,7 +687,7 @@ def test_supervised_pairs_run_by_label_then_anchor_then_partner():
     rng = make_rng(43)
     y = (rng.random((9, 4)) < 0.5).astype(float)
     y[:, 1] = 1.0  # no negative: not a valid label
-    half = sup_labels(y, indicator=False)
+    half = sup_labels(y)
     groups = ref_sup_groups(y)
     assert np.array_equal(1.0 - half.not_y, y[:, [a for a, _, _ in groups]])
     assert list(zip(half.pa.tolist(), half.pi.tolist(),
@@ -757,16 +757,12 @@ def test_supervised_repair_path_agrees_with_shared_shift(monkeypatch):
 def core_on_block(pos, shifted, bound, keep, core=_info_nce):
     """``core`` (``_info_nce`` or ``old_info_nce``) on the shifted logit
     block ``shifted``, handed over as the product ``shifted @ I``, which
-    is exact. Returns ``(terms, d_pos, e, c)``, the ``e`` and ``c`` of
-    every block of rows stacked."""
-    e, c = np.empty_like(shifted), np.empty((len(shifted), 1))
-
-    def backward(rows, e_rows, c_rows, acc):
-        e[rows], c[rows] = e_rows, c_rows
-
-    terms, d_pos, _ = core(pos, shifted, np.eye(shifted.shape[1]), bound,
-                           keep, backward)
-    return terms, d_pos, e, c
+    is exact. Returns ``(terms, d_pos, c * e)``: with the identity for
+    ``col`` the core's d_neg is (c * e).T, bit for bit, since the product
+    adds only exact zeros to each entry."""
+    terms, d_pos, d_neg = core(pos, shifted, np.eye(shifted.shape[1]), bound,
+                               keep, np.eye(len(shifted)))
+    return terms, d_pos, d_neg.T
 
 
 def test_info_nce_invariants_sweep():
@@ -784,15 +780,14 @@ def test_info_nce_invariants_sweep():
         dropped[np.arange(rows), rng.integers(0, n_neg, rows)] = False
         # the bound of every logit, shifted in before the call
         bound = scale + 3.0
-        terms, d_pos, e, c = core_on_block(pos, neg - bound, bound,
-                                           ~dropped)
-        assert not e[dropped].any()  # exact zeros after the exp
-        d_neg = c * e
+        terms, d_pos, d_neg = core_on_block(pos, neg - bound, bound,
+                                            ~dropped)
+        assert not d_neg[dropped].any()  # exact zeros after the exp
         for a in (terms, d_pos, d_neg):
             assert np.isfinite(a).all()
         assert (terms >= 0.0).all()
         assert ((d_pos >= -1.0) & (d_pos <= 0.0)).all()
-        assert (d_neg >= 0.0).all() and not d_neg[dropped].any()
+        assert (d_neg >= 0.0).all()
         # adding one constant to every logit of a row leaves each term as
         # it is, so the row's gradients sum to zero
         shift = d_pos.sum(axis=1) + d_neg.sum(axis=1)
@@ -825,10 +820,9 @@ def test_info_nce_scaled_block_equals_dense_logit_gradient(layout):
         dense[r, positive] -= 1.0
 
         neg = logits - 4.0  # shifted by the bound
-        _, d_pos, e, c = core_on_block(logits[r, positive][:, None], neg,
-                                       4.0, ~masked)
-        assert not e[r, positive].any()
-        d_logits = c * e
+        _, d_pos, d_logits = core_on_block(logits[r, positive][:, None], neg,
+                                           4.0, ~masked)
+        assert not d_logits[r, positive].any()
         d_logits[r, positive] = d_pos[:, 0]
         np.testing.assert_allclose(d_logits, dense, rtol=1e-12, atol=1e-15)
 
@@ -868,9 +862,9 @@ def _kernel_logits(monkeypatch, loss, batch, tau):
     negatives."""
     seen = []
 
-    def spy(pos, left, right, bound, keep, backward):
+    def spy(pos, left, right, bound, keep, *rest):
         seen.append((pos.copy(), left @ right.T + bound, keep))
-        return _info_nce(pos, left, right, bound, keep, backward)
+        return _info_nce(pos, left, right, bound, keep, *rest)
 
     monkeypatch.setattr(losses_mod, "_info_nce", spy)
     loss(batch, tau)
@@ -1091,14 +1085,14 @@ def test_info_nce_redoes_a_row_whose_dropped_entry_overflows(monkeypatch):
     keep[1, 2] = keep[3, 0] = False
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        terms, d_pos, e, c = core_on_block(pos, neg, 0.0, keep)
+        terms, d_pos, d_neg = core_on_block(pos, neg, 0.0, keep)
     assert repaired == [1]
-    assert not e[~keep].any() and np.isfinite(c * e).all()
-    want_terms, want_d_pos, want_e, want_c = core_on_block(
+    assert not d_neg[~keep].any() and np.isfinite(d_neg).all()
+    want_terms, want_d_pos, want_d_neg = core_on_block(
         pos, neg, 0.0, keep, core=old_info_nce)
     np.testing.assert_allclose(terms, want_terms, rtol=1e-12)
     np.testing.assert_allclose(d_pos, want_d_pos, rtol=1e-12)
-    np.testing.assert_allclose(c * e, want_c * want_e, rtol=1e-12)
+    np.testing.assert_allclose(d_neg, want_d_neg, rtol=1e-12)
 
 
 class _MatmulNumpy:
@@ -1152,22 +1146,26 @@ def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
 # ---------------------------------------------- row-blocked dense path
 #
 # _info_nce takes the anchor rows in blocks of _SYM_BAND_ROWS (128): product,
-# exp, zeroing, sums, repair, terms and the caller's backward per block.
+# exp, zeroing, sums, repair, terms and backward products per block.
 
 
 def _block_calls(monkeypatch):
-    """Record each block's call of ``losses._accumulate``: True for a
-    call's first block, which assigns the gradient, False for a later one,
-    which adds to it."""
+    """Record the rows of each block of ``_info_nce``, from its one call of
+    ``losses._info_nce_terms`` per block."""
     seen = []
-    accumulate = losses_mod._accumulate
+    info_nce_terms = losses_mod._info_nce_terms
 
-    def spy(acc, part):
-        seen.append(acc is None)
-        return accumulate(acc, part)
+    def spy(pos, lse_neg):
+        seen.append(len(pos))
+        return info_nce_terms(pos, lse_neg)
 
-    monkeypatch.setattr(losses_mod, "_accumulate", spy)
+    monkeypatch.setattr(losses_mod, "_info_nce_terms", spy)
     return seen
+
+
+def _block_rows(size, step=128):
+    """The rows of each block of ``_info_nce`` over ``size`` anchor rows."""
+    return [min(step, size - lo) for lo in range(0, size, step)]
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
@@ -1183,7 +1181,7 @@ def test_info_nce_blocks_match_a_direct_logsumexp(monkeypatch, n):
     neg[-1] -= 1000.0
     keep = rng.random((n, n + 1)) < 0.7
     keep[np.arange(n), rng.integers(0, n + 1, n)] = True
-    terms, d_pos, e, c = core_on_block(pos, neg, 0.0, keep)
+    terms, d_pos, d_logits = core_on_block(pos, neg, 0.0, keep)
     assert repaired == [1]
     lse = logsumexp(np.where(keep, neg, -np.inf), axis=1, keepdims=True)
     t = np.logaddexp(pos, lse)
@@ -1192,17 +1190,54 @@ def test_info_nce_blocks_match_a_direct_logsumexp(monkeypatch, n):
                                atol=1e-15)
     d_neg = np.where(keep, np.exp(neg[:, :, None] - t[:, None, :]).sum(axis=2),
                      0.0)
-    np.testing.assert_allclose(c * e, d_neg, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(d_logits, d_neg, rtol=1e-12, atol=1e-300)
     want = core_on_block(pos, neg, 0.0, keep, core=old_info_nce)
-    for g, w in zip((terms, d_pos, e, c), want, strict=True):
+    for g, w in zip((terms, d_pos, d_logits), want, strict=True):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("trained", [False, True])
+@pytest.mark.parametrize("form, n", [("mask", n) for n in (1, 127, 128, 129, 257)]
+                         # one anchor's full complement has no negative
+                         + [("full", n) for n in (127, 128, 129, 257)])
+def test_info_nce_returns_the_dense_backward_products(monkeypatch, form, n,
+                                                      trained):
+    # d_neg = (c * e).T @ col, plus (c * e) @ row when the anchors are
+    # trained, with c * e the gradient of the summed terms in the negative
+    # logits, here from scipy's logsumexp; one block up to 128 rows, then
+    # 128 + 1 and 128 + 128 + 1. The last row's logits, its positives' too,
+    # sit far below the bound, so it is repaired in the last block and its
+    # gradient does not vanish.
+    repaired = _repaired_rows(monkeypatch)
+    rng = make_rng(139 + n)
+    pos = rng.uniform(-1.0, 1.0, (n, 2))
+    neg = rng.uniform(-3.0, 0.0, (n, n))
+    neg[-1] -= 1000.0
+    pos[-1] -= 1000.0
+    if form == "full":
+        keep = full_negatives(n)
+    else:
+        keep = rng.random((n, n)) < 0.7
+        keep[np.arange(n), rng.integers(0, n, n)] = True
+    col, row = rng.normal(size=(2, n, 4))
+    row = row if trained else None
+    terms, d_pos, d_neg = _info_nce(pos, neg, np.eye(n), 0.0, keep, col, row)
+    assert repaired == [1]
+    t = np.logaddexp(pos, logsumexp(np.where(keep, neg, -np.inf), axis=1,
+                                     keepdims=True))
+    d_logits = np.where(keep, np.exp(neg[:, :, None] - t[:, None, :])
+                        .sum(axis=2), 0.0)
+    want = d_logits.T @ col + (0.0 if row is None else d_logits @ row)
+    assert np.abs(d_neg - want).max() <= 1e-12 * np.abs(want).max()
+    np.testing.assert_allclose(terms, t - pos, rtol=1e-12)
 
 
 @pytest.mark.parametrize("form", ["mask", "full"])
 def test_info_nce_blocks_of_three_rows_keep_every_bit(monkeypatch, form):
     # every step before the backward is row-local, so blocks of 3 rows
-    # (3 + 3 + 3 + 2) give the terms, d_pos, e and c of one block of all 11
-    # rows bit for bit; row 7 sits far below the bound and is repaired in
+    # (3 + 3 + 3 + 2) give the terms, d_pos and c * e of one block of all
+    # 11 rows bit for bit (each block adds exact zeros to the other blocks'
+    # entries of c * e); row 7 sits far below the bound and is repaired in
     # the third block
     repaired = _repaired_rows(monkeypatch)
     rng = make_rng(109)
@@ -1237,7 +1272,7 @@ def test_blocks_of_three_rows_move_losses_by_rounding_only(monkeypatch, tau):
                           lambda *args: None)
                 blocks = _block_calls(m)
                 got = loss(b, tau)
-            assert blocks == [True] + [False] * (-(-len(b.zs) * b.n // 3) - 1)
+            assert blocks == _block_rows(len(b.zs) * b.n, 3)
             _agree(got, want, tol=1e-13)
 
 
@@ -1277,8 +1312,8 @@ def test_single_view_blocks_match_oracles(monkeypatch, n, tau):
     blocks = _block_calls(monkeypatch)
     for b in (drawn, with_full_mask(drawn)):
         _check_against_oracles(unsup_loss_single, b, tau, rng)
-    calls = -(-n // 128)
-    assert blocks[:2 * calls] == ([True] + [False] * (calls - 1)) * 2
+    calls = _block_rows(n)
+    assert blocks[:2 * len(calls)] == calls * 2
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.5])
@@ -1294,7 +1329,7 @@ def test_two_view_dense_blocks_match_oracles(monkeypatch, n, tau):
         for b in (drawn, with_full_mask(drawn)):
             _check_against_oracles(unsup_loss_multiview, b, tau, rng)
     assert taken == []
-    first = [True] + [False] * (2 * n // 128)
+    first = _block_rows(2 * n)
     assert blocks[:len(first)] == first
 
 
@@ -1593,8 +1628,7 @@ def test_sup_engine_repairs_only_when_a_sum_needs_it(monkeypatch, tau):
     for y, indicator in ((one_hot, True), (multi, False)):
         with monkeypatch.context() as m:
             repaired = _repaired_rows(m)
-            terms, value, grad = losses_mod._sup_engine(
-                s, sup_labels(y, indicator), tau)
+            terms, value, grad = losses_mod._sup_engine(s, sup_labels(y), tau)
         want_terms, want_value, want_grad = old_sup_engine(s, y, tau, indicator)
         assert bool(repaired) == (tau == 1e-4)
         assert np.array_equal(terms, want_terms)
@@ -1621,9 +1655,9 @@ def _count_label_halves(monkeypatch):
     """Start with no kept label half and count the ones made afresh."""
     made, real = [], losses_mod._make_sup_labels
 
-    def spy(y, indicator):
+    def spy(y):
         made.append(len(y))
-        return real(y, indicator)
+        return real(y)
 
     monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
     monkeypatch.setattr(losses_mod, "_make_sup_labels", spy)
@@ -1665,15 +1699,14 @@ def test_sup_labels_keeps_the_last_label_rows(monkeypatch):
     assert made == [6]
     other = sup_labels(y[::-1])  # the same rows in another order
     assert other is not half and len(made) == 2
-    assert sup_labels(y, indicator=False) is not half and len(made) == 3
     kept = sup_labels(y)
-    assert kept is not half and len(made) == 4
+    assert kept is not half and len(made) == 3
     # label rows that are refused leave the kept label half as it was
     with pytest.raises(DegenerateBatchError):
         sup_labels(np.ones((4, 1)))
     with pytest.raises(ContractError, match="binary"):
         sup_labels(0.5 * y)
-    assert sup_labels(y) is kept and len(made) == 6
+    assert sup_labels(y) is kept and len(made) == 5
 
 
 def test_label_half_is_read_only_and_switches_like_the_loss():
@@ -1693,9 +1726,6 @@ def test_label_half_is_read_only_and_switches_like_the_loss():
             if isinstance(array, np.ndarray):
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = array.flat[0]
-    # forced weights override the switch, as the MI strata need
-    assert sup_labels(np.eye(3)[[0, 0, 1, 1, 2]], indicator=False).log_gamma \
-        is not None
 
 
 def test_label_half_refuses_what_the_loss_refuses():

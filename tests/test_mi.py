@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import hcl.losses as losses_mod
 import hcl.mi as mi
-from hcl.errors import ContractError, NumericError
+from hcl.errors import ContractError, DegenerateBatchError, NumericError
 from hcl.mi import (
     BoundReport,
     BoundTrainSpec,
@@ -22,6 +23,7 @@ from hcl.mi import (
     quantize_to_prototypes,
     reports_to_csv,
 )
+from hcl.losses import sup_labels
 from hcl.numeric import make_rng
 from hcl.train import train_step
 
@@ -293,6 +295,15 @@ def test_stratum_sup_losses_match_loop_oracle():
             assert abs(got[eps][1] - want[eps][1]) < 1e-12
 
 
+@pytest.mark.parametrize("c", [3, 6])
+def test_ring_labels_take_label_weights(c):
+    # every ring row holds two labels, so the strata's label half takes
+    # the label weights with no forcing
+    labels = make_ring_dataset(RingProtoSpec(c=c), 4 * c, make_rng(33)).labels
+    assert not losses_mod._is_one_hot(labels)
+    assert sup_labels(labels).log_gamma is not None
+
+
 def test_stratum_reference_mi_matches_loop_oracle():
     rng = make_rng(32)
     ds = make_ring_dataset(RingProtoSpec(), 48, rng)
@@ -410,3 +421,52 @@ def test_check_sup_bound_small_run():
         want = math.log(3) if r.stratum == 1 else math.log(6)
         assert abs(r.reference_mi - want) < 0.1
         assert math.isfinite(r.bound)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_check_sup_bound_drops_the_label_half_however_it_ends(monkeypatch,
+                                                              fails):
+    # the first step makes and keeps a label half; the check drops it once
+    # its cells are done, whether they finished or the second step raised
+    kept = []
+
+    def step(*args, **kwargs):
+        if fails and kept:
+            raise DegenerateBatchError("injected")
+        out = train_step(*args, **kwargs)
+        kept.append(len(losses_mod._LAST_SUP))
+        return out
+
+    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
+    monkeypatch.setattr(mi, "train_step", step)
+    spec = BoundTrainSpec(epochs=2, n_train=64, n_eval=64, seeds=(0,))
+    if fails:
+        with pytest.raises(DegenerateBatchError, match="injected"):
+            check_sup_bound(RingProtoSpec(), spec)
+    else:
+        assert check_sup_bound(RingProtoSpec(), spec)
+    assert kept[0] == 1 and len(kept) == (1 if fails else spec.epochs)
+    assert losses_mod._LAST_SUP == {}
+
+
+@pytest.mark.parametrize("check", ["unsup", "sup"])
+def test_bound_checks_reraise_a_failed_cell_unchanged(monkeypatch, check):
+    # an error that is not a divergence stops the check at the first step:
+    # the very error comes out, its cell is not retried and no later cell
+    # runs
+    err = DegenerateBatchError("injected")
+    calls = []
+
+    def boom(*args, **kwargs):
+        calls.append(1)
+        raise err
+
+    monkeypatch.setattr(mi, "train_step", boom)
+    with pytest.raises(DegenerateBatchError) as caught:
+        if check == "unsup":
+            check_unsup_bound(GaussianPairSpec(), SMALL_UNSUP, [8, 32])
+        else:
+            check_sup_bound(RingProtoSpec(), BoundTrainSpec(
+                epochs=2, n_train=64, n_eval=64, seeds=(0, 1)))
+    assert caught.value is err and str(caught.value) == "injected"
+    assert calls == [1]

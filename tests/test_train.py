@@ -232,9 +232,9 @@ def count_label_halves(monkeypatch):
     """Start with no kept label half and count the ones made afresh."""
     made, real = [], losses_mod._make_sup_labels
 
-    def spy(y, indicator):
+    def spy(y):
         made.append(len(y))
-        return real(y, indicator)
+        return real(y)
 
     monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
     monkeypatch.setattr(losses_mod, "_make_sup_labels", spy)
@@ -258,12 +258,38 @@ def test_reusing_the_label_half_keeps_every_bit(monkeypatch, method,
     assert len(calls) == made
     with monkeypatch.context() as m:
         # a label half made afresh on every step
-        m.setattr(losses_mod, "sup_labels", lambda y, indicator=None:
-                  losses_mod._make_sup_labels(y, indicator))
+        m.setattr(losses_mod, "sup_labels", losses_mod._make_sup_labels)
         fresh = run_training(cfg, 5)
     assert len(calls) == made + steps
     assert reused.trace == fresh.trace and reused.report == fresh.report
     assert np.array_equal(reused.params.flat, fresh.params.flat)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_training_drops_the_label_half_however_it_ends(monkeypatch,
+                                                           fails):
+    # the first step makes and keeps a label half; a run drops it when its
+    # steps end, whether they finished or the second step raised
+    kept = []
+    real = train_mod.train_step
+
+    def step(*args, **kwargs):
+        if fails and kept:
+            raise NumericError("non-finite gradient for parameter 'e1.w0'")
+        out = real(*args, **kwargs)
+        kept.append(len(losses_mod._LAST_SUP))
+        return out
+
+    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
+    monkeypatch.setattr(train_mod, "train_step", step)
+    cfg = small_cfg(method="hcl")
+    if fails:
+        with pytest.raises(NumericError, match="e1.w0"):
+            run_training(cfg, 0)
+    else:
+        run_training(cfg, 0)
+    assert kept[0] == 1 and len(kept) == (1 if fails else cfg.epochs)
+    assert losses_mod._LAST_SUP == {}
 
 
 # ---------------------------------------------------------------------------
