@@ -4,8 +4,8 @@ A ``Dataset`` holds one or two feature views, a binary label matrix and a
 per-row labeled flag, and nothing else. A generator whose hidden pieces
 (latent, maps) are audited states its draw order, to replay them by seed.
 Batch plans list anchor rows and carry each anchor's negative set as a
-boolean mask over anchor positions, the form in which the contrastive
-losses read it (``ContrastiveBatch.neg_mask``).
+boolean mask over anchor positions, or None for the full complement, the
+form in which the contrastive losses read it (``ContrastiveBatch.neg_mask``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError, ShapeError
 from .ioutil import parse_kv_text, read_text
-from .losses import full_negatives
 from .numeric import Matrix, Rng, as_matrix, unit_rows
 
 
@@ -81,23 +80,25 @@ class BatchPlan:
     """Anchor rows, the labeled subset, and per-anchor negative sets.
 
     ``neg_mask`` is (n_anchors, n_anchors): entry [i, j] marks anchor
-    position j as a negative of anchor position i. ``sample_batch``, the
-    only sampler, makes every plan valid by construction: anchors unique
-    and sorted, labeled rows among them, no anchor its own negative and
-    every anchor with at least one. The plan is not checked again here;
-    ``losses.ContrastiveBatch`` checks the mask the losses receive. A full
-    complement is the one read-only mask ``losses.full_negatives`` shares
-    among the plans of one anchor count.
+    position j as a negative of anchor position i; None is the full
+    complement, every other anchor. ``sample_batch``, the only sampler,
+    makes every plan valid by construction: anchors unique and sorted,
+    labeled rows among them, no anchor its own negative and every anchor
+    with at least one. The plan is not checked again here;
+    ``losses.ContrastiveBatch`` checks the mask the losses receive.
     """
 
     anchors: np.ndarray
     labeled: np.ndarray
-    neg_mask: np.ndarray
+    neg_mask: np.ndarray | None
 
     @property
     def negatives(self) -> np.ndarray:
-        # perfbench/spans.py counts a plan's (anchor, negative) pairs as
-        # ``sample_batch(...).negatives.size``; this keeps that count
+        """The flat indices of the (anchor, negative) pairs in the
+        (n_anchors, n_anchors) grid, one per pair; ``perfbench`` counts a
+        plan's pairs by its size."""
+        if self.neg_mask is None:
+            return np.flatnonzero(~np.eye(len(self.anchors), dtype=bool))
         return np.flatnonzero(self.neg_mask)
 
 
@@ -432,8 +433,7 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     ``batch_size`` and ``neg_size``, never features or labels, so the same
     rng state on datasets with equal rows and labeled mask draws equal
     plans; ``train.PlanMemo`` replays streams on that contract. A full
-    complement is ``losses.full_negatives(na)``, one read-only mask
-    shared by every plan with na anchors; a sampled negative set is a fresh
+    complement is a ``neg_mask`` of None; sampled negative sets are a fresh
     mask.
     """
     if batch_size < 1:
@@ -480,11 +480,8 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
                 pool.append(rng.choice(rest, size=need, replace=False))
         anchors = np.sort(np.concatenate(pool))
     na = anchors.size
-    if k == na - 1:
-        # forced full complement, no sampling needed: the one read-only
-        # mask of this anchor count, which the losses know by identity
-        neg_mask = full_negatives(na)
-    else:
+    neg_mask = None  # k = na - 1 forces the full complement: nothing to draw
+    if k < na - 1:
         # the k smallest of iid uniform keys are a uniform k-subset; an
         # infinite diagonal key is never among them because k <= na - 2
         keys = rng.random((na, na))

@@ -47,13 +47,10 @@ labels, in two halves. The label half (``sup_labels``, a ``SupLabels``) is
 a pure function of the binary label rows: the valid columns Y, the flat
 pairs and their indices, the per-label counts, the one-hot switch and the
 label log-weights. The embedding half (``_sup_engine``) takes it with the
-embeddings. ``sup_labels`` keeps the last label half and hands it out again
-while the label rows are the same bytes, so a run whose every batch labels
-all its labeled rows makes it once. One product gives every
-(anchor i, label a) negative sum, S = exp(L - B) @ (1 - Y), with L =
-cos/tau + log gamma at every entry: the zeros of 1 - Y drop the samples
-that are not negatives of an (anchor, label), so no entry is masked
-before the exp.
+embeddings. One product gives every (anchor i, label a) negative sum, S =
+exp(L - B) @ (1 - Y), with L = cos/tau + log gamma at every entry: the
+zeros of 1 - Y drop the samples that are not negatives of an (anchor,
+label), so no entry is masked before the exp.
 
 The shift rule, one for both engines: every exp is shifted by B, a known
 upper bound on the logits, so no pass looks for a row max. B = 1/tau for
@@ -70,21 +67,20 @@ with a cosine rounded a few ulp past 1 at a tau so small (below about
 unsupervised row is read from a fresh product of its block of rows; a
 supervised sum from the logits the engine keeps.
 
-The full complement has one form: the mask ``full_negatives(n)`` hands
-out, one read-only mask held in 2n - 1 bytes and kept for the last anchor
-count asked for (every full-complement plan of ``data.sample_batch`` holds
-it). ``_is_full_complement`` and ``ContrastiveBatch`` know it by identity
-alone. Any other mask, one of an earlier count or a copy of the full
-complement among them, is a general mask: ``ContrastiveBatch`` checks it,
-``_info_nce`` zeroes its dropped entries by the 0/1 product and the
-two-view kernel takes its dense path for it.
+A negative mask of ``None`` is the full complement: every other anchor
+is a negative. It needs no entries, so no n x n mask is built for it:
+``_info_nce`` zeroes its diagonal by a strided write and the two-view
+kernel may take its symmetric branch. Any mask array, one equal to the
+full complement among them, is a general mask: ``ContrastiveBatch``
+checks it, ``_info_nce`` zeroes its dropped entries by the 0/1 product and
+the two-view kernel takes its dense path for it.
 
 The two-view kernel has one symmetric branch (``_symmetric_info_nce``),
 the NT-Xent layout of SimCLR (Chen et al. 2020). It is chosen from the
-batch alone: negative sets that are the full complement
-(``_is_full_complement``), an operand pair whose product is symmetric (no
-raw features, or both views' of one width) and at least two bands of
-``_SYM_BAND_ROWS`` rows over the 2n anchors. The shifted block, its mask
+batch alone: negative sets that are the full complement (a ``neg_mask``
+of None), an operand pair whose product is symmetric (no raw features, or
+both views' of one width) and at least two bands of ``_SYM_BAND_ROWS``
+rows over the 2n anchors. The shifted block, its mask
 and its partner map are then symmetric, so each logit pair
 is computed and exponentiated once, in row bands, and each row sum gathers
 row and column sums. Its repair is all or nothing: a stored entry serves
@@ -117,7 +113,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateBatchError, NumericError, ShapeError
 from .numeric import (
@@ -189,15 +184,15 @@ class ContrastiveBatch:
 
     Every row is an anchor. ``zs`` holds one embedding matrix per view, of
     one width; ``neg_mask[i, k]`` marks sample ``k`` as a member of anchor
-    ``i``'s negative set (never ``i``, at least one per row). ``xs`` holds
-    one raw-feature matrix per view: with it the loss weighs each negative
-    by raw-input dissimilarity, without it (None) the loss is plain
-    InfoNCE. ``x_sim`` is the feature side of the single-view kernel (e.g.
+    ``i``'s negative set (never ``i``, at least one per row), and a
+    ``neg_mask`` of None is the full complement. ``xs`` holds one
+    raw-feature matrix per view: with it the loss weighs each negative by
+    raw-input dissimilarity, without it (None) the loss is plain InfoNCE. ``x_sim`` is the feature side of the single-view kernel (e.g.
     a fixed projection of the raw features) and suits one view only.
     """
 
     zs: list[Matrix]
-    neg_mask: np.ndarray
+    neg_mask: np.ndarray | None
     xs: list[Matrix] | None = None
     x_sim: Matrix | None = None
 
@@ -221,13 +216,15 @@ class ContrastiveBatch:
         if len({z.shape[1] for z in self.zs}) > 1:
             raise ShapeError(f"view embeddings must share a dimension, got "
                              f"{[z.shape for z in self.zs]}")
+        if self.neg_mask is None:
+            if n == 1:
+                raise DegenerateBatchError("anchor 0 has an empty negative set")
+            return  # the full complement: no diagonal, n - 1 per row
         self.neg_mask = np.asarray(self.neg_mask, dtype=bool)
         if self.neg_mask.shape != (n, n):
             raise ShapeError(
                 f"neg_mask must be {n}x{n}, got {self.neg_mask.shape}"
             )
-        if n > 1 and _is_full_complement(self.neg_mask):
-            return  # valid by construction: no diagonal, n - 1 per row
         if self.neg_mask.diagonal().any():
             raise ContractError("an anchor may not appear in its own negative set")
         filled = self.neg_mask.any(axis=1)
@@ -238,38 +235,6 @@ class ContrastiveBatch:
     @property
     def n(self) -> int:
         return self.zs[0].shape[0]
-
-
-# the last anchor count asked for -> its full complement: a run asks for one
-# count again and again
-_SHARED_FULL: dict[int, np.ndarray] = {}
-
-
-def full_negatives(n: int) -> np.ndarray:
-    """Mask selecting, for each anchor, every other sample as a negative.
-
-    It is one read-only mask that every caller with the same ``n`` shares,
-    so that ``_is_full_complement`` and ``ContrastiveBatch`` know it by
-    identity. Only the last count's mask is kept: another count replaces
-    it. It is a view of one row of 2n - 1 bytes, false at its middle only,
-    whose row i starts i bytes before that middle: n^2 entries held in
-    2n - 1 bytes, and a view that cannot be made writable."""
-    mask = _SHARED_FULL.get(n)
-    if mask is None:
-        row = np.ones(2 * n - 1, dtype=bool)
-        row[n - 1] = False
-        # entry (i, j) is row[n - 1 - i + j], false where j = i
-        mask = sliding_window_view(row, n)[::-1]
-        _SHARED_FULL.clear()
-        _SHARED_FULL[n] = mask
-    return mask
-
-
-def _is_full_complement(mask: np.ndarray) -> bool:
-    """Whether ``mask`` is the kept ``full_negatives`` mask. Any other mask,
-    one of an earlier count or a copy of the full complement among them, is
-    a general mask."""
-    return _SHARED_FULL.get(len(mask)) is mask
 
 
 def cross_entropy(y_hat: Matrix, y: Matrix) -> tuple[float, Matrix]:
@@ -358,7 +323,7 @@ def _info_nce_terms(pos: Matrix, lse_neg: Matrix) -> tuple[Matrix, Matrix, Matri
 
 
 def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
-              keep: np.ndarray, col: Matrix, row: Matrix | None = None
+              keep: np.ndarray | None, col: Matrix, row: Matrix | None = None
               ) -> tuple[Matrix, Matrix, Matrix]:
     """Weighted InfoNCE terms and their gradients, one block of anchor rows
     at a time.
@@ -371,19 +336,19 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
     Weights arrive as log-weights already added to the logits. The product
     ``left @ right.T`` is L - ``bound`` at every entry, the dropped ones
     too, shifted by a known upper bound on every logit. ``keep`` is the
-    boolean mask of the negatives.
+    boolean mask of the negatives, or None for the full complement of a
+    square block: every entry but the diagonal.
 
     Every step is row-local, so the rows go in blocks of ``_SYM_BAND_ROWS``
     and no block of all the rows is built: each block's product goes into
     one reused (rows, n) buffer and is exponentiated in place, with no
     row-max pass and no -inf. Its dropped entries are zeroed after the exp,
-    by one strided write of the block's diagonal when the mask is the full
-    complement (``_is_full_complement``), otherwise by a 0/1 product with
-    the mask's rows. A row whose sum is not in [``_SUM_FLOOR``, inf) (all
-    its logits far below the bound, or one rounded far past it, which a
-    product with a dropped overflow turns into NaN) is read from a fresh
-    product of its block, with -inf at its dropped entries, and redone with
-    its own max (``row_logsumexp``).
+    by one strided write of the block's diagonal for the full complement,
+    otherwise by a 0/1 product with the mask's rows. A row whose sum is not
+    in [``_SUM_FLOOR``, inf) (all its logits far below the bound, or one
+    rounded far past it, which a product with a dropped overflow turns into
+    NaN) is read from a fresh product of its block, with -inf at its
+    dropped entries, and redone with its own max (``row_logsumexp``).
 
     The gradient of ``terms.sum()`` in the negative logits of the block's
     rows is ``c * e``: ``e`` is the block exponentiated under its rows'
@@ -406,7 +371,6 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
     size, width = len(left), len(right)
     step = min(_SYM_BAND_ROWS, size)
     buf = np.empty((step, width))
-    full = _is_full_complement(keep)
     parts = []
     for lo in range(0, size, step):
         rows = slice(lo, min(lo + step, size))
@@ -414,7 +378,7 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
         # a row that overflows, meets inf * 0 = NaN or sums to 0 is redone
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             np.exp(e, out=e)
-            if full:
+            if keep is None:
                 e.reshape(-1)[lo::width + 1] = 0.0  # entries (i, lo + i)
             else:
                 np.multiply(e, keep[rows], out=e)
@@ -425,7 +389,10 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
             # rows of the block's own product: left[lo + redo] @ right.T
             # can differ from them in the last bits
             own = np.matmul(left[rows], right.T)[redo]
-            own[~keep[lo + redo]] = _NEG_INF
+            if keep is None:
+                own[np.arange(redo.size), lo + redo] = _NEG_INF
+            else:
+                own[~keep[lo + redo]] = _NEG_INF
             lse_own, rowsum[redo] = row_logsumexp(own)
             e[redo] = own
             lse_neg[redo] = bound + lse_own
@@ -520,11 +487,13 @@ def unsup_loss_multiview(batch: ContrastiveBatch, tau: float = 1.0
 
     # on the full complement the block, mask and partner map are symmetric
     out = None
-    if symmetric and n >= _SYM_BAND_ROWS and _is_full_complement(batch.neg_mask):
+    mask = batch.neg_mask
+    if symmetric and n >= _SYM_BAND_ROWS and mask is None:
         out = _symmetric_info_nce(left, right, zh, pos, bound, partner)
     if out is None:
-        out = _info_nce(pos, left, right, bound,
-                        np.tile(batch.neg_mask, (2, 2)), zh, zh)
+        # the full complement's tiled mask drops the partner entries too
+        mask = ~np.eye(n, dtype=bool) if mask is None else mask
+        out = _info_nce(pos, left, right, bound, np.tile(mask, (2, 2)), zh, zh)
     terms, d_pos, d_neg = out
     # d_logits = c * e with d_pos written at the partner entries, where e is
     # 0 (dropped). Those entries add d_pos[r] * zh[partner[r]] to row r of
@@ -619,7 +588,7 @@ def _label_log_weights(y: Matrix, pair) -> tuple[Matrix, Matrix]:
 class SupLabels:
     """The label half of the supervised loss: everything ``_sup_engine``
     reads of the binary label rows, made by ``sup_labels``. Its arrays are
-    read-only, so one label half serves every batch of embeddings with
+    read-only, so one label half can serve every batch of embeddings with
     those label rows.
 
     ``not_y`` is 1 - Y over the valid columns Y of ``y``, those with two
@@ -646,39 +615,13 @@ class SupLabels:
     shift: float
 
 
-# the last label half made, keyed on the shape and bytes of its label rows: a run whose every batch labels all its labeled rows asks for one
-# label half again and again
-_LAST_SUP: dict[tuple, SupLabels] = {}
-
-
 def sup_labels(y) -> SupLabels:
     """The label half of ``weighted_sup_loss`` for the (n, c) binary label
     rows ``y``, a pure function of them: unit weights when every row
     is one-hot (``_is_one_hot``), label weights otherwise. Refuses labels
     that are not binary, and a batch with no valid label
-    (``DegenerateBatchError``).
-
-    The last label half is kept and handed out again while the label rows
-    are the same bytes, which costs one copy and comparison of the rows;
-    other rows replace it, and rows that are refused leave it."""
+    (``DegenerateBatchError``)."""
     y = as_matrix(y, "y")
-    key = (y.shape, y.tobytes())
-    labels = _LAST_SUP.get(key)
-    if labels is None:
-        labels = _make_sup_labels(y)
-        _LAST_SUP.clear()
-        _LAST_SUP[key] = labels
-    return labels
-
-
-def forget_sup_labels() -> None:
-    """Drop the kept label half; every harness that steps the supervised
-    loss calls it when its steps end, whether they finished or raised."""
-    _LAST_SUP.clear()
-
-
-def _make_sup_labels(y: Matrix) -> SupLabels:
-    """``sup_labels`` made afresh."""
     if np.any((y != 0.0) & (y != 1.0)):
         raise ContractError("multi-label targets must be binary")
     counts = y.sum(axis=0)
@@ -779,7 +722,8 @@ def _is_one_hot(y: Matrix) -> bool:
     return bool(y.shape[1] >= 2 and np.all(y.sum(axis=1) == 1.0))
 
 
-def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
+def weighted_sup_loss(s: Matrix, y, tau: float = 1.0,
+                      labels: SupLabels | None = None) -> tuple[float, Matrix]:
     """The supervised term: a label-weighted supervised contrastive loss.
 
     ``y`` is an (n, c) binary label matrix. Positive pairs within each
@@ -788,9 +732,10 @@ def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     unit weights instead, which makes the loss plain SupCon (Khosla et
     al. 2020): that is a per-batch switch, not a property of the weights,
     which give every one-hot negative hamming distance 2. With one label
-    column every weight is 1 as it stands. Label rows equal to the last
-    call's reuse its label half (``sup_labels``). Returns the loss and its
-    gradient in ``s``.
+    column every weight is 1 as it stands. ``labels``, the label half of
+    ``y`` (``sup_labels``) for a caller that keeps it, saves making it
+    afresh. Returns the loss and its gradient in ``s``.
     """
     s = as_matrix(s, "s")
-    return _sup_engine(s, sup_labels(_rows(y, "y", len(s))), tau)[1:]
+    y = _rows(y, "y", len(s))
+    return _sup_engine(s, sup_labels(y) if labels is None else labels, tau)[1:]

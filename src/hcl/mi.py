@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, sample_batch, take_rows
 from .errors import ContractError, NumericError
 from .ioutil import csv_text
-from .losses import _check_tau, _sup_engine, forget_sup_labels, sup_labels
+from .losses import _check_tau, _sup_engine, sup_labels
 from .model import encode, init_params
 from .numeric import Matrix, Rng, as_matrix, gram, make_rng
 from .optimizer import OptimizerState
@@ -360,10 +360,7 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
                 for stratum, (loss, n_term, reference)
                 in sorted(strata.items())]
 
-    try:
-        per_seed, failure = run_cells(train_spec.seeds, check_seed)
-    finally:
-        forget_sup_labels()
+    per_seed, failure = run_cells(train_spec.seeds, check_seed)
     if failure is not None:
         raise failure[1]
     return [report for reports in per_seed for report in reports]

@@ -15,22 +15,21 @@ mask, draw the same plans whatever their features, labels and method. A
 ``PlanMemo`` keys each stream on exactly that input and the step count, draws
 it once and replays it to every later run with the same key; the noise sweep
 passes one to all its cells. A memo keeps steps x na^2 mask bytes per stream
-of sampled negative sets (na anchors a batch) and none per plan for full
-complements: every full complement ``sample_batch`` returns is the one
-read-only mask ``losses.full_negatives`` keeps for its anchor count, and the
-losses know it by identity.
+of sampled negative sets (na anchors a batch) and none for full
+complements, whose plans hold a ``neg_mask`` of None.
 Without a memo, plans are drawn one per step and dropped after it.
 
 The supervised loss splits into a label half (``losses.sup_labels``), a
-pure function of the batch's label rows, and an embedding half.
-``sup_labels`` keeps the last label half it made and hands it out again
-while the label rows are the same bytes. A step's label rows are the same
-as the last step's whenever ``batch_size`` covers all labeled rows, since
-each batch then labels all of them, so such a run makes its label half
-once; otherwise it costs one copy and comparison of the label rows a step.
-A run drops the kept label half (``losses.forget_sup_labels``) when its
-steps end, whether they finished or raised, and so does ``mi``'s
-supervised bound check when its cells end.
+pure function of the batch's label rows, and an embedding half. The label
+halves a run asks for are kept by a ``LabelHalves`` on the label rows'
+shape and bytes: without a memo, the run's own, which keeps only the last
+one; with a memo, the memo's, which keeps one per distinct label rows for
+every run it serves. A step's label rows are the same as the last step's
+whenever ``batch_size`` covers all labeled rows, since each batch then
+labels all of them, so such a run makes its label half once; otherwise it
+costs one copy and comparison of the label rows a step. The noise sweep's
+cells of one batch stream share their label rows at every step, so its
+memo makes each label half once for all of them.
 
 ``train_step`` is the one optimizer step: encode the batch's views, take
 the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
@@ -67,9 +66,10 @@ from .ioutil import csv_text, json_text
 from .losses import (
     ContrastiveBatch,
     LossBreakdown,
+    SupLabels,
     _is_one_hot,
     cross_entropy,
-    forget_sup_labels,
+    sup_labels,
     total_loss,
     unsup_loss_multiview,
     unsup_loss_single,
@@ -77,7 +77,7 @@ from .losses import (
 )
 from .metrics import EvalReport, evaluate
 from .model import ModelParams, classify, encode, init_params, model_backward
-from .numeric import Rng, make_rng
+from .numeric import Matrix, Rng, make_rng
 from .optimizer import OptimizerState, lars_step
 
 
@@ -164,8 +164,30 @@ def _score(cfg: RunConfig, params, ds: Dataset) -> EvalReport:
                     multiclass=cfg.multiclass)
 
 
+class LabelHalves:
+    """Label halves (``losses.sup_labels``) kept on the shape and bytes of
+    their label rows: every one made, or with ``last_only`` the last one.
+    Called with label rows, it hands out the kept half or makes and keeps
+    one."""
+
+    def __init__(self, last_only: bool = False) -> None:
+        self.last_only = last_only
+        self._kept: dict[tuple, SupLabels] = {}
+
+    def __call__(self, y: Matrix) -> SupLabels:
+        key = (y.shape, y.tobytes())
+        half = self._kept.get(key)
+        if half is None:
+            half = sup_labels(y)
+            if self.last_only:
+                self._kept.clear()
+            self._kept[key] = half
+        return half
+
+
 class PlanMemo:
-    """The batch streams of a sweep, each drawn once and replayed.
+    """The batch streams of a sweep, each drawn once and replayed, and the
+    label halves of the runs it serves (``label_halves``).
 
     A stream is keyed on the exact input of the sampler: the rng's
     ``bit_generator.state`` before the first draw, ``ds.n``, the labeled
@@ -176,6 +198,7 @@ class PlanMemo:
     def __init__(self) -> None:
         # key -> (the stream's plans, the rng state after drawing them)
         self._streams: dict[tuple, tuple[list[BatchPlan], dict]] = {}
+        self.label_halves = LabelHalves()
 
     def stream(self, ds: Dataset, batch_size: int, neg_size, steps: int,
                rng: Rng) -> list[BatchPlan]:
@@ -193,7 +216,8 @@ class PlanMemo:
 
     def _shared(self, plan: BatchPlan) -> BatchPlan:
         for array in (plan.anchors, plan.labeled, plan.neg_mask):
-            array.flags.writeable = False
+            if array is not None:
+                array.flags.writeable = False
         return plan
 
 
@@ -202,7 +226,7 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
     """Train one model for one seed; returns its record: the per-epoch loss
     trace, the transductive evaluation on the unlabeled rows and the trained
     parameters. With a ``memo`` the batch stream is replayed from it when an
-    earlier run drew the same one."""
+    earlier run drew the same one, and the label halves are the memo's."""
     t0 = time.perf_counter()
     ds, rng = _run_split(cfg, seed, base)
 
@@ -228,30 +252,29 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
     if memo is None:
         plans = (sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
                  for _ in range(steps))
+        label_halves = LabelHalves(last_only=True)
     else:
         plans = iter(memo.stream(ds, cfg.batch_size, cfg.neg_size, steps, rng))
+        label_halves = memo.label_halves
 
     trace: list[LossBreakdown] = []
-    try:
-        for epoch in range(cfg.epochs):
-            sums = np.zeros(3)
-            for _ in range(iterations):
-                plan = next(plans)
-                try:
-                    sums += train_step(
-                        params, state, ds, plan.anchors, weights,
-                        cfg.temperature,
-                        labeled=np.searchsorted(plan.anchors, plan.labeled),
-                        neg_mask=plan.neg_mask, x_sim=x_sim_all,
-                        weighted=cfg.method != "simclr-style",
-                    )
-                except DegenerateBatchError as err:
-                    raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
-            mean = sums / iterations
-            trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha,
-                                    cfg.beta))
-    finally:
-        forget_sup_labels()
+    for epoch in range(cfg.epochs):
+        sums = np.zeros(3)
+        for _ in range(iterations):
+            plan = next(plans)
+            try:
+                sums += train_step(
+                    params, state, ds, plan.anchors, weights, cfg.temperature,
+                    labeled=np.searchsorted(plan.anchors, plan.labeled),
+                    neg_mask=plan.neg_mask, x_sim=x_sim_all,
+                    weighted=cfg.method != "simclr-style",
+                    label_half=label_halves,
+                )
+            except DegenerateBatchError as err:
+                raise DegenerateBatchError(f"epoch {epoch}: {err}") from err
+        mean = sums / iterations
+        trace.append(total_loss(mean[0], mean[1], mean[2], cfg.alpha,
+                                cfg.beta))
 
     report = _score(cfg, params, ds)
     wall_seconds = time.perf_counter() - t0
@@ -263,7 +286,8 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
                  weights: tuple[float, float, float], tau: float,
                  *, labeled: np.ndarray | None = None,
                  neg_mask: np.ndarray | None = None,
-                 x_sim: np.ndarray | None = None, weighted: bool = True
+                 x_sim: np.ndarray | None = None, weighted: bool = True,
+                 label_half=sup_labels
                  ) -> tuple[tuple[float, float, float], dict]:
     """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
     batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
@@ -271,10 +295,12 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
     ``tau`` is the kernel temperature of l_u and l_s.
 
     ``labeled``: positions in ``rows`` the classifier and l_s see (default
-    all). ``neg_mask``: the anchors' negative sets. ``x_sim``: per-dataset-
-    row similarity side of the single-view l_u. l_u takes one batch of all
-    views, and ``weighted = False`` leaves out its raw features, which gives
-    plain InfoNCE.
+    all). ``neg_mask``: the anchors' negative sets (None: the full
+    complement). ``x_sim``: per-dataset-row similarity side of the
+    single-view l_u. l_u takes one batch of all views, and ``weighted =
+    False`` leaves out its raw features, which gives plain InfoNCE.
+    ``label_half``: label rows -> their label half for l_s, made afresh by
+    default (``losses.sup_labels``) or kept by a ``LabelHalves``.
     """
     c, u, s = weights
     xs = [x[rows] for x in ds.views]
@@ -296,7 +322,7 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
         l_u, *d_z = kernel(batch, tau)
         back["d_z"] = [u * d for d in d_z]
     if s > 0:
-        l_s, d_s = weighted_sup_loss(s_lab, y_lab, tau)
+        l_s, d_s = weighted_sup_loss(s_lab, y_lab, tau, label_half(y_lab))
         back["d_s"] = s * d_s
     return (l_c, l_u, l_s), back
 

@@ -475,8 +475,11 @@ def old_info_nce(pos, left, right, bound, keep, col, row=None):
     block's product a fresh array, -inf at its dropped entries by boolean
     index, then one exp over the block, and every row outside [floor, inf)
     redone from the masked block with its own max. Its backward products
-    are the core's."""
+    are the core's. A ``keep`` of None is the full complement of a square
+    block."""
     size = len(left)
+    if keep is None:
+        keep = ~np.eye(size, dtype=bool)
     step = min(losses._SYM_BAND_ROWS, size)
     terms, d_pos = np.empty_like(pos), np.empty_like(pos)
     for lo in range(0, size, step):

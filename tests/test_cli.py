@@ -467,8 +467,9 @@ def test_cmd_noise_sweep_draws_each_batch_stream_once(tmp_path,
     assert len(cells) == 12 and len(draws) == 4 * 3 * 2
     for rows, neg_mask in handed_out:
         for array in (rows, neg_mask):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
+            if array is not None:  # a full complement holds no mask
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
     # each cell equals the same cell run alone, drawing its own stream
     monkeypatch.undo()
     rows = list(csv.DictReader(text.splitlines()))
@@ -478,6 +479,32 @@ def test_cmd_noise_sweep_draws_each_batch_stream_once(tmp_path,
             == (repr(shared.report.f1), repr(shared.report.auc))
         assert (row["f1"], row["auc"]) == (repr(alone.report.f1),
                                            repr(alone.report.auc))
+
+
+def test_cmd_noise_sweep_makes_each_label_half_once(tmp_path, monkeypatch):
+    # the hcl-s cells of every level share one batch stream, so their label
+    # rows repeat across cells: the sweep's memo makes one label half per
+    # distinct label rows, not one per step
+    asked, made = [], []
+    real_call, real_make = train_mod.LabelHalves.__call__, train_mod.sup_labels
+
+    def call(self, y):
+        asked.append((y.shape, y.tobytes()))
+        return real_call(self, y)
+
+    def make(y):
+        made.append(y)
+        return real_make(y)
+
+    monkeypatch.setattr(train_mod.LabelHalves, "__call__", call)
+    monkeypatch.setattr(train_mod, "sup_labels", make)
+    pairs = small_pairs(tmp_path, sub="n8", epochs=3, batch_size=8, seeds="0",
+                        noise_levels="0,0.5,1", methods="hcl-u@single-view,"
+                        "hcl-u@two-view,hcl-s@two-view")
+    cmd_noise_sweep(pairs)
+    steps = 3 * 2  # epochs x ceil(15 labeled rows / batch of 8)
+    assert len(asked) == 3 * steps  # only the three hcl-s cells ask
+    assert len(made) == len(set(asked)) <= steps
 
 
 def test_cmd_noise_sweep_keeps_finished_cells_when_a_cell_fails(
@@ -1211,6 +1238,20 @@ def test_main_unknown_config_field(tmp_path, capsys):
     path.write_text("synthetic = cluster\nlearning_rate = 1\n")
     assert main(["train", "--config", str(path)]) == 2
     assert "unknown config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("synthetic = cluster\n = 1\n", "bad.cfg:2: empty key"),
+    ("epochs = 2\n# a comment\nepochs = 3\n",
+     "bad.cfg:3: duplicate key 'epochs'"),
+], ids=["empty-key", "duplicate-key"])
+def test_main_malformed_config_file_names_the_line(tmp_path, capsys, text,
+                                                   message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_main_bound_check_path(tmp_path, capsys):

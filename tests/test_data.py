@@ -18,7 +18,6 @@ from hcl.data import (
     synth_multiview,
 )
 from hcl.errors import ConfigError, ContractError, IngestionError, ShapeError
-from hcl.losses import full_negatives
 from hcl.numeric import make_rng, unit_rows
 
 from builders import save_csv, save_manifest
@@ -352,19 +351,27 @@ def test_split_validation():
 # Batch plans
 
 
+def plan_mask(plan):
+    """The plan's negative sets as a mask, the full complement's (a
+    ``neg_mask`` of None) written out."""
+    if plan.neg_mask is None:
+        return ~np.eye(plan.anchors.size, dtype=bool)
+    return plan.neg_mask
+
+
 def test_sample_batch_three_rows_forced_complement():
     ds = toy_dataset(n=3)
     plan = sample_batch(ds, 3, 2, make_rng(27))
     assert np.array_equal(plan.anchors, [0, 1, 2])
     for i in range(3):
-        assert sorted(plan.anchors[plan.neg_mask[i]]) == sorted(set(range(3)) - {i})
+        assert sorted(plan.anchors[plan_mask(plan)[i]]) == sorted(set(range(3)) - {i})
 
 
 def test_sample_batch_full_complement_mode():
     ds = split(toy_dataset(n=12), 4, make_rng(28))
     plan = sample_batch(ds, 4, "full", make_rng(29))
     assert np.array_equal(plan.anchors, np.arange(12))
-    assert np.all(plan.neg_mask.sum(axis=1) == 11)
+    assert np.all(plan_mask(plan).sum(axis=1) == 11)
     assert np.array_equal(np.sort(plan.labeled), ds.labeled_indices)
 
 
@@ -374,7 +381,7 @@ def test_sample_batch_pool_fills_with_unlabeled():
     # pool = 5 labeled anchors + 5 unlabeled fills
     assert plan.anchors.size == 10
     assert plan.labeled.size == 5
-    assert np.all(plan.neg_mask.sum(axis=1) == 9)
+    assert np.all(plan_mask(plan).sum(axis=1) == 9)
     unlabeled_in_pool = np.setdiff1d(plan.anchors, plan.labeled)
     assert np.all(~ds.labeled_mask[unlabeled_in_pool])
 
@@ -391,11 +398,10 @@ def test_sample_batch_protocol_scale():
     ds = split(toy_dataset(n=4200, d=2), 200, make_rng(33))
     plan = sample_batch(ds, 200, 4199, make_rng(34))
     assert plan.anchors.size == 4200
-    assert np.all(plan.neg_mask.sum(axis=1) == 4199)
+    assert plan.neg_mask is None  # full complement is forced at this size
     assert plan.labeled.size == 200
-    # full complement is forced at this size
     i = 1234
-    assert np.array_equal(plan.anchors[plan.neg_mask[i]],
+    assert np.array_equal(plan.anchors[plan_mask(plan)[i]],
                           np.setdiff1d(np.arange(4200), [plan.anchors[i]]))
 
 
@@ -417,11 +423,13 @@ def test_sample_batch_anchor_exclusion_sweep():
         assert np.all(np.diff(plan.labeled) > 0)
         assert np.isin(plan.labeled, plan.anchors).all()
         assert ds.labeled_mask[plan.labeled].all()
-        assert plan.neg_mask.shape == (na, na)
-        assert not plan.neg_mask.diagonal().any()
-        assert np.all(plan.neg_mask.sum(axis=1) == k)
+        assert (plan.neg_mask is None) == (k == na - 1)
+        mask = plan_mask(plan)
+        assert mask.shape == (na, na)
+        assert not mask.diagonal().any()
+        assert np.all(mask.sum(axis=1) == k)
         for i in range(na):
-            rows = plan.anchors[plan.neg_mask[i]]
+            rows = plan.anchors[mask[i]]
             assert np.unique(rows).size == k and plan.anchors[i] not in rows
         # the benchmark counts one negative per (anchor, negative) pair
         assert plan.negatives.size == na * k
@@ -441,22 +449,22 @@ def test_sample_batch_full_single_batch_draws_nothing():
     assert np.array_equal(again.neg_mask, plan.neg_mask)
 
 
-def test_sample_batch_full_complement_is_the_shared_read_only_mask():
-    # a full pool and a forced complement (k = na - 1) both hand out the
-    # one read-only mask of their anchor count; a sampled set is its own
+def test_sample_batch_full_complement_is_none():
+    # a full pool and a forced complement (k = na - 1) both hand out no
+    # mask, and still count their n(n - 1) (anchor, negative) pairs, as the
+    # benchmark reads them; a sampled set is a mask of its own
     ds = split(toy_dataset(n=20), 6, make_rng(40))
     rng = make_rng(41)
     full = sample_batch(ds, 6, "full", rng)
-    assert full.neg_mask is full_negatives(20)
     forced = sample_batch(ds, 4, 3, rng)
-    assert forced.neg_mask is full_negatives(4)
-    for plan in (full, forced):
-        na = plan.anchors.size
-        assert np.array_equal(plan.neg_mask, ~np.eye(na, dtype=bool))
-        with pytest.raises(ValueError, match="read-only"):
-            plan.neg_mask[0, 1] = False
+    for plan, na in ((full, 20), (forced, 4)):
+        assert plan.neg_mask is None and plan.anchors.size == na
+        assert plan.negatives.size == na * (na - 1)
+        assert np.array_equal(plan.negatives,
+                              np.flatnonzero(~np.eye(na, dtype=bool)))
     sampled = sample_batch(ds, 4, 2, rng)
     assert sampled.neg_mask.flags.writeable
+    assert sampled.negatives.size == 4 * 2
 
 
 @pytest.mark.parametrize("batch_size,neg_size", [

@@ -17,7 +17,6 @@ from hcl.losses import (
     ContrastiveBatch,
     _info_nce,
     cross_entropy,
-    full_negatives,
     sup_labels,
     total_loss,
     unsup_loss_multiview,
@@ -74,9 +73,15 @@ def two_view_batch(rng, n=None, dz=None, d1=None, d2=None):
 
 
 def with_full_mask(b):
-    """The same batch with every other sample in each anchor's negative set,
-    the mask of every full-plan, scene and unsup-bound step."""
-    return dataclasses.replace(b, neg_mask=full_negatives(b.n))
+    """The same batch with every other sample in each anchor's negative set
+    (a ``neg_mask`` of None), as every full-plan, scene and unsup-bound step
+    has it."""
+    return dataclasses.replace(b, neg_mask=None)
+
+
+def mask_of(b):
+    """``b``'s negative sets as a mask, the full complement's written out."""
+    return ~np.eye(b.n, dtype=bool) if b.neg_mask is None else b.neg_mask
 
 
 def weighting(b, weighted):
@@ -118,25 +123,23 @@ def test_batch_rejects_row_mismatch():
         ("x_sim", dict(zs=[z], x_sim=np.zeros((4, 3)))),
         ("xs has 1 views, zs 2", dict(zs=[z, z], xs=[x])),
         ("xs has 2 views, zs 1", dict(zs=[z], xs=[x, x])),
+        ("neg_mask must be 3x3, got (3, 4)",
+         dict(zs=[z], neg_mask=np.ones((3, 4), dtype=bool))),
     ]:
         with pytest.raises(ShapeError, match=re.escape(entry)):
-            ContrastiveBatch(neg_mask=full_negatives(3), **fields)
+            ContrastiveBatch(**{"neg_mask": None, **fields})
 
 
 def test_batch_rejects_views_no_kernel_takes():
     with pytest.raises(ContractError, match="at least one view"):
-        ContrastiveBatch(zs=[], neg_mask=full_negatives(3))
+        ContrastiveBatch(zs=[], neg_mask=None)
     with pytest.raises(ContractError, match="x_sim"):
         ContrastiveBatch(zs=[np.eye(3)] * 2, x_sim=np.eye(3),
-                         neg_mask=full_negatives(3))
+                         neg_mask=None)
     with pytest.raises(ShapeError, match="share a dimension"):
-        ContrastiveBatch(zs=[np.eye(3), np.eye(3, 2)], neg_mask=full_negatives(3))
+        ContrastiveBatch(zs=[np.eye(3), np.eye(3, 2)], neg_mask=None)
 
 
-def test_full_negatives_shape():
-    m = full_negatives(4)
-    assert not m.diagonal().any()
-    assert m.sum() == 12
 
 
 # ------------------------------------------------------------- cross entropy
@@ -229,7 +232,7 @@ def test_unsup_single_equal_scores_give_log2():
     row = np.array([0.6, -0.2, 1.1])
     z = np.vstack([row, row])
     batch = ContrastiveBatch(zs=[z], xs=[z.copy()], x_sim=z.copy(),
-                             neg_mask=full_negatives(2))
+                             neg_mask=None)
     for weighted in (True, False):
         value, _ = unsup_loss_single(weighting(batch, weighted))
         assert value == pytest.approx(math.log(2), abs=1e-12)
@@ -245,7 +248,7 @@ def test_unsup_single_matches_oracle(weighted, project):
         for b in (drawn, with_full_mask(drawn)):
             value, _ = unsup_loss_single(weighting(b, weighted), tau)
             want = ref_unsup_single(
-                b.x_sim, b.xs[0], b.zs[0], neg_sets_from_mask(b.neg_mask),
+                b.x_sim, b.xs[0], b.zs[0], neg_sets_from_mask(mask_of(b)),
                 tau, weighted
             )
             assert value == pytest.approx(want, abs=1e-10)
@@ -286,7 +289,7 @@ def test_unsup_single_weights_vanish_on_identical_inputs():
 def test_unsup_single_dimension_mismatch_needs_projection():
     rng = make_rng(6)
     b = ContrastiveBatch(zs=[rng.normal(size=(3, 4))], xs=[rng.normal(size=(3, 7))],
-                         x_sim=rng.normal(size=(3, 7)), neg_mask=full_negatives(3))
+                         x_sim=rng.normal(size=(3, 7)), neg_mask=None)
     with pytest.raises(ShapeError, match="x_sim"):
         unsup_loss_single(b)
 
@@ -294,7 +297,7 @@ def test_unsup_single_dimension_mismatch_needs_projection():
 def test_unsup_single_needs_x_sim():
     # the raw features never stand in for the feature side of f
     x = make_rng(6).normal(size=(3, 4))
-    b = ContrastiveBatch(zs=[x], xs=[x], neg_mask=full_negatives(3))
+    b = ContrastiveBatch(zs=[x], xs=[x], neg_mask=None)
     with pytest.raises(ContractError, match="x_sim"):
         unsup_loss_single(b)
 
@@ -306,7 +309,7 @@ def test_unsup_single_needs_x_sim():
 def test_unsup_kernels_reject_wrong_view_count(loss, views, message):
     z = make_rng(12).normal(size=(3, 2))
     b = ContrastiveBatch(zs=[z] * views, xs=[z] * views,
-                         neg_mask=full_negatives(3))
+                         neg_mask=None)
     with pytest.raises(ContractError, match=message):
         loss(b)
 
@@ -318,7 +321,7 @@ def test_unsup_multiview_equal_vectors_give_log3():
     # Two samples, every embedding the same unit vector, weights 1:
     # denominator = positive + two equal negatives.
     v = np.array([[0.0, 1.0], [0.0, 1.0]])
-    b = ContrastiveBatch(zs=[v, v.copy()], neg_mask=full_negatives(2))
+    b = ContrastiveBatch(zs=[v, v.copy()], neg_mask=None)
     value, _, _ = unsup_loss_multiview(b)
     assert value == pytest.approx(math.log(3), abs=1e-12)
 
@@ -334,7 +337,7 @@ def test_unsup_multiview_matches_oracle(weighted, equal_dims):
         for b in (drawn, with_full_mask(drawn)):
             value, _, _ = unsup_loss_multiview(weighting(b, weighted), tau)
             want = ref_unsup_multiview(
-                *b.xs, *b.zs, neg_sets_from_mask(b.neg_mask),
+                *b.xs, *b.zs, neg_sets_from_mask(mask_of(b)),
                 tau, weighted,
             )
             assert value == pytest.approx(want, abs=1e-10)
@@ -484,12 +487,11 @@ def test_symmetric_branch_routing(monkeypatch):
     assert taken == []
     unsup_loss_multiview(with_full_mask(two_view_batch(rng, n=2, d1=3)), 0.5)
     assert taken == []  # 2n = 4 rows: fewer than two bands of 3
-    # the n = 2 batch's mask replaced the kept one: ``full``'s mask is now
-    # an earlier count's, a general mask, until it is asked for again
-    unsup_loss_multiview(full, 0.5)
+    # the full complement written out is a general mask
+    unsup_loss_multiview(dataclasses.replace(full, neg_mask=mask_of(full)), 0.5)
     assert taken == []
     for b in (full, weighting(full, False)):
-        unsup_loss_multiview(with_full_mask(b), 0.5)
+        unsup_loss_multiview(b, 0.5)
     assert taken == [True, True]
     monkeypatch.undo()
     # as shipped: 2n = 256 rows make two bands of 128, 2n = 254 one
@@ -883,6 +885,8 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
 
     def check(got, want, mask):
         (pos, neg, keep), (want_pos, want_neg) = got, want
+        if keep is None:  # the single-view full complement
+            keep = ~np.eye(len(neg), dtype=bool)
         assert np.isfinite(neg).all() and np.array_equal(keep, mask)
         assert np.abs(neg[mask] - want_neg[mask]).max() <= tol
         assert np.abs(pos - want_pos).max() <= tol
@@ -896,7 +900,7 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
                 got = _kernel_logits(monkeypatch, unsup_loss_single,
                                      weighting(b, weighted), tau)
                 check(got, (np.diag(cos)[:, None] / tau, cos / tau + lw),
-                      b.neg_mask)
+                      mask_of(b))
         for d2 in (4, 6):  # cross-view weights, then the same-view proxy
             drawn = two_view_batch(rng, n=6, d1=4, d2=d2)
             for b in (drawn, with_full_mask(drawn)):
@@ -916,7 +920,7 @@ def test_fused_logit_block_equals_cosine_plus_log_weight(monkeypatch, tau):
                                      weighting(b, weighted), tau)
                 want = (cos[np.arange(2 * n), partner][:, None] / tau,
                         cos / tau + lw)
-                check(got, want, np.tile(b.neg_mask, (2, 2)))
+                check(got, want, np.tile(mask_of(b), (2, 2)))
 
 
 def _repaired_rows(monkeypatch):
@@ -941,9 +945,8 @@ def _near_duplicate_batches(rng, n=6):
     eps = 10.0 ** rng.uniform(-15.0, -6.0)
     z1, z2 = (base + eps * rng.normal(size=(n, 4)) for _ in range(2))
     xs = [rng.normal(size=(n, 3)), rng.normal(size=(n, 3))]
-    mask = full_negatives(n)
-    return (ContrastiveBatch([z1], mask, xs[:1], x_sim=z2),
-            ContrastiveBatch([z1, z2], mask, xs))
+    return (ContrastiveBatch([z1], None, xs[:1], x_sim=z2),
+            ContrastiveBatch([z1, z2], None, xs))
 
 
 @pytest.mark.parametrize("tau", [1e-20, 1e-200])
@@ -1127,9 +1130,10 @@ def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
     pos = rng.uniform(-1.0, 1.0, (n, 2))
     neg = rng.uniform(-3.0, 0.0, (n, n))
     neg[[1, 4]] -= 1000.0
-    keep = full_negatives(n) if form == "full" else ~np.eye(n, dtype=bool)
+    mask = ~np.eye(n, dtype=bool)
     if form == "mask":
-        keep[[2, 4], [5, 0]] = False
+        mask[[2, 4], [5, 0]] = False
+    keep = None if form == "full" else mask
     shifted = neg.copy()
     got = core_on_block(pos, shifted, 0.0, keep)
     assert repaired == [2]
@@ -1140,7 +1144,7 @@ def test_info_nce_repair_reads_the_fresh_block_and_writes_only_redone_rows(
     want = core_on_block(pos, neg, 0.0, keep, core=old_info_nce)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
-    assert not got[2][~keep].any()
+    assert not got[2][~mask].any()
 
 
 # ---------------------------------------------- row-blocked dense path
@@ -1215,17 +1219,17 @@ def test_info_nce_returns_the_dense_backward_products(monkeypatch, form, n,
     neg[-1] -= 1000.0
     pos[-1] -= 1000.0
     if form == "full":
-        keep = full_negatives(n)
+        keep, mask = None, ~np.eye(n, dtype=bool)
     else:
-        keep = rng.random((n, n)) < 0.7
+        keep = mask = rng.random((n, n)) < 0.7
         keep[np.arange(n), rng.integers(0, n, n)] = True
     col, row = rng.normal(size=(2, n, 4))
     row = row if trained else None
     terms, d_pos, d_neg = _info_nce(pos, neg, np.eye(n), 0.0, keep, col, row)
     assert repaired == [1]
-    t = np.logaddexp(pos, logsumexp(np.where(keep, neg, -np.inf), axis=1,
+    t = np.logaddexp(pos, logsumexp(np.where(mask, neg, -np.inf), axis=1,
                                      keepdims=True))
-    d_logits = np.where(keep, np.exp(neg[:, :, None] - t[:, None, :])
+    d_logits = np.where(mask, np.exp(neg[:, :, None] - t[:, None, :])
                         .sum(axis=2), 0.0)
     want = d_logits.T @ col + (0.0 if row is None else d_logits @ row)
     assert np.abs(d_neg - want).max() <= 1e-12 * np.abs(want).max()
@@ -1245,7 +1249,7 @@ def test_info_nce_blocks_of_three_rows_keep_every_bit(monkeypatch, form):
     pos = rng.uniform(-1.0, 1.0, (n, 2))
     neg = rng.uniform(-3.0, 0.0, (n, n))
     neg[7] -= 1000.0
-    keep = full_negatives(n) if form == "full" else random_neg_mask(rng, n)
+    keep = None if form == "full" else random_neg_mask(rng, n)
     whole = core_on_block(pos, neg, 0.0, keep)
     monkeypatch.setattr(losses_mod, "_SYM_BAND_ROWS", 3)
     blocked = core_on_block(pos, neg, 0.0, keep)
@@ -1283,7 +1287,7 @@ def _check_against_oracles(loss, b, tau, rng):
     lays out its anchor rows): over every row, over the first block's rows
     and over the last block's."""
     value, *grads = loss(b, tau)
-    neg_sets = neg_sets_from_mask(b.neg_mask)
+    neg_sets = neg_sets_from_mask(mask_of(b))
     if loss is unsup_loss_single:
         want = ref_unsup_single(b.x_sim, b.xs[0], b.zs[0], neg_sets, tau, True)
     else:
@@ -1341,7 +1345,7 @@ def test_single_view_kernel_builds_no_n_by_n_block():
     b = ContrastiveBatch(zs=[rng.normal(size=(n, 16))],
                          xs=[rng.normal(size=(n, 20))],
                          x_sim=rng.normal(size=(n, 16)),
-                         neg_mask=full_negatives(n))
+                         neg_mask=None)
     unsup_loss_single(b, 0.5)
     tracemalloc.start()
     try:
@@ -1352,77 +1356,16 @@ def test_single_view_kernel_builds_no_n_by_n_block():
     assert peak < n * n * 8 / 2
 
 
-def test_is_full_complement_truth_table():
-    # the full complement is known by identity alone: a copy of it, the
-    # mask of an earlier count, a view of it and any other mask are general
-    # masks
-    for n in range(1, 6):
-        assert losses_mod._is_full_complement(full_negatives(n))
-        assert not losses_mod._is_full_complement(~np.eye(n, dtype=bool))
-    earlier = full_negatives(4)
-    full_negatives(5)
-    assert not losses_mod._is_full_complement(earlier)
-    n = 5
-    dropped = ~np.eye(n, dtype=bool)
-    dropped[1, 3] = False
-    assert not losses_mod._is_full_complement(dropped)
-    # the two-view tiled mask
-    for n in (2, 4, 64):
-        assert not losses_mod._is_full_complement(
-            np.tile(full_negatives(n), (2, 2)))
-    assert not losses_mod._is_full_complement(full_negatives(4)[:3])
-
-
-class _CountingNumpy:
-    """numpy, save that ``count_nonzero`` records the size it counts."""
-
-    def __init__(self):
-        self.counted = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def count_nonzero(self, a, *args, **kwargs):
-        self.counted.append(np.size(a))
-        return np.count_nonzero(a, *args, **kwargs)
-
-
-class _UnreadMask(np.ndarray):
-    """A mask whose entries fail the test when anything reads them."""
-
-    def __array_ufunc__(self, *args, **kwargs):
-        raise AssertionError("a ufunc read the mask")
-
-    def __getitem__(self, key):
-        raise AssertionError("the mask was indexed")
-
-    def diagonal(self, *args, **kwargs):
-        raise AssertionError("the mask's diagonal was read")
-
-
-def test_is_full_complement_reads_no_entry(monkeypatch):
-    # identity settles every mask: neither the dense two-view path's 2n x 2n
-    # tiled mask nor a copy of the full complement is counted or indexed
-    counting = _CountingNumpy()
-    monkeypatch.setattr(losses_mod, "np", counting)
-    n = 64
-    for mask in (np.tile(full_negatives(n), (2, 2)), ~np.eye(n, dtype=bool)):
-        assert not losses_mod._is_full_complement(mask.view(_UnreadMask))
-    assert losses_mod._is_full_complement(full_negatives(n))
-    assert counting.counted == []
-
-
 @pytest.mark.parametrize("n", [7, 130, 300])
 @pytest.mark.parametrize("tau", [1e-4, 0.5, 2.0])
 def test_full_complement_diagonal_write_equals_mask_product(n, tau):
     # the single-view kernel zeroes the full complement's diagonal by one
-    # strided write; a writable copy, a general mask, takes the 0/1 product
+    # strided write; a mask equal to it, a general mask, takes the 0/1 product
     # with the mask's rows and must give the same bits (n = 300: blocks of
     # 128, 128 and 44 rows)
     rng = make_rng(107)
     drawn = with_full_mask(single_view_batch(rng, n=n, project=True))
     copy = ~np.eye(n, dtype=bool)
-    assert not losses_mod._is_full_complement(copy)
     for weighted in (True, False):
         b = weighting(drawn, weighted)
         value, grad = unsup_loss_single(b, tau)
@@ -1434,8 +1377,8 @@ def test_full_complement_diagonal_write_equals_mask_product(n, tau):
 
 @pytest.mark.parametrize("tau", [1e-4, 0.5])
 def test_full_complement_copy_takes_the_two_view_dense_path(monkeypatch, tau):
-    # a writable copy of the full complement is a general mask, so the
-    # two-view kernel runs its dense path for it: only the shared mask
+    # a mask equal to the full complement is a general mask, so the
+    # two-view kernel runs its dense path for it: only a neg_mask of None
     # reaches the symmetric branch, and the two agree to rounding
     taken = symmetric_branch_calls(monkeypatch)
     n = 130
@@ -1651,25 +1594,12 @@ def _label_sweep(rng, n=9):
             "row with no label": no_label}
 
 
-def _count_label_halves(monkeypatch):
-    """Start with no kept label half and count the ones made afresh."""
-    made, real = [], losses_mod._make_sup_labels
-
-    def spy(y):
-        made.append(len(y))
-        return real(y)
-
-    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
-    monkeypatch.setattr(losses_mod, "_make_sup_labels", spy)
-    return made
-
-
 @pytest.mark.parametrize("tau", [0.5, 1e-4])
 def test_label_half_gives_the_bits_of_the_whole_loss(monkeypatch, tau):
     # one label half serves several embedding batches, each bit-equal to
-    # weighted_sup_loss on a label half made afresh and to the engine
-    # before the split; at tau = 1e-4 the repair runs and reads the kept
-    # logits
+    # weighted_sup_loss handed that half, to weighted_sup_loss making its
+    # half afresh and to the engine before the split; at tau = 1e-4 the
+    # repair runs and reads the kept logits
     rng = make_rng(61)
     repairs = _repaired_rows(monkeypatch)
     for name, y in _label_sweep(rng).items():
@@ -1677,36 +1607,24 @@ def test_label_half_gives_the_bits_of_the_whole_loss(monkeypatch, tau):
         for _ in range(3):
             s = rng.normal(size=(len(y), 4))
             _, value, grad = losses_mod._sup_engine(s, half, tau)
-            with monkeypatch.context() as m:
-                m.setattr(losses_mod, "_LAST_SUP", {})
-                want_value, want_grad = weighted_sup_loss(s, y, tau)
-            assert value == want_value, name
-            assert np.array_equal(grad, want_grad), name
+            for labels in (half, None):
+                want_value, want_grad = weighted_sup_loss(s, y, tau, labels)
+                assert value == want_value, name
+                assert np.array_equal(grad, want_grad), name
             _, old_value, old_grad = old_sup_engine(
                 s, y, tau, losses_mod._is_one_hot(y))
             assert value == old_value and np.array_equal(grad, old_grad), name
     assert bool(repairs) == (tau == 1e-4)
 
 
-def test_sup_labels_keeps_the_last_label_rows(monkeypatch):
-    made = _count_label_halves(monkeypatch)
+def test_sup_labels_makes_a_fresh_half_on_every_call():
+    # a pure maker: the same label rows give equal halves, never one kept
     y = np.eye(3)[[0, 0, 1, 1, 2, 2]]
-    half = sup_labels(y)
-    assert sup_labels(y.copy()) is half and made == [6]
-    # the loss reads the kept label half
-    s = make_rng(65).normal(size=(6, 2))
-    assert weighted_sup_loss(s, y)[0] == losses_mod._sup_engine(s, half, 1.0)[1]
-    assert made == [6]
-    other = sup_labels(y[::-1])  # the same rows in another order
-    assert other is not half and len(made) == 2
-    kept = sup_labels(y)
-    assert kept is not half and len(made) == 3
-    # label rows that are refused leave the kept label half as it was
-    with pytest.raises(DegenerateBatchError):
-        sup_labels(np.ones((4, 1)))
-    with pytest.raises(ContractError, match="binary"):
-        sup_labels(0.5 * y)
-    assert sup_labels(y) is kept and len(made) == 5
+    half, again = sup_labels(y), sup_labels(y.copy())
+    assert again is not half
+    for field in dataclasses.fields(half):
+        assert np.array_equal(getattr(again, field.name),
+                              getattr(half, field.name)), field.name
 
 
 def test_label_half_is_read_only_and_switches_like_the_loss():
@@ -1754,49 +1672,20 @@ def test_label_half_gradient_matches_finite_differences(tau):
 # ------------------------------------------------------ the full complement
 
 
-def test_shared_full_mask_is_read_only_and_known_without_a_scan():
-    mask = full_negatives(6)
-    assert mask is full_negatives(6)
-    assert np.array_equal(mask, ~np.eye(6, dtype=bool))
-    with pytest.raises(ValueError, match="read-only"):
-        mask[0, 1] = False
-    assert losses_mod._is_full_complement(mask)
+def test_full_complement_is_none_and_any_mask_is_checked():
+    # None is the full complement, taken as it is; a mask equal to it is a
+    # general mask that passes the batch's checks, and one flipped entry of
+    # it is refused
     z = make_rng(64).normal(size=(6, 3))
-    assert ContrastiveBatch([z], mask, x_sim=z).neg_mask is mask
-    # a writable copy is the same mask by value, a general mask that
-    # passes the batch's checks
+    assert ContrastiveBatch([z], None, x_sim=z).neg_mask is None
     copy = ~np.eye(6, dtype=bool)
     assert ContrastiveBatch([z], copy, x_sim=z).neg_mask is copy
-    assert not losses_mod._is_full_complement(copy)
-    # one flipped entry of a copy is checked and refused
     copy[3, 3] = True
     with pytest.raises(ContractError, match="own negative set"):
         ContrastiveBatch([z], copy, x_sim=z)
-    # nothing can write the shared mask, so it is taken on trust
-    with pytest.raises(ValueError, match="WRITEABLE"):
-        mask.flags.writeable = True
-
-
-def test_shared_full_mask_of_one_anchor_is_still_refused():
-    one = full_negatives(1)
+    # one anchor's full complement is empty
     with pytest.raises(DegenerateBatchError, match="empty negative set"):
-        ContrastiveBatch([np.ones((1, 2))], one, x_sim=np.ones((1, 2)))
-
-
-def test_shared_full_mask_is_kept_for_the_last_count_only(monkeypatch):
-    monkeypatch.setattr(losses_mod, "_SHARED_FULL", {})
-    first = full_negatives(11)
-    assert full_negatives(11) is first
-    full_negatives(12)  # another count replaces the kept mask
-    assert list(losses_mod._SHARED_FULL) == [12]
-    # an earlier count's mask is a general mask
-    assert not losses_mod._is_full_complement(first)
-    assert full_negatives(11) is not first
-    # the n^2 entries are held in one row of 2n - 1 bytes
-    root = first
-    while root.base is not None:
-        root = root.base
-    assert root.nbytes == 2 * 11 - 1
+        ContrastiveBatch([np.ones((1, 2))], None, x_sim=np.ones((1, 2)))
 
 
 # ------------------------------------------------------------- total loss

@@ -1,6 +1,8 @@
 """MI estimators, synthetic families, and the empirical bound harnesses."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +155,19 @@ def test_bound_report_validation():
     with pytest.raises(ContractError, match="tolerance"):
         BoundReport(size=16, seed=0, loss=1.0, bound=1.0, reference_mi=2.0,
                     tolerance=0.0)
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"epochs": 0}, "epochs and eval_batches"),
+    ({"eval_batches": 0}, "epochs and eval_batches"),
+    ({"n_train": 1}, "n_train >= 2"),
+    ({"n_eval": 1}, "n_eval >= 2"),
+    ({"seeds": ()}, "at least one seed"),
+    ({"tolerance": 0.0}, "tolerance must be > 0"),
+])
+def test_bound_train_spec_validation(field, message):
+    with pytest.raises(ContractError, match=message):
+        BoundTrainSpec(**field)
 
 
 def test_reports_to_csv_layout():
@@ -426,18 +441,21 @@ def test_check_sup_bound_small_run():
 @pytest.mark.parametrize("fails", [False, True])
 def test_check_sup_bound_drops_the_label_half_however_it_ends(monkeypatch,
                                                               fails):
-    # the first step makes and keeps a label half; the check drops it once
-    # its cells are done, whether they finished or the second step raised
-    kept = []
+    # each step makes its label half afresh and nothing keeps it: once the
+    # check's cells are done, whether they finished or the second step
+    # raised, no label half the steps made is alive
+    made, engine = [], losses_mod._sup_engine
+
+    def spy(s, labels, tau):
+        made.append(weakref.ref(labels))
+        return engine(s, labels, tau)
 
     def step(*args, **kwargs):
-        if fails and kept:
+        if fails and made:
             raise DegenerateBatchError("injected")
-        out = train_step(*args, **kwargs)
-        kept.append(len(losses_mod._LAST_SUP))
-        return out
+        return train_step(*args, **kwargs)
 
-    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
+    monkeypatch.setattr(losses_mod, "_sup_engine", spy)
     monkeypatch.setattr(mi, "train_step", step)
     spec = BoundTrainSpec(epochs=2, n_train=64, n_eval=64, seeds=(0,))
     if fails:
@@ -445,8 +463,9 @@ def test_check_sup_bound_drops_the_label_half_however_it_ends(monkeypatch,
             check_sup_bound(RingProtoSpec(), spec)
     else:
         assert check_sup_bound(RingProtoSpec(), spec)
-    assert kept[0] == 1 and len(kept) == (1 if fails else spec.epochs)
-    assert losses_mod._LAST_SUP == {}
+    assert len(made) == (1 if fails else spec.epochs)
+    gc.collect()
+    assert all(ref() is None for ref in made)
 
 
 @pytest.mark.parametrize("check", ["unsup", "sup"])

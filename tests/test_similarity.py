@@ -16,7 +16,6 @@ from hcl.errors import ContractError
 from hcl.losses import (
     ContrastiveBatch,
     _label_log_weights,
-    full_negatives,
     unsup_loss_multiview,
     unsup_loss_single,
     weighted_sup_loss,
@@ -32,9 +31,9 @@ _Y = np.eye(2)[[0, 0, 1, 1]]
 # every place a temperature enters, on inputs that are otherwise valid
 TAU_ENTRY_POINTS = {
     "unsup_loss_single": lambda tau: unsup_loss_single(
-        ContrastiveBatch([_Z], full_negatives(4), x_sim=_W), tau),
+        ContrastiveBatch([_Z], None, x_sim=_W), tau),
     "unsup_loss_multiview": lambda tau: unsup_loss_multiview(
-        ContrastiveBatch([_Z, _W], full_negatives(4)), tau),
+        ContrastiveBatch([_Z, _W], None), tau),
     # one-hot rows take the indicator weights, one column the label weights
     "weighted_sup_loss": lambda tau: weighted_sup_loss(_Z, _Y, tau),
     "weighted_sup_loss_one_column": lambda tau: weighted_sup_loss(

@@ -1,12 +1,14 @@
 """Training loop: determinism, method degenerations, records, and CSVs."""
 
+import gc
 import json
+import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import hcl.losses as losses_mod
 import hcl.train as train_mod
 from hcl.config import config_for_seed, resolve_config
 from hcl.data import Dataset, inject_noise, sample_batch, split
@@ -19,7 +21,6 @@ from hcl.errors import (
 from hcl.losses import (
     ContrastiveBatch,
     cross_entropy,
-    full_negatives,
     unsup_loss_multiview,
     unsup_loss_single,
     weighted_sup_loss,
@@ -34,6 +35,7 @@ from hcl.model import (
 from hcl.numeric import make_rng
 from hcl.optimizer import OptimizerState
 from hcl.train import (
+    LabelHalves,
     PlanMemo,
     RunRecord,
     build_dataset,
@@ -46,7 +48,12 @@ from hcl.train import (
     train_step,
 )
 
-from builders import safe_model_instance, save_csv, save_manifest
+from builders import (
+    safe_model_instance,
+    save_csv,
+    save_manifest,
+    symmetric_branch_calls,
+)
 from reference import finite_diff_grad, rel_error
 
 SMALL = {
@@ -190,14 +197,15 @@ def test_plan_memo_keys_on_every_input_of_the_sampler(monkeypatch):
 
 @pytest.mark.parametrize("neg_size", [8, "full"])
 def test_plan_memo_hands_out_read_only_plans(neg_size):
-    plans = PlanMemo().stream(memo_dataset(), 4, neg_size, 3, make_rng(54))
+    # 10 labeled anchors with 8 negatives each: a sampled mask
+    plans = PlanMemo().stream(memo_dataset(), 10, neg_size, 3, make_rng(54))
     for plan in plans:
+        # a full complement holds no mask, so no plan keeps an n x n of it
+        assert (plan.neg_mask is None) == (neg_size == "full")
         for array in (plan.anchors, plan.labeled, plan.neg_mask):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
-    if neg_size == "full":
-        # full complements share one mask; no plan keeps an n x n of its own
-        assert all(plan.neg_mask is plans[0].neg_mask for plan in plans)
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
 
 
 def test_run_training_with_a_memo_equals_drawing(monkeypatch):
@@ -215,29 +223,69 @@ def test_run_training_with_a_memo_equals_drawing(monkeypatch):
 
 @pytest.mark.parametrize("neg_size", [4, "full"])
 def test_plan_memo_replay_equals_drawing_on_either_mask(monkeypatch, neg_size):
-    # a full-complement stream replays the one shared mask of its anchor
-    # count; every run, drawn or replayed, keeps the same bits
+    # a full-complement stream holds no mask at all; every run, drawn or
+    # replayed, keeps the same bits
     cfg = small_cfg(method="hcl", neg_size=neg_size, batch_size=8)
     memo = PlanMemo()
     plain = run_training(cfg, 4)
     once = run_training(cfg, 4, memo=memo)
     replayed = run_training(cfg, 4, memo=memo)
     assert run_bytes(once) == run_bytes(plain) == run_bytes(replayed)
-    masks = {id(plan.neg_mask) for (plans, _) in memo._streams.values()
-             for plan in plans}
-    assert (len(masks) == 1) == (neg_size == "full")
+    masks = [plan.neg_mask for (plans, _) in memo._streams.values()
+             for plan in plans]
+    assert all((mask is None) == (neg_size == "full") for mask in masks)
+
+
+def two_view_full_cfg(n_samples):
+    """A two-view run on the full complement of n_samples >= 128 anchors
+    with raw features of one width: the symmetric branch's batches."""
+    return small_cfg(synthetic="multiview", mode="two-view", method="hcl",
+                     n_samples=n_samples, neg_size="full", epochs=2)
+
+
+def test_a_pickled_plan_trains_to_the_same_bits(monkeypatch):
+    # the full complement is a value, so a plan that has been through
+    # pickle, as a worker pool would send it, takes the kernel branch of
+    # the original, the symmetric one, and trains to its bits
+    taken = symmetric_branch_calls(monkeypatch)
+    cfg = two_view_full_cfg(200)
+    ds, rng = train_mod._run_split(cfg, 0, None)
+    plan = sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
+    sent = pickle.loads(pickle.dumps(plan))
+    flats = []
+    for p in (plan, sent):
+        params = init_params(make_rng(1), [[8, 8, 6], [8, 8, 6]], [12, 3])
+        state = OptimizerState(base_lr=0.5)
+        for _ in range(2):
+            train_step(params, state, ds, p.anchors, (1.0, 0.2, 0.01), 0.5,
+                       labeled=np.searchsorted(p.anchors, p.labeled),
+                       neg_mask=p.neg_mask)
+        flats.append(params.flat)
+    assert np.array_equal(*flats)
+    assert taken == [True] * 4
+
+
+def test_plan_memo_streams_two_anchor_counts_in_turn():
+    # one memo serving runs of 200 and 150 anchors in turn: every run keeps
+    # the bits of the same run drawing its own stream without a memo
+    memo = PlanMemo()
+    alone = {n: run_bytes(run_training(two_view_full_cfg(n), 2))
+             for n in (200, 150)}
+    for n in (200, 150, 200, 150):
+        assert run_bytes(run_training(two_view_full_cfg(n), 2, memo=memo)) \
+            == alone[n]
+    assert len(memo._streams) == 2
 
 
 def count_label_halves(monkeypatch):
-    """Start with no kept label half and count the ones made afresh."""
-    made, real = [], losses_mod._make_sup_labels
+    """Count the label halves the training loop makes."""
+    made, real = [], train_mod.sup_labels
 
     def spy(y):
         made.append(len(y))
         return real(y)
 
-    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
-    monkeypatch.setattr(losses_mod, "_make_sup_labels", spy)
+    monkeypatch.setattr(train_mod, "sup_labels", spy)
     return made
 
 
@@ -258,7 +306,8 @@ def test_reusing_the_label_half_keeps_every_bit(monkeypatch, method,
     assert len(calls) == made
     with monkeypatch.context() as m:
         # a label half made afresh on every step
-        m.setattr(losses_mod, "sup_labels", losses_mod._make_sup_labels)
+        m.setattr(train_mod, "LabelHalves",
+                  lambda last_only: train_mod.sup_labels)
         fresh = run_training(cfg, 5)
     assert len(calls) == made + steps
     assert reused.trace == fresh.trace and reused.report == fresh.report
@@ -268,28 +317,55 @@ def test_reusing_the_label_half_keeps_every_bit(monkeypatch, method,
 @pytest.mark.parametrize("fails", [False, True])
 def test_run_training_drops_the_label_half_however_it_ends(monkeypatch,
                                                            fails):
-    # the first step makes and keeps a label half; a run drops it when its
-    # steps end, whether they finished or the second step raised
-    kept = []
-    real = train_mod.train_step
+    # the first step makes a label half, which only the run keeps: once the
+    # run ends, whether its steps finished or the second step raised,
+    # nothing holds it
+    made = []
+    real_step, real_halves = train_mod.train_step, train_mod.LabelHalves
 
     def step(*args, **kwargs):
-        if fails and kept:
+        if fails and made:
             raise NumericError("non-finite gradient for parameter 'e1.w0'")
-        out = real(*args, **kwargs)
-        kept.append(len(losses_mod._LAST_SUP))
-        return out
+        return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(losses_mod, "_LAST_SUP", {})
+    def halves(last_only):
+        kept = real_halves(last_only)
+
+        def made_and_kept(y):
+            half = kept(y)
+            made.append(weakref.ref(half))
+            return half
+        return made_and_kept
+
     monkeypatch.setattr(train_mod, "train_step", step)
+    monkeypatch.setattr(train_mod, "LabelHalves", halves)
     cfg = small_cfg(method="hcl")
     if fails:
         with pytest.raises(NumericError, match="e1.w0"):
             run_training(cfg, 0)
     else:
         run_training(cfg, 0)
-    assert kept[0] == 1 and len(kept) == (1 if fails else cfg.epochs)
-    assert losses_mod._LAST_SUP == {}
+    assert len(made) == (1 if fails else cfg.epochs)
+    gc.collect()
+    assert all(ref() is None for ref in made)
+
+
+def test_a_run_without_a_memo_keeps_one_label_half(monkeypatch):
+    # the labeled rows change every step, so each step makes a label half
+    # and the run keeps only the last
+    sizes, real = [], LabelHalves.__call__
+
+    def call(self, y):
+        half = real(self, y)
+        sizes.append(len(self._kept))
+        return half
+
+    monkeypatch.setattr(LabelHalves, "__call__", call)
+    made = count_label_halves(monkeypatch)
+    cfg = small_cfg(method="hcl", batch_size=6)
+    run_training(cfg, 5)
+    assert len(made) == len(sizes) == cfg.epochs * 3
+    assert set(sizes) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +537,7 @@ def _step_grad_error(monkeypatch, seed, two_view):
     lab = np.array([0, 1, 3, 4, 6]) if two_view else None
     pos = slice(None) if lab is None else lab
     x_sim = None if two_view else rng.normal(size=(8, params.latent_dim))
-    mask = full_negatives(8)
+    mask = None  # the full complement
     tau = 0.5
     alpha, beta = 0.7, 0.3
     flat = params.flat.copy()
