@@ -1672,17 +1672,30 @@ def test_label_half_gradient_matches_finite_differences(tau):
 # ------------------------------------------------------ the full complement
 
 
-def test_full_complement_is_none_and_any_mask_is_checked():
-    # None is the full complement, taken as it is; a mask equal to it is a
-    # general mask that passes the batch's checks, and one flipped entry of
-    # it is refused
+def test_shared_full_mask_is_read_only_and_known_without_a_scan():
+    # the full complement is the value None: nothing can write it, and the
+    # batch takes it as it is without building or reading an n x n mask
     z = make_rng(64).normal(size=(6, 3))
     assert ContrastiveBatch([z], None, x_sim=z).neg_mask is None
+    n = 2000
+    wide = np.ones((n, 1))
+    tracemalloc.start()
+    try:
+        assert ContrastiveBatch([wide], None).neg_mask is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 2
+    # a mask equal to it is a general mask that passes the batch's checks,
+    # and one flipped entry of it is checked and refused
     copy = ~np.eye(6, dtype=bool)
     assert ContrastiveBatch([z], copy, x_sim=z).neg_mask is copy
     copy[3, 3] = True
     with pytest.raises(ContractError, match="own negative set"):
         ContrastiveBatch([z], copy, x_sim=z)
+
+
+def test_shared_full_mask_of_one_anchor_is_still_refused():
     # one anchor's full complement is empty
     with pytest.raises(DegenerateBatchError, match="empty negative set"):
         ContrastiveBatch([np.ones((1, 2))], None, x_sim=np.ones((1, 2)))
