@@ -307,16 +307,12 @@ def cmd_perf_sweep(pairs: dict[str, str],
                    overrides: dict[str, str] | None = None) -> dict:
     cfg = resolve_config(pairs, overrides)
     need = max(max(cfg.perf_train_sizes), max(cfg.perf_neg_sizes) + 2)
-    # a synthetic family's row count is known now, a manifest's once read
-    base = None if cfg.synthetic else build_dataset(cfg)
-    have = cfg.n_samples if base is None else base.n
-    if have < need:
+    base = build_dataset(cfg)
+    if base.n < need:
         raise ConfigError(
             f"config field 'n_samples': the sweep needs at least {need} "
-            f"rows, the dataset has {have}"
+            f"rows, the dataset has {base.n}"
         )
-    if base is None:
-        base = build_dataset(cfg)
     # the flags; timings isolate the contrastive path: one view, no label term
     common = {**(overrides or {}), "method": "hcl-u", "mode": "single-view",
               "view1_aug": "none", "view2_aug": "none", "seeds": "0"}

@@ -3,9 +3,10 @@
 A ``Dataset`` holds one or two feature views, a binary label matrix and a
 per-row labeled flag, and nothing else. A generator whose hidden pieces
 (latent, maps) are audited states its draw order, to replay them by seed.
-Batch plans list anchor rows and carry each anchor's negative set as a
-boolean mask over anchor positions, or None for the full complement, the
-form in which the contrastive losses read it (``ContrastiveBatch.neg_mask``).
+A batch plan is one read-only value: its anchor rows, the positions of
+its labeled anchors among them, and each anchor's negative set as a boolean
+mask over anchor positions, or None for the full complement, the form in
+which the contrastive losses read it (``ContrastiveBatch.neg_mask``).
 """
 
 from __future__ import annotations
@@ -75,22 +76,33 @@ class Dataset:
         return np.flatnonzero(~self.labeled_mask)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchPlan:
-    """Anchor rows, the labeled subset, and per-anchor negative sets.
+    """Anchor rows, the positions in ``anchors`` of the labeled anchors, and
+    per-anchor negative sets; every array is read-only, whoever builds the
+    plan, and a pickled or copied plan is read-only too.
 
     ``neg_mask`` is (n_anchors, n_anchors): entry [i, j] marks anchor
     position j as a negative of anchor position i; None is the full
-    complement, every other anchor. ``sample_batch``, the only sampler,
-    makes every plan valid by construction: anchors unique and sorted,
-    labeled rows among them, no anchor its own negative and every anchor
-    with at least one. The plan is not checked again here;
-    ``losses.ContrastiveBatch`` checks the mask the losses receive.
+    complement, every other anchor. ``sample_batch`` makes its plans valid
+    by construction: anchors unique and sorted, labeled positions sorted, no
+    anchor its own negative and every anchor with at least one. A plan built
+    by hand keeps its anchors in the order given; nothing needs them sorted.
+    The plan is not checked again here; ``losses.ContrastiveBatch`` checks
+    the mask the losses receive.
     """
 
     anchors: np.ndarray
     labeled: np.ndarray
     neg_mask: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        for array in (self.anchors, self.labeled, self.neg_mask):
+            if array is not None:
+                array.flags.writeable = False
+
+    def __reduce__(self):  # pickled or copied, a plan is built anew
+        return BatchPlan, (self.anchors, self.labeled, self.neg_mask)
 
     @property
     def negatives(self) -> np.ndarray:
@@ -432,9 +444,10 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     The plan reads only ``rng``, ``ds.n``, ``ds.labeled_mask``,
     ``batch_size`` and ``neg_size``, never features or labels, so the same
     rng state on datasets with equal rows and labeled mask draws equal
-    plans; ``train.PlanMemo`` replays streams on that contract. A full
-    complement is a ``neg_mask`` of None; sampled negative sets are a fresh
-    mask.
+    plans; ``train.PlanMemo`` replays streams on that contract. The labeled
+    anchors are found among the sorted anchors once, here, so a replayed
+    plan carries their positions too. A full complement is a ``neg_mask`` of
+    None; sampled negative sets are a mask of their own.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -489,5 +502,6 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
         neg_mask = np.zeros((na, na), dtype=bool)
         np.put_along_axis(neg_mask, np.argpartition(keys, k - 1, axis=1)[:, :k],
                           True, axis=1)
-    return BatchPlan(anchors=anchors, labeled=np.sort(batch_labeled),
+    return BatchPlan(anchors=anchors,
+                     labeled=np.searchsorted(anchors, np.sort(batch_labeled)),
                      neg_mask=neg_mask)

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import Dataset, sample_batch, take_rows
+from .data import BatchPlan, Dataset, sample_batch, take_rows
 from .errors import ContractError, NumericError
 from .ioutil import csv_text
 from .losses import _check_tau, _sup_engine, sup_labels
@@ -263,14 +263,12 @@ def check_unsup_bound(data_spec: GaussianPairSpec, train_spec: BoundTrainSpec,
         try:
             for _ in range(train_spec.epochs):
                 plan = sample_batch(train_ds, size + 1, size, run_rng)
-                train_step(params, state, train_ds, plan.anchors,
-                           (0.0, 1.0, 0.0), tau, neg_mask=plan.neg_mask)
+                train_step(params, state, train_ds, plan, (0.0, 1.0, 0.0), tau)
             values = []
             for _ in range(train_spec.eval_batches):
                 plan = sample_batch(eval_ds, size + 1, size, run_rng)
-                (_, value, _), _ = step_forward(
-                    params, eval_ds, plan.anchors, (0.0, 1.0, 0.0), tau,
-                    neg_mask=plan.neg_mask)
+                (_, value, _), _ = step_forward(params, eval_ds, plan,
+                                                (0.0, 1.0, 0.0), tau)
                 values.append(value)
             l_u = float(np.mean(values))
             bound = -l_u + math.log(size)
@@ -340,8 +338,11 @@ def check_sup_bound(data_spec: RingProtoSpec, train_spec: BoundTrainSpec
         batch = min(_SUP_BOUND_BATCH, train_rows.size)
         try:
             for _ in range(train_spec.epochs):
+                # every row labeled; the bound bits follow the draw order
                 rows = run_rng.choice(train_rows, size=batch, replace=False)
-                train_step(params, state, train_ds, rows, (0.0, 0.0, 1.0), tau)
+                train_step(params, state, train_ds,
+                           BatchPlan(rows, np.arange(batch), None),
+                           (0.0, 0.0, 1.0), tau)
             rows = run_rng.choice(eval_ds.n, size=min(_SUP_BOUND_BATCH * 2,
                                                       eval_ds.n), replace=False)
             x_eval = eval_ds.views[0][rows]

@@ -14,22 +14,18 @@ same state after the setup draws, on datasets of the same rows and labeled
 mask, draw the same plans whatever their features, labels and method. A
 ``PlanMemo`` keys each stream on exactly that input and the step count, draws
 it once and replays it to every later run with the same key; the noise sweep
-passes one to all its cells. A memo keeps steps x na^2 mask bytes per stream
-of sampled negative sets (na anchors a batch) and none for full
-complements, whose plans hold a ``neg_mask`` of None.
+passes one to all its cells. A plan is a read-only value holding its
+labeled positions, so a replay hands out the drawn plans as they are. A
+memo keeps steps x na^2 mask bytes per stream of sampled negative sets (na
+anchors a batch) and none for full complements (a ``neg_mask`` of None).
 Without a memo, plans are drawn one per step and dropped after it.
 
 The supervised loss splits into a label half (``losses.sup_labels``), a
-pure function of the batch's label rows, and an embedding half. The label
-halves a run asks for are kept by a ``LabelHalves`` on the label rows'
-shape and bytes: without a memo, the run's own, which keeps only the last
-one; with a memo, the memo's, which keeps one per distinct label rows for
-every run it serves. A step's label rows are the same as the last step's
-whenever ``batch_size`` covers all labeled rows, since each batch then
-labels all of them, so such a run makes its label half once; otherwise it
-costs one copy and comparison of the label rows a step. The noise sweep's
-cells of one batch stream share their label rows at every step, so its
-memo makes each label half once for all of them.
+pure function of the batch's label rows, and an embedding half. A memo's
+``LabelHalves`` keeps one per distinct label rows for every run it serves,
+as the noise sweep's cells of one stream share their label rows. Without a
+memo, a run whose ``batch_size`` covers all labeled rows labels the same
+rows at every step and keeps its one half; any other run makes one a step.
 
 ``train_step`` is the one optimizer step: encode the batch's views, take
 the weighted terms of J = c*L_c + u*L_u + s*L_s, backpropagate with
@@ -166,22 +162,17 @@ def _score(cfg: RunConfig, params, ds: Dataset) -> EvalReport:
 
 class LabelHalves:
     """Label halves (``losses.sup_labels``) kept on the shape and bytes of
-    their label rows: every one made, or with ``last_only`` the last one.
-    Called with label rows, it hands out the kept half or makes and keeps
-    one."""
+    their label rows. Called with label rows, it hands out the kept half or
+    makes and keeps one."""
 
-    def __init__(self, last_only: bool = False) -> None:
-        self.last_only = last_only
+    def __init__(self) -> None:
         self._kept: dict[tuple, SupLabels] = {}
 
     def __call__(self, y: Matrix) -> SupLabels:
         key = (y.shape, y.tobytes())
         half = self._kept.get(key)
         if half is None:
-            half = sup_labels(y)
-            if self.last_only:
-                self._kept.clear()
-            self._kept[key] = half
+            half = self._kept[key] = sup_labels(y)
         return half
 
 
@@ -191,8 +182,8 @@ class PlanMemo:
 
     A stream is keyed on the exact input of the sampler: the rng's
     ``bit_generator.state`` before the first draw, ``ds.n``, the labeled
-    mask's bytes, ``batch_size``, ``neg_size`` and the step count. Plans
-    handed out are read-only, since every run with the key shares them.
+    mask's bytes, ``batch_size``, ``neg_size`` and the step count. Every
+    run with the key shares the plans, which ``BatchPlan`` makes read-only.
     """
 
     def __init__(self) -> None:
@@ -207,18 +198,12 @@ class PlanMemo:
         key = (repr(rng.bit_generator.state), ds.n, ds.labeled_mask.tobytes(),
                batch_size, neg_size, steps)
         if key not in self._streams:
-            plans = [self._shared(sample_batch(ds, batch_size, neg_size, rng))
+            plans = [sample_batch(ds, batch_size, neg_size, rng)
                      for _ in range(steps)]
             self._streams[key] = plans, rng.bit_generator.state
         plans, end = self._streams[key]
         rng.bit_generator.state = end
         return plans
-
-    def _shared(self, plan: BatchPlan) -> BatchPlan:
-        for array in (plan.anchors, plan.labeled, plan.neg_mask):
-            if array is not None:
-                array.flags.writeable = False
-        return plan
 
 
 def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
@@ -252,7 +237,9 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
     if memo is None:
         plans = (sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
                  for _ in range(steps))
-        label_halves = LabelHalves(last_only=True)
+        # label rows repeat only when every batch labels all of them
+        label_halves = LabelHalves() if cfg.batch_size >= n_labeled \
+            else sup_labels
     else:
         plans = iter(memo.stream(ds, cfg.batch_size, cfg.neg_size, steps, rng))
         label_halves = memo.label_halves
@@ -264,10 +251,8 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
             plan = next(plans)
             try:
                 sums += train_step(
-                    params, state, ds, plan.anchors, weights, cfg.temperature,
-                    labeled=np.searchsorted(plan.anchors, plan.labeled),
-                    neg_mask=plan.neg_mask, x_sim=x_sim_all,
-                    weighted=cfg.method != "simclr-style",
+                    params, state, ds, plan, weights, cfg.temperature,
+                    x_sim=x_sim_all, weighted=cfg.method != "simclr-style",
                     label_half=label_halves,
                 )
             except DegenerateBatchError as err:
@@ -282,41 +267,40 @@ def run_training(cfg: RunConfig, seed: int, base: Dataset | None = None,
                      report=report, wall_seconds=wall_seconds, params=params)
 
 
-def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
+def step_forward(params: ModelParams, ds: Dataset, plan: BatchPlan,
                  weights: tuple[float, float, float], tau: float,
-                 *, labeled: np.ndarray | None = None,
-                 neg_mask: np.ndarray | None = None,
-                 x_sim: np.ndarray | None = None, weighted: bool = True,
+                 *, x_sim: np.ndarray | None = None, weighted: bool = True,
                  label_half=sup_labels
                  ) -> tuple[tuple[float, float, float], dict]:
     """The forward half of ``train_step``: the terms (l_c, l_u, l_s) on the
-    batch ``rows`` of ``ds``, and the ``model_backward`` arguments for the
+    batch ``plan`` of ``ds``, and the ``model_backward`` arguments for the
     gradient of c*l_c + u*l_u + s*l_s, where (c, u, s) = ``weights`` and
     ``tau`` is the kernel temperature of l_u and l_s.
 
-    ``labeled``: positions in ``rows`` the classifier and l_s see (default
-    all). ``neg_mask``: the anchors' negative sets (None: the full
-    complement). ``x_sim``: per-dataset-row similarity side of the
-    single-view l_u. l_u takes one batch of all views, and ``weighted =
-    False`` leaves out its raw features, which gives plain InfoNCE.
-    ``label_half``: label rows -> their label half for l_s, made afresh by
-    default (``losses.sup_labels``) or kept by a ``LabelHalves``.
+    The encoders see the plan's anchor rows, l_u its negative sets, and the
+    classifier and l_s its labeled positions. ``x_sim``: per-dataset-row
+    similarity side of the single-view l_u. l_u takes one batch of all
+    views, and ``weighted = False`` leaves out its raw features, which gives
+    plain InfoNCE. ``label_half``: label rows -> their label half for l_s,
+    made afresh by default (``losses.sup_labels``) or kept by a
+    ``LabelHalves``.
     """
     c, u, s = weights
+    rows, labeled = plan.anchors, plan.labeled
     xs = [x[rows] for x in ds.views]
     zs, caches = zip(*(encode(params, x, view=v + 1) for v, x in enumerate(xs)))
     back = {"enc_caches": list(caches), "classifier_rows": labeled}
     l_c = l_u = l_s = 0.0
     if c > 0 or s > 0:
-        pos = slice(None) if labeled is None else labeled
-        s_lab = np.concatenate([z[pos] for z in zs], axis=1)
-        y_lab = ds.labels[rows[pos]]
+        s_lab = np.concatenate([z[labeled] for z in zs], axis=1)
+        y_lab = ds.labels[rows[labeled]]
     if c > 0:
         y_hat, back["cls_cache"] = classify(params, s_lab)
         l_c, d_yhat = cross_entropy(y_hat, y_lab)
         back["d_yhat"] = c * d_yhat
     if u > 0:
-        batch = ContrastiveBatch(list(zs), neg_mask, xs if weighted else None,
+        batch = ContrastiveBatch(list(zs), plan.neg_mask,
+                                 xs if weighted else None,
                                  None if x_sim is None else x_sim[rows])
         kernel = unsup_loss_single if len(zs) == 1 else unsup_loss_multiview
         l_u, *d_z = kernel(batch, tau)
@@ -328,12 +312,12 @@ def step_forward(params: ModelParams, ds: Dataset, rows: np.ndarray,
 
 
 def train_step(params: ModelParams, state: OptimizerState, ds: Dataset,
-               rows: np.ndarray, weights: tuple[float, float, float],
+               plan: BatchPlan, weights: tuple[float, float, float],
                tau: float, **inputs) -> tuple[float, float, float]:
-    """One LARS step on c*L_c + u*L_u + s*L_s over the batch ``rows`` of
+    """One LARS step on c*L_c + u*L_u + s*L_s over the batch ``plan`` of
     ``ds``, at kernel temperature ``tau``; returns the terms (l_c, l_u,
     l_s). ``inputs`` are the keyword arguments of ``step_forward``."""
-    terms, back = step_forward(params, ds, rows, weights, tau, **inputs)
+    terms, back = step_forward(params, ds, plan, weights, tau, **inputs)
     lars_step(params, model_backward(params, **back), state)
     return terms
 

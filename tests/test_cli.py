@@ -453,9 +453,9 @@ def test_cmd_noise_sweep_draws_each_batch_stream_once(tmp_path,
         cells.append((cfg, seed, base, real_run(cfg, seed, base, memo)))
         return cells[-1][-1]
 
-    def keep_inputs(params, state, ds, rows, *args, **inputs):
-        handed_out.append((rows, inputs["neg_mask"]))
-        return real_step(params, state, ds, rows, *args, **inputs)
+    def keep_inputs(params, state, ds, plan, *args, **inputs):
+        handed_out.append(plan)
+        return real_step(params, state, ds, plan, *args, **inputs)
 
     monkeypatch.setattr(train_mod, "sample_batch", count_draws)
     monkeypatch.setattr(train_mod, "train_step", keep_inputs)
@@ -465,8 +465,8 @@ def test_cmd_noise_sweep_draws_each_batch_stream_once(tmp_path,
                         "hcl-u@two-view,hcl-s@two-view")
     text = cmd_noise_sweep(pairs)
     assert len(cells) == 12 and len(draws) == 4 * 3 * 2
-    for rows, neg_mask in handed_out:
-        for array in (rows, neg_mask):
+    for plan in handed_out:
+        for array in (plan.anchors, plan.labeled, plan.neg_mask):
             if array is not None:  # a full complement holds no mask
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[0]
@@ -643,10 +643,11 @@ def test_cmd_perf_sweep_validates_sizes(tmp_path):
         cmd_perf_sweep(pairs)
 
 
-def test_cmd_perf_sweep_checks_synthetic_rows_before_building(tmp_path,
-                                                              monkeypatch):
-    # a synthetic family's row count is n_samples, known at resolve time:
-    # too few rows fail by name before any data is generated
+def test_cmd_perf_sweep_checks_the_rows_of_the_one_dataset_it_builds(
+        tmp_path, monkeypatch):
+    # the base dataset is built once, synthetic or read from a manifest, and
+    # too few rows fail by name before the output directory is made; a
+    # synthetic family has exactly n_samples rows
     built = []
     real = cli_mod.build_dataset
 
@@ -660,8 +661,7 @@ def test_cmd_perf_sweep_checks_synthetic_rows_before_building(tmp_path,
     with pytest.raises(ConfigError, match="^config field 'n_samples': the "
                        "sweep needs at least 2048 rows, the dataset has 200$"):
         cmd_perf_sweep(pairs)
-    assert built == [] and not (tmp_path / "p").exists()
-    # a manifest's rows are counted once it is loaded
+    assert built == ["cluster"] and not (tmp_path / "p").exists()
     manifest = tmp_path / "data.manifest"
     rng = make_rng(0)
     save_csv(tmp_path / "x.csv", rng.normal(size=(40, 3)))
@@ -671,7 +671,8 @@ def test_cmd_perf_sweep_checks_synthetic_rows_before_building(tmp_path,
                        "dataset has 40$"):
         cmd_perf_sweep({"manifest": str(manifest),
                         "out_dir": str(tmp_path / "m")})
-    assert built == [str(manifest)]
+    assert built == ["cluster", str(manifest)]
+    assert not (tmp_path / "m").exists()
 
 
 # ---------------------------------------------------------------------------

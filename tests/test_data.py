@@ -1,5 +1,7 @@
 """Ingestion, augmentation, synthetic data, splits, and batch plans."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hcl.data import (
     sample_batch,
     split,
     synth_multiview,
+    take_rows,
 )
 from hcl.errors import ConfigError, ContractError, IngestionError, ShapeError
 from hcl.numeric import make_rng, unit_rows
@@ -149,6 +152,23 @@ def test_manifest_errors(tmp_path):
     m.write_text("view1 x.csv\n")
     with pytest.raises(ConfigError, match="m.manifest:1"):
         load_manifest(str(m))
+    m.write_text("view1 = x.csv\nlabels = y.csv\nc = 1\nheader = maybe\n")
+    with pytest.raises(IngestionError, match=f"^{re.escape(str(m))}: header "
+                       "must be true or false, got 'maybe'$"):
+        load_manifest(str(m))
+    m.write_text("view1 = x.csv\nlabels = y.csv\nc = one\n")
+    with pytest.raises(IngestionError, match=f"^{re.escape(str(m))}: c must "
+                       "be an integer, got 'one'$"):
+        load_manifest(str(m))
+
+
+def test_load_csv_needs_one_or_two_view_files(tmp_path):
+    save_csv(str(tmp_path / "x.csv"), np.ones((2, 1)))
+    save_csv(str(tmp_path / "y.csv"), np.ones((2, 1)))
+    for views in ([], [tmp_path / "x.csv"] * 3):
+        with pytest.raises(ContractError, match="^need one or two view files, "
+                           f"got {len(views)}$"):
+            load_csv(views, tmp_path / "y.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +227,13 @@ def test_mask_features_counts():
     assert np.count_nonzero(out == 0.0) == 30
     assert np.array_equal(mask_features(x, 1.0, make_rng(0)), np.zeros((10, 10)))
     assert np.array_equal(mask_features(x, 0.0, make_rng(0)), x)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.5])
+def test_mask_features_validates_rate(rate):
+    with pytest.raises(ContractError,
+                       match=rf"^masking rate must be in \[0, 1\], got {rate}$"):
+        mask_features(np.ones((2, 2)), rate, make_rng(0))
 
 
 def test_make_views_identity_augs():
@@ -310,6 +337,17 @@ def test_scene_like_two_labels():
         assert np.all((counts >= 1) & (counts <= 2))
 
 
+def test_generators_name_the_sizes_they_need():
+    for args in ((2, 3, 3), (4, 0, 2), (4, 3, 1)):
+        with pytest.raises(ContractError, match=r"^need n >= c >= 2 and "
+                           rf"d >= 1, got {args[0]}, {args[2]}, {args[1]}$"):
+            make_cluster_dataset(*args, make_rng(0))
+    for args in ((23, 6, 2), (24, 5, 2), (24, 6, 1)):
+        with pytest.raises(ContractError, match=r"^need n >= 24, c >= 2, "
+                           rf"d >= 6, got {args[0]}, {args[2]}, {args[1]}$"):
+            make_scene_like(*args, make_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # Splits
 
@@ -347,6 +385,13 @@ def test_split_validation():
         split(ds, 5, make_rng(0))
 
 
+@pytest.mark.parametrize("rows", [[], [[0, 1]]])
+def test_take_rows_needs_a_non_empty_index(rows):
+    with pytest.raises(ContractError,
+                       match="^rows must be a non-empty 1-D index array$"):
+        take_rows(toy_dataset(), rows)
+
+
 # ---------------------------------------------------------------------------
 # Batch plans
 
@@ -382,7 +427,7 @@ def test_sample_batch_pool_fills_with_unlabeled():
     assert plan.anchors.size == 10
     assert plan.labeled.size == 5
     assert np.all(plan_mask(plan).sum(axis=1) == 9)
-    unlabeled_in_pool = np.setdiff1d(plan.anchors, plan.labeled)
+    unlabeled_in_pool = np.setdiff1d(plan.anchors, plan.anchors[plan.labeled])
     assert np.all(~ds.labeled_mask[unlabeled_in_pool])
 
 
@@ -420,9 +465,9 @@ def test_sample_batch_anchor_exclusion_sweep():
             k = n - 1
             assert np.array_equal(plan.anchors, np.arange(n))
         assert np.all(np.diff(plan.anchors) > 0)  # unique and sorted
-        assert np.all(np.diff(plan.labeled) > 0)
-        assert np.isin(plan.labeled, plan.anchors).all()
-        assert ds.labeled_mask[plan.labeled].all()
+        assert np.all(np.diff(plan.labeled) > 0)  # positions, sorted
+        assert plan.labeled.min() >= 0 and plan.labeled.max() < na
+        assert ds.labeled_mask[plan.anchors[plan.labeled]].all()
         assert (plan.neg_mask is None) == (k == na - 1)
         mask = plan_mask(plan)
         assert mask.shape == (na, na)
@@ -452,7 +497,8 @@ def test_sample_batch_full_single_batch_draws_nothing():
 def test_sample_batch_full_complement_is_none():
     # a full pool and a forced complement (k = na - 1) both hand out no
     # mask, and still count their n(n - 1) (anchor, negative) pairs, as the
-    # benchmark reads them; a sampled set is a mask of its own
+    # benchmark reads them; a sampled set is a mask of its own, read-only
+    # like every array of a plan
     ds = split(toy_dataset(n=20), 6, make_rng(40))
     rng = make_rng(41)
     full = sample_batch(ds, 6, "full", rng)
@@ -463,7 +509,8 @@ def test_sample_batch_full_complement_is_none():
         assert np.array_equal(plan.negatives,
                               np.flatnonzero(~np.eye(na, dtype=bool)))
     sampled = sample_batch(ds, 4, 2, rng)
-    assert sampled.neg_mask.flags.writeable
+    for array in (sampled.anchors, sampled.labeled, sampled.neg_mask):
+        assert not array.flags.writeable
     assert sampled.negatives.size == 4 * 2
 
 
@@ -501,7 +548,8 @@ def test_sample_batch_golden_stream():
     rng = make_rng(41)
     plan = sample_batch(ds, 6, 2, rng)
     assert plan.anchors.tolist() == [2, 4, 5, 9, 10, 11]
-    assert plan.labeled.tolist() == [2, 4, 5, 9, 10, 11]
+    assert plan.labeled.tolist() == [0, 1, 2, 3, 4, 5]
+    assert plan.anchors[plan.labeled].tolist() == [2, 4, 5, 9, 10, 11]
     assert [plan.anchors[row].tolist() for row in plan.neg_mask] == [
         [4, 5], [2, 11], [4, 11], [10, 11], [4, 11], [9, 10]]
     assert int(rng.integers(10**6)) == 349782

@@ -395,3 +395,70 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ContractError):
         load_checkpoint(str(path))
+
+
+def _encoded(a):
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+# a written checkpoint edited by hand -> the message ``load_checkpoint``
+# gives after ``{path}: malformed checkpoint entry: ``, for a two-view model
+# whose first encoder is 5 -> 2 -> 3
+_BROKEN_STACKS = {
+    "one bias short": (
+        lambda doc: doc["encoder1"]["biases"].pop(),
+        "stack needs one bias per weight layer"),
+    "bias of the wrong width": (
+        lambda doc: doc["encoder1"]["biases"].__setitem__(0, _encoded([0.0])),
+        "layer 0: weight (5, 2) and bias (1,) mismatch"),
+    "layers that do not chain": (
+        lambda doc: doc["encoder1"]["weights"].__setitem__(
+            1, _encoded(np.zeros((4, 3)))),
+        "layer 1 input dim 4 does not follow layer 0 output dim 2"),
+    "unknown output activation": (
+        lambda doc: doc["classifier"].__setitem__("output_activation", "tanh"),
+        "unknown output activation 'tanh'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_STACKS))
+def test_checkpoint_rejects_a_malformed_stack_by_name(tmp_path, case):
+    edit, message = _BROKEN_STACKS[case]
+    params = init_params(make_rng(0), [[5, 2, 3], [3, 2, 3]], [6, 3])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(IngestionError, match=re.escape(
+            f"{path}: malformed checkpoint entry: {message}")):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_another_version(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_params(), str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["version"] = 2
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ContractError,
+                       match="^unsupported checkpoint version 2$"):
+        load_checkpoint(str(path))
+
+
+def test_forward_and_backward_reject_mismatched_inputs():
+    params = small_params()
+    with pytest.raises(ShapeError,
+                       match="^input has 3 features, stack expects 4$"):
+        encode(params, np.ones((2, 3)))
+    z, enc_cache = encode(params, np.ones((2, 4)))
+    y_hat, cls_cache = classify(params, z)
+    with pytest.raises(ContractError, match="^classifier gradient needs its "
+                       "forward cache$"):
+        model_backward(params, enc_caches=[enc_cache], d_yhat=y_hat)
+    with pytest.raises(ShapeError, match="^classifier_rows has 1 entries "
+                       "for 2 classifier rows$"):
+        model_backward(params, enc_caches=[enc_cache], cls_cache=cls_cache,
+                       d_yhat=y_hat, classifier_rows=[0])

@@ -11,7 +11,7 @@ import pytest
 
 import hcl.train as train_mod
 from hcl.config import config_for_seed, resolve_config
-from hcl.data import Dataset, inject_noise, sample_batch, split
+from hcl.data import BatchPlan, Dataset, inject_noise, sample_batch, split
 from hcl.errors import (
     ConfigError,
     ContractError,
@@ -252,14 +252,14 @@ def test_a_pickled_plan_trains_to_the_same_bits(monkeypatch):
     ds, rng = train_mod._run_split(cfg, 0, None)
     plan = sample_batch(ds, cfg.batch_size, cfg.neg_size, rng)
     sent = pickle.loads(pickle.dumps(plan))
+    assert not any(array.flags.writeable for array in (
+        sent.anchors, sent.labeled, sent.neg_mask) if array is not None)
     flats = []
     for p in (plan, sent):
         params = init_params(make_rng(1), [[8, 8, 6], [8, 8, 6]], [12, 3])
         state = OptimizerState(base_lr=0.5)
         for _ in range(2):
-            train_step(params, state, ds, p.anchors, (1.0, 0.2, 0.01), 0.5,
-                       labeled=np.searchsorted(p.anchors, p.labeled),
-                       neg_mask=p.neg_mask)
+            train_step(params, state, ds, p, (1.0, 0.2, 0.01), 0.5)
         flats.append(params.flat)
     assert np.array_equal(*flats)
     assert taken == [True] * 4
@@ -306,8 +306,7 @@ def test_reusing_the_label_half_keeps_every_bit(monkeypatch, method,
     assert len(calls) == made
     with monkeypatch.context() as m:
         # a label half made afresh on every step
-        m.setattr(train_mod, "LabelHalves",
-                  lambda last_only: train_mod.sup_labels)
+        m.setattr(train_mod, "LabelHalves", lambda: train_mod.sup_labels)
         fresh = run_training(cfg, 5)
     assert len(calls) == made + steps
     assert reused.trace == fresh.trace and reused.report == fresh.report
@@ -328,8 +327,8 @@ def test_run_training_drops_the_label_half_however_it_ends(monkeypatch,
             raise NumericError("non-finite gradient for parameter 'e1.w0'")
         return real_step(*args, **kwargs)
 
-    def halves(last_only):
-        kept = real_halves(last_only)
+    def halves():
+        kept = real_halves()
 
         def made_and_kept(y):
             half = kept(y)
@@ -351,8 +350,10 @@ def test_run_training_drops_the_label_half_however_it_ends(monkeypatch,
 
 
 def test_a_run_without_a_memo_keeps_one_label_half(monkeypatch):
-    # the labeled rows change every step, so each step makes a label half
-    # and the run keeps only the last
+    # a batch that covers all 15 labeled rows labels the same rows at every
+    # step, so the run makes one label half and keeps it; smaller batches
+    # label other rows every step, so each step makes a fresh half and
+    # nothing is kept
     sizes, real = [], LabelHalves.__call__
 
     def call(self, y):
@@ -362,10 +363,14 @@ def test_a_run_without_a_memo_keeps_one_label_half(monkeypatch):
 
     monkeypatch.setattr(LabelHalves, "__call__", call)
     made = count_label_halves(monkeypatch)
+    cfg = small_cfg(method="hcl", batch_size=16)
+    run_training(cfg, 5)
+    assert len(made) == 1
+    assert sizes == [1] * cfg.epochs
     cfg = small_cfg(method="hcl", batch_size=6)
     run_training(cfg, 5)
-    assert len(made) == len(sizes) == cfg.epochs * 3
-    assert set(sizes) == {1}
+    assert len(made) == 1 + cfg.epochs * 3
+    assert len(sizes) == cfg.epochs
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +539,7 @@ def _step_grad_error(monkeypatch, seed, two_view):
     views = [x1, x2] if two_view else [x1]
     ds = Dataset(views=views, labels=y, labeled_mask=np.ones(8, dtype=bool))
     # the two-view classifier and supervised term see a strict subset
-    lab = np.array([0, 1, 3, 4, 6]) if two_view else None
-    pos = slice(None) if lab is None else lab
+    pos = np.array([0, 1, 3, 4, 6]) if two_view else np.arange(8)
     x_sim = None if two_view else rng.normal(size=(8, params.latent_dim))
     mask = None  # the full complement
     tau = 0.5
@@ -561,9 +565,8 @@ def _step_grad_error(monkeypatch, seed, two_view):
     captured = []
     monkeypatch.setattr(train_mod, "lars_step",
                         lambda p, grad, state: captured.append(grad))
-    train_step(params, OptimizerState(), ds, np.arange(8),
-               (1.0, alpha, beta), tau, labeled=lab, neg_mask=mask,
-               x_sim=x_sim)
+    train_step(params, OptimizerState(), ds, BatchPlan(np.arange(8), pos, mask),
+               (1.0, alpha, beta), tau, x_sim=x_sim)
     num = finite_diff_grad(lambda m: objective(m.ravel()), flat.reshape(1, -1))
     return rel_error(captured[0], num.ravel())
 
