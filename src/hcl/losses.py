@@ -362,16 +362,17 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
 
     the gradient in the columns' unit rows, given the anchors' ``col``,
     plus, when ``row`` (the columns' rows) is given, the gradient in the
-    anchors', for a kernel whose anchors are its columns. The first block
-    assigns d_neg and each later one adds to it, so a one-block call keeps
-    the bits of the unblocked sum. Returns ``(terms, d_pos, d_neg)``,
-    ``d_pos`` the gradient in ``pos``. Results overflow only as the exact
-    terms do, when 1/tau nears the largest float.
+    anchors', for a kernel whose anchors are its columns. Every block
+    writes its rows of ``terms`` and ``d_pos``, allocated once, and adds
+    its products to ``d_neg``, which starts at zeros. Returns ``(terms,
+    d_pos, d_neg)``, ``d_pos`` the gradient in ``pos``. Results overflow
+    only as the exact terms do, when 1/tau nears the largest float.
     """
     size, width = len(left), len(right)
     step = min(_SYM_BAND_ROWS, size)
     buf = np.empty((step, width))
-    parts = []
+    terms, d_pos = np.empty_like(pos), np.empty_like(pos)
+    d_neg = np.zeros((width, col.shape[1]))
     for lo in range(0, size, step):
         rows = slice(lo, min(lo + step, size))
         e = np.matmul(left[rows], right.T, out=buf[:rows.stop - lo])
@@ -396,18 +397,12 @@ def _info_nce(pos: Matrix, left: Matrix, right: Matrix, bound: float,
             lse_own, rowsum[redo] = row_logsumexp(own)
             e[redo] = own
             lse_neg[redo] = bound + lse_own
-        terms, d_pos, q = _info_nce_terms(pos[rows], lse_neg)
-        parts.append((terms, d_pos))
+        terms[rows], d_pos[rows], q = _info_nce_terms(pos[rows], lse_neg)
         # d_L[i, k] = sum_j exp(L[i, k] - t[i, j]) = e[i, k] / rowsum[i] * sum_j q[i, j]
         c = np.add.reduce(q, axis=1, keepdims=True) / rowsum
-        if lo:
-            d_neg += e.T @ (c * col[rows])
-        else:
-            d_neg = e.T @ (c * col[rows])
+        d_neg += e.T @ (c * col[rows])
         if row is not None:
             d_neg[rows] += c * (e @ row)
-    if len(parts) > 1:
-        terms, d_pos = (np.concatenate(p) for p in zip(*parts))
     return terms, d_pos, d_neg
 
 
@@ -733,9 +728,14 @@ def weighted_sup_loss(s: Matrix, y, tau: float = 1.0,
     al. 2020): that is a per-batch switch, not a property of the weights,
     which give every one-hot negative hamming distance 2. With one label
     column every weight is 1 as it stands. ``labels``, the label half of
-    ``y`` (``sup_labels``) for a caller that keeps it, saves making it
-    afresh. Returns the loss and its gradient in ``s``.
+    ``y`` (``sup_labels(y)``) for a caller that keeps it, saves making it
+    afresh; it must be made from these label rows, since a half of other
+    rows with the same count is not told apart. Returns the loss and its
+    gradient in ``s``.
     """
     s = as_matrix(s, "s")
     y = _rows(y, "y", len(s))
-    return _sup_engine(s, sup_labels(y) if labels is None else labels, tau)[1:]
+    labels = sup_labels(y) if labels is None else labels
+    if len(labels.not_y) != len(s):
+        raise ShapeError(f"label half has {len(labels.not_y)} rows, s has {len(s)}")
+    return _sup_engine(s, labels, tau)[1:]

@@ -5,7 +5,10 @@ layers, linear output), and a classifier head (ReLU hidden layers, sigmoid
 or softmax output) that reads the view embeddings concatenated in view
 order. ``model_backward`` propagates upstream gradients from the classifier
 output and/or directly from the embeddings (where the contrastive losses
-attach) down to every weight and bias.
+attach) down to every weight and bias. A forward pass returns its output
+and its forward record, the list of its activations ``[x, h_1, ..., out]``;
+the backward reads each layer's input, ReLU mask and output from it, so no
+pre-activation is kept.
 
 Every weight and bias is a view into one float64 arena, ``ModelParams.flat``,
 laid out in ``named_parameters`` order; ``model_backward`` returns the
@@ -138,15 +141,6 @@ class ModelParams:
         return self.encoders[0].out_dim
 
 
-@dataclass
-class ForwardCache:
-    """Per-layer inputs and pre-activations recorded by a forward pass."""
-
-    inputs: list[Matrix] = field(default_factory=list)
-    pre: list[Matrix] = field(default_factory=list)
-    out: Matrix | None = None
-
-
 def glorot_uniform(rng: Rng, fan_in: int, fan_out: int) -> Matrix:
     """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -188,34 +182,31 @@ def _apply_output(pre: Matrix, kind: str) -> Matrix:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def forward_stack(stack: LayerStack, x: Matrix) -> tuple[Matrix, ForwardCache]:
+def forward_stack(stack: LayerStack, x: Matrix) -> tuple[Matrix, list[Matrix]]:
+    """The stack's output and its forward record ``[x, h_1, ..., out]``."""
     x = as_matrix(x, "input")
     if x.shape[1] != stack.in_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, stack expects {stack.in_dim}"
         )
-    cache = ForwardCache()
-    h = x
+    acts = [x]
     last = len(stack.weights) - 1
     for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        cache.inputs.append(h)
-        pre = h @ w
+        pre = acts[-1] @ w
         pre += b
-        cache.pre.append(pre)
-        h = _apply_output(pre, stack.output_activation) if i == last \
-            else np.maximum(pre, 0.0)
-    cache.out = h
-    return h, cache
+        acts.append(_apply_output(pre, stack.output_activation) if i == last
+                    else np.maximum(pre, 0.0))
+    return acts[-1], acts
 
 
-def encode(params: ModelParams, x: Matrix, view: int = 1) -> tuple[Matrix, ForwardCache]:
+def encode(params: ModelParams, x: Matrix, view: int = 1) -> tuple[Matrix, list[Matrix]]:
     """Embed raw features with the encoder of ``view`` (1-based)."""
     if not 1 <= view <= len(params.encoders):
         raise ContractError(f"model has no encoder for view {view}")
     return forward_stack(params.encoders[view - 1], x)
 
 
-def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, ForwardCache]:
+def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, list[Matrix]]:
     """Class probabilities for embeddings ``s`` (concatenated for two views).
 
     Sigmoid heads give independent per-label probabilities; softmax rows
@@ -224,27 +215,28 @@ def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, ForwardCache]:
     return forward_stack(params.classifier, s)
 
 
-def _backward_stack(stack: LayerStack, cache: ForwardCache, d_out: Matrix,
+def _backward_stack(stack: LayerStack, acts: list[Matrix], d_out: Matrix,
                     grad: np.ndarray, slots: list[tuple[int, int]]) -> Matrix:
     """Accumulate parameter grads into their ``slots`` of the flat ``grad``
     (``ModelParams.slots`` of this stack); return the gradient at the first
     layer's pre-activation. Only the classifier needs the gradient at its
-    input (that times ``weights[0].T``), so the encoders skip that product."""
+    input (that times ``weights[0].T``), so the encoders skip that product.
+    Layer i of the forward record ``acts`` reads its input ``acts[i]`` and
+    its ReLU mask ``acts[i + 1] > 0``, which is its ``pre > 0``."""
     last = len(stack.weights) - 1
     kind = stack.output_activation
+    y = acts[-1]
     if kind == "identity":
         d_pre = d_out
     elif kind == "sigmoid":
-        y = cache.out
         d_pre = d_out * y * (1.0 - y)
     else:  # softmax: rows couple through the normalizer
-        y = cache.out
         d_pre = y * (d_out - np.sum(d_out * y, axis=1, keepdims=True))
     for i in range(last, -1, -1):
         if i != last:  # d_pre is the fresh product below
-            d_pre *= cache.pre[i] > 0.0
+            d_pre *= acts[i + 1] > 0.0
         (w_lo, w_hi), (b_lo, b_hi) = slots[2 * i], slots[2 * i + 1]
-        grad[w_lo:w_hi] += (cache.inputs[i].T @ d_pre).ravel()
+        grad[w_lo:w_hi] += (acts[i].T @ d_pre).ravel()
         grad[b_lo:b_hi] += d_pre.sum(axis=0)
         if i:
             d_pre = d_pre @ stack.weights[i].T
@@ -278,8 +270,8 @@ def first_nonfinite(params: ModelParams, buf: np.ndarray) -> str | None:
 
 
 def model_backward(params: ModelParams, *,
-                   enc_caches: list[ForwardCache],
-                   cls_cache: ForwardCache | None = None,
+                   enc_caches: list[list[Matrix]],
+                   cls_cache: list[Matrix] | None = None,
                    d_yhat: Matrix | None = None,
                    d_s: Matrix | None = None,
                    d_z: list[Matrix] | None = None,
@@ -288,13 +280,14 @@ def model_backward(params: ModelParams, *,
     ``params.flat`` (``named_parameters(params, grad)`` names its pieces).
 
     ``enc_caches`` and ``d_z`` hold one entry per view, in view order: the
-    encoder's forward cache and the gradient attached directly at its output
-    (rows = encoder batch). ``d_yhat`` is the upstream gradient at the
-    classifier output and ``d_s`` an extra one at its input (rows =
-    classifier batch). ``classifier_rows`` maps classifier rows into encoder
-    rows when the classifier saw a subset (e.g. only labeled samples); by
-    default they are assumed aligned. Only this function splits the
-    concatenated embedding.
+    encoder's forward record from ``encode`` and the gradient attached
+    directly at its output (rows = encoder batch). ``cls_cache`` is the
+    classifier's forward record, ``d_yhat`` the upstream gradient at its
+    output and ``d_s`` an extra one at its input (rows = classifier batch).
+    ``classifier_rows`` maps classifier rows into encoder rows when the
+    classifier saw a subset (e.g. only labeled samples); by default they
+    are assumed aligned. Only this function splits the concatenated
+    embedding.
     """
     n_views = len(params.encoders)
     for what, given in (("encoder cache", enc_caches), ("d_z", d_z)):
@@ -303,7 +296,7 @@ def model_backward(params: ModelParams, *,
                                 f"got {len(given)}")
     grad = np.zeros(params.flat.size)
     latent = params.latent_dim
-    accs = [np.zeros((enc_caches[0].out.shape[0], latent)) for _ in range(n_views)]
+    accs = [np.zeros((len(enc_caches[0][0]), latent)) for _ in range(n_views)]
     for acc, d in zip(accs, d_z or []):
         acc += d
 

@@ -15,7 +15,7 @@ import numpy as np
 
 import hcl.losses as losses_mod
 from hcl.ioutil import atomic_write_text
-from hcl.model import encode, init_params
+from hcl.model import classify, encode, init_params
 from hcl.numeric import as_matrix, make_rng
 
 RELU_MARGIN = 1e-4
@@ -56,12 +56,19 @@ def safe_model_instance(seed, *, two_view=False, multiclass=False,
     raise AssertionError("could not find a kink-free instance")
 
 
+def _hidden_pre(stack, acts):
+    """The hidden layers' pre-activations, recomputed from the forward
+    record ``acts``."""
+    return [acts[i] @ w + b for i, (w, b)
+            in enumerate(zip(stack.weights[:-1], stack.biases[:-1]))]
+
+
 def _margins_ok(params, x1, x2, two_view):
     for view, x in ((1, x1), (2, x2)):
         if x is None:
             continue
-        z, cache = encode(params, x, view=view)
-        for pre in cache.pre[:-1]:
+        z, acts = encode(params, x, view=view)
+        for pre in _hidden_pre(params.encoders[view - 1], acts):
             if np.min(np.abs(pre)) < RELU_MARGIN:
                 return False
         if np.min(np.linalg.norm(z, axis=1)) < EMBED_MIN_NORM:
@@ -69,10 +76,8 @@ def _margins_ok(params, x1, x2, two_view):
     # classifier hidden layers see the embeddings
     z1, _ = encode(params, x1, view=1)
     s = z1 if not two_view else np.hstack([z1, encode(params, x2, view=2)[0]])
-    from hcl.model import classify
-
-    _, cache = classify(params, s)
-    for pre in cache.pre[:-1]:
+    _, acts = classify(params, s)
+    for pre in _hidden_pre(params.classifier, acts):
         if np.min(np.abs(pre)) < RELU_MARGIN:
             return False
     return True

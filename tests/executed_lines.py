@@ -10,9 +10,10 @@ module's executable lines are those its compiled code objects list
 (``co_lines``, through every nested code object). Prints, per module, its
 executable line count and the lines the suite never ran, then the totals,
 and exits with pytest's exit code. Code that runs in a subprocess (the
-CLI's ``python -m hcl.cli`` tests) is not traced. Only the standard
-library and pytest are needed; this is a script, not a test module:
-pytest does not collect it.
+CLI's ``python -m hcl.cli`` tests) is not traced, so ``cli.py``'s last
+line, ``sys.exit(main())``, which runs only under ``python -m``, is always
+listed as never run. Only the standard library and pytest are needed; this
+is a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations

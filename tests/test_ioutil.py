@@ -62,6 +62,18 @@ def test_atomic_write_failure_is_named_and_leaves_no_temp_file(tmp_path,
     assert target.read_text() == "old\n"
 
 
+def test_atomic_write_of_unencodable_text_raises_it_unchanged(tmp_path):
+    # a lone surrogate has no UTF-8 form: the write fails with a
+    # UnicodeEncodeError, not an OSError, which goes out as it came, and
+    # the temp file goes with it
+    target = tmp_path / "metrics.csv"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError, match="surrogate"):
+        atomic_write_text(str(target), "new \ud800\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv"]
+    assert target.read_text() == "old\n"
+
+
 def test_atomic_write_into_a_directory_is_named(tmp_path):
     taken = tmp_path / "run.json"
     taken.mkdir()

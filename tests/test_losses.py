@@ -625,6 +625,18 @@ def test_weighted_sup_needs_a_label_matrix():
         weighted_sup_loss(s, np.eye(2))
 
 
+@pytest.mark.parametrize("half_rows", [8, 12])
+def test_weighted_sup_refuses_a_label_half_of_another_row_count(half_rows):
+    # a half with fewer or more rows than s is refused by name, not by a
+    # numpy broadcast error inside the engine
+    s = make_rng(63).normal(size=(10, 3))
+    y = np.eye(2)[[0, 1] * 5]
+    half = sup_labels(np.eye(2)[[0, 1] * (half_rows // 2)])
+    with pytest.raises(ShapeError,
+                       match=f"label half has {half_rows} rows, s has 10"):
+        weighted_sup_loss(s, y, 0.5, half)
+
+
 def test_weighted_sup_rejects_non_binary():
     with pytest.raises(ContractError):
         weighted_sup_loss(np.eye(2), np.array([[0.5, 1.0], [1.0, 0.0]]))

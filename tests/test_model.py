@@ -267,6 +267,52 @@ def test_backward_two_view_classifier_subset_rows():
     assert rel_error(grad, num.ravel()) < 1e-5
 
 
+def _backward_by_recomputed_pre(stack, x, d_out, relu_on):
+    """Each layer's weight and bias gradient of an identity-output stack,
+    masking by its recomputed pre-activation: ``relu_on(pre)``."""
+    inputs, pres, h = [], [], x
+    for w, b in zip(stack.weights, stack.biases):
+        inputs.append(h)
+        pres.append(h @ w + b)
+        h = np.maximum(pres[-1], 0.0)
+    grads, d_pre = [], d_out
+    for i in range(len(stack.weights) - 1, -1, -1):
+        if i != len(stack.weights) - 1:
+            d_pre = d_pre * relu_on(pres[i])
+        grads[:0] = [inputs[i].T @ d_pre, d_pre.sum(axis=0)]
+        d_pre = d_pre @ stack.weights[i].T
+    return grads
+
+
+def test_relu_mask_at_the_kink_matches_the_pre_activation_mask():
+    # hidden unit 1 of layer 0 sits exactly at 0.0 on the rows whose first
+    # two features are equal, and hidden unit 2 of layer 1 on every row:
+    # the mask read off the forward record (acts[i + 1] > 0) is pre > 0
+    params = init_params(make_rng(5), [[3, 4, 3, 2]], [2, 2])
+    enc = params.encoders[0]
+    enc.weights[0][:, 1] = [1.0, -1.0, 0.0]
+    enc.biases[0][1] = 0.0
+    enc.weights[1][:, 2] = 0.0
+    enc.biases[1][2] = 0.0
+    x = make_rng(6).normal(size=(6, 3))
+    x[::2, 1] = x[::2, 0]
+    assert not (x[::2] @ enc.weights[0][:, 1]).any()
+    z, acts = encode(params, x)
+    assert acts[-1] is z and acts[0] is x and len(acts) == 4
+    d_z = make_rng(7).normal(size=z.shape)
+    grad = named_parameters(
+        params, model_backward(params, enc_caches=[acts], d_z=[d_z]))
+    got = [grad[f"e1.{p}{i}"] for i in range(3) for p in "wb"]
+    want = _backward_by_recomputed_pre(enc, x, d_z, lambda pre: pre > 0.0)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not grad["e1.w1"][:, 2].any() and grad["e1.b1"][2] == 0.0
+    assert not grad["e1.w2"][2].any()
+    # the kink rows matter: a mask that passes 0.0 gives other gradients
+    leaky = _backward_by_recomputed_pre(enc, x, d_z, lambda pre: pre >= 0.0)
+    assert not all(np.array_equal(g, w) for g, w in zip(got, leaky))
+
+
 def test_backward_needs_one_cache_and_d_z_per_view():
     params, x1, x2, _, _ = safe_model_instance(13, two_view=True)
     z1, c1 = encode(params, x1, view=1)

@@ -1,12 +1,17 @@
-"""Numeric core: as_matrix/unit_rows/row_logsumexp/gram contracts, and the
-finite-difference oracle of ``reference.py``."""
+"""Numeric core: as_matrix/unit_rows/row_logsumexp/gram contracts, the
+fallbacks of pin_blas_threads, and the finite-difference oracle of
+``reference.py``."""
 
+import ctypes
+import io
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import hcl.numeric as numeric_mod
 from hcl.errors import ContractError, ShapeError
 from hcl.numeric import (
     ZERO_NORM_EPS,
@@ -14,6 +19,7 @@ from hcl.numeric import (
     as_matrix,
     gram,
     make_rng,
+    pin_blas_threads,
     row_logsumexp,
     unit_rows,
 )
@@ -181,3 +187,44 @@ def test_rel_error_scales():
     assert rel_error(np.array([1.0]), np.array([1.0])) == 0.0
     assert rel_error(np.array([2.0]), np.array([1.0])) == pytest.approx(0.5)
     assert rel_error(np.array([1e-9]), np.array([0.0])) == pytest.approx(1e-9)
+
+
+def _own_pin():
+    """The process's pin and how many times its body has run."""
+    return pin_blas_threads(), pin_blas_threads.cache_info().misses
+
+
+def test_pin_blas_threads_without_readable_maps_changes_nothing(monkeypatch):
+    # the uncached body: the process's own pin, made once, is left alone
+    before = _own_pin()
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError("no maps")
+
+    monkeypatch.setattr(numeric_mod, "open", unreadable, raising=False)
+    assert pin_blas_threads.__wrapped__() is None
+    assert _own_pin() == before
+
+
+def test_pin_blas_threads_skips_what_it_cannot_pin(monkeypatch):
+    # a relative path is never loaded, a library that fails to load is
+    # passed over, and one that exports a getter but no setter is too
+    before = _own_pin()
+    maps = "".join(f"7f00-7f01 r-xp 00000000 08:01 42 {p}\n" for p in (
+        "libopenblas_rel.so", "/lib/libopenblas_broken.so",
+        "/lib/libopenblas_getter.so", "/lib/libc.so.6"))
+    monkeypatch.setattr(numeric_mod, "open",
+                        lambda *args, **kwargs: io.StringIO(maps),
+                        raising=False)
+    loaded = []
+
+    def cdll(path):
+        loaded.append(path)
+        if "broken" in path:
+            raise OSError(f"{path}: cannot open shared object file")
+        return types.SimpleNamespace(openblas_get_num_threads=lambda: 1)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert pin_blas_threads.__wrapped__() is None
+    assert loaded == ["/lib/libopenblas_broken.so", "/lib/libopenblas_getter.so"]
+    assert _own_pin() == before
