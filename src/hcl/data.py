@@ -432,7 +432,8 @@ def split(ds: Dataset, n_labeled: int, rng: Rng) -> Dataset:
 def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     """One training batch: up to ``batch_size`` labeled anchors plus enough
     unlabeled rows that each anchor has ``neg_size`` negatives inside the
-    pool. ``neg_size='full'`` pools the whole dataset and uses complements.
+    pool. ``neg_size='full'`` pools the whole dataset and uses complements,
+    and so does its integer spelling n - 1, drawing the same plans.
 
     When k negatives are fewer than the na - 1 other anchors, all na negative
     sets come from one draw: an (na, na) matrix of uniform keys with the
@@ -452,8 +453,7 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     n = ds.n
-    full = isinstance(neg_size, str)
-    if full:
+    if isinstance(neg_size, str):
         if neg_size != "full":
             raise ContractError(
                 f"neg_size must be a positive int or 'full', got {neg_size!r}"
@@ -474,7 +474,7 @@ def sample_batch(ds: Dataset, batch_size: int, neg_size, rng: Rng) -> BatchPlan:
         batch_labeled = labeled_rows.copy()
     else:
         batch_labeled = rng.choice(labeled_rows, size=batch_size, replace=False)
-    if full:
+    if k == n - 1:  # 'full' or its integer spelling: every row, no draw
         anchors = np.arange(n)
     else:
         pool = [batch_labeled]

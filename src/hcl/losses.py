@@ -45,8 +45,8 @@ they leave the backward as it is.
 The supervised loss runs over flat arrays of pairs, with no loop over
 labels, in two halves. The label half (``sup_labels``, a ``SupLabels``) is
 a pure function of the binary label rows: the valid columns Y, the flat
-pairs and their indices, the per-label counts, the one-hot switch and the
-label log-weights. The embedding half (``_sup_engine``) takes it with the
+pair indices, the per-label counts, the one-hot switch and the label
+log-weights. The embedding half (``_sup_engine``) takes it with the
 embeddings. One product gives every (anchor i, label a) negative sum, S =
 exp(L - B) @ (1 - Y), with L = cos/tau + log gamma at every entry: the
 zeros of 1 - Y drop the samples that are not negatives of an (anchor,
@@ -587,11 +587,12 @@ class SupLabels:
     those label rows.
 
     ``not_y`` is 1 - Y over the valid columns Y of ``y``, those with two
-    positives and a negative. The pairs are flat arrays: pair p is anchor
-    ``pi[p]`` with another positive ``pj[p]`` of valid label ``pa[p]``, by
-    label, then anchor, then partner. ``pair`` and ``key`` are their flat
-    indices into the n x n grid of row pairs and the n x g grid of (anchor,
-    label) sums, and ``count`` is each valid label's pair count. ``log_sigma``
+    positives and a negative. The pairs are flat arrays: pair p is anchor i
+    with another positive j of valid label ``pa[p]``, by label, then anchor,
+    then partner. ``pair[p]`` = i * n + j is its flat index into the n x n
+    grid of row pairs, so ``np.divmod(pair, n)`` gives (i, j), and
+    ``key[p]`` = i * g + ``pa[p]`` its index into the n x g grid of (anchor,
+    label) sums. ``count`` is each valid label's pair count. ``log_sigma``
     (per pair) and ``log_gamma`` (n x n) are the label log-weights and
     ``shift`` = log c what they add to the logits' bound; with unit
     weights, which one-hot rows take, they are None, None and 0.
@@ -600,8 +601,6 @@ class SupLabels:
     not_y: Matrix
     absent: np.ndarray  # not_y == 1: the (anchor, label) sums no pair reads
     pa: np.ndarray
-    pi: np.ndarray
-    pj: np.ndarray
     pair: np.ndarray
     key: np.ndarray
     count: np.ndarray
@@ -640,8 +639,8 @@ def sup_labels(y) -> SupLabels:
     if not _is_one_hot(y):
         log_sigma, log_gamma = _label_log_weights(y, (pi, pj))
         shift = np.log(y.shape[1])
-    labels = SupLabels(not_y=1.0 - yv, absent=yv == 0.0, pa=pa, pi=pi,
-                       pj=pj, pair=pi * n + pj, key=pi * g + pa,
+    labels = SupLabels(not_y=1.0 - yv, absent=yv == 0.0, pa=pa,
+                       pair=pi * n + pj, key=pi * g + pa,
                        count=np.bincount(pa), log_sigma=log_sigma,
                        log_gamma=log_gamma, shift=shift)
     for array in vars(labels).values():
@@ -658,7 +657,7 @@ def _sup_engine(s: Matrix, labels: SupLabels, tau: float
         -log( sigma_ij f(s_i, s_j) /
               (sigma_ij f(s_i, s_j) + sum_{k: y_ka = 0} gamma_ik f(s_i, s_k)) )
 
-    with i, j, a = ``pi[p]``, ``pj[p]``, ``pa[p]`` and sigma = gamma = 1
+    with i, j = ``divmod(pair[p], n)``, a = ``pa[p]`` and sigma = gamma = 1
     under unit weights. Returns ``(terms, value, grad)``: value
     averages the terms over each label's pairs, then over labels, and grad
     is its gradient in ``s``.
@@ -717,25 +716,22 @@ def _is_one_hot(y: Matrix) -> bool:
     return bool(y.shape[1] >= 2 and np.all(y.sum(axis=1) == 1.0))
 
 
-def weighted_sup_loss(s: Matrix, y, tau: float = 1.0,
-                      labels: SupLabels | None = None) -> tuple[float, Matrix]:
+def weighted_sup_loss(s: Matrix, y, tau: float = 1.0) -> tuple[float, Matrix]:
     """The supervised term: a label-weighted supervised contrastive loss.
 
-    ``y`` is an (n, c) binary label matrix. Positive pairs within each
+    ``y`` is an (n, c) binary label matrix, or its label half
+    ``sup_labels(y)`` from a caller that keeps one. Positive pairs within each
     valid label are scaled by label agreement (1 - hamming/c) and negatives
     by hamming distance. A batch whose rows are all one-hot (c >= 2) takes
     unit weights instead, which makes the loss plain SupCon (Khosla et
     al. 2020): that is a per-batch switch, not a property of the weights,
     which give every one-hot negative hamming distance 2. With one label
-    column every weight is 1 as it stands. ``labels``, the label half of
-    ``y`` (``sup_labels(y)``) for a caller that keeps it, saves making it
-    afresh; it must be made from these label rows, since a half of other
-    rows with the same count is not told apart. Returns the loss and its
+    column every weight is 1 as it stands. Returns the loss and its
     gradient in ``s``.
     """
     s = as_matrix(s, "s")
-    y = _rows(y, "y", len(s))
-    labels = sup_labels(y) if labels is None else labels
-    if len(labels.not_y) != len(s):
-        raise ShapeError(f"label half has {len(labels.not_y)} rows, s has {len(s)}")
-    return _sup_engine(s, labels, tau)[1:]
+    if not isinstance(y, SupLabels):
+        y = sup_labels(_rows(y, "y", len(s)))
+    elif len(y.not_y) != len(s):
+        raise ShapeError(f"label half has {len(y.not_y)} rows, s has {len(s)}")
+    return _sup_engine(s, y, tau)[1:]

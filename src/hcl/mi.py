@@ -300,7 +300,7 @@ def _stratum_terms(z: Matrix, labels: Matrix, ids: np.ndarray, n_protos: int,
     y = as_matrix(labels, "labels")
     half = sup_labels(y)
     terms = _sup_engine(z, half, tau)[0]
-    pa, pi, pj = half.pa, half.pi, half.pj
+    pa, (pi, pj) = half.pa, np.divmod(half.pair, len(y))
     eps = gram(y).astype(int)[pi, pj]
     log_negs = np.log(np.sum(half.absent, axis=0))
     out = {}

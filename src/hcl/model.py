@@ -83,20 +83,16 @@ class ModelParams:
     Construction copies every weight and bias into the arena ``flat`` and
     gives the model its own stacks, whose arrays are views of it, so writing
     ``flat`` moves the layers; the stacks passed in are left as they were.
-    ``layout`` holds one ``(name, start, stop, shape)`` per parameter: its
-    slice ``flat[start:stop]``, in ``named_parameters`` order.
-    ``param_sizes`` holds each parameter's ``stop - start`` in that order,
-    and ``slots`` one list per stack (the encoders, then the classifier) of
-    its parameters' ``(start, stop)``: w0, b0, w1, b1, ...
+    ``layout`` is the arena's one index: one list per stack (the encoders in
+    view order, then the classifier) of its parameters' ``(name, start,
+    stop, shape)``, w0, b0, w1, b1, ..., each the slice ``flat[start:stop]``.
+    The lists in order tile the arena in ``named_parameters`` order.
     """
 
     encoders: list[LayerStack]
     classifier: LayerStack
     flat: np.ndarray = field(init=False, repr=False, compare=False)
-    layout: list[tuple[str, int, int, tuple[int, ...]]] = field(
-        init=False, repr=False, compare=False)
-    param_sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    slots: list[list[tuple[int, int]]] = field(
+    layout: list[list[tuple[str, int, int, tuple[int, ...]]]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -115,24 +111,20 @@ class ModelParams:
             )
         stacks = [(f"e{v + 1}", e) for v, e in enumerate(self.encoders)]
         stacks.append(("cls", self.classifier))
-        self.layout, self.slots, arrays, start = [], [], [], 0
+        self.flat = np.empty(sum(w.size + b.size for _, stack in stacks
+                                 for w, b in zip(stack.weights, stack.biases)))
+        self.layout, own, start = [], [], 0
         for prefix, stack in stacks:
-            self.slots.append([])
+            entries, views = [], []
             for i, (w, b) in enumerate(zip(stack.weights, stack.biases)):
                 for name, arr in ((f"{prefix}.w{i}", w), (f"{prefix}.b{i}", b)):
-                    self.layout.append((name, start, start + arr.size, arr.shape))
-                    self.slots[-1].append((start, start + arr.size))
-                    arrays.append(arr.ravel())
-                    start += arr.size
-        self.flat = np.concatenate(arrays, dtype=np.float64)
-        self.param_sizes = np.array([stop - start
-                                     for _, start, stop, _ in self.layout])
-        views = named_parameters(self)
-        own = []
-        for prefix, stack in stacks:
-            layers = range(len(stack.weights))
-            own.append(LayerStack([views[f"{prefix}.w{i}"] for i in layers],
-                                  [views[f"{prefix}.b{i}"] for i in layers],
+                    stop = start + arr.size
+                    entries.append((name, start, stop, arr.shape))
+                    views.append(self.flat[start:stop].reshape(arr.shape))
+                    np.copyto(views[-1], arr)
+                    start = stop
+            self.layout.append(entries)
+            own.append(LayerStack(views[0::2], views[1::2],
                                   stack.output_activation))
         self.encoders, self.classifier = own[:-1], own[-1]
 
@@ -216,11 +208,12 @@ def classify(params: ModelParams, s: Matrix) -> tuple[Matrix, list[Matrix]]:
 
 
 def _backward_stack(stack: LayerStack, acts: list[Matrix], d_out: Matrix,
-                    grad: np.ndarray, slots: list[tuple[int, int]]) -> Matrix:
-    """Accumulate parameter grads into their ``slots`` of the flat ``grad``
-    (``ModelParams.slots`` of this stack); return the gradient at the first
-    layer's pre-activation. Only the classifier needs the gradient at its
-    input (that times ``weights[0].T``), so the encoders skip that product.
+                    grad: np.ndarray, layout: list[tuple]) -> Matrix:
+    """Accumulate parameter grads into their slices of the flat ``grad``,
+    read from ``layout``, this stack's list of ``ModelParams.layout``;
+    return the gradient at the first layer's pre-activation. Only the
+    classifier needs the gradient at its input (that times
+    ``weights[0].T``), so the encoders skip that product.
     Layer i of the forward record ``acts`` reads its input ``acts[i]`` and
     its ReLU mask ``acts[i + 1] > 0``, which is its ``pre > 0``."""
     last = len(stack.weights) - 1
@@ -235,7 +228,7 @@ def _backward_stack(stack: LayerStack, acts: list[Matrix], d_out: Matrix,
     for i in range(last, -1, -1):
         if i != last:  # d_pre is the fresh product below
             d_pre *= acts[i + 1] > 0.0
-        (w_lo, w_hi), (b_lo, b_hi) = slots[2 * i], slots[2 * i + 1]
+        (_, w_lo, w_hi, _), (_, b_lo, b_hi, _) = layout[2 * i:2 * i + 2]
         grad[w_lo:w_hi] += (acts[i].T @ d_pre).ravel()
         grad[b_lo:b_hi] += d_pre.sum(axis=0)
         if i:
@@ -257,7 +250,7 @@ def named_parameters(params: ModelParams,
         raise ShapeError(f"buffer has shape {buf.shape}, parameters "
                          f"{params.flat.shape}")
     return {name: buf[start:stop].reshape(shape)
-            for name, start, stop, shape in params.layout}
+            for stack in params.layout for name, start, stop, shape in stack}
 
 
 def first_nonfinite(params: ModelParams, buf: np.ndarray) -> str | None:
@@ -265,7 +258,8 @@ def first_nonfinite(params: ModelParams, buf: np.ndarray) -> str | None:
     ``params.flat``) holds a NaN or an infinity, or None if none does."""
     if np.isfinite(buf).all():
         return None
-    return next(name for name, start, stop, _ in params.layout
+    return next(name for stack in params.layout
+                for name, start, stop, _ in stack
                 if not np.isfinite(buf[start:stop]).all())
 
 
@@ -307,7 +301,7 @@ def model_backward(params: ModelParams, *,
         if cls_cache is None:
             raise ContractError("classifier gradient needs its forward cache")
         d_pre = _backward_stack(params.classifier, cls_cache, d_yhat, grad,
-                                params.slots[-1])
+                                params.layout[-1])
         at_input.append(d_pre @ params.classifier.weights[0].T)
     for d in at_input:
         rows = np.arange(d.shape[0]) if classifier_rows is None \
@@ -320,9 +314,9 @@ def model_backward(params: ModelParams, *,
         for v, acc in enumerate(accs):
             np.add.at(acc, rows, d[:, v * latent:(v + 1) * latent])
 
-    for stack, cache, acc, slots in zip(params.encoders, enc_caches, accs,
-                                        params.slots):
-        _backward_stack(stack, cache, acc, grad, slots)
+    for stack, cache, acc, layout in zip(params.encoders, enc_caches, accs,
+                                         params.layout):
+        _backward_stack(stack, cache, acc, grad, layout)
     return grad
 
 

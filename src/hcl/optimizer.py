@@ -14,8 +14,9 @@ directly. There is no learning-rate schedule; ``base_lr`` stays fixed.
 
 The parameters, the gradient and the momentum buffer are each one vector
 laid out like ``ModelParams.flat``. A step takes the norms per weight matrix
-over its slice, spreads one effective rate per parameter over its slice,
-and then updates the whole model in three whole-buffer operations.
+over its slice, writes each matrix's effective rate over its slice of one
+rate vector that holds ``base_lr`` everywhere else, and then updates the
+whole model in three whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -77,19 +78,19 @@ def lars_step(params: ModelParams, grad: np.ndarray,
                          f"{w.shape}: it belongs to another model")
     decay = state.weight_decay
     step = grad + decay * w if decay else grad
-    rates = np.full(len(params.layout), state.base_lr)
+    rates = np.full(w.size, state.base_lr)
     with np.errstate(over="ignore"):
-        for j, (_, start, stop, shape) in enumerate(params.layout):
-            if len(shape) == 1:
-                continue
-            w_norm = _norm(w[start:stop])
-            g = grad[start:stop]
-            g_norm = _norm(g)
-            if not math.isfinite(g_norm):  # finite g whose squares overflow
-                m = float(np.max(np.abs(g)))
-                g_norm = m * _norm(g / m)
-            local = state.trust_coeff * w_norm / (g_norm + decay * w_norm + _EPS)
-            rates[j] = state.base_lr * local
+        for stack in params.layout:
+            for _, start, stop, _ in stack[0::2]:  # its weight matrices
+                w_norm = _norm(w[start:stop])
+                g = grad[start:stop]
+                g_norm = _norm(g)
+                if not math.isfinite(g_norm):  # finite g whose squares overflow
+                    m = float(np.max(np.abs(g)))
+                    g_norm = m * _norm(g / m)
+                local = (state.trust_coeff * w_norm
+                         / (g_norm + decay * w_norm + _EPS))
+                rates[start:stop] = state.base_lr * local
     v *= state.momentum
-    v += np.repeat(rates, params.param_sizes) * step
+    v += rates * step
     w -= v

@@ -281,9 +281,9 @@ def step_forward(params: ModelParams, ds: Dataset, plan: BatchPlan,
     classifier and l_s its labeled positions. ``x_sim``: per-dataset-row
     similarity side of the single-view l_u. l_u takes one batch of all
     views, and ``weighted = False`` leaves out its raw features, which gives
-    plain InfoNCE. ``label_half``: label rows -> their label half for l_s,
-    made afresh by default (``losses.sup_labels``) or kept by a
-    ``LabelHalves``.
+    plain InfoNCE. l_s takes its labels as the label half of the batch's
+    label rows from ``label_half``: rows -> half, made afresh by default
+    (``losses.sup_labels``) or kept by a ``LabelHalves``.
     """
     c, u, s = weights
     rows, labeled = plan.anchors, plan.labeled
@@ -306,7 +306,7 @@ def step_forward(params: ModelParams, ds: Dataset, plan: BatchPlan,
         l_u, *d_z = kernel(batch, tau)
         back["d_z"] = [u * d for d in d_z]
     if s > 0:
-        l_s, d_s = weighted_sup_loss(s_lab, y_lab, tau, label_half(y_lab))
+        l_s, d_s = weighted_sup_loss(s_lab, label_half(y_lab), tau)
         back["d_s"] = s * d_s
     return (l_c, l_u, l_s), back
 

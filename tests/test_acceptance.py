@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from builders import safe_model_instance
-from reference import (finite_diff_grad, random_neg_mask, ref_auc_pairwise,
+from oracles import (finite_diff_grad, random_neg_mask, ref_auc_pairwise,
                        ref_f1_micro, ref_log_weight, ref_weighted_sup,
                        rel_error)
 

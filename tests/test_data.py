@@ -514,6 +514,21 @@ def test_sample_batch_full_complement_is_none():
     assert sampled.negatives.size == 4 * 2
 
 
+def test_sample_batch_full_and_its_integer_spelling_draw_one_stream():
+    # neg_size n - 1 names every other row as 'full' does: with a batch below
+    # the labeled count both draw equal plans and leave the rng in one
+    # state, with no draw spent on topping up the pool
+    ds = split(toy_dataset(n=12), 6, make_rng(28))
+    rng_full, rng_int = make_rng(5), make_rng(5)
+    for _ in range(3):
+        a = sample_batch(ds, 3, "full", rng_full)
+        b = sample_batch(ds, 3, 11, rng_int)
+        assert a.neg_mask is None and b.neg_mask is None
+        for field in ("anchors", "labeled"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert rng_full.bit_generator.state == rng_int.bit_generator.state
+
+
 @pytest.mark.parametrize("batch_size,neg_size", [
     (4, 12), (4, 2), (12, 6), (5, "full"), (40, "full")])
 def test_sample_batch_reads_only_rows_labeled_mask_and_sizes(batch_size,

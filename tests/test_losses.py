@@ -26,7 +26,7 @@ from hcl.losses import (
 from hcl.numeric import _unit_rows_norms, make_rng, row_logsumexp, unit_rows
 
 from builders import symmetric_branch_calls
-from reference import (
+from oracles import (
     finite_diff_grad,
     neg_sets_from_mask,
     old_cross_entropy,
@@ -630,11 +630,10 @@ def test_weighted_sup_refuses_a_label_half_of_another_row_count(half_rows):
     # a half with fewer or more rows than s is refused by name, not by a
     # numpy broadcast error inside the engine
     s = make_rng(63).normal(size=(10, 3))
-    y = np.eye(2)[[0, 1] * 5]
     half = sup_labels(np.eye(2)[[0, 1] * (half_rows // 2)])
     with pytest.raises(ShapeError,
                        match=f"label half has {half_rows} rows, s has 10"):
-        weighted_sup_loss(s, y, 0.5, half)
+        weighted_sup_loss(s, half, 0.5)
 
 
 def test_weighted_sup_rejects_non_binary():
@@ -704,8 +703,8 @@ def test_supervised_pairs_run_by_label_then_anchor_then_partner():
     half = sup_labels(y)
     groups = ref_sup_groups(y)
     assert np.array_equal(1.0 - half.not_y, y[:, [a for a, _, _ in groups]])
-    assert list(zip(half.pa.tolist(), half.pi.tolist(),
-                    half.pj.tolist())) == [
+    pi, pj = np.divmod(half.pair, len(y))
+    assert list(zip(half.pa.tolist(), pi.tolist(), pj.tolist())) == [
         (g, i, j) for g, (_, pos, _) in enumerate(groups)
         for i in pos for j in pos if i != j]
 
@@ -1609,8 +1608,8 @@ def _label_sweep(rng, n=9):
 @pytest.mark.parametrize("tau", [0.5, 1e-4])
 def test_label_half_gives_the_bits_of_the_whole_loss(monkeypatch, tau):
     # one label half serves several embedding batches, each bit-equal to
-    # weighted_sup_loss handed that half, to weighted_sup_loss making its
-    # half afresh and to the engine before the split; at tau = 1e-4 the
+    # weighted_sup_loss handed that half as y, to weighted_sup_loss making
+    # its half afresh and to the engine before the split; at tau = 1e-4 the
     # repair runs and reads the kept logits
     rng = make_rng(61)
     repairs = _repaired_rows(monkeypatch)
@@ -1619,8 +1618,8 @@ def test_label_half_gives_the_bits_of_the_whole_loss(monkeypatch, tau):
         for _ in range(3):
             s = rng.normal(size=(len(y), 4))
             _, value, grad = losses_mod._sup_engine(s, half, tau)
-            for labels in (half, None):
-                want_value, want_grad = weighted_sup_loss(s, y, tau, labels)
+            for given in (half, y):
+                want_value, want_grad = weighted_sup_loss(s, given, tau)
                 assert value == want_value, name
                 assert np.array_equal(grad, want_grad), name
             _, old_value, old_grad = old_sup_engine(
@@ -1648,8 +1647,11 @@ def test_label_half_is_read_only_and_switches_like_the_loss():
         assert (half.log_sigma is None) == one_hot, name
         assert half.shift == (0.0 if one_hot else np.log(y.shape[1])), name
         n, g = half.not_y.shape
-        assert np.array_equal(half.pair, half.pi * n + half.pj)
-        assert np.array_equal(half.key, half.pi * g + half.pa)
+        # pair p is (anchor i, partner j) as i * n + j, key its (anchor,
+        # label) sum as i * g + pa
+        i, j = np.divmod(half.pair, n)
+        assert np.all(i != j), name
+        assert np.array_equal(np.divmod(half.key, g), (i, half.pa)), name
         assert np.array_equal(half.count, np.bincount(half.pa))
         for field in dataclasses.fields(half):
             array = getattr(half, field.name)

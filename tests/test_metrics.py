@@ -15,7 +15,7 @@ from hcl.metrics import (
 )
 from hcl.numeric import make_rng
 
-from reference import ref_auc_pairwise, ref_f1_micro
+from oracles import ref_auc_pairwise, ref_f1_micro
 
 
 def test_f1_perfect_predictions():

@@ -29,7 +29,7 @@ from hcl.losses import sup_labels
 from hcl.numeric import make_rng
 from hcl.train import train_step
 
-from reference import (
+from oracles import (
     quantized_gaussian_table,
     ref_discrete_mi,
     ref_stratum_pair_tables,

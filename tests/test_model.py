@@ -27,7 +27,7 @@ from hcl.numeric import make_rng
 from hcl.optimizer import OptimizerState, lars_step
 
 from builders import safe_model_instance
-from reference import finite_diff_grad, rel_error
+from oracles import finite_diff_grad, rel_error
 
 
 def small_params(seed=0, **kw):
@@ -136,6 +136,32 @@ def test_parameters_tile_the_arena(tmp_path, how):
         assert not np.array_equal(arr, old), name
     with pytest.raises(ShapeError, match="buffer"):
         named_parameters(params, flat[1:])
+
+
+@pytest.mark.parametrize("how", ["init", "checkpoint", "hand-built"])
+def test_layout_indexes_each_stack_of_the_arena(tmp_path, how):
+    # one list per stack, the encoders in view order then the classifier:
+    # the (start, stop) runs tile the arena in order, each list names only
+    # its own stack's parameters, and the stack's arrays are views of its
+    # list's slices
+    params = _built(how, tmp_path)
+    flat = params.flat
+    stacks = [*params.encoders, params.classifier]
+    prefixes = [f"e{v + 1}" for v in range(len(params.encoders))] + ["cls"]
+    assert len(params.layout) == len(stacks)
+    offset = 0
+    for stack, prefix, entries in zip(stacks, prefixes, params.layout):
+        held = [a for w, b in zip(stack.weights, stack.biases) for a in (w, b)]
+        assert len(entries) == len(held), prefix
+        for i, (arr, (name, start, stop, shape)) in enumerate(zip(held,
+                                                                  entries)):
+            assert name == f"{prefix}.{'wb'[i % 2]}{i // 2}"
+            assert (start, stop) == (offset, offset + arr.size), name
+            assert arr.shape == shape, name
+            assert arr.ctypes.data == flat[start:].ctypes.data, name
+            assert np.shares_memory(arr, flat[start:stop]), name
+            offset = stop
+    assert offset == flat.size
 
 
 def test_encode_identity_layer_passes_through():

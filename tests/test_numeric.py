@@ -1,6 +1,6 @@
 """Numeric core: as_matrix/unit_rows/row_logsumexp/gram contracts, the
 fallbacks of pin_blas_threads, and the finite-difference oracle of
-``reference.py``."""
+``oracles.py``."""
 
 import ctypes
 import io
@@ -24,7 +24,7 @@ from hcl.numeric import (
     unit_rows,
 )
 
-from reference import finite_diff_grad, old_unit_rows, rel_error
+from oracles import finite_diff_grad, old_unit_rows, rel_error
 
 
 def test_as_matrix_rejects_non_2d():

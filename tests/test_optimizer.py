@@ -9,7 +9,7 @@ from hcl.numeric import make_rng
 from hcl.optimizer import OptimizerState, lars_step
 
 from builders import safe_model_instance
-from reference import ref_lars_step
+from oracles import ref_lars_step
 
 
 def one_layer(w=None, b=None):

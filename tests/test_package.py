@@ -113,3 +113,14 @@ def test_benchmark_work_counters_read_what_hcl_returns():
         assert counters["losses.unsup_loss_multiview"](
             (ContrastiveBatch([z, z], plan.neg_mask), 0.5), {},
             None) == {"logits": 4 * 36}
+
+
+def test_no_test_module_shadows_a_benchmark_module():
+    # neither tests/ nor perfbench/ is a package, so pytest's default import
+    # mode puts both on sys.path: a module name in both resolves to whichever
+    # loads first, and a session that runs both directories breaks
+    def modules(directory):
+        return {name[:-3] for name in os.listdir(os.path.join(ROOT, directory))
+                if name.endswith(".py")}
+
+    assert not modules("tests") & modules("perfbench")

@@ -1,7 +1,7 @@
 """The kernel temperature and the contrastive weights of ``hcl.losses``.
 
 The weights are checked in the log form that gets added to the logits:
-``reference.ref_log_weight`` for the raw-input weight exp(1 - cos) (the
+``oracles.ref_log_weight`` for the raw-input weight exp(1 - cos) (the
 definition the kernels' fused product is tested against) and
 ``_label_log_weights`` for the label weights sigma and gamma.
 """
@@ -23,7 +23,7 @@ from hcl.losses import (
 from hcl.mi import BoundTrainSpec
 from hcl.numeric import make_rng
 
-from reference import ref_hamming, ref_log_weight
+from oracles import ref_hamming, ref_log_weight
 
 
 _Z, _W = make_rng(0).normal(size=(2, 4, 3))

@@ -54,7 +54,7 @@ from builders import (
     save_manifest,
     symmetric_branch_calls,
 )
-from reference import finite_diff_grad, rel_error
+from oracles import finite_diff_grad, rel_error
 
 SMALL = {
     "synthetic": "cluster", "n_samples": "60", "n_features": "8",
